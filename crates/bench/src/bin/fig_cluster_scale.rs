@@ -100,7 +100,7 @@ fn main() {
     let ((), serial_s) = timed(|| {
         let open = client.open();
         serial_bytes += open.wire_size();
-        let mut pending = server.handle(&open).expect("open");
+        let mut pending = server.handle(&open).expect("open").pop();
         loop {
             let payload = pending.take().expect("streaming server always replies");
             serial_bytes += payload.wire_size();

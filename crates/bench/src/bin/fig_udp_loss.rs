@@ -264,6 +264,7 @@ fn main() {
     // TCP baseline: same daemon, same workload, loss-free by construction.
     {
         let mut conn = std::net::TcpStream::connect(daemon.data_addr()).expect("tcp connect");
+        conn.set_nodelay(true).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
         let started = Instant::now();

@@ -391,6 +391,7 @@ fn bench_daemon_stream(scale: RunScale, seed: u64) -> (BenchRecord, Option<Strin
     let daemon = Daemon::spawn(config, pair.alice).expect("daemon spawn");
 
     let mut conn = TcpStream::connect(daemon.data_addr()).expect("connect");
+    conn.set_nodelay(true).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let ((diffs, _outcome), secs) = timed(|| {

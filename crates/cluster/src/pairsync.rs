@@ -4,27 +4,31 @@
 //! frame on the wire is a [`MuxFrame`] tagged with `(session, shard)`, so
 //! requests and payloads of all shards interleave freely. The responder
 //! serves coded symbols straight out of its shared per-shard
-//! [`riblt::SketchCache`]s (per-session state is just an offset — encode
-//! once, serve every peer); the initiator subtracts its *own* cache cells
-//! and peels each shard's difference independently, fanning the decode work
-//! out over a `std::thread` worker pool.
+//! [`riblt::SketchCache`]s (requests name their own range, so there is no
+//! per-session state — encode once, serve every peer); the initiator
+//! subtracts its *own* cache cells and peels each shard's difference
+//! independently, fanning the decode work out over a `std::thread` worker
+//! pool.
 //!
-//! The protocol is fully request-driven (the initiator answers every payload
-//! with `Continue`, `Done`, or nothing further once complete), which is what
-//! makes interleaving many sessions on one transport deadlock-free.
+//! The protocol is fully request-driven (the initiator answers every round
+//! of payloads with a range `Request` sized by [`reconcile_core::window`],
+//! or `Done`), which is what makes interleaving many sessions on one
+//! transport deadlock-free.
 //!
 //! Time is accounted like the two-replica experiments: bytes move on the
 //! virtual-time [`Topology`] links, while real measured encode/decode CPU is
 //! folded into the virtual clocks — the parallel decode phase contributes
 //! its *wall* time, so multi-core speedups show up in completion times.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use netsim::Topology;
-use reconcile_core::{EngineError, EngineMessage, MuxFrame, Result, SessionId, ShardId};
+use reconcile_core::window::request_until;
+use reconcile_core::{
+    EngineError, EngineMessage, MuxFrame, RangeRequest, Result, SessionId, ShardId,
+};
 use riblt::wire::SymbolCodec;
-use riblt::{CodedSymbol, Decoder, SetDifference, Symbol};
+use riblt::{CodedSymbol, Decoder, DifferenceEstimate, SetDifference, Symbol};
 
 use crate::node::Node;
 use crate::pool::{default_threads, parallel_for_each_observed};
@@ -69,11 +73,11 @@ const OPEN_MAGIC: [u8; 4] = *b"CLS0";
 /// Tuning knobs of one pairwise exchange.
 #[derive(Debug, Clone, Copy)]
 pub struct PairSyncConfig {
-    /// Coded symbols served per shard per round.
+    /// Coded symbols per payload frame (the tile ranges are aligned to).
     pub batch_symbols: usize,
     /// Decode worker threads (0 = one per available core).
     pub threads: usize,
-    /// Safety budget: abort a shard session after this many coded symbols.
+    /// Safety budget: never request past this many coded symbols per shard.
     pub max_units_per_shard: usize,
 }
 
@@ -109,7 +113,7 @@ pub struct PairOutcome {
 }
 
 /// Per-shard initiator state, shaped for the worker pool: each round the
-/// driver drops in the received payload and the matching window of the
+/// driver drops in the received payloads and the matching window of the
 /// initiator's own cache cells, and a worker subtracts and peels.
 ///
 /// The peel state is an incremental [`Decoder`] with an *empty* local set:
@@ -118,9 +122,13 @@ pub struct PairOutcome {
 /// work stays linear in the symbols received, never re-run from scratch.
 struct ShardState<S: Symbol> {
     shard: ShardId,
+    /// Symbols absorbed so far, i.e. the stream offset the next ask starts at.
     received: usize,
-    payload: Vec<u8>,
+    /// This round's ask.
+    range: RangeRequest,
+    payloads: Vec<Vec<u8>>,
     own_window: Vec<CodedSymbol<S>>,
+    estimate: DifferenceEstimate,
     decoder: Option<Decoder<S>>,
     result: Option<SetDifference<S>>,
     error: Option<EngineError>,
@@ -210,7 +218,9 @@ where
     let mut rounds = 0usize;
 
     // --- Open every shard session (client → server). ---
-    let mut server_sessions: HashMap<ShardId, usize> = HashMap::new();
+    let tile = config.batch_symbols;
+    // An open asks for the stream's first tile.
+    let first_tile = RangeRequest::new(0, tile)?;
     let mut active: Vec<ShardState<S>> = Vec::with_capacity(usize::from(shards));
     for shard in 0..shards {
         let frame = MuxFrame::new(
@@ -228,12 +238,13 @@ where
             _ => return Err(EngineError::Protocol("expected an open frame")),
         };
         debug_assert_eq!(batch, config.batch_symbols);
-        server_sessions.insert(parsed.shard, 0);
         active.push(ShardState {
             shard,
             received: 0,
-            payload: Vec::new(),
+            range: first_tile,
+            payloads: Vec::new(),
             own_window: Vec::new(),
+            estimate: DifferenceEstimate::default(),
             decoder: Some(Decoder::with_key_and_alpha(key, alpha)),
             result: None,
             error: None,
@@ -242,22 +253,28 @@ where
 
     let mut differences: Vec<(ShardId, SetDifference<S>)> = Vec::new();
     let mut units = 0usize;
+    // Shards are a uniform hash split of one difference: the window is sized
+    // from the estimate pooled over all of them, finished ones included.
+    let mut finished_estimate = DifferenceEstimate::default();
 
     while !active.is_empty() {
         rounds += 1;
 
-        // --- Serve phase (responder): a cache-range read per shard. ---
+        // --- Serve phase (responder): one cache-range read per tile of
+        // each shard's range. ---
         let t_serve = Instant::now();
         let mut payload_frames: Vec<(usize, Vec<u8>)> = Vec::with_capacity(active.len());
         for (idx, state) in active.iter().enumerate() {
-            let next = server_sessions[&state.shard];
+            let tiles = state.range.tiles(tile, usize::MAX)?;
             let server_codec =
                 SymbolCodec::with_alpha(symbol_len, b.shard_len(state.shard) as u64, alpha);
-            let cells = b.shard_cells(state.shard, next, config.batch_symbols);
-            let payload = server_codec.encode_batch(cells, next as u64);
-            *server_sessions.get_mut(&state.shard).expect("session open") += config.batch_symbols;
-            let frame = MuxFrame::new(session, state.shard, EngineMessage::Payload(payload));
-            payload_frames.push((idx, frame.to_bytes()));
+            for index in 0..tiles {
+                let next = state.range.offset as usize + index * tile;
+                let cells = b.shard_cells(state.shard, next, tile);
+                let payload = server_codec.encode_batch(cells, next as u64);
+                let frame = MuxFrame::new(session, state.shard, EngineMessage::Payload(payload));
+                payload_frames.push((idx, frame.to_bytes()));
+            }
         }
         let serve_elapsed = t_serve.elapsed();
         metrics.serve_rounds.observe_duration(serve_elapsed);
@@ -272,10 +289,10 @@ where
             let parsed = MuxFrame::from_bytes(&wire)?;
             let state = &mut active[idx];
             debug_assert_eq!(parsed.shard, state.shard);
-            state.payload = match parsed.message {
-                EngineMessage::Payload(p) => p,
+            match parsed.message {
+                EngineMessage::Payload(p) => state.payloads.push(p),
                 _ => return Err(EngineError::Protocol("expected a payload frame")),
-            };
+            }
         }
 
         // --- Client phase, all of it timed: materializing the initiator's
@@ -285,32 +302,39 @@ where
         let t_decode = Instant::now();
         for state in active.iter_mut() {
             state.own_window = a
-                .shard_cells(state.shard, state.received, config.batch_symbols)
+                .shard_cells(state.shard, state.received, usize::from(state.range.count))
                 .to_vec();
         }
         parallel_for_each_observed(&mut active, threads, &metrics.decode_shards, |state| {
-            let batch = match client_codec.decode_batch::<S>(&state.payload) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    state.error = Some(e.into());
+            // Tiles in arrival order; once the shard decodes, the rest of
+            // the range is an unused tail.
+            let mut own = state.own_window.chunks(tile);
+            for payload in std::mem::take(&mut state.payloads) {
+                let batch = match client_codec.decode_batch::<S>(&payload) {
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        state.error = Some(e.into());
+                        return;
+                    }
+                };
+                let own = own.next().unwrap_or_default();
+                if batch.start_index as usize != state.received || batch.symbols.len() != own.len()
+                {
+                    state.error = Some(EngineError::Protocol("payload out of sequence"));
                     return;
                 }
-            };
-            if batch.start_index as usize != state.received
-                || batch.symbols.len() != state.own_window.len()
-            {
-                state.error = Some(EngineError::Protocol("payload out of sequence"));
-                return;
-            }
-            let decoder = state.decoder.as_mut().expect("decoder live until done");
-            for (mut cell, own) in batch.symbols.into_iter().zip(&state.own_window) {
-                cell.subtract(own);
-                decoder.add_coded_symbol(cell);
-            }
-            state.received += state.own_window.len();
-            if decoder.is_decoded() {
-                let decoder = state.decoder.take().expect("checked above");
-                state.result = Some(decoder.into_difference());
+                let decoder = state.decoder.as_mut().expect("decoder live until done");
+                for (mut cell, own) in batch.symbols.into_iter().zip(own) {
+                    cell.subtract(own);
+                    decoder.add_coded_symbol(cell);
+                }
+                state.received += own.len();
+                state.estimate = decoder.difference_estimate();
+                if decoder.is_decoded() {
+                    let decoder = state.decoder.take().expect("checked above");
+                    state.result = Some(decoder.into_difference());
+                    return;
+                }
             }
         });
         let decode_elapsed = t_decode.elapsed();
@@ -319,34 +343,46 @@ where
         decode_wall_s += decode_s;
         client_clock = client_clock.max(last_arrival) + decode_s;
 
-        // --- Reply phase: Done for completed shards, Continue otherwise. ---
+        // --- Reply phase: Done for completed shards, the next range for
+        // the rest. ---
+        let mut pooled = finished_estimate;
+        for state in &active {
+            pooled.merge(&state.estimate);
+        }
         let mut still_active = Vec::with_capacity(active.len());
         for mut state in active {
             if let Some(error) = state.error.take() {
                 return Err(error);
             }
-            if let Some(diff) = state.result.take() {
-                let frame = MuxFrame::new(session, state.shard, EngineMessage::Done);
-                let wire = frame.to_bytes();
-                let arrival = topology.send(initiator, responder, client_clock, wire.len());
-                server_clock = server_clock.max(arrival);
-                server_sessions.remove(&state.shard);
+            let message = if let Some(diff) = state.result.take() {
+                finished_estimate.merge(&state.estimate);
                 units += state.received;
                 differences.push((state.shard, diff));
+                EngineMessage::Done
             } else {
-                if state.received >= config.max_units_per_shard {
-                    return Err(EngineError::DecodeIncomplete);
-                }
-                let frame = MuxFrame::new(session, state.shard, EngineMessage::Continue);
-                let wire = frame.to_bytes();
-                let arrival = topology.send(initiator, responder, client_clock, wire.len());
-                server_clock = server_clock.max(arrival);
+                // One request per shard per round: a want beyond the
+                // request cap spills into the next.
+                let until = request_until(
+                    state.received,
+                    tile,
+                    pooled.mean(),
+                    config.max_units_per_shard,
+                )
+                .ok_or(EngineError::DecodeIncomplete)?;
+                let count = (until - state.received).min(RangeRequest::largest_count(tile));
+                state.range = RangeRequest::new(state.received, count)?;
+                EngineMessage::Request(state.range)
+            };
+            let done = message == EngineMessage::Done;
+            let wire = MuxFrame::new(session, state.shard, message).to_bytes();
+            let arrival = topology.send(initiator, responder, client_clock, wire.len());
+            server_clock = server_clock.max(arrival);
+            if !done {
                 still_active.push(state);
             }
         }
         active = still_active;
     }
-    debug_assert!(server_sessions.is_empty(), "all shard sessions retired");
 
     // --- Apply the differences push-pull. ---
     let mut items_to_initiator = 0usize;

@@ -8,9 +8,13 @@
 //! recovered [`SetDifference`]. The trait splits the schemes into two flows
 //! that the session engine treats uniformly:
 //!
-//! * **Rateless streaming** (Rateless IBLT, Irregular Rateless IBLT): after
-//!   the opening request the server keeps pushing payloads unprompted; the
+//! * **Rateless streaming** (Rateless IBLT, Irregular Rateless IBLT): the
 //!   client answers [`Progress::AwaitStream`] until its decoder completes.
+//!   On a dedicated link the server just keeps pushing payloads unprompted
+//!   ([`ReconcileBackend::serve`] with no request); on a multiplexed one the
+//!   client names the range of the stream it wants next
+//!   ([`ReconcileBackend::serve_range`]), sized from the
+//!   [`StreamProgress`] its decoders report.
 //! * **Fixed-size / interactive** (regular IBLT + strata estimator,
 //!   MET-IBLT, PinSketch, Merkle-trie heal): every payload answers one
 //!   client request, and the client's [`Progress::SendRequest`] carries the
@@ -21,15 +25,28 @@
 //! in `statesync` for the trie-heal baseline (which needs ledger-specific
 //! keying).
 
-use riblt::SetDifference;
+use riblt::{DifferenceEstimate, SetDifference};
 
-use crate::error::Result;
+use crate::engine::RangeRequest;
+use crate::error::{EngineError, Result};
+
+/// Where a streaming client stands after ingesting a payload: everything a
+/// session driver needs to size its next range request.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StreamProgress {
+    /// Coded symbols consumed so far, i.e. the stream offset of the next
+    /// symbol the decoder wants.
+    pub consumed: usize,
+    /// The decoder's sketch of the whole difference's size (no observations
+    /// for schemes that have none; drivers then ask one batch at a time).
+    pub estimate: DifferenceEstimate,
+}
 
 /// What the client wants after ingesting one server payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Progress {
-    /// Streaming flow: the server should push the next payload unprompted.
-    AwaitStream,
+    /// Streaming flow: the decoder needs more of the stream.
+    AwaitStream(StreamProgress),
     /// Interactive flow: send this request to the server and await its
     /// reply.
     SendRequest(Vec<u8>),
@@ -68,6 +85,19 @@ pub trait ReconcileBackend {
     /// request and every interactive follow-up, `None` when a streaming
     /// backend is pushing unprompted.
     fn serve(&self, server: &mut Self::Server, request: Option<&[u8]>) -> Result<Vec<u8>>;
+
+    /// Serves a range of a streaming backend's coded symbols as whole
+    /// payloads of the backend's batch size, in order — the multiplexed
+    /// flow's answer to a range request. The range must be batch-aligned,
+    /// and a per-session encoder only serves the range that continues its
+    /// stream. Interactive backends keep the default, which refuses.
+    fn serve_range(
+        &self,
+        _server: &mut Self::Server,
+        _range: RangeRequest,
+    ) -> Result<Vec<Vec<u8>>> {
+        Err(EngineError::Protocol("backend does not stream ranges"))
+    }
 
     /// Ingests one server payload into the client and reports progress.
     fn absorb(&self, client: &mut Self::Client, payload: &[u8]) -> Result<Progress>;

@@ -9,9 +9,10 @@ use riblt::{
 };
 use riblt_hash::SipKey;
 
-use crate::backend::{Progress, ReconcileBackend};
+use crate::backend::{Progress, ReconcileBackend, StreamProgress};
+use crate::engine::RangeRequest;
 use crate::error::{EngineError, Result};
-use crate::wirefmt::{encode_stream_open, validate_stream_open};
+use crate::wirefmt::{encode_stream_open, stream_range_tiles, validate_stream_open};
 
 /// Magic bytes of the opening request.
 const OPEN_MAGIC: [u8; 4] = *b"IRR0";
@@ -66,6 +67,15 @@ pub struct IrregularServer<S: Symbol> {
     codec: SymbolCodec,
 }
 
+impl<S: Symbol> IrregularServer<S> {
+    /// Wire-encodes the next `count` coded symbols of the stream.
+    fn next_batch(&mut self, count: usize) -> Vec<u8> {
+        let start = self.encoder.next_index();
+        let batch = self.encoder.produce_coded_symbols(count);
+        self.codec.encode_batch(&batch, start)
+    }
+}
+
 /// Client state.
 #[derive(Debug, Clone)]
 pub struct IrregularClient<S: Symbol> {
@@ -115,9 +125,14 @@ impl<S: Symbol> ReconcileBackend for IrregularRibltBackend<S> {
         if let Some(req) = request {
             validate_stream_open(req, OPEN_MAGIC, self.symbol_len)?;
         }
-        let start = server.encoder.next_index();
-        let batch = server.encoder.produce_coded_symbols(self.batch_symbols);
-        Ok(server.codec.encode_batch(&batch, start))
+        Ok(server.next_batch(self.batch_symbols))
+    }
+
+    fn serve_range(&self, server: &mut Self::Server, range: RangeRequest) -> Result<Vec<Vec<u8>>> {
+        let tiles = stream_range_tiles(range, self.batch_symbols, server.encoder.next_index())?;
+        Ok((0..tiles)
+            .map(|_| server.next_batch(self.batch_symbols))
+            .collect())
     }
 
     fn absorb(&self, client: &mut IrregularClient<S>, payload: &[u8]) -> Result<Progress> {
@@ -126,7 +141,12 @@ impl<S: Symbol> ReconcileBackend for IrregularRibltBackend<S> {
         if client.decoder.is_decoded() {
             Ok(Progress::Complete)
         } else {
-            Ok(Progress::AwaitStream)
+            // The mixed-α cells have no difference sketch: drivers ask one
+            // batch at a time.
+            Ok(Progress::AwaitStream(StreamProgress {
+                consumed: client.decoder.coded_symbols_received(),
+                ..Default::default()
+            }))
         }
     }
 

@@ -5,9 +5,10 @@ use std::marker::PhantomData;
 use riblt::{Decoder, Encoder, SetDifference, Symbol, SymbolCodec};
 use riblt_hash::SipKey;
 
-use crate::backend::{Progress, ReconcileBackend};
+use crate::backend::{Progress, ReconcileBackend, StreamProgress};
+use crate::engine::RangeRequest;
 use crate::error::Result;
-use crate::wirefmt::{encode_stream_open, validate_stream_open};
+use crate::wirefmt::{encode_stream_open, stream_range_tiles, validate_stream_open};
 
 /// Magic bytes of the opening request, exported so transports that serve
 /// the rateless stream outside the generic engine — e.g. the `reconciled`
@@ -68,6 +69,15 @@ pub struct RibltServer<S: Symbol> {
     codec: SymbolCodec,
 }
 
+impl<S: Symbol> RibltServer<S> {
+    /// Wire-encodes the next `count` coded symbols of the stream.
+    fn next_batch(&mut self, count: usize) -> Vec<u8> {
+        let start = self.encoder.next_index();
+        let batch = self.encoder.produce_coded_symbols(count);
+        self.codec.encode_batch(&batch, start)
+    }
+}
+
 /// Client state: the peeling decoder plus its wire codec.
 #[derive(Debug, Clone)]
 pub struct RibltClient<S: Symbol> {
@@ -117,9 +127,14 @@ impl<S: Symbol> ReconcileBackend for RibltBackend<S> {
         if let Some(req) = request {
             validate_stream_open(req, OPEN_MAGIC, self.symbol_len)?;
         }
-        let start = server.encoder.next_index();
-        let batch = server.encoder.produce_coded_symbols(self.batch_symbols);
-        Ok(server.codec.encode_batch(&batch, start))
+        Ok(server.next_batch(self.batch_symbols))
+    }
+
+    fn serve_range(&self, server: &mut Self::Server, range: RangeRequest) -> Result<Vec<Vec<u8>>> {
+        let tiles = stream_range_tiles(range, self.batch_symbols, server.encoder.next_index())?;
+        Ok((0..tiles)
+            .map(|_| server.next_batch(self.batch_symbols))
+            .collect())
     }
 
     fn absorb(&self, client: &mut RibltClient<S>, payload: &[u8]) -> Result<Progress> {
@@ -128,7 +143,10 @@ impl<S: Symbol> ReconcileBackend for RibltBackend<S> {
         if client.decoder.is_decoded() {
             Ok(Progress::Complete)
         } else {
-            Ok(Progress::AwaitStream)
+            Ok(Progress::AwaitStream(StreamProgress {
+                consumed: client.decoder.coded_symbols_received(),
+                estimate: client.decoder.difference_estimate(),
+            }))
         }
     }
 

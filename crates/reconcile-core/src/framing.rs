@@ -13,7 +13,7 @@
 //! protocol (and the `reconciled` wire protocol after its handshake)
 //! exchanges.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 
 use crate::error::{EngineError, Result};
 use crate::mux::MuxFrame;
@@ -45,48 +45,20 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
-/// Writes one length-prefixed frame with a single vectored write when the
-/// transport supports it.
-///
-/// [`write_frame`] issues two `write_all` calls — one for the 4-byte prefix,
-/// one for the payload — which on an unbuffered socket is two syscalls (and
-/// with `TCP_NODELAY` can put the tiny prefix on the wire as its own
-/// segment). Gathering both into one [`IoSlice`] pair keeps the hot
-/// streaming path at one syscall per frame without copying the payload into
-/// a staging buffer. Semantics (size limits, flush) match [`write_frame`]
-/// exactly.
-pub fn write_frame_vectored<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
+/// Appends one length-prefixed frame to a staging buffer, for senders that
+/// coalesce several frames into one write (a client's round of requests, a
+/// server's replies to one request). Size limits match [`write_frame`].
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame exceeds MAX_FRAME_BYTES",
         ));
     }
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    let prefix = len.to_le_bytes();
-    let total = prefix.len() + payload.len();
-    let mut written = 0usize;
-    while written < total {
-        let result = if written < prefix.len() {
-            let bufs = [IoSlice::new(&prefix[written..]), IoSlice::new(payload)];
-            writer.write_vectored(&bufs)
-        } else {
-            writer.write(&payload[written - prefix.len()..])
-        };
-        match result {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole frame",
-                ))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    writer.flush()
+    // MAX_FRAME_BYTES fits a u32, so the cast cannot truncate.
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Reads one length-prefixed frame. End-of-stream before a complete frame

@@ -7,7 +7,7 @@
 //! ```text
 //! Hello (18 bytes, sent as one length-prefixed frame):
 //!   magic        : 4 bytes  "RCLD"
-//!   version      : u16 LE   protocol version (currently 1)
+//!   version      : u16 LE   protocol version (currently 2)
 //!   fingerprint  : u64 LE   keyed fingerprint of the shared SipKey
 //!   shards       : u16 LE   client → proposal (0 = "server decides");
 //!                           server → authoritative shard count
@@ -50,7 +50,7 @@ pub const HELLO_MAGIC: [u8; 4] = *b"RCLD";
 pub const REJECT_MAGIC: [u8; 4] = *b"RNCK";
 
 /// Protocol version this build speaks.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Size of an encoded [`Hello`] in bytes.
 pub const HELLO_BYTES: usize = 18;
@@ -129,7 +129,7 @@ impl Hello {
     /// Builds the current-version hello for a key, shard count and item
     /// length.
     ///
-    /// Protocol version 1 also pins the coded-symbol mapping parameter to
+    /// The protocol also pins the coded-symbol mapping parameter to
     /// α = [`riblt::DEFAULT_ALPHA`]; a future α negotiation would be a
     /// version bump, not a new field.
     ///

@@ -48,19 +48,22 @@ pub mod framing;
 pub mod handshake;
 pub mod mux;
 pub mod shard;
+pub mod window;
 pub mod wirefmt;
 
-pub use backend::{Progress, ReconcileBackend};
+pub use backend::{Progress, ReconcileBackend, StreamProgress};
 pub use datagram::{
     handle_server_datagram, max_symbols_in_budget, session_cookie, BatchSequencer, DatagramEvent,
     DatagramHeader, DatagramKind, DatagramServiceConfig, UdpSessionTable, DATAGRAM_HEADER_BYTES,
     DEFAULT_MTU_BUDGET,
 };
-pub use engine::{run_in_memory, ClientEngine, EngineMessage, RunReport, ServerEngine};
+pub use engine::{
+    run_in_memory, ClientEngine, EngineMessage, RangeRequest, RunReport, ServerEngine,
+};
 pub use error::{EngineError, Result};
 pub use framing::{
-    read_frame, read_frame_or_eof, read_mux_frame, write_frame, write_frame_vectored,
-    write_mux_frame, FrameBuffer, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
+    append_frame, read_frame, read_frame_or_eof, read_mux_frame, write_frame, write_mux_frame,
+    FrameBuffer, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 pub use handshake::{client_handshake, key_fingerprint, server_handshake, Hello, PROTOCOL_VERSION};
 pub use mux::{ClientMux, MuxFrame, MuxMetrics, ServerMux, MUX_HEADER_BYTES};

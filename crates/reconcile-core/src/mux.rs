@@ -11,21 +11,23 @@
 //! * [`ServerMux`] — routes incoming frames to per-`(session, shard)`
 //!   [`ServerEngine`]s, creating them on `Open` through a caller-supplied
 //!   factory and retiring them on `Done`.
-//! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s,
-//!   translating the streaming flow's "keep pushing" into explicit
-//!   [`EngineMessage::Continue`] frames (on a shared link the server must
-//!   not push unprompted), and absorbing payloads for independent shards in
-//!   parallel on a `std::thread` worker pool.
+//! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
+//!   by round: it absorbs a round's payloads (independent shards in
+//!   parallel on a `std::thread` worker pool), then turns the streaming
+//!   flow's "keep pushing" into explicit range requests (on a shared link
+//!   the server must not push unprompted) sized by [`crate::window`] from
+//!   the estimate its decoders pool.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use riblt::SetDifference;
+use riblt::{DifferenceEstimate, SetDifference};
 
-use crate::backend::ReconcileBackend;
-use crate::engine::{ClientEngine, EngineMessage, ServerEngine};
+use crate::backend::{Progress, ReconcileBackend};
+use crate::engine::{ClientEngine, EngineMessage, RangeRequest, ServerEngine};
 use crate::error::{EngineError, Result};
 use crate::shard::{SessionId, ShardId};
+use crate::window::request_until;
 
 /// Observation handles a [`ClientMux`] records into while absorbing
 /// payloads. The handles are plain `obs` instruments — attach ones
@@ -132,35 +134,37 @@ where
         self.engines.len()
     }
 
-    /// Handles one incoming frame, returning the reply frame (if any)
-    /// addressed to the same `(session, shard)`.
-    pub fn handle(&mut self, frame: &MuxFrame) -> Result<Option<MuxFrame>> {
+    /// Handles one incoming frame, returning the reply frames (one payload
+    /// per tile of a range request, none for `Done`) addressed to the same
+    /// `(session, shard)`.
+    pub fn handle(&mut self, frame: &MuxFrame) -> Result<Vec<MuxFrame>> {
         let key = (frame.session, frame.shard);
-        match &frame.message {
+        let replies = match &frame.message {
             EngineMessage::Open(_) => {
                 if self.engines.contains_key(&key) {
                     return Err(EngineError::Protocol("duplicate open for session/shard"));
                 }
                 let mut engine = (self.factory)(frame.session, frame.shard);
-                let reply = engine.handle(&frame.message)?;
+                let replies = engine.handle(&frame.message)?;
                 self.engines.insert(key, engine);
-                Ok(reply.map(|m| MuxFrame::new(frame.session, frame.shard, m)))
+                replies
             }
             EngineMessage::Done => {
                 // Retire the engine; a Done for an unknown session is
                 // harmless (e.g. duplicate delivery after retirement).
                 self.engines.remove(&key);
-                Ok(None)
+                Vec::new()
             }
-            _ => {
-                let engine = self
-                    .engines
-                    .get_mut(&key)
-                    .ok_or(EngineError::Protocol("frame for unknown session/shard"))?;
-                let reply = engine.handle(&frame.message)?;
-                Ok(reply.map(|m| MuxFrame::new(frame.session, frame.shard, m)))
-            }
-        }
+            _ => self
+                .engines
+                .get_mut(&key)
+                .ok_or(EngineError::Protocol("frame for unknown session/shard"))?
+                .handle(&frame.message)?,
+        };
+        Ok(replies
+            .into_iter()
+            .map(|m| MuxFrame::new(frame.session, frame.shard, m))
+            .collect())
     }
 }
 
@@ -179,6 +183,68 @@ where
 struct ShardClient<B: ReconcileBackend> {
     engine: ClientEngine<B>,
     done: bool,
+    /// Payload frames the server still owes this shard.
+    awaiting: usize,
+    /// Streaming flow: the server's batch size, learned from the payload
+    /// that answered the `Open` (0 until then).
+    tile: usize,
+    /// Streaming flow: stream symbols asked for so far.
+    requested: usize,
+    /// Streaming flow: the decoder's latest sketch of the difference.
+    estimate: DifferenceEstimate,
+}
+
+impl<B: ReconcileBackend> ShardClient<B> {
+    /// Absorbs this round's payloads in arrival order and returns the
+    /// shard's immediate reply (`Done`, or an interactive `Query`), if any.
+    /// Payloads that arrive after the shard completed are the unused tail
+    /// of a range: counted off, not absorbed.
+    fn absorb_round(
+        &mut self,
+        frames: &[&MuxFrame],
+        metrics: Option<&MuxMetrics>,
+    ) -> Result<Option<EngineMessage>> {
+        let mut reply = None;
+        for frame in frames {
+            if self.awaiting == 0 {
+                return Err(EngineError::Protocol("unsolicited payload"));
+            }
+            self.awaiting -= 1;
+            if self.done {
+                continue;
+            }
+            let before = self.engine.units();
+            let progress = self.engine.absorb(&frame.message)?;
+            if let Some(m) = metrics {
+                m.payloads.inc();
+                m.payload_units
+                    .observe((self.engine.units() - before) as u64);
+                if let EngineMessage::Payload(bytes) = &frame.message {
+                    m.payload_bytes.observe(bytes.len() as u64);
+                }
+            }
+            match progress {
+                Progress::Complete => {
+                    self.done = true;
+                    reply = Some(EngineMessage::Done);
+                }
+                Progress::SendRequest(request) => {
+                    self.awaiting += 1;
+                    reply = Some(EngineMessage::Query(request));
+                }
+                Progress::AwaitStream(stream) => {
+                    if self.tile == 0 {
+                        // The whole first payload was consumed (the decoder
+                        // only stops early when it completes).
+                        self.tile = stream.consumed;
+                        self.requested = stream.consumed;
+                    }
+                    self.estimate = stream.estimate;
+                }
+            }
+        }
+        Ok(reply)
+    }
 }
 
 /// Client-side multiplexer: one session, many per-shard client engines.
@@ -187,12 +253,15 @@ pub struct ClientMux<B: ReconcileBackend> {
     session: SessionId,
     shards: Vec<Option<ShardClient<B>>>,
     metrics: Option<MuxMetrics>,
+    unit_budget: usize,
 }
 
 impl<B: ReconcileBackend> std::fmt::Debug for ShardClient<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardClient")
             .field("done", &self.done)
+            .field("awaiting", &self.awaiting)
+            .field("requested", &self.requested)
             .finish()
     }
 }
@@ -204,6 +273,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
             session,
             shards: Vec::new(),
             metrics: None,
+            unit_budget: usize::MAX,
         }
     }
 
@@ -218,6 +288,15 @@ impl<B: ReconcileBackend> ClientMux<B> {
         self.metrics = Some(metrics);
     }
 
+    /// Caps the stream symbols requested per shard. The cap is applied when
+    /// a request is sized, so a shard that cannot decode (a mis-matched
+    /// mapping parameter, say) fails with [`EngineError::DecodeIncomplete`]
+    /// after receiving less than `units` plus one batch — one wedged shard
+    /// never gets to spend the others' allowance.
+    pub fn set_unit_budget(&mut self, units: usize) {
+        self.unit_budget = units;
+    }
+
     /// Registers the client endpoint for `shard` (built over the local items
     /// of that shard).
     pub fn insert_shard(&mut self, shard: ShardId, engine: ClientEngine<B>) {
@@ -229,18 +308,24 @@ impl<B: ReconcileBackend> ClientMux<B> {
         self.shards[idx] = Some(ShardClient {
             engine,
             done: false,
+            awaiting: 0,
+            tile: 0,
+            requested: 0,
+            estimate: DifferenceEstimate::default(),
         });
     }
 
-    /// Opening frames for every registered shard.
+    /// Opening frames for every registered shard; each is owed one payload.
     pub fn opens(&mut self) -> Vec<MuxFrame> {
         let session = self.session;
         self.shards
             .iter_mut()
             .enumerate()
             .filter_map(|(shard, slot)| {
-                slot.as_mut()
-                    .map(|sc| MuxFrame::new(session, shard as ShardId, sc.engine.open()))
+                slot.as_mut().map(|sc| {
+                    sc.awaiting += 1;
+                    MuxFrame::new(session, shard as ShardId, sc.engine.open())
+                })
             })
             .collect()
     }
@@ -248,6 +333,12 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// True once every shard has completed.
     pub fn all_done(&self) -> bool {
         self.shards.iter().flatten().all(|sc| sc.done)
+    }
+
+    /// Payload frames the server still owes this session: how many frames a
+    /// stream driver must read before the next [`Self::handle_round`].
+    pub fn awaiting(&self) -> usize {
+        self.shards.iter().flatten().map(|sc| sc.awaiting).sum()
     }
 
     /// Total scheme units consumed across all shards.
@@ -259,123 +350,115 @@ impl<B: ReconcileBackend> ClientMux<B> {
             .sum()
     }
 
-    /// Scheme units consumed by each registered shard, for per-shard
-    /// budgets (one wedged shard must not spend the others' allowance).
-    pub fn units_by_shard(&self) -> impl Iterator<Item = (ShardId, usize)> + '_ {
-        self.shards.iter().enumerate().filter_map(|(shard, slot)| {
-            slot.as_ref()
-                .map(|sc| (shard as ShardId, sc.engine.units()))
-        })
-    }
-
-    fn reply_frame(
-        session: SessionId,
-        shard: ShardId,
-        sc: &mut ShardClient<B>,
-        reply: Option<EngineMessage>,
-    ) -> MuxFrame {
-        match reply {
-            Some(msg @ EngineMessage::Done) => {
-                sc.done = true;
-                MuxFrame::new(session, shard, msg)
-            }
-            Some(msg) => MuxFrame::new(session, shard, msg),
-            // Streaming flow: ask explicitly on a shared link.
-            None => MuxFrame::new(session, shard, EngineMessage::Continue),
-        }
-    }
-
-    /// Records one absorbed payload into the attached metrics (if any).
-    fn observe(metrics: Option<&MuxMetrics>, frame: &MuxFrame, units_delta: usize) {
-        if let Some(m) = metrics {
-            m.payloads.inc();
-            m.payload_units.observe(units_delta as u64);
-            if let EngineMessage::Payload(bytes) = &frame.message {
-                m.payload_bytes.observe(bytes.len() as u64);
-            }
-        }
-    }
-
-    /// Handles one payload frame, returning the client's next frame for that
-    /// shard (`Request`, `Continue`, or `Done`).
-    pub fn handle(&mut self, frame: &MuxFrame) -> Result<MuxFrame> {
-        if frame.session != self.session {
-            return Err(EngineError::Protocol("frame for another session"));
-        }
-        let sc = self
-            .shards
-            .get_mut(usize::from(frame.shard))
-            .and_then(Option::as_mut)
-            .ok_or(EngineError::Protocol("frame for unknown shard"))?;
-        let before = sc.engine.units();
-        let reply = sc.engine.handle(&frame.message)?;
-        Self::observe(self.metrics.as_ref(), frame, sc.engine.units() - before);
-        Ok(Self::reply_frame(self.session, frame.shard, sc, reply))
-    }
-
-    /// Handles a batch of payload frames for *distinct* shards, absorbing
-    /// them in parallel on up to `threads` `std::thread` workers.
-    ///
-    /// This is the hot half of sharded reconciliation: each shard's decode
-    /// is independent, so the per-payload peeling work scales across cores.
-    /// Frames must target distinct shards (one outstanding payload per shard,
-    /// which the request-driven flow guarantees).
-    pub fn handle_parallel(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
+    /// Handles one payload frame; see [`Self::handle_round`].
+    pub fn handle(&mut self, frame: &MuxFrame) -> Result<Vec<MuxFrame>>
     where
         B: Send,
         B::Client: Send,
     {
-        if threads <= 1 || frames.len() <= 1 {
-            return frames.iter().map(|f| self.handle(f)).collect();
-        }
+        self.handle_round(std::slice::from_ref(frame), 1)
+    }
+
+    /// Handles one round of payload frames and returns the client's next
+    /// frames: `Done` for shards that completed, a `Query` per interactive
+    /// shard, and range `Request`s for every streaming shard that is owed
+    /// nothing more.
+    ///
+    /// A shard's frames are absorbed in arrival order; distinct shards
+    /// decode independently, so they are fanned out over up to `threads`
+    /// `std::thread` workers — the hot half of sharded reconciliation.
+    pub fn handle_round(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
+    where
+        B: Send,
+        B::Client: Send,
+    {
         let session = self.session;
-        // Pair each frame with exclusive access to its shard's client.
-        let mut by_shard: HashMap<ShardId, &MuxFrame> = HashMap::with_capacity(frames.len());
+        let mut by_shard: Vec<Vec<&MuxFrame>> = vec![Vec::new(); self.shards.len()];
         for frame in frames {
             if frame.session != session {
                 return Err(EngineError::Protocol("frame for another session"));
             }
-            if by_shard.insert(frame.shard, frame).is_some() {
-                return Err(EngineError::Protocol("duplicate shard in parallel batch"));
+            match by_shard.get_mut(usize::from(frame.shard)) {
+                Some(list) if self.shards[usize::from(frame.shard)].is_some() => list.push(frame),
+                _ => return Err(EngineError::Protocol("frame for unknown shard")),
             }
         }
-        let mut work: Vec<(ShardId, &mut ShardClient<B>, &MuxFrame)> = Vec::new();
-        for (idx, slot) in self.shards.iter_mut().enumerate() {
-            let shard = idx as ShardId;
-            if let (Some(sc), Some(frame)) = (slot.as_mut(), by_shard.remove(&shard)) {
-                work.push((shard, sc, frame));
-            }
-        }
-        if !by_shard.is_empty() {
-            return Err(EngineError::Protocol("frame for unknown shard"));
-        }
+        let mut work: Vec<(ShardId, &mut ShardClient<B>, Vec<&MuxFrame>)> = self
+            .shards
+            .iter_mut()
+            .zip(by_shard)
+            .enumerate()
+            .filter(|(_, (_, list))| !list.is_empty())
+            .map(|(idx, (slot, list))| {
+                let sc = slot.as_mut().expect("frames only target registered shards");
+                (idx as ShardId, sc, list)
+            })
+            .collect();
 
-        let chunk = work.len().div_ceil(threads);
-        // Clone the handles once so workers can record without touching
-        // `self` (whose shard slots they already borrow exclusively).
-        let metrics = self.metrics.clone();
-        let mut results: Vec<Result<MuxFrame>> = Vec::with_capacity(work.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for batch in work.chunks_mut(chunk) {
-                let metrics = metrics.as_ref();
-                handles.push(scope.spawn(move || {
-                    batch
-                        .iter_mut()
-                        .map(|(shard, sc, frame)| {
-                            let before = sc.engine.units();
-                            let reply = sc.engine.handle(&frame.message)?;
-                            Self::observe(metrics, frame, sc.engine.units() - before);
-                            Ok(Self::reply_frame(session, *shard, sc, reply))
-                        })
-                        .collect::<Vec<Result<MuxFrame>>>()
-                }));
+        let metrics = self.metrics.as_ref();
+        let absorb = |(shard, sc, list): &mut (ShardId, &mut ShardClient<B>, Vec<&MuxFrame>)| {
+            Ok(sc
+                .absorb_round(list, metrics)?
+                .map(|message| MuxFrame::new(session, *shard, message)))
+        };
+        let mut replies: Vec<Result<Option<MuxFrame>>> = Vec::with_capacity(work.len());
+        if threads <= 1 || work.len() <= 1 {
+            replies.extend(work.iter_mut().map(absorb));
+        } else {
+            let chunk = work.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .chunks_mut(chunk)
+                    .map(|batch| {
+                        scope.spawn(move || batch.iter_mut().map(absorb).collect::<Vec<_>>())
+                    })
+                    .collect();
+                for handle in handles {
+                    replies.extend(handle.join().expect("worker thread panicked"));
+                }
+            });
+        }
+        let mut out = Vec::with_capacity(replies.len());
+        for reply in replies {
+            out.extend(reply?);
+        }
+        self.request_ranges(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the range requests of every streaming shard that is neither
+    /// done nor owed payloads, sized by [`crate::window`] from the estimate
+    /// pooled over all shards: shards are a uniform hash split of one
+    /// difference, so the pooled mean is a better estimate of each shard's
+    /// share than its own few cells.
+    fn request_ranges(&mut self, out: &mut Vec<MuxFrame>) -> Result<()> {
+        let mut pooled = DifferenceEstimate::default();
+        for sc in self.shards.iter().flatten() {
+            pooled.merge(&sc.estimate);
+        }
+        let session = self.session;
+        for (shard, sc) in self.shards.iter_mut().enumerate() {
+            let Some(sc) = sc else { continue };
+            if sc.done || sc.awaiting > 0 || sc.tile == 0 {
+                continue;
             }
-            for handle in handles {
-                results.extend(handle.join().expect("worker thread panicked"));
+            let until = request_until(sc.requested, sc.tile, pooled.mean(), self.unit_budget)
+                .ok_or(EngineError::DecodeIncomplete)?;
+            // A want beyond the per-request cap goes out as several requests,
+            // all in this round.
+            while sc.requested < until {
+                let count = (until - sc.requested).min(RangeRequest::largest_count(sc.tile));
+                let range = RangeRequest::new(sc.requested, count)?;
+                out.push(MuxFrame::new(
+                    session,
+                    shard as ShardId,
+                    EngineMessage::Request(range),
+                ));
+                sc.requested += count;
+                sc.awaiting += count / sc.tile;
             }
-        });
-        results.into_iter().collect()
+        }
+        Ok(())
     }
 
     /// Consumes the multiplexer, returning the recovered difference of every
@@ -398,6 +481,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
 mod tests {
     use super::*;
     use crate::backends::RibltBackend;
+    use crate::engine::RangeRequest;
     use crate::shard::ShardPartitioner;
     use riblt::FixedBytes;
     use riblt_hash::{SipKey, SplitMix64};
@@ -454,14 +538,22 @@ mod tests {
             let mut next = Vec::new();
             for bytes in &wire {
                 let frame = MuxFrame::from_bytes(bytes).unwrap();
-                if let Some(reply) = server.handle(&frame).unwrap() {
+                for reply in server.handle(&frame).unwrap() {
                     let reply_bytes = reply.to_bytes();
                     let payload = MuxFrame::from_bytes(&reply_bytes).unwrap();
                     let client = clients
                         .iter_mut()
                         .find(|c| c.session() == payload.session)
                         .unwrap();
-                    next.push(client.handle(&payload).unwrap().to_bytes());
+                    // A shard asks again only once the last tile it is owed
+                    // has arrived, so single-frame delivery is a valid round.
+                    next.extend(
+                        client
+                            .handle(&payload)
+                            .unwrap()
+                            .iter()
+                            .map(MuxFrame::to_bytes),
+                    );
                 }
             }
             wire = next;
@@ -502,24 +594,14 @@ mod tests {
             while !outgoing.is_empty() {
                 guard += 1;
                 assert!(guard < 10_000);
-                let mut payloads = Vec::new();
-                for frame in &outgoing {
-                    if let Some(reply) = server.handle(frame).unwrap() {
-                        payloads.push(reply);
-                    }
-                }
-                outgoing = mux
-                    .handle_parallel(&payloads, threads)
-                    .unwrap()
-                    .into_iter()
-                    .filter(|f| {
-                        f.message != EngineMessage::Done || {
-                            // Done frames still go to the server to retire state.
-                            server.handle(f).unwrap();
-                            false
-                        }
-                    })
+                // Done frames go to the server too: they retire its state
+                // and are answered by nothing.
+                let payloads: Vec<MuxFrame> = outgoing
+                    .iter()
+                    .flat_map(|frame| server.handle(frame).unwrap())
                     .collect();
+                assert_eq!(payloads.len(), mux.awaiting());
+                outgoing = mux.handle_round(&payloads, threads).unwrap();
             }
             let mut remote: Vec<u64> = mux
                 .into_differences()
@@ -539,12 +621,54 @@ mod tests {
     }
 
     #[test]
+    fn identical_sets_request_nothing() {
+        // d = 0: every shard's first batch decodes, so the client's whole
+        // second flight is four Dones and the server owes nothing.
+        let partitioner = ShardPartitioner::new(SipKey::default(), 4);
+        let backend = RibltBackend::<Item>::new(8, 32);
+        let parts = partitioner.partition(&items(0..1_000));
+        let mut server = ServerMux::new(|_s, shard| {
+            ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
+        });
+        let mut mux = ClientMux::new(1);
+        for (shard, part) in parts.iter().enumerate() {
+            mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+        }
+        let payloads: Vec<MuxFrame> = mux
+            .opens()
+            .iter()
+            .flat_map(|frame| server.handle(frame).unwrap())
+            .collect();
+        let replies = mux.handle_round(&payloads, 1).unwrap();
+        assert_eq!(replies.len(), 4);
+        assert!(replies.iter().all(|f| f.message == EngineMessage::Done));
+        assert_eq!(mux.awaiting(), 0);
+        assert!(mux.all_done());
+    }
+
+    #[test]
+    fn unsolicited_and_misaddressed_payloads_are_protocol_errors() {
+        let backend = RibltBackend::<Item>::new(8, 32);
+        let mut mux = ClientMux::new(1);
+        mux.insert_shard(0, ClientEngine::new(backend, &items(0..10)));
+        let payload =
+            |session, shard| MuxFrame::new(session, shard, EngineMessage::Payload(vec![]));
+        // Nothing is owed before the opens went out.
+        for frame in [payload(1, 0), payload(2, 0), payload(1, 3)] {
+            assert!(matches!(mux.handle(&frame), Err(EngineError::Protocol(_))));
+        }
+    }
+
+    #[test]
     fn mux_frame_roundtrip() {
         for message in [
             EngineMessage::Open(vec![1, 2, 3]),
             EngineMessage::Payload(vec![0; 100]),
-            EngineMessage::Request(Vec::new()),
-            EngineMessage::Continue,
+            EngineMessage::Request(RangeRequest {
+                offset: 0x0102_0304,
+                count: 0x0506,
+            }),
+            EngineMessage::Query(Vec::new()),
             EngineMessage::Done,
         ] {
             let frame = MuxFrame::new(0xdead_beef, 513, message);
@@ -586,23 +710,37 @@ mod tests {
         let mut server = ServerMux::new(move |_s, _sh| {
             ServerEngine::new(backend_for_server.clone(), &server_items)
         });
-        let cont = MuxFrame::new(1, 0, EngineMessage::Continue);
+        let range = RangeRequest {
+            offset: 4,
+            count: 8,
+        };
+        let request = MuxFrame::new(1, 0, EngineMessage::Request(range));
         assert!(matches!(
-            server.handle(&cont),
+            server.handle(&request),
             Err(EngineError::Protocol(_))
         ));
         let mut client = ClientEngine::new(backend, &items(0..100));
         let open = MuxFrame::new(1, 0, client.open());
-        assert!(server.handle(&open).unwrap().is_some());
-        let open2 = MuxFrame::new(1, 0, EngineMessage::Open(open.message.bytes().to_vec()));
+        assert_eq!(server.handle(&open).unwrap().len(), 1);
         assert!(matches!(
-            server.handle(&open2),
+            server.handle(&open),
+            Err(EngineError::Protocol(_))
+        ));
+        // The range that continues the stream: two 4-symbol tiles.
+        assert_eq!(server.handle(&request).unwrap().len(), 2);
+        // Replaying it is not: a per-session encoder only moves forward.
+        assert!(matches!(
+            server.handle(&request),
             Err(EngineError::Protocol(_))
         ));
         // Done retires; a second Done is harmless.
         let done = MuxFrame::new(1, 0, EngineMessage::Done);
-        assert!(server.handle(&done).unwrap().is_none());
-        assert!(server.handle(&done).unwrap().is_none());
+        assert!(server.handle(&done).unwrap().is_empty());
+        assert!(server.handle(&done).unwrap().is_empty());
         assert_eq!(server.active_sessions(), 0);
+        assert!(matches!(
+            server.handle(&request),
+            Err(EngineError::Protocol(_))
+        ));
     }
 }

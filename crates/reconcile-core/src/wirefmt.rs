@@ -10,6 +10,7 @@ use riblt::wire::{read_vlq, write_vlq};
 use riblt::Symbol;
 use riblt_hash::SipKey;
 
+use crate::engine::RangeRequest;
 use crate::error::{EngineError, Result};
 
 /// Builds the opening request of a streaming (rateless) backend: magic
@@ -33,6 +34,20 @@ pub fn validate_stream_open(request: &[u8], magic: [u8; 4], symbol_len: usize) -
         return Err(EngineError::WireFormat("symbol length mismatch"));
     }
     Ok(())
+}
+
+/// Checks a range request against a per-session streaming encoder that
+/// serves `tile`-symbol payloads and stands at symbol `next`, returning the
+/// number of payloads to produce. Such an encoder only moves forward, so
+/// the range must be tile-aligned *and* continue the stream.
+pub fn stream_range_tiles(range: RangeRequest, tile: usize, next: u64) -> Result<usize> {
+    let tiles = range.tiles(tile, usize::MAX)?;
+    if u64::from(range.offset) != next {
+        return Err(EngineError::Protocol(
+            "range does not continue the session's stream",
+        ));
+    }
+    Ok(tiles)
 }
 
 /// Serializes a whole IBLT: VLQ(k), VLQ(cell count), then the cells in the

@@ -11,7 +11,10 @@ use std::collections::BTreeSet;
 use reconcile_core::backends::{
     IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
 };
-use reconcile_core::{run_in_memory, ReconcileBackend, RunReport};
+use reconcile_core::{
+    run_in_memory, ClientEngine, ClientMux, ReconcileBackend, RunReport, ServerEngine, ServerMux,
+    ShardId, ShardPartitioner,
+};
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
 
@@ -118,12 +121,14 @@ fn build_sets(s: Scenario) -> Sets {
 
 fn check<B>(backend: B, scenario: Scenario)
 where
-    B: ReconcileBackend<Item = Item> + Clone,
+    B: ReconcileBackend<Item = Item> + Clone + Send,
+    B::Client: Send,
 {
     let name = backend.name();
     let sets = build_sets(scenario);
-    let report: RunReport<Item> = run_in_memory(backend, &sets.server, &sets.client, 1_000_000)
-        .unwrap_or_else(|e| panic!("{name} failed scenario {}: {e}", scenario.name));
+    let report: RunReport<Item> =
+        run_in_memory(backend.clone(), &sets.server, &sets.client, 1_000_000)
+            .unwrap_or_else(|e| panic!("{name} failed scenario {}: {e}", scenario.name));
     let remote: BTreeSet<u64> = report
         .difference
         .remote_only
@@ -149,6 +154,53 @@ where
     assert!(report.rounds >= 1);
     assert!(report.bytes_to_server > 0);
     assert!(report.bytes_to_client > 0);
+    check_muxed(backend, &sets, scenario);
+}
+
+/// The multiplexed flow (range requests sized by the client's window, the
+/// `reconciled` wire protocol) must hand every shard's decoder exactly the
+/// prefix the point-to-point stream does: same recovered difference, item
+/// for item and in the same order, from the same number of units.
+fn check_muxed<B>(backend: B, sets: &Sets, scenario: Scenario)
+where
+    B: ReconcileBackend<Item = Item> + Clone + Send,
+    B::Client: Send,
+{
+    let name = backend.name();
+    let partitioner = ShardPartitioner::new(riblt_hash::SipKey::default(), 4);
+    let server_parts = partitioner.partition(&sets.server);
+    let client_parts = partitioner.partition(&sets.client);
+
+    let mut server = ServerMux::new(|_session, shard: ShardId| {
+        ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
+    });
+    let mut client = ClientMux::new(7);
+    for (shard, part) in client_parts.iter().enumerate() {
+        client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+    }
+    let mut outgoing = client.opens();
+    while !outgoing.is_empty() {
+        let payloads: Vec<_> = outgoing
+            .iter()
+            .flat_map(|frame| server.handle(frame).expect("serve"))
+            .collect();
+        assert_eq!(payloads.len(), client.awaiting());
+        outgoing = client.handle_round(&payloads, 2).expect("absorb");
+    }
+    let muxed_units = client.units();
+    let muxed = client.into_differences().expect("every shard decoded");
+
+    let mut direct_units = 0;
+    for (shard, (server_part, client_part)) in server_parts.iter().zip(&client_parts).enumerate() {
+        let direct = run_in_memory(backend.clone(), server_part, client_part, 1_000_000).unwrap();
+        direct_units += direct.units;
+        assert_eq!(
+            muxed[shard], direct.difference,
+            "{name}/{}: shard {shard} decoded differently when multiplexed",
+            scenario.name
+        );
+    }
+    assert_eq!(muxed_units, direct_units, "{name}/{}", scenario.name);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use riblt_hash::SipKey;
 use crate::coded::{prefetch, CodedSymbol, Direction};
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
-use crate::mapping::{IndexMapping, DEFAULT_ALPHA};
+use crate::mapping::{mapped_probability, IndexMapping, DEFAULT_ALPHA};
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// The recovered symmetric difference.
@@ -39,6 +39,49 @@ impl<S> SetDifference<S> {
     /// True if the difference is empty (the sets were equal).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A cardinality sketch of the difference `d = |A △ B|`, read off the
+/// `count` fields of the difference cells a decoder has ingested — no wire
+/// bytes, no extra hashing.
+///
+/// Cell `i` of the difference holds `c_i = Σ s_x·[x ↦ i]` over the
+/// difference symbols `x` (`s_x = +1` remote-only, `−1` local-only), each
+/// mapped there independently with probability `p_i`
+/// ([`mapped_probability`]). So `c_0 = |A∖B| − |B∖A|` exactly,
+/// `E[c_i] = c_0·p_i` and `Var[c_i] = d·p_i·(1 − p_i)`: every cell `i ≥ 1`
+/// gives one unbiased observation `(c_i − c_0·p_i)² / (p_i·(1 − p_i))` of
+/// `d`, and the estimate is their mean. Its relative standard deviation is
+/// about `√(2/cells + 1/4d)` — 25 % from one 32-cell batch, 9 % from eight.
+///
+/// The observations are taken as cells arrive, *before* recovered symbols
+/// are peeled out of them: cells that survive peeling are a biased sample
+/// (the pure ones left). Estimates of independent streams pool by
+/// [`Self::merge`]; shards of a uniform hash split share one `d` per shard,
+/// so the pooled mean is the better estimate of each.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DifferenceEstimate {
+    /// Cells `i ≥ 1` observed.
+    pub cells: usize,
+    /// Sum of the per-cell observations of `d`.
+    pub sum: f64,
+}
+
+impl DifferenceEstimate {
+    /// The estimated difference size (0 before any cell `i ≥ 1` arrived).
+    pub fn mean(&self) -> f64 {
+        if self.cells == 0 {
+            0.0
+        } else {
+            self.sum / self.cells as f64
+        }
+    }
+
+    /// Pools another stream's observations into this one.
+    pub fn merge(&mut self, other: &DifferenceEstimate) {
+        self.cells += other.cells;
+        self.sum += other.sum;
     }
 }
 
@@ -95,6 +138,10 @@ pub struct Decoder<S: Symbol> {
     queued: Vec<bool>,
     /// Cached termination flag; see [`Self::is_decoded`].
     decoded: bool,
+    /// `count` of difference cell 0 as it arrived: `|A∖B| − |B∖A|`.
+    signed_difference: i64,
+    /// Running observations of `d`; see [`DifferenceEstimate`].
+    estimate: DifferenceEstimate,
     /// The local set (B), applied lazily to incoming coded symbols.
     local_set: CodingWindow<S>,
     /// Recovered remote-only symbols; subtracted from future coded symbols.
@@ -140,6 +187,8 @@ impl<S: Symbol> Decoder<S> {
             coded: Vec::new(),
             queued: Vec::new(),
             decoded: false,
+            signed_difference: 0,
+            estimate: DifferenceEstimate::default(),
             local_set: CodingWindow::new(key, alpha),
             remote_recovered: CodingWindow::new(key, alpha),
             local_recovered: CodingWindow::new(key, alpha),
@@ -237,10 +286,20 @@ impl<S: Symbol> Decoder<S> {
         // Lazily subtract the local set's contribution to this index, then
         // adjust for everything already recovered.
         self.local_set.apply_next(&mut cs, Direction::Remove);
+        let idx = self.coded.len();
+        // `cs` is now the raw difference cell: observe its count before the
+        // recovered symbols are taken out of it.
+        if idx == 0 {
+            self.signed_difference = cs.count;
+        } else {
+            let p = mapped_probability(self.alpha, idx as u64);
+            let excess = cs.count as f64 - self.signed_difference as f64 * p;
+            self.estimate.cells += 1;
+            self.estimate.sum += excess * excess / (p * (1.0 - p));
+        }
         self.remote_recovered.apply_next(&mut cs, Direction::Remove);
         self.local_recovered.apply_next(&mut cs, Direction::Add);
 
-        let idx = self.coded.len();
         let candidate = cs.count == 1 || cs.count == -1;
         self.coded.push(cs);
         self.queued.push(candidate);
@@ -429,6 +488,13 @@ impl<S: Symbol> Decoder<S> {
         self.remote_recovered.len() + self.local_recovered.len()
     }
 
+    /// What the ingested cells say about the size of the whole difference
+    /// (recovered and unrecovered symbols alike); [`Self::recovered_count`]
+    /// is a floor on it, and once [`Self::is_decoded`] the exact value.
+    pub fn difference_estimate(&self) -> DifferenceEstimate {
+        self.estimate
+    }
+
     /// Consumes the decoder, returning the recovered difference.
     ///
     /// Call [`Self::is_decoded`] first if you need the *complete*
@@ -605,6 +671,80 @@ mod tests {
         }
         assert!(dec.is_decoded());
         assert_eq!(dec.recovered_count(), 500);
+    }
+
+    /// Splits a `d`-symbol difference (`remote_share` of it remote-only)
+    /// uniformly over 8 shards, feeds each shard's decoder `cells` coded
+    /// symbols and returns the pooled estimate.
+    fn pooled_estimate(d: u64, remote_share: f64, cells: usize, seed: u64) -> DifferenceEstimate {
+        use riblt_hash::splitmix64;
+        let remote = (d as f64 * remote_share).round() as u64;
+        let mut shards: Vec<(Encoder<Sym>, Decoder<Sym>)> =
+            (0..8).map(|_| (Encoder::new(), Decoder::new())).collect();
+        for k in 0..d {
+            let item = Sym::from_u64(splitmix64(seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            let (enc, dec) = &mut shards[(splitmix64(seed.rotate_left(17) ^ k) % 8) as usize];
+            if k < remote {
+                enc.add_symbol(item).unwrap();
+            } else {
+                dec.add_symbol(item).unwrap();
+            }
+        }
+        let mut pooled = DifferenceEstimate::default();
+        for (enc, dec) in &mut shards {
+            for _ in 0..cells {
+                dec.add_coded_symbol(enc.produce_next_coded_symbol());
+            }
+            pooled.merge(&dec.difference_estimate());
+        }
+        assert_eq!(
+            pooled.cells,
+            8 * (cells - 1),
+            "cell 0 is not an observation"
+        );
+        pooled
+    }
+
+    #[test]
+    fn pooled_difference_estimate_stays_in_its_band() {
+        // The band: each of the n pooled cells observes the per-shard
+        // difference d/8 with relative variance 2 + 1/σ², which sums to a
+        // variance of 2d²/n + 2d for the total. Four of those standard
+        // deviations: ±38 % of d = 2,000 from one 32-cell batch per shard,
+        // ±18 % from 256 cells — whichever way the difference leans.
+        for (shape, remote_share) in [("balanced", 0.5), ("one-sided", 1.0), ("90/10", 0.9)] {
+            for d in [0u64, 1, 12, 250, 2_000] {
+                for cells in [32usize, 256] {
+                    for seed in 1..=10u64 {
+                        let pooled = pooled_estimate(d, remote_share, cells, seed * 0x51ed);
+                        let total = 8.0 * pooled.mean();
+                        let d = d as f64;
+                        let band = 4.0 * (2.0 * d * d / pooled.cells as f64 + 2.0 * d).sqrt();
+                        assert!(
+                            (total - d).abs() <= band,
+                            "{shape} d={d} cells={cells} seed={seed}: estimated {total:.1}, band ±{band:.1}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn estimate_is_unbiased_where_rho_is_not() {
+        // One-sided differences put the whole of c_0·p_i into every cell's
+        // mean: with the ideal rho in place of the sampler's exact marginal,
+        // the 4 % gap at cell 1 (squared, times d²) would inflate this
+        // estimate by a quarter.
+        let runs = 40u64;
+        let mean: f64 = (1..=runs)
+            .map(|seed| 8.0 * pooled_estimate(16_000, 1.0, 32, seed * 0xace1).mean())
+            .sum::<f64>()
+            / runs as f64;
+        assert!(
+            (mean / 16_000.0 - 1.0).abs() < 0.05,
+            "mean estimate {mean:.0}"
+        );
     }
 
     #[test]

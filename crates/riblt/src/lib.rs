@@ -70,11 +70,11 @@ pub mod symbol;
 pub mod wire;
 
 pub use coded::{CodedSymbol, Direction, PeelState};
-pub use decoder::{Decoder, SetDifference};
+pub use decoder::{Decoder, DifferenceEstimate, SetDifference};
 pub use encoder::Encoder;
 pub use error::{Error, Result};
 pub use irregular::{IrregularClasses, IrregularDecoder, IrregularEncoder, IrregularSketch};
-pub use mapping::{rho, IndexMapping, DEFAULT_ALPHA};
+pub use mapping::{mapped_probability, rho, IndexMapping, DEFAULT_ALPHA};
 pub use sketch::{Sketch, SketchCache};
 pub use symbol::{xor_bytes_in_place, FixedBytes, HashedSymbol, Symbol, VecSymbol};
 pub use wire::{decode_coded_symbols, encode_coded_symbols, SymbolCodec};

@@ -103,9 +103,11 @@ fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), 
 
     let mut conn = TcpStream::connect(&options.connect)
         .map_err(|e| format!("cannot connect to {}: {e}", options.connect))?;
-    conn.set_read_timeout(Some(options.timeout))
+    // A round is one small write; Nagle would hold it for the last round's ACK.
+    conn.set_nodelay(true)
+        .and_then(|()| conn.set_read_timeout(Some(options.timeout)))
         .and_then(|()| conn.set_write_timeout(Some(options.timeout)))
-        .map_err(|e| format!("cannot set timeouts: {e}"))?;
+        .map_err(|e| format!("cannot set socket options: {e}"))?;
 
     let key = options.key;
     let symbol_len = options.symbol_len;

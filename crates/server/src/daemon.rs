@@ -1,16 +1,17 @@
-//! The `reconciled` daemon: a thread-per-connection TCP server that streams
-//! coded symbols from shared per-shard sketch caches to any number of peers.
+//! The `reconciled` daemon: a TCP (and UDP) server that streams coded
+//! symbols from shared per-shard sketch caches to any number of peers.
 //!
 //! ## Serving model
 //!
 //! The daemon owns one [`cluster::Node`]: an item set hash-partitioned into
 //! S shards, each backed by an incrementally-maintained
 //! [`riblt::SketchCache`]. Serving a session is a pure cache-range read —
-//! cells `[offset, offset + batch)` of the shard's universal coded-symbol
-//! sequence, wire-encoded with the §6 compressed codec — so the encoding
-//! work for a set change is paid **once** and every concurrent peer at any
-//! staleness reads the same cells. Per-connection state is nothing but a
-//! `(session, shard) → offset` map.
+//! the `batch_symbols`-sized tiles of the range the client names, out of
+//! the shard's universal coded-symbol sequence, wire-encoded with the §6
+//! compressed codec — so the encoding work for a set change is paid
+//! **once** and every concurrent peer at any staleness reads the same
+//! tiles. Requests are stateless: per-connection state is nothing but the
+//! set of `(session, shard)` streams that are open.
 //!
 //! ## Connection lifecycle
 //!
@@ -18,10 +19,11 @@
 //!    shard-count announcement. Mismatched peers are rejected with a reason
 //!    frame before the connection closes.
 //! 2. Mux frames, request-driven: `Open` (validated against the rateless
-//!    stream magic) and `Continue` each produce one `Payload`; `Done`
-//!    retires the `(session, shard)`. The daemon never pushes unprompted —
-//!    on a shared connection only the client knows which shards still need
-//!    symbols.
+//!    stream magic) produces the stream's first tile, `Request(offset,
+//!    count)` one `Payload` per tile of the range, in order; `Done` retires
+//!    the `(session, shard)`. The daemon never pushes unprompted — on a
+//!    shared connection only the client knows which shards still need
+//!    symbols, and how many.
 //! 3. The peer closes the connection (or times out, or errors); the
 //!    connection's byte/CPU accounting folds into the daemon-wide stats.
 //!
@@ -41,7 +43,7 @@
 //! paper's incremental-cache story targets.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,12 +57,10 @@ use reconcile_core::datagram::{
     handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
     DEFAULT_MTU_BUDGET, MIN_MTU_BUDGET,
 };
-use reconcile_core::framing::{read_frame_or_eof, LENGTH_PREFIX_BYTES};
+use reconcile_core::framing::{append_frame, read_frame_or_eof, LENGTH_PREFIX_BYTES};
 use reconcile_core::handshake::{server_handshake, Hello, HELLO_BYTES};
 use reconcile_core::wirefmt::validate_stream_open;
-use reconcile_core::{
-    write_frame_vectored, EngineError, EngineMessage, MuxFrame, SessionId, ShardId,
-};
+use reconcile_core::{EngineError, EngineMessage, MuxFrame, RangeRequest, SessionId, ShardId};
 use riblt::wire::SymbolCodec;
 use riblt::Symbol;
 use riblt_hash::SipKey;
@@ -98,7 +98,8 @@ pub struct DaemonConfig {
     /// Shared keyed-hash key (drives partitioning, checksums, mappings —
     /// peers must hold the same key, enforced by the handshake fingerprint).
     pub key: SipKey,
-    /// Coded symbols served per shard per `Open`/`Continue`.
+    /// Coded symbols per payload frame: the tile every `Open` is answered
+    /// with and every range request must be aligned to.
     pub batch_symbols: usize,
     /// Read timeout on every connection: a silent peer is dropped after
     /// this long.
@@ -106,9 +107,9 @@ pub struct DaemonConfig {
     /// Write timeout on every connection: a peer that stops draining is
     /// dropped after this long.
     pub write_timeout: Duration,
-    /// Per-`(session, shard)` budget: sessions that consume more coded
-    /// symbols than this are dropped (bounds cache growth against wedged or
-    /// mis-keyed peers that can never finish decoding).
+    /// Per-`(session, shard)` budget: a request that reaches past this many
+    /// coded symbols drops the connection (bounds cache growth against
+    /// wedged or mis-keyed peers that can never finish decoding).
     pub max_units_per_session: usize,
     /// Connection threading model (see [`ServeModel`]).
     pub model: ServeModel,
@@ -200,7 +201,7 @@ pub(crate) struct SharedState<S: Symbol + Ord> {
     /// shard's generation is unchanged.
     pub(crate) shard_gens: Vec<AtomicU64>,
     /// Precomputed wire batches, keyed by `(shard, offset, count)`. Serving
-    /// a repeat range — every peer reads the same universal coded-symbol
+    /// a repeat tile — every peer reads the same universal coded-symbol
     /// prefix — becomes a map lookup plus a memcpy instead of a cache-range
     /// read and §6 re-encode under the node lock. The count is part of the
     /// key because TCP (batch_symbols) and UDP (MTU-sized) batches tile the
@@ -332,6 +333,16 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "at least one shard is required",
+            ));
+        }
+        if config.batch_symbols == 0 || config.batch_symbols > RangeRequest::MAX_COUNT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "batch_symbols {} is outside 1..={} (one range request must be able to name a batch)",
+                    config.batch_symbols,
+                    RangeRequest::MAX_COUNT
+                ),
             ));
         }
         if config.udp_listen.is_some() && config.udp_mtu_budget < MIN_MTU_BUDGET {
@@ -635,7 +646,6 @@ fn handle_data_connection<S: Symbol + Ord>(
     let _ = stream.set_write_timeout(Some(config.write_timeout));
 
     let mut acct = ConnAccounting::default();
-    let started = Instant::now();
     let lifetime = SpanTimer::start(&shared.metrics.connection_seconds);
     let result = serve_peer(&mut stream, shared, &mut acct);
     lifetime.stop();
@@ -658,26 +668,12 @@ fn handle_data_connection<S: Symbol + Ord>(
         }
     }
 
-    let elapsed_ms = started.elapsed().as_millis();
-    let outcome = match result {
-        Ok(()) => "closed".to_string(),
-        Err(e) => format!("dropped: {e}"),
-    };
     shared.metrics.events.record(
         "conn_close",
         format!(
             "peer={peer} in={}B out={}B sessions={}/{}",
             acct.bytes_in, acct.bytes_out, acct.sessions_completed, acct.sessions_opened
         ),
-    );
-    eprintln!(
-        "reconciled: peer {peer} {outcome} \
-         (in={}B out={}B serve_cpu={:.1}ms sessions={}/{} lifetime={elapsed_ms}ms)",
-        acct.bytes_in,
-        acct.bytes_out,
-        acct.serve_cpu_s * 1e3,
-        acct.sessions_completed,
-        acct.sessions_opened,
     );
 }
 
@@ -697,8 +693,8 @@ fn serve_peer<S: Symbol + Ord>(
     handshake?;
     account_handshake(shared, acct);
 
-    // All per-connection protocol state: the next cache offset per stream.
-    let mut offsets: HashMap<(SessionId, ShardId), usize> = HashMap::new();
+    let mut streams = OpenStreams::new();
+    let mut replies = Vec::new();
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -712,10 +708,10 @@ fn serve_peer<S: Symbol + Ord>(
             Ok(Some(bytes)) => bytes,
             Err(e) => return Err(e.into()),
         };
-        if let Some(reply) = handle_client_frame(shared, &mut offsets, &bytes, acct)? {
-            account_frame_out(shared, acct, reply.len());
-            write_frame_vectored(stream, &reply)?;
-        }
+        replies.clear();
+        handle_client_frame(shared, &mut streams, &bytes, acct, &mut replies)?;
+        // One write for all the tiles of a range.
+        stream.write_all(&replies)?;
     }
 }
 
@@ -732,58 +728,59 @@ pub(crate) fn account_handshake<S: Symbol + Ord>(
     shared.metrics.bytes_out.add(hello_wire);
 }
 
-/// Books one outbound frame of `frame_len` body bytes (prefix added here).
-pub(crate) fn account_frame_out<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    acct: &mut ConnAccounting,
-    frame_len: usize,
-) {
-    let wire = (LENGTH_PREFIX_BYTES + frame_len) as u64;
-    acct.bytes_out += wire;
-    shared.metrics.bytes_out.add(wire);
-}
+/// All per-connection protocol state: the `(session, shard)` streams that
+/// are open, each with the symbols served on it so far. The count is
+/// accounting for the `session_done` record only — every request names its
+/// own range, so serving never consults it.
+pub(crate) type OpenStreams = HashMap<(SessionId, ShardId), usize>;
 
-/// Dispatches one post-handshake client frame, returning the reply frame's
-/// body bytes if the frame calls for one (`Open`/`Continue` → one payload
-/// frame, `Done` → none). Both serving models route every client frame
-/// through here — the thread-per-connection loop writes the reply with a
-/// blocking vectored write, the reactor appends it to the connection's
-/// write buffer — which is what makes their wire output byte-identical by
-/// construction.
+/// Dispatches one post-handshake client frame, appending the reply frames
+/// it calls for (length-prefixed, ready to write) to `out`: `Open` → the
+/// stream's first tile, `Request` → one payload frame per tile of its
+/// range, `Done` → none. Both serving models route every client frame
+/// through here — the thread-per-connection loop writes `out` with a
+/// blocking write, the reactor's `out` *is* the connection's write buffer —
+/// which is what makes their wire output byte-identical by construction.
+///
+/// A request is validated in full before anything is staged, so a hostile
+/// range costs a typed error and the connection, never memory proportional
+/// to the count it named.
 pub(crate) fn handle_client_frame<S: Symbol + Ord>(
     shared: &SharedState<S>,
-    offsets: &mut HashMap<(SessionId, ShardId), usize>,
+    streams: &mut OpenStreams,
     frame_bytes: &[u8],
     acct: &mut ConnAccounting,
-) -> reconcile_core::Result<Option<Vec<u8>>> {
+    out: &mut Vec<u8>,
+) -> reconcile_core::Result<()> {
     let config = &shared.config;
     let frame = MuxFrame::from_bytes(frame_bytes)?;
     let wire_in = (LENGTH_PREFIX_BYTES + frame.wire_size()) as u64;
     acct.bytes_in += wire_in;
     shared.metrics.bytes_in.add(wire_in);
     let key = (frame.session, frame.shard);
-    match frame.message {
+    let range = match frame.message {
         EngineMessage::Open(ref request) => {
             validate_stream_open(request, RIBLT_STREAM_MAGIC, config.symbol_len)?;
             if frame.shard >= config.shards {
                 return Err(EngineError::Protocol("shard out of range"));
             }
-            if offsets.insert(key, 0).is_some() {
+            if streams.insert(key, 0).is_some() {
                 return Err(EngineError::Protocol("duplicate open for session/shard"));
             }
             acct.sessions_opened += 1;
             shared.metrics.sessions_opened.inc();
-            next_payload_frame(shared, offsets, key, acct).map(Some)
+            // An open asks for the stream's first tile.
+            RangeRequest::new(0, config.batch_symbols)?
         }
-        EngineMessage::Continue => {
-            if !offsets.contains_key(&key) {
-                return Err(EngineError::Protocol("continue for unknown session/shard"));
+        EngineMessage::Request(range) => {
+            if !streams.contains_key(&key) {
+                return Err(EngineError::Protocol("request for unknown session/shard"));
             }
-            next_payload_frame(shared, offsets, key, acct).map(Some)
+            range
         }
         EngineMessage::Done => {
             // Duplicate Dones are harmless (mirrors ServerMux).
-            if let Some(served) = offsets.remove(&key) {
+            if let Some(served) = streams.remove(&key) {
                 acct.sessions_completed += 1;
                 shared.metrics.sessions_completed.inc();
                 shared.metrics.session_symbols.observe(served as u64);
@@ -792,40 +789,37 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
                     format!("session={} shard={} symbols={served}", key.0, key.1),
                 );
             }
-            Ok(None)
+            return Ok(());
         }
-        EngineMessage::Payload(_) | EngineMessage::Request(_) => Err(EngineError::Protocol(
-            "client sent a server-side or interactive frame",
-        )),
+        EngineMessage::Payload(_) | EngineMessage::Query(_) => {
+            return Err(EngineError::Protocol(
+                "client sent a server-side or interactive frame",
+            ))
+        }
+    };
+
+    let tile = config.batch_symbols;
+    // A stream's first tile is always within budget, as it was for v1.
+    let tiles = range.tiles(tile, config.max_units_per_session.max(tile))?;
+    let staged = out.len();
+    for index in 0..tiles {
+        let batch_span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
+        let offset = range.offset as usize + index * tile;
+        let (payload, serve_cpu) = encode_shard_batch(shared, frame.shard, offset, tile);
+        acct.serve_cpu_s += serve_cpu.as_secs_f64();
+        let reply = MuxFrame::new(key.0, key.1, EngineMessage::Payload(payload)).to_bytes();
+        batch_span.stop();
+        if let Err(e) = append_frame(out, &reply) {
+            // Stage all of a reply or none of it, in both serving models.
+            out.truncate(staged);
+            return Err(e.into());
+        }
     }
-}
-
-/// Produces the next batch of a stream as a ready-to-frame reply body: a
-/// precomputed wire batch when the shard is unchanged since it was encoded,
-/// otherwise a cache-range read under the node lock. Advances the stream's
-/// offset; the caller owns the actual write (and its accounting).
-fn next_payload_frame<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    offsets: &mut HashMap<(SessionId, ShardId), usize>,
-    key: (SessionId, ShardId),
-    acct: &mut ConnAccounting,
-) -> reconcile_core::Result<Vec<u8>> {
-    let config = &shared.config;
-    let next = offsets[&key];
-    if next >= config.max_units_per_session {
-        return Err(EngineError::Protocol("session exceeded its unit budget"));
-    }
-    let (_session, shard) = key;
-
-    let batch_span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
-    let (payload, serve_cpu) = encode_shard_batch(shared, shard, next, config.batch_symbols);
-    acct.serve_cpu_s += serve_cpu.as_secs_f64();
-    offsets.insert(key, next + config.batch_symbols);
-
-    let reply = MuxFrame::new(key.0, key.1, EngineMessage::Payload(payload));
-    let bytes = reply.to_bytes();
-    batch_span.stop();
-    Ok(bytes)
+    let wire_out = (out.len() - staged) as u64;
+    acct.bytes_out += wire_out;
+    shared.metrics.bytes_out.add(wire_out);
+    *streams.get_mut(&key).expect("open checked above") += tiles * tile;
+    Ok(())
 }
 
 /// Produces the wire-encoded batch `[next, next + count)` of a shard — a

@@ -5,8 +5,8 @@
 //! ## Why a reactor fits rateless reconciliation
 //!
 //! Serving a peer needs no per-peer computation state: a connection is a
-//! handshake followed by `(session, shard) → offset` bookkeeping into the
-//! shared per-shard sketch caches, and every batch is produced by the same
+//! handshake followed by stateless range reads out of the shared per-shard
+//! sketch caches, and every batch is produced by the same
 //! `handle_client_frame` the thread-per-connection model
 //! uses — which is also what makes the two models emit byte-identical
 //! streams. Nothing about a connection is worth a dedicated OS thread, so
@@ -32,7 +32,7 @@
 //! the connection is *paused*: its requests stop being processed, its read
 //! interest is dropped (so the kernel's receive window throttles the
 //! peer), and only writability is watched; it resumes below half the mark.
-//! A slow reader therefore stalls only its own stream's offsets — never
+//! A slow reader therefore stalls only its own streams — never
 //! the encode path, the caches, or any other peer — and costs one bounded
 //! buffer, not one thread. With no write progress for the write timeout,
 //! or no read for the read timeout while idle, the sweep between polls
@@ -47,15 +47,14 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use reconcile_core::framing::{FrameBuffer, MAX_FRAME_BYTES};
+use reconcile_core::framing::{append_frame, FrameBuffer};
 use reconcile_core::handshake::{reject_frame_bytes, validate_client_hello, Hello, RejectReason};
-use reconcile_core::{SessionId, ShardId};
 use riblt::Symbol;
 
 use crate::admin;
 use crate::daemon::{
-    account_frame_out, account_handshake, handle_client_frame, handle_udp_datagram,
-    sweep_udp_sessions, ConnAccounting, SharedState,
+    account_handshake, handle_client_frame, handle_udp_datagram, sweep_udp_sessions,
+    ConnAccounting, OpenStreams, SharedState,
 };
 use crate::reactor::{Interest, PollEvent, Poller};
 
@@ -205,7 +204,7 @@ struct Conn {
     /// Close outcome text, set the moment the close was decided (the
     /// connection may still be flushing).
     outcome: Option<String>,
-    offsets: HashMap<(SessionId, ShardId), usize>,
+    streams: OpenStreams,
     acct: ConnAccounting,
 }
 
@@ -227,7 +226,7 @@ impl Conn {
             opened: now,
             handshake_observed: false,
             outcome: None,
-            offsets: HashMap::new(),
+            streams: OpenStreams::new(),
             acct: ConnAccounting::default(),
         }
     }
@@ -240,20 +239,10 @@ impl Conn {
         self.outbuf.len() - self.out_start
     }
 
-    /// Stages one length-prefixed frame for writing. Returns false (staging
-    /// nothing) when the body exceeds [`MAX_FRAME_BYTES`] — beyond what any
-    /// compliant peer would accept, and past `u32::MAX` the `as u32` length
-    /// prefix would silently truncate into a desynchronized stream. The
-    /// caller must treat false as a connection-fatal error.
-    #[must_use]
-    fn queue_frame(&mut self, body: &[u8]) -> bool {
-        if body.len() > MAX_FRAME_BYTES {
-            return false;
-        }
-        self.outbuf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.outbuf.extend_from_slice(body);
-        true
+    /// Stages one length-prefixed handshake frame (a hello or a reject:
+    /// tens of bytes, always within the frame bound) for writing.
+    fn queue_frame(&mut self, body: &[u8]) {
+        append_frame(&mut self.outbuf, body).expect("handshake frames are tiny");
     }
 
     /// Writes as much of the staged bytes as the socket accepts right now.
@@ -613,7 +602,7 @@ fn pump<S: Symbol + Ord>(
                         Err(e) => {
                             // Best-effort reject — the exact bytes the blocking
                             // handshake writes for a garbage hello.
-                            let _ = conn.queue_frame(&reject_frame_bytes(RejectReason::Malformed));
+                            conn.queue_frame(&reject_frame_bytes(RejectReason::Malformed));
                             observe_handshake(shared, conn);
                             begin_close(shared, conn, Close::Handshake(e.to_string()));
                             break;
@@ -621,15 +610,13 @@ fn pump<S: Symbol + Ord>(
                     };
                     match validate_client_hello(&client, local_hello) {
                         Ok(()) => {
-                            if !conn.queue_frame(&local_hello.to_bytes()) {
-                                unreachable!("an 18-byte hello always fits a frame");
-                            }
+                            conn.queue_frame(&local_hello.to_bytes());
                             account_handshake(shared, &mut conn.acct);
                             observe_handshake(shared, conn);
                             conn.state = ConnState::Serving;
                         }
                         Err(reason) => {
-                            let _ = conn.queue_frame(&reject_frame_bytes(reason));
+                            conn.queue_frame(&reject_frame_bytes(reason));
                             observe_handshake(shared, conn);
                             begin_close(
                                 shared,
@@ -649,29 +636,18 @@ fn pump<S: Symbol + Ord>(
                             break;
                         }
                     };
-                    match handle_client_frame(shared, &mut conn.offsets, &frame, &mut conn.acct) {
-                        Ok(Some(reply)) => {
-                            if !conn.queue_frame(&reply) {
-                                // An oversized reply body would truncate its
-                                // u32 length prefix and desynchronize the
-                                // stream; error the connection instead.
-                                begin_close(
-                                    shared,
-                                    conn,
-                                    Close::Error(format!(
-                                        "reply frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound",
-                                        reply.len()
-                                    )),
-                                );
-                                break;
-                            }
-                            account_frame_out(shared, &mut conn.acct, reply.len());
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            begin_close(shared, conn, Close::Error(e.to_string()));
-                            break;
-                        }
+                    // Replies are staged straight into the write buffer; an
+                    // oversized one (it would desynchronize the stream)
+                    // comes back as an error with nothing staged.
+                    if let Err(e) = handle_client_frame(
+                        shared,
+                        &mut conn.streams,
+                        &frame,
+                        &mut conn.acct,
+                        &mut conn.outbuf,
+                    ) {
+                        begin_close(shared, conn, Close::Error(e.to_string()));
+                        break;
                     }
                 }
                 ConnState::Admin => {
@@ -848,7 +824,7 @@ fn settle<S: Symbol + Ord>(
 }
 
 /// Tears a connection down: deregisters, closes, folds accounting, and
-/// emits the same close event/log line as the blocking model.
+/// emits the same close event as the blocking model.
 fn finish_close<S: Symbol + Ord>(
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
@@ -867,7 +843,6 @@ fn finish_close<S: Symbol + Ord>(
             .connection_seconds
             .observe(conn.opened.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         let acct = &conn.acct;
-        let outcome = conn.outcome.as_deref().unwrap_or("closed");
         shared.metrics.events.record(
             "conn_close",
             format!(
@@ -878,17 +853,6 @@ fn finish_close<S: Symbol + Ord>(
                 acct.sessions_completed,
                 acct.sessions_opened
             ),
-        );
-        eprintln!(
-            "reconciled: peer {} {outcome} \
-             (in={}B out={}B serve_cpu={:.1}ms sessions={}/{} lifetime={}ms)",
-            conn.peer,
-            acct.bytes_in,
-            acct.bytes_out,
-            acct.serve_cpu_s * 1e3,
-            acct.sessions_completed,
-            acct.sessions_opened,
-            conn.opened.elapsed().as_millis(),
         );
     }
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::Hello;
 use reconcile_core::wirefmt::encode_stream_open;
-use reconcile_core::{client_handshake, write_frame, EngineMessage, MuxFrame};
+use reconcile_core::{client_handshake, write_frame, EngineMessage, MuxFrame, RangeRequest};
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig, ServeModel};
@@ -43,8 +43,8 @@ fn slow_reader_does_not_delay_fast_peers() {
     .unwrap();
     let addr = daemon.data_addr();
 
-    // --- The slow peer: handshake, open a stream, demand more batches ---
-    // with Continue, but drain the replies one byte per 100 ms.
+    // --- The slow peer: handshake, open a stream, demand 64 more batches ---
+    // in two-tile ranges, but drain the replies one byte per 100 ms.
     let mut slow = TcpStream::connect(addr).unwrap();
     slow.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -55,9 +55,13 @@ fn slow_reader_does_not_delay_fast_peers() {
         EngineMessage::Open(encode_stream_open(RIBLT_STREAM_MAGIC, 8)),
     );
     write_frame(&mut slow, &open.to_bytes()).unwrap();
-    for _ in 0..64 {
-        let cont = MuxFrame::new(1, 0, EngineMessage::Continue);
-        write_frame(&mut slow, &cont.to_bytes()).unwrap();
+    for request in 0..32 {
+        let range = RangeRequest {
+            offset: 32 + request * 64,
+            count: 64,
+        };
+        let more = MuxFrame::new(1, 0, EngineMessage::Request(range));
+        write_frame(&mut slow, &more.to_bytes()).unwrap();
     }
 
     let stop = Arc::new(AtomicBool::new(false));

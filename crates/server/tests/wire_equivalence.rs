@@ -1,18 +1,21 @@
 //! Wire equivalence between the two serving models: under a pinned seed
 //! and identical configuration, the reactor daemon must emit a stream of
 //! bytes **identical** to the thread-per-connection daemon — for full
-//! reconciliations, for handshake rejects, and for post-handshake protocol
-//! errors. Both models route every byte through the same producers
-//! (`handle_client_frame`, the hello/reject encoders), so this holds by
-//! construction; this test pins it against regressions in either path.
+//! protocol-v2 reconciliations, for handshake rejects (a v1 peer's
+//! included), and for post-handshake protocol errors, hostile range
+//! requests among them. Both models route every byte through the same
+//! producers (`handle_client_frame`, the hello/reject encoders), so this
+//! holds by construction; this test pins it against regressions in either
+//! path.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use reconcile_core::backends::RibltBackend;
-use reconcile_core::handshake::{Hello, PROTOCOL_VERSION};
-use reconcile_core::{write_frame, MuxFrame};
+use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
+use reconcile_core::handshake::{Hello, PROTOCOL_VERSION, REJECT_MAGIC};
+use reconcile_core::wirefmt::encode_stream_open;
+use reconcile_core::{read_frame, write_frame, EngineMessage, MuxFrame, RangeRequest};
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig, ServeModel};
@@ -74,12 +77,11 @@ fn connect(daemon: &Daemon<Item>) -> TcpStream {
     stream
 }
 
-/// Runs a full deterministic reconciliation and returns the byte
-/// transcript `(client → server, server → client)`.
-fn sync_transcript(model: ServeModel) -> (Vec<u8>, Vec<u8>) {
-    let daemon = spawn(model);
+/// Runs a full deterministic reconciliation against `daemon` and returns
+/// the byte transcript `(client → server, server → client)`.
+fn sync_against(daemon: &Daemon<Item>) -> (Vec<u8>, Vec<u8>) {
     let mut conn = Recording {
-        inner: connect(&daemon),
+        inner: connect(daemon),
         sent: Vec::new(),
         received: Vec::new(),
     };
@@ -102,15 +104,20 @@ fn sync_transcript(model: ServeModel) -> (Vec<u8>, Vec<u8>) {
         .map(|d| d.remote_only.len() + d.local_only.len())
         .sum();
     assert_eq!(recovered, 100 + 200, "wrong difference recovered");
-    daemon.shutdown();
     (conn.sent, conn.received)
 }
 
-/// Sends `frames` raw (each length-prefixed), then drains the server's
-/// side of the conversation to EOF, returning everything it said.
-fn raw_exchange(model: ServeModel, frames: &[Vec<u8>]) -> Vec<u8> {
+fn sync_transcript(model: ServeModel) -> (Vec<u8>, Vec<u8>) {
     let daemon = spawn(model);
-    let mut conn = connect(&daemon);
+    let transcript = sync_against(&daemon);
+    daemon.shutdown();
+    transcript
+}
+
+/// Sends `frames` raw (each length-prefixed) to `daemon`, then drains the
+/// server's side of the conversation to EOF, returning everything it said.
+fn raw_exchange_with(daemon: &Daemon<Item>, frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut conn = connect(daemon);
     for frame in frames {
         write_frame(&mut conn, frame).unwrap();
     }
@@ -126,6 +133,12 @@ fn raw_exchange(model: ServeModel, frames: &[Vec<u8>]) -> Vec<u8> {
             Err(e) => panic!("expected server close, got {e}"),
         }
     }
+    replies
+}
+
+fn raw_exchange(model: ServeModel, frames: &[Vec<u8>]) -> Vec<u8> {
+    let daemon = spawn(model);
+    let replies = raw_exchange_with(&daemon, frames);
     daemon.shutdown();
     replies
 }
@@ -148,6 +161,17 @@ fn full_reconciliation_transcripts_are_byte_identical() {
         !recv_reactor.is_empty(),
         "transcript is empty — the comparison proved nothing"
     );
+    // The transcript exercises what v2 added: 75 differences per shard make
+    // the second round's requests span several tiles.
+    let mut sent = &sent_reactor[..];
+    read_frame(&mut sent).expect("client hello");
+    let mut widest = 0u16;
+    while let Ok(frame) = read_frame(&mut sent) {
+        if let EngineMessage::Request(range) = MuxFrame::from_bytes(&frame).unwrap().message {
+            widest = widest.max(range.count);
+        }
+    }
+    assert!(widest >= 64, "no multi-tile request in the transcript");
 }
 
 #[test]
@@ -171,6 +195,19 @@ fn handshake_reject_bytes_are_identical() {
         &[versioned.to_bytes().to_vec()],
     );
     assert_eq!(reactor, threaded, "version-reject replies diverge");
+
+    // A protocol-v1 peer (lock-step `Continue` rounds) is turned away by
+    // name: one `RNCK` frame with the version-mismatch reason code.
+    versioned.version = 1;
+    let reactor = raw_exchange(ServeModel::Reactor, &[versioned.to_bytes().to_vec()]);
+    let threaded = raw_exchange(
+        ServeModel::ThreadPerConnection,
+        &[versioned.to_bytes().to_vec()],
+    );
+    assert_eq!(reactor, threaded, "v1-reject replies diverge");
+    let reject = read_frame(&mut &reactor[..]).expect("one reject frame");
+    assert_eq!(reject[..4], REJECT_MAGIC);
+    assert_eq!(reject[4], 2, "reason code: version mismatch");
 
     // Garbage that does not even parse as a hello.
     let garbage = vec![0xFFu8; 18];
@@ -196,4 +233,132 @@ fn post_handshake_protocol_error_bytes_are_identical() {
     let reactor = raw_exchange(ServeModel::Reactor, &[hello.clone(), stray_done.clone()]);
     let threaded = raw_exchange(ServeModel::ThreadPerConnection, &[hello, stray_done]);
     assert_eq!(reactor, threaded, "stray-Done handling diverges");
+}
+
+/// Every hostile range request is refused with a typed protocol error that
+/// costs its sender the connection and nobody else anything: the server has
+/// said exactly what the frames before it earned (so nothing proportional
+/// to the count it named was staged), both models say the same bytes, and
+/// the daemon goes on serving.
+#[test]
+fn hostile_range_requests_close_only_their_connection() {
+    let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
+    let frame = |shard: u16, message: EngineMessage| MuxFrame::new(1, shard, message).to_bytes();
+    let open = |shard: u16| {
+        frame(
+            shard,
+            EngineMessage::Open(encode_stream_open(RIBLT_STREAM_MAGIC, 8)),
+        )
+    };
+    let request =
+        |offset: u32, count: u16| frame(0, EngineMessage::Request(RangeRequest { offset, count }));
+    let tile = 32u16;
+    let over_cap = RangeRequest::MAX_COUNT as u16 + tile;
+    // (what, frames after the hello, payload frames the server owes before
+    // it hangs up, the typed error)
+    let cases: Vec<(&str, Vec<Vec<u8>>, usize, &str)> = vec![
+        (
+            "zero count",
+            vec![open(0), request(32, 0)],
+            1,
+            "empty range request",
+        ),
+        (
+            "count over the cap",
+            vec![open(0), request(32, over_cap)],
+            1,
+            "range request exceeds the count cap",
+        ),
+        (
+            "unaligned offset",
+            vec![open(0), request(33, tile)],
+            1,
+            "range request is not tile-aligned",
+        ),
+        (
+            "unaligned count",
+            vec![open(0), request(32, tile + 1)],
+            1,
+            "range request is not tile-aligned",
+        ),
+        (
+            "offset + count past u32",
+            vec![open(0), request(u32::MAX - 31, 2 * tile)],
+            1,
+            "range request exceeds the unit budget",
+        ),
+        (
+            "past max_units_per_session",
+            vec![open(0), request(1 << 20, tile)],
+            1,
+            "range request exceeds the unit budget",
+        ),
+        (
+            "open for a shard out of range",
+            vec![open(4)],
+            0,
+            "shard out of range",
+        ),
+        (
+            "request before open",
+            vec![request(32, tile)],
+            0,
+            "request for unknown session/shard",
+        ),
+        (
+            "request after done",
+            vec![open(0), frame(0, EngineMessage::Done), request(32, tile)],
+            1,
+            "request for unknown session/shard",
+        ),
+    ];
+    for (what, frames, owed, error) in cases {
+        let mut said = Vec::new();
+        for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
+            let daemon = spawn(model);
+            let mut sent = vec![hello.clone()];
+            sent.extend(frames.iter().cloned());
+            let replies = raw_exchange_with(&daemon, &sent);
+
+            let mut rest = &replies[..];
+            read_frame(&mut rest).expect("server hello");
+            for _ in 0..owed {
+                let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
+                assert!(
+                    matches!(payload.message, EngineMessage::Payload(_)),
+                    "{what}"
+                );
+            }
+            assert!(
+                rest.is_empty(),
+                "{what}: {} bytes nobody asked for",
+                rest.len()
+            );
+
+            // The teardown trails the socket close by a moment.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while daemon.stats().connection_errors == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{what}: no error counted"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let events = daemon.metrics().events.last(64);
+            let typed = format!("error=protocol violation: {error}");
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
+                "{what}: no `{typed}` in {events:?}"
+            );
+
+            // Only that connection paid: the next peer syncs in full.
+            sync_against(&daemon);
+            assert_eq!(daemon.stats().connection_errors, 1, "{what}");
+            daemon.shutdown();
+            said.push(replies);
+        }
+        assert_eq!(said[0], said[1], "{what}: the models answer differently");
+    }
 }

@@ -15,6 +15,10 @@ pub struct SyncOutcome {
     /// Number of request/response rounds (Rateless IBLT needs half a round:
     /// one request, then a one-way stream; state heal needs one per batch).
     pub rounds: usize,
+    /// Payload messages the stale replica received (for the rateless
+    /// backends, `payloads × batch_symbols` coded symbols crossed the link,
+    /// whether or not the decoder needed the last of them).
+    pub payloads: usize,
     /// Protocol-specific unit count: coded symbols consumed (Rateless IBLT)
     /// or trie nodes transferred (state heal).
     pub units_transferred: usize,
@@ -51,6 +55,7 @@ mod tests {
             bytes_downstream: 900,
             bytes_upstream: 100,
             rounds: 1,
+            payloads: 1,
             units_transferred: 10,
             accounts_updated: 5,
             downstream_series: TimeSeries::new(),

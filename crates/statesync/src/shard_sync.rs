@@ -9,9 +9,12 @@
 //! through the server/client multiplexers of [`reconcile_core::mux`] — every
 //! wire frame is a `(session, shard)`-tagged [`MuxFrame`] — and absorbs the
 //! payloads of independent shards in parallel on a `std::thread` worker
-//! pool. The virtual clock charges the *wall* time of each parallel absorb
-//! phase, so multi-core decode speedups translate into completion times,
-//! exactly as they would on real hardware.
+//! pool. Streaming shards ask for ranges of their streams sized by
+//! [`reconcile_core::window`], so a round moves as many batches as the
+//! decoders' estimate calls for and costs one round trip of the link. The
+//! virtual clock charges the *wall* time of each parallel absorb phase, so
+//! multi-core decode speedups translate into completion times, exactly as
+//! they would on real hardware.
 
 use std::time::Instant;
 
@@ -96,6 +99,7 @@ where
     let mut upstream_bytes = 0usize;
     let mut downstream_bytes = 0usize;
     let mut rounds = 0usize;
+    let mut payload_count = 0usize;
 
     let mut outgoing = client.opens();
     // Pad the aggregate opening burst up to the configured connection
@@ -125,15 +129,14 @@ where
         // Server: answer every frame (sequential — one node, one CPU here;
         // serving is cheap next to decoding).
         let t0 = Instant::now();
-        let mut payloads = Vec::with_capacity(outgoing.len());
+        let mut payloads = Vec::with_capacity(client.awaiting());
         for frame in &outgoing {
-            if let Some(reply) = server.handle(frame)? {
-                payloads.push(reply);
-            }
+            payloads.extend(server.handle(frame)?);
         }
         let serve_s = t0.elapsed().as_secs_f64();
         server_cpu += serve_s;
         server_clock += serve_s;
+        payload_count += payloads.len();
 
         // Server → client: ship the payload frames.
         let mut payload_arrival = client_clock;
@@ -146,7 +149,7 @@ where
 
         // Client: absorb all shards in parallel; charge the wall time.
         let t1 = Instant::now();
-        let replies = client.handle_parallel(&payloads, threads)?;
+        let replies = client.handle_round(&payloads, threads)?;
         let absorb_s = t1.elapsed().as_secs_f64();
         client_cpu += absorb_s;
         client_clock = client_clock.max(payload_arrival) + absorb_s;
@@ -184,6 +187,7 @@ where
         bytes_downstream: downstream_bytes,
         bytes_upstream: upstream_bytes,
         rounds,
+        payloads: payload_count,
         units_transferred,
         accounts_updated,
         downstream_series: link.downstream_series().clone(),

@@ -84,12 +84,12 @@ where
     let mut downstream_bytes = 0usize;
     let mut rounds = 1usize;
     let mut request: Option<Vec<u8>> = Some(open);
-    let mut guard = 0usize;
+    let mut payloads = 0usize;
 
     loop {
-        guard += 1;
+        payloads += 1;
         assert!(
-            guard < 4_000_000,
+            payloads < 4_000_000,
             "synchronization failed to converge (difference too large for the guard)"
         );
 
@@ -118,7 +118,7 @@ where
                 upstream_bytes += 1;
                 break;
             }
-            Progress::AwaitStream => {
+            Progress::AwaitStream(_) => {
                 // Rateless flow: the server streams at its own pace; no
                 // round trip is paid.
             }
@@ -144,6 +144,7 @@ where
         bytes_downstream: downstream_bytes,
         bytes_upstream: upstream_bytes,
         rounds,
+        payloads,
         units_transferred,
         accounts_updated,
         downstream_series: link.downstream_series().clone(),

@@ -10,17 +10,23 @@
 //!    version, SipKey fingerprint, shard-count negotiation. The server's
 //!    shard count is authoritative; this driver partitions the local set
 //!    with whatever the server announces.
-//! 2. One `Open` [`MuxFrame`] per shard, then request-driven streaming:
-//!    every `Payload` is answered with `Continue` (more symbols for that
-//!    shard) or `Done` (shard decoded). Payloads of independent shards are
-//!    absorbed in parallel on a `std::thread` worker pool.
+//! 2. One `Open` [`MuxFrame`] per shard, answered
+//!    by each shard's first batch; then rounds of range requests. After
+//!    every round [`ClientMux`] sizes the next one from what the decoders
+//!    now hold (see [`reconcile_core::window`]): `Done` for shards that
+//!    decoded, `Request(offset, count)` for the rest. A round's frames
+//!    leave in one write and cost one round trip, however many batches
+//!    they ask for; its payloads are absorbed in arrival order, independent
+//!    shards in parallel on a `std::thread` worker pool.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
 //!    accounting of the conversation.
 //!
 //! Rateless streaming is what makes this practical over real, slow or lossy
-//! links: the server never commits to a code rate, it just keeps serving
-//! coded symbols from its shared caches until each shard's client says stop.
+//! links: the server never commits to a code rate, it serves whatever range
+//! of its shared caches each shard's client asks for until the client says
+//! stop — and a client that asked for a little too much just ignores the
+//! tail.
 
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -28,8 +34,8 @@ use std::time::Instant;
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
 use reconcile_core::handshake::{client_handshake, Hello};
 use reconcile_core::{
-    read_mux_frame, write_mux_frame, ClientEngine, ClientMux, EngineError, EngineMessage, MuxFrame,
-    ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner,
+    append_frame, read_mux_frame, ClientEngine, ClientMux, EngineError, MuxFrame, ReconcileBackend,
+    SessionId, SetDifference, ShardId, ShardPartitioner,
 };
 use riblt::Symbol;
 use riblt_hash::SipKey;
@@ -69,7 +75,7 @@ pub struct TcpSyncConfig {
     pub symbol_len: usize,
     /// Decode worker threads (0 = one per available core).
     pub threads: usize,
-    /// Safety budget: abort after this many scheme units per shard.
+    /// Safety budget: never request past this many scheme units per shard.
     pub max_units_per_shard: usize,
     /// Session id tagged onto every frame of this conversation.
     pub session: SessionId,
@@ -112,10 +118,10 @@ pub struct TcpSyncOutcome {
 /// `factory` builds the backend for each shard *after* the handshake, so it
 /// sees the negotiated shard count implicitly through the ids it is called
 /// with; it must configure every backend with `config.key`,
-/// `config.symbol_len`, **and α = [`riblt::DEFAULT_ALPHA`]** — protocol
-/// version 1 pins the mapping parameter, and the handshake checks the first
-/// two but cannot see the backend's α (a non-default α decodes nothing and
-/// burns the unit budget before erroring `DecodeIncomplete`).
+/// `config.symbol_len`, **and α = [`riblt::DEFAULT_ALPHA`]** — the protocol
+/// pins the mapping parameter, and the handshake checks the first two but
+/// cannot see the backend's α (a non-default α decodes nothing and burns
+/// the unit budget before erroring `DecodeIncomplete`).
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -152,19 +158,14 @@ where
     let parts = partitioner.partition(local_items);
     let mut client = ClientMux::new(config.session);
     client.set_metrics(mux_metrics());
+    client.set_unit_budget(config.max_units_per_shard);
     for (shard, part) in parts.iter().enumerate() {
         client.insert_shard(
             shard as ShardId,
             ClientEngine::new(factory(shard as ShardId), part),
         );
     }
-
-    let mut awaiting = 0usize; // payloads the server still owes us
-    for frame in client.opens() {
-        bytes_sent += LENGTH_PREFIX_BYTES + frame.wire_size();
-        write_mux_frame(io, &frame)?;
-        awaiting += 1;
-    }
+    bytes_sent += write_round(io, &client.opens())?;
 
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
@@ -176,39 +177,23 @@ where
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
 
-    // --- 3. Request-driven streaming until every shard is done. ---
-    while awaiting > 0 {
+    // --- 3. Rounds of range requests until every shard is done. ---
+    while client.awaiting() > 0 {
         rounds += 1;
-        // The server answers every Open/Continue with exactly one Payload,
-        // each for a distinct shard, so one read per outstanding request
-        // yields a batch handle_parallel can absorb.
-        let mut payloads: Vec<MuxFrame> = Vec::with_capacity(awaiting);
-        for _ in 0..awaiting {
+        // The server answers every Open with one payload and every range
+        // with one payload per batch, in request order. All of them are
+        // read — the tail a shard no longer needs too, so the stream stays
+        // in frame and the bytes are counted.
+        let mut payloads: Vec<MuxFrame> = Vec::with_capacity(client.awaiting());
+        for _ in 0..client.awaiting() {
             let frame = read_mux_frame(io)?;
             bytes_received += LENGTH_PREFIX_BYTES + frame.wire_size();
             payloads.push(frame);
         }
         let t0 = Instant::now();
-        let replies = client.handle_parallel(&payloads, threads)?;
+        let replies = client.handle_round(&payloads, threads)?;
         decode_wall_s += t0.elapsed().as_secs_f64();
-
-        awaiting = 0;
-        for reply in replies {
-            bytes_sent += LENGTH_PREFIX_BYTES + reply.wire_size();
-            let is_done = reply.message == EngineMessage::Done;
-            write_mux_frame(io, &reply)?;
-            if !is_done {
-                awaiting += 1;
-            }
-        }
-        // Enforced per shard: one wedged shard (e.g. a mis-configured α)
-        // must not get to spend the finished shards' allowance too.
-        if client
-            .units_by_shard()
-            .any(|(_, units)| units > config.max_units_per_shard)
-        {
-            return Err(EngineError::DecodeIncomplete);
-        }
+        bytes_sent += write_round(io, &replies)?;
     }
 
     let units = client.units();
@@ -224,12 +209,25 @@ where
     Ok((differences, outcome))
 }
 
+/// Writes one round's frames, each length-prefixed, with a single
+/// `write_all`: one syscall and one burst of segments per round trip
+/// instead of one per frame. Returns the bytes written.
+fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Result<usize> {
+    let mut wire = Vec::new();
+    for frame in frames {
+        append_frame(&mut wire, &frame.to_bytes())?;
+    }
+    io.write_all(&wire)?;
+    io.flush()?;
+    Ok(wire.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::handshake::server_handshake;
-    use reconcile_core::{ServerEngine, ServerMux};
+    use reconcile_core::{write_mux_frame, EngineMessage, ServerEngine, ServerMux};
     use riblt::FixedBytes;
     use std::net::{TcpListener, TcpStream};
 
@@ -242,8 +240,14 @@ mod tests {
     /// A minimal in-test server: handshake, then a ServerMux over real
     /// frames until the client closes. (The production counterpart is the
     /// `reconciled` daemon in `crates/server`, which serves from shared
-    /// sketch caches instead of per-session engines.)
-    fn serve_once(listener: TcpListener, server_items: Vec<Item>, key: SipKey, shards: u16) {
+    /// sketch caches instead of per-session engines.) Returns the coded
+    /// symbols it sent each shard, in 16-symbol batches.
+    fn serve_once(
+        listener: TcpListener,
+        server_items: Vec<Item>,
+        key: SipKey,
+        shards: u16,
+    ) -> Vec<usize> {
         let (mut conn, _) = listener.accept().unwrap();
         let hello = Hello::new(key, shards, 8);
         server_handshake(&mut conn, &hello).unwrap();
@@ -254,19 +258,22 @@ mod tests {
             ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
         });
         let mut retired = 0usize;
+        let mut sent = vec![0usize; usize::from(shards)];
         while retired < usize::from(shards) {
             let frame = match read_mux_frame(&mut conn) {
                 Ok(frame) => frame,
                 Err(_) => break, // client closed
             };
             let was_done = frame.message == EngineMessage::Done;
-            if let Some(reply) = mux.handle(&frame).unwrap() {
+            for reply in mux.handle(&frame).unwrap() {
+                sent[usize::from(reply.shard)] += 16;
                 write_mux_frame(&mut conn, &reply).unwrap();
             }
             if was_done {
                 retired += 1;
             }
         }
+        sent
     }
 
     #[test]
@@ -302,6 +309,40 @@ mod tests {
         assert_eq!(local_only, 15);
         assert!(outcome.units > 0);
         assert!(outcome.bytes_received > outcome.bytes_sent);
+    }
+
+    #[test]
+    fn unit_budget_bounds_what_a_wedged_shard_is_sent() {
+        // A client whose mapping parameter differs from the server's can
+        // never decode. The budget caps what it asks for, not what it has
+        // already been sent: every shard stops within one batch of it.
+        let key = SipKey::new(9, 9);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server_items = items(0..2_000);
+        let handle = std::thread::spawn(move || serve_once(listener, server_items, key, 4));
+
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let budget = 200;
+        let config = TcpSyncConfig {
+            key,
+            max_units_per_shard: budget,
+            ..Default::default()
+        };
+        let err = sync_sharded_tcp(
+            &mut conn,
+            &items(300..2_000),
+            |_| RibltBackend::<Item>::with_key_and_alpha(8, 16, key, 0.3),
+            &config,
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::DecodeIncomplete), "{err}");
+        drop(conn);
+        let sent = handle.join().unwrap();
+        for (shard, &symbols) in sent.iter().enumerate() {
+            assert!(symbols > 16, "shard {shard} never got past its open");
+            assert!(symbols < budget + 16, "shard {shard} was sent {symbols}");
+        }
     }
 
     #[test]

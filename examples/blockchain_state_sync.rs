@@ -14,7 +14,7 @@
 //! poll for a stop frame), so `RibltBackend` is swappable for any other
 //! streaming backend (e.g. `IrregularRibltBackend`) without further
 //! changes; interactive backends (MET-IBLT, IBLT + estimator) would need a
-//! request/response loop that answers `EngineMessage::Request` frames
+//! request/response loop that answers `EngineMessage::Query` frames
 //! instead.
 
 use std::net::{TcpListener, TcpStream};
@@ -40,7 +40,11 @@ fn serve(listener: TcpListener, latest: Ledger) {
     // replica signals completion (or closes the connection).
     let open = EngineMessage::from_frame(&read_frame(&mut conn).expect("open frame"))
         .expect("well-formed open");
-    let mut next = engine.handle(&open).expect("serve").expect("first payload");
+    let mut next = engine
+        .handle(&open)
+        .expect("serve")
+        .pop()
+        .expect("first payload");
     let mut sent_batches = 0usize;
     loop {
         if write_frame(&mut conn, &next.to_frame()).is_err() {

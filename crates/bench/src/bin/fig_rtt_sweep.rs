@@ -5,15 +5,19 @@
 //! Each row syncs a ledger pair that differs by exactly `d` items (half on
 //! each side) through `statesync::sync_sharded_riblt` — 8 shards, 32-symbol
 //! batches, one decode thread, an uncapped link — at RTT ∈ {0, 10, 50,
-//! 100 ms}, averaged over seeded trials. A round costs one round trip, so
-//! `sync_ms` = `rounds × RTT` + measured CPU, plus one RTT for the hello a
-//! real connection opens with.
+//! 100 ms}, averaged over seeded trials. `rounds` counts as
+//! `statesync::TcpSyncOutcome::rounds` does since protocol version 3:
+//! request rounds *after* the handshake exchange, whose round trip carries
+//! the hello, the opens and every shard's first batch (the simulator has no
+//! hello, so that exchange is its opening flight). A round costs one round
+//! trip, so `sync_ms` = `(rounds + 1) × RTT` + measured CPU.
 //!
 //! The lock-step columns are analytic, not measured — no lock-step code
 //! path exists any more. A decoder consumes the same prefix of its stream
 //! however it is asked for, so from each shard's consumed units `u_s`
-//! lock-step would have taken `⌈max u_s / 32⌉` rounds, received
-//! `Σ ⌈u_s / 32⌉ · 32` symbols, and waited `(rounds + 1) × RTT`.
+//! lock-step would have taken `⌈max u_s / 32⌉ − 1` rounds after the
+//! handshake exchange, received `Σ ⌈u_s / 32⌉ · 32` symbols, and waited
+//! `(rounds + 1) × RTT`.
 //!
 //! Output columns: `rtt_ms, d, trials, rounds, rounds_max, sync_ms,
 //! symbols, lock_step_rounds, lock_step_ms, lock_step_symbols`.
@@ -109,14 +113,15 @@ fn main() {
                 let (updated, outcome) =
                     sync_sharded_riblt(&latest, &stale, config).expect("sharded sync");
                 assert_eq!(updated, latest, "sync did not converge");
-                rounds += outcome.rounds;
-                rounds_max = rounds_max.max(outcome.rounds);
-                sync_ms += outcome.completion_time_s * 1e3 + rtt_ms;
+                // The simulator's count includes its opening flight.
+                rounds += outcome.rounds - 1;
+                rounds_max = rounds_max.max(outcome.rounds - 1);
+                sync_ms += outcome.completion_time_s * 1e3;
                 symbols += outcome.payloads * BATCH;
 
                 let units = units_by_shard(&latest, &stale, &config.sharding);
                 assert_eq!(outcome.units_transferred, units.iter().sum::<usize>());
-                lock_rounds += units.iter().max().expect("shards").div_ceil(BATCH);
+                lock_rounds += units.iter().max().expect("shards").div_ceil(BATCH) - 1;
                 lock_symbols += units
                     .iter()
                     .map(|u| u.div_ceil(BATCH) * BATCH)

@@ -168,6 +168,16 @@ impl<S: Symbol + Ord> Node<S> {
         self.caches[usize::from(shard)].range(start, len)
     }
 
+    /// Window entries the shard caches hold for additions and for removals,
+    /// summed over shards (see [`SketchCache::window_entries`]): the node's
+    /// memory per mutation, as opposed to per item.
+    pub fn cache_window_entries(&self) -> (usize, usize) {
+        self.caches
+            .iter()
+            .map(SketchCache::window_entries)
+            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr))
+    }
+
     /// Order-independent digest of the item set (see [`set_digest`]), for
     /// cheap convergence checks across a cluster.
     pub fn digest(&self) -> u64 {
@@ -199,21 +209,49 @@ mod tests {
         for i in 1_000..1_050 {
             node.insert(Item::from_u64(i));
         }
-        // Each shard cache must equal the from-scratch sketch of that
-        // shard's final membership.
-        let m = 64;
+        assert_caches_match_a_rebuild(&mut node, 64);
+    }
+
+    /// Each shard cache equals the from-scratch sketch of the shard's
+    /// membership, over the first `m` cells.
+    fn assert_caches_match_a_rebuild(node: &mut Node<Item>, m: usize) {
         for shard in 0..node.shards() {
-            let members: Vec<Item> = node
-                .items()
-                .filter(|i| node.shard_of(i) == shard)
-                .cloned()
-                .collect();
             let mut fresh = Sketch::with_key(m, node.config().key);
-            for item in &members {
+            for item in node.items().filter(|i| node.shard_of(i) == shard) {
                 fresh.add_symbol(item);
             }
             assert_eq!(node.shard_cells(shard, 0, m), fresh.cells());
         }
+    }
+
+    #[test]
+    fn churn_at_constant_size_keeps_the_cache_windows_bounded() {
+        // 1,000 bursts of 256 inserts + 256 removes: before matched pairs
+        // were cancelled this kept 512,000 window entries (140 B each).
+        let live = 2_000u64;
+        let mut node = node_with(0, 0..live);
+        node.shard_cells(0, 0, 64); // some shards serve while they churn
+        node.shard_cells(5, 0, 256);
+        let mut next = live;
+        for burst in 0..1_000u64 {
+            for i in 0..256 {
+                assert!(node.insert(Item::from_u64(next + i)));
+            }
+            for i in 0..256 {
+                assert!(node.remove(&Item::from_u64(next - live + i)));
+            }
+            next += 256;
+            if burst % 100 == 0 {
+                node.shard_cells((burst / 100) as u16 % 8, 0, 96);
+            }
+        }
+        assert_eq!(node.len() as u64, live);
+        let (additions, removals) = node.cache_window_entries();
+        let bound = node.len() * 3 / 2;
+        assert!(additions <= bound, "{additions} additions for {live} items");
+        assert!(removals <= bound, "{removals} removals for {live} items");
+        // Cells materialized before, during and after the churn.
+        assert_caches_match_a_rebuild(&mut node, 320);
     }
 
     #[test]

@@ -138,6 +138,7 @@ impl<S: Symbol> ReconcileBackend for IrregularRibltBackend<S> {
     fn absorb(&self, client: &mut IrregularClient<S>, payload: &[u8]) -> Result<Progress> {
         let batch = client.codec.decode_batch::<S>(payload)?;
         client.decoder.add_coded_symbols(batch.symbols);
+        client.decoder.check_consistent()?;
         if client.decoder.is_decoded() {
             Ok(Progress::Complete)
         } else {

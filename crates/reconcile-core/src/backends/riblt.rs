@@ -140,6 +140,7 @@ impl<S: Symbol> ReconcileBackend for RibltBackend<S> {
     fn absorb(&self, client: &mut RibltClient<S>, payload: &[u8]) -> Result<Progress> {
         let batch = client.codec.decode_batch::<S>(payload)?;
         client.decoder.add_coded_symbols(batch.symbols);
+        client.decoder.check_consistent()?;
         if client.decoder.is_decoded() {
             Ok(Progress::Complete)
         } else {

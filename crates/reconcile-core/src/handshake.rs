@@ -7,14 +7,18 @@
 //! ```text
 //! Hello (18 bytes, sent as one length-prefixed frame):
 //!   magic        : 4 bytes  "RCLD"
-//!   version      : u16 LE   protocol version (currently 2)
+//!   version      : u16 LE   protocol version (currently 3)
 //!   fingerprint  : u64 LE   keyed fingerprint of the shared SipKey
 //!   shards       : u16 LE   client → proposal (0 = "server decides");
 //!                           server → authoritative shard count
 //!   symbol_len   : u16 LE   item length in bytes
 //! ```
 //!
-//! The client sends its `Hello` first. The server validates it and either
+//! The client sends its `Hello` first — and may write frames of the
+//! conversation right behind it, in the same segment, without waiting for
+//! the answer ([`client_handshake_pipelined`]; the sharded TCP client sends
+//! its one wildcard `Open` this way, so the first coded symbols come back
+//! in the handshake's own round trip). The server validates it and either
 //! answers with its own `Hello` (whose `shards` field is authoritative —
 //! the client partitions its set with the *server's* shard count) or with a
 //! reject frame naming the reason, then closes the connection:
@@ -41,7 +45,7 @@ use std::io::{Read, Write};
 use riblt_hash::{siphash24, SipKey};
 
 use crate::error::{EngineError, Result};
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{append_frame, read_frame, write_frame, LENGTH_PREFIX_BYTES};
 
 /// Magic bytes opening every `Hello` frame.
 pub const HELLO_MAGIC: [u8; 4] = *b"RCLD";
@@ -49,8 +53,10 @@ pub const HELLO_MAGIC: [u8; 4] = *b"RCLD";
 /// Magic bytes opening a handshake reject frame.
 pub const REJECT_MAGIC: [u8; 4] = *b"RNCK";
 
-/// Protocol version this build speaks.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Protocol version this build speaks. Version 3 added the wildcard open
+/// ([`crate::SHARD_ALL`]); a version-2 server would answer one with a
+/// mid-stream "shard out of range", so the skew is refused here instead.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Size of an encoded [`Hello`] in bytes.
 pub const HELLO_BYTES: usize = 18;
@@ -263,7 +269,24 @@ pub fn server_handshake<T: Read + Write>(io: &mut T, local: &Hello) -> Result<He
 /// success the returned hello carries the server's authoritative shard
 /// count, which the caller must adopt for partitioning.
 pub fn client_handshake<T: Read + Write>(io: &mut T, local: &Hello) -> Result<Hello> {
-    write_frame(io, &local.to_bytes())?;
+    client_handshake_pipelined(io, local, &[])
+}
+
+/// [`client_handshake`] with `pipelined` — frames of the conversation,
+/// already length-prefixed — written right behind the hello, in the same
+/// `write_all`: the server finds them queued when it has accepted the
+/// hello, and its replies to them follow its own hello without another
+/// round trip. A server that rejects the hello never reads them.
+pub fn client_handshake_pipelined<T: Read + Write>(
+    io: &mut T,
+    local: &Hello,
+    pipelined: &[u8],
+) -> Result<Hello> {
+    let mut flight = Vec::with_capacity(LENGTH_PREFIX_BYTES + HELLO_BYTES + pipelined.len());
+    append_frame(&mut flight, &local.to_bytes())?;
+    flight.extend_from_slice(pipelined);
+    io.write_all(&flight)?;
+    io.flush()?;
     let bytes = read_frame(io)?;
     if let Some((reason, detail)) = decode_reject(&bytes) {
         return Err(EngineError::Handshake(format!(
@@ -306,6 +329,15 @@ mod tests {
     struct PipeEnd {
         incoming: Cursor<Vec<u8>>,
         outgoing: Vec<u8>,
+        writes: usize,
+    }
+
+    fn pipe_end(incoming: Vec<u8>) -> PipeEnd {
+        PipeEnd {
+            incoming: Cursor::new(incoming),
+            outgoing: Vec::new(),
+            writes: 0,
+        }
     }
 
     impl Read for PipeEnd {
@@ -316,6 +348,7 @@ mod tests {
 
     impl Write for PipeEnd {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
             self.outgoing.write(buf)
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -366,15 +399,9 @@ mod tests {
         // answer back to the client.
         let mut c2s = Vec::new();
         write_frame(&mut c2s, &client.to_bytes()).unwrap();
-        let mut server_end = PipeEnd {
-            incoming: Cursor::new(c2s),
-            outgoing: Vec::new(),
-        };
+        let mut server_end = pipe_end(c2s);
         let server_result = server_handshake(&mut server_end, &server);
-        let mut client_end = PipeEnd {
-            incoming: Cursor::new(server_end.outgoing),
-            outgoing: Vec::new(),
-        };
+        let mut client_end = pipe_end(server_end.outgoing);
         let client_result = client_handshake(&mut client_end, &client);
         (client_result, server_result)
     }
@@ -389,6 +416,25 @@ mod tests {
         assert_eq!(
             server_hello.shards, 32,
             "server shard count is authoritative"
+        );
+    }
+
+    #[test]
+    fn pipelined_frames_leave_with_the_hello_and_wait_behind_it() {
+        let (client, server) = (Hello::new(key(), SHARDS_ANY, 8), Hello::new(key(), 4, 8));
+        let mut pipelined = Vec::new();
+        append_frame(&mut pipelined, b"first frame of the conversation").unwrap();
+        // The server's answer is not there yet: the client's flight must
+        // already be complete when it starts waiting.
+        let mut client_end = pipe_end(Vec::new());
+        assert!(client_handshake_pipelined(&mut client_end, &client, &pipelined).is_err());
+        assert_eq!(client_end.writes, 1, "hello and frames share one write");
+        // The server's handshake reads the hello and nothing past it.
+        let mut server_end = pipe_end(client_end.outgoing);
+        server_handshake(&mut server_end, &server).unwrap();
+        assert_eq!(
+            read_frame(&mut server_end).unwrap(),
+            b"first frame of the conversation"
         );
     }
 
@@ -425,10 +471,7 @@ mod tests {
     fn garbage_hello_gets_a_malformed_reject() {
         let mut c2s = Vec::new();
         write_frame(&mut c2s, b"not a hello at all").unwrap();
-        let mut server_end = PipeEnd {
-            incoming: Cursor::new(c2s),
-            outgoing: Vec::new(),
-        };
+        let mut server_end = pipe_end(c2s);
         assert!(server_handshake(&mut server_end, &Hello::new(key(), 4, 8)).is_err());
         let reply = read_frame(&mut Cursor::new(server_end.outgoing)).unwrap();
         let (reason, _) = decode_reject(&reply).expect("server sent a reject frame");
@@ -441,10 +484,7 @@ mod tests {
         let mut partial = Vec::new();
         write_frame(&mut partial, &Hello::new(key(), 4, 8).to_bytes()).unwrap();
         partial.truncate(partial.len() - 5);
-        let mut server_end = PipeEnd {
-            incoming: Cursor::new(partial),
-            outgoing: Vec::new(),
-        };
+        let mut server_end = pipe_end(partial);
         assert!(matches!(
             server_handshake(&mut server_end, &Hello::new(key(), 4, 8)),
             Err(EngineError::Io(_, _))

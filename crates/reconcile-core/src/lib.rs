@@ -65,9 +65,12 @@ pub use framing::{
     append_frame, read_frame, read_frame_or_eof, read_mux_frame, write_frame, write_mux_frame,
     FrameBuffer, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
-pub use handshake::{client_handshake, key_fingerprint, server_handshake, Hello, PROTOCOL_VERSION};
+pub use handshake::{
+    client_handshake, client_handshake_pipelined, key_fingerprint, server_handshake, Hello,
+    PROTOCOL_VERSION,
+};
 pub use mux::{ClientMux, MuxFrame, MuxMetrics, ServerMux, MUX_HEADER_BYTES};
-pub use shard::{SessionId, ShardId, ShardPartitioner};
+pub use shard::{SessionId, ShardId, ShardPartitioner, SHARD_ALL};
 
 /// Re-export of the difference type every backend emits.
 pub use riblt::SetDifference;

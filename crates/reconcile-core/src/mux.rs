@@ -10,7 +10,8 @@
 //!   truncated or corrupt input.
 //! * [`ServerMux`] — routes incoming frames to per-`(session, shard)`
 //!   [`ServerEngine`]s, creating them on `Open` through a caller-supplied
-//!   factory and retiring them on `Done`.
+//!   factory and retiring them on `Done`. An `Open` addressed to
+//!   [`SHARD_ALL`] is one `Open` per shard.
 //! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
 //!   by round: it absorbs a round's payloads (independent shards in
 //!   parallel on a `std::thread` worker pool), then turns the streaming
@@ -26,7 +27,7 @@ use riblt::{DifferenceEstimate, SetDifference};
 use crate::backend::{Progress, ReconcileBackend};
 use crate::engine::{ClientEngine, EngineMessage, RangeRequest, ServerEngine};
 use crate::error::{EngineError, Result};
-use crate::shard::{SessionId, ShardId};
+use crate::shard::{SessionId, ShardId, SHARD_ALL};
 use crate::window::request_until;
 
 /// Observation handles a [`ClientMux`] records into while absorbing
@@ -114,6 +115,8 @@ where
 {
     factory: F,
     engines: HashMap<(SessionId, ShardId), ServerEngine<B>>,
+    /// Shards a wildcard open stands for (0 = never told: refuse them).
+    shards: u16,
 }
 
 impl<B, F> ServerMux<B, F>
@@ -126,7 +129,15 @@ where
         ServerMux {
             factory,
             engines: HashMap::new(),
+            shards: 0,
         }
+    }
+
+    /// Tells the demultiplexer how many shards a session has, so an `Open`
+    /// addressed to [`SHARD_ALL`] can be expanded into shards `0..shards`.
+    pub fn serving_shards(mut self, shards: u16) -> Self {
+        self.shards = shards;
+        self
     }
 
     /// Number of live `(session, shard)` engines.
@@ -137,7 +148,24 @@ where
     /// Handles one incoming frame, returning the reply frames (one payload
     /// per tile of a range request, none for `Done`) addressed to the same
     /// `(session, shard)`.
+    ///
+    /// An `Open` addressed to [`SHARD_ALL`] is handled as the same `Open`
+    /// for each shard in turn, and answered by every shard's first payload
+    /// in shard order.
     pub fn handle(&mut self, frame: &MuxFrame) -> Result<Vec<MuxFrame>> {
+        if frame.shard == SHARD_ALL {
+            if !matches!(frame.message, EngineMessage::Open(_)) || self.shards == 0 {
+                return Err(EngineError::Protocol(
+                    "only an open may address every shard",
+                ));
+            }
+            let mut replies = Vec::with_capacity(usize::from(self.shards));
+            for shard in 0..self.shards {
+                let open = MuxFrame::new(frame.session, shard, frame.message.clone());
+                replies.extend(self.handle(&open)?);
+            }
+            return Ok(replies);
+        }
         let key = (frame.session, frame.shard);
         let replies = match &frame.message {
             EngineMessage::Open(_) => {
@@ -328,6 +356,16 @@ impl<B: ReconcileBackend> ClientMux<B> {
                 })
             })
             .collect()
+    }
+
+    /// Books every registered shard's first payload as owed without
+    /// emitting frames: for a driver whose one wildcard `Open`
+    /// ([`SHARD_ALL`]) left before it knew the shard count, and so before
+    /// this multiplexer existed.
+    pub fn expect_first_payloads(&mut self) {
+        for sc in self.shards.iter_mut().flatten() {
+            sc.awaiting += 1;
+        }
     }
 
     /// True once every shard has completed.
@@ -644,6 +682,69 @@ mod tests {
         assert!(replies.iter().all(|f| f.message == EngineMessage::Done));
         assert_eq!(mux.awaiting(), 0);
         assert!(mux.all_done());
+    }
+
+    #[test]
+    fn a_wildcard_open_is_one_open_per_shard() {
+        let partitioner = ShardPartitioner::new(SipKey::default(), 4);
+        let backend = RibltBackend::<Item>::new(8, 32);
+        let server_parts = partitioner.partition(&items(0..1_000));
+        let client_parts = partitioner.partition(&items(30..1_000));
+        let server = || {
+            ServerMux::new(|_s, shard| {
+                ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
+            })
+        };
+        let mut mux = ClientMux::new(9);
+        for (shard, part) in client_parts.iter().enumerate() {
+            mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+        }
+        let opens = mux.opens();
+        let EngineMessage::Open(body) = opens[0].message.clone() else {
+            panic!("opens() emits opens");
+        };
+        let wildcard = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open(body));
+
+        let mut per_shard = server();
+        let expected: Vec<MuxFrame> = opens
+            .iter()
+            .flat_map(|open| per_shard.handle(open).unwrap())
+            .collect();
+        let mut expanding = server().serving_shards(4);
+        assert_eq!(expanding.handle(&wildcard).unwrap(), expected);
+        assert_eq!(expanding.active_sessions(), 4);
+        // The shards are open now: a second wildcard is four duplicates.
+        assert!(matches!(
+            expanding.handle(&wildcard),
+            Err(EngineError::Protocol("duplicate open for session/shard"))
+        ));
+        // Nothing but an open may be addressed to every shard, and a mux
+        // that was never told its shard count cannot expand one.
+        for refused in [
+            (server().serving_shards(4), EngineMessage::Done),
+            (server(), wildcard.message.clone()),
+        ] {
+            let (mut mux, message) = refused;
+            assert!(matches!(
+                mux.handle(&MuxFrame::new(9, SHARD_ALL, message)),
+                Err(EngineError::Protocol(
+                    "only an open may address every shard"
+                ))
+            ));
+        }
+
+        // A client that booked the first payloads instead of opening each
+        // shard takes the wildcard's replies exactly as it takes the opens'.
+        let mut booked = ClientMux::new(9);
+        for (shard, part) in client_parts.iter().enumerate() {
+            booked.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+        }
+        booked.expect_first_payloads();
+        assert_eq!(booked.awaiting(), 4);
+        assert_eq!(
+            booked.handle_round(&expected, 1).unwrap(),
+            mux.handle_round(&expected, 1).unwrap()
+        );
     }
 
     #[test]

@@ -15,6 +15,13 @@ use riblt_hash::{splitmix64, SipKey};
 /// Shard index inside one node's partition space.
 pub type ShardId = u16;
 
+/// In a [`MuxFrame`](crate::MuxFrame): "every shard of the session". Only an
+/// `Open` may carry it — a client that does not know the server's shard
+/// count yet (its hello is still in flight) opens them all with one frame,
+/// which the server expands into one per-shard open each. Never a shard of
+/// its own: `u16` shard counts end at id `0xFFFE`.
+pub const SHARD_ALL: ShardId = ShardId::MAX;
+
 /// Session identifier distinguishing concurrent conversations multiplexed
 /// over one link.
 pub type SessionId = u32;

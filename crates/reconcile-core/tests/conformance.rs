@@ -12,8 +12,8 @@ use reconcile_core::backends::{
     IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
 };
 use reconcile_core::{
-    run_in_memory, ClientEngine, ClientMux, ReconcileBackend, RunReport, ServerEngine, ServerMux,
-    ShardId, ShardPartitioner,
+    run_in_memory, ClientEngine, ClientMux, MuxFrame, ReconcileBackend, RunReport, ServerEngine,
+    ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
@@ -154,14 +154,17 @@ where
     assert!(report.rounds >= 1);
     assert!(report.bytes_to_server > 0);
     assert!(report.bytes_to_client > 0);
-    check_muxed(backend, &sets, scenario);
+    // Only the rateless schemes stream ranges, and only their opens are
+    // independent of the local set.
+    let streams = matches!(name, "riblt" | "irregular-riblt");
+    check_muxed(backend, &sets, scenario, streams);
 }
 
 /// The multiplexed flow (range requests sized by the client's window, the
 /// `reconciled` wire protocol) must hand every shard's decoder exactly the
 /// prefix the point-to-point stream does: same recovered difference, item
 /// for item and in the same order, from the same number of units.
-fn check_muxed<B>(backend: B, sets: &Sets, scenario: Scenario)
+fn check_muxed<B>(backend: B, sets: &Sets, scenario: Scenario, streams: bool)
 where
     B: ReconcileBackend<Item = Item> + Clone + Send,
     B::Client: Send,
@@ -171,24 +174,48 @@ where
     let server_parts = partitioner.partition(&sets.server);
     let client_parts = partitioner.partition(&sets.client);
 
-    let mut server = ServerMux::new(|_session, shard: ShardId| {
-        ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
-    });
-    let mut client = ClientMux::new(7);
-    for (shard, part) in client_parts.iter().enumerate() {
-        client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+    // `wildcard`: the streaming backends' opens say nothing about the local
+    // set, so one open addressed to every shard must do for all of them (the
+    // protocol-v3 client's first flight) and change nothing downstream.
+    let run = |wildcard: bool| {
+        let mut server = ServerMux::new(|_session, shard: ShardId| {
+            ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
+        })
+        .serving_shards(4);
+        let mut client = ClientMux::new(7);
+        for (shard, part) in client_parts.iter().enumerate() {
+            client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+        }
+        let mut outgoing = if wildcard {
+            client.expect_first_payloads();
+            let open = ClientEngine::new(backend.clone(), &[]).open();
+            vec![MuxFrame::new(7, SHARD_ALL, open)]
+        } else {
+            client.opens()
+        };
+        while !outgoing.is_empty() {
+            let payloads: Vec<_> = outgoing
+                .iter()
+                .flat_map(|frame| server.handle(frame).expect("serve"))
+                .collect();
+            assert_eq!(payloads.len(), client.awaiting());
+            outgoing = client.handle_round(&payloads, 2).expect("absorb");
+        }
+        let units = client.units();
+        (
+            client.into_differences().expect("every shard decoded"),
+            units,
+        )
+    };
+    let (muxed, muxed_units) = run(false);
+    if streams {
+        assert_eq!(
+            run(true),
+            (muxed.clone(), muxed_units),
+            "{name}/{}",
+            scenario.name
+        );
     }
-    let mut outgoing = client.opens();
-    while !outgoing.is_empty() {
-        let payloads: Vec<_> = outgoing
-            .iter()
-            .flat_map(|frame| server.handle(frame).expect("serve"))
-            .collect();
-        assert_eq!(payloads.len(), client.awaiting());
-        outgoing = client.handle_round(&payloads, 2).expect("absorb");
-    }
-    let muxed_units = client.units();
-    let muxed = client.into_differences().expect("every shard decoded");
 
     let mut direct_units = 0;
     for (shard, (server_part, client_part)) in server_parts.iter().zip(&client_parts).enumerate() {

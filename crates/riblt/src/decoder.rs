@@ -138,6 +138,9 @@ pub struct Decoder<S: Symbol> {
     queued: Vec<bool>,
     /// Cached termination flag; see [`Self::is_decoded`].
     decoded: bool,
+    /// Sticky: peeling recovered more symbols than cells were received; see
+    /// [`Self::check_consistent`].
+    inconsistent: bool,
     /// `count` of difference cell 0 as it arrived: `|A∖B| − |B∖A|`.
     signed_difference: i64,
     /// Running observations of `d`; see [`DifferenceEstimate`].
@@ -187,6 +190,7 @@ impl<S: Symbol> Decoder<S> {
             coded: Vec::new(),
             queued: Vec::new(),
             decoded: false,
+            inconsistent: false,
             signed_difference: 0,
             estimate: DifferenceEstimate::default(),
             local_set: CodingWindow::new(key, alpha),
@@ -258,9 +262,9 @@ impl<S: Symbol> Decoder<S> {
     where
         I: IntoIterator<Item = CodedSymbol<S>>,
     {
-        // Already decoded: drop the whole batch without entering the
-        // per-symbol loop at all.
-        if self.is_decoded() {
+        // Already decoded (or beyond saving): drop the whole batch without
+        // entering the per-symbol loop at all.
+        if self.is_decoded() || self.inconsistent {
             return 0;
         }
         let iter = symbols.into_iter();
@@ -271,9 +275,9 @@ impl<S: Symbol> Decoder<S> {
         for cs in iter {
             self.add_coded_symbol(cs);
             used += 1;
-            // `is_decoded` is a cached-state read (no re-hash, no byte
-            // scan), so checking once per consumed symbol is free.
-            if self.is_decoded() {
+            // Both are cached-state reads (no re-hash, no byte scan), so
+            // checking once per consumed symbol is free.
+            if self.is_decoded() || self.inconsistent {
                 break;
             }
         }
@@ -281,8 +285,12 @@ impl<S: Symbol> Decoder<S> {
     }
 
     /// Ingests the next coded symbol from the remote encoder and peels as
-    /// far as possible.
+    /// far as possible. Dropped unread once the stream has proved
+    /// inconsistent ([`Self::check_consistent`]).
     pub fn add_coded_symbol(&mut self, mut cs: CodedSymbol<S>) {
+        if self.inconsistent {
+            return;
+        }
         // Lazily subtract the local set's contribution to this index, then
         // adjust for everything already recovered.
         self.local_set.apply_next(&mut cs, Direction::Remove);
@@ -309,7 +317,7 @@ impl<S: Symbol> Decoder<S> {
         self.peel();
         // Termination indicator (§4.1): cell 0 drained to empty. Evaluated
         // once per ingested symbol so `is_decoded` is a cached-flag read.
-        self.decoded = self.coded[0].is_empty_cell();
+        self.decoded = !self.inconsistent && self.coded[0].is_empty_cell();
     }
 
     /// Runs the peeling loop until no pure cells remain.
@@ -370,6 +378,17 @@ impl<S: Symbol> Decoder<S> {
             if batch.is_empty() {
                 // The inner loop only stops short of a full batch when the
                 // queue is drained, so peeling is complete.
+                self.batch = batch;
+                return;
+            }
+            // Every recovery empties one pure cell for good, so a prefix of
+            // one set's sequence never yields more symbols than it has
+            // cells. A splice of two sequences can recover the same symbol
+            // from either side for ever; this is where that stops.
+            if self.recovered_count() + batch.len() > self.coded.len() {
+                self.inconsistent = true;
+                self.pure_queue.clear();
+                batch.clear();
                 self.batch = batch;
                 return;
             }
@@ -473,6 +492,17 @@ impl<S: Symbol> Decoder<S> {
         self.decoded
     }
 
+    /// Fails with [`Error::InconsistentStream`] once peeling has recovered
+    /// more symbols than cells were received. The condition is sticky: the
+    /// decoder has stopped peeling, ignores further coded symbols and never
+    /// reports [`Self::is_decoded`].
+    pub fn check_consistent(&self) -> Result<()> {
+        if self.inconsistent {
+            return Err(Error::InconsistentStream);
+        }
+        Ok(())
+    }
+
     /// Symbols recovered so far that only the remote set contains (A \ B).
     pub fn remote_symbols(&self) -> impl Iterator<Item = &S> {
         self.remote_recovered.symbols().iter().map(|h| &h.symbol)
@@ -518,6 +548,7 @@ impl<S: Symbol> Decoder<S> {
 
     /// Returns the recovered difference, failing if decoding is incomplete.
     pub fn try_into_difference(self) -> Result<SetDifference<S>> {
+        self.check_consistent()?;
         if !self.is_decoded() {
             return Err(Error::DecodeIncomplete);
         }

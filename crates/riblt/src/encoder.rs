@@ -192,6 +192,22 @@ impl<S: Symbol> CodingWindow<S> {
         }
     }
 
+    /// Drops every symbol `keep` turns down and re-parks the survivors, each
+    /// with its mapping where it stands, so the window contributes to every
+    /// future index exactly what the survivors alone would have.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&HashedSymbol<S>) -> bool) {
+        let symbols = std::mem::take(&mut self.symbols);
+        let mappings = std::mem::take(&mut self.mappings);
+        self.bucket_head.clear();
+        self.bucket_next.clear();
+        self.overflow.clear();
+        for (symbol, mapping) in symbols.into_iter().zip(mappings) {
+            if keep(&symbol) {
+                self.push_entry(symbol, mapping);
+            }
+        }
+    }
+
     /// Iterates over the stored symbols (used to report recovered sets).
     pub(crate) fn symbols(&self) -> &[HashedSymbol<S>] {
         &self.symbols

@@ -26,6 +26,13 @@ pub enum Error {
     /// The peeling decoder stopped before recovering every source symbol
     /// (more coded symbols are needed).
     DecodeIncomplete,
+    /// The cells being peeled are not a prefix of one set's coded-symbol
+    /// sequence (a stream spliced from two versions of a set, say): peeling
+    /// recovered more symbols than cells were received, which no consistent
+    /// stream can do — every recovery empties one pure cell for good. The
+    /// decoder stops peeling and keeps reporting this; the session must be
+    /// restarted against a consistent stream.
+    InconsistentStream,
     /// The wire decoder encountered a malformed or truncated byte stream.
     WireFormat(&'static str),
 }
@@ -47,6 +54,10 @@ impl fmt::Display for Error {
             Error::DecodeIncomplete => {
                 write!(f, "peeling stalled before recovering all source symbols")
             }
+            Error::InconsistentStream => write!(
+                f,
+                "coded symbols are inconsistent: more symbols recovered than cells received"
+            ),
             Error::WireFormat(msg) => write!(f, "malformed wire data: {msg}"),
         }
     }
@@ -68,6 +79,7 @@ mod tests {
             Error::SymbolAddedAfterDecodingStarted.to_string(),
             Error::SketchShapeMismatch { left: 3, right: 5 }.to_string(),
             Error::DecodeIncomplete.to_string(),
+            Error::InconsistentStream.to_string(),
             Error::WireFormat("truncated").to_string(),
         ];
         for m in msgs {

@@ -217,6 +217,11 @@ impl<S: Symbol> IrregularSketch<S> {
                 PeelState::PureLocal => false,
                 _ => continue,
             };
+            // Cells that are not one difference's sketch can hand the same
+            // symbol back and forth for ever (see `Error::InconsistentStream`).
+            if diff.len() == cells.len() {
+                return Err(Error::InconsistentStream);
+            }
             let symbol = cells[idx].sum.clone();
             let hash = cells[idx].checksum;
             let hashed = HashedSymbol::with_hash(symbol.clone(), hash);
@@ -331,6 +336,9 @@ pub struct IrregularDecoder<S: Symbol> {
     queued: Vec<bool>,
     /// Cached termination flag, refreshed once per ingested symbol.
     decoded: bool,
+    /// Sticky: peeling recovered more symbols than cells were received; see
+    /// [`Self::check_consistent`].
+    inconsistent: bool,
     local_set: CodingWindow<S>,
     remote_recovered: CodingWindow<S>,
     local_recovered: CodingWindow<S>,
@@ -353,6 +361,7 @@ impl<S: Symbol> IrregularDecoder<S> {
             coded: Vec::new(),
             queued: Vec::new(),
             decoded: false,
+            inconsistent: false,
             local_set: CodingWindow::new(key, alpha),
             remote_recovered: CodingWindow::new(key, alpha),
             local_recovered: CodingWindow::new(key, alpha),
@@ -385,21 +394,26 @@ impl<S: Symbol> IrregularDecoder<S> {
         I: IntoIterator<Item = CodedSymbol<S>>,
     {
         let mut used = 0;
-        if self.is_decoded() {
+        if self.is_decoded() || self.inconsistent {
             return used;
         }
         for cs in symbols {
             self.add_coded_symbol(cs);
             used += 1;
-            if self.is_decoded() {
+            if self.is_decoded() || self.inconsistent {
                 break;
             }
         }
         used
     }
 
-    /// Ingests one coded symbol and peels as far as possible.
+    /// Ingests one coded symbol and peels as far as possible. Dropped
+    /// unread once the stream has proved inconsistent
+    /// ([`Self::check_consistent`]).
     pub fn add_coded_symbol(&mut self, mut cs: CodedSymbol<S>) {
+        if self.inconsistent {
+            return;
+        }
         self.local_set.apply_next(&mut cs, Direction::Remove);
         self.remote_recovered.apply_next(&mut cs, Direction::Remove);
         self.local_recovered.apply_next(&mut cs, Direction::Add);
@@ -411,7 +425,7 @@ impl<S: Symbol> IrregularDecoder<S> {
             self.pure_queue.push(idx);
         }
         self.peel();
-        self.decoded = self.coded[0].is_empty_cell();
+        self.decoded = !self.inconsistent && self.coded[0].is_empty_cell();
     }
 
     /// Runs the peeling loop until no pure cells remain. Queue entries are
@@ -432,6 +446,13 @@ impl<S: Symbol> IrregularDecoder<S> {
             let hash = cell.checksum;
             if cell.sum.hash_with(self.key) != hash {
                 continue;
+            }
+            // Mirrors `Decoder::peel`: a consistent stream never yields more
+            // symbols than it has cells.
+            if self.recovered_count() == self.coded.len() {
+                self.inconsistent = true;
+                self.pure_queue.clear();
+                return;
             }
             let symbol = std::mem::take(&mut self.coded[idx].sum);
             self.coded[idx].checksum = 0;
@@ -482,6 +503,21 @@ impl<S: Symbol> IrregularDecoder<S> {
     #[inline]
     pub fn is_decoded(&self) -> bool {
         self.decoded
+    }
+
+    /// Number of difference symbols recovered so far.
+    pub fn recovered_count(&self) -> usize {
+        self.remote_recovered.len() + self.local_recovered.len()
+    }
+
+    /// Fails with [`Error::InconsistentStream`] once peeling has recovered
+    /// more symbols than cells were received (sticky, as for
+    /// [`crate::Decoder::check_consistent`]).
+    pub fn check_consistent(&self) -> Result<()> {
+        if self.inconsistent {
+            return Err(Error::InconsistentStream);
+        }
+        Ok(())
     }
 
     /// Consumes the decoder and returns the recovered difference.

@@ -13,6 +13,8 @@
 //! the O(log m) coded symbols the item maps to — and extending the prefix on
 //! demand.
 
+use std::collections::HashMap;
+
 use riblt_hash::SipKey;
 
 use crate::coded::{prefetch, CodedSymbol, Direction};
@@ -150,7 +152,9 @@ impl<S: Symbol> Sketch<S> {
     /// success recovers the whole set in `remote_only`.
     ///
     /// Returns [`Error::DecodeIncomplete`] if peeling stalls — the caller
-    /// should obtain a longer sketch (more coded symbols) and retry.
+    /// should obtain a longer sketch (more coded symbols) and retry — and
+    /// [`Error::InconsistentStream`] if the cells are not a sketch of one
+    /// difference at all.
     pub fn decode(&self) -> Result<SetDifference<S>> {
         let mut cells = self.cells.clone();
         let m = cells.len() as u64;
@@ -178,6 +182,12 @@ impl<S: Symbol> Sketch<S> {
             let hash = cell.checksum;
             if cell.sum.hash_with(self.key) != hash {
                 continue;
+            }
+            // Mirrors `Decoder::peel`: one difference's sketch never yields
+            // more symbols than it has cells; cells that are not one can
+            // hand the same symbol back and forth for ever.
+            if diff.len() == cells.len() {
+                return Err(Error::InconsistentStream);
             }
             // A pure cell holds exactly its one symbol; settle it by moving
             // the fields out and skip it on the propagation walk below.
@@ -236,11 +246,15 @@ impl<S: Symbol> Sketch<S> {
 #[derive(Debug, Clone)]
 pub struct SketchCache<S: Symbol> {
     cells: Vec<CodedSymbol<S>>,
-    /// Every symbol ever added, positioned past the materialized prefix so
-    /// the cache can extend.
+    /// Every symbol added and not yet cancelled against a removal,
+    /// positioned past the materialized prefix so the cache can extend.
     additions: CodingWindow<S>,
-    /// Every symbol ever removed, likewise positioned for extension.
+    /// Every symbol removed and not yet cancelled, likewise positioned.
     removals: CodingWindow<S>,
+    /// Removals the last [`Self::cancel_pairs`] found no addition for;
+    /// they are not counted towards the next one, so it stays amortised
+    /// O(1) per mutation even when nothing cancels.
+    unmatched_removals: usize,
     key: SipKey,
     alpha: f64,
 }
@@ -262,6 +276,7 @@ impl<S: Symbol> SketchCache<S> {
             cells: Vec::new(),
             additions: CodingWindow::new(key, alpha),
             removals: CodingWindow::new(key, alpha),
+            unmatched_removals: 0,
             key,
             alpha,
         }
@@ -322,6 +337,43 @@ impl<S: Symbol> SketchCache<S> {
         let hashed = HashedSymbol::new(symbol, self.key);
         let mapping = self.patch_prefix(&hashed, Direction::Remove);
         self.removals.push_with_mapping(hashed, mapping);
+        let pending = self.removals.len() - self.unmatched_removals;
+        if pending >= (self.additions.len() / 4).max(1) {
+            self.cancel_pairs();
+        }
+    }
+
+    /// Drops every removal together with one addition of the same keyed
+    /// hash. Both mappings of a pair stand at the same index (the first one
+    /// the symbol maps to past the materialized prefix), so the pair
+    /// contributes nothing to any future cell, and the materialized cells
+    /// already hold both patches: no served byte changes. Without this a
+    /// set that churns at constant size grows by one window entry per
+    /// mutation for ever.
+    fn cancel_pairs(&mut self) {
+        let mut removed: HashMap<u64, usize> = HashMap::with_capacity(self.removals.len());
+        for symbol in self.removals.symbols() {
+            *removed.entry(symbol.hash).or_default() += 1;
+        }
+        // Takes one removal of `hash` off the tally, if any is left on it.
+        let mut take = |hash: u64| match removed.get_mut(&hash) {
+            Some(count) if *count > 0 => {
+                *count -= 1;
+                true
+            }
+            _ => false,
+        };
+        self.additions.retain(|symbol| !take(symbol.hash));
+        // What the additions left on the tally found no addition: keep it.
+        self.removals.retain(|symbol| take(symbol.hash));
+        self.unmatched_removals = self.removals.len();
+    }
+
+    /// Window entries held for additions and for removals: what the cache
+    /// keeps per mutation besides its cells. Bounded by a constant factor of
+    /// the live set however long the set churns.
+    pub fn window_entries(&self) -> (usize, usize) {
+        (self.additions.len(), self.removals.len())
     }
 
     /// Extends the materialized prefix by `extra` coded symbols.
@@ -506,6 +558,45 @@ mod tests {
         cache.ensure_len(128);
         let fresh = Sketch::from_set(128, syms(0..300).iter());
         assert_eq!(cache.to_sketch(128), fresh);
+    }
+
+    #[test]
+    fn cancelled_pairs_change_no_cell_and_unmatched_removals_survive() {
+        // Mirror every mutation into a plain sketch of the final length:
+        // whatever the cache cancelled along the way, the cells it
+        // materializes late must equal the ones patched from the start.
+        let m = 200;
+        let mut mirror = Sketch::<Sym>::new(m);
+        let mut cache = SketchCache::<Sym>::new();
+        cache.ensure_len(24);
+        let stray = Sym::from_u64(u64::MAX);
+        cache.remove_symbol(stray); // never added: nothing can cancel it
+        mirror.remove_symbol(&stray);
+        for round in 0..40u64 {
+            for i in 0..50 {
+                let item = Sym::from_u64(round * 50 + i);
+                cache.add_symbol(item);
+                mirror.add_symbol(&item);
+            }
+            // Remove most of the previous round, re-adding a few of them.
+            for i in 0..45 {
+                let item = Sym::from_u64(round.saturating_sub(1) * 50 + i);
+                if round > 0 {
+                    cache.remove_symbol(item);
+                    mirror.remove_symbol(&item);
+                }
+                if round > 0 && i % 9 == 0 {
+                    cache.add_symbol(item);
+                    mirror.add_symbol(&item);
+                }
+            }
+            cache.ensure_len(24 + 4 * round as usize);
+        }
+        let (additions, removals) = cache.window_entries();
+        assert_eq!(additions as i64 - removals as i64, cache.set_size());
+        assert!(removals >= 1, "the stray removal must not be dropped");
+        assert!(additions < 600, "{additions} of 2,195 additions kept");
+        assert_eq!(cache.to_sketch(m), mirror);
     }
 
     #[test]

@@ -199,6 +199,12 @@ fn main() -> ExitCode {
     );
     println!("diffs recovered    {}", report.diffs_recovered);
     println!("units consumed     {}", report.units_consumed);
+    if options.config.transport == Transport::Tcp {
+        println!(
+            "request rounds     {:.2} per sync after the handshake",
+            report.request_rounds as f64 / report.syncs_ok.max(1) as f64
+        );
+    }
     println!("wall               {:.3}s", report.wall.as_secs_f64());
     println!("throughput         {:.1} syncs/s", report.syncs_per_sec());
     println!(

@@ -129,7 +129,7 @@ fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), 
     let learned: Vec<S> = diffs.iter().flat_map(|d| d.remote_only.clone()).collect();
     let local_only: Vec<S> = diffs.iter().flat_map(|d| d.local_only.clone()).collect();
     println!(
-        "reconcile-client: shards={} rounds={} units={} learned={} local_only={} \
+        "reconcile-client: shards={} rounds_after_handshake={} units={} learned={} local_only={} \
          bytes_tx={} bytes_rx={}",
         outcome.shards,
         outcome.rounds,

@@ -21,9 +21,12 @@
 //! 2. Mux frames, request-driven: `Open` (validated against the rateless
 //!    stream magic) produces the stream's first tile, `Request(offset,
 //!    count)` one `Payload` per tile of the range, in order; `Done` retires
-//!    the `(session, shard)`. The daemon never pushes unprompted — on a
-//!    shared connection only the client knows which shards still need
-//!    symbols, and how many.
+//!    the `(session, shard)`. An `Open` addressed to
+//!    [`SHARD_ALL`] opens every shard; clients
+//!    pipeline it behind their hello, so the first tiles follow the
+//!    daemon's hello in the same flight. The daemon never pushes
+//!    unprompted — on a shared connection only the client knows which
+//!    shards still need symbols, and how many.
 //! 3. The peer closes the connection (or times out, or errors); the
 //!    connection's byte/CPU accounting folds into the daemon-wide stats.
 //!
@@ -43,7 +46,7 @@
 //! paper's incremental-cache story targets.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,7 +63,9 @@ use reconcile_core::datagram::{
 use reconcile_core::framing::{append_frame, read_frame_or_eof, LENGTH_PREFIX_BYTES};
 use reconcile_core::handshake::{server_handshake, Hello, HELLO_BYTES};
 use reconcile_core::wirefmt::validate_stream_open;
-use reconcile_core::{EngineError, EngineMessage, MuxFrame, RangeRequest, SessionId, ShardId};
+use reconcile_core::{
+    EngineError, EngineMessage, MuxFrame, RangeRequest, SessionId, ShardId, SHARD_ALL,
+};
 use riblt::wire::SymbolCodec;
 use riblt::Symbol;
 use riblt_hash::SipKey;
@@ -653,6 +658,10 @@ fn handle_data_connection<S: Symbol + Ord>(
     match &result {
         Ok(()) => {}
         Err(EngineError::Handshake(reason)) => {
+            // The handshake read the hello and nothing behind it. Closing
+            // over unread input resets the connection, and a reset can
+            // overtake the reject frame: read what the client pipelined.
+            discard_queued_input(&mut stream);
             shared.metrics.handshake_failures.inc();
             shared
                 .metrics
@@ -675,6 +684,22 @@ fn handle_data_connection<S: Symbol + Ord>(
             acct.bytes_in, acct.bytes_out, acct.sessions_completed, acct.sessions_opened
         ),
     );
+}
+
+/// Reads and drops whatever the peer has already sent, without waiting for
+/// more. Best effort: the connection is being closed either way.
+fn discard_queued_input(stream: &mut TcpStream) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut scratch = [0u8; 4096];
+    // A peer that keeps sending cannot hold the thread: 64 reads, no waits.
+    for _ in 0..64 {
+        match stream.read(&mut scratch) {
+            Ok(n) if n > 0 => {}
+            _ => return,
+        }
+    }
 }
 
 /// Drives one data connection from handshake to close. Any error drops the
@@ -710,7 +735,10 @@ fn serve_peer<S: Symbol + Ord>(
         };
         replies.clear();
         handle_client_frame(shared, &mut streams, &bytes, acct, &mut replies)?;
-        // One write for all the tiles of a range.
+        while streams.expanding_wildcard() {
+            open_next_wildcard_shard(shared, &mut streams, acct, &mut replies)?;
+        }
+        // One write for all the tiles of a range, or of a wildcard open.
         stream.write_all(&replies)?;
     }
 }
@@ -729,18 +757,41 @@ pub(crate) fn account_handshake<S: Symbol + Ord>(
 }
 
 /// All per-connection protocol state: the `(session, shard)` streams that
-/// are open, each with the symbols served on it so far. The count is
-/// accounting for the `session_done` record only — every request names its
-/// own range, so serving never consults it.
-pub(crate) type OpenStreams = HashMap<(SessionId, ShardId), usize>;
+/// are open, each with the symbols served on it so far, and how far a
+/// wildcard open has been expanded. The counts are accounting for the
+/// `session_done` record only — every request names its own range, so
+/// serving never consults them.
+#[derive(Debug, Default)]
+pub(crate) struct OpenStreams {
+    served: HashMap<(SessionId, ShardId), usize>,
+    /// A wildcard open in progress: its session and the next shard to open.
+    wildcard: Option<(SessionId, ShardId)>,
+}
+
+impl OpenStreams {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// True while a wildcard open has shards left to open. The serving loop
+    /// opens them one [`open_next_wildcard_shard`] at a time before it takes
+    /// the connection's next frame.
+    pub(crate) fn expanding_wildcard(&self) -> bool {
+        self.wildcard.is_some()
+    }
+}
 
 /// Dispatches one post-handshake client frame, appending the reply frames
 /// it calls for (length-prefixed, ready to write) to `out`: `Open` → the
 /// stream's first tile, `Request` → one payload frame per tile of its
-/// range, `Done` → none. Both serving models route every client frame
-/// through here — the thread-per-connection loop writes `out` with a
-/// blocking write, the reactor's `out` *is* the connection's write buffer —
-/// which is what makes their wire output byte-identical by construction.
+/// range, `Done` → none. An `Open` addressed to [`SHARD_ALL`] is an `Open`
+/// of every shard: this opens shard 0 and leaves the rest to
+/// [`open_next_wildcard_shard`], so the caller's backpressure check runs
+/// between shards as it does between separate opens. Both serving models
+/// route every client frame through here — the thread-per-connection loop
+/// writes `out` with a blocking write, the reactor's `out` *is* the
+/// connection's write buffer — which is what makes their wire output
+/// byte-identical by construction.
 ///
 /// A request is validated in full before anything is staged, so a hostile
 /// range costs a typed error and the connection, never memory proportional
@@ -758,29 +809,34 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
     acct.bytes_in += wire_in;
     shared.metrics.bytes_in.add(wire_in);
     let key = (frame.session, frame.shard);
-    let range = match frame.message {
+    if frame.shard == SHARD_ALL && !matches!(frame.message, EngineMessage::Open(_)) {
+        return Err(EngineError::Protocol(
+            "only an open may address every shard",
+        ));
+    }
+    match frame.message {
         EngineMessage::Open(ref request) => {
             validate_stream_open(request, RIBLT_STREAM_MAGIC, config.symbol_len)?;
-            if frame.shard >= config.shards {
-                return Err(EngineError::Protocol("shard out of range"));
+            if frame.shard != SHARD_ALL {
+                return open_stream(shared, streams, key, acct, out);
             }
-            if streams.insert(key, 0).is_some() {
-                return Err(EngineError::Protocol("duplicate open for session/shard"));
+            // The wildcard is the open a client pipelines behind its hello,
+            // before it knows the shard count: once, and first.
+            if acct.sessions_opened > 0 {
+                return Err(EngineError::Protocol("wildcard open after another open"));
             }
-            acct.sessions_opened += 1;
-            shared.metrics.sessions_opened.inc();
-            // An open asks for the stream's first tile.
-            RangeRequest::new(0, config.batch_symbols)?
+            streams.wildcard = Some((frame.session, 0));
+            open_next_wildcard_shard(shared, streams, acct, out)
         }
         EngineMessage::Request(range) => {
-            if !streams.contains_key(&key) {
+            if !streams.served.contains_key(&key) {
                 return Err(EngineError::Protocol("request for unknown session/shard"));
             }
-            range
+            serve_range(shared, streams, key, range, acct, out)
         }
         EngineMessage::Done => {
             // Duplicate Dones are harmless (mirrors ServerMux).
-            if let Some(served) = streams.remove(&key) {
+            if let Some(served) = streams.served.remove(&key) {
                 acct.sessions_completed += 1;
                 shared.metrics.sessions_completed.inc();
                 shared.metrics.session_symbols.observe(served as u64);
@@ -789,15 +845,60 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
                     format!("session={} shard={} symbols={served}", key.0, key.1),
                 );
             }
-            return Ok(());
+            Ok(())
         }
-        EngineMessage::Payload(_) | EngineMessage::Query(_) => {
-            return Err(EngineError::Protocol(
-                "client sent a server-side or interactive frame",
-            ))
-        }
-    };
+        EngineMessage::Payload(_) | EngineMessage::Query(_) => Err(EngineError::Protocol(
+            "client sent a server-side or interactive frame",
+        )),
+    }
+}
 
+/// Opens the next shard of the wildcard open being expanded (a no-op when
+/// none is): exactly what a per-shard `Open` of that shard does, first tile
+/// included.
+pub(crate) fn open_next_wildcard_shard<S: Symbol + Ord>(
+    shared: &SharedState<S>,
+    streams: &mut OpenStreams,
+    acct: &mut ConnAccounting,
+    out: &mut Vec<u8>,
+) -> reconcile_core::Result<()> {
+    let Some((session, shard)) = streams.wildcard else {
+        return Ok(());
+    };
+    streams.wildcard = (shard + 1 < shared.config.shards).then_some((session, shard + 1));
+    open_stream(shared, streams, (session, shard), acct, out)
+}
+
+/// Opens the stream `key` and stages its first tile.
+fn open_stream<S: Symbol + Ord>(
+    shared: &SharedState<S>,
+    streams: &mut OpenStreams,
+    key: (SessionId, ShardId),
+    acct: &mut ConnAccounting,
+    out: &mut Vec<u8>,
+) -> reconcile_core::Result<()> {
+    if key.1 >= shared.config.shards {
+        return Err(EngineError::Protocol("shard out of range"));
+    }
+    if streams.served.insert(key, 0).is_some() {
+        return Err(EngineError::Protocol("duplicate open for session/shard"));
+    }
+    acct.sessions_opened += 1;
+    shared.metrics.sessions_opened.inc();
+    let first_tile = RangeRequest::new(0, shared.config.batch_symbols)?;
+    serve_range(shared, streams, key, first_tile, acct, out)
+}
+
+/// Stages one payload frame per tile of `range` of the open stream `key`.
+fn serve_range<S: Symbol + Ord>(
+    shared: &SharedState<S>,
+    streams: &mut OpenStreams,
+    key: (SessionId, ShardId),
+    range: RangeRequest,
+    acct: &mut ConnAccounting,
+    out: &mut Vec<u8>,
+) -> reconcile_core::Result<()> {
+    let config = &shared.config;
     let tile = config.batch_symbols;
     // A stream's first tile is always within budget, as it was for v1.
     let tiles = range.tiles(tile, config.max_units_per_session.max(tile))?;
@@ -805,7 +906,7 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
     for index in 0..tiles {
         let batch_span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
         let offset = range.offset as usize + index * tile;
-        let (payload, serve_cpu) = encode_shard_batch(shared, frame.shard, offset, tile);
+        let (payload, serve_cpu) = encode_shard_batch(shared, key.1, offset, tile);
         acct.serve_cpu_s += serve_cpu.as_secs_f64();
         let reply = MuxFrame::new(key.0, key.1, EngineMessage::Payload(payload)).to_bytes();
         batch_span.stop();
@@ -818,7 +919,7 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
     let wire_out = (out.len() - staged) as u64;
     acct.bytes_out += wire_out;
     shared.metrics.bytes_out.add(wire_out);
-    *streams.get_mut(&key).expect("open checked above") += tiles * tile;
+    *streams.served.get_mut(&key).expect("open checked above") += tiles * tile;
     Ok(())
 }
 

@@ -53,8 +53,8 @@ use riblt::Symbol;
 
 use crate::admin;
 use crate::daemon::{
-    account_handshake, handle_client_frame, handle_udp_datagram, sweep_udp_sessions,
-    ConnAccounting, OpenStreams, SharedState,
+    account_handshake, handle_client_frame, handle_udp_datagram, open_next_wildcard_shard,
+    sweep_udp_sessions, ConnAccounting, OpenStreams, SharedState,
 };
 use crate::reactor::{Interest, PollEvent, Poller};
 
@@ -628,24 +628,41 @@ fn pump<S: Symbol + Ord>(
                     }
                 }
                 ConnState::Serving => {
-                    let frame = match conn.inbuf.next_frame() {
-                        Ok(Some(frame)) => frame,
-                        Ok(None) => break,
-                        Err(e) => {
-                            begin_close(shared, conn, Close::Error(format!("bad framing: {e}")));
-                            break;
-                        }
-                    };
                     // Replies are staged straight into the write buffer; an
                     // oversized one (it would desynchronize the stream)
                     // comes back as an error with nothing staged.
-                    if let Err(e) = handle_client_frame(
-                        shared,
-                        &mut conn.streams,
-                        &frame,
-                        &mut conn.acct,
-                        &mut conn.outbuf,
-                    ) {
+                    let served = if conn.streams.expanding_wildcard() {
+                        // One shard per turn, so the pause check below runs
+                        // between the shards of a wildcard open as it does
+                        // between separate opens.
+                        open_next_wildcard_shard(
+                            shared,
+                            &mut conn.streams,
+                            &mut conn.acct,
+                            &mut conn.outbuf,
+                        )
+                    } else {
+                        let frame = match conn.inbuf.next_frame() {
+                            Ok(Some(frame)) => frame,
+                            Ok(None) => break,
+                            Err(e) => {
+                                begin_close(
+                                    shared,
+                                    conn,
+                                    Close::Error(format!("bad framing: {e}")),
+                                );
+                                break;
+                            }
+                        };
+                        handle_client_frame(
+                            shared,
+                            &mut conn.streams,
+                            &frame,
+                            &mut conn.acct,
+                            &mut conn.outbuf,
+                        )
+                    };
+                    if let Err(e) = served {
                         begin_close(shared, conn, Close::Error(e.to_string()));
                         break;
                     }

@@ -108,6 +108,10 @@ pub struct LoadgenReport {
     pub diffs_recovered: usize,
     /// Coded-symbol units consumed across all successful rounds.
     pub units_consumed: usize,
+    /// Protocol request rounds after the handshake exchange
+    /// (`statesync::TcpSyncOutcome::rounds`), summed over the successful
+    /// syncs; 0 over UDP, which has no rounds.
+    pub request_rounds: usize,
     /// Wall time from the post-connect barrier to the last client's exit.
     pub wall: Duration,
     /// Per-round sync latencies, sorted ascending (successful rounds only).
@@ -160,6 +164,7 @@ pub fn run(addr: &str, config: &LoadgenConfig) -> LoadgenReport {
     let syncs_failed = Arc::new(AtomicUsize::new(0));
     let diffs = Arc::new(AtomicUsize::new(0));
     let units = Arc::new(AtomicUsize::new(0));
+    let request_rounds = Arc::new(AtomicUsize::new(0));
     let latencies = Arc::new(Mutex::new(Vec::new()));
 
     let mut handles = Vec::with_capacity(config.clients);
@@ -171,6 +176,7 @@ pub fn run(addr: &str, config: &LoadgenConfig) -> LoadgenReport {
         let thread_failed = Arc::clone(&syncs_failed);
         let thread_diffs = Arc::clone(&diffs);
         let thread_units = Arc::clone(&units);
+        let thread_request_rounds = Arc::clone(&request_rounds);
         let thread_latencies = Arc::clone(&latencies);
         let handle = thread::Builder::new()
             .name(format!("loadgen-{index}"))
@@ -185,6 +191,7 @@ pub fn run(addr: &str, config: &LoadgenConfig) -> LoadgenReport {
                     &thread_failed,
                     &thread_diffs,
                     &thread_units,
+                    &thread_request_rounds,
                     &thread_latencies,
                 )
             });
@@ -216,6 +223,7 @@ pub fn run(addr: &str, config: &LoadgenConfig) -> LoadgenReport {
         syncs_failed: syncs_failed.load(Ordering::Relaxed),
         diffs_recovered: diffs.load(Ordering::Relaxed),
         units_consumed: units.load(Ordering::Relaxed),
+        request_rounds: request_rounds.load(Ordering::Relaxed),
         wall,
         sync_latencies,
     }
@@ -231,6 +239,7 @@ fn client_main(
     syncs_failed: &AtomicUsize,
     diffs_total: &AtomicUsize,
     units_total: &AtomicUsize,
+    request_rounds_total: &AtomicUsize,
     latencies: &Mutex<Vec<Duration>>,
 ) {
     let staleness = config.staleness[index % config.staleness.len().max(1)];
@@ -303,6 +312,7 @@ fn client_main(
                     syncs_ok.fetch_add(1, Ordering::Relaxed);
                     diffs_total.fetch_add(recovered, Ordering::Relaxed);
                     units_total.fetch_add(outcome.units, Ordering::Relaxed);
+                    request_rounds_total.fetch_add(outcome.rounds, Ordering::Relaxed);
                     obs::lock_unpoisoned(latencies).push(elapsed);
                 } else {
                     syncs_failed.fetch_add(1, Ordering::Relaxed);

@@ -1,12 +1,13 @@
 //! Wire equivalence between the two serving models: under a pinned seed
 //! and identical configuration, the reactor daemon must emit a stream of
 //! bytes **identical** to the thread-per-connection daemon — for full
-//! protocol-v2 reconciliations, for handshake rejects (a v1 peer's
-//! included), and for post-handshake protocol errors, hostile range
-//! requests among them. Both models route every byte through the same
-//! producers (`handle_client_frame`, the hello/reject encoders), so this
-//! holds by construction; this test pins it against regressions in either
-//! path.
+//! protocol-v3 reconciliations (frozen in `golden/v3_sync.hex`), for
+//! handshake rejects (a v1 or v2 peer's included, and a client's that
+//! pipelined its wildcard open behind a hello the daemon refuses), and for
+//! post-handshake protocol errors, hostile range requests and wildcards
+//! among them. Both models route every byte through the same producers
+//! (`handle_client_frame`, the hello/reject encoders), so this holds by
+//! construction; this test pins it against regressions in either path.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,7 +16,9 @@ use std::time::Duration;
 use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::{Hello, PROTOCOL_VERSION, REJECT_MAGIC};
 use reconcile_core::wirefmt::encode_stream_open;
-use reconcile_core::{read_frame, write_frame, EngineMessage, MuxFrame, RangeRequest};
+use reconcile_core::{
+    read_frame, write_frame, EngineError, EngineMessage, MuxFrame, RangeRequest, SHARD_ALL,
+};
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig, ServeModel};
@@ -27,20 +30,24 @@ type Item = FixedBytes<8>;
 /// non-default one catches accidental `SipKey::default()` hardcoding.
 const KEY: SipKey = SipKey::new(0x5eed_0000_0000_0001, 0x5eed_0000_0000_0002);
 
+fn config(model: ServeModel) -> DaemonConfig {
+    DaemonConfig {
+        shards: 4,
+        key: KEY,
+        batch_symbols: 32,
+        model,
+        read_timeout: Duration::from_secs(5),
+        write_timeout: Duration::from_secs(5),
+        ..Default::default()
+    }
+}
+
+fn spawn_with(config: DaemonConfig) -> Daemon<Item> {
+    Daemon::spawn(config, (0..3_000u64).map(Item::from_u64)).unwrap()
+}
+
 fn spawn(model: ServeModel) -> Daemon<Item> {
-    Daemon::spawn(
-        DaemonConfig {
-            shards: 4,
-            key: KEY,
-            batch_symbols: 32,
-            model,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            ..Default::default()
-        },
-        (0..3_000u64).map(Item::from_u64),
-    )
-    .unwrap()
+    spawn_with(config(model))
 }
 
 /// Wraps a connection, recording every byte in each direction.
@@ -161,17 +168,87 @@ fn full_reconciliation_transcripts_are_byte_identical() {
         !recv_reactor.is_empty(),
         "transcript is empty — the comparison proved nothing"
     );
-    // The transcript exercises what v2 added: 75 differences per shard make
-    // the second round's requests span several tiles.
+    // The transcript exercises what v2 added — 75 differences per shard make
+    // the first round's requests span several tiles — and what v3 did: one
+    // wildcard open behind the hello, and no other open.
     let mut sent = &sent_reactor[..];
     read_frame(&mut sent).expect("client hello");
     let mut widest = 0u16;
+    let mut opens = Vec::new();
     while let Ok(frame) = read_frame(&mut sent) {
-        if let EngineMessage::Request(range) = MuxFrame::from_bytes(&frame).unwrap().message {
-            widest = widest.max(range.count);
+        let frame = MuxFrame::from_bytes(&frame).unwrap();
+        match frame.message {
+            EngineMessage::Request(range) => widest = widest.max(range.count),
+            EngineMessage::Open(_) => opens.push(frame.shard),
+            _ => {}
         }
     }
     assert!(widest >= 64, "no multi-tile request in the transcript");
+    assert_eq!(opens, [SHARD_ALL], "one wildcard open, no per-shard open");
+
+    // Frozen: a change to these bytes is a protocol change, and says so in
+    // review. `UPDATE_GOLDEN=1 cargo test -p server --test wire_equivalence`
+    // rewrites the file.
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let transcript = format!(
+        "client {}\nserver {}\n",
+        hex(&sent_reactor),
+        hex(&recv_reactor)
+    );
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v3_sync.hex");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden, &transcript).unwrap();
+    }
+    let frozen = std::fs::read_to_string(golden).expect("golden transcript");
+    assert!(
+        transcript == frozen,
+        "the v3 transcript moved off tests/golden/v3_sync.hex"
+    );
+}
+
+/// A client whose hello the daemon refuses has already written its wildcard
+/// open behind it. The daemon must not close over that unread frame — the
+/// reset would race the reject — so the client still reads *why*.
+#[test]
+fn pipelined_clients_still_read_the_reject_reason() {
+    fn refused<I: riblt::Symbol + Send + std::fmt::Debug>(
+        daemon: &Daemon<Item>,
+        key: SipKey,
+        symbol_len: usize,
+    ) -> EngineError {
+        let mut conn = connect(daemon);
+        sync_sharded_tcp(
+            &mut conn,
+            &[] as &[I],
+            |_| RibltBackend::<I>::with_key_and_alpha(symbol_len, 32, key, riblt::DEFAULT_ALPHA),
+            &TcpSyncConfig {
+                key,
+                symbol_len,
+                ..Default::default()
+            },
+        )
+        .unwrap_err()
+    }
+    for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
+        let daemon = spawn(model);
+        // Repeated: a reset that only sometimes overtakes the reject is
+        // still a bug.
+        for attempt in 0..25 {
+            let err = refused::<Item>(&daemon, SipKey::new(0xbad, 0xbad), 8);
+            assert!(
+                matches!(&err, EngineError::Handshake(why) if why.contains("fingerprint")),
+                "{model:?} attempt {attempt}: {err}"
+            );
+            let err = refused::<FixedBytes<16>>(&daemon, KEY, 16);
+            assert!(
+                matches!(&err, EngineError::Handshake(why) if why.contains("symbol length")),
+                "{model:?} attempt {attempt}: {err}"
+            );
+        }
+        assert_eq!(daemon.stats().connection_errors, 0);
+        sync_against(&daemon);
+        daemon.shutdown();
+    }
 }
 
 #[test]
@@ -196,18 +273,23 @@ fn handshake_reject_bytes_are_identical() {
     );
     assert_eq!(reactor, threaded, "version-reject replies diverge");
 
-    // A protocol-v1 peer (lock-step `Continue` rounds) is turned away by
-    // name: one `RNCK` frame with the version-mismatch reason code.
-    versioned.version = 1;
-    let reactor = raw_exchange(ServeModel::Reactor, &[versioned.to_bytes().to_vec()]);
-    let threaded = raw_exchange(
-        ServeModel::ThreadPerConnection,
-        &[versioned.to_bytes().to_vec()],
-    );
-    assert_eq!(reactor, threaded, "v1-reject replies diverge");
-    let reject = read_frame(&mut &reactor[..]).expect("one reject frame");
-    assert_eq!(reject[..4], REJECT_MAGIC);
-    assert_eq!(reject[4], 2, "reason code: version mismatch");
+    // A protocol-v1 peer (lock-step `Continue` rounds) and a v2 peer (one
+    // open per shard, after the hello exchange; this daemon would serve it,
+    // but a v2 daemon would not serve our wildcard, so the versions part
+    // ways) are turned away by name: one `RNCK` frame with the
+    // version-mismatch reason code.
+    for old in [1, 2] {
+        versioned.version = old;
+        let reactor = raw_exchange(ServeModel::Reactor, &[versioned.to_bytes().to_vec()]);
+        let threaded = raw_exchange(
+            ServeModel::ThreadPerConnection,
+            &[versioned.to_bytes().to_vec()],
+        );
+        assert_eq!(reactor, threaded, "v{old}-reject replies diverge");
+        let reject = read_frame(&mut &reactor[..]).expect("one reject frame");
+        assert_eq!(reject[..4], REJECT_MAGIC);
+        assert_eq!(reject[4], 2, "reason code: version mismatch");
+    }
 
     // Garbage that does not even parse as a hello.
     let garbage = vec![0xFFu8; 18];
@@ -235,28 +317,87 @@ fn post_handshake_protocol_error_bytes_are_identical() {
     assert_eq!(reactor, threaded, "stray-Done handling diverges");
 }
 
-/// Every hostile range request is refused with a typed protocol error that
-/// costs its sender the connection and nobody else anything: the server has
-/// said exactly what the frames before it earned (so nothing proportional
-/// to the count it named was staged), both models say the same bytes, and
-/// the daemon goes on serving.
+fn mux_frame(shard: u16, message: EngineMessage) -> Vec<u8> {
+    MuxFrame::new(1, shard, message).to_bytes()
+}
+
+fn open(shard: u16) -> Vec<u8> {
+    mux_frame(
+        shard,
+        EngineMessage::Open(encode_stream_open(RIBLT_STREAM_MAGIC, 8)),
+    )
+}
+
+/// One hostile conversation: what it is, the frames after the hello, the
+/// payload frames the server owes before it hangs up, and the typed error.
+type HostileCase = (&'static str, Vec<Vec<u8>>, usize, &'static str);
+
+/// Every case is refused with a typed protocol error that costs its sender
+/// the connection and nobody else anything: the server has said exactly
+/// what the frames before it earned (so nothing proportional to a count it
+/// named was staged), both models say the same bytes, and the daemon goes
+/// on serving.
+fn assert_refused_alone(cases: Vec<HostileCase>) {
+    let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
+    for (what, frames, owed, error) in cases {
+        let mut said = Vec::new();
+        for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
+            let daemon = spawn(model);
+            let mut sent = vec![hello.clone()];
+            sent.extend(frames.iter().cloned());
+            let replies = raw_exchange_with(&daemon, &sent);
+
+            let mut rest = &replies[..];
+            read_frame(&mut rest).expect("server hello");
+            for _ in 0..owed {
+                let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
+                assert!(
+                    matches!(payload.message, EngineMessage::Payload(_)),
+                    "{what}"
+                );
+            }
+            assert!(
+                rest.is_empty(),
+                "{what}: {} bytes nobody asked for",
+                rest.len()
+            );
+
+            // The teardown trails the socket close by a moment.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while daemon.stats().connection_errors == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{what}: no error counted"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let events = daemon.metrics().events.last(64);
+            let typed = format!("error=protocol violation: {error}");
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
+                "{what}: no `{typed}` in {events:?}"
+            );
+
+            // Only that connection paid: the next peer syncs in full.
+            sync_against(&daemon);
+            assert_eq!(daemon.stats().connection_errors, 1, "{what}");
+            daemon.shutdown();
+            said.push(replies);
+        }
+        assert_eq!(said[0], said[1], "{what}: the models answer differently");
+    }
+}
+
 #[test]
 fn hostile_range_requests_close_only_their_connection() {
-    let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
-    let frame = |shard: u16, message: EngineMessage| MuxFrame::new(1, shard, message).to_bytes();
-    let open = |shard: u16| {
-        frame(
-            shard,
-            EngineMessage::Open(encode_stream_open(RIBLT_STREAM_MAGIC, 8)),
-        )
+    let request = |offset: u32, count: u16| {
+        mux_frame(0, EngineMessage::Request(RangeRequest { offset, count }))
     };
-    let request =
-        |offset: u32, count: u16| frame(0, EngineMessage::Request(RangeRequest { offset, count }));
     let tile = 32u16;
     let over_cap = RangeRequest::MAX_COUNT as u16 + tile;
-    // (what, frames after the hello, payload frames the server owes before
-    // it hangs up, the typed error)
-    let cases: Vec<(&str, Vec<Vec<u8>>, usize, &str)> = vec![
+    assert_refused_alone(vec![
         (
             "zero count",
             vec![open(0), request(32, 0)],
@@ -307,58 +448,86 @@ fn hostile_range_requests_close_only_their_connection() {
         ),
         (
             "request after done",
-            vec![open(0), frame(0, EngineMessage::Done), request(32, tile)],
+            vec![
+                open(0),
+                mux_frame(0, EngineMessage::Done),
+                request(32, tile),
+            ],
             1,
             "request for unknown session/shard",
         ),
-    ];
-    for (what, frames, owed, error) in cases {
-        let mut said = Vec::new();
-        for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
-            let daemon = spawn(model);
-            let mut sent = vec![hello.clone()];
-            sent.extend(frames.iter().cloned());
-            let replies = raw_exchange_with(&daemon, &sent);
+    ]);
+}
 
-            let mut rest = &replies[..];
-            read_frame(&mut rest).expect("server hello");
-            for _ in 0..owed {
-                let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
-                assert!(
-                    matches!(payload.message, EngineMessage::Payload(_)),
-                    "{what}"
-                );
-            }
-            assert!(
-                rest.is_empty(),
-                "{what}: {} bytes nobody asked for",
-                rest.len()
-            );
+/// The wildcard shard means "every shard" in an open and nothing anywhere
+/// else, and it is the open a connection starts with: once.
+#[test]
+fn hostile_wildcards_close_only_their_connection() {
+    let range = RangeRequest {
+        offset: 32,
+        count: 32,
+    };
+    let only_opens = "only an open may address every shard";
+    assert_refused_alone(vec![
+        (
+            "wildcard request",
+            vec![
+                open(SHARD_ALL),
+                mux_frame(SHARD_ALL, EngineMessage::Request(range)),
+            ],
+            4,
+            only_opens,
+        ),
+        (
+            "wildcard done",
+            vec![open(0), mux_frame(SHARD_ALL, EngineMessage::Done)],
+            1,
+            only_opens,
+        ),
+        (
+            "wildcard payload",
+            vec![mux_frame(SHARD_ALL, EngineMessage::Payload(vec![0; 8]))],
+            0,
+            only_opens,
+        ),
+        (
+            "second wildcard open",
+            vec![open(SHARD_ALL), open(SHARD_ALL)],
+            4,
+            "wildcard open after another open",
+        ),
+        (
+            "wildcard after a per-shard open",
+            vec![open(2), open(SHARD_ALL)],
+            1,
+            "wildcard open after another open",
+        ),
+    ]);
+}
 
-            // The teardown trails the socket close by a moment.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while daemon.stats().connection_errors == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{what}: no error counted"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let events = daemon.metrics().events.last(64);
-            let typed = format!("error=protocol violation: {error}");
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
-                "{what}: no `{typed}` in {events:?}"
-            );
-
-            // Only that connection paid: the next peer syncs in full.
-            sync_against(&daemon);
-            assert_eq!(daemon.stats().connection_errors, 1, "{what}");
-            daemon.shutdown();
-            said.push(replies);
-        }
-        assert_eq!(said[0], said[1], "{what}: the models answer differently");
-    }
+/// A wildcard open stages one tile per shard; the reactor checks its
+/// write-buffer high-water mark after each of them, exactly as it does
+/// after each of four separate opens, and the peer reads the same bytes.
+#[test]
+fn a_wildcard_open_pauses_between_shards_like_separate_opens() {
+    let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
+    let exchange = |frames: Vec<Vec<u8>>| {
+        // Every tile frame crosses a 64-byte mark; the 22-byte hello does not.
+        let daemon = spawn_with(DaemonConfig {
+            max_write_buffer: 64,
+            ..config(ServeModel::Reactor)
+        });
+        let mut sent = vec![hello.clone()];
+        sent.extend(frames);
+        let replies = raw_exchange_with(&daemon, &sent);
+        let pauses = daemon.metrics().backpressure_pauses.get();
+        assert_eq!(daemon.stats().connection_errors, 0);
+        daemon.shutdown();
+        (replies, pauses)
+    };
+    let (separate, separate_pauses) = exchange((0..4).map(open).collect());
+    let (wildcard, wildcard_pauses) = exchange(vec![open(SHARD_ALL)]);
+    assert_eq!(wildcard, separate, "same tiles, same order");
+    assert_eq!(separate_pauses, 4, "one pause per staged tile");
+    assert_eq!(wildcard_pauses, separate_pauses);
 }

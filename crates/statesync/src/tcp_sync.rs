@@ -6,18 +6,25 @@
 //! anything that implements `Read + Write` — a localhost `TcpStream`
 //! against the `reconciled` daemon, a pipe in a test, a tunnel. The flow:
 //!
-//! 1. [`reconcile_core::handshake::client_handshake`] — magic, protocol
-//!    version, SipKey fingerprint, shard-count negotiation. The server's
-//!    shard count is authoritative; this driver partitions the local set
-//!    with whatever the server announces.
-//! 2. One `Open` [`MuxFrame`] per shard, answered
-//!    by each shard's first batch; then rounds of range requests. After
-//!    every round [`ClientMux`] sizes the next one from what the decoders
-//!    now hold (see [`reconcile_core::window`]): `Done` for shards that
-//!    decoded, `Request(offset, count)` for the rest. A round's frames
-//!    leave in one write and cost one round trip, however many batches
-//!    they ask for; its payloads are absorbed in arrival order, independent
-//!    shards in parallel on a `std::thread` worker pool.
+//! 1. One flight, one write: the hello
+//!    ([`reconcile_core::handshake::client_handshake_pipelined`] — magic,
+//!    protocol version, SipKey fingerprint, shard-count negotiation) with
+//!    one wildcard `Open` [`MuxFrame`] ([`SHARD_ALL`]) behind it, which
+//!    opens every shard the server has before this side knows how many
+//!    that is. The server answers with its hello and every shard's first
+//!    batch, so the first coded symbols arrive in the handshake's own round
+//!    trip. The server's shard count is authoritative; this driver
+//!    partitions the local set with whatever the server announces, while
+//!    the first batches are already in the socket.
+//! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
+//!    next one from what the decoders now hold (see
+//!    [`reconcile_core::window`]): `Done` for shards that decoded,
+//!    `Request(offset, count)` for the rest. A round's frames leave in one
+//!    write and cost one round trip, however many batches they ask for; its
+//!    payloads are absorbed in arrival order, independent shards in
+//!    parallel on a `std::thread` worker pool. A difference that fits the
+//!    first batches needs no round at all: the sync ends one round trip
+//!    after it began.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
 //!    accounting of the conversation.
@@ -32,10 +39,10 @@ use std::io::{Read, Write};
 use std::time::Instant;
 
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
-use reconcile_core::handshake::{client_handshake, Hello};
+use reconcile_core::handshake::{client_handshake_pipelined, Hello};
 use reconcile_core::{
     append_frame, read_mux_frame, ClientEngine, ClientMux, EngineError, MuxFrame, ReconcileBackend,
-    SessionId, SetDifference, ShardId, ShardPartitioner,
+    SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::Symbol;
 use riblt_hash::SipKey;
@@ -99,7 +106,9 @@ impl Default for TcpSyncConfig {
 pub struct TcpSyncOutcome {
     /// Shard count negotiated with the server.
     pub shards: u16,
-    /// Request/response rounds until every shard completed.
+    /// Request rounds after the handshake exchange until every shard
+    /// completed: round trips beyond the first, which carries the hellos
+    /// and every shard's first batch. 0 when those batches decoded.
     pub rounds: usize,
     /// Scheme units (coded symbols) consumed across all shards.
     pub units: usize,
@@ -123,6 +132,14 @@ pub struct TcpSyncOutcome {
 /// cannot see the backend's α (a non-default α decodes nothing and burns
 /// the unit budget before erroring `DecodeIncomplete`).
 ///
+/// One open request serves every shard and leaves before the local set is
+/// partitioned: it is the `open_request` of `factory(0)`'s client over the
+/// *empty* set, so **the backend's open request must not depend on the
+/// local set or the shard**. That holds for the rateless streaming
+/// backends (a magic and the item length), which is all the `reconciled`
+/// daemon accepts; a backend whose open carries an estimator of its set
+/// belongs on [`ClientMux::opens`].
+///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
 /// surfaces as [`EngineError::Io`] once the stream's timeout fires — this
@@ -140,7 +157,8 @@ where
     F: Fn(ShardId) -> B,
     T: Read + Write,
 {
-    // --- 1. Handshake: the server's shard count is authoritative. ---
+    // --- 1. Hello and one wildcard open, in one write. The server's shard
+    // count is authoritative, and not known until its hello is read. ---
     if config.symbol_len == 0 || config.symbol_len > usize::from(u16::MAX) {
         return Err(EngineError::Handshake(format!(
             "symbol_len {} is outside the wire format's u16 range",
@@ -148,12 +166,20 @@ where
         )));
     }
     let local_hello = Hello::new(config.key, config.shards_hint, config.symbol_len);
-    let server_hello = client_handshake(io, &local_hello)?;
+    let open = ClientEngine::new(factory(0), &[]).open();
+    let mut wildcard = Vec::new();
+    append_frame(
+        &mut wildcard,
+        &MuxFrame::new(config.session, SHARD_ALL, open).to_bytes(),
+    )?;
+    let server_hello = client_handshake_pipelined(io, &local_hello, &wildcard)?;
     let shards = server_hello.shards;
-    let mut bytes_sent = LENGTH_PREFIX_BYTES + reconcile_core::handshake::HELLO_BYTES;
-    let mut bytes_received = LENGTH_PREFIX_BYTES + reconcile_core::handshake::HELLO_BYTES;
+    let hello_wire = LENGTH_PREFIX_BYTES + reconcile_core::handshake::HELLO_BYTES;
+    let mut bytes_sent = hello_wire + wildcard.len();
+    let mut bytes_received = hello_wire;
 
-    // --- 2. Partition with the negotiated count and open every shard. ---
+    // --- 2. Partition with the negotiated count; the wildcard has opened
+    // every shard, so each is owed its first payload already. ---
     let partitioner = ShardPartitioner::new(config.key, shards);
     let parts = partitioner.partition(local_items);
     let mut client = ClientMux::new(config.session);
@@ -165,7 +191,7 @@ where
             ClientEngine::new(factory(shard as ShardId), part),
         );
     }
-    bytes_sent += write_round(io, &client.opens())?;
+    client.expect_first_payloads();
 
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
@@ -177,10 +203,10 @@ where
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
 
-    // --- 3. Rounds of range requests until every shard is done. ---
-    while client.awaiting() > 0 {
-        rounds += 1;
-        // The server answers every Open with one payload and every range
+    // --- 3. The first payloads, then rounds of range requests until every
+    // shard is done. ---
+    loop {
+        // The server answers every open with one payload and every range
         // with one payload per batch, in request order. All of them are
         // read — the tail a shard no longer needs too, so the stream stays
         // in frame and the bytes are counted.
@@ -194,6 +220,10 @@ where
         let replies = client.handle_round(&payloads, threads)?;
         decode_wall_s += t0.elapsed().as_secs_f64();
         bytes_sent += write_round(io, &replies)?;
+        if client.awaiting() == 0 {
+            break;
+        }
+        rounds += 1;
     }
 
     let units = client.units();
@@ -226,9 +256,12 @@ fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Res
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::handshake::server_handshake;
-    use reconcile_core::{write_mux_frame, EngineMessage, ServerEngine, ServerMux};
+    use reconcile_core::handshake::{client_handshake, server_handshake, validate_client_hello};
+    use reconcile_core::{
+        write_mux_frame, EngineMessage, FrameBuffer, RangeRequest, ServerEngine, ServerMux,
+    };
     use riblt::FixedBytes;
+    use std::collections::VecDeque;
     use std::net::{TcpListener, TcpStream};
 
     type Item = FixedBytes<8>;
@@ -256,7 +289,8 @@ mod tests {
         let backend = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA);
         let mut mux = ServerMux::new(move |_session, shard| {
             ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
-        });
+        })
+        .serving_shards(shards);
         let mut retired = 0usize;
         let mut sent = vec![0usize; usize::from(shards)];
         while retired < usize::from(shards) {
@@ -274,6 +308,189 @@ mod tests {
             }
         }
         sent
+    }
+
+    /// A server on the far side of a link with no clock: the client's
+    /// writes pile up until it blocks on a read with nothing left to read,
+    /// and only then are they delivered and answered. Every such turn from
+    /// writing to waiting is one flight, i.e. one round trip on a real link,
+    /// however slow.
+    struct FlightCounter<F> {
+        serve: F,
+        unsent: Vec<u8>,
+        unread: VecDeque<u8>,
+        flights: usize,
+        /// Everything the client wrote.
+        sent: Vec<u8>,
+    }
+
+    impl<F: FnMut(&[u8]) -> Vec<u8>> Read for FlightCounter<F> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.unread.is_empty() {
+                // A client that waits with nothing in flight waits for ever.
+                assert!(!self.unsent.is_empty(), "client blocked on a silent link");
+                self.flights += 1;
+                let replies = (self.serve)(&std::mem::take(&mut self.unsent));
+                self.unread.extend(replies);
+            }
+            self.unread.read(buf)
+        }
+    }
+
+    impl<F> Write for FlightCounter<F> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.unsent.extend_from_slice(buf);
+            self.sent.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const FLIGHT_SHARDS: u16 = 8;
+    const FLIGHT_TILE: usize = 32;
+
+    fn flight_backend() -> RibltBackend<Item> {
+        RibltBackend::new(8, FLIGHT_TILE)
+    }
+
+    /// `serve_once` without the socket: hello, then a `ServerMux` that
+    /// expands wildcard opens, fed whatever bytes a flight carried.
+    fn link_to(server_items: &[Item]) -> FlightCounter<impl FnMut(&[u8]) -> Vec<u8>> {
+        let key = SipKey::default();
+        let parts = ShardPartitioner::new(key, FLIGHT_SHARDS).partition(server_items);
+        let mut mux = ServerMux::new(move |_session, shard| {
+            ServerEngine::new(flight_backend(), &parts[usize::from(shard)])
+        })
+        .serving_shards(FLIGHT_SHARDS);
+        let hello = Hello::new(key, FLIGHT_SHARDS, 8);
+        let mut inbound = FrameBuffer::new();
+        let mut greeted = false;
+        FlightCounter {
+            serve: move |bytes: &[u8]| {
+                let mut out = Vec::new();
+                inbound.push_bytes(bytes);
+                while let Some(frame) = inbound.next_frame().unwrap() {
+                    if !greeted {
+                        validate_client_hello(&Hello::from_bytes(&frame).unwrap(), &hello).unwrap();
+                        append_frame(&mut out, &hello.to_bytes()).unwrap();
+                        greeted = true;
+                        continue;
+                    }
+                    for reply in mux.handle(&MuxFrame::from_bytes(&frame).unwrap()).unwrap() {
+                        append_frame(&mut out, &reply.to_bytes()).unwrap();
+                    }
+                }
+                out
+            },
+            unsent: Vec::new(),
+            unread: VecDeque::new(),
+            flights: 0,
+            sent: Vec::new(),
+        }
+    }
+
+    /// The protocol-v2 client, kept as the reference the wildcard path is
+    /// held to: hello exchange, one `Open` per shard, then the same rounds.
+    /// Returns the differences and the units consumed.
+    fn sync_with_per_shard_opens<T: Read + Write>(
+        io: &mut T,
+        local: &[Item],
+    ) -> (Vec<SetDifference<Item>>, usize) {
+        let key = SipKey::default();
+        let shards = client_handshake(io, &Hello::new(key, 0, 8)).unwrap().shards;
+        let mut client = ClientMux::new(TcpSyncConfig::default().session);
+        for (shard, part) in ShardPartitioner::new(key, shards)
+            .partition(local)
+            .iter()
+            .enumerate()
+        {
+            client.insert_shard(shard as ShardId, ClientEngine::new(flight_backend(), part));
+        }
+        write_round(io, &client.opens()).unwrap();
+        while client.awaiting() > 0 {
+            let payloads: Vec<MuxFrame> = (0..client.awaiting())
+                .map(|_| read_mux_frame(io).unwrap())
+                .collect();
+            write_round(io, &client.handle_round(&payloads, 1).unwrap()).unwrap();
+        }
+        let units = client.units();
+        (client.into_differences().unwrap(), units)
+    }
+
+    /// The mux frames behind the hello in a client's transcript.
+    fn frames_after_hello(mut sent: &[u8]) -> Vec<MuxFrame> {
+        reconcile_core::read_frame(&mut sent).unwrap();
+        std::iter::from_fn(|| read_mux_frame(&mut sent).ok()).collect()
+    }
+
+    #[test]
+    fn a_difference_within_the_first_tiles_takes_one_flight() {
+        // 20 differences over 8 shards: every shard's first 32 symbols decode.
+        let mut link = link_to(&items(0..3_000));
+        let (diffs, outcome) = sync_sharded_tcp(
+            &mut link,
+            &items(12..3_008),
+            |_| flight_backend(),
+            &TcpSyncConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 20);
+        assert_eq!(link.flights, 1, "first data rides the handshake's flight");
+        assert_eq!(outcome.rounds, 0);
+        assert!(outcome.units <= usize::from(FLIGHT_SHARDS) * FLIGHT_TILE);
+        assert_eq!(outcome.bytes_sent, link.sent.len());
+        // One wildcard open, then a Done per shard; nothing else.
+        let frames = frames_after_hello(&link.sent);
+        assert_eq!(frames.len(), 1 + usize::from(FLIGHT_SHARDS));
+        assert_eq!(frames[0].shard, SHARD_ALL);
+        assert!(frames[1..].iter().all(|f| f.message == EngineMessage::Done));
+    }
+
+    #[test]
+    fn the_wildcard_saves_one_flight_and_changes_nothing_else() {
+        let server_items = items(0..20_000);
+        let local = items(1_200..20_800); // d = 2,000
+        let mut reference = link_to(&server_items);
+        let (expected, expected_units) = sync_with_per_shard_opens(&mut reference, &local);
+
+        let mut link = link_to(&server_items);
+        let config = TcpSyncConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let (diffs, outcome) =
+            sync_sharded_tcp(&mut link, &local, |_| flight_backend(), &config).unwrap();
+
+        assert_eq!(diffs, expected, "same differences, item for item");
+        assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 2_000);
+        assert_eq!(outcome.units, expected_units);
+        assert_eq!(link.flights + 1, reference.flights);
+        assert_eq!(outcome.rounds + 1, link.flights);
+        assert!(
+            outcome.rounds >= 1,
+            "2,000 differences need more than 8 tiles"
+        );
+
+        // Past the opens the two clients say the same thing, frame for frame.
+        let past_opens = |sent: &[u8]| -> Vec<MuxFrame> {
+            frames_after_hello(sent)
+                .into_iter()
+                .filter(|f| !matches!(f.message, EngineMessage::Open(_)))
+                .collect()
+        };
+        let requests = past_opens(&link.sent);
+        assert_eq!(requests, past_opens(&reference.sent));
+        assert!(requests.iter().any(|f| matches!(
+            f.message,
+            EngineMessage::Request(RangeRequest { count, .. }) if usize::from(count) > FLIGHT_TILE
+        )));
+        let opens = |sent: &[u8]| frames_after_hello(sent).len() - requests.len();
+        assert_eq!(
+            (opens(&link.sent), opens(&reference.sent)),
+            (1, usize::from(FLIGHT_SHARDS))
+        );
     }
 
     #[test]

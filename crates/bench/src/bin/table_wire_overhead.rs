@@ -5,7 +5,7 @@
 //! Output columns: `set_size, coded_symbols, count_bytes_total, count_bytes_per_symbol`.
 
 use riblt::{Encoder, SymbolCodec};
-use riblt_bench::{items8, BenchCli};
+use riblt_bench::{items8, BenchCli, Item8};
 
 fn main() {
     let cli = BenchCli::from_args();
@@ -15,7 +15,7 @@ fn main() {
     let m = 10_000usize;
     eprintln!("# §6 count-compression measurement ({:?} mode)", scale);
     let items = items8(n, cli.seed_or(0x37a6));
-    let mut enc = Encoder::new();
+    let mut enc = Encoder::<Item8>::new();
     for it in items {
         enc.add_symbol(it).unwrap();
     }

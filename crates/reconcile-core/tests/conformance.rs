@@ -12,8 +12,8 @@ use reconcile_core::backends::{
     IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
 };
 use reconcile_core::{
-    run_in_memory, ClientEngine, ClientMux, MuxFrame, ReconcileBackend, RunReport, ServerEngine,
-    ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
+    run_in_memory, ClientEngine, ClientMux, EngineError, MuxFrame, ReconcileBackend, RunReport,
+    ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
@@ -348,4 +348,45 @@ fn rateless_overhead_is_within_the_paper_envelope() {
         overhead < 2.5,
         "overhead {overhead:.2} far above the expected ≈1.35–1.7 for d=200"
     );
+}
+
+/// A stream spliced from two versions of the server's set (the scenario of
+/// `riblt/tests/inconsistent_stream.rs`: cells `0..64` before an item
+/// arrives, the rest after) is refused by name, by both streaming backends,
+/// when it is absorbed and again when the difference is asked for.
+#[test]
+fn streaming_backends_name_an_inconsistent_stream() {
+    fn check_spliced<B: ReconcileBackend<Item = Item>>(backend: B) {
+        let inconsistent = EngineError::from(riblt::Error::InconsistentStream);
+        let item = |i: u64| Item::from_u64(splitmix64(i));
+        let mut server_set: Vec<Item> = (0..2_500).map(item).collect();
+        let client_set = &server_set[100..];
+        let mut client = backend.build_client(client_set);
+        let open = backend.open_request(&mut client);
+
+        let mut before = backend.build_server(&server_set);
+        server_set.push(item(1 << 40));
+        let mut after = backend.build_server(&server_set);
+        // 16-cell tiles: four from the old set, the rest from the new one.
+        let mut tiles: Vec<Vec<u8>> = Vec::new();
+        for tile in 0..32 {
+            let request = (tile == 0).then_some(open.as_slice());
+            let old = backend.serve(&mut before, request).unwrap();
+            let new = backend.serve(&mut after, request).unwrap();
+            tiles.push(if tile < 4 { old } else { new });
+        }
+
+        let refused = tiles
+            .iter()
+            .find_map(|tile| backend.absorb(&mut client, tile).err());
+        assert_eq!(refused, Some(inconsistent.clone()), "{}", backend.name());
+        assert_eq!(
+            backend.into_difference(client).unwrap_err(),
+            inconsistent,
+            "{}",
+            backend.name()
+        );
+    }
+    check_spliced(RibltBackend::<Item>::new(8, 16));
+    check_spliced(IrregularRibltBackend::<Item>::new(8, 16));
 }

@@ -73,21 +73,6 @@ impl<S: Symbol> Default for CodedSymbol<S> {
     }
 }
 
-/// Outcome of inspecting a coded symbol during peeling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeelState {
-    /// No source symbols remain in this cell.
-    Empty,
-    /// Exactly one source symbol with positive sign remains (it belongs to
-    /// the remote-only side, A \ B, paper §3).
-    PureRemote,
-    /// Exactly one source symbol with negative sign remains (local-only,
-    /// B \ A).
-    PureLocal,
-    /// More than one symbol (or a hash mismatch) — cannot peel yet.
-    Mixed,
-}
-
 impl<S: Symbol> CodedSymbol<S> {
     /// Creates an empty coded symbol.
     pub fn new() -> Self {
@@ -128,37 +113,6 @@ impl<S: Symbol> CodedSymbol<S> {
     pub fn is_empty_cell(&self) -> bool {
         self.count == 0 && self.checksum == 0 && self.sum.is_zero()
     }
-
-    /// Classifies the cell for the peeling decoder.
-    ///
-    /// A cell is *pure* when exactly one source symbol remains, which is
-    /// detected by `checksum == hash(sum)` (§3); the sign of `count` tells
-    /// which side the symbol belongs to. The hash comparison makes the test
-    /// robust even when `count` happens to be ±1 with several symbols mixed
-    /// in (e.g. 2 remote + 1 local).
-    #[inline]
-    pub fn peel_state(&self, key: riblt_hash::SipKey) -> PeelState {
-        if self.is_empty_cell() {
-            return PeelState::Empty;
-        }
-        match self.count {
-            1 => {
-                if self.sum.hash_with(key) == self.checksum {
-                    PeelState::PureRemote
-                } else {
-                    PeelState::Mixed
-                }
-            }
-            -1 => {
-                if self.sum.hash_with(key) == self.checksum {
-                    PeelState::PureLocal
-                } else {
-                    PeelState::Mixed
-                }
-            }
-            _ => PeelState::Mixed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,18 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn pure_detection_and_side() {
-        let key = SipKey::default();
-        let mut c = CodedSymbol::<Sym>::new();
-        let s = hs(123, key);
-        c.apply(&s, Direction::Add);
-        assert_eq!(c.peel_state(key), PeelState::PureRemote);
-        let mut d = CodedSymbol::<Sym>::new();
-        d.apply(&s, Direction::Remove);
-        assert_eq!(d.peel_state(key), PeelState::PureLocal);
-    }
-
-    #[test]
     fn two_symbols_are_mixed_even_if_count_is_one() {
         // 2 adds + 1 remove gives count = 1 but the checksum will not match
         // the hash of the XOR sum (except with negligible probability).
@@ -206,7 +148,7 @@ mod tests {
         c.apply(&hs(2, key), Direction::Add);
         c.apply(&hs(3, key), Direction::Remove);
         assert_eq!(c.count, 1);
-        assert_eq!(c.peel_state(key), PeelState::Mixed);
+        assert_ne!(c.sum.hash_with(key), c.checksum);
     }
 
     #[test]
@@ -245,12 +187,5 @@ mod tests {
         x.add(&y);
         x.subtract(&y);
         assert_eq!(x, snapshot);
-    }
-
-    #[test]
-    fn empty_cell_is_not_pure() {
-        let key = SipKey::default();
-        let c = CodedSymbol::<Sym>::new();
-        assert_eq!(c.peel_state(key), PeelState::Empty);
     }
 }

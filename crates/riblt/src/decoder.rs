@@ -14,10 +14,11 @@
 
 use riblt_hash::SipKey;
 
-use crate::coded::{prefetch, CodedSymbol, Direction};
+use crate::coded::{CodedSymbol, Direction};
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
-use crate::mapping::{mapped_probability, IndexMapping, DEFAULT_ALPHA};
+use crate::mapping::{mapped_probability, MappingRule, Uniform};
+use crate::peel::Peeler;
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// The recovered symmetric difference.
@@ -85,21 +86,6 @@ impl DifferenceEstimate {
     }
 }
 
-/// Number of pure symbols peeled and propagated jointly per round of
-/// [`Decoder::peel`]. Each symbol's propagation walk is one long serial
-/// dependency chain (PRNG draw → jump factor → next index); interleaving
-/// a few walks keeps several chains in flight, which roughly divides the
-/// walk latency during the peeling avalanche (when the candidate queue
-/// is deep enough to fill the lanes).
-const PEEL_LANES: usize = 4;
-
-/// Indices generated ahead of application per lane per wave during batched
-/// propagation. A wave of 4 lanes × 8 steps puts ~16 generations (hundreds
-/// of cycles) between a cell's prefetch and its touch — enough to cover a
-/// miss to L3 or DRAM, which matters once the coded-symbol array outgrows
-/// L2 (it does for differences above a few thousand 32-byte symbols).
-const WAVE_STEPS: usize = 8;
-
 /// Streaming peeling decoder.
 ///
 /// ```
@@ -122,20 +108,12 @@ const WAVE_STEPS: usize = 8;
 /// assert_eq!(diff.local_only.len(), 10);  // 1000..1010
 /// ```
 #[derive(Debug, Clone)]
-pub struct Decoder<S: Symbol> {
+pub struct Decoder<S: Symbol, R: MappingRule = Uniform> {
     /// Stored difference coded symbols, pruned of everything recovered.
     coded: Vec<CodedSymbol<S>>,
-    /// Whether each cell currently has a pending entry in `pure_queue`,
-    /// kept in lockstep with `coded`.
-    ///
-    /// Purity is verified *lazily*: a cell becomes a peel candidate the
-    /// moment a mutation leaves `count == ±1` (a register compare — no
-    /// hashing), and the SipHash purity check runs once when the candidate
-    /// is popped. Cells whose count moved away from ±1 while queued are
-    /// discarded unhashed, so transiently-pure cells in the peeling
-    /// avalanche never cost a hash. The flag dedupes queue entries: a cell
-    /// is re-queued only after its pending entry has been popped.
-    queued: Vec<bool>,
+    /// The peeling loop's candidate queue and scratch, in lockstep with
+    /// `coded`.
+    peeler: Peeler<S>,
     /// Cached termination flag; see [`Self::is_decoded`].
     decoded: bool,
     /// Sticky: peeling recovered more symbols than cells were received; see
@@ -151,57 +129,62 @@ pub struct Decoder<S: Symbol> {
     remote_recovered: CodingWindow<S>,
     /// Recovered local-only symbols; added back into future coded symbols.
     local_recovered: CodingWindow<S>,
-    /// Indices of cells that may currently be pure.
-    pure_queue: Vec<usize>,
-    /// Scratch for [`Self::peel`]'s batched propagation: verified pure
-    /// symbols (with side and source cell) and their walk mappings. Kept on
-    /// the decoder so the peel loop never allocates in steady state.
-    batch: Vec<(HashedSymbol<S>, bool, usize)>,
-    batch_mappings: Vec<IndexMapping>,
-    /// Scratch for one propagation wave: `(lane, cell index)` pairs
-    /// generated ahead of application (see [`Self::recover_batch`]).
-    pending: Vec<(usize, usize)>,
     key: SipKey,
-    alpha: f64,
+    rule: R,
 }
 
-impl<S: Symbol> Default for Decoder<S> {
+impl<S: Symbol, R: MappingRule + Default> Default for Decoder<S, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<S: Symbol> Decoder<S> {
-    /// Creates a decoder with the default checksum key and α = 0.5.
-    pub fn new() -> Self {
-        Self::with_key(SipKey::default())
-    }
-
     /// Creates a decoder with a secret checksum key (must match the
     /// encoder's key).
     pub fn with_key(key: SipKey) -> Self {
-        Self::with_key_and_alpha(key, DEFAULT_ALPHA)
+        Self::with_rule(Uniform::default(), key)
     }
 
     /// Creates a decoder with an explicit mapping parameter α (experiments
     /// only; must match the encoder).
     pub fn with_key_and_alpha(key: SipKey, alpha: f64) -> Self {
+        Self::with_rule(Uniform(alpha), key)
+    }
+
+    /// The mapping parameter α this decoder was built with (must match the
+    /// remote encoder's).
+    pub fn alpha(&self) -> f64 {
+        self.rule.0
+    }
+}
+
+impl<S: Symbol, R: MappingRule> Decoder<S, R> {
+    /// Creates a decoder with the default checksum key and the rule's
+    /// default: α = 0.5 for [`Decoder`], the paper's optimal classes for
+    /// [`crate::IrregularDecoder`].
+    pub fn new() -> Self
+    where
+        R: Default,
+    {
+        Self::with_rule(R::default(), SipKey::default())
+    }
+
+    /// Creates a decoder for a stream coded under `rule` with checksum key
+    /// `key` (both must match the encoder's).
+    pub fn with_rule(rule: R, key: SipKey) -> Self {
         Decoder {
             coded: Vec::new(),
-            queued: Vec::new(),
+            peeler: Peeler::new(),
             decoded: false,
             inconsistent: false,
             signed_difference: 0,
             estimate: DifferenceEstimate::default(),
-            local_set: CodingWindow::new(key, alpha),
-            remote_recovered: CodingWindow::new(key, alpha),
-            local_recovered: CodingWindow::new(key, alpha),
-            pure_queue: Vec::new(),
-            batch: Vec::new(),
-            batch_mappings: Vec::new(),
-            pending: Vec::with_capacity(PEEL_LANES * WAVE_STEPS),
+            local_set: CodingWindow::new(key),
+            remote_recovered: CodingWindow::new(key),
+            local_recovered: CodingWindow::new(key),
             key,
-            alpha,
+            rule,
         }
     }
 
@@ -210,13 +193,10 @@ impl<S: Symbol> Decoder<S> {
     /// large d (§5), so callers that know (or can bound) the difference can
     /// avoid reallocation in the hot ingest loop.
     pub fn reserve_for_difference(&mut self, d: usize) {
-        let expected_coded = d + d / 2 + 8; // ceil(1.35d) plus slack
-        self.coded
-            .reserve(expected_coded.saturating_sub(self.coded.len()));
-        self.queued
-            .reserve(expected_coded.saturating_sub(self.queued.len()));
-        self.pure_queue
-            .reserve(d.saturating_sub(self.pure_queue.len()));
+        // ceil(1.35d) plus slack, less what is already stored.
+        let more_cells = (d + d / 2 + 8).saturating_sub(self.coded.len());
+        self.coded.reserve(more_cells);
+        self.peeler.reserve(more_cells, d);
     }
 
     /// Number of coded symbols ingested so far.
@@ -241,14 +221,9 @@ impl<S: Symbol> Decoder<S> {
         if !self.coded.is_empty() {
             return Err(Error::SymbolAddedAfterDecodingStarted);
         }
-        self.local_set.push_fresh(symbol);
+        let alpha = self.rule.alpha_of(symbol.hash);
+        self.local_set.push_fresh(symbol, alpha);
         Ok(())
-    }
-
-    /// The mapping parameter α this decoder was built with (must match the
-    /// remote encoder's).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Ingests a batch of coded symbols, stopping as soon as decoding
@@ -270,7 +245,7 @@ impl<S: Symbol> Decoder<S> {
         let iter = symbols.into_iter();
         let (batch_hint, _) = iter.size_hint();
         self.coded.reserve(batch_hint);
-        self.queued.reserve(batch_hint);
+        self.peeler.reserve(batch_hint, 0);
         let mut used = 0;
         for cs in iter {
             self.add_coded_symbol(cs);
@@ -296,11 +271,13 @@ impl<S: Symbol> Decoder<S> {
         self.local_set.apply_next(&mut cs, Direction::Remove);
         let idx = self.coded.len();
         // `cs` is now the raw difference cell: observe its count before the
-        // recovered symbols are taken out of it.
+        // recovered symbols are taken out of it. Only under a single α do
+        // the counts follow `mapped_probability`; a mixed-α stream keeps the
+        // empty estimate.
         if idx == 0 {
             self.signed_difference = cs.count;
-        } else {
-            let p = mapped_probability(self.alpha, idx as u64);
+        } else if let Some(alpha) = self.rule.uniform_alpha() {
+            let p = mapped_probability(alpha, idx as u64);
             let excess = cs.count as f64 - self.signed_difference as f64 * p;
             self.estimate.cells += 1;
             self.estimate.sum += excess * excess / (p * (1.0 - p));
@@ -308,176 +285,26 @@ impl<S: Symbol> Decoder<S> {
         self.remote_recovered.apply_next(&mut cs, Direction::Remove);
         self.local_recovered.apply_next(&mut cs, Direction::Add);
 
-        let candidate = cs.count == 1 || cs.count == -1;
+        self.peeler.push_cell(&cs);
         self.coded.push(cs);
-        self.queued.push(candidate);
-        if candidate {
-            self.pure_queue.push(idx);
-        }
-        self.peel();
+        // Recovered symbols go to the windows, their mappings already walked
+        // past every stored cell, so *future* coded symbols are adjusted too.
+        let consistent = self.peeler.peel(
+            &mut self.coded,
+            self.key,
+            &self.rule,
+            |hashed, is_remote, mapping| {
+                if is_remote {
+                    self.remote_recovered.push_with_mapping(hashed, mapping);
+                } else {
+                    self.local_recovered.push_with_mapping(hashed, mapping);
+                }
+            },
+        );
+        self.inconsistent = !consistent;
         // Termination indicator (§4.1): cell 0 drained to empty. Evaluated
         // once per ingested symbol so `is_decoded` is a cached-flag read.
-        self.decoded = !self.inconsistent && self.coded[0].is_empty_cell();
-    }
-
-    /// Runs the peeling loop until no pure cells remain.
-    ///
-    /// Queue entries are *candidates* (`count` hit ±1 at some mutation);
-    /// purity is verified once per pop, with a single hash of the cell's
-    /// sum. Candidates whose count has since moved away from ±1 are dropped
-    /// with no hash at all. Verified symbols are *taken* out of their source
-    /// cells (which drain to empty anyway) rather than cloned, then
-    /// propagated in batches of up to [`PEEL_LANES`].
-    ///
-    /// Batching is sound because peeling is confluent (the set of symbols
-    /// recoverable by repeated pure-cell removal is unique regardless of
-    /// order), and because the members of one batch can never be mapped to
-    /// each other's source cells: if symbol `B` were mapped to the source
-    /// cell of batch-mate `A`, that cell would still contain `B`'s
-    /// (unpropagated) contribution and could not have passed `A`'s purity
-    /// check.
-    fn peel(&mut self) {
-        loop {
-            // Phase 1: pop candidates until a batch of verified pure cells
-            // is assembled (or the queue runs dry).
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.clear();
-            while batch.len() < PEEL_LANES {
-                let Some(idx) = self.pure_queue.pop() else {
-                    break;
-                };
-                self.queued[idx] = false;
-                let cell = &self.coded[idx];
-                let is_remote = match cell.count {
-                    1 => true,
-                    -1 => false,
-                    // The cell was resolved (or re-mixed) while it sat in
-                    // the queue; a later mutation re-queues it if it turns
-                    // pure again.
-                    _ => continue,
-                };
-                let hash = cell.checksum;
-                // The same symbol can sit pure in two cells at once; peel
-                // it once and let its propagation drain the sibling cell.
-                if batch.iter().any(|(h, _, _)| h.hash == hash) {
-                    continue;
-                }
-                if cell.sum.hash_with(self.key) != hash {
-                    // count == ±1 but several symbols are mixed in (§3).
-                    continue;
-                }
-                // A pure cell holds exactly its one symbol: sum is the
-                // symbol, checksum is its hash. Peeling empties the cell,
-                // so settle it by moving the fields out; the propagation
-                // walk skips it below.
-                let symbol = std::mem::take(&mut self.coded[idx].sum);
-                self.coded[idx].checksum = 0;
-                self.coded[idx].count = 0;
-                batch.push((HashedSymbol::with_hash(symbol, hash), is_remote, idx));
-            }
-            if batch.is_empty() {
-                // The inner loop only stops short of a full batch when the
-                // queue is drained, so peeling is complete.
-                self.batch = batch;
-                return;
-            }
-            // Every recovery empties one pure cell for good, so a prefix of
-            // one set's sequence never yields more symbols than it has
-            // cells. A splice of two sequences can recover the same symbol
-            // from either side for ever; this is where that stops.
-            if self.recovered_count() + batch.len() > self.coded.len() {
-                self.inconsistent = true;
-                self.pure_queue.clear();
-                batch.clear();
-                self.batch = batch;
-                return;
-            }
-            self.recover_batch(&batch);
-            self.register_recovered(batch);
-        }
-    }
-
-    /// Phase 2 of [`Self::peel`]: removes each freshly recovered symbol from
-    /// every stored coded symbol it is mapped to (except its own source
-    /// cell, already settled) and queues any cells that became candidates.
-    ///
-    /// Each wave first *generates* up to [`WAVE_STEPS`] mapped indices
-    /// per lane — interleaved one step per lane so the serial index-sampling
-    /// chains overlap — prefetching each target cell as its index appears,
-    /// and only then *applies* the wave's touches. Deferring the touches is
-    /// sound: XOR and count updates commute, per-lane application order is
-    /// preserved, and a cell left at count ±1 by the fixpoint is always
-    /// queued by whichever mutation put it there (reordering can only add
-    /// spurious candidates, which the pop-time purity check discards).
-    fn recover_batch(&mut self, batch: &[(HashedSymbol<S>, bool, usize)]) {
-        let received = self.coded.len() as u64;
-        let mut mappings = std::mem::take(&mut self.batch_mappings);
-        mappings.clear();
-        for (hashed, _, _) in batch {
-            mappings.push(IndexMapping::with_alpha(hashed.hash, self.alpha));
-        }
-        let mut live = batch.len();
-        let mut done = [false; PEEL_LANES];
-        let mut pending = std::mem::take(&mut self.pending);
-        while live > 0 {
-            pending.clear();
-            for _ in 0..WAVE_STEPS {
-                if live == 0 {
-                    break;
-                }
-                for (lane, mapping) in mappings.iter_mut().enumerate() {
-                    if done[lane] {
-                        continue;
-                    }
-                    let idx = mapping.current_index();
-                    if idx >= received {
-                        done[lane] = true;
-                        live -= 1;
-                        continue;
-                    }
-                    mapping.advance();
-                    let idx = idx as usize;
-                    prefetch(&self.coded[idx]);
-                    pending.push((lane, idx));
-                }
-            }
-            for &(lane, idx) in &pending {
-                let (hashed, is_remote, source_idx) = &batch[lane];
-                if idx == *source_idx {
-                    continue;
-                }
-                let cell = &mut self.coded[idx];
-                cell.apply(
-                    hashed,
-                    if *is_remote {
-                        Direction::Remove
-                    } else {
-                        Direction::Add
-                    },
-                );
-                if (cell.count == 1 || cell.count == -1) && !self.queued[idx] {
-                    self.queued[idx] = true;
-                    self.pure_queue.push(idx);
-                }
-            }
-        }
-        self.pending = pending;
-        self.batch_mappings = mappings;
-    }
-
-    /// Registers a propagated batch with the recovered-symbol windows so
-    /// *future* incoming coded symbols are adjusted too, and returns the
-    /// batch scratch buffer to the decoder.
-    fn register_recovered(&mut self, mut batch: Vec<(HashedSymbol<S>, bool, usize)>) {
-        for ((hashed, is_remote, _), mapping) in batch.drain(..).zip(self.batch_mappings.drain(..))
-        {
-            if is_remote {
-                self.remote_recovered.push_with_mapping(hashed, mapping);
-            } else {
-                self.local_recovered.push_with_mapping(hashed, mapping);
-            }
-        }
-        self.batch = batch;
+        self.decoded = consistent && self.coded[0].is_empty_cell();
     }
 
     /// True once every difference symbol has been recovered.

@@ -15,7 +15,7 @@ use riblt_hash::SipKey;
 
 use crate::coded::{prefetch, CodedSymbol, Direction};
 use crate::error::{Error, Result};
-use crate::mapping::{IndexMapping, DEFAULT_ALPHA};
+use crate::mapping::{IndexMapping, MappingRule, Uniform};
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// Sentinel terminating a bucket chain in [`CodingWindow`].
@@ -53,11 +53,10 @@ pub(crate) struct CodingWindow<S: Symbol> {
     /// Index of the next coded symbol this window will contribute to.
     next_index: u64,
     key: SipKey,
-    alpha: f64,
 }
 
 impl<S: Symbol> CodingWindow<S> {
-    pub(crate) fn new(key: SipKey, alpha: f64) -> Self {
+    pub(crate) fn new(key: SipKey) -> Self {
         CodingWindow {
             symbols: Vec::new(),
             mappings: Vec::new(),
@@ -66,16 +65,11 @@ impl<S: Symbol> CodingWindow<S> {
             overflow: BinaryHeap::new(),
             next_index: 0,
             key,
-            alpha,
         }
     }
 
     pub(crate) fn key(&self) -> SipKey {
         self.key
-    }
-
-    pub(crate) fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -117,17 +111,11 @@ impl<S: Symbol> CodingWindow<S> {
         self.enqueue(pos as u32, index);
     }
 
-    /// Adds a symbol whose mapping starts at index 0. Only valid before the
+    /// Adds a symbol whose mapping, of parameter `alpha` (the owner's
+    /// [`MappingRule`] picks it), starts at index 0. Only valid before the
     /// window has produced anything (`next_index == 0`); the caller enforces
     /// that and reports [`Error`] variants appropriate for its API.
-    pub(crate) fn push_fresh(&mut self, symbol: HashedSymbol<S>) {
-        let alpha = self.alpha;
-        self.push_fresh_with_alpha(symbol, alpha);
-    }
-
-    /// Like [`Self::push_fresh`] but with a per-symbol mapping parameter
-    /// (used by the Irregular Rateless IBLT, §8).
-    pub(crate) fn push_fresh_with_alpha(&mut self, symbol: HashedSymbol<S>, alpha: f64) {
+    pub(crate) fn push_fresh(&mut self, symbol: HashedSymbol<S>, alpha: f64) {
         debug_assert_eq!(self.next_index, 0);
         let mapping = IndexMapping::with_alpha(symbol.hash, alpha);
         self.push_entry(symbol, mapping);
@@ -229,34 +217,56 @@ impl<S: Symbol> CodingWindow<S> {
 /// assert_eq!(first.count, 100);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Encoder<S: Symbol> {
+pub struct Encoder<S: Symbol, R: MappingRule = Uniform> {
     window: CodingWindow<S>,
+    rule: R,
 }
 
-impl<S: Symbol> Default for Encoder<S> {
+impl<S: Symbol, R: MappingRule + Default> Default for Encoder<S, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<S: Symbol> Encoder<S> {
-    /// Creates an encoder with the default (non-secret) checksum key and the
-    /// paper's α = 0.5 mapping.
-    pub fn new() -> Self {
-        Self::with_key(SipKey::default())
-    }
-
     /// Creates an encoder using a secret checksum key (paper §4.3); both
     /// parties must use the same key.
     pub fn with_key(key: SipKey) -> Self {
-        Self::with_key_and_alpha(key, DEFAULT_ALPHA)
+        Self::with_rule(Uniform::default(), key)
     }
 
     /// Creates an encoder with an explicit mapping parameter α. Used by the
     /// α-sweep experiments; applications should use the default.
     pub fn with_key_and_alpha(key: SipKey, alpha: f64) -> Self {
+        Self::with_rule(Uniform(alpha), key)
+    }
+
+    /// The mapping parameter α this encoder was built with. Session layers
+    /// use it to configure a matching [`crate::SymbolCodec`], so the wire
+    /// format's expected-count compression stays aligned with the actual
+    /// coded-symbol density.
+    pub fn alpha(&self) -> f64 {
+        self.rule.0
+    }
+}
+
+impl<S: Symbol, R: MappingRule> Encoder<S, R> {
+    /// Creates an encoder with the default (non-secret) checksum key and the
+    /// rule's default: the paper's α = 0.5 mapping for [`Encoder`], the
+    /// paper's optimal classes for [`crate::IrregularEncoder`].
+    pub fn new() -> Self
+    where
+        R: Default,
+    {
+        Self::with_rule(R::default(), SipKey::default())
+    }
+
+    /// Creates an encoder whose symbols map under `rule`, with checksum key
+    /// `key`; the decoder must be built with the same two.
+    pub fn with_rule(rule: R, key: SipKey) -> Self {
         Encoder {
-            window: CodingWindow::new(key, alpha),
+            window: CodingWindow::new(key),
+            rule,
         }
     }
 
@@ -281,14 +291,6 @@ impl<S: Symbol> Encoder<S> {
         self.window.key()
     }
 
-    /// The mapping parameter α this encoder was built with. Session layers
-    /// use it to configure a matching [`crate::SymbolCodec`], so the wire
-    /// format's expected-count compression stays aligned with the actual
-    /// coded-symbol density.
-    pub fn alpha(&self) -> f64 {
-        self.window.alpha()
-    }
-
     /// Adds a source symbol to the set being encoded.
     ///
     /// Returns [`Error::SymbolAddedAfterEncodingStarted`] if coded symbols
@@ -305,7 +307,8 @@ impl<S: Symbol> Encoder<S> {
         if self.window.next_index() != 0 {
             return Err(Error::SymbolAddedAfterEncodingStarted);
         }
-        self.window.push_fresh(symbol);
+        let alpha = self.rule.alpha_of(symbol.hash);
+        self.window.push_fresh(symbol, alpha);
         Ok(())
     }
 

@@ -9,18 +9,18 @@
 //! 1.35 to ≈1.10, at the cost of ≈1.9× slower encoding/decoding (the
 //! non-0.5 α values need `powf` instead of a square root).
 //!
-//! The API mirrors the regular one: [`IrregularSketch`] for one-shot
-//! reconciliation, [`IrregularEncoder`] / [`IrregularDecoder`] for the
-//! streaming protocol.
+//! The API *is* the regular one: [`IrregularClasses`] is a
+//! [`MappingRule`], and [`IrregularSketch`], [`IrregularEncoder`] and
+//! [`IrregularDecoder`] are [`Sketch`], [`Encoder`] and [`Decoder`] under it.
 
 use riblt_hash::{splitmix64, SipKey};
 
-use crate::coded::{prefetch, CodedSymbol, Direction, PeelState};
-use crate::decoder::SetDifference;
-use crate::encoder::CodingWindow;
-use crate::error::{Error, Result};
-use crate::mapping::IndexMapping;
-use crate::symbol::{HashedSymbol, Symbol};
+use crate::coded::CodedSymbol;
+use crate::decoder::Decoder;
+use crate::encoder::Encoder;
+use crate::mapping::MappingRule;
+use crate::sketch::Sketch;
+use crate::symbol::Symbol;
 
 /// Partition of source symbols into classes with per-class mapping
 /// parameters.
@@ -98,11 +98,6 @@ impl IrregularClasses {
             .position(|&t| selector <= t)
             .unwrap_or(self.thresholds.len() - 1)
     }
-
-    /// The mapping parameter used for a symbol with hash `hash`.
-    pub fn alpha_of(&self, hash: u64) -> f64 {
-        self.alphas[self.class_of(hash)]
-    }
 }
 
 impl Default for IrregularClasses {
@@ -111,443 +106,53 @@ impl Default for IrregularClasses {
     }
 }
 
+impl MappingRule for IrregularClasses {
+    /// The α of the class `hash` falls in.
+    fn alpha_of(&self, hash: u64) -> f64 {
+        self.alphas[self.class_of(hash)]
+    }
+
+    fn uniform_alpha(&self) -> Option<f64> {
+        None
+    }
+}
+
 /// Fixed-size sketch using per-class mapping parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IrregularSketch<S: Symbol> {
-    cells: Vec<CodedSymbol<S>>,
-    classes: IrregularClasses,
-    key: SipKey,
-}
-
-impl<S: Symbol> IrregularSketch<S> {
-    /// Creates an empty sketch of `m` coded symbols with the paper's optimal
-    /// class configuration.
-    pub fn new(m: usize) -> Self {
-        Self::with_classes(m, IrregularClasses::paper_optimal(), SipKey::default())
-    }
-
-    /// Creates an empty sketch with explicit classes and key.
-    pub fn with_classes(m: usize, classes: IrregularClasses, key: SipKey) -> Self {
-        IrregularSketch {
-            cells: vec![CodedSymbol::default(); m],
-            classes,
-            key,
-        }
-    }
-
-    /// Number of coded symbols.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the sketch has no coded symbols.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Read-only view of the coded symbols.
-    pub fn cells(&self) -> &[CodedSymbol<S>] {
-        &self.cells
-    }
-
-    fn apply(&mut self, hashed: &HashedSymbol<S>, direction: Direction) {
-        let m = self.cells.len() as u64;
-        let alpha = self.classes.alpha_of(hashed.hash);
-        let mut mapping = IndexMapping::with_alpha(hashed.hash, alpha);
-        loop {
-            let idx = mapping.current_index();
-            if idx >= m {
-                break;
-            }
-            self.cells[idx as usize].apply(hashed, direction);
-            mapping.advance();
-        }
-    }
-
-    /// Mixes one item into the sketch.
-    pub fn add_symbol(&mut self, symbol: &S) {
-        let hashed = HashedSymbol::new(symbol.clone(), self.key);
-        self.apply(&hashed, Direction::Add);
-    }
-
-    /// Removes one item from the sketch.
-    pub fn remove_symbol(&mut self, symbol: &S) {
-        let hashed = HashedSymbol::new(symbol.clone(), self.key);
-        self.apply(&hashed, Direction::Remove);
-    }
-
-    /// Subtracts another sketch cell-by-cell (linearity).
-    pub fn subtract(&mut self, other: &IrregularSketch<S>) -> Result<()> {
-        if self.cells.len() != other.cells.len() || self.classes != other.classes {
-            return Err(Error::SketchShapeMismatch {
-                left: self.cells.len(),
-                right: other.cells.len(),
-            });
-        }
-        for (a, b) in self.cells.iter_mut().zip(other.cells.iter()) {
-            a.subtract(b);
-        }
-        Ok(())
-    }
-
-    /// Returns `self ⊖ other`.
-    pub fn subtracted(&self, other: &IrregularSketch<S>) -> Result<IrregularSketch<S>> {
-        let mut out = self.clone();
-        out.subtract(other)?;
-        Ok(out)
-    }
-
-    /// Peels the sketch, recovering the encoded difference.
-    pub fn decode(&self) -> Result<SetDifference<S>> {
-        let mut cells = self.cells.clone();
-        let m = cells.len() as u64;
-        let mut queue: Vec<usize> = (0..cells.len())
-            .filter(|&i| {
-                matches!(
-                    cells[i].peel_state(self.key),
-                    PeelState::PureRemote | PeelState::PureLocal
-                )
-            })
-            .collect();
-        let mut diff = SetDifference::default();
-        while let Some(idx) = queue.pop() {
-            let state = cells[idx].peel_state(self.key);
-            let is_remote = match state {
-                PeelState::PureRemote => true,
-                PeelState::PureLocal => false,
-                _ => continue,
-            };
-            // Cells that are not one difference's sketch can hand the same
-            // symbol back and forth for ever (see `Error::InconsistentStream`).
-            if diff.len() == cells.len() {
-                return Err(Error::InconsistentStream);
-            }
-            let symbol = cells[idx].sum.clone();
-            let hash = cells[idx].checksum;
-            let hashed = HashedSymbol::with_hash(symbol.clone(), hash);
-            let direction = if is_remote {
-                Direction::Remove
-            } else {
-                Direction::Add
-            };
-            let alpha = self.classes.alpha_of(hash);
-            let mut mapping = IndexMapping::with_alpha(hash, alpha);
-            loop {
-                let i = mapping.current_index();
-                if i >= m {
-                    break;
-                }
-                cells[i as usize].apply(&hashed, direction);
-                if matches!(
-                    cells[i as usize].peel_state(self.key),
-                    PeelState::PureRemote | PeelState::PureLocal
-                ) {
-                    queue.push(i as usize);
-                }
-                mapping.advance();
-            }
-            if is_remote {
-                diff.remote_only.push(symbol);
-            } else {
-                diff.local_only.push(symbol);
-            }
-        }
-        if cells.iter().all(|c| c.is_empty_cell()) {
-            Ok(diff)
-        } else {
-            Err(Error::DecodeIncomplete)
-        }
-    }
-}
+pub type IrregularSketch<S> = Sketch<S, IrregularClasses>;
 
 /// Streaming encoder with per-class mapping parameters.
-#[derive(Debug, Clone)]
-pub struct IrregularEncoder<S: Symbol> {
-    window: CodingWindow<S>,
-    classes: IrregularClasses,
-}
-
-impl<S: Symbol> IrregularEncoder<S> {
-    /// Creates an encoder with the paper's optimal class configuration.
-    pub fn new() -> Self {
-        Self::with_classes(IrregularClasses::paper_optimal(), SipKey::default())
-    }
-
-    /// Creates an encoder with explicit classes and checksum key.
-    pub fn with_classes(classes: IrregularClasses, key: SipKey) -> Self {
-        IrregularEncoder {
-            window: CodingWindow::new(key, crate::mapping::DEFAULT_ALPHA),
-            classes,
-        }
-    }
-
-    /// Number of source symbols added.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True if the encoder holds no symbols.
-    pub fn is_empty(&self) -> bool {
-        self.window.len() == 0
-    }
-
-    /// Adds a source symbol; rejected once coded symbols have been produced.
-    pub fn add_symbol(&mut self, symbol: S) -> Result<()> {
-        if self.window.next_index() != 0 {
-            return Err(Error::SymbolAddedAfterEncodingStarted);
-        }
-        let hashed = HashedSymbol::new(symbol, self.window.key());
-        let alpha = self.classes.alpha_of(hashed.hash);
-        self.window.push_fresh_with_alpha(hashed, alpha);
-        Ok(())
-    }
-
-    /// Index of the next coded symbol to be produced.
-    pub fn next_index(&self) -> u64 {
-        self.window.next_index()
-    }
-
-    /// Produces the next coded symbol of the infinite sequence.
-    pub fn produce_next_coded_symbol(&mut self) -> CodedSymbol<S> {
-        let mut cs = CodedSymbol::new();
-        self.window.apply_next(&mut cs, Direction::Add);
-        cs
-    }
-
-    /// Produces the next `n` coded symbols.
-    pub fn produce_coded_symbols(&mut self, n: usize) -> Vec<CodedSymbol<S>> {
-        (0..n).map(|_| self.produce_next_coded_symbol()).collect()
-    }
-}
-
-impl<S: Symbol> Default for IrregularEncoder<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub type IrregularEncoder<S> = Encoder<S, IrregularClasses>;
 
 /// Streaming decoder with per-class mapping parameters.
-#[derive(Debug, Clone)]
-pub struct IrregularDecoder<S: Symbol> {
-    coded: Vec<CodedSymbol<S>>,
-    /// Per-cell flag: true while the cell sits in `pure_queue`. Queue
-    /// entries are unverified *candidates* (`count` hit ±1); purity is
-    /// checked with a single hash at pop time, mirroring [`crate::Decoder`].
-    queued: Vec<bool>,
-    /// Cached termination flag, refreshed once per ingested symbol.
-    decoded: bool,
-    /// Sticky: peeling recovered more symbols than cells were received; see
-    /// [`Self::check_consistent`].
-    inconsistent: bool,
-    local_set: CodingWindow<S>,
-    remote_recovered: CodingWindow<S>,
-    local_recovered: CodingWindow<S>,
-    pure_queue: Vec<usize>,
-    classes: IrregularClasses,
-    key: SipKey,
+pub type IrregularDecoder<S> = Decoder<S, IrregularClasses>;
+
+impl<S: Symbol> Sketch<S, IrregularClasses> {
+    /// Creates an empty sketch of `m` coded symbols with explicit classes
+    /// and key.
+    pub fn with_classes(m: usize, classes: IrregularClasses, key: SipKey) -> Self {
+        Self::from_cells_with_rule(vec![CodedSymbol::default(); m], key, classes)
+    }
 }
 
-impl<S: Symbol> IrregularDecoder<S> {
-    /// Creates a decoder with the paper's optimal class configuration.
-    pub fn new() -> Self {
-        Self::with_classes(IrregularClasses::paper_optimal(), SipKey::default())
+impl<S: Symbol> Encoder<S, IrregularClasses> {
+    /// Creates an encoder with explicit classes and checksum key.
+    pub fn with_classes(classes: IrregularClasses, key: SipKey) -> Self {
+        Self::with_rule(classes, key)
     }
+}
 
+impl<S: Symbol> Decoder<S, IrregularClasses> {
     /// Creates a decoder with explicit classes and checksum key (must match
     /// the encoder's).
     pub fn with_classes(classes: IrregularClasses, key: SipKey) -> Self {
-        let alpha = crate::mapping::DEFAULT_ALPHA;
-        IrregularDecoder {
-            coded: Vec::new(),
-            queued: Vec::new(),
-            decoded: false,
-            inconsistent: false,
-            local_set: CodingWindow::new(key, alpha),
-            remote_recovered: CodingWindow::new(key, alpha),
-            local_recovered: CodingWindow::new(key, alpha),
-            pure_queue: Vec::new(),
-            classes,
-            key,
-        }
-    }
-
-    /// Number of coded symbols ingested.
-    pub fn coded_symbols_received(&self) -> usize {
-        self.coded.len()
-    }
-
-    /// Adds a local-set symbol (before any coded symbol is ingested).
-    pub fn add_symbol(&mut self, symbol: S) -> Result<()> {
-        if !self.coded.is_empty() {
-            return Err(Error::SymbolAddedAfterDecodingStarted);
-        }
-        let hashed = HashedSymbol::new(symbol, self.key);
-        let alpha = self.classes.alpha_of(hashed.hash);
-        self.local_set.push_fresh_with_alpha(hashed, alpha);
-        Ok(())
-    }
-
-    /// Ingests a batch of coded symbols, stopping once decoding completes.
-    /// Returns the number of symbols actually consumed.
-    pub fn add_coded_symbols<I>(&mut self, symbols: I) -> usize
-    where
-        I: IntoIterator<Item = CodedSymbol<S>>,
-    {
-        let mut used = 0;
-        if self.is_decoded() || self.inconsistent {
-            return used;
-        }
-        for cs in symbols {
-            self.add_coded_symbol(cs);
-            used += 1;
-            if self.is_decoded() || self.inconsistent {
-                break;
-            }
-        }
-        used
-    }
-
-    /// Ingests one coded symbol and peels as far as possible. Dropped
-    /// unread once the stream has proved inconsistent
-    /// ([`Self::check_consistent`]).
-    pub fn add_coded_symbol(&mut self, mut cs: CodedSymbol<S>) {
-        if self.inconsistent {
-            return;
-        }
-        self.local_set.apply_next(&mut cs, Direction::Remove);
-        self.remote_recovered.apply_next(&mut cs, Direction::Remove);
-        self.local_recovered.apply_next(&mut cs, Direction::Add);
-        let idx = self.coded.len();
-        let candidate = cs.count == 1 || cs.count == -1;
-        self.coded.push(cs);
-        self.queued.push(candidate);
-        if candidate {
-            self.pure_queue.push(idx);
-        }
-        self.peel();
-        self.decoded = !self.inconsistent && self.coded[0].is_empty_cell();
-    }
-
-    /// Runs the peeling loop until no pure cells remain. Queue entries are
-    /// candidates (`count` hit ±1 at some mutation); purity is verified with
-    /// one hash per pop, and the verified symbol is moved out of its source
-    /// cell rather than cloned (the cell drains to empty either way).
-    fn peel(&mut self) {
-        while let Some(idx) = self.pure_queue.pop() {
-            self.queued[idx] = false;
-            let cell = &self.coded[idx];
-            let is_remote = match cell.count {
-                1 => true,
-                -1 => false,
-                // Resolved (or re-mixed) while queued; a later mutation
-                // re-queues it if it turns pure again.
-                _ => continue,
-            };
-            let hash = cell.checksum;
-            if cell.sum.hash_with(self.key) != hash {
-                continue;
-            }
-            // Mirrors `Decoder::peel`: a consistent stream never yields more
-            // symbols than it has cells.
-            if self.recovered_count() == self.coded.len() {
-                self.inconsistent = true;
-                self.pure_queue.clear();
-                return;
-            }
-            let symbol = std::mem::take(&mut self.coded[idx].sum);
-            self.coded[idx].checksum = 0;
-            self.coded[idx].count = 0;
-            self.recover(HashedSymbol::with_hash(symbol, hash), idx, is_remote);
-        }
-    }
-
-    fn recover(&mut self, hashed: HashedSymbol<S>, source_idx: usize, is_remote: bool) {
-        let alpha = self.classes.alpha_of(hashed.hash);
-        let mut mapping = IndexMapping::with_alpha(hashed.hash, alpha);
-        let received = self.coded.len() as u64;
-        let direction = if is_remote {
-            Direction::Remove
-        } else {
-            Direction::Add
-        };
-        loop {
-            let idx = mapping.current_index();
-            if idx >= received {
-                break;
-            }
-            // Advance before touching so the walk's next cell can be
-            // fetched in the shadow of this touch.
-            let next = mapping.advance();
-            if next < received {
-                prefetch(&self.coded[next as usize]);
-            }
-            let idx = idx as usize;
-            if idx != source_idx {
-                let cell = &mut self.coded[idx];
-                cell.apply(&hashed, direction);
-                if (cell.count == 1 || cell.count == -1) && !self.queued[idx] {
-                    self.queued[idx] = true;
-                    self.pure_queue.push(idx);
-                }
-            }
-        }
-        if is_remote {
-            self.remote_recovered.push_with_mapping(hashed, mapping);
-        } else {
-            self.local_recovered.push_with_mapping(hashed, mapping);
-        }
-    }
-
-    /// True once reconciliation is complete (cell 0 drained). Reads a flag
-    /// refreshed once per ingested symbol.
-    #[inline]
-    pub fn is_decoded(&self) -> bool {
-        self.decoded
-    }
-
-    /// Number of difference symbols recovered so far.
-    pub fn recovered_count(&self) -> usize {
-        self.remote_recovered.len() + self.local_recovered.len()
-    }
-
-    /// Fails with [`Error::InconsistentStream`] once peeling has recovered
-    /// more symbols than cells were received (sticky, as for
-    /// [`crate::Decoder::check_consistent`]).
-    pub fn check_consistent(&self) -> Result<()> {
-        if self.inconsistent {
-            return Err(Error::InconsistentStream);
-        }
-        Ok(())
-    }
-
-    /// Consumes the decoder and returns the recovered difference.
-    pub fn into_difference(self) -> SetDifference<S> {
-        SetDifference {
-            remote_only: self
-                .remote_recovered
-                .symbols()
-                .iter()
-                .map(|h| h.symbol.clone())
-                .collect(),
-            local_only: self
-                .local_recovered
-                .symbols()
-                .iter()
-                .map(|h| h.symbol.clone())
-                .collect(),
-        }
-    }
-}
-
-impl<S: Symbol> Default for IrregularDecoder<S> {
-    fn default() -> Self {
-        Self::new()
+        Self::with_rule(classes, key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::symbol::FixedBytes;
     use std::collections::BTreeSet;
 

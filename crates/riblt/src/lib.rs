@@ -44,11 +44,19 @@
 //! ## Module map
 //!
 //! * [`symbol`] — the [`Symbol`] trait and ready-made item types.
-//! * [`mapping`] — the ρ(i) = 1/(1+αi) index mapping and its O(1) sampler.
+//! * [`mapping`] — the ρ(i) = 1/(1+αi) index mapping, its O(1) sampler,
+//!   and the [`MappingRule`] that picks each symbol's α: [`Uniform`] for the
+//!   regular design, [`IrregularClasses`] for the irregular one.
 //! * [`coded`] — coded-symbol format and arithmetic.
-//! * [`encoder`] / [`decoder`] — the streaming protocol endpoints.
-//! * [`sketch`] — fixed-size sketches and incrementally maintained caches.
-//! * [`irregular`] — the Irregular Rateless IBLT extension (paper §8).
+//! * [`encoder`] / [`decoder`] — the streaming protocol endpoints, generic
+//!   over the rule.
+//! * [`sketch`] — fixed-size sketches (generic over the rule) and
+//!   incrementally maintained caches.
+//! * `peel` (private) — the one peeling loop behind [`Decoder`] and
+//!   [`Sketch::decode`], and the consistency bound it enforces.
+//! * [`irregular`] — the Irregular Rateless IBLT extension (paper §8): the
+//!   class rule, and [`IrregularEncoder`] / [`IrregularDecoder`] /
+//!   [`IrregularSketch`] as aliases of the types above under it.
 //! * [`wire`] — the byte-level wire format with compressed `count` fields
 //!   (paper §6).
 //!
@@ -65,16 +73,17 @@ pub mod encoder;
 pub mod error;
 pub mod irregular;
 pub mod mapping;
+mod peel;
 pub mod sketch;
 pub mod symbol;
 pub mod wire;
 
-pub use coded::{CodedSymbol, Direction, PeelState};
+pub use coded::{CodedSymbol, Direction};
 pub use decoder::{Decoder, DifferenceEstimate, SetDifference};
 pub use encoder::Encoder;
 pub use error::{Error, Result};
 pub use irregular::{IrregularClasses, IrregularDecoder, IrregularEncoder, IrregularSketch};
-pub use mapping::{mapped_probability, rho, IndexMapping, DEFAULT_ALPHA};
+pub use mapping::{mapped_probability, rho, IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
 pub use sketch::{Sketch, SketchCache};
 pub use symbol::{xor_bytes_in_place, FixedBytes, HashedSymbol, Symbol, VecSymbol};
 pub use wire::{decode_coded_symbols, encode_coded_symbols, SymbolCodec};

@@ -75,6 +75,43 @@ pub fn expected_degree(alpha: f64, m: u64) -> f64 {
     }
 }
 
+/// The one decision that tells the irregular design (§8) from the regular
+/// one: which α the index mapping of a source symbol uses, given the
+/// symbol's keyed hash. Everything else — coding window, peeling, sketches —
+/// is generic over it.
+pub trait MappingRule: Clone + PartialEq + std::fmt::Debug {
+    /// The mapping parameter of the symbol with keyed hash `hash`.
+    fn alpha_of(&self, hash: u64) -> f64;
+
+    /// The single α every symbol shares, if the rule has one. Only then do
+    /// the `count` fields follow [`mapped_probability`], which is what the
+    /// wire codec's count model and the decoder's difference estimate read.
+    fn uniform_alpha(&self) -> Option<f64>;
+}
+
+/// The regular design: every symbol maps with the same α
+/// ([`DEFAULT_ALPHA`] by default).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Uniform(pub f64);
+
+impl Default for Uniform {
+    fn default() -> Self {
+        Uniform(DEFAULT_ALPHA)
+    }
+}
+
+impl MappingRule for Uniform {
+    #[inline(always)]
+    fn alpha_of(&self, _hash: u64) -> f64 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn uniform_alpha(&self) -> Option<f64> {
+        Some(self.0)
+    }
+}
+
 /// Number of skip-sampling draws turned into jump factors per PRNG batch.
 ///
 /// The factor math (`1/√(1−r) − 1`) chains a square root into a division,
@@ -203,6 +240,7 @@ impl IndexMapping {
 
     /// Returns all mapped indices strictly below `m`, starting from the
     /// current position (inclusive). Consumes the mapping state up to `m`.
+    #[inline]
     pub fn indices_below(&mut self, m: u64) -> IndicesBelow<'_> {
         IndicesBelow { mapping: self, m }
     }
@@ -217,6 +255,7 @@ pub struct IndicesBelow<'a> {
 impl Iterator for IndicesBelow<'_> {
     type Item = u64;
 
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         let idx = self.mapping.current_index();
         if idx >= self.m {

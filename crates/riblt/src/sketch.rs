@@ -17,27 +17,38 @@ use std::collections::HashMap;
 
 use riblt_hash::SipKey;
 
-use crate::coded::{prefetch, CodedSymbol, Direction};
+use crate::coded::{CodedSymbol, Direction};
 use crate::decoder::SetDifference;
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
-use crate::mapping::{IndexMapping, DEFAULT_ALPHA};
+use crate::mapping::{IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
+use crate::peel::Peeler;
 use crate::symbol::{HashedSymbol, Symbol};
+
+/// Applies `hashed` to every one of `cells` its `alpha` mapping reaches and
+/// returns the mapping, standing at its first index past them.
+fn apply_to_prefix<S: Symbol>(
+    cells: &mut [CodedSymbol<S>],
+    hashed: &HashedSymbol<S>,
+    alpha: f64,
+    direction: Direction,
+) -> IndexMapping {
+    let mut mapping = IndexMapping::with_alpha(hashed.hash, alpha);
+    for idx in mapping.indices_below(cells.len() as u64) {
+        cells[idx as usize].apply(hashed, direction);
+    }
+    mapping
+}
 
 /// A materialized prefix of a set's coded-symbol sequence.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sketch<S: Symbol> {
+pub struct Sketch<S: Symbol, R: MappingRule = Uniform> {
     cells: Vec<CodedSymbol<S>>,
     key: SipKey,
-    alpha: f64,
+    rule: R,
 }
 
 impl<S: Symbol> Sketch<S> {
-    /// Creates an empty sketch with `m` coded symbols (default key, α = 0.5).
-    pub fn new(m: usize) -> Self {
-        Self::with_key(m, SipKey::default())
-    }
-
     /// Creates an empty sketch with `m` coded symbols under a secret key.
     pub fn with_key(m: usize, key: SipKey) -> Self {
         Self::with_key_and_alpha(m, key, DEFAULT_ALPHA)
@@ -45,11 +56,7 @@ impl<S: Symbol> Sketch<S> {
 
     /// Creates an empty sketch with an explicit mapping parameter α.
     pub fn with_key_and_alpha(m: usize, key: SipKey, alpha: f64) -> Self {
-        Sketch {
-            cells: vec![CodedSymbol::default(); m],
-            key,
-            alpha,
-        }
+        Self::from_cells(vec![CodedSymbol::default(); m], key, alpha)
     }
 
     /// Wraps already-computed coded symbols (e.g. a cell range received from
@@ -57,7 +64,7 @@ impl<S: Symbol> Sketch<S> {
     /// it can be decoded. The caller must pass the key and α the cells were
     /// produced under.
     pub fn from_cells(cells: Vec<CodedSymbol<S>>, key: SipKey, alpha: f64) -> Self {
-        Sketch { cells, key, alpha }
+        Self::from_cells_with_rule(cells, key, Uniform(alpha))
     }
 
     /// Builds the sketch of a whole set in one call.
@@ -70,6 +77,32 @@ impl<S: Symbol> Sketch<S> {
             sketch.add_symbol(item);
         }
         sketch
+    }
+
+    /// The mapping parameter α.
+    pub fn alpha(&self) -> f64 {
+        self.rule.0
+    }
+}
+
+impl<S: Symbol, R: MappingRule> Sketch<S, R> {
+    /// Creates an empty sketch with `m` coded symbols under the default key
+    /// and the rule's default: α = 0.5 for [`Sketch`], the paper's optimal
+    /// classes for [`crate::IrregularSketch`].
+    pub fn new(m: usize) -> Self
+    where
+        R: Default,
+    {
+        Self::from_cells_with_rule(
+            vec![CodedSymbol::default(); m],
+            SipKey::default(),
+            R::default(),
+        )
+    }
+
+    /// [`Sketch::from_cells`] for cells produced under any mapping rule.
+    pub fn from_cells_with_rule(cells: Vec<CodedSymbol<S>>, key: SipKey, rule: R) -> Self {
+        Sketch { cells, key, rule }
     }
 
     /// Number of coded symbols.
@@ -87,9 +120,9 @@ impl<S: Symbol> Sketch<S> {
         self.key
     }
 
-    /// The mapping parameter α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
+    /// The mapping rule the cells are coded under.
+    pub fn rule(&self) -> &R {
+        &self.rule
     }
 
     /// Read-only access to the coded symbols.
@@ -97,36 +130,30 @@ impl<S: Symbol> Sketch<S> {
         &self.cells
     }
 
-    fn apply(&mut self, hashed: &HashedSymbol<S>, direction: Direction) {
-        let m = self.cells.len() as u64;
-        let mut mapping = IndexMapping::with_alpha(hashed.hash, self.alpha);
-        loop {
-            let idx = mapping.current_index();
-            if idx >= m {
-                break;
-            }
-            self.cells[idx as usize].apply(hashed, direction);
-            mapping.advance();
-        }
+    fn apply(&mut self, symbol: &S, direction: Direction) {
+        let hashed = HashedSymbol::new(symbol.clone(), self.key);
+        let alpha = self.rule.alpha_of(hashed.hash);
+        apply_to_prefix(&mut self.cells, &hashed, alpha, direction);
     }
 
     /// Mixes one set item into the sketch.
     pub fn add_symbol(&mut self, symbol: &S) {
-        let hashed = HashedSymbol::new(symbol.clone(), self.key);
-        self.apply(&hashed, Direction::Add);
+        self.apply(symbol, Direction::Add);
     }
 
     /// Removes one set item from the sketch (linearity makes removal the
     /// exact inverse of addition).
     pub fn remove_symbol(&mut self, symbol: &S) {
-        let hashed = HashedSymbol::new(symbol.clone(), self.key);
-        self.apply(&hashed, Direction::Remove);
+        self.apply(symbol, Direction::Remove);
     }
 
     /// Subtracts `other` cell-by-cell: the result is the sketch of the
-    /// symmetric difference of the two encoded sets (paper §3).
-    pub fn subtract(&mut self, other: &Sketch<S>) -> Result<()> {
-        if self.cells.len() != other.cells.len() {
+    /// symmetric difference of the two encoded sets (paper §3). Both must
+    /// have the same length, mapping rule and key, or the cells would not
+    /// cancel; `self` is left untouched when they do not.
+    pub fn subtract(&mut self, other: &Sketch<S, R>) -> Result<()> {
+        if self.cells.len() != other.cells.len() || self.rule != other.rule || self.key != other.key
+        {
             return Err(Error::SketchShapeMismatch {
                 left: self.cells.len(),
                 right: other.cells.len(),
@@ -139,7 +166,7 @@ impl<S: Symbol> Sketch<S> {
     }
 
     /// Returns a new sketch equal to `self ⊖ other`.
-    pub fn subtracted(&self, other: &Sketch<S>) -> Result<Sketch<S>> {
+    pub fn subtracted(&self, other: &Sketch<S, R>) -> Result<Sketch<S, R>> {
         let mut out = self.clone();
         out.subtract(other)?;
         Ok(out)
@@ -157,76 +184,22 @@ impl<S: Symbol> Sketch<S> {
     /// difference at all.
     pub fn decode(&self) -> Result<SetDifference<S>> {
         let mut cells = self.cells.clone();
-        let m = cells.len() as u64;
-        // Queue entries are candidates (`count` == ±1); purity is verified
-        // with a single hash at pop time, and `queued` keeps a cell from
-        // sitting in the queue twice. Mirrors the streaming `Decoder`.
-        let mut queued = vec![false; cells.len()];
-        let mut queue: Vec<usize> = Vec::new();
-        for (i, c) in cells.iter().enumerate() {
-            if c.count == 1 || c.count == -1 {
-                queued[i] = true;
-                queue.push(i);
-            }
+        let mut peeler = Peeler::new();
+        peeler.reserve(cells.len(), 0);
+        for cell in &cells {
+            peeler.push_cell(cell);
         }
         let mut diff = SetDifference::default();
-
-        while let Some(idx) = queue.pop() {
-            queued[idx] = false;
-            let cell = &cells[idx];
-            let is_remote = match cell.count {
-                1 => true,
-                -1 => false,
-                _ => continue,
-            };
-            let hash = cell.checksum;
-            if cell.sum.hash_with(self.key) != hash {
-                continue;
-            }
-            // Mirrors `Decoder::peel`: one difference's sketch never yields
-            // more symbols than it has cells; cells that are not one can
-            // hand the same symbol back and forth for ever.
-            if diff.len() == cells.len() {
-                return Err(Error::InconsistentStream);
-            }
-            // A pure cell holds exactly its one symbol; settle it by moving
-            // the fields out and skip it on the propagation walk below.
-            let symbol = std::mem::take(&mut cells[idx].sum);
-            cells[idx].checksum = 0;
-            cells[idx].count = 0;
-            let hashed = HashedSymbol::with_hash(symbol, hash);
-            let direction = if is_remote {
-                Direction::Remove
-            } else {
-                Direction::Add
-            };
-            let mut mapping = IndexMapping::with_alpha(hash, self.alpha);
-            loop {
-                let i = mapping.current_index();
-                if i >= m {
-                    break;
-                }
-                let next = mapping.advance();
-                if next < m {
-                    prefetch(&cells[next as usize]);
-                }
-                let i = i as usize;
-                if i != idx {
-                    let cell = &mut cells[i];
-                    cell.apply(&hashed, direction);
-                    if (cell.count == 1 || cell.count == -1) && !queued[i] {
-                        queued[i] = true;
-                        queue.push(i);
-                    }
-                }
-            }
+        let consistent = peeler.peel(&mut cells, self.key, &self.rule, |hashed, is_remote, _| {
             if is_remote {
                 diff.remote_only.push(hashed.symbol);
             } else {
                 diff.local_only.push(hashed.symbol);
             }
+        });
+        if !consistent {
+            return Err(Error::InconsistentStream);
         }
-
         if cells.iter().all(|c| c.is_empty_cell()) {
             Ok(diff)
         } else {
@@ -274,8 +247,8 @@ impl<S: Symbol> SketchCache<S> {
     pub fn with_key_and_alpha(key: SipKey, alpha: f64) -> Self {
         SketchCache {
             cells: Vec::new(),
-            additions: CodingWindow::new(key, alpha),
-            removals: CodingWindow::new(key, alpha),
+            additions: CodingWindow::new(key),
+            removals: CodingWindow::new(key),
             unmatched_removals: 0,
             key,
             alpha,
@@ -308,24 +281,10 @@ impl<S: Symbol> SketchCache<S> {
         self.alpha
     }
 
-    fn patch_prefix(&mut self, hashed: &HashedSymbol<S>, direction: Direction) -> IndexMapping {
-        let m = self.cells.len() as u64;
-        let mut mapping = IndexMapping::with_alpha(hashed.hash, self.alpha);
-        loop {
-            let idx = mapping.current_index();
-            if idx >= m {
-                break;
-            }
-            self.cells[idx as usize].apply(hashed, direction);
-            mapping.advance();
-        }
-        mapping
-    }
-
     /// Adds an item to the cached set, patching the materialized prefix.
     pub fn add_symbol(&mut self, symbol: S) {
         let hashed = HashedSymbol::new(symbol, self.key);
-        let mapping = self.patch_prefix(&hashed, Direction::Add);
+        let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Add);
         self.additions.push_with_mapping(hashed, mapping);
     }
 
@@ -335,7 +294,7 @@ impl<S: Symbol> SketchCache<S> {
     /// membership.
     pub fn remove_symbol(&mut self, symbol: S) {
         let hashed = HashedSymbol::new(symbol, self.key);
-        let mapping = self.patch_prefix(&hashed, Direction::Remove);
+        let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Remove);
         self.removals.push_with_mapping(hashed, mapping);
         let pending = self.removals.len() - self.unmatched_removals;
         if pending >= (self.additions.len() / 4).max(1) {
@@ -420,11 +379,7 @@ impl<S: Symbol> SketchCache<S> {
     /// Copies the first `m` coded symbols into a standalone [`Sketch`].
     pub fn to_sketch(&mut self, m: usize) -> Sketch<S> {
         self.ensure_len(m);
-        Sketch {
-            cells: self.cells[..m].to_vec(),
-            key: self.key,
-            alpha: self.alpha,
-        }
+        Sketch::from_cells(self.cells[..m].to_vec(), self.key, self.alpha)
     }
 }
 
@@ -494,6 +449,45 @@ mod tests {
                 right: 20
             })
         ));
+    }
+
+    #[test]
+    fn subtract_refuses_sketches_coded_differently() {
+        use crate::irregular::{IrregularClasses, IrregularSketch};
+        let item = Sym::from_u64(7);
+        // Same length throughout: only α, the classes or the key differ.
+        let mut a = Sketch::<Sym>::with_key_and_alpha(10, SipKey::default(), 0.5);
+        a.add_symbol(&item);
+        let before = a.clone();
+        let other_alpha = Sketch::with_key_and_alpha(10, SipKey::default(), 0.3);
+        let other_key = Sketch::with_key(10, SipKey::new(1, 2));
+        for other in [other_alpha, other_key] {
+            assert!(matches!(
+                a.subtract(&other),
+                Err(Error::SketchShapeMismatch {
+                    left: 10,
+                    right: 10
+                })
+            ));
+            assert_eq!(a, before);
+        }
+
+        let mut a = IrregularSketch::<Sym>::new(10);
+        a.add_symbol(&item);
+        let before = a.clone();
+        let classes = IrregularClasses::new(&[0.5, 0.5], &[0.2, 0.9]);
+        let other_classes = IrregularSketch::with_classes(10, classes, SipKey::default());
+        let other_key =
+            IrregularSketch::with_classes(10, IrregularClasses::default(), SipKey::new(1, 2));
+        for other in [other_classes, other_key] {
+            assert!(matches!(
+                a.subtract(&other),
+                Err(Error::SketchShapeMismatch { .. })
+            ));
+            assert_eq!(a, before);
+        }
+        a.subtract(&before).unwrap();
+        assert!(a.cells().iter().all(|c| c.is_empty_cell()));
     }
 
     #[test]

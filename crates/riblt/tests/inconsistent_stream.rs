@@ -11,7 +11,8 @@
 //! window, inside a single `add_coded_symbol` call, until allocation failed.
 
 use riblt::{
-    CodedSymbol, Decoder, Encoder, Error, FixedBytes, IrregularDecoder, IrregularEncoder, Sketch,
+    CodedSymbol, Decoder, Encoder, Error, FixedBytes, IrregularClasses, MappingRule, Sketch,
+    Uniform,
 };
 
 type Item = FixedBytes<32>;
@@ -46,16 +47,16 @@ fn splice(before: Vec<CodedSymbol<Item>>, after: Vec<CodedSymbol<Item>>) -> Vec<
     cells
 }
 
-#[test]
-fn streaming_decoder_stops_with_a_typed_error() {
+/// Feeds the spliced stream, coded under `R`, to a streaming decoder.
+fn streaming_decoder_stops<R: MappingRule + Default>() {
     let stream = |with_x| {
-        let mut encoder = Encoder::<Item>::new();
+        let mut encoder = Encoder::<Item, R>::new();
         for item in server_items(with_x) {
             encoder.add_symbol(item).unwrap();
         }
         encoder.produce_coded_symbols(CELLS)
     };
-    let mut decoder = Decoder::<Item>::new();
+    let mut decoder = Decoder::<Item, R>::new();
     for item in client_items() {
         decoder.add_symbol(item).unwrap();
     }
@@ -75,41 +76,45 @@ fn streaming_decoder_stops_with_a_typed_error() {
     );
 }
 
-#[test]
-fn irregular_decoder_stops_with_a_typed_error() {
-    let stream = |with_x| {
-        let mut encoder = IrregularEncoder::<Item>::new();
-        for item in server_items(with_x) {
-            encoder.add_symbol(item).unwrap();
+/// Decodes the spliced difference sketch, coded under `R`, in one call.
+fn sketch_decode_stops<R: MappingRule + Default>() {
+    fn sketch_of<R: MappingRule + Default>(items: impl Iterator<Item = Item>) -> Sketch<Item, R> {
+        let mut sketch = Sketch::new(CELLS);
+        for item in items {
+            sketch.add_symbol(&item);
         }
-        encoder.produce_coded_symbols(CELLS)
-    };
-    let mut decoder = IrregularDecoder::<Item>::new();
-    for item in client_items() {
-        decoder.add_symbol(item).unwrap();
+        sketch
     }
-    for cell in splice(stream(false), stream(true)) {
-        decoder.add_coded_symbol(cell);
-        assert!(decoder.recovered_count() <= decoder.coded_symbols_received());
-    }
-    assert_eq!(decoder.check_consistent(), Err(Error::InconsistentStream));
-    assert!(!decoder.is_decoded());
-}
-
-#[test]
-fn sketch_decode_stops_with_a_typed_error() {
     let difference = |with_x| {
-        let server: Vec<Item> = server_items(with_x).collect();
-        let client: Vec<Item> = client_items().collect();
-        Sketch::from_set(CELLS, server.iter())
-            .subtracted(&Sketch::from_set(CELLS, client.iter()))
+        sketch_of::<R>(server_items(with_x))
+            .subtracted(&sketch_of(client_items()))
             .unwrap()
     };
     let (before, after) = (difference(false), difference(true));
     let cells = splice(before.cells().to_vec(), after.cells().to_vec());
-    let spliced = Sketch::from_cells(cells, before.key(), before.alpha());
+    let spliced = Sketch::from_cells_with_rule(cells, before.key(), before.rule().clone());
     assert_eq!(spliced.decode().unwrap_err(), Error::InconsistentStream);
     // Either half alone is a consistent sketch.
     assert_eq!(before.decode().unwrap().len(), DIFFERENCE as usize);
     assert_eq!(after.decode().unwrap().len(), DIFFERENCE as usize + 1);
+}
+
+#[test]
+fn streaming_decoder_stops_with_a_typed_error() {
+    streaming_decoder_stops::<Uniform>();
+}
+
+#[test]
+fn irregular_decoder_stops_with_a_typed_error() {
+    streaming_decoder_stops::<IrregularClasses>();
+}
+
+#[test]
+fn sketch_decode_stops_with_a_typed_error() {
+    sketch_decode_stops::<Uniform>();
+}
+
+#[test]
+fn irregular_sketch_decode_stops_with_a_typed_error() {
+    sketch_decode_stops::<IrregularClasses>();
 }

@@ -12,9 +12,9 @@ use rateless_reconciliation::pinsketch::PinSketch;
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{
     decode_coded_symbols, encode_coded_symbols, CodedSymbol, Decoder, Encoder, Error, FixedBytes,
-    Sketch, SketchCache,
+    IrregularClasses, MappingRule, Sketch, SketchCache, Uniform,
 };
-use rateless_reconciliation::riblt_hash::SplitMix64;
+use rateless_reconciliation::riblt_hash::{SipKey, SplitMix64};
 
 type Item = FixedBytes<8>;
 
@@ -104,6 +104,73 @@ fn sketch_linearity() {
             .collect();
         assert_eq!(got, expected, "case {case}");
     }
+}
+
+/// The fixed and the streamed cell source share one batched peeling engine
+/// because peeling is confluent: over the same `m` difference cells, under
+/// any mapping rule, [`Sketch::decode`] (every cell queued up front, one
+/// run) succeeds exactly when a streaming [`Decoder`] (one run per cell)
+/// reports completion, and both recover the same two sets.
+#[test]
+fn sketch_decode_agrees_with_streaming_decoder_on_every_prefix() {
+    /// Returns whether the `m`-cell prefix decoded.
+    fn agree<R: MappingRule>(rule: R, case: u64) -> bool {
+        let mut gen = SplitMix64::new(0xd1ff + case);
+        let a = to_items(&random_set(&mut gen, 100_000, 150));
+        let b = to_items(&random_set(&mut gen, 100_000, 150));
+        // Up to 2.5 cells per difference: both outcomes are common.
+        let m = 1 + gen.next_u64() as usize % ((a.len() + b.len()).max(4) * 5 / 2);
+        let key = SipKey::new(case, !case);
+
+        let mut enc = Encoder::with_rule(rule.clone(), key);
+        let mut dec = Decoder::with_rule(rule.clone(), key);
+        let empty = Sketch::from_cells_with_rule(vec![CodedSymbol::new(); m], key, rule);
+        let (mut sa, mut sb) = (empty.clone(), empty);
+        for x in &a {
+            enc.add_symbol(*x).unwrap();
+            sa.add_symbol(x);
+        }
+        for x in &b {
+            dec.add_symbol(*x).unwrap();
+            sb.add_symbol(x);
+        }
+        dec.add_coded_symbols(enc.produce_coded_symbols(m));
+        let fixed = sa.subtracted(&sb).unwrap().decode();
+
+        assert_eq!(fixed.is_ok(), dec.is_decoded(), "case {case}, m = {m}");
+        if let Ok(fixed) = fixed {
+            let sorted = |mut side: Vec<Item>| {
+                side.sort();
+                side
+            };
+            let streamed = dec.into_difference();
+            assert_eq!(
+                sorted(fixed.remote_only),
+                sorted(streamed.remote_only),
+                "case {case}"
+            );
+            assert_eq!(
+                sorted(fixed.local_only),
+                sorted(streamed.local_only),
+                "case {case}"
+            );
+            return true;
+        }
+        false
+    }
+
+    let mut decoded = 0;
+    for case in 0..48u64 {
+        decoded += usize::from(match case % 3 {
+            0 => agree(Uniform(0.5), case),
+            1 => agree(Uniform(0.3), case),
+            _ => agree(IrregularClasses::paper_optimal(), case),
+        });
+    }
+    assert!(
+        (8..=40).contains(&decoded),
+        "{decoded} of 48 prefixes decoded: the property must see both outcomes"
+    );
 }
 
 /// After an arbitrary interleaving of adds, removes (of present items) and

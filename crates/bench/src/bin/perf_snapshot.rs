@@ -17,6 +17,11 @@
 //! - `decode_throughput/{32B,8B}` — differences recovered per second by a
 //!   fresh decoder over pre-produced coded symbols (fig09's axis; the 32B
 //!   number is the one tracked across PRs).
+//! - `decode_local_set/32B` — one stream decoded against a 20,000-item
+//!   local set at d = 2,000: the stale-replica regime, where re-encoding
+//!   the local set (not peeling) carries the time. `decode_throughput`
+//!   decodes against an empty local set and cannot see that pass. Carries
+//!   the coding window's bytes per symbol as a param.
 //! - `sketch_subtract/32B` — cell-wise sketch subtraction, pure symbol XOR.
 //! - `mux_sharded_decode/32B` — two cluster nodes reconciling over the
 //!   simulated mux protocol; reports the measured decode/serve wall time.
@@ -88,6 +93,7 @@ fn main() {
     let mut benches = Vec::new();
     benches.extend(bench_encode(scale, seed));
     benches.extend(bench_decode(scale, seed));
+    benches.push(bench_decode_local_set(scale, seed));
     benches.push(bench_sketch_subtract(scale, seed));
     benches.push(bench_mux_sharded(scale, seed));
     let (daemon_record, daemon_metrics) = bench_daemon_stream(scale, seed);
@@ -246,6 +252,61 @@ where
         .metric("wall_s", total_s)
         .metric("diffs_per_s", d as f64 * trials as f64 / total_s)
         .metric("coded_symbols_per_s", used_total as f64 / total_s)
+}
+
+/// One stream against a large local set and a small difference: each trial
+/// times a fresh decoder taking in the local set (hashing included), then
+/// the pre-produced coded symbols until the difference is recovered. Same
+/// sizes in both modes (the regime is the point); `--full` only adds trials.
+fn bench_decode_local_set(scale: RunScale, seed: u64) -> BenchRecord {
+    let n = 20_000u64;
+    let d = 2_000u64;
+    let trials = scale.pick(10u32, 40u32);
+
+    let pair = set_pair32(n, d, derive(seed, 0xdec2));
+    let mut enc = Encoder::<Item32>::new();
+    for item in &pair.alice {
+        enc.add_symbol(*item).unwrap();
+    }
+    let coded = enc.produce_coded_symbols(2 * d as usize + 4);
+
+    let (mut build_s, mut decode_s, mut used_total) = (0.0, 0.0, 0usize);
+    for _ in 0..trials {
+        let (mut dec, secs) = timed(|| {
+            let mut dec = Decoder::<Item32>::new();
+            for item in &pair.bob {
+                dec.add_symbol(*item).unwrap();
+            }
+            dec
+        });
+        build_s += secs;
+        let (used, secs) = timed(|| dec.add_coded_symbols(coded.iter().cloned()));
+        decode_s += secs;
+        used_total += used;
+        assert!(dec.is_decoded(), "decode_local_set: decode failed");
+        assert_eq!(dec.recovered_count(), pair.difference);
+    }
+
+    // What a coding window keeps per symbol: the hashed symbol, its parked
+    // mapping and a chain link.
+    let window_bytes = std::mem::size_of::<riblt::HashedSymbol<Item32>>()
+        + std::mem::size_of::<riblt::IndexMapping>()
+        + std::mem::size_of::<u32>();
+    let per_trial_ms = |secs: f64| secs * 1e3 / f64::from(trials);
+    BenchRecord::new("decode_local_set/32B")
+        .param("symbol_bytes", 32.0)
+        .param("local_set", n as f64)
+        .param("difference", d as f64)
+        .param("trials", f64::from(trials))
+        .param("window_bytes_per_symbol", window_bytes as f64)
+        .metric("wall_s", build_s + decode_s)
+        .metric("build_ms", per_trial_ms(build_s))
+        .metric("decode_ms", per_trial_ms(decode_s))
+        .metric(
+            "diffs_per_s",
+            d as f64 * f64::from(trials) / (build_s + decode_s),
+        )
+        .metric("coded_symbols_per_s", used_total as f64 / decode_s)
 }
 
 /// Item construction shared by the generic decode bench.

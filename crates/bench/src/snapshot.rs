@@ -388,6 +388,22 @@ mod tests {
     }
 
     #[test]
+    fn records_beyond_the_required_families_validate() {
+        // `decode_local_set` is recorded by every new snapshot but is not a
+        // required family: the snapshots taken before it existed stay valid.
+        let mut snap = sample();
+        snap.benches.push(
+            BenchRecord::new("decode_local_set/32B")
+                .param("local_set", 20_000.0)
+                .param("window_bytes_per_symbol", 68.0)
+                .metric("wall_s", 0.05)
+                .metric("decode_ms", 3.9),
+        );
+        validate(&snap.to_json()).unwrap();
+        assert!(!REQUIRED_BENCHES.contains(&"decode_local_set"));
+    }
+
+    #[test]
     fn missing_wall_s_is_rejected() {
         let mut snap = sample();
         snap.benches[0].metrics.retain(|(k, _)| k != "wall_s");

@@ -77,6 +77,20 @@ pub trait ReconcileBackend {
     /// Builds the client endpoint over the local set.
     fn build_client(&self, items: &[Self::Item]) -> Self::Client;
 
+    /// Builds the client endpoint over a local set whose keyed hashes the
+    /// caller already holds: `hashes[i]` must be `items[i]`'s hash under the
+    /// backend's key (a sharded driver computes it to pick the shard, see
+    /// [`ShardPartitioner::partition_hashed`](crate::ShardPartitioner::partition_hashed)).
+    /// A backend that checksums its items with that same hash overrides this
+    /// to skip hashing them again; the default ignores the hashes.
+    ///
+    /// # Panics
+    /// If the two slices differ in length.
+    fn build_client_keyed(&self, items: &[Self::Item], hashes: &[u64]) -> Self::Client {
+        assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
+        self.build_client(items)
+    }
+
     /// The client's opening request (may carry an estimator, a capacity
     /// guess, or just a protocol header).
     fn open_request(&self, client: &mut Self::Client) -> Vec<u8>;

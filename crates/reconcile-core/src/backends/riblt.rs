@@ -4,8 +4,8 @@
 use std::marker::PhantomData;
 
 use riblt::{
-    Decoder, Encoder, IrregularClasses, MappingRule, SetDifference, Symbol, SymbolCodec, Uniform,
-    DEFAULT_ALPHA,
+    Decoder, Encoder, HashedSymbol, IrregularClasses, MappingRule, SetDifference, Symbol,
+    SymbolCodec, Uniform, DEFAULT_ALPHA,
 };
 use riblt_hash::SipKey;
 
@@ -91,6 +91,24 @@ impl<S: Symbol, R: StreamRule> RibltBackend<S, R> {
         let alpha = self.rule.uniform_alpha().unwrap_or(DEFAULT_ALPHA);
         SymbolCodec::with_alpha(self.symbol_len, set_size, alpha)
     }
+
+    /// The client endpoint over a local set of `len` hashed symbols, its
+    /// window sized for them up front.
+    fn client_over(
+        &self,
+        len: usize,
+        local_set: impl Iterator<Item = HashedSymbol<S>>,
+    ) -> RibltClient<S, R> {
+        let mut decoder = Decoder::with_rule(self.rule.clone(), self.key);
+        decoder.reserve_local_set(len);
+        for hashed in local_set {
+            decoder
+                .add_hashed_symbol(hashed)
+                .expect("fresh decoder accepts symbols");
+        }
+        let codec = self.codec(0);
+        RibltClient { decoder, codec }
+    }
 }
 
 impl<S: Symbol> RibltBackend<S> {
@@ -157,6 +175,7 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
 
     fn build_server(&self, items: &[S]) -> RibltServer<S, R> {
         let mut encoder = Encoder::with_rule(self.rule.clone(), self.key);
+        encoder.reserve(items.len());
         for item in items {
             encoder
                 .add_symbol(item.clone())
@@ -167,14 +186,19 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
     }
 
     fn build_client(&self, items: &[S]) -> RibltClient<S, R> {
-        let mut decoder = Decoder::with_rule(self.rule.clone(), self.key);
-        for item in items {
-            decoder
-                .add_symbol(item.clone())
-                .expect("fresh decoder accepts symbols");
-        }
-        let codec = self.codec(0);
-        RibltClient { decoder, codec }
+        let hashed = items
+            .iter()
+            .map(|item| HashedSymbol::new(item.clone(), self.key));
+        self.client_over(items.len(), hashed)
+    }
+
+    fn build_client_keyed(&self, items: &[S], hashes: &[u64]) -> RibltClient<S, R> {
+        assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
+        let hashed = items
+            .iter()
+            .zip(hashes)
+            .map(|(item, &hash)| HashedSymbol::with_hash(item.clone(), hash));
+        self.client_over(items.len(), hashed)
     }
 
     fn open_request(&self, _client: &mut RibltClient<S, R>) -> Vec<u8> {

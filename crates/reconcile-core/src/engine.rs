@@ -240,6 +240,18 @@ impl<B: ReconcileBackend> ClientEngine<B> {
     /// Creates a client endpoint over `items`.
     pub fn new(backend: B, items: &[B::Item]) -> Self {
         let client = backend.build_client(items);
+        Self::over(backend, client)
+    }
+
+    /// Creates a client endpoint over `items` whose keyed hashes, parallel
+    /// to them, the caller already holds; see
+    /// [`ReconcileBackend::build_client_keyed`].
+    pub fn new_keyed(backend: B, items: &[B::Item], hashes: &[u64]) -> Self {
+        let client = backend.build_client_keyed(items, hashes);
+        Self::over(backend, client)
+    }
+
+    fn over(backend: B, client: B::Client) -> Self {
         ClientEngine {
             backend,
             client,

@@ -12,6 +12,9 @@
 use riblt::Symbol;
 use riblt_hash::{splitmix64, SipKey};
 
+use crate::backend::ReconcileBackend;
+use crate::engine::ClientEngine;
+
 /// Shard index inside one node's partition space.
 pub type ShardId = u16;
 
@@ -57,7 +60,14 @@ impl ShardPartitioner {
 
     /// The shard `item` belongs to.
     pub fn shard_of<S: Symbol>(&self, item: &S) -> ShardId {
-        (splitmix64(item.hash_with(self.key)) % u64::from(self.shards)) as ShardId
+        self.shard_of_hash(item.hash_with(self.key))
+    }
+
+    /// The shard of the item whose hash under [`Self::key`] is `hash`: for
+    /// callers that need the hash anyway (it is the item's checksum in every
+    /// sketch under the same key) and should not compute it twice.
+    pub fn shard_of_hash(&self, hash: u64) -> ShardId {
+        (splitmix64(hash) % u64::from(self.shards)) as ShardId
     }
 
     /// Splits `items` into per-shard vectors (index = shard id).
@@ -67,6 +77,39 @@ impl ShardPartitioner {
             out[usize::from(self.shard_of(item))].push(item.clone());
         }
         out
+    }
+
+    /// [`Self::partition`], keeping the keyed hash that placed each item:
+    /// per shard, its items in input order and, parallel to them, their
+    /// hashes under [`Self::key`].
+    pub fn partition_hashed<S: Symbol>(&self, items: &[S]) -> Vec<(Vec<S>, Vec<u64>)> {
+        let mut out = vec![(Vec::new(), Vec::new()); usize::from(self.shards)];
+        for item in items {
+            let hash = item.hash_with(self.key);
+            let (part, hashes) = &mut out[usize::from(self.shard_of_hash(hash))];
+            part.push(item.clone());
+            hashes.push(hash);
+        }
+        out
+    }
+
+    /// Partitions `items` and builds one client endpoint per shard (index =
+    /// shard id) over `factory`'s backend for it, handing each item's keyed
+    /// hash on so it is computed once. Each endpoint owns its copy of its
+    /// shard's items; the partition itself is gone when this returns.
+    pub fn client_engines<B, F>(&self, items: &[B::Item], factory: F) -> Vec<ClientEngine<B>>
+    where
+        B: ReconcileBackend,
+        B::Item: Symbol,
+        F: Fn(ShardId) -> B,
+    {
+        self.partition_hashed(items)
+            .iter()
+            .enumerate()
+            .map(|(shard, (part, hashes))| {
+                ClientEngine::new_keyed(factory(shard as ShardId), part, hashes)
+            })
+            .collect()
     }
 }
 
@@ -91,6 +134,24 @@ mod tests {
         }
         // Same key, same partition.
         assert_eq!(p.partition(&items), parts);
+    }
+
+    #[test]
+    fn hashed_partition_is_the_partition_with_its_keyed_hashes() {
+        let key = SipKey::new(3, 5);
+        let p = ShardPartitioner::new(key, 16);
+        let items: Vec<Item> = (0..4_000u64).map(Item::from_u64).collect();
+        let hashed = p.partition_hashed(&items);
+        // Same shards, same order within each.
+        let parts: Vec<Vec<Item>> = hashed.iter().map(|(part, _)| part.clone()).collect();
+        assert_eq!(parts, p.partition(&items));
+        for (shard, (part, hashes)) in hashed.iter().enumerate() {
+            assert_eq!(part.len(), hashes.len());
+            for (item, &hash) in part.iter().zip(hashes) {
+                assert_eq!(hash, item.hash_with(key));
+                assert_eq!(p.shard_of_hash(hash), shard as ShardId);
+            }
+        }
     }
 
     #[test]

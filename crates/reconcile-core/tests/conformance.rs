@@ -390,3 +390,88 @@ fn streaming_backends_name_an_inconsistent_stream() {
     check_spliced(RibltBackend::<Item>::new(8, 16));
     check_spliced(IrregularRibltBackend::<Item>::new(8, 16));
 }
+
+/// Drives `plain` (built by `build_client`) and `keyed` (built by
+/// `build_client_keyed`) against one server over every scenario, asserting
+/// the same open request, the same progress and units after every payload,
+/// and the same difference in the same order.
+fn check_keyed_build<B>(backend: B, hashes_of: impl Fn(&[Item]) -> Vec<u64>)
+where
+    B: ReconcileBackend<Item = Item>,
+{
+    use reconcile_core::Progress;
+    let name = backend.name();
+    for &scenario in SCENARIOS {
+        let sets = build_sets(scenario);
+        let mut plain = backend.build_client(&sets.client);
+        let mut keyed = backend.build_client_keyed(&sets.client, &hashes_of(&sets.client));
+        let open = backend.open_request(&mut plain);
+        assert_eq!(backend.open_request(&mut keyed), open, "{name}");
+        let mut server = backend.build_server(&sets.server);
+        let mut request = Some(open);
+        loop {
+            let payload = backend.serve(&mut server, request.as_deref()).unwrap();
+            let progress = backend.absorb(&mut plain, &payload).unwrap();
+            assert_eq!(
+                backend.absorb(&mut keyed, &payload).unwrap(),
+                progress,
+                "{name}/{}",
+                scenario.name
+            );
+            assert_eq!(backend.units(&keyed), backend.units(&plain));
+            request = match progress {
+                Progress::Complete => break,
+                Progress::AwaitStream(_) => None,
+                Progress::SendRequest(next) => Some(next),
+            };
+        }
+        assert_eq!(
+            backend.into_difference(keyed).unwrap(),
+            backend.into_difference(plain).unwrap(),
+            "{name}/{}",
+            scenario.name
+        );
+    }
+}
+
+/// The streaming backends take the caller's keyed hashes instead of hashing
+/// the local set again, and decode exactly as if they had hashed it.
+#[test]
+fn keyed_client_builds_decode_like_unkeyed_ones() {
+    use riblt::Symbol;
+    use riblt_hash::SipKey;
+    let hashes = |items: &[Item]| -> Vec<u64> {
+        items
+            .iter()
+            .map(|item| item.hash_with(SipKey::default()))
+            .collect()
+    };
+    check_keyed_build(RibltBackend::<Item>::new(8, 16), hashes);
+    check_keyed_build(IrregularRibltBackend::<Item>::new(8, 16), hashes);
+}
+
+/// A backend that does not override `build_client_keyed` never reads the
+/// hashes: handed wrong ones, it still is `build_client`.
+#[test]
+fn backends_without_a_keyed_build_ignore_the_hashes() {
+    let zeros = |items: &[Item]| vec![0u64; items.len()];
+    check_keyed_build(IbltBackend::<Item>::new(8), zeros);
+    check_keyed_build(PinSketchBackend::new(8), zeros);
+}
+
+/// One hash short is a caller bug, refused outright; `zip` would have built
+/// a client over all but the last item.
+#[test]
+#[should_panic(expected = "one keyed hash per item")]
+fn keyed_build_refuses_a_short_hash_slice() {
+    let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
+    RibltBackend::<Item>::new(8, 16).build_client_keyed(&items, &[0; 9]);
+}
+
+/// The defaulted method checks the same.
+#[test]
+#[should_panic(expected = "one keyed hash per item")]
+fn default_keyed_build_refuses_a_long_hash_slice() {
+    let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
+    IbltBackend::<Item>::new(8).build_client_keyed(&items, &[0; 11]);
+}

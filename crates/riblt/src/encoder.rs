@@ -80,6 +80,15 @@ impl<S: Symbol> CodingWindow<S> {
         self.next_index
     }
 
+    /// Makes room for `additional` more symbols, exactly: a window built
+    /// for a set of known size then never copies itself while it fills,
+    /// and holds no doubling slack afterwards.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.symbols.reserve_exact(additional);
+        self.mappings.reserve_exact(additional);
+        self.bucket_next.reserve_exact(additional);
+    }
+
     /// Parks position `pos` to be applied at coded-symbol `index`: an O(1)
     /// bucket push, or the overflow heap for indices far beyond the prefix
     /// produced so far (keeps the bucket array within a constant factor of
@@ -291,6 +300,12 @@ impl<S: Symbol, R: MappingRule> Encoder<S, R> {
         self.window.key()
     }
 
+    /// Makes room for `additional` more source symbols; worth calling when
+    /// the size of the set is known before it is added.
+    pub fn reserve(&mut self, additional: usize) {
+        self.window.reserve(additional);
+    }
+
     /// Adds a source symbol to the set being encoded.
     ///
     /// Returns [`Error::SymbolAddedAfterEncodingStarted`] if coded symbols
@@ -424,6 +439,16 @@ mod tests {
             tail_avg > 2.0,
             "tail average count suspiciously low: {tail_avg}"
         );
+    }
+
+    #[test]
+    fn window_keeps_at_most_72_bytes_per_32_byte_symbol() {
+        // Symbol + hash, parked mapping, chain link: the three parallel
+        // vectors of `CodingWindow`.
+        let per_symbol = std::mem::size_of::<HashedSymbol<FixedBytes<32>>>()
+            + std::mem::size_of::<IndexMapping>()
+            + std::mem::size_of::<u32>();
+        assert!(per_symbol <= 72, "{per_symbol} B per windowed symbol");
     }
 
     #[test]

@@ -112,15 +112,67 @@ impl MappingRule for Uniform {
     }
 }
 
-/// Number of skip-sampling draws turned into jump factors per PRNG batch.
+/// Number of skip-sampling draws a [`BlockWalk`] turns into jump factors
+/// per PRNG batch.
 ///
 /// The factor math (`1/√(1−r) − 1`) chains a square root into a division,
 /// and both ops compete for the same low-throughput FP divider unit. Drawn
-/// one per [`IndexMapping::advance`] they serialize; drawn in a block they
-/// pipeline (and vectorize), which is where most of the decode hot path's
-/// time used to go. Draws are still consumed strictly in generator order,
-/// so the produced index sequence is bit-identical to unbuffered sampling.
+/// one per advance they serialize; drawn in a block they pipeline (and
+/// vectorize), which is where most of the peel's walk time used to go.
+/// Draws are still consumed strictly in generator order, so the produced
+/// index sequence is bit-identical to unbuffered sampling.
 const FACTOR_BLOCK: usize = 8;
+
+/// A uniform draw in [0, 1) from the high 53 bits of `draw`, subtracted
+/// from one. Mirrors `XorShift64Star::next_f64`, in the exact same
+/// expression shape: the mapping is a wire-compatibility surface, and both
+/// forms of it must compute every factor bit for bit alike.
+#[inline(always)]
+fn one_minus_r(draw: u64) -> f64 {
+    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+    1.0 - (draw >> 11) as f64 * SCALE
+}
+
+/// Jump factor `(1 − r)^(−α) − 1` of one draw at α = 0.5: only a square
+/// root (the reason the paper fixes α = 0.5 in the final design).
+#[inline(always)]
+fn sqrt_factor(draw: u64) -> f64 {
+    1.0 / one_minus_r(draw).sqrt() - 1.0
+}
+
+/// Jump factor `(1 − r)^(−α) − 1` of one draw at any other α.
+#[inline(always)]
+fn pow_factor(draw: u64, alpha: f64) -> f64 {
+    one_minus_r(draw).powf(-alpha) - 1.0
+}
+
+/// The mapped index after `current`, given the jump factor of the next draw.
+#[inline(always)]
+fn next_index(current: u64, alpha: f64, factor: f64) -> u64 {
+    let base = if alpha == 0.5 {
+        current as f64 + 1.5
+    } else {
+        current as f64 + 1.0
+    };
+    let x = base * factor;
+    // Integer-domain ceil. Baseline x86-64 has no `roundsd`, so
+    // `f64::ceil` lowers to a libm call on the serial chain of every
+    // advance; the truncating cast is floor for x >= 0, and comparing the
+    // round-trip detects a fractional part. Exact for all finite x >= 0:
+    // below 2^53 the cast round-trips exactly, and at 2^53 and above
+    // every representable f64 is already integral. A draw of exactly
+    // r = 0 gives a zero jump; the mapping must make progress, so the
+    // minimum jump is 1. Saturate on (astronomically unlikely) overflow,
+    // matching `ceil(x) >= 2^64` (the f64 just below 2^64 is an integer,
+    // so the predicate is equivalent to `x >= 2^64`).
+    let jump = if x >= u64::MAX as f64 {
+        u64::MAX / 2
+    } else {
+        let t = x as u64;
+        (t + u64::from((t as f64) < x)).max(1)
+    };
+    current.saturating_add(jump)
+}
 
 /// Deterministic generator of the coded-symbol indices one source symbol is
 /// mapped to, in increasing order.
@@ -128,16 +180,17 @@ const FACTOR_BLOCK: usize = 8;
 /// Every symbol is mapped to index 0 (ρ(0) = 1), so a fresh mapping starts
 /// with [`IndexMapping::current_index`] = 0; call [`IndexMapping::advance`]
 /// to move to the next mapped index.
+///
+/// This is the *parked* form, the one a coding window keeps per symbol:
+/// generator state, current index and α, 24 bytes, one draw per advance.
+/// Code that walks one symbol over many indices in a row (a peel
+/// propagation, a prefix patch) switches to [`Self::walk`] for the length of
+/// the walk.
 #[derive(Debug, Clone)]
 pub struct IndexMapping {
     prng: XorShift64Star,
     current: u64,
     alpha: f64,
-    /// Precomputed jump factors for the next few advances (see
-    /// [`FACTOR_BLOCK`]). `factor_pos` indexes the next unconsumed entry;
-    /// `FACTOR_BLOCK` means the buffer is exhausted and must be refilled.
-    factors: [f64; FACTOR_BLOCK],
-    factor_pos: u8,
 }
 
 impl IndexMapping {
@@ -157,8 +210,6 @@ impl IndexMapping {
             prng: XorShift64Star::new(seed),
             current: 0,
             alpha,
-            factors: [0.0; FACTOR_BLOCK],
-            factor_pos: FACTOR_BLOCK as u8,
         }
     }
 
@@ -174,34 +225,65 @@ impl IndexMapping {
         self.alpha
     }
 
-    /// Refills the jump-factor buffer from the next [`FACTOR_BLOCK`] PRNG
-    /// draws. The per-draw arithmetic is exactly what an unbuffered advance
-    /// would compute (`r` from the high 53 bits, then `(1−r)^(−α) − 1`);
-    /// batching only lets the sqrt/div chain of independent draws overlap.
-    fn refill_factors(&mut self) {
-        // Mirrors `XorShift64Star::next_f64`: a uniform draw in [0, 1) from
-        // the high 53 bits. Kept in the exact same expression shape so the
-        // buffered sampler stays bit-for-bit compatible with the unbuffered
-        // one (the mapping is a wire-compatibility surface).
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let mut draws = [0u64; FACTOR_BLOCK];
-        for d in draws.iter_mut() {
-            *d = self.prng.next_u64();
-        }
-        if self.alpha == 0.5 {
-            // Fast path: only a square root (the reason the paper fixes
-            // α = 0.5 in the final design).
-            for (f, d) in self.factors.iter_mut().zip(draws) {
-                let one_minus_r = 1.0 - (d >> 11) as f64 * SCALE;
-                *f = 1.0 / one_minus_r.sqrt() - 1.0;
-            }
+    /// Advances to (and returns) the next mapped index.
+    #[inline]
+    pub fn advance(&mut self) -> u64 {
+        let draw = self.prng.next_u64();
+        let factor = if self.alpha == 0.5 {
+            sqrt_factor(draw)
         } else {
-            for (f, d) in self.factors.iter_mut().zip(draws) {
-                let one_minus_r = 1.0 - (d >> 11) as f64 * SCALE;
-                *f = one_minus_r.powf(-self.alpha) - 1.0;
-            }
+            pow_factor(draw, self.alpha)
+        };
+        self.current = next_index(self.current, self.alpha, factor);
+        self.current
+    }
+
+    /// Returns all mapped indices strictly below `m`, starting from the
+    /// current position (inclusive). Consumes the mapping state up to `m`.
+    #[inline]
+    pub fn indices_below(&mut self, m: u64) -> IndicesBelow<'_> {
+        IndicesBelow { mapping: self, m }
+    }
+
+    /// The walking form of this mapping, standing at the same index with
+    /// the same draws ahead of it. No draw is made until the first advance.
+    #[inline]
+    pub fn walk(self) -> BlockWalk {
+        BlockWalk {
+            block_start: self.prng,
+            prng: self.prng,
+            current: self.current,
+            alpha: self.alpha,
+            factors: [0.0; FACTOR_BLOCK],
+            factor_pos: FACTOR_BLOCK as u8,
         }
-        self.factor_pos = 0;
+    }
+}
+
+/// The walking form of an [`IndexMapping`]: the same index sequence, with
+/// the jump factors of the next eight draws computed together.
+/// 104 bytes, so nothing stores it per symbol; [`Self::park`] turns it back
+/// into the 24-byte form wherever it stands.
+#[derive(Debug, Clone)]
+pub struct BlockWalk {
+    /// Generator state before the first draw of the block in `factors`.
+    block_start: XorShift64Star,
+    /// Generator state after its last draw.
+    prng: XorShift64Star,
+    current: u64,
+    alpha: f64,
+    /// Precomputed jump factors for the next few advances. `factor_pos`
+    /// indexes the next unconsumed entry; `FACTOR_BLOCK` means the buffer
+    /// is exhausted and must be refilled.
+    factors: [f64; FACTOR_BLOCK],
+    factor_pos: u8,
+}
+
+impl BlockWalk {
+    /// The coded-symbol index the symbol is currently mapped to.
+    #[inline]
+    pub fn current_index(&self) -> u64 {
+        self.current
     }
 
     /// Advances to (and returns) the next mapped index.
@@ -212,37 +294,49 @@ impl IndexMapping {
         }
         let factor = self.factors[usize::from(self.factor_pos)];
         self.factor_pos += 1;
-        let base = if self.alpha == 0.5 {
-            self.current as f64 + 1.5
-        } else {
-            self.current as f64 + 1.0
-        };
-        let x = base * factor;
-        // Integer-domain ceil. Baseline x86-64 has no `roundsd`, so
-        // `f64::ceil` lowers to a libm call on the serial chain of every
-        // advance; the truncating cast is floor for x >= 0, and comparing the
-        // round-trip detects a fractional part. Exact for all finite x >= 0:
-        // below 2^53 the cast round-trips exactly, and at 2^53 and above
-        // every representable f64 is already integral. A draw of exactly
-        // r = 0 gives a zero jump; the mapping must make progress, so the
-        // minimum jump is 1. Saturate on (astronomically unlikely) overflow,
-        // matching `ceil(x) >= 2^64` (the f64 just below 2^64 is an integer,
-        // so the predicate is equivalent to `x >= 2^64`).
-        let jump = if x >= u64::MAX as f64 {
-            u64::MAX / 2
-        } else {
-            let t = x as u64;
-            (t + u64::from((t as f64) < x)).max(1)
-        };
-        self.current = self.current.saturating_add(jump);
+        self.current = next_index(self.current, self.alpha, factor);
         self.current
     }
 
-    /// Returns all mapped indices strictly below `m`, starting from the
-    /// current position (inclusive). Consumes the mapping state up to `m`.
+    /// Refills the jump-factor buffer from the next [`FACTOR_BLOCK`] PRNG
+    /// draws. The per-draw arithmetic is exactly [`IndexMapping`]'s;
+    /// batching only lets the sqrt/div chain of independent draws overlap.
+    fn refill_factors(&mut self) {
+        self.block_start = self.prng;
+        let mut draws = [0u64; FACTOR_BLOCK];
+        for d in draws.iter_mut() {
+            *d = self.prng.next_u64();
+        }
+        // The α test stays outside the loops so each vectorizes.
+        if self.alpha == 0.5 {
+            for (f, d) in self.factors.iter_mut().zip(draws) {
+                *f = sqrt_factor(d);
+            }
+        } else {
+            for (f, d) in self.factors.iter_mut().zip(draws) {
+                *f = pow_factor(d, self.alpha);
+            }
+        }
+        self.factor_pos = 0;
+    }
+
+    /// The parked form of this walk, standing at the same index. Draws the
+    /// block made ahead of the walk are given back: the generator is
+    /// re-stepped from the block's start to its first unconsumed draw.
     #[inline]
-    pub fn indices_below(&mut self, m: u64) -> IndicesBelow<'_> {
-        IndicesBelow { mapping: self, m }
+    pub fn park(&self) -> IndexMapping {
+        let mut prng = self.prng;
+        if usize::from(self.factor_pos) < FACTOR_BLOCK {
+            prng = self.block_start;
+            for _ in 0..self.factor_pos {
+                prng.next_u64();
+            }
+        }
+        IndexMapping {
+            prng,
+            current: self.current,
+            alpha: self.alpha,
+        }
     }
 }
 
@@ -304,16 +398,138 @@ mod tests {
 
     #[test]
     fn saturation_at_u64_max_does_not_wrap() {
-        let mut m = IndexMapping::new(0xfeed_f00d);
-        let mut prev = m.current_index();
-        for _ in 0..10_000 {
-            let next = m.advance();
-            // Monotone even once saturated: a wrap-around would go backwards.
-            assert!(next >= prev, "index wrapped: {prev} -> {next}");
-            prev = next;
+        // Both forms, and the zero seed (remapped by the generator) too.
+        for seed in [0xfeed_f00d, 0] {
+            let mut parked = IndexMapping::new(seed);
+            let mut walk = IndexMapping::new(seed).walk();
+            let mut prev = parked.current_index();
+            for _ in 0..10_000 {
+                let next = parked.advance();
+                // Monotone even once saturated: a wrap-around would go
+                // backwards.
+                assert!(next >= prev, "index wrapped: {prev} -> {next}");
+                assert_eq!(walk.advance(), next);
+                prev = next;
+            }
+            // After many advances the index has saturated rather than
+            // wrapped.
+            assert!(parked.current_index() > u64::MAX / 2);
+            assert_eq!(walk.park().current_index(), parked.current_index());
         }
-        // After many advances the index has saturated rather than wrapped.
-        assert!(m.current_index() > u64::MAX / 2);
+    }
+
+    #[test]
+    fn parked_mapping_is_three_words() {
+        // What every coding window keeps per symbol; the factor block lives
+        // in `BlockWalk` only.
+        assert!(std::mem::size_of::<IndexMapping>() <= 24);
+    }
+
+    /// The first 16 mapped indices of three (seed, α) pairs, as produced
+    /// before the mapping was split into a parked and a walking form. The
+    /// sequence is a wire-compatibility surface: both peers must derive it.
+    const FROZEN: [(u64, f64, [u64; 16]); 3] = [
+        (
+            0,
+            0.5,
+            [
+                0, 1, 6, 10, 13, 113, 124, 989, 1747, 2918, 8180, 43995, 54281, 89160, 144149,
+                154425,
+            ],
+        ),
+        (
+            0xfeed_f00d,
+            0.5,
+            [
+                0, 1, 4, 7, 12, 21, 30, 31, 57, 65, 122, 132, 549, 574, 1154, 3489,
+            ],
+        ),
+        (
+            0x0123_4567_89ab_cdef,
+            0.3,
+            [
+                0, 1, 2, 3, 5, 8, 13, 25, 34, 70, 109, 117, 224, 233, 283, 316,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn frozen_index_vectors_hold_in_both_forms() {
+        for (seed, alpha, expected) in FROZEN {
+            let mut parked = IndexMapping::with_alpha(seed, alpha);
+            let mut walk = IndexMapping::with_alpha(seed, alpha).walk();
+            assert_eq!(parked.current_index(), expected[0]);
+            assert_eq!(walk.current_index(), expected[0]);
+            for &index in &expected[1..] {
+                assert_eq!(parked.advance(), index, "parked, seed {seed:#x}");
+                assert_eq!(walk.advance(), index, "walking, seed {seed:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn switching_forms_anywhere_leaves_the_indices_unchanged() {
+        // Random seeds × the α of the regular design, of the α sweep and of
+        // every irregular class × random switch points: a mapping that
+        // walks, parks and walks again yields what plain `advance` yields.
+        let mut alphas = vec![0.5, 0.3];
+        alphas.extend_from_slice(crate::IrregularClasses::paper_optimal().alphas());
+        let mut rng = 0x5eed_u64;
+        let mut draw = |bound: u64| {
+            rng = splitmix64(rng);
+            rng % bound
+        };
+        for trial in 0..2_000u64 {
+            let seed = if trial == 0 { 0 } else { splitmix64(trial) };
+            let alpha = alphas[draw(alphas.len() as u64) as usize];
+            let mut plain = IndexMapping::with_alpha(seed, alpha);
+            let mut mixed = IndexMapping::with_alpha(seed, alpha);
+            let mut steps = 0;
+            while steps < 48 {
+                // A stretch in walking form (0 to 19 steps: short of, at and
+                // past a block boundary), then one in parked form.
+                let mut walk = mixed.walk();
+                for _ in 0..draw(20) {
+                    assert_eq!(walk.advance(), plain.advance(), "seed {seed:#x} α {alpha}");
+                    steps += 1;
+                }
+                mixed = walk.park();
+                assert_eq!(mixed.current_index(), plain.current_index());
+                assert_eq!(mixed.alpha(), alpha);
+                for _ in 0..draw(4) {
+                    assert_eq!(mixed.advance(), plain.advance(), "seed {seed:#x} α {alpha}");
+                    steps += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn park_gives_back_the_unconsumed_draws_of_a_block() {
+        // `factor_pos` 8 (nothing drawn yet), 1, 7, 8 (block used up) by
+        // walking, and 0 (a block drawn, nothing consumed) by refilling.
+        let rest_after =
+            |parked: &mut IndexMapping| -> Vec<u64> { (0..12).map(|_| parked.advance()).collect() };
+        for (seed, alpha, _) in FROZEN {
+            for steps in [0usize, 1, 7, 8] {
+                let mut plain = IndexMapping::with_alpha(seed, alpha);
+                let mut walk = IndexMapping::with_alpha(seed, alpha).walk();
+                for _ in 0..steps {
+                    plain.advance();
+                    walk.advance();
+                }
+                let expected_pos = if steps == 0 { FACTOR_BLOCK } else { steps };
+                assert_eq!(usize::from(walk.factor_pos), expected_pos);
+                assert_eq!(rest_after(&mut walk.park()), rest_after(&mut plain));
+            }
+            let mut walk = IndexMapping::with_alpha(seed, alpha).walk();
+            walk.refill_factors();
+            assert_eq!(walk.factor_pos, 0);
+            assert_eq!(
+                rest_after(&mut walk.park()),
+                rest_after(&mut IndexMapping::with_alpha(seed, alpha))
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use riblt_hash::SipKey;
 
 use crate::coded::{prefetch, CodedSymbol, Direction};
-use crate::mapping::{IndexMapping, MappingRule};
+use crate::mapping::{BlockWalk, IndexMapping, MappingRule};
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// Number of pure symbols peeled and propagated jointly per round of
@@ -52,10 +52,11 @@ pub(crate) struct Peeler<S: Symbol> {
     /// Symbols recovered so far, for the consistency bound.
     recovered: usize,
     /// Scratch for [`Self::peel`]'s batched propagation: verified pure
-    /// symbols (with side and source cell) and their walk mappings. Kept
-    /// here so the peel loop never allocates in steady state.
+    /// symbols (with side and source cell) and their mappings in walking
+    /// form, the one place a symbol steps through many indices in a row.
+    /// Kept here so the peel loop never allocates in steady state.
     batch: Vec<(HashedSymbol<S>, bool, usize)>,
-    batch_mappings: Vec<IndexMapping>,
+    batch_walks: Vec<BlockWalk>,
     /// Scratch for one propagation wave: `(lane, cell index)` pairs
     /// generated ahead of application (see [`Self::recover_batch`]).
     pending: Vec<(usize, usize)>,
@@ -68,7 +69,7 @@ impl<S: Symbol> Peeler<S> {
             pure_queue: Vec::new(),
             recovered: 0,
             batch: Vec::new(),
-            batch_mappings: Vec::new(),
+            batch_walks: Vec::new(),
             pending: Vec::with_capacity(PEEL_LANES * WAVE_STEPS),
         }
     }
@@ -92,8 +93,9 @@ impl<S: Symbol> Peeler<S> {
 
     /// Runs the peeling loop over `cells` (one per [`Self::push_cell`] so
     /// far) until no pure cells remain, handing every recovered symbol to
-    /// `sink` with its side (`true` = remote-only) and its mapping advanced
-    /// past `cells`. Returns `false` if the cells are not consistent.
+    /// `sink` with its side (`true` = remote-only) and its mapping, parked
+    /// at its first index past `cells`. Returns `false` if the cells are not
+    /// consistent.
     ///
     /// Queue entries are *candidates* (`count` hit ±1 at some mutation);
     /// purity is verified once per pop, with a single hash of the cell's
@@ -175,10 +177,8 @@ impl<S: Symbol> Peeler<S> {
                 return false;
             }
             self.recover_batch(cells, rule, &batch);
-            for ((hashed, is_remote, _), mapping) in
-                batch.drain(..).zip(self.batch_mappings.drain(..))
-            {
-                sink(hashed, is_remote, mapping);
+            for ((hashed, is_remote, _), walk) in batch.drain(..).zip(self.batch_walks.drain(..)) {
+                sink(hashed, is_remote, walk.park());
             }
             self.batch = batch;
         }
@@ -187,7 +187,7 @@ impl<S: Symbol> Peeler<S> {
     /// Phase 2 of [`Self::peel`]: removes each freshly recovered symbol from
     /// every cell it is mapped to (except its own source cell, already
     /// settled) and queues any cells that became candidates. Leaves the
-    /// walked mappings in `batch_mappings`.
+    /// walks, each past the last cell, in `batch_walks`.
     ///
     /// Each wave first *generates* up to [`WAVE_STEPS`] mapped indices
     /// per lane — interleaved one step per lane so the serial index-sampling
@@ -204,13 +204,10 @@ impl<S: Symbol> Peeler<S> {
         batch: &[(HashedSymbol<S>, bool, usize)],
     ) {
         let received = cells.len() as u64;
-        let mut mappings = std::mem::take(&mut self.batch_mappings);
-        mappings.clear();
+        let mut walks = std::mem::take(&mut self.batch_walks);
+        walks.clear();
         for (hashed, _, _) in batch {
-            mappings.push(IndexMapping::with_alpha(
-                hashed.hash,
-                rule.alpha_of(hashed.hash),
-            ));
+            walks.push(IndexMapping::with_alpha(hashed.hash, rule.alpha_of(hashed.hash)).walk());
         }
         let mut live = batch.len();
         let mut done = [false; PEEL_LANES];
@@ -221,17 +218,17 @@ impl<S: Symbol> Peeler<S> {
                 if live == 0 {
                     break;
                 }
-                for (lane, mapping) in mappings.iter_mut().enumerate() {
+                for (lane, walk) in walks.iter_mut().enumerate() {
                     if done[lane] {
                         continue;
                     }
-                    let idx = mapping.current_index();
+                    let idx = walk.current_index();
                     if idx >= received {
                         done[lane] = true;
                         live -= 1;
                         continue;
                     }
-                    mapping.advance();
+                    walk.advance();
                     let idx = idx as usize;
                     prefetch(&cells[idx]);
                     pending.push((lane, idx));
@@ -258,6 +255,6 @@ impl<S: Symbol> Peeler<S> {
             }
         }
         self.pending = pending;
-        self.batch_mappings = mappings;
+        self.batch_walks = walks;
     }
 }

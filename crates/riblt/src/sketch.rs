@@ -26,18 +26,20 @@ use crate::peel::Peeler;
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// Applies `hashed` to every one of `cells` its `alpha` mapping reaches and
-/// returns the mapping, standing at its first index past them.
+/// returns the mapping, parked at its first index past them.
 fn apply_to_prefix<S: Symbol>(
     cells: &mut [CodedSymbol<S>],
     hashed: &HashedSymbol<S>,
     alpha: f64,
     direction: Direction,
 ) -> IndexMapping {
-    let mut mapping = IndexMapping::with_alpha(hashed.hash, alpha);
-    for idx in mapping.indices_below(cells.len() as u64) {
-        cells[idx as usize].apply(hashed, direction);
+    let mut walk = IndexMapping::with_alpha(hashed.hash, alpha).walk();
+    let m = cells.len() as u64;
+    while walk.current_index() < m {
+        cells[walk.current_index() as usize].apply(hashed, direction);
+        walk.advance();
     }
-    mapping
+    walk.park()
 }
 
 /// A materialized prefix of a set's coded-symbol sequence.
@@ -283,7 +285,12 @@ impl<S: Symbol> SketchCache<S> {
 
     /// Adds an item to the cached set, patching the materialized prefix.
     pub fn add_symbol(&mut self, symbol: S) {
-        let hashed = HashedSymbol::new(symbol, self.key);
+        self.add_hashed_symbol(HashedSymbol::new(symbol, self.key));
+    }
+
+    /// [`Self::add_symbol`] for an item whose hash under [`Self::key`] the
+    /// caller has already computed.
+    pub fn add_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
         let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Add);
         self.additions.push_with_mapping(hashed, mapping);
     }
@@ -293,7 +300,12 @@ impl<S: Symbol> SketchCache<S> {
     /// (exactly as it would corrupt any linear sketch); the caller owns set
     /// membership.
     pub fn remove_symbol(&mut self, symbol: S) {
-        let hashed = HashedSymbol::new(symbol, self.key);
+        self.remove_hashed_symbol(HashedSymbol::new(symbol, self.key));
+    }
+
+    /// [`Self::remove_symbol`] for an item whose hash under [`Self::key`]
+    /// the caller has already computed.
+    pub fn remove_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
         let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Remove);
         self.removals.push_with_mapping(hashed, mapping);
         let pending = self.removals.len() - self.unmatched_removals;

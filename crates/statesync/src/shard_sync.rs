@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use netsim::{LinkDirection, SimLink};
 use reconcile_core::{
-    ClientEngine, ClientMux, EngineError, EngineMessage, MuxFrame, ReconcileBackend, ServerEngine,
-    ServerMux, ShardId, ShardPartitioner,
+    ClientMux, EngineError, EngineMessage, MuxFrame, ReconcileBackend, ServerEngine, ServerMux,
+    ShardId, ShardPartitioner,
 };
 use riblt_hash::SipKey;
 
@@ -79,16 +79,13 @@ where
 
     // --- Untimed setup: both replicas know their own sets already. ---
     let latest_parts = partitioner.partition(&latest.items());
-    let stale_parts = partitioner.partition(&stale.items());
     let mut server = ServerMux::new(|_session, shard| {
         ServerEngine::new(factory(shard), &latest_parts[usize::from(shard)])
     });
     let mut client = ClientMux::new(0);
-    for (shard, part) in stale_parts.iter().enumerate() {
-        client.insert_shard(
-            shard as ShardId,
-            ClientEngine::new(factory(shard as ShardId), part),
-        );
+    let engines = partitioner.client_engines(&stale.items(), &factory);
+    for (shard, engine) in engines.into_iter().enumerate() {
+        client.insert_shard(shard as ShardId, engine);
     }
 
     // --- Timed protocol. ---

@@ -140,6 +140,12 @@ pub struct TcpSyncOutcome {
 /// daemon accepts; a backend whose open carries an estimator of its set
 /// belongs on [`ClientMux::opens`].
 ///
+/// `local_items` is only read while the shard clients are built
+/// ([`ShardPartitioner::client_engines`]: each item hashed once, for both
+/// its shard and its checksum). From then on every shard's decoder owns its
+/// own copy of its items; the partition is dropped before the first payload
+/// is read, so no second copy of the set lives through the round trips.
+///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
 /// surfaces as [`EngineError::Io`] once the stream's timeout fires — this
@@ -180,16 +186,12 @@ where
 
     // --- 2. Partition with the negotiated count; the wildcard has opened
     // every shard, so each is owed its first payload already. ---
-    let partitioner = ShardPartitioner::new(config.key, shards);
-    let parts = partitioner.partition(local_items);
+    let engines = ShardPartitioner::new(config.key, shards).client_engines(local_items, &factory);
     let mut client = ClientMux::new(config.session);
     client.set_metrics(mux_metrics());
     client.set_unit_budget(config.max_units_per_shard);
-    for (shard, part) in parts.iter().enumerate() {
-        client.insert_shard(
-            shard as ShardId,
-            ClientEngine::new(factory(shard as ShardId), part),
-        );
+    for (shard, engine) in engines.into_iter().enumerate() {
+        client.insert_shard(shard as ShardId, engine);
     }
     client.expect_first_payloads();
 

@@ -238,6 +238,11 @@ struct ShardState<B: ReconcileBackend> {
 /// `config.symbol_len`, and α = [`riblt::DEFAULT_ALPHA`]. The conduit
 /// must already be bound to the server (a `connect`ed UDP socket or one
 /// end of a datagram pair).
+///
+/// `local_items` is only read while the shard clients are built, each item
+/// hashed once for both its shard and its checksum; from then on every
+/// shard's decoder owns its own copy of its items, and no other copy of the
+/// set lives through the exchange.
 pub fn sync_sharded_udp<B, F, C>(
     conduit: &mut C,
     local_items: &[B::Item],
@@ -289,13 +294,11 @@ where
     let shards = server_hello.shards;
 
     // --- 2. Partition with the negotiated count; one stream per shard. ---
-    let partitioner = ShardPartitioner::new(config.key, shards);
-    let parts = partitioner.partition(local_items);
-    let mut states: Vec<ShardState<B>> = parts
-        .iter()
-        .enumerate()
-        .map(|(shard, part)| ShardState {
-            engine: ClientEngine::new(factory(shard as ShardId), part),
+    let mut states: Vec<ShardState<B>> = ShardPartitioner::new(config.key, shards)
+        .client_engines(local_items, &factory)
+        .into_iter()
+        .map(|engine| ShardState {
+            engine,
             sequencer: BatchSequencer::new(),
             outstanding: HashMap::new(),
             frontier: 0,

@@ -22,6 +22,11 @@
 //!   the local set (not peeling) carries the time. `decode_throughput`
 //!   decodes against an empty local set and cannot see that pass. Carries
 //!   the coding window's bytes per symbol as a param.
+//! - `client_setup/32B` — what a sharded client does with its 20,000-item
+//!   set before the first payload arrives: hash every item, group them by
+//!   shard, fill eight decoder windows
+//!   (`ShardPartitioner::client_engines`). The hash alone and `partition`
+//!   (the same grouping, gathered into vectors) ride along as stages.
 //! - `sketch_subtract/32B` — cell-wise sketch subtraction, pure symbol XOR.
 //! - `mux_sharded_decode/32B` — two cluster nodes reconciling over the
 //!   simulated mux protocol; reports the measured decode/serve wall time.
@@ -43,7 +48,8 @@
 use cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
 use netsim::{LinkConfig, Topology};
 use reconcile_core::backends::RibltBackend;
-use riblt::{Decoder, Encoder, Sketch};
+use reconcile_core::ShardPartitioner;
+use riblt::{Decoder, Encoder, Sketch, Symbol};
 use riblt_bench::json::{self, JsonValue};
 use riblt_bench::snapshot::{today_utc, validate, BenchRecord, Snapshot};
 use riblt_bench::{items32, set_pair32, timed, Item32, Item8, RunScale};
@@ -94,6 +100,7 @@ fn main() {
     benches.extend(bench_encode(scale, seed));
     benches.extend(bench_decode(scale, seed));
     benches.push(bench_decode_local_set(scale, seed));
+    benches.push(bench_client_setup(scale, seed));
     benches.push(bench_sketch_subtract(scale, seed));
     benches.push(bench_mux_sharded(scale, seed));
     let (daemon_record, daemon_metrics) = bench_daemon_stream(scale, seed);
@@ -307,6 +314,55 @@ fn bench_decode_local_set(scale: RunScale, seed: u64) -> BenchRecord {
             d as f64 * f64::from(trials) / (build_s + decode_s),
         )
         .metric("coded_symbols_per_s", used_total as f64 / decode_s)
+}
+
+/// The sharded client's set-up pass over a 20,000-item set and 8 shards,
+/// the benchmark's sizes: each trial builds the eight client endpoints from
+/// scratch and drops them, as a stateless sync does. Same sizes in both
+/// modes; `--full` only adds trials. Means per trial, with the fastest
+/// trial of the whole pass beside them (the host's quiet-moment reading).
+fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
+    let n = 20_000u64;
+    let shards = 8u16;
+    let trials = scale.pick(50u32, 200u32);
+
+    let items = items32(n, derive(seed, 0x5e70));
+    let key = SipKey::default();
+    let partitioner = ShardPartitioner::new(key, shards);
+    let backend = |_| RibltBackend::<Item32>::with_key_and_alpha(32, 32, key, riblt::DEFAULT_ALPHA);
+
+    // Each stage in its own run of back-to-back trials, so none pays for
+    // what the one before it left in the cache. Total and fastest seconds.
+    fn trials_of<T>(trials: u32, mut stage: impl FnMut() -> T) -> (f64, f64) {
+        let (mut total_s, mut best_s) = (0.0, f64::INFINITY);
+        for _ in 0..trials {
+            let (out, secs) = timed(&mut stage);
+            std::hint::black_box(out);
+            total_s += secs;
+            best_s = best_s.min(secs);
+        }
+        (total_s, best_s)
+    }
+    let (hash_s, _) = trials_of(trials, || Item32::hash_many_with(&items, key));
+    let (partition_s, _) = trials_of(trials, || partitioner.partition(&items));
+    let (setup_s, setup_best_s) = trials_of(trials, || {
+        let engines = partitioner.client_engines(&items, backend);
+        assert_eq!(engines.len(), usize::from(shards));
+        engines
+    });
+
+    let per_trial_ms = |secs: f64| secs * 1e3 / f64::from(trials);
+    BenchRecord::new("client_setup/32B")
+        .param("symbol_bytes", 32.0)
+        .param("local_set", n as f64)
+        .param("shards", f64::from(shards))
+        .param("trials", f64::from(trials))
+        .metric("wall_s", setup_s)
+        .metric("setup_ms", per_trial_ms(setup_s))
+        .metric("setup_ms_best", setup_best_s * 1e3)
+        .metric("hash_ms", per_trial_ms(hash_s))
+        .metric("partition_ms", per_trial_ms(partition_s))
+        .metric("items_per_s", n as f64 * f64::from(trials) / setup_s)
 }
 
 /// Item construction shared by the generic decode bench.

@@ -389,8 +389,9 @@ mod tests {
 
     #[test]
     fn records_beyond_the_required_families_validate() {
-        // `decode_local_set` is recorded by every new snapshot but is not a
-        // required family: the snapshots taken before it existed stay valid.
+        // `decode_local_set` and `client_setup` are recorded by every new
+        // snapshot but are not required families: the snapshots taken
+        // before they existed stay valid.
         let mut snap = sample();
         snap.benches.push(
             BenchRecord::new("decode_local_set/32B")
@@ -399,8 +400,16 @@ mod tests {
                 .metric("wall_s", 0.05)
                 .metric("decode_ms", 3.9),
         );
+        snap.benches.push(
+            BenchRecord::new("client_setup/32B")
+                .param("local_set", 20_000.0)
+                .param("shards", 8.0)
+                .metric("wall_s", 0.04)
+                .metric("setup_ms", 0.8),
+        );
         validate(&snap.to_json()).unwrap();
         assert!(!REQUIRED_BENCHES.contains(&"decode_local_set"));
+        assert!(!REQUIRED_BENCHES.contains(&"client_setup"));
     }
 
     #[test]

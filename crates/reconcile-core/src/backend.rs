@@ -77,18 +77,29 @@ pub trait ReconcileBackend {
     /// Builds the client endpoint over the local set.
     fn build_client(&self, items: &[Self::Item]) -> Self::Client;
 
-    /// Builds the client endpoint over a local set whose keyed hashes the
-    /// caller already holds: `hashes[i]` must be `items[i]`'s hash under the
-    /// backend's key (a sharded driver computes it to pick the shard, see
-    /// [`ShardPartitioner::partition_hashed`](crate::ShardPartitioner::partition_hashed)).
-    /// A backend that checksums its items with that same hash overrides this
-    /// to skip hashing them again; the default ignores the hashes.
+    /// Builds the client endpoint over part of a larger set, in place: the
+    /// local set is `items[m]` for each `m` of `members`, in that order, and
+    /// `hashes[i]` must be `items[i]`'s hash under the backend's key. This
+    /// is what a sharded driver holds once it has hashed the whole set to
+    /// place it ([`ShardPartitioner::client_engines`](crate::ShardPartitioner::client_engines)):
+    /// one slice, and per shard a list of positions. A backend that
+    /// checksums its items with that same hash overrides this to clone each
+    /// member once, straight into its decoder, without hashing it again;
+    /// the default gathers the members and ignores the hashes.
     ///
     /// # Panics
-    /// If the two slices differ in length.
-    fn build_client_keyed(&self, items: &[Self::Item], hashes: &[u64]) -> Self::Client {
+    /// If `items` and `hashes` differ in length, or a member is out of
+    /// range.
+    fn build_client_keyed(
+        &self,
+        items: &[Self::Item],
+        hashes: &[u64],
+        members: &[u32],
+    ) -> Self::Client {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
-        self.build_client(items)
+        let gathered: Vec<Self::Item> =
+            members.iter().map(|&m| items[m as usize].clone()).collect();
+        self.build_client(&gathered)
     }
 
     /// The client's opening request (may carry an estimator, a capacity

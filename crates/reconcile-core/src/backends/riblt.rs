@@ -192,13 +192,18 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         self.client_over(items.len(), hashed)
     }
 
-    fn build_client_keyed(&self, items: &[S], hashes: &[u64]) -> RibltClient<S, R> {
+    fn build_client_keyed(
+        &self,
+        items: &[S],
+        hashes: &[u64],
+        members: &[u32],
+    ) -> RibltClient<S, R> {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
-        let hashed = items
-            .iter()
-            .zip(hashes)
-            .map(|(item, &hash)| HashedSymbol::with_hash(item.clone(), hash));
-        self.client_over(items.len(), hashed)
+        let hashed = members.iter().map(|&m| {
+            let m = m as usize;
+            HashedSymbol::with_hash(items[m].clone(), hashes[m])
+        });
+        self.client_over(members.len(), hashed)
     }
 
     fn open_request(&self, _client: &mut RibltClient<S, R>) -> Vec<u8> {

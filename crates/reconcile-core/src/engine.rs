@@ -243,11 +243,11 @@ impl<B: ReconcileBackend> ClientEngine<B> {
         Self::over(backend, client)
     }
 
-    /// Creates a client endpoint over `items` whose keyed hashes, parallel
-    /// to them, the caller already holds; see
+    /// Creates a client endpoint over the `members` of `items` (positions
+    /// into it), given every item's keyed hash; see
     /// [`ReconcileBackend::build_client_keyed`].
-    pub fn new_keyed(backend: B, items: &[B::Item], hashes: &[u64]) -> Self {
-        let client = backend.build_client_keyed(items, hashes);
+    pub fn new_keyed(backend: B, items: &[B::Item], hashes: &[u64], members: &[u32]) -> Self {
+        let client = backend.build_client_keyed(items, hashes, members);
         Self::over(backend, client)
     }
 

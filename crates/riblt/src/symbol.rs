@@ -11,7 +11,7 @@
 //! (e.g. the 92-byte account records of the Ethereum experiment, or
 //! multi-kilobyte blobs in the item-size sweep of Fig. 11).
 
-use riblt_hash::{siphash24, SipKey};
+use riblt_hash::{siphash24, siphash24_many, SipKey};
 
 /// A set item that can participate in coded symbols.
 ///
@@ -55,6 +55,15 @@ pub trait Symbol: Clone + PartialEq + Default {
     #[inline]
     fn hash_with(&self, key: SipKey) -> u64 {
         siphash24(key, self.as_bytes())
+    }
+
+    /// [`Symbol::hash_with`] of every item, in order, for callers that hold
+    /// a whole set: equal-length items are hashed several at a time
+    /// ([`siphash24_many`]), which costs about two thirds of hashing them
+    /// one by one. An implementation that overrides `hash_with` must
+    /// override this to match it.
+    fn hash_many_with(items: &[Self], key: SipKey) -> Vec<u64> {
+        siphash24_many(key, items.iter().map(Self::as_bytes))
     }
 }
 
@@ -381,6 +390,32 @@ mod tests {
         assert_ne!(a.hash_with(k1), b.hash_with(k1));
         assert_ne!(a.hash_with(k1), a.hash_with(k2));
         assert_eq!(a.hash_with(k1), HashedSymbol::new(a, k1).hash);
+    }
+
+    #[test]
+    fn batch_hashes_equal_hash_with_item_for_item() {
+        fn check<S: Symbol>(make: impl Fn(&mut riblt_hash::SplitMix64) -> S) {
+            let key = SipKey::new(11, 13);
+            let mut gen = riblt_hash::SplitMix64::new(0xba7c4);
+            // Whole groups, every tail, and the empty set.
+            for count in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 64, 1_001] {
+                let items: Vec<S> = (0..count).map(|_| make(&mut gen)).collect();
+                let one_by_one: Vec<u64> = items.iter().map(|i| i.hash_with(key)).collect();
+                assert_eq!(S::hash_many_with(&items, key), one_by_one, "{count} items");
+            }
+        }
+        check(|gen| FixedBytes::<8>::from_u64(gen.next_u64()));
+        check(|gen| {
+            let mut bytes = [0u8; 32];
+            gen.fill_bytes(&mut bytes);
+            FixedBytes(bytes)
+        });
+        check(|gen| VecSymbol::new(random_buf(gen, 92)));
+        // Items of one `VecSymbol` slice need not share a length to be hashed.
+        check(|gen| {
+            let len = (gen.next_u64() % 5) as usize;
+            VecSymbol::new(random_buf(gen, len))
+        });
     }
 
     #[test]

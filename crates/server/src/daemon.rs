@@ -386,9 +386,7 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
                 symbol_len: config.symbol_len,
             },
         );
-        for item in initial {
-            node.insert(item);
-        }
+        node.extend(initial);
 
         let shard_gens = (0..config.shards).map(|_| AtomicU64::new(0)).collect();
         let shared = Arc::new(SharedState {

@@ -41,7 +41,7 @@ use std::time::Instant;
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
 use reconcile_core::handshake::{client_handshake_pipelined, Hello};
 use reconcile_core::{
-    append_frame, read_mux_frame, ClientEngine, ClientMux, EngineError, MuxFrame, ReconcileBackend,
+    append_frame, ClientEngine, ClientMux, EngineError, FrameBuffer, MuxFrame, ReconcileBackend,
     SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::Symbol;
@@ -142,9 +142,9 @@ pub struct TcpSyncOutcome {
 ///
 /// `local_items` is only read while the shard clients are built
 /// ([`ShardPartitioner::client_engines`]: each item hashed once, for both
-/// its shard and its checksum). From then on every shard's decoder owns its
-/// own copy of its items; the partition is dropped before the first payload
-/// is read, so no second copy of the set lives through the round trips.
+/// its shard and its checksum, and cloned once, into its shard's decoder).
+/// From then on every decoder owns its items; no partition of the set is
+/// ever built, so no second copy of it lives through the round trips.
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -204,6 +204,8 @@ where
     };
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
+    let mut inbound = FrameBuffer::new();
+    let mut chunk = [0u8; READ_CHUNK_BYTES];
 
     // --- 3. The first payloads, then rounds of range requests until every
     // shard is done. ---
@@ -212,12 +214,11 @@ where
         // with one payload per batch, in request order. All of them are
         // read — the tail a shard no longer needs too, so the stream stays
         // in frame and the bytes are counted.
-        let mut payloads: Vec<MuxFrame> = Vec::with_capacity(client.awaiting());
-        for _ in 0..client.awaiting() {
-            let frame = read_mux_frame(io)?;
-            bytes_received += LENGTH_PREFIX_BYTES + frame.wire_size();
-            payloads.push(frame);
-        }
+        let payloads = read_round(io, &mut inbound, &mut chunk, client.awaiting())?;
+        bytes_received += payloads
+            .iter()
+            .map(|frame| LENGTH_PREFIX_BYTES + frame.wire_size())
+            .sum::<usize>();
         let t0 = Instant::now();
         let replies = client.handle_round(&payloads, threads)?;
         decode_wall_s += t0.elapsed().as_secs_f64();
@@ -241,6 +242,43 @@ where
     Ok((differences, outcome))
 }
 
+/// How much of the socket one `read` may take: on the stack, so a sync
+/// neither allocates nor faults it in. A `stale_tip` first flight (eight
+/// tiles of ≈ 1.3 KB) fits one read; a 60 KB round of `bulk_catchup` takes
+/// four where frame-by-frame reading took ninety.
+const READ_CHUNK_BYTES: usize = 16 * 1024;
+
+/// Reads one round's `count` frames through `inbound`: one `read` for
+/// whatever has arrived instead of two per frame (a length, then a body).
+/// Bytes a read takes beyond this round's frames stay in `inbound` for the
+/// next call.
+fn read_round<R: Read>(
+    io: &mut R,
+    inbound: &mut FrameBuffer,
+    chunk: &mut [u8],
+    count: usize,
+) -> reconcile_core::Result<Vec<MuxFrame>> {
+    let mut frames = Vec::with_capacity(count);
+    while frames.len() < count {
+        if let Some(bytes) = inbound.next_frame()? {
+            frames.push(MuxFrame::from_bytes(&bytes)?);
+            continue;
+        }
+        match io.read(chunk) {
+            Ok(0) => {
+                return Err(EngineError::from(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "stream ended before a frame",
+                )))
+            }
+            Ok(n) => inbound.push_bytes(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(frames)
+}
+
 /// Writes one round's frames, each length-prefixed, with a single
 /// `write_all`: one syscall and one burst of segments per round trip
 /// instead of one per frame. Returns the bytes written.
@@ -260,7 +298,7 @@ mod tests {
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::handshake::{client_handshake, server_handshake, validate_client_hello};
     use reconcile_core::{
-        write_mux_frame, EngineMessage, FrameBuffer, RangeRequest, ServerEngine, ServerMux,
+        read_mux_frame, write_mux_frame, EngineMessage, RangeRequest, ServerEngine, ServerMux,
     };
     use riblt::FixedBytes;
     use std::collections::VecDeque;
@@ -425,6 +463,47 @@ mod tests {
     fn frames_after_hello(mut sent: &[u8]) -> Vec<MuxFrame> {
         reconcile_core::read_frame(&mut sent).unwrap();
         std::iter::from_fn(|| read_mux_frame(&mut sent).ok()).collect()
+    }
+
+    #[test]
+    fn a_round_is_read_whole_however_the_stream_fragments_it() {
+        /// Hands out at most `step` bytes per `read`.
+        struct Trickle<'a>(&'a [u8], usize);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.1.min(buf.len()).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let frames = [
+            MuxFrame::new(1, 0, EngineMessage::Payload(vec![7; 300])),
+            MuxFrame::new(1, 1, EngineMessage::Payload(Vec::new())),
+            MuxFrame::new(1, 2, EngineMessage::Payload(vec![9; 5_000])),
+        ];
+        let mut wire = Vec::new();
+        for frame in &frames {
+            append_frame(&mut wire, &frame.to_bytes()).unwrap();
+        }
+        for step in [1, 3, 4, 311, 4_096, usize::MAX] {
+            let mut io = Trickle(&wire, step);
+            let (mut inbound, mut chunk) = (FrameBuffer::new(), vec![0u8; 512]);
+            // A read may run into the next round's frames: they wait in
+            // `inbound` for the call that wants them.
+            let first = read_round(&mut io, &mut inbound, &mut chunk, 2).unwrap();
+            let second = read_round(&mut io, &mut inbound, &mut chunk, 1).unwrap();
+            assert_eq!([first, second].concat(), frames, "{step} bytes a read");
+            // The stream ends where a frame was owed, or inside one.
+            for cut in [0, 2, 10] {
+                let mut io = Trickle(&wire[..cut], step);
+                let refused = read_round(&mut io, &mut FrameBuffer::new(), &mut chunk, 1);
+                assert!(matches!(
+                    refused,
+                    Err(EngineError::Io(std::io::ErrorKind::UnexpectedEof, _))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rateless_reconciliation::merkle_trie::MerkleTrie;
 use rateless_reconciliation::pinsketch::PinSketch;
+use rateless_reconciliation::reconcile_core::backends::{IbltBackend, RibltBackend};
+use rateless_reconciliation::reconcile_core::{
+    ClientEngine, EngineMessage, Progress, ReconcileBackend, ServerEngine, ShardPartitioner,
+};
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{
     decode_coded_symbols, encode_coded_symbols, CodedSymbol, Decoder, Encoder, Error, FixedBytes,
@@ -171,6 +175,87 @@ fn sketch_decode_agrees_with_streaming_decoder_on_every_prefix() {
         (8..=40).contains(&decoded),
         "{decoded} of 48 prefixes decoded: the property must see both outcomes"
     );
+}
+
+/// The one-pass sharded set-up ([`ShardPartitioner::client_engines`]: hash,
+/// group positions, fill each shard in place) is the two-step one
+/// (`partition`, then `ClientEngine::new` per part) for any set, key and
+/// shard count, empty shards included: shard by shard the two engines ask
+/// for the same stream, report the same progress and units after every
+/// payload, and recover the same difference in the same order. Run over a
+/// backend that fills its decoders in place and one that gathers.
+#[test]
+fn client_engines_consume_the_same_units_as_partition_then_build() {
+    fn agree<B: ReconcileBackend<Item = Item> + Clone>(backend: impl Fn(SipKey) -> B, case: u64) {
+        let mut gen = SplitMix64::new(0x5e7b + case);
+        let server_set = random_set(&mut gen, 1_000_000, 400);
+        // A stale copy: drop some of the server's items, add some of its own.
+        let mut local_set: BTreeSet<u64> = server_set
+            .iter()
+            .copied()
+            .filter(|_| gen.next_u64() % 16 < 15)
+            .collect();
+        local_set.extend(random_set(&mut gen, 1_000_000, 24));
+        let (server_items, local_items) = (to_items(&server_set), to_items(&local_set));
+
+        let key = SipKey::new(case, 0xc0de ^ case);
+        let shards = 1 + (gen.next_u64() % 9) as u16;
+        let partitioner = ShardPartitioner::new(key, shards);
+        let one_pass = partitioner.client_engines(&local_items, |_| backend(key));
+        let local_parts = partitioner.partition(&local_items);
+        let server_parts = partitioner.partition(&server_items);
+        assert_eq!(one_pass.len(), usize::from(shards), "case {case}");
+        assert_eq!(
+            local_parts.iter().map(Vec::len).sum::<usize>(),
+            local_items.len(),
+            "case {case}"
+        );
+
+        for (shard, mut one_pass) in one_pass.into_iter().enumerate() {
+            let at = format!("case {case}, shard {shard} of {shards}");
+            let mut two_step = ClientEngine::new(backend(key), &local_parts[shard]);
+            let mut server = ServerEngine::new(backend(key), &server_parts[shard]);
+            let open = one_pass.open();
+            assert_eq!(two_step.open(), open, "{at}");
+            let mut payloads = server.handle(&open).expect("serve the open");
+            loop {
+                let mut progress = None;
+                for payload in &payloads {
+                    let step = one_pass.absorb(payload).expect("absorb");
+                    assert_eq!(two_step.absorb(payload).expect("absorb"), step, "{at}");
+                    assert_eq!(two_step.units(), one_pass.units(), "{at}");
+                    progress = Some(step);
+                }
+                payloads = match progress.expect("a payload per request") {
+                    Progress::Complete => break,
+                    Progress::AwaitStream(_) => vec![server.next_payload().expect("stream")],
+                    Progress::SendRequest(query) => server
+                        .handle(&EngineMessage::Query(query))
+                        .expect("serve the query"),
+                };
+            }
+            assert_eq!(
+                one_pass.into_difference().expect("decoded"),
+                two_step.into_difference().expect("decoded"),
+                "{at}"
+            );
+        }
+    }
+
+    for case in 0..24u64 {
+        agree(
+            |key| RibltBackend::<Item>::with_key_and_alpha(8, 16, key, 0.5),
+            case,
+        );
+        agree(
+            |key| {
+                let mut backend = IbltBackend::<Item>::new(8);
+                backend.key = key;
+                backend
+            },
+            case,
+        );
+    }
 }
 
 /// After an arbitrary interleaving of adds, removes (of present items) and

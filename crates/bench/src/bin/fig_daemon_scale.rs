@@ -1,10 +1,9 @@
 //! Daemon scalability: peers vs throughput on one reactor process.
 //!
-//! For each fleet size the sweep spawns a fresh in-process daemon
-//! (reactor serving model), then drives it with the `loadgen` harness —
-//! every peer is a real TCP client running a full mixed-staleness
-//! reconciliation, all connected before a shared barrier so the fleet is
-//! genuinely concurrent. Each row reports client-side sync latency
+//! For each fleet size the sweep spawns a fresh in-process daemon, then
+//! drives it with the `loadgen` harness — every peer is a real TCP client
+//! running a full mixed-staleness reconciliation, all connected before a
+//! shared barrier so the fleet is genuinely concurrent. Each row reports client-side sync latency
 //! percentiles and, from the daemon's live metric registry, the
 //! serve-batch latency histogram (cache lookup/encode plus frame
 //! assembly; the socket write is excluded, so slow peers cannot inflate
@@ -19,7 +18,7 @@ use std::time::Duration;
 use riblt_bench::BenchCli;
 use riblt_hash::SipKey;
 use server::loadgen::{raise_nofile_limit, run, server_items, LoadgenConfig};
-use server::{Daemon, DaemonConfig, ServeModel};
+use server::{Daemon, DaemonConfig};
 
 /// Every peer beyond this floor must still succeed for the run to pass.
 const ACCEPTANCE_PEERS: usize = 1_024;
@@ -67,7 +66,6 @@ fn main() {
             DaemonConfig {
                 shards: 8,
                 key,
-                model: ServeModel::Reactor,
                 read_timeout: Duration::from_secs(60),
                 write_timeout: Duration::from_secs(60),
                 ..Default::default()

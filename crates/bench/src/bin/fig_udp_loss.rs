@@ -34,7 +34,7 @@ use riblt::wire::SymbolCodec;
 use riblt::{CodedSymbol, Encoder, FixedBytes};
 use riblt_bench::BenchCli;
 use riblt_hash::SipKey;
-use server::{Daemon, DaemonConfig, ServeModel};
+use server::{Daemon, DaemonConfig};
 use statesync::{
     sync_sharded_tcp, sync_sharded_udp, LossyConduit, TcpSyncConfig, UdpSyncConfig, UdpSyncOutcome,
 };
@@ -235,7 +235,6 @@ fn main() {
         DaemonConfig {
             shards: SHARDS,
             key,
-            model: ServeModel::Reactor,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             udp_listen: Some("127.0.0.1:0".into()),

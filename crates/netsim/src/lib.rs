@@ -8,6 +8,10 @@
 //! * [`datagram_pair`] — an in-process lossy datagram link (seeded loss,
 //!   duplication, adjacent reordering) for exercising the UDP transport
 //!   without sockets.
+//! * [`FlightLink`] / [`library_server`] — an in-memory `Read + Write` link
+//!   that counts round trips and records what the client wrote, with the
+//!   library's own handshake-and-mux server behind it: the reference the
+//!   `reconciled` daemon's wire output is compared against.
 //! * [`TimeSeries`] — byte-delivery accounting for bandwidth traces
 //!   (Fig. 13).
 //! * [`write_frame`] / [`read_frame`] — re-exports of the canonical
@@ -18,11 +22,13 @@
 #![warn(missing_docs)]
 
 mod datagram;
+mod flight;
 mod link;
 mod timeseries;
 mod topology;
 
 pub use datagram::{datagram_pair, DatagramEndpoint, DatagramLinkConfig, DatagramLinkStats};
+pub use flight::{library_server, FlightLink};
 pub use link::{LinkConfig, LinkDirection, SimLink};
 pub use reconcile_core::framing::{read_frame, write_frame, MAX_FRAME_BYTES};
 pub use timeseries::TimeSeries;

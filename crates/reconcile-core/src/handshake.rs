@@ -295,6 +295,16 @@ pub fn client_handshake_pipelined<T: Read + Write>(
         )));
     }
     let server = Hello::from_bytes(&bytes)?;
+    validate_server_hello(&server, local)?;
+    Ok(server)
+}
+
+/// Checks a server's hello against the client's own: same protocol version,
+/// same key fingerprint, same item length, and at least one shard (the
+/// count the client is about to partition by). The one definition of "can
+/// this client reconcile with that server", whichever transport carried the
+/// hello.
+pub fn validate_server_hello(server: &Hello, local: &Hello) -> Result<()> {
     if server.version != local.version {
         return Err(EngineError::Handshake(format!(
             "server speaks protocol version {}, we speak {}",
@@ -317,7 +327,7 @@ pub fn client_handshake_pipelined<T: Read + Write>(
             "server announced zero shards".into(),
         ));
     }
-    Ok(server)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,48 +18,20 @@
 //! Items travel as `2 × symbol_len` lowercase hex digits (see
 //! [`crate::item_to_hex`]). Malformed commands answer `ERR <reason>` and
 //! leave the connection open; the same read timeout as the data port
-//! applies, so an abandoned admin connection cannot pin a thread.
+//! applies, so an abandoned admin connection is dropped like a silent peer.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 
 use obs::lock_unpoisoned;
 use riblt::Symbol;
 
-use crate::daemon::SharedState;
+use crate::daemon::{Mutation, SharedState};
 use crate::{item_from_hex, item_to_hex};
 
 /// Marker line terminating every multi-line admin reply.
 pub const MULTILINE_END: &str = "# EOF";
-
-/// Serves one admin connection until `QUIT`, `SHUTDOWN`, EOF, or timeout.
-pub(crate) fn handle_admin_connection<S: Symbol + Ord>(
-    stream: TcpStream,
-    peer: SocketAddr,
-    shared: &SharedState<S>,
-) {
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("reconciled: admin {peer}: clone failed: {e}");
-            return;
-        }
-    };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break, // disconnect or timeout
-        };
-        let (rendered, close) = render_reply(execute(line.trim(), shared));
-        if writer.write_all(rendered.as_bytes()).is_err() || close {
-            return;
-        }
-    }
-}
 
 pub(crate) enum Reply {
     Line(String),
@@ -69,8 +41,7 @@ pub(crate) enum Reply {
 }
 
 /// Renders a [`Reply`] into the exact bytes written on the wire, plus
-/// whether the connection closes after them. Shared by the blocking and
-/// event-driven admin paths so both emit byte-identical replies.
+/// whether the connection closes after them.
 pub(crate) fn render_reply(reply: Reply) -> (String, bool) {
     match reply {
         Reply::Line(text) => (format!("{text}\n"), false),
@@ -114,52 +85,27 @@ pub(crate) fn execute<S: Symbol + Ord>(line: &str, shared: &SharedState<S>) -> R
                 Err(_) => Reply::Line(format!("ERR bad trace count {argument:?}")),
             }
         }
-        "ADD" => match item_from_hex::<S>(argument, shared.config.symbol_len) {
-            Some(item) => {
-                let mut node = lock_unpoisoned(&shared.node);
-                let shard = node.shard_of(&item);
-                let added = node.insert(item);
-                if added {
-                    shared.bump_shard(shard);
-                }
-                drop(node);
-                if added {
-                    shared.metrics.inserts.inc();
-                    shared
-                        .metrics
-                        .events
-                        .record("admin_add", format!("shard={shard}"));
-                }
-                Reply::Line(format!("OK added={}", usize::from(added)))
+        verb @ ("ADD" | "REMOVE") => {
+            let Some(item) = item_from_hex::<S>(argument, shared.config.symbol_len) else {
+                return Reply::Line(format!(
+                    "ERR expected {} hex digits",
+                    shared.config.symbol_len * 2
+                ));
+            };
+            let (mutation, event, done) = if verb == "ADD" {
+                (Mutation::Insert(item), "admin_add", "added")
+            } else {
+                (Mutation::Remove(&item), "admin_remove", "removed")
+            };
+            let changed = shared.mutate(mutation);
+            if let Some(shard) = changed {
+                shared
+                    .metrics
+                    .events
+                    .record(event, format!("shard={shard}"));
             }
-            None => Reply::Line(format!(
-                "ERR expected {} hex digits",
-                shared.config.symbol_len * 2
-            )),
-        },
-        "REMOVE" => match item_from_hex::<S>(argument, shared.config.symbol_len) {
-            Some(item) => {
-                let mut node = lock_unpoisoned(&shared.node);
-                let shard = node.shard_of(&item);
-                let removed = node.remove(&item);
-                if removed {
-                    shared.bump_shard(shard);
-                }
-                drop(node);
-                if removed {
-                    shared.metrics.removes.inc();
-                    shared
-                        .metrics
-                        .events
-                        .record("admin_remove", format!("shard={shard}"));
-                }
-                Reply::Line(format!("OK removed={}", usize::from(removed)))
-            }
-            None => Reply::Line(format!(
-                "ERR expected {} hex digits",
-                shared.config.symbol_len * 2
-            )),
-        },
+            Reply::Line(format!("OK {done}={}", usize::from(changed.is_some())))
+        }
         "QUIT" => Reply::Close("BYE".into()),
         "SHUTDOWN" => {
             shared.request_shutdown();

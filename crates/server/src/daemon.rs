@@ -15,9 +15,9 @@
 //!
 //! ## Connection lifecycle
 //!
-//! 1. [`server_handshake`]: magic, protocol version, SipKey fingerprint,
-//!    shard-count announcement. Mismatched peers are rejected with a reason
-//!    frame before the connection closes.
+//! 1. The handshake of [`reconcile_core::handshake`]: magic, protocol
+//!    version, SipKey fingerprint, shard-count announcement. Mismatched
+//!    peers are rejected with a reason frame before the connection closes.
 //! 2. Mux frames, request-driven: `Open` (validated against the rateless
 //!    stream magic) produces the stream's first tile, `Request(offset,
 //!    count)` one `Payload` per tile of the range, in order; `Done` retires
@@ -31,8 +31,15 @@
 //!    connection's byte/CPU accounting folds into the daemon-wide stats.
 //!
 //! Every connection carries read *and* write timeouts: a peer that connects
-//! and goes silent, or stops draining its receive window, costs one blocked
-//! thread for at most the timeout before the connection is dropped.
+//! and goes silent, or stops draining its receive window, costs one bounded
+//! buffer in a worker's table for at most the timeout before the connection
+//! is dropped.
+//!
+//! One set of threads serves all of this: the reactor workers of
+//! [`crate::event`]. There is no second serving path to keep in step; the
+//! daemon's wire output is held instead to a reference that shares none of
+//! this module's code (`tests/wire_equivalence.rs`: the library's
+//! `server_handshake` and `ServerMux` over plain streaming encoders).
 //!
 //! ## Consistency under mutation
 //!
@@ -46,8 +53,8 @@
 //! paper's incremental-cache story targets.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::io;
+use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -60,8 +67,8 @@ use reconcile_core::datagram::{
     handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
     DEFAULT_MTU_BUDGET, MIN_MTU_BUDGET,
 };
-use reconcile_core::framing::{append_frame, read_frame_or_eof, LENGTH_PREFIX_BYTES};
-use reconcile_core::handshake::{server_handshake, Hello, HELLO_BYTES};
+use reconcile_core::framing::{append_frame, LENGTH_PREFIX_BYTES};
+use reconcile_core::handshake::{Hello, HELLO_BYTES};
 use reconcile_core::wirefmt::validate_stream_open;
 use reconcile_core::{
     EngineError, EngineMessage, MuxFrame, RangeRequest, SessionId, ShardId, SHARD_ALL,
@@ -70,24 +77,8 @@ use riblt::wire::SymbolCodec;
 use riblt::Symbol;
 use riblt_hash::SipKey;
 
-use crate::admin;
 use crate::event;
 use crate::metrics::DaemonMetrics;
-
-/// How the daemon multiplexes connections onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeModel {
-    /// A small pool of reactor threads over nonblocking sockets (epoll on
-    /// Linux, `poll(2)` elsewhere): thousands of concurrent peers per
-    /// process, bounded per-connection buffers, explicit backpressure. The
-    /// default.
-    #[default]
-    Reactor,
-    /// One blocking OS thread per connection — the original architecture,
-    /// kept for A/B benchmarking and as the wire-equivalence reference
-    /// (both models must emit byte-identical streams).
-    ThreadPerConnection,
-}
 
 /// Static configuration of a [`Daemon`].
 #[derive(Debug, Clone)]
@@ -116,17 +107,13 @@ pub struct DaemonConfig {
     /// coded symbols drops the connection (bounds cache growth against
     /// wedged or mis-keyed peers that can never finish decoding).
     pub max_units_per_session: usize,
-    /// Connection threading model (see [`ServeModel`]).
-    pub model: ServeModel,
     /// Reactor worker threads (0 = auto: the core count, capped at 4).
-    /// Ignored under [`ServeModel::ThreadPerConnection`].
     pub reactor_workers: usize,
     /// Per-connection outbound buffer high-water mark in bytes. A
     /// connection whose unsent replies cross this stops having its requests
     /// processed (and, above it, read) until the peer drains — the
     /// backpressure that keeps one slow peer from holding batch payloads
-    /// for everyone. Ignored under [`ServeModel::ThreadPerConnection`]
-    /// (there the blocking write *is* the backpressure).
+    /// for everyone.
     pub max_write_buffer: usize,
     /// UDP data listener address (`None` disables the datagram transport).
     /// Serves the same coded-symbol streams as the TCP listener, over the
@@ -150,7 +137,6 @@ impl Default for DaemonConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_units_per_session: 1 << 20,
-            model: ServeModel::default(),
             reactor_workers: 0,
             max_write_buffer: 1 << 20,
             udp_listen: None,
@@ -217,6 +203,12 @@ pub(crate) struct SharedState<S: Symbol + Ord> {
     pub(crate) udp_sessions: Mutex<UdpSessionTable>,
 }
 
+/// A change to the served set, for [`SharedState::mutate`].
+pub(crate) enum Mutation<'a, S> {
+    Insert(S),
+    Remove(&'a S),
+}
+
 impl<S: Symbol + Ord> SharedState<S> {
     pub(crate) fn request_shutdown(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
@@ -242,9 +234,9 @@ impl<S: Symbol + Ord> SharedState<S> {
     }
 
     /// Refreshes the point-in-time gauges (set size, live connections,
-    /// uptime) and renders the full registry. The gauges are only written
-    /// here — render time — so the serving path never pays for them.
-    pub(crate) fn render_metrics(&self) -> String {
+    /// uptime) and hands back the registry to render. The gauges are only
+    /// written here — render time — so the serving path never pays for them.
+    fn refreshed_registry(&self) -> &obs::Registry {
         let m = &self.metrics;
         m.items.set(lock_unpoisoned(&self.node).len() as i64);
         m.shards.set(i64::from(self.config.shards));
@@ -252,26 +244,47 @@ impl<S: Symbol + Ord> SharedState<S> {
             .set(self.active.load(Ordering::SeqCst) as i64);
         m.uptime_seconds
             .set(self.started.elapsed().as_secs() as i64);
-        m.registry.render_prometheus()
+        &m.registry
+    }
+
+    /// The full registry in Prometheus text exposition format.
+    pub(crate) fn render_metrics(&self) -> String {
+        self.refreshed_registry().render_prometheus()
     }
 
     /// Like [`Self::render_metrics`] but as the registry's compact JSON
     /// (for benchmark snapshots).
     pub(crate) fn render_metrics_json(&self) -> String {
-        let m = &self.metrics;
-        m.items.set(lock_unpoisoned(&self.node).len() as i64);
-        m.shards.set(i64::from(self.config.shards));
-        m.connections_active
-            .set(self.active.load(Ordering::SeqCst) as i64);
-        m.uptime_seconds
-            .set(self.started.elapsed().as_secs() as i64);
-        m.registry.render_json()
+        self.refreshed_registry().render_json()
     }
 
-    /// Invalidates cached wire batches of `shard`. Called with the node
-    /// lock held so the generation observed during an encode is stable.
-    pub(crate) fn bump_shard(&self, shard: ShardId) {
+    /// The one way the served set changes: applies `mutation` under the
+    /// node lock and, if the set changed, invalidates the shard's cached
+    /// wire batches and counts the write. Returns the shard that changed,
+    /// `None` when the item was already present (or already absent).
+    pub(crate) fn mutate(&self, mutation: Mutation<'_, S>) -> Option<ShardId> {
+        let mut node = lock_unpoisoned(&self.node);
+        let (shard, changed, counter) = match mutation {
+            Mutation::Insert(item) => (
+                node.shard_of(&item),
+                node.insert(item),
+                &self.metrics.inserts,
+            ),
+            Mutation::Remove(item) => (
+                node.shard_of(item),
+                node.remove(item),
+                &self.metrics.removes,
+            ),
+        };
+        if !changed {
+            return None;
+        }
+        // Bumped with the node lock held, so the generation an encode
+        // observes under the same lock is stable.
         self.shard_gens[usize::from(shard)].fetch_add(1, Ordering::Release);
+        drop(node);
+        counter.inc();
+        Some(shard)
     }
 
     pub(crate) fn shard_gen(&self, shard: ShardId) -> u64 {
@@ -320,8 +333,7 @@ pub struct Daemon<S: Symbol + Ord + Send + 'static> {
 
 impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
     /// Binds both listeners, seeds the node with `initial` items, and
-    /// starts the serving threads (reactor workers or an accept thread,
-    /// per [`DaemonConfig::model`]).
+    /// starts the reactor workers.
     pub fn spawn(config: DaemonConfig, initial: impl IntoIterator<Item = S>) -> io::Result<Self> {
         // The handshake carries the item length as a u16; reject a config
         // the wire format cannot express before binding anything.
@@ -401,30 +413,7 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
             udp_sessions: Mutex::new(UdpSessionTable::new()),
         });
 
-        let threads = match shared.config.model {
-            ServeModel::Reactor => {
-                event::spawn_workers(data_listener, admin_listener, udp_socket, &shared)?
-            }
-            ServeModel::ThreadPerConnection => {
-                let accept_shared = Arc::clone(&shared);
-                let mut threads = vec![thread::Builder::new()
-                    .name("reconciled-accept".into())
-                    .spawn(move || accept_loop(data_listener, admin_listener, accept_shared))?];
-                if let Some(socket) = udp_socket {
-                    // One blocking thread moves all datagrams — sessions are
-                    // near-stateless, so there is no per-peer thread to spawn.
-                    socket.set_nonblocking(false)?;
-                    socket.set_read_timeout(Some(Duration::from_millis(50)))?;
-                    let udp_shared = Arc::clone(&shared);
-                    threads.push(
-                        thread::Builder::new()
-                            .name("reconciled-udp".into())
-                            .spawn(move || udp_loop(socket, udp_shared))?,
-                    );
-                }
-                threads
-            }
-        };
+        let threads = event::spawn_workers(data_listener, admin_listener, udp_socket, &shared)?;
 
         Ok(Daemon {
             data_addr,
@@ -493,26 +482,12 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
     /// Adds an item (patching O(log m) cells of its shard's cache).
     /// Returns false if it was already present.
     pub fn insert(&self, item: S) -> bool {
-        let mut node = lock_unpoisoned(&self.shared.node);
-        let shard = node.shard_of(&item);
-        let added = node.insert(item);
-        if added {
-            self.shared.bump_shard(shard);
-            self.shared.metrics.inserts.inc();
-        }
-        added
+        self.shared.mutate(Mutation::Insert(item)).is_some()
     }
 
     /// Removes an item. Returns false if it was absent.
     pub fn remove(&self, item: &S) -> bool {
-        let mut node = lock_unpoisoned(&self.shared.node);
-        let shard = node.shard_of(item);
-        let removed = node.remove(item);
-        if removed {
-            self.shared.bump_shard(shard);
-            self.shared.metrics.removes.inc();
-        }
-        removed
+        self.shared.mutate(Mutation::Remove(item)).is_some()
     }
 
     /// True once a shutdown has been requested (via [`Self::shutdown`] or
@@ -521,21 +496,16 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Blocks until a shutdown is requested, then drains: stops accepting,
-    /// waits (bounded by the read timeout plus slack) for live connections
-    /// to finish, and joins the serving threads.
+    /// Blocks until a shutdown is requested, then joins the reactor workers.
+    /// Each stops accepting and gives its live connections
+    /// [`event::drain_grace`] to finish before it closes them and returns,
+    /// so no connection outlives this call.
     pub fn wait(mut self) {
         while !self.shared.stop.load(Ordering::SeqCst) {
             thread::sleep(Duration::from_millis(20));
         }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
-        }
-        let deadline = Instant::now()
-            + event::drain_grace(self.shared.config.read_timeout)
-            + Duration::from_secs(1);
-        while self.shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -555,194 +525,8 @@ impl<S: Symbol + Ord + Send + 'static> Drop for Daemon<S> {
     }
 }
 
-/// Blocking datagram pump for the thread-per-connection model (the reactor
-/// registers the socket with its pollers instead).
-fn udp_loop<S: Symbol + Ord>(socket: UdpSocket, shared: Arc<SharedState<S>>) {
-    let mut buf = vec![0u8; 65_536];
-    let mut last_sweep = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match socket.recv_from(&mut buf) {
-            Ok((len, peer)) => handle_udp_datagram(&socket, &shared, peer, &buf[..len]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => eprintln!("reconciled: udp recv error: {e}"),
-        }
-        if last_sweep.elapsed() >= Duration::from_millis(500) {
-            sweep_udp_sessions(&shared);
-            last_sweep = Instant::now();
-        }
-    }
-}
-
-fn accept_loop<S: Symbol + Ord + Send + 'static>(
-    data_listener: TcpListener,
-    admin_listener: TcpListener,
-    shared: Arc<SharedState<S>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        let mut progress = false;
-        match data_listener.accept() {
-            Ok((stream, peer)) => {
-                progress = true;
-                shared.metrics.connections_accepted.inc();
-                shared
-                    .metrics
-                    .events
-                    .record("conn_accept", format!("peer={peer}"));
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(&shared);
-                let spawned = thread::Builder::new()
-                    .name(format!("reconciled-peer-{peer}"))
-                    .spawn(move || {
-                        handle_data_connection(stream, peer, &conn_shared);
-                        conn_shared.active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if let Err(e) = spawned {
-                    // Thread exhaustion: drop the connection, undo the
-                    // live-connection count the closure never got to own.
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                    eprintln!("reconciled: cannot spawn peer thread: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) => eprintln!("reconciled: accept error: {e}"),
-        }
-        match admin_listener.accept() {
-            Ok((stream, peer)) => {
-                progress = true;
-                shared.metrics.admin_connections.inc();
-                shared
-                    .metrics
-                    .events
-                    .record("admin_accept", format!("peer={peer}"));
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(&shared);
-                let spawned = thread::Builder::new()
-                    .name(format!("reconciled-admin-{peer}"))
-                    .spawn(move || {
-                        admin::handle_admin_connection(stream, peer, &conn_shared);
-                        conn_shared.active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if let Err(e) = spawned {
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                    eprintln!("reconciled: cannot spawn admin thread: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) => eprintln!("reconciled: admin accept error: {e}"),
-        }
-        if !progress {
-            thread::sleep(Duration::from_millis(5));
-        }
-    }
-}
-
-fn handle_data_connection<S: Symbol + Ord>(
-    mut stream: TcpStream,
-    peer: SocketAddr,
-    shared: &SharedState<S>,
-) {
-    let config = &shared.config;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-
-    let mut acct = ConnAccounting::default();
-    let lifetime = SpanTimer::start(&shared.metrics.connection_seconds);
-    let result = serve_peer(&mut stream, shared, &mut acct);
-    lifetime.stop();
-
-    match &result {
-        Ok(()) => {}
-        Err(EngineError::Handshake(reason)) => {
-            // The handshake read the hello and nothing behind it. Closing
-            // over unread input resets the connection, and a reset can
-            // overtake the reject frame: read what the client pipelined.
-            discard_queued_input(&mut stream);
-            shared.metrics.handshake_failures.inc();
-            shared
-                .metrics
-                .events
-                .record("handshake_fail", format!("peer={peer} reason={reason}"));
-        }
-        Err(e) => {
-            shared.metrics.connection_errors.inc();
-            shared
-                .metrics
-                .events
-                .record("conn_error", format!("peer={peer} error={e}"));
-        }
-    }
-
-    shared.metrics.events.record(
-        "conn_close",
-        format!(
-            "peer={peer} in={}B out={}B sessions={}/{}",
-            acct.bytes_in, acct.bytes_out, acct.sessions_completed, acct.sessions_opened
-        ),
-    );
-}
-
-/// Reads and drops whatever the peer has already sent, without waiting for
-/// more. Best effort: the connection is being closed either way.
-fn discard_queued_input(stream: &mut TcpStream) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut scratch = [0u8; 4096];
-    // A peer that keeps sending cannot hold the thread: 64 reads, no waits.
-    for _ in 0..64 {
-        match stream.read(&mut scratch) {
-            Ok(n) if n > 0 => {}
-            _ => return,
-        }
-    }
-}
-
-/// Drives one data connection from handshake to close. Any error drops the
-/// connection (the transport is the error channel mid-protocol; only the
-/// handshake has reject frames).
-fn serve_peer<S: Symbol + Ord>(
-    stream: &mut TcpStream,
-    shared: &SharedState<S>,
-    acct: &mut ConnAccounting,
-) -> reconcile_core::Result<()> {
-    let config = &shared.config;
-    let local_hello = Hello::new(config.key, config.shards, config.symbol_len);
-    let handshake_span = SpanTimer::start(&shared.metrics.handshake_seconds);
-    let handshake = server_handshake(stream, &local_hello);
-    handshake_span.stop();
-    handshake?;
-    account_handshake(shared, acct);
-
-    let mut streams = OpenStreams::new();
-    let mut replies = Vec::new();
-
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let bytes = match read_frame_or_eof(stream) {
-            // EOF at a frame boundary: the normal end of a conversation
-            // (clients close after their last Done). EOF *mid-frame* stays
-            // an error so truncating peers show up in connection_errors.
-            Ok(None) => return Ok(()),
-            Ok(Some(bytes)) => bytes,
-            Err(e) => return Err(e.into()),
-        };
-        replies.clear();
-        handle_client_frame(shared, &mut streams, &bytes, acct, &mut replies)?;
-        while streams.expanding_wildcard() {
-            open_next_wildcard_shard(shared, &mut streams, acct, &mut replies)?;
-        }
-        // One write for all the tiles of a range, or of a wildcard open.
-        stream.write_all(&replies)?;
-    }
-}
-
 /// Books the two 18-byte hello frames (one each way) a completed handshake
-/// moved. Shared by both serving models so byte accounting matches.
+/// moved.
 pub(crate) fn account_handshake<S: Symbol + Ord>(
     shared: &SharedState<S>,
     acct: &mut ConnAccounting,
@@ -785,11 +569,9 @@ impl OpenStreams {
 /// range, `Done` → none. An `Open` addressed to [`SHARD_ALL`] is an `Open`
 /// of every shard: this opens shard 0 and leaves the rest to
 /// [`open_next_wildcard_shard`], so the caller's backpressure check runs
-/// between shards as it does between separate opens. Both serving models
-/// route every client frame through here — the thread-per-connection loop
-/// writes `out` with a blocking write, the reactor's `out` *is* the
-/// connection's write buffer — which is what makes their wire output
-/// byte-identical by construction.
+/// between shards as it does between separate opens. `out` is the
+/// connection's write buffer: a reply is staged where it will be flushed
+/// from, never copied.
 ///
 /// A request is validated in full before anything is staged, so a hostile
 /// range costs a typed error and the connection, never memory proportional
@@ -833,7 +615,7 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
             serve_range(shared, streams, key, range, acct, out)
         }
         EngineMessage::Done => {
-            // Duplicate Dones are harmless (mirrors ServerMux).
+            // Duplicate Dones are harmless, as they are to `ServerMux`.
             if let Some(served) = streams.served.remove(&key) {
                 acct.sessions_completed += 1;
                 shared.metrics.sessions_completed.inc();
@@ -909,7 +691,7 @@ fn serve_range<S: Symbol + Ord>(
         let reply = MuxFrame::new(key.0, key.1, EngineMessage::Payload(payload)).to_bytes();
         batch_span.stop();
         if let Err(e) = append_frame(out, &reply) {
-            // Stage all of a reply or none of it, in both serving models.
+            // Stage all of a reply or none of it.
             out.truncate(staged);
             return Err(e.into());
         }
@@ -978,12 +760,10 @@ pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
     (payload, serve_cpu)
 }
 
-/// Dispatches one inbound UDP datagram and transmits any replies. Shared by
-/// both serving models: the reactor workers call it from their nonblocking
-/// receive pump, the thread-per-connection model from a dedicated blocking
-/// UDP thread. Reply sends are best-effort — a full socket buffer drops the
-/// reply exactly like the network would, and the client's retransmit timer
-/// heals it.
+/// Dispatches one inbound UDP datagram and transmits any replies; the
+/// reactor workers call it from their nonblocking receive pump. Reply sends
+/// are best-effort — a full socket buffer drops the reply exactly like the
+/// network would, and the client's retransmit timer heals it.
 pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
     socket: &UdpSocket,
     shared: &SharedState<S>,
@@ -1053,7 +833,7 @@ pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
 }
 
 /// Retires UDP sessions idle past the read timeout. Called from the reactor
-/// tick (and the blocking UDP thread's idle path).
+/// tick.
 pub(crate) fn sweep_udp_sessions<S: Symbol + Ord>(shared: &SharedState<S>) {
     let expired =
         lock_unpoisoned(&shared.udp_sessions).sweep(Instant::now(), shared.config.read_timeout);
@@ -1072,6 +852,7 @@ mod tests {
     use reconcile_core::backends::RibltBackend;
     use riblt::FixedBytes;
     use statesync::{sync_sharded_tcp, TcpSyncConfig};
+    use std::net::TcpStream;
 
     type Item = FixedBytes<8>;
 

@@ -6,12 +6,11 @@
 //!
 //! Serving a peer needs no per-peer computation state: a connection is a
 //! handshake followed by stateless range reads out of the shared per-shard
-//! sketch caches, and every batch is produced by the same
-//! `handle_client_frame` the thread-per-connection model
-//! uses — which is also what makes the two models emit byte-identical
-//! streams. Nothing about a connection is worth a dedicated OS thread, so
-//! one worker can interleave thousands of peers; the concurrency ceiling
-//! becomes file descriptors, not stacks.
+//! sketch caches (`handle_client_frame` stages each reply straight into the
+//! connection's write buffer). Nothing about a connection is worth a
+//! dedicated OS thread, so one worker can interleave thousands of peers;
+//! the concurrency ceiling becomes file descriptors, not stacks. This is
+//! the daemon's only serving path.
 //!
 //! ## Worker model
 //!
@@ -22,7 +21,7 @@
 //! connections it accepted. Connections never migrate between workers, so
 //! there is no cross-thread handoff, no wake pipe, and no locking around
 //! connection state; workers only share the daemon's `SharedState`
-//! (node, caches, metrics), which both serving models already synchronize.
+//! (node, caches, metrics), which synchronizes itself.
 //!
 //! ## Backpressure
 //!
@@ -36,7 +35,7 @@
 //! the encode path, the caches, or any other peer — and costs one bounded
 //! buffer, not one thread. With no write progress for the write timeout,
 //! or no read for the read timeout while idle, the sweep between polls
-//! drops the connection, mirroring the blocking model's socket timeouts.
+//! drops the connection: the two timeouts bound what any peer can hold.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -163,8 +162,7 @@ enum ConnState {
     Closing,
 }
 
-/// Why a connection is being closed; decides the teardown counters so the
-/// reactor's error classification matches the blocking model's.
+/// Why a connection is being closed; decides which teardown counter moves.
 enum Close {
     /// Peer finished cleanly: EOF at a frame boundary, admin `QUIT`, or a
     /// shutdown drain.
@@ -173,8 +171,8 @@ enum Close {
     /// mismatch) — counted in `handshake_failures`.
     Handshake(String),
     /// Dropped post-accept for protocol violations, timeouts, or I/O —
-    /// counted in `connection_errors` (admin connections are exempt,
-    /// mirroring the blocking model's silent admin teardown).
+    /// counted in `connection_errors` (admin connections are exempt: an
+    /// operator's dropped shell is not a peer fault).
     Error(String),
 }
 
@@ -182,8 +180,9 @@ struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     state: ConnState,
-    /// Incremental frame reassembly (data connections), bounded like the
-    /// blocking codec so oversized claims poison the stream identically.
+    /// Incremental frame reassembly (data connections), bounded by
+    /// `MAX_FRAME_BYTES`: an oversized length claim poisons the stream
+    /// instead of being buffered.
     inbuf: FrameBuffer,
     /// Buffered command bytes up to the next newline (admin connections).
     line: Vec<u8>,
@@ -338,8 +337,8 @@ fn worker_loop<S: Symbol + Ord>(
                 let _ = poller.deregister(socket.as_raw_fd());
             }
             // Drain: flush every connection's staged replies, drop unread
-            // requests — the same cutoff the blocking loop applies when it
-            // notices the stop flag between frames.
+            // requests. A reply already staged was earned before the stop;
+            // a request not yet processed is the client's to retry.
             let tokens: Vec<u64> = conns.keys().copied().collect();
             for token in tokens {
                 if let Some(conn) = conns.get_mut(&token) {
@@ -600,8 +599,8 @@ fn pump<S: Symbol + Ord>(
                     let client = match Hello::from_bytes(&frame) {
                         Ok(client) => client,
                         Err(e) => {
-                            // Best-effort reject — the exact bytes the blocking
-                            // handshake writes for a garbage hello.
+                            // Best-effort reject: a peer that sent garbage
+                            // still learns why it was turned away.
                             conn.queue_frame(&reject_frame_bytes(RejectReason::Malformed));
                             observe_handshake(shared, conn);
                             begin_close(shared, conn, Close::Handshake(e.to_string()));
@@ -713,13 +712,13 @@ fn pump<S: Symbol + Ord>(
     }
 
     // EOF endgame: every complete frame above was consumed, so leftover
-    // bytes mean the peer died mid-frame (truncation); a bare EOF is the
-    // normal end of a conversation — the same split `read_frame_or_eof`
-    // gives the blocking loop.
+    // bytes mean the peer died mid-frame (truncation, counted as an
+    // error); a bare EOF is the normal end of a conversation (clients close
+    // after their last Done).
     if conn.eof && !conn.paused && conn.outcome.is_none() {
         if conn.state == ConnState::Admin {
-            // A final command without a trailing newline still executes,
-            // matching the blocking path's `lines()`.
+            // A final command without a trailing newline still executes:
+            // `printf 'STATS' | nc` is a legitimate way to ask.
             if !conn.line.is_empty() {
                 let line_bytes = std::mem::take(&mut conn.line);
                 execute_admin_line(shared, conn, &line_bytes);
@@ -736,8 +735,9 @@ fn pump<S: Symbol + Ord>(
 }
 
 /// Executes one admin command line and stages its reply. Returns true if
-/// the connection is closing (command asked for it, or invalid UTF-8 —
-/// which the blocking path's `lines()` also treats as teardown).
+/// the connection is closing (the command asked for it, or the line is not
+/// UTF-8: the protocol is text, and there is no reply a binary peer could
+/// read).
 fn execute_admin_line<S: Symbol + Ord>(
     shared: &SharedState<S>,
     conn: &mut Conn,
@@ -764,8 +764,8 @@ fn maybe_resume<S: Symbol + Ord>(shared: &SharedState<S>, conn: &mut Conn) {
 }
 
 /// Records a handshake-latency observation exactly once per data
-/// connection (success, reject, or pre-handshake teardown alike) — the
-/// invariant the blocking model's span gives for free.
+/// connection (success, reject, or pre-handshake teardown alike), so the
+/// histogram's count equals the connections accepted.
 fn observe_handshake<S: Symbol + Ord>(shared: &SharedState<S>, conn: &mut Conn) {
     if !conn.handshake_observed && conn.is_data() {
         conn.handshake_observed = true;
@@ -776,9 +776,9 @@ fn observe_handshake<S: Symbol + Ord>(shared: &SharedState<S>, conn: &mut Conn) 
     }
 }
 
-/// Decides a close: records the outcome counters and events (mirroring the
-/// blocking model's teardown classification) and flips the connection to
-/// `Closing` so remaining staged bytes still flush.
+/// Decides a close: records the outcome counters and events (a handshake
+/// failure and a post-handshake error are different series) and flips the
+/// connection to `Closing` so remaining staged bytes still flush.
 fn begin_close<S: Symbol + Ord>(shared: &SharedState<S>, conn: &mut Conn, close: Close) {
     if conn.outcome.is_some() {
         return;
@@ -841,7 +841,7 @@ fn settle<S: Symbol + Ord>(
 }
 
 /// Tears a connection down: deregisters, closes, folds accounting, and
-/// emits the same close event as the blocking model.
+/// records the `conn_close` event `TRACE` shows.
 fn finish_close<S: Symbol + Ord>(
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,

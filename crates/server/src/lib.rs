@@ -3,9 +3,8 @@
 //! Everything below `crates/server` in the workspace runs over either an
 //! in-memory loop or the deterministic simulator. This crate is the step
 //! onto real infrastructure: a long-lived, std-only TCP daemon ([`Daemon`])
-//! — by default a small pool of reactor threads over nonblocking sockets
-//! (see [`event`] and [`reactor`]), with the original thread-per-connection
-//! model kept behind [`ServeModel::ThreadPerConnection`] — that
+//! — a small pool of reactor threads over nonblocking sockets (see
+//! [`event`] and [`reactor`]), the one way it serves — that
 //!
 //! * maintains one item set hash-partitioned into shards, each shard backed
 //!   by a shared incrementally-maintained [`riblt::SketchCache`] (via
@@ -43,7 +42,7 @@ pub mod metrics;
 pub mod reactor;
 
 pub use admin::{admin_request, AdminClient, MULTILINE_END};
-pub use daemon::{Daemon, DaemonConfig, DaemonStats, ServeModel};
+pub use daemon::{Daemon, DaemonConfig, DaemonStats};
 pub use metrics::DaemonMetrics;
 
 use riblt::Symbol;

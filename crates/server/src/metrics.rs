@@ -67,8 +67,7 @@ pub struct DaemonMetrics {
 
     /// Data + admin connections currently open.
     pub connections_active: Arc<Gauge>,
-    /// Reactor worker threads serving connections (0 under the
-    /// thread-per-connection model).
+    /// Reactor worker threads serving connections.
     pub reactor_workers: Arc<Gauge>,
     /// Items currently in the set.
     pub items: Arc<Gauge>,
@@ -188,7 +187,7 @@ impl DaemonMetrics {
         );
         let reactor_workers = registry.gauge(
             "reconciled_reactor_workers",
-            "Reactor worker threads serving connections (0 = thread-per-connection).",
+            "Reactor worker threads serving connections.",
         );
         let items = registry.gauge("reconciled_items", "Items currently in the served set.");
         let shards = registry.gauge("reconciled_shards", "Configured keyspace shard count.");

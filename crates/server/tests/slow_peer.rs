@@ -18,7 +18,7 @@ use reconcile_core::wirefmt::encode_stream_open;
 use reconcile_core::{client_handshake, write_frame, EngineMessage, MuxFrame, RangeRequest};
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
-use server::{Daemon, DaemonConfig, ServeModel};
+use server::{Daemon, DaemonConfig};
 use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
@@ -33,7 +33,6 @@ fn slow_reader_does_not_delay_fast_peers() {
             shards: 2,
             batch_symbols: 32,
             max_write_buffer: 512,
-            model: ServeModel::Reactor,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             ..Default::default()

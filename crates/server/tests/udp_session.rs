@@ -1,5 +1,5 @@
 //! The UDP transport against a live daemon over real loopback sockets:
-//! clean syncs under both serving models, injected loss, hostile datagrams
+//! a clean sync, injected loss, hostile datagrams
 //! (truncated, duplicated, oversized, mis-cookied), and idle-session
 //! expiry. The datagram-layer edge cases themselves (sequencer reordering,
 //! MTU boundaries, cookie binding) are unit-tested in
@@ -16,7 +16,7 @@ use reconcile_core::datagram::{
 use reconcile_core::handshake::Hello;
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
-use server::{Daemon, DaemonConfig, ServeModel};
+use server::{Daemon, DaemonConfig};
 use statesync::{sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome};
 
 type Item = FixedBytes<8>;
@@ -25,11 +25,10 @@ fn items(range: std::ops::Range<u64>) -> Vec<Item> {
     range.map(Item::from_u64).collect()
 }
 
-fn udp_daemon(model: ServeModel, read_timeout: Duration) -> Daemon<Item> {
+fn udp_daemon(read_timeout: Duration) -> Daemon<Item> {
     Daemon::spawn(
         DaemonConfig {
             shards: 4,
-            model,
             read_timeout,
             write_timeout: Duration::from_secs(5),
             udp_listen: Some("127.0.0.1:0".into()),
@@ -69,7 +68,7 @@ fn sync<C: DatagramConduit>(
 
 #[test]
 fn syncs_over_real_loopback_udp_reactor() {
-    let daemon = udp_daemon(ServeModel::Reactor, Duration::from_secs(5));
+    let daemon = udp_daemon(Duration::from_secs(5));
     let mut socket = dial(&daemon);
     let (diffs, outcome) = sync(&mut socket, &items(80..2_040), 11).unwrap();
     assert_eq!(outcome.shards, 4);
@@ -97,18 +96,8 @@ fn syncs_over_real_loopback_udp_reactor() {
 }
 
 #[test]
-fn syncs_over_real_loopback_udp_thread_per_connection() {
-    let daemon = udp_daemon(ServeModel::ThreadPerConnection, Duration::from_secs(5));
-    let mut socket = dial(&daemon);
-    let (diffs, _) = sync(&mut socket, &items(25..2_000), 12).unwrap();
-    let remote: usize = diffs.iter().map(|d| d.remote_only.len()).sum();
-    assert_eq!(remote, 25);
-    daemon.shutdown();
-}
-
-#[test]
 fn injected_loss_on_loopback_costs_symbols_not_completion() {
-    let daemon = udp_daemon(ServeModel::Reactor, Duration::from_secs(5));
+    let daemon = udp_daemon(Duration::from_secs(5));
     let clean_units = {
         let mut socket = dial(&daemon);
         sync(&mut socket, &items(50..2_000), 21).unwrap().1.units
@@ -132,7 +121,7 @@ fn injected_loss_on_loopback_costs_symbols_not_completion() {
 
 #[test]
 fn hostile_datagrams_do_not_wedge_the_daemon() {
-    let daemon = udp_daemon(ServeModel::Reactor, Duration::from_secs(5));
+    let daemon = udp_daemon(Duration::from_secs(5));
     let probe = dial(&daemon);
     let hello = Hello::new(SipKey::default(), 0, 8);
     let hello_datagram = DatagramHeader {
@@ -173,7 +162,7 @@ fn hostile_datagrams_do_not_wedge_the_daemon() {
 
 #[test]
 fn abandoned_udp_sessions_expire_on_the_idle_sweep() {
-    let daemon = udp_daemon(ServeModel::Reactor, Duration::from_millis(200));
+    let daemon = udp_daemon(Duration::from_millis(200));
     let probe = dial(&daemon);
     let hello = Hello::new(SipKey::default(), 0, 8);
     let hello_datagram = DatagramHeader {

@@ -1,27 +1,37 @@
-//! Wire equivalence between the two serving models: under a pinned seed
-//! and identical configuration, the reactor daemon must emit a stream of
-//! bytes **identical** to the thread-per-connection daemon — for full
-//! protocol-v3 reconciliations (frozen in `golden/v3_sync.hex`), for
-//! handshake rejects (a v1 or v2 peer's included, and a client's that
-//! pipelined its wildcard open behind a hello the daemon refuses), and for
-//! post-handshake protocol errors, hostile range requests and wildcards
-//! among them. Both models route every byte through the same producers
-//! (`handle_client_frame`, the hello/reject encoders), so this holds by
-//! construction; this test pins it against regressions in either path.
+//! The daemon against the library reference: under a pinned seed the
+//! `reconciled` daemon must put **the same bytes** on the wire as the
+//! library's own server does for the same conversation — `server_handshake`
+//! and a `ServerMux` of streaming `ServerEngine<RibltBackend>`s over
+//! `ShardPartitioner::partition` (`netsim::library_server`). The two share
+//! the wire format and nothing else: the reference has no `Node`, no
+//! `SketchCache`, no wire-batch cache and no reactor, and re-encodes every
+//! symbol from the items with the streaming `Encoder`. Coded symbols are
+//! linear and every peer reads the same universal prefix (paper §4, §7.3),
+//! so an incrementally patched cache and a fresh encoder must agree cell
+//! for cell; here they are made to, for full protocol-v3 reconciliations
+//! (the golden pair frozen in `golden/v3_sync.hex`, and a seeded battery
+//! over shard counts, tile sizes and difference sizes), for every handshake
+//! reject and for post-handshake teardowns.
+//!
+//! Hostile ranges and wildcards are the daemon's own policy (typed error,
+//! owed payloads, nothing unasked, nobody else pays) and keep explicit
+//! expectations.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use netsim::{library_server, FlightLink};
 use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::{Hello, PROTOCOL_VERSION, REJECT_MAGIC};
 use reconcile_core::wirefmt::encode_stream_open;
 use reconcile_core::{
-    read_frame, write_frame, EngineError, EngineMessage, MuxFrame, RangeRequest, SHARD_ALL,
+    read_frame, write_frame, EngineError, EngineMessage, MuxFrame, RangeRequest, SetDifference,
+    ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
-use riblt_hash::SipKey;
-use server::{Daemon, DaemonConfig, ServeModel};
+use riblt_hash::{SipKey, SplitMix64};
+use server::{Daemon, DaemonConfig};
 use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
@@ -30,34 +40,54 @@ type Item = FixedBytes<8>;
 /// non-default one catches accidental `SipKey::default()` hardcoding.
 const KEY: SipKey = SipKey::new(0x5eed_0000_0000_0001, 0x5eed_0000_0000_0002);
 
-fn config(model: ServeModel) -> DaemonConfig {
+/// The golden conversation's shape: four shards, 32-symbol tiles.
+const SHARDS: u16 = 4;
+const TILE: usize = 32;
+
+fn config(shards: u16, batch_symbols: usize) -> DaemonConfig {
     DaemonConfig {
-        shards: 4,
+        shards,
         key: KEY,
-        batch_symbols: 32,
-        model,
+        batch_symbols,
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         ..Default::default()
     }
 }
 
-fn spawn_with(config: DaemonConfig) -> Daemon<Item> {
-    Daemon::spawn(config, (0..3_000u64).map(Item::from_u64)).unwrap()
+fn items(range: std::ops::Range<u64>) -> Vec<Item> {
+    range.map(Item::from_u64).collect()
 }
 
-fn spawn(model: ServeModel) -> Daemon<Item> {
-    spawn_with(config(model))
+fn spawn_with(config: DaemonConfig) -> Daemon<Item> {
+    Daemon::spawn(config, items(0..3_000)).unwrap()
+}
+
+fn spawn() -> Daemon<Item> {
+    spawn_with(config(SHARDS, TILE))
+}
+
+fn backend(batch_symbols: usize) -> RibltBackend<Item> {
+    RibltBackend::with_key_and_alpha(8, batch_symbols, KEY, riblt::DEFAULT_ALPHA)
+}
+
+/// The library's server over `server_items`, behind an in-memory link.
+fn reference(server_items: &[Item], shards: u16, batch_symbols: usize) -> FlightLink {
+    library_server(
+        backend(batch_symbols),
+        ShardPartitioner::new(KEY, shards).partition(server_items),
+        Hello::new(KEY, shards, 8),
+    )
 }
 
 /// Wraps a connection, recording every byte in each direction.
-struct Recording {
-    inner: TcpStream,
+struct Recording<T> {
+    inner: T,
     sent: Vec<u8>,
     received: Vec<u8>,
 }
 
-impl Read for Recording {
+impl<T: Read> Read for Recording<T> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
         self.received.extend_from_slice(&buf[..n]);
@@ -65,7 +95,7 @@ impl Read for Recording {
     }
 }
 
-impl Write for Recording {
+impl<T: Write> Write for Recording<T> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
         self.sent.extend_from_slice(&buf[..n]);
@@ -84,40 +114,45 @@ fn connect(daemon: &Daemon<Item>) -> TcpStream {
     stream
 }
 
-/// Runs a full deterministic reconciliation against `daemon` and returns
-/// the byte transcript `(client → server, server → client)`.
-fn sync_against(daemon: &Daemon<Item>) -> (Vec<u8>, Vec<u8>) {
+/// A conversation's bytes: `(client → server, server → client)`.
+type Transcript = (Vec<u8>, Vec<u8>);
+
+/// The transcript of `local` reconciling over `inner` (a connection to a
+/// daemon, or a link to the library's server), and what it recovered. The
+/// client is deterministic: fixed session id (the config default), single
+/// decode thread, so the bytes it sends depend only on the bytes it reads.
+fn transcript<T: Read + Write>(
+    inner: T,
+    local: &[Item],
+    batch_symbols: usize,
+) -> (Transcript, Vec<SetDifference<Item>>) {
     let mut conn = Recording {
-        inner: connect(daemon),
+        inner,
         sent: Vec::new(),
         received: Vec::new(),
     };
-    // Deterministic client: fixed local set, fixed session id (the config
-    // default), single decode thread.
-    let local: Vec<Item> = (100..3_200u64).map(Item::from_u64).collect();
-    let (diffs, _) = sync_sharded_tcp(
-        &mut conn,
-        &local,
-        |_| RibltBackend::<Item>::with_key_and_alpha(8, 32, KEY, riblt::DEFAULT_ALPHA),
-        &TcpSyncConfig {
-            key: KEY,
-            threads: 1,
-            ..Default::default()
-        },
-    )
-    .expect("sync");
-    let recovered: usize = diffs
-        .iter()
-        .map(|d| d.remote_only.len() + d.local_only.len())
-        .sum();
-    assert_eq!(recovered, 100 + 200, "wrong difference recovered");
-    (conn.sent, conn.received)
+    let config = TcpSyncConfig {
+        key: KEY,
+        threads: 1,
+        ..Default::default()
+    };
+    let (diffs, _) =
+        sync_sharded_tcp(&mut conn, local, |_| backend(batch_symbols), &config).expect("sync");
+    ((conn.sent, conn.received), diffs)
 }
 
-fn sync_transcript(model: ServeModel) -> (Vec<u8>, Vec<u8>) {
-    let daemon = spawn(model);
-    let transcript = sync_against(&daemon);
-    daemon.shutdown();
+/// The golden conversation's client: 100 items the server has and it does
+/// not, 200 the other way.
+fn golden_local() -> Vec<Item> {
+    items(100..3_200)
+}
+
+/// Runs the golden reconciliation against `daemon` and returns its
+/// transcript.
+fn sync_against(daemon: &Daemon<Item>) -> Transcript {
+    let (transcript, diffs) = transcript(connect(daemon), &golden_local(), TILE);
+    let recovered: usize = diffs.iter().map(SetDifference::len).sum();
+    assert_eq!(recovered, 100 + 200, "wrong difference recovered");
     transcript
 }
 
@@ -132,46 +167,64 @@ fn raw_exchange_with(daemon: &Daemon<Item>, frames: &[Vec<u8>]) -> Vec<u8> {
     // a clean EOF instead of waiting out its read timeout.
     conn.shutdown(std::net::Shutdown::Write).unwrap();
     let mut replies = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match conn.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => replies.extend_from_slice(&buf[..n]),
-            Err(e) => panic!("expected server close, got {e}"),
-        }
-    }
+    conn.read_to_end(&mut replies).expect("server close");
     replies
 }
 
-fn raw_exchange(model: ServeModel, frames: &[Vec<u8>]) -> Vec<u8> {
-    let daemon = spawn(model);
+fn raw_exchange(frames: &[Vec<u8>]) -> Vec<u8> {
+    let daemon = spawn();
     let replies = raw_exchange_with(&daemon, frames);
     daemon.shutdown();
     replies
 }
 
+/// Everything the library's server says to the same frames.
+fn reference_exchange(frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut link = reference(&items(0..3_000), SHARDS, TILE);
+    for frame in frames {
+        write_frame(&mut link, frame).unwrap();
+    }
+    let mut said = Vec::new();
+    link.read_to_end(&mut said).unwrap();
+    said
+}
+
+/// The daemon and the library's server say the same thing to `frames`.
+fn assert_same_answer(what: &str, frames: &[Vec<u8>]) -> Vec<u8> {
+    let daemon = raw_exchange(frames);
+    assert_eq!(
+        daemon,
+        reference_exchange(frames),
+        "{what}: the daemon and the library answer differently"
+    );
+    daemon
+}
+
 #[test]
 fn full_reconciliation_transcripts_are_byte_identical() {
-    let (sent_reactor, recv_reactor) = sync_transcript(ServeModel::Reactor);
-    let (sent_threaded, recv_threaded) = sync_transcript(ServeModel::ThreadPerConnection);
+    let daemon = spawn();
+    let (sent_daemon, recv_daemon) = sync_against(&daemon);
+    daemon.shutdown();
+    let library = reference(&items(0..3_000), SHARDS, TILE);
+    let ((sent_library, recv_library), _) = transcript(library, &golden_local(), TILE);
     // Same server bytes ⇒ the deterministic client sends the same bytes —
     // assert both directions so a divergence pinpoints its side.
-    assert_eq!(
-        recv_reactor, recv_threaded,
-        "server→client streams diverge between serving models"
-    );
-    assert_eq!(
-        sent_reactor, sent_threaded,
-        "client→server streams diverge between serving models"
+    assert!(
+        recv_daemon == recv_library,
+        "server→client: the daemon and the library reference diverge"
     );
     assert!(
-        !recv_reactor.is_empty(),
+        sent_daemon == sent_library,
+        "client→server: the daemon and the library reference diverge"
+    );
+    assert!(
+        !recv_daemon.is_empty(),
         "transcript is empty — the comparison proved nothing"
     );
     // The transcript exercises what v2 added — 75 differences per shard make
     // the first round's requests span several tiles — and what v3 did: one
     // wildcard open behind the hello, and no other open.
-    let mut sent = &sent_reactor[..];
+    let mut sent = &sent_daemon[..];
     read_frame(&mut sent).expect("client hello");
     let mut widest = 0u16;
     let mut opens = Vec::new();
@@ -192,8 +245,8 @@ fn full_reconciliation_transcripts_are_byte_identical() {
     let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
     let transcript = format!(
         "client {}\nserver {}\n",
-        hex(&sent_reactor),
-        hex(&recv_reactor)
+        hex(&sent_daemon),
+        hex(&recv_daemon)
     );
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v3_sync.hex");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -229,92 +282,173 @@ fn pipelined_clients_still_read_the_reject_reason() {
         )
         .unwrap_err()
     }
-    for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
-        let daemon = spawn(model);
-        // Repeated: a reset that only sometimes overtakes the reject is
-        // still a bug.
-        for attempt in 0..25 {
-            let err = refused::<Item>(&daemon, SipKey::new(0xbad, 0xbad), 8);
-            assert!(
-                matches!(&err, EngineError::Handshake(why) if why.contains("fingerprint")),
-                "{model:?} attempt {attempt}: {err}"
-            );
-            let err = refused::<FixedBytes<16>>(&daemon, KEY, 16);
-            assert!(
-                matches!(&err, EngineError::Handshake(why) if why.contains("symbol length")),
-                "{model:?} attempt {attempt}: {err}"
-            );
-        }
-        assert_eq!(daemon.stats().connection_errors, 0);
-        sync_against(&daemon);
-        daemon.shutdown();
+    let daemon = spawn();
+    // Repeated: a reset that only sometimes overtakes the reject is still a
+    // bug.
+    for attempt in 0..25 {
+        let err = refused::<Item>(&daemon, SipKey::new(0xbad, 0xbad), 8);
+        assert!(
+            matches!(&err, EngineError::Handshake(why) if why.contains("fingerprint")),
+            "attempt {attempt}: {err}"
+        );
+        let err = refused::<FixedBytes<16>>(&daemon, KEY, 16);
+        assert!(
+            matches!(&err, EngineError::Handshake(why) if why.contains("symbol length")),
+            "attempt {attempt}: {err}"
+        );
     }
+    assert_eq!(daemon.stats().connection_errors, 0);
+    sync_against(&daemon);
+    daemon.shutdown();
 }
 
 #[test]
 fn handshake_reject_bytes_are_identical() {
-    // A well-formed hello frame the daemon must reject (wrong fingerprint):
-    // both models answer with the same reject frame, then close.
-    let bad_hello = Hello::new(SipKey::new(0xbad, 0xbad), 0, 8)
-        .to_bytes()
-        .to_vec();
-    let reactor = raw_exchange(ServeModel::Reactor, std::slice::from_ref(&bad_hello));
-    let threaded = raw_exchange(ServeModel::ThreadPerConnection, &[bad_hello]);
-    assert_eq!(reactor, threaded, "reject replies diverge");
-    assert!(!reactor.is_empty(), "expected a reject frame, got silence");
-
-    // Wrong protocol version.
-    let mut versioned = Hello::new(KEY, 0, 8);
-    versioned.version = PROTOCOL_VERSION + 1;
-    let reactor = raw_exchange(ServeModel::Reactor, &[versioned.to_bytes().to_vec()]);
-    let threaded = raw_exchange(
-        ServeModel::ThreadPerConnection,
-        &[versioned.to_bytes().to_vec()],
-    );
-    assert_eq!(reactor, threaded, "version-reject replies diverge");
-
+    // Each hello is refused with the reject frame `server_handshake` writes
+    // for it, and nothing else.
+    let refusal = |what: &str, hello: Vec<u8>, code: u8| {
+        let said = assert_same_answer(what, &[hello]);
+        let mut rest = &said[..];
+        let reject = read_frame(&mut rest).expect("one reject frame");
+        assert_eq!(reject[..4], REJECT_MAGIC, "{what}");
+        assert_eq!(reject[4], code, "{what}: reason code");
+        assert!(rest.is_empty(), "{what}: bytes after the reject");
+    };
+    let versioned = |version: u16| {
+        let mut hello = Hello::new(KEY, 0, 8);
+        hello.version = version;
+        hello.to_bytes().to_vec()
+    };
+    let mis_keyed = Hello::new(SipKey::new(0xbad, 0xbad), 0, 8);
+    refusal("wrong fingerprint", mis_keyed.to_bytes().to_vec(), 3);
+    refusal("a newer version", versioned(PROTOCOL_VERSION + 1), 2);
     // A protocol-v1 peer (lock-step `Continue` rounds) and a v2 peer (one
     // open per shard, after the hello exchange; this daemon would serve it,
     // but a v2 daemon would not serve our wildcard, so the versions part
-    // ways) are turned away by name: one `RNCK` frame with the
-    // version-mismatch reason code.
-    for old in [1, 2] {
-        versioned.version = old;
-        let reactor = raw_exchange(ServeModel::Reactor, &[versioned.to_bytes().to_vec()]);
-        let threaded = raw_exchange(
-            ServeModel::ThreadPerConnection,
-            &[versioned.to_bytes().to_vec()],
-        );
-        assert_eq!(reactor, threaded, "v{old}-reject replies diverge");
-        let reject = read_frame(&mut &reactor[..]).expect("one reject frame");
-        assert_eq!(reject[..4], REJECT_MAGIC);
-        assert_eq!(reject[4], 2, "reason code: version mismatch");
-    }
-
+    // ways) are turned away by name.
+    refusal("a v1 peer", versioned(1), 2);
+    refusal("a v2 peer", versioned(2), 2);
+    let wider_items = Hello::new(KEY, 0, 16);
+    refusal("wrong item length", wider_items.to_bytes().to_vec(), 4);
     // Garbage that does not even parse as a hello.
-    let garbage = vec![0xFFu8; 18];
-    let reactor = raw_exchange(ServeModel::Reactor, std::slice::from_ref(&garbage));
-    let threaded = raw_exchange(ServeModel::ThreadPerConnection, &[garbage]);
-    assert_eq!(reactor, threaded, "malformed-hello replies diverge");
+    refusal("18 bytes of garbage", vec![0xFFu8; 18], 1);
 }
 
 #[test]
 fn post_handshake_protocol_error_bytes_are_identical() {
-    // Valid handshake, then an unparseable mux frame: both models reply
-    // with the server hello only, then drop the connection without
-    // emitting anything else.
     let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
-    let junk_mux = vec![0xABu8; 9];
-    let reactor = raw_exchange(ServeModel::Reactor, &[hello.clone(), junk_mux.clone()]);
-    let threaded = raw_exchange(ServeModel::ThreadPerConnection, &[hello.clone(), junk_mux]);
-    assert_eq!(reactor, threaded, "protocol-error teardowns diverge");
+    let server_hello = {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &Hello::new(KEY, SHARDS, 8).to_bytes()).unwrap();
+        framed
+    };
+    // Valid handshake, then an unparseable mux frame: the server hello,
+    // then the connection drops with nothing else said.
+    let said = assert_same_answer("junk mux frame", &[hello.clone(), vec![0xABu8; 9]]);
+    assert_eq!(said, server_hello);
+    // A Done for a session that was never opened is quietly ignored
+    // (idempotent retire), after which EOF closes cleanly.
+    let stray_done = MuxFrame::new(7, 0, EngineMessage::Done).to_bytes();
+    let said = assert_same_answer("stray Done", &[hello, stray_done]);
+    assert_eq!(said, server_hello);
+}
 
-    // A Done for a session that was never opened is quietly ignored in
-    // both models (idempotent retire), after which EOF closes cleanly.
-    let stray_done = MuxFrame::new(7, 0, reconcile_core::EngineMessage::Done).to_bytes();
-    let reactor = raw_exchange(ServeModel::Reactor, &[hello.clone(), stray_done.clone()]);
-    let threaded = raw_exchange(ServeModel::ThreadPerConnection, &[hello, stray_done]);
-    assert_eq!(reactor, threaded, "stray-Done handling diverges");
+/// What only an independent reference can check: the daemon serves out of
+/// caches patched mutation by mutation, through a wire-batch cache those
+/// mutations must invalidate; the library encodes the final set from
+/// scratch; and for every shape of conversation the two transcripts are the
+/// same bytes in both directions — not only for the golden pair.
+#[test]
+fn seeded_battery_matches_the_library_reference_byte_for_byte() {
+    /// `count` distinct values no earlier draw produced.
+    fn fresh(
+        gen: &mut SplitMix64,
+        taken: &mut std::collections::BTreeSet<u64>,
+        count: usize,
+    ) -> Vec<Item> {
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let value = gen.next_u64();
+            if taken.insert(value) {
+                out.push(Item::from_u64(value));
+            }
+        }
+        out
+    }
+    // (server-only, client-only) items; `None` empties one server shard.
+    let differences = [
+        Some((0, 0)),
+        Some((1, 0)),
+        Some((0, 40)),
+        Some((17, 5)),
+        Some((150, 150)),
+        Some((400, 300)),
+        None,
+    ];
+    let mut case = 0u64;
+    for shards in [1u16, 4, 8] {
+        for batch_symbols in [16usize, 32] {
+            for difference in differences {
+                case += 1;
+                let what = format!(
+                    "case {case}: {shards} shards, tiles of {batch_symbols}, {difference:?}"
+                );
+                let mut gen = SplitMix64::new(0xba77_e4f0 + case);
+                let mut taken = std::collections::BTreeSet::new();
+                let common = fresh(&mut gen, &mut taken, 1_500);
+                let (added, removed, local, expected) = match difference {
+                    Some((server_only, client_only)) => {
+                        let theirs = fresh(&mut gen, &mut taken, server_only);
+                        let ours = fresh(&mut gen, &mut taken, client_only);
+                        let local = [&common[..], &ours].concat();
+                        (theirs, Vec::new(), local, (server_only, client_only))
+                    }
+                    None => {
+                        // The server holds nothing in one shard: the client's
+                        // items there are all differences.
+                        let mut parts = ShardPartitioner::new(KEY, shards).partition(&common);
+                        let emptied = parts.swap_remove((case % u64::from(shards)) as usize);
+                        let expected = (0, emptied.len());
+                        (Vec::new(), emptied, common.clone(), expected)
+                    }
+                };
+                let server_items: Vec<Item> = common
+                    .iter()
+                    .filter(|item| !removed.contains(item))
+                    .chain(&added)
+                    .copied()
+                    .collect();
+
+                // The daemon reaches the server's set the way a live one
+                // does: built over the common items, read once (so its
+                // wire-batch cache holds tiles of that older set), then
+                // mutated item by item.
+                let daemon = Daemon::spawn(
+                    DaemonConfig {
+                        reactor_workers: 1,
+                        ..config(shards, batch_symbols)
+                    },
+                    common.iter().copied(),
+                )
+                .unwrap();
+                transcript(connect(&daemon), &common, batch_symbols);
+                assert!(added.iter().all(|item| daemon.insert(*item)), "{what}");
+                assert!(removed.iter().all(|item| daemon.remove(item)), "{what}");
+                let (of_daemon, diffs) = transcript(connect(&daemon), &local, batch_symbols);
+                assert_eq!(daemon.stats().connection_errors, 0, "{what}");
+                daemon.shutdown();
+                let library = reference(&server_items, shards, batch_symbols);
+                let (of_library, library_diffs) = transcript(library, &local, batch_symbols);
+
+                assert!(of_daemon.1 == of_library.1, "{what}: server→client differs");
+                assert!(of_daemon.0 == of_library.0, "{what}: client→server differs");
+                assert_eq!(diffs, library_diffs, "{what}");
+                let remote_only: usize = diffs.iter().map(|d| d.remote_only.len()).sum();
+                let local_only: usize = diffs.iter().map(|d| d.local_only.len()).sum();
+                assert_eq!((remote_only, local_only), expected, "{what}");
+            }
+        }
+    }
 }
 
 fn mux_frame(shard: u16, message: EngineMessage) -> Vec<u8> {
@@ -335,58 +469,52 @@ type HostileCase = (&'static str, Vec<Vec<u8>>, usize, &'static str);
 /// Every case is refused with a typed protocol error that costs its sender
 /// the connection and nobody else anything: the server has said exactly
 /// what the frames before it earned (so nothing proportional to a count it
-/// named was staged), both models say the same bytes, and the daemon goes
-/// on serving.
+/// named was staged), and the daemon goes on serving.
 fn assert_refused_alone(cases: Vec<HostileCase>) {
     let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
     for (what, frames, owed, error) in cases {
-        let mut said = Vec::new();
-        for model in [ServeModel::Reactor, ServeModel::ThreadPerConnection] {
-            let daemon = spawn(model);
-            let mut sent = vec![hello.clone()];
-            sent.extend(frames.iter().cloned());
-            let replies = raw_exchange_with(&daemon, &sent);
+        let daemon = spawn();
+        let mut sent = vec![hello.clone()];
+        sent.extend(frames.iter().cloned());
+        let replies = raw_exchange_with(&daemon, &sent);
 
-            let mut rest = &replies[..];
-            read_frame(&mut rest).expect("server hello");
-            for _ in 0..owed {
-                let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
-                assert!(
-                    matches!(payload.message, EngineMessage::Payload(_)),
-                    "{what}"
-                );
-            }
+        let mut rest = &replies[..];
+        read_frame(&mut rest).expect("server hello");
+        for _ in 0..owed {
+            let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
             assert!(
-                rest.is_empty(),
-                "{what}: {} bytes nobody asked for",
-                rest.len()
+                matches!(payload.message, EngineMessage::Payload(_)),
+                "{what}"
             );
-
-            // The teardown trails the socket close by a moment.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while daemon.stats().connection_errors == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{what}: no error counted"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let events = daemon.metrics().events.last(64);
-            let typed = format!("error=protocol violation: {error}");
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
-                "{what}: no `{typed}` in {events:?}"
-            );
-
-            // Only that connection paid: the next peer syncs in full.
-            sync_against(&daemon);
-            assert_eq!(daemon.stats().connection_errors, 1, "{what}");
-            daemon.shutdown();
-            said.push(replies);
         }
-        assert_eq!(said[0], said[1], "{what}: the models answer differently");
+        assert!(
+            rest.is_empty(),
+            "{what}: {} bytes nobody asked for",
+            rest.len()
+        );
+
+        // The teardown trails the socket close by a moment.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while daemon.stats().connection_errors == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: no error counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let events = daemon.metrics().events.last(64);
+        let typed = format!("error=protocol violation: {error}");
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
+            "{what}: no `{typed}` in {events:?}"
+        );
+
+        // Only that connection paid: the next peer syncs in full.
+        sync_against(&daemon);
+        assert_eq!(daemon.stats().connection_errors, 1, "{what}");
+        daemon.shutdown();
     }
 }
 
@@ -515,7 +643,7 @@ fn a_wildcard_open_pauses_between_shards_like_separate_opens() {
         // Every tile frame crosses a 64-byte mark; the 22-byte hello does not.
         let daemon = spawn_with(DaemonConfig {
             max_write_buffer: 64,
-            ..config(ServeModel::Reactor)
+            ..config(SHARDS, TILE)
         });
         let mut sent = vec![hello.clone()];
         sent.extend(frames);

@@ -296,12 +296,11 @@ fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Res
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::handshake::{client_handshake, server_handshake, validate_client_hello};
+    use reconcile_core::handshake::{client_handshake, server_handshake};
     use reconcile_core::{
         read_mux_frame, write_mux_frame, EngineMessage, RangeRequest, ServerEngine, ServerMux,
     };
     use riblt::FixedBytes;
-    use std::collections::VecDeque;
     use std::net::{TcpListener, TcpStream};
 
     type Item = FixedBytes<8>;
@@ -350,44 +349,6 @@ mod tests {
         sent
     }
 
-    /// A server on the far side of a link with no clock: the client's
-    /// writes pile up until it blocks on a read with nothing left to read,
-    /// and only then are they delivered and answered. Every such turn from
-    /// writing to waiting is one flight, i.e. one round trip on a real link,
-    /// however slow.
-    struct FlightCounter<F> {
-        serve: F,
-        unsent: Vec<u8>,
-        unread: VecDeque<u8>,
-        flights: usize,
-        /// Everything the client wrote.
-        sent: Vec<u8>,
-    }
-
-    impl<F: FnMut(&[u8]) -> Vec<u8>> Read for FlightCounter<F> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.unread.is_empty() {
-                // A client that waits with nothing in flight waits for ever.
-                assert!(!self.unsent.is_empty(), "client blocked on a silent link");
-                self.flights += 1;
-                let replies = (self.serve)(&std::mem::take(&mut self.unsent));
-                self.unread.extend(replies);
-            }
-            self.unread.read(buf)
-        }
-    }
-
-    impl<F> Write for FlightCounter<F> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.unsent.extend_from_slice(buf);
-            self.sent.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     const FLIGHT_SHARDS: u16 = 8;
     const FLIGHT_TILE: usize = 32;
 
@@ -395,40 +356,15 @@ mod tests {
         RibltBackend::new(8, FLIGHT_TILE)
     }
 
-    /// `serve_once` without the socket: hello, then a `ServerMux` that
-    /// expands wildcard opens, fed whatever bytes a flight carried.
-    fn link_to(server_items: &[Item]) -> FlightCounter<impl FnMut(&[u8]) -> Vec<u8>> {
+    /// `serve_once` without the socket: the library's server behind a link
+    /// that counts flights.
+    fn link_to(server_items: &[Item]) -> netsim::FlightLink {
         let key = SipKey::default();
-        let parts = ShardPartitioner::new(key, FLIGHT_SHARDS).partition(server_items);
-        let mut mux = ServerMux::new(move |_session, shard| {
-            ServerEngine::new(flight_backend(), &parts[usize::from(shard)])
-        })
-        .serving_shards(FLIGHT_SHARDS);
-        let hello = Hello::new(key, FLIGHT_SHARDS, 8);
-        let mut inbound = FrameBuffer::new();
-        let mut greeted = false;
-        FlightCounter {
-            serve: move |bytes: &[u8]| {
-                let mut out = Vec::new();
-                inbound.push_bytes(bytes);
-                while let Some(frame) = inbound.next_frame().unwrap() {
-                    if !greeted {
-                        validate_client_hello(&Hello::from_bytes(&frame).unwrap(), &hello).unwrap();
-                        append_frame(&mut out, &hello.to_bytes()).unwrap();
-                        greeted = true;
-                        continue;
-                    }
-                    for reply in mux.handle(&MuxFrame::from_bytes(&frame).unwrap()).unwrap() {
-                        append_frame(&mut out, &reply.to_bytes()).unwrap();
-                    }
-                }
-                out
-            },
-            unsent: Vec::new(),
-            unread: VecDeque::new(),
-            flights: 0,
-            sent: Vec::new(),
-        }
+        netsim::library_server(
+            flight_backend(),
+            ShardPartitioner::new(key, FLIGHT_SHARDS).partition(server_items),
+            Hello::new(key, FLIGHT_SHARDS, 8),
+        )
     }
 
     /// The protocol-v2 client, kept as the reference the wildcard path is

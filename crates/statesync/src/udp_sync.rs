@@ -36,7 +36,7 @@ use reconcile_core::datagram::{
     client_hello_payload, max_symbols_in_budget, request_payload, BatchSequencer, DatagramHeader,
     DatagramKind, DEFAULT_MTU_BUDGET,
 };
-use reconcile_core::handshake::Hello;
+use reconcile_core::handshake::{validate_server_hello, Hello};
 use reconcile_core::{
     ClientEngine, EngineError, EngineMessage, ReconcileBackend, SetDifference, ShardId,
     ShardPartitioner,
@@ -477,29 +477,7 @@ fn handshake<C: DatagramConduit>(
             match header.kind {
                 DatagramKind::HelloAck => {
                     let server = Hello::from_bytes(payload)?;
-                    if server.version != local_hello.version {
-                        return Err(EngineError::Handshake(format!(
-                            "server speaks protocol version {}, we speak {}",
-                            server.version, local_hello.version
-                        )));
-                    }
-                    if server.fingerprint != local_hello.fingerprint {
-                        return Err(EngineError::Handshake(
-                            "server SipKey fingerprint differs — peers are keyed differently"
-                                .into(),
-                        ));
-                    }
-                    if server.symbol_len != local_hello.symbol_len {
-                        return Err(EngineError::Handshake(format!(
-                            "server reconciles {}-byte items, we hold {}-byte items",
-                            server.symbol_len, local_hello.symbol_len
-                        )));
-                    }
-                    if server.shards == 0 {
-                        return Err(EngineError::Handshake(
-                            "server announced zero shards".into(),
-                        ));
-                    }
+                    validate_server_hello(&server, local_hello)?;
                     return Ok((header.cookie, server));
                 }
                 DatagramKind::Reject => {
@@ -727,6 +705,71 @@ mod tests {
         drop(client_end);
         server.join().unwrap();
         result
+    }
+
+    /// One definition of an acceptable server hello
+    /// (`handshake::validate_server_hello`): the datagram client reading a
+    /// `HelloAck` and the stream client reading a hello frame refuse the
+    /// same hellos, in the same words.
+    #[test]
+    fn both_transports_refuse_a_bad_server_hello_in_the_same_words() {
+        /// Answers whatever it is sent with a `HelloAck` carrying the hello.
+        struct Acks(Hello);
+        impl DatagramConduit for Acks {
+            fn send(&mut self, _: &[u8]) -> io::Result<()> {
+                Ok(())
+            }
+            fn recv(&mut self, _: Duration) -> io::Result<Option<Vec<u8>>> {
+                let header = DatagramHeader {
+                    kind: DatagramKind::HelloAck,
+                    cookie: 7,
+                    shard: 0,
+                    seq: 0,
+                };
+                Ok(Some(header.encode(&self.0.to_bytes())))
+            }
+        }
+        let key = SipKey::new(3, 4);
+        let good = Hello::new(key, 4, 8);
+        let (version, fingerprint) = (good.version + 1, !good.fingerprint);
+        for bad in [
+            Hello { version, ..good },
+            Hello {
+                fingerprint,
+                ..good
+            },
+            Hello {
+                symbol_len: 16,
+                ..good
+            },
+            Hello { shards: 0, ..good },
+        ] {
+            let over_udp = sync_sharded_udp(
+                &mut Acks(bad),
+                &[] as &[Item],
+                |_| RibltBackend::<Item>::new(8, 32),
+                &UdpSyncConfig {
+                    key,
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+            let mut link = netsim::FlightLink::new(move |_, out| {
+                Ok(reconcile_core::append_frame(out, &bad.to_bytes())?)
+            });
+            let over_tcp = crate::sync_sharded_tcp(
+                &mut link,
+                &[] as &[Item],
+                |_| RibltBackend::<Item>::new(8, 32),
+                &crate::TcpSyncConfig {
+                    key,
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+            assert!(matches!(over_udp, EngineError::Handshake(_)), "{over_udp}");
+            assert_eq!(over_udp, over_tcp, "{bad:?}");
+        }
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! `(rounds + 1) × RTT`.
 //!
 //! Output columns: `rtt_ms, d, trials, rounds, rounds_max, sync_ms,
-//! symbols, lock_step_rounds, lock_step_ms, lock_step_symbols`.
+//! symbols, lock_step_rounds, lock_step_ms, lock_step_symbols,
+//! served_vs_lock_step_pct` (the last is what the window costs: symbols
+//! served over lock-step's, in per cent). `--full` adds a d = 16,000 row,
+//! where a constant second rung overshot (`table_window_policy` has the
+//! rule-by-rule comparison this figure checks on the real driver).
 
 use netsim::LinkConfig;
 use reconcile_core::backends::RibltBackend;
@@ -38,7 +42,7 @@ const ACCOUNTS: u64 = 5_000;
 /// A ledger pair whose symmetric difference is exactly `d` items, half on
 /// each side: `d / 2` accounts changed state (to a seed-dependent version).
 fn ledgers_differing_by(d: u64, seed: u64) -> (Ledger, Ledger) {
-    let stale = Ledger::genesis(ACCOUNTS);
+    let stale = Ledger::genesis(ACCOUNTS.max(d / 2));
     let mut latest = stale.clone();
     for account in 0..d / 2 {
         latest.put(synth_address(account), synth_account(account, 1 + seed));
@@ -86,10 +90,12 @@ fn main() {
         "lock_step_rounds",
         "lock_step_ms",
         "lock_step_symbols",
+        "served_vs_lock_step_pct",
     ]);
+    let differences: &[u64] = cli.scale.pick(&[100, 2_000], &[100, 2_000, 16_000]);
 
     for rtt_ms in [0.0f64, 10.0, 50.0, 100.0] {
-        for d in [100u64, 2_000] {
+        for &d in differences {
             let link = LinkConfig {
                 one_way_delay_s: rtt_ms / 2e3,
                 bandwidth_bps: None,
@@ -139,7 +145,11 @@ fn main() {
                 format!("{:.0}", per(symbols)),
                 format!("{:.2}", per(lock_rounds)),
                 format!("{:.1}", (per(lock_rounds) + 1.0) * rtt_ms),
-                format!("{:.0}", per(lock_symbols))
+                format!("{:.0}", per(lock_symbols)),
+                format!(
+                    "{:+.1}",
+                    (symbols as f64 / lock_symbols as f64 - 1.0) * 100.0
+                )
             );
         }
     }

@@ -9,25 +9,50 @@
 //! of what it needs at once:
 //!
 //! 1. up to [`FIRST_RUNG`]`·d̂` while the estimate rests on one batch per
-//!    shard (±9.5 % pooled over 8 shards): an estimate one standard
-//!    deviation high still lands below what the median shard needs;
-//! 2. up to [`SECOND_RUNG`]`·d̂` once the estimate rests on that range
-//!    (±3 %): the median shard of 250 differences decodes at 1.41·d, the
-//!    slowest of 8 at 1.56·d̄;
-//! 3. then top up by [`TOP_UP`]`·d̂` a round.
+//!    shard (±9.5 % pooled over 8 shards). This ask is sized to finish the
+//!    median shard: rounded up to whole tiles it reaches the `1.41·d` the
+//!    median shard of 250 differences decodes at, so about half the shards
+//!    are done after one request round. What it spends is whatever an
+//!    estimate that came out high asked for beyond each shard's need;
+//! 2. up to [`SECOND_RUNG`]`·√d̂` above that once the estimate rests on the
+//!    first range (±3 %). This ask is sized to finish the slowest shard: a
+//!    shard's need is spread ±`√d` by the decoder and ±`1.3·√d` by the
+//!    hash split around the pooled mean, so four `√d̂` over `1.35·d̂` cover
+//!    the slowest of 8 (`1.60·d̂` at 250 differences a shard, `1.44·d̂` at
+//!    2,000 — a constant multiple would overshoot large differences).
+//!    Every shard the first rung left open is sent the whole gap, which is
+//!    the window's one real cost in symbols;
+//! 3. then top up by [`TOP_UP`]`·d̂` a round, and never by less: a stream
+//!    that stands just short of the second rung gets the full top-up.
 //!
 //! Ranges are whole tiles (the server's batch size) and every ask is at
 //! least one tile, so no stream ever takes more rounds than asking tile by
-//! tile would, and a difference of up to a tile per shard is asked for
-//! exactly as it was tile by tile. At 2,000 differences over 8 shards the
-//! window takes 4.0 rounds instead of 12.7 for 2.3 % more symbols; the
-//! simulation table, the per-shard-estimate comparison and what the rungs
-//! trade against each other are in ARCHITECTURE.md ("The request window").
+//! tile would, and a difference of up to a tile and a half per shard
+//! (`d̂ ≤ 47`) is asked for exactly as it was tile by tile. At 2,000
+//! differences over 8 shards the window takes 2.3 request rounds after the
+//! handshake's flight instead of 11.8, for 4.9 % more symbols than tile by
+//! tile; the ladder it replaced (`1.25·d̂`, then `1.45·d̂`, whose first ask
+//! was sized to land *below* the median shard) took 3.1 for 2.5 %. Rounds
+//! against symbols is the whole trade: `table_window_policy` (in
+//! `riblt-bench`) replays this function over recorded decodes and is the
+//! source of every number here and of the table in ARCHITECTURE.md ("The
+//! request window").
+//!
+//! Which rung a stream stands on is read off `requested` against `d̂`, not
+//! remembered, so an estimate that grows can put a stream back under the
+//! first rung, where it is asked for less than the second rung it was
+//! heading for. That is deliberate (the first estimate was low: ask up to
+//! the median again before paying for the gap; sending such a stream
+//! a full step further instead reads 2.0 rounds for 6.1 % at 1,000
+//! differences where this reads 2.2 for 3.9 %) and it is the one place
+//! where a larger estimate asks for less: on either side of the first rung
+//! the ask never shrinks as the estimate grows, and it never shrinks as
+//! `requested` grows.
 
 /// First ask, as a multiple of the estimated difference.
-pub const FIRST_RUNG: f64 = 1.25;
-/// Second ask, as a multiple of the estimated difference.
-pub const SECOND_RUNG: f64 = 1.45;
+pub const FIRST_RUNG: f64 = 1.35;
+/// Second ask, as a multiple of the estimate's square root above the first.
+pub const SECOND_RUNG: f64 = 4.0;
 /// Top-up per round after the second rung, as a fraction of the estimate.
 pub const TOP_UP: f64 = 0.1;
 
@@ -44,14 +69,14 @@ pub fn request_until(
     budget: usize,
 ) -> Option<usize> {
     let asked = requested as f64;
-    let target = if asked < FIRST_RUNG * difference {
-        FIRST_RUNG * difference
-    } else if asked < SECOND_RUNG * difference {
-        SECOND_RUNG * difference
+    let first = FIRST_RUNG * difference;
+    let target = if asked < first {
+        first
     } else {
-        asked + TOP_UP * difference
+        (first + SECOND_RUNG * difference.sqrt()).max(asked + TOP_UP * difference)
     };
-    // `as usize` saturates, so an absurd estimate cannot wrap.
+    // `as usize` saturates and maps NaN to 0, so an absurd estimate cannot
+    // wrap and a meaningless one asks one tile.
     let tiles = ((target / tile as f64).ceil() as usize).min(usize::MAX / tile);
     let last = budget.div_ceil(tile).saturating_mul(tile);
     let until = (tiles * tile).max(requested.saturating_add(tile)).min(last);
@@ -61,6 +86,7 @@ pub fn request_until(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riblt_hash::SplitMix64;
 
     #[test]
     fn stops_at_the_tile_that_holds_the_budget() {
@@ -73,14 +99,30 @@ mod tests {
 
     #[test]
     fn climbs_the_rungs_then_tops_up() {
-        // d = 250, tile 32: 32 → 1.25·d = 312.5 → 320.
-        assert_eq!(request_until(32, 32, 250.0, usize::MAX), Some(320));
-        // 320 < 1.45·d = 362.5 → 384.
-        assert_eq!(request_until(320, 32, 250.0, usize::MAX), Some(384));
-        // Past the second rung: 0.1·d = 25 → one tile.
-        assert_eq!(request_until(384, 32, 250.0, usize::MAX), Some(416));
-        // d = 2,000: top-ups of 200 → 7 tiles.
+        // d = 250, tile 32: 32 → 1.35·d = 337.5 → 11 tiles = 352.
+        assert_eq!(request_until(32, 32, 250.0, usize::MAX), Some(352));
+        // 352 ≥ 337.5 → 337.5 + 4·√250 = 337.5 + 63.2 = 400.7 (the top-up,
+        // 352 + 25, is less) → 13 tiles = 416.
+        assert_eq!(request_until(352, 32, 250.0, usize::MAX), Some(416));
+        // Past the second rung: 416 + 0.1·d = 441 → 14 tiles = 448.
+        assert_eq!(request_until(416, 32, 250.0, usize::MAX), Some(448));
+        // d = 2,000: 1.35·d = 2,700 → 85 tiles = 2,720. The second rung,
+        // 2,700 + 4·√2,000 = 2,878.9, is 1.44·d where a shard of 250 is
+        // sent 1.66·d; from 2,720 the top-up reaches further, 2,920 → 92
+        // tiles = 2,944, and from 2,688 (a first estimate 1 % lower) it is
+        // the rung: 90 tiles = 2,880.
+        assert_eq!(request_until(32, 32, 2_000.0, usize::MAX), Some(2_720));
+        assert_eq!(request_until(2_720, 32, 2_000.0, usize::MAX), Some(2_944));
+        assert_eq!(request_until(2_688, 32, 2_000.0, usize::MAX), Some(2_720));
+        // Top-ups of 0.1·d = 200: 2,912 + 200 = 3,112 → 98 tiles = 3,136,
+        // and as much from just short of the second rung: 2,848 + 200 =
+        // 3,048 → 96 tiles = 3,072, not the one tile that reaches 2,878.9.
         assert_eq!(request_until(2_912, 32, 2_000.0, usize::MAX), Some(3_136));
+        assert_eq!(request_until(2_848, 32, 2_000.0, usize::MAX), Some(3_072));
+        // An estimate that grew to 262 puts 352 back under the first rung
+        // (1.35·262 = 353.7): the ask is the rung's 12 tiles, not the 416 it
+        // was at 250.
+        assert_eq!(request_until(352, 32, 262.0, usize::MAX), Some(384));
     }
 
     #[test]
@@ -97,15 +139,93 @@ mod tests {
 
     #[test]
     fn small_differences_ask_tile_by_tile() {
-        // d̂ ≤ 44 per shard (d ≤ 350 over 8 shards), and no estimate at all
-        // (0.0): every round is one more tile, exactly what lock-step asked.
-        for difference in [0.0, 1.0, 12.5, 44.0] {
+        // d̂ ≤ 47 per shard (d ≤ 376 over 8 shards; 1.35·47 = 63.45 still
+        // fits the second tile, and 63.45 + 4·√47 = 90.9 the third), and no
+        // estimate at all (0.0): every round is one more tile, exactly what
+        // lock-step asked.
+        for difference in [0.0, 1.0, 12.5, 32.0, 47.0] {
             for requested in [32, 64, 96, 640] {
                 assert_eq!(
                     request_until(requested, 32, difference, usize::MAX),
                     Some(requested + 32)
                 );
             }
+        }
+        // 1.35·48 = 64.8: the first ask that is two tiles.
+        assert_eq!(request_until(32, 32, 48.0, usize::MAX), Some(96));
+    }
+
+    /// Hand-rolled property test (the style of `tests/property_tests.rs`):
+    /// seeded draws, a failing case prints its inputs.
+    #[test]
+    fn asks_never_shrink_as_requested_or_the_estimate_grows() {
+        let mut gen = SplitMix64::new(0x91d0);
+        // A draw that is small, tile-sized or huge with equal chance.
+        let mut draw = move |scale: u64| match gen.next_u64() % 3 {
+            0 => gen.next_u64() % 8,
+            1 => gen.next_u64() % scale,
+            _ => gen.next_u64() % (scale * 4_096),
+        };
+        for case in 0..20_000 {
+            let tile = 1 + draw(64) as usize;
+            let requested = (1 + draw(64) as usize) * tile;
+            let further = requested + draw(64) as usize * tile;
+            let budget = if case % 4 == 0 {
+                draw(1 << 20) as usize
+            } else {
+                usize::MAX
+            };
+            let difference = draw(1 << 12) as f64 / 8.0;
+            let larger = difference + draw(1 << 12) as f64 / 8.0;
+            let context =
+                format!("tile {tile}, requested {requested}, budget {budget}, d̂ {difference}");
+
+            // In `requested`: a stream that has asked for more is never
+            // asked up to less. (`None` is a stream at its budget tile.)
+            let until = request_until(requested, tile, difference, budget);
+            let until_further = request_until(further, tile, difference, budget);
+            assert!(
+                until.unwrap_or(requested) <= until_further.unwrap_or(further),
+                "{context}: {until:?}, from {further} {until_further:?}"
+            );
+
+            // In `difference`, on either side of the first rung: both
+            // estimates leave the stream under it, or neither does.
+            let asked = requested as f64;
+            if asked < FIRST_RUNG * difference || asked >= FIRST_RUNG * larger {
+                let until_larger = request_until(requested, tile, larger, budget);
+                assert!(
+                    until <= until_larger,
+                    "{context}: {until:?}, at {larger} {until_larger:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn meaningless_estimates_ask_one_tile_and_absurd_ones_the_budget() {
+        for requested in [32, 64, 512] {
+            // NaN has no rung to stand on: one tile, as with no estimate.
+            for budget in [1 << 20, usize::MAX] {
+                assert_eq!(
+                    request_until(requested, 32, f64::NAN, budget),
+                    Some(requested + 32)
+                );
+                assert_eq!(
+                    request_until(requested, 32, -1.0, budget),
+                    Some(requested + 32)
+                );
+            }
+            // ∞ and f64::MAX ask for everything: the budget's tile, or the
+            // last whole tile a `usize` holds.
+            for difference in [f64::INFINITY, f64::MAX] {
+                assert_eq!(request_until(requested, 32, difference, 1_000), Some(1_024));
+                assert_eq!(
+                    request_until(requested, 32, difference, usize::MAX),
+                    Some(usize::MAX / 32 * 32)
+                );
+            }
+            assert_eq!(request_until(1_024, 32, f64::INFINITY, 1_000), None);
         }
     }
 }

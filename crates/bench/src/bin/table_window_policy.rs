@@ -1,61 +1,56 @@
-//! The request window's policy table: what a sizing rule costs in request
-//! rounds and in symbols served, replayed over `riblt`'s own
+//! The request window's policy table: what a sizing policy costs in
+//! request rounds and in symbols served, replayed over `riblt`'s own
 //! `Encoder`/`Decoder` — the simulation behind the constants in
-//! `reconcile_core::window` and the table in ARCHITECTURE.md ("The request
-//! window").
+//! `reconcile_core::window`, the first flight of
+//! `reconcile_core::first_flight` and the table in ARCHITECTURE.md ("The
+//! request window").
 //!
 //! A trial splits a balanced difference of `d` items (half on each side,
-//! no common items: they cancel out of every cell) uniformly over 8 shards
-//! and decodes every shard once, recording what a rule can see and what it
-//! is charged for: the decoder's `DifferenceEstimate` at every 32-symbol
-//! tile boundary, and the length `u_s` of the prefix the decoder consumes.
-//! A decoder consumes the same prefix however it is asked for, so every
-//! rule is then replayed over the same recording, as `ClientMux` would
-//! drive it: the handshake's flight carries every shard's first tile; each
-//! request round pools the shards' latest estimates, asks every undecoded
-//! shard up to `rule(requested, 32, d̂, ∞)` and receives all of it.
+//! no common items: they cancel out of every cell and of every bucket of
+//! the count sketch) uniformly over 8 shards and decodes every shard once,
+//! recording what a policy can see and what it is charged for: the count
+//! sketch's estimate `d̂₀` of the whole difference (computed exactly, from
+//! the items' keyed hashes), the decoder's `DifferenceEstimate` at every
+//! 32-symbol tile boundary, and the length `u_s` of the prefix the decoder
+//! consumes. A decoder consumes the same prefix however it is asked for, so
+//! every policy is then replayed over the same recording, as `ClientMux`
+//! drives it: the handshake's flight carries every shard's first flight;
+//! each request round pools the shards' latest estimates, asks every
+//! undecoded shard up to `window::request_until(requested, 32, d̂, ∞)` and
+//! receives all of it.
 //!
-//! Two rules run side by side: `window::request_until` itself, and the
-//! ladder it replaced (frozen here as the table's "before"). Lock-step —
-//! one more tile per shard per round — is analytic: `⌈max u_s/32⌉ − 1`
-//! request rounds, `Σ ⌈u_s/32⌉·32` symbols.
+//! Two first flights run side by side over that one ladder: one tile per
+//! shard (`ladder`, the protocol-version-3 flight, which every open without
+//! a sketch still gets) and the server-sized flight of protocol version 4,
+//! `request_until(0, 32, d̂₀/8, ∞)` (`sized`). Lock-step — one more tile
+//! per shard per round — is analytic: `⌈max u_s/32⌉ − 1` request rounds,
+//! `Σ ⌈u_s/32⌉·32` symbols.
 //!
-//! Output columns: `d, trials, lock_step_rounds, lock_step_symbols_per_diff`,
-//! then per rule `rounds, rounds_max, symbols_per_diff, vs_lock_step_pct,
-//! vs_lock_step_pct_max` (`rounds` are request rounds after the handshake's
-//! flight, `symbols` are symbols served, `_max` the worst trial).
+//! Output columns: `d, trials, estimate_per_diff, estimate_sd_pct,
+//! lock_step_rounds, lock_step_symbols_per_diff`, then per first flight
+//! `rounds, rounds_max, symbols_per_diff, vs_lock_step_pct,
+//! vs_lock_step_pct_max` (`estimate_*` are the mean and spread of `d̂₀/d`,
+//! `rounds` are request rounds after the handshake's flight, `symbols` are
+//! symbols served, `_max` the worst trial).
 //!
-//! The run is its own gate, so a later edit of a constant cannot drift
-//! silently: it exits 1 when the d = 100 or d = 256 row differs from
-//! lock-step in rounds or symbols, or when d = 2,000 reads more than 2.6
-//! request rounds or more than 1.06 × lock-step symbols.
+//! A `--full` run (200 trials a row; the quick 20 move the sized flight by
+//! more than the margins) is its own gate, so a later edit of a constant
+//! cannot drift silently: it exits 1 unless the sized flight reads, at
+//! d = 100, exactly lock-step's rounds and symbols; at d = 256, at most 0.6
+//! request rounds and 2 % symbols over lock-step; at d = 2,000, at most
+//! 1.45 rounds and 1.06 × lock-step's symbols; and at d = 16,000, at most
+//! 1 % more symbols than the one-tile flight.
 
 use reconcile_core::window::request_until;
-use riblt::{Decoder, DifferenceEstimate, Encoder};
-use riblt_bench::{BenchCli, Item8};
-use riblt_hash::splitmix64;
+use reconcile_core::CountSketch;
+use riblt::{Decoder, DifferenceEstimate, Encoder, Symbol};
+use riblt_bench::{BenchCli, Item8, RunScale};
+use riblt_hash::{splitmix64, SipKey};
 
 const SHARDS: usize = 8;
 const TILE: usize = 32;
 
-/// A sizing rule, with the signature of `window::request_until`.
-type Rule = fn(usize, usize, f64, usize) -> Option<usize>;
-
-/// The ladder of PRs 16–23: up to `1.25·d̂`, then `1.45·d̂`, then `0.1·d̂`
-/// more a round.
-fn parent_ladder(requested: usize, tile: usize, difference: f64, _budget: usize) -> Option<usize> {
-    let asked = requested as f64;
-    let target = if asked < 1.25 * difference {
-        1.25 * difference
-    } else if asked < 1.45 * difference {
-        1.45 * difference
-    } else {
-        asked + 0.1 * difference
-    };
-    Some(((target / tile as f64).ceil() as usize * tile).max(requested + tile))
-}
-
-/// One shard's decode, recorded once and replayed under every rule.
+/// One shard's decode, recorded once and replayed under every policy.
 struct ShardTrace {
     /// Coded symbols the decoder consumes.
     units: usize,
@@ -64,21 +59,26 @@ struct ShardTrace {
     estimates: Vec<DifferenceEstimate>,
 }
 
-fn trace_trial(d: u64, seed: u64) -> Vec<ShardTrace> {
+/// One trial: the count sketch's estimate of the whole difference, and
+/// every shard's decode.
+fn trace_trial(d: u64, seed: u64) -> (f64, Vec<ShardTrace>) {
     let mut shards: Vec<(Encoder<Item8>, Decoder<Item8>)> = (0..SHARDS)
         .map(|_| (Encoder::new(), Decoder::new()))
         .collect();
+    let (mut server, mut client) = (CountSketch::new(), CountSketch::new());
     for k in 0..d {
         let item = Item8::from_u64(splitmix64(seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1);
         let shard = splitmix64(seed.rotate_left(17) ^ k) % SHARDS as u64;
         let (encoder, decoder) = &mut shards[shard as usize];
         if k % 2 == 0 {
+            server.insert(item.hash_with(SipKey::default()));
             encoder.add_symbol(item).expect("fresh encoder");
         } else {
+            client.insert(item.hash_with(SipKey::default()));
             decoder.add_symbol(item).expect("fresh decoder");
         }
     }
-    shards
+    let traces = shards
         .into_iter()
         .map(|(mut encoder, mut decoder)| {
             let mut estimates = Vec::new();
@@ -94,12 +94,14 @@ fn trace_trial(d: u64, seed: u64) -> Vec<ShardTrace> {
                 estimates,
             }
         })
-        .collect()
+        .collect();
+    (client.estimate_difference(&server), traces)
 }
 
-/// Request rounds and symbols served when `rule` drives one trial.
-fn replay(traces: &[ShardTrace], rule: Rule) -> (usize, usize) {
-    let mut requested = vec![TILE; traces.len()];
+/// Request rounds and symbols served when every shard's first flight is
+/// `first` symbols and `window::request_until` sizes every round after it.
+fn replay(traces: &[ShardTrace], first: usize) -> (usize, usize) {
+    let mut requested = vec![first; traces.len()];
     let mut rounds = 0;
     loop {
         // A shard's estimate is the one it reported with its last whole
@@ -114,7 +116,7 @@ fn replay(traces: &[ShardTrace], rule: Rule) -> (usize, usize) {
         let mut asked = false;
         for (trace, requested) in traces.iter().zip(&mut requested) {
             if trace.units > *requested {
-                *requested = rule(*requested, TILE, pooled.mean(), usize::MAX)
+                *requested = request_until(*requested, TILE, pooled.mean(), usize::MAX)
                     .expect("no budget in the simulation");
                 asked = true;
             }
@@ -144,22 +146,31 @@ impl Tally {
     }
 }
 
+/// The two first flights: one tile, or sized from the sketch's estimate as
+/// a server sizes it.
+const FLIGHTS: [&str; 2] = ["ladder", "sized"];
+
 fn main() {
     let cli = BenchCli::from_args();
     let trials = cli.scale.pick(20u64, 200u64);
-    let rules: [(&str, Rule); 2] = [("parent", parent_ladder), ("window", request_until)];
+    // The gates were set on 200 trials a row; over 20 the sized flight's
+    // rounds and symbols move by more than their margins.
+    let gated = cli.scale == RunScale::Full;
     let mut csv = cli.sink();
     eprintln!(
-        "# request-window policy ({:?} mode): {trials} trials per row, {SHARDS} shards, {TILE}-symbol tiles",
-        cli.scale
+        "# request-window policy ({:?} mode): {trials} trials per row, {SHARDS} shards, {TILE}-symbol tiles{}",
+        cli.scale,
+        if gated { "" } else { "; --full checks the gates" }
     );
     let mut header = vec![
         "d".to_string(),
         "trials".to_string(),
+        "estimate_per_diff".to_string(),
+        "estimate_sd_pct".to_string(),
         "lock_step_rounds".to_string(),
         "lock_step_symbols_per_diff".to_string(),
     ];
-    for (name, _) in rules {
+    for name in FLIGHTS {
         for column in [
             "rounds",
             "rounds_max",
@@ -175,9 +186,11 @@ fn main() {
     let mut failures = Vec::new();
     for d in [100u64, 256, 400, 1_000, 2_000, 4_000, 16_000] {
         let (mut lock_rounds, mut lock_symbols) = (0usize, 0usize);
-        let mut tallies = rules.map(|_| Tally::default());
+        let mut tallies = FLIGHTS.map(|_| Tally::default());
+        let mut ratios = Vec::with_capacity(trials as usize);
         for trial in 0..trials {
-            let traces = trace_trial(d, splitmix64(cli.seed_or(0x71_1e) ^ d) ^ trial);
+            let (estimate, traces) = trace_trial(d, splitmix64(cli.seed_or(0x71_1e) ^ d) ^ trial);
+            ratios.push(estimate / d as f64);
             let trial_lock_symbols: usize =
                 traces.iter().map(|t| t.units.div_ceil(TILE) * TILE).sum();
             lock_rounds += traces
@@ -188,15 +201,25 @@ fn main() {
                 .div_ceil(TILE)
                 - 1;
             lock_symbols += trial_lock_symbols;
-            for ((_, rule), tally) in rules.iter().zip(&mut tallies) {
-                tally.add(replay(&traces, *rule), trial_lock_symbols);
+            let sized = request_until(0, TILE, estimate / SHARDS as f64, usize::MAX);
+            let firsts = [TILE, sized.expect("no budget in the simulation")];
+            for (first, tally) in firsts.into_iter().zip(&mut tallies) {
+                tally.add(replay(&traces, first), trial_lock_symbols);
             }
         }
         let mean = |total: usize| total as f64 / trials as f64;
         let per_diff = |total: usize| total as f64 / (trials * d) as f64;
+        let ratio_mean = ratios.iter().sum::<f64>() / trials as f64;
+        let ratio_var = ratios
+            .iter()
+            .map(|r| (r - ratio_mean) * (r - ratio_mean))
+            .sum::<f64>()
+            / trials as f64;
         let mut cells = vec![
             d.to_string(),
             trials.to_string(),
+            format!("{ratio_mean:.3}"),
+            format!("{:.1}", ratio_var.sqrt() * 100.0),
             format!("{:.2}", mean(lock_rounds)),
             format!("{:.3}", per_diff(lock_symbols)),
         ];
@@ -212,26 +235,45 @@ fn main() {
         }
         csv.cells(&cells);
 
-        let [_, window] = &tallies;
-        if matches!(d, 100 | 256) && (window.rounds, window.served) != (lock_rounds, lock_symbols) {
-            failures.push(format!(
-                "d = {d}: the window differs from lock-step ({} rounds, {} symbols against {lock_rounds}, {lock_symbols})",
-                window.rounds, window.served
-            ));
-        }
-        if d == 2_000 {
-            if mean(window.rounds) > 2.6 {
-                failures.push(format!(
-                    "d = 2,000: {:.2} request rounds, over 2.6",
-                    mean(window.rounds)
-                ));
+        let [ladder, sized] = &tallies;
+        let mut gate = |broken: bool, what: String| {
+            if gated && broken {
+                failures.push(format!("d = {d}: the sized flight reads {what}"));
             }
-            if window.served * 100 > lock_symbols * 106 {
-                failures.push(format!(
-                    "d = 2,000: {} symbols served, over 1.06 x lock-step's {lock_symbols}",
-                    window.served
-                ));
-            }
+        };
+        let over_lock_step = |served: usize| served as f64 / lock_symbols as f64;
+        match d {
+            100 => gate(
+                (sized.rounds, sized.served) != (lock_rounds, lock_symbols),
+                format!(
+                    "{} rounds, {} symbols against lock-step's {lock_rounds}, {lock_symbols}",
+                    sized.rounds, sized.served
+                ),
+            ),
+            256 => gate(
+                mean(sized.rounds) > 0.6 || over_lock_step(sized.served) > 1.02,
+                format!(
+                    "{:.2} request rounds (at most 0.6), {:.3} x lock-step's symbols (at most 1.02)",
+                    mean(sized.rounds),
+                    over_lock_step(sized.served)
+                ),
+            ),
+            2_000 => gate(
+                mean(sized.rounds) > 1.45 || over_lock_step(sized.served) > 1.06,
+                format!(
+                    "{:.2} request rounds (at most 1.45), {:.3} x lock-step's symbols (at most 1.06)",
+                    mean(sized.rounds),
+                    over_lock_step(sized.served)
+                ),
+            ),
+            16_000 => gate(
+                sized.served as f64 > 1.01 * ladder.served as f64,
+                format!(
+                    "{} symbols against the one-tile flight's {} (at most 1 % more)",
+                    sized.served, ladder.served
+                ),
+            ),
+            _ => {}
         }
     }
     drop(csv);

@@ -5,11 +5,14 @@
 //! to a cluster: coded symbols are computed **once** when the set changes
 //! (each update patches O(log m) cells of one shard's cache) and the same
 //! cells serve *every* peer at *any* staleness — serving a session is a pure
-//! read of a cell range plus wire encoding, never a re-encode.
+//! read of a cell range plus wire encoding, never a re-encode. Beside the
+//! caches it keeps the [`CountSketch`] of its whole set, one count moved per
+//! mutation, against which a client's sketched wildcard open estimates the
+//! difference before the first flight.
 
 use std::collections::BTreeSet;
 
-use reconcile_core::{ShardId, ShardPartitioner};
+use reconcile_core::{CountSketch, ShardId, ShardPartitioner};
 use riblt::{CodedSymbol, HashedSymbol, SketchCache, Symbol};
 use riblt_hash::SipKey;
 
@@ -72,6 +75,7 @@ pub struct Node<S: Symbol + Ord> {
     items: BTreeSet<S>,
     caches: Vec<SketchCache<S>>,
     shard_sizes: Vec<usize>,
+    counts: CountSketch,
 }
 
 impl<S: Symbol + Ord> Node<S> {
@@ -86,6 +90,7 @@ impl<S: Symbol + Ord> Node<S> {
             items: BTreeSet::new(),
             caches,
             shard_sizes: vec![0; usize::from(config.shards)],
+            counts: CountSketch::new(),
             config,
         }
     }
@@ -147,6 +152,7 @@ impl<S: Symbol + Ord> Node<S> {
         // One keyed hash serves as shard selector and as checksum.
         let hashed = HashedSymbol::new(item, self.config.key);
         let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
+        self.counts.insert(hashed.hash);
         self.caches[shard].add_hashed_symbol(hashed);
         self.shard_sizes[shard] += 1;
         true
@@ -166,6 +172,7 @@ impl<S: Symbol + Ord> Node<S> {
         let hashes = S::hash_many_with(&fresh, self.config.key);
         for (item, hash) in fresh.iter().zip(hashes) {
             let shard = usize::from(self.partitioner.shard_of_hash(hash));
+            self.counts.insert(hash);
             self.caches[shard].add_hashed_symbol(HashedSymbol::with_hash(item.clone(), hash));
             self.shard_sizes[shard] += 1;
         }
@@ -181,6 +188,7 @@ impl<S: Symbol + Ord> Node<S> {
         }
         let hashed = HashedSymbol::new(item.clone(), self.config.key);
         let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
+        self.counts.remove(hashed.hash);
         self.caches[shard].remove_hashed_symbol(hashed);
         self.shard_sizes[shard] -= 1;
         true
@@ -191,6 +199,11 @@ impl<S: Symbol + Ord> Node<S> {
     /// concurrent session reads the same cells.
     pub fn shard_cells(&mut self, shard: ShardId, start: usize, len: usize) -> &[CodedSymbol<S>] {
         self.caches[usize::from(shard)].range(start, len)
+    }
+
+    /// The count sketch of the whole set ([`reconcile_core::first_flight`]).
+    pub fn count_sketch(&self) -> &CountSketch {
+        &self.counts
     }
 
     /// Window entries the shard caches hold for additions and for removals,
@@ -238,8 +251,12 @@ mod tests {
     }
 
     /// Each shard cache equals the from-scratch sketch of the shard's
-    /// membership, over the first `m` cells.
+    /// membership, over the first `m` cells, and the count sketch the one of
+    /// the whole set.
     fn assert_caches_match_a_rebuild(node: &mut Node<Item>, m: usize) {
+        let key = node.config().key;
+        let hashes: Vec<u64> = node.items().map(|item| item.hash_with(key)).collect();
+        assert_eq!(node.count_sketch(), &CountSketch::from_hashes(&hashes));
         for shard in 0..node.shards() {
             let mut fresh = Sketch::with_key(m, node.config().key);
             for item in node.items().filter(|i| node.shard_of(i) == shard) {
@@ -312,6 +329,7 @@ mod tests {
 
         assert!(bulk.items().eq(one_by_one.items()));
         assert_eq!(bulk.digest(), one_by_one.digest());
+        assert_eq!(bulk.count_sketch(), one_by_one.count_sketch());
         for shard in 0..bulk.shards() {
             assert_eq!(bulk.shard_len(shard), one_by_one.shard_len(shard));
             assert_eq!(

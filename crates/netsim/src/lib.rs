@@ -9,7 +9,7 @@
 //!   duplication, adjacent reordering) for exercising the UDP transport
 //!   without sockets.
 //! * [`FlightLink`] / [`library_server`] — an in-memory `Read + Write` link
-//!   that counts round trips and records what the client wrote, with the
+//!   that counts round trips and records what each side said, with the
 //!   library's own handshake-and-mux server behind it: the reference the
 //!   `reconciled` daemon's wire output is compared against.
 //! * [`TimeSeries`] — byte-delivery accounting for bandwidth traces

@@ -7,7 +7,7 @@
 //! ```text
 //! Hello (18 bytes, sent as one length-prefixed frame):
 //!   magic        : 4 bytes  "RCLD"
-//!   version      : u16 LE   protocol version (currently 3)
+//!   version      : u16 LE   protocol version (currently 4)
 //!   fingerprint  : u64 LE   keyed fingerprint of the shared SipKey
 //!   shards       : u16 LE   client → proposal (0 = "server decides");
 //!                           server → authoritative shard count
@@ -56,7 +56,11 @@ pub const REJECT_MAGIC: [u8; 4] = *b"RNCK";
 /// Protocol version this build speaks. Version 3 added the wildcard open
 /// ([`crate::SHARD_ALL`]); a version-2 server would answer one with a
 /// mid-stream "shard out of range", so the skew is refused here instead.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// Version 4 lets the wildcard open carry a count sketch of the client's set
+/// and answers it with a grant and a first flight sized from it
+/// ([`crate::first_flight`]); a version-3 server would ignore the sketch and
+/// send no grant.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Size of an encoded [`Hello`] in bytes.
 pub const HELLO_BYTES: usize = 18;
@@ -333,41 +337,24 @@ pub fn validate_server_hello(server: &Hello, local: &Hello) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    /// Bidirectional in-memory pipe: what one side writes, the other reads.
-    struct PipeEnd {
-        incoming: Cursor<Vec<u8>>,
-        outgoing: Vec<u8>,
-        writes: usize,
-    }
-
-    fn pipe_end(incoming: Vec<u8>) -> PipeEnd {
-        PipeEnd {
-            incoming: Cursor::new(incoming),
-            outgoing: Vec::new(),
-            writes: 0,
-        }
-    }
-
-    impl Read for PipeEnd {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.incoming.read(buf)
-        }
-    }
-
-    impl Write for PipeEnd {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes += 1;
-            self.outgoing.write(buf)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
+    use crate::flight::{library_server, FlightLink};
+    use crate::wirefmt::encode_stream_open;
+    use crate::{read_mux_frame, EngineMessage, MuxFrame, SHARD_ALL};
 
     fn key() -> SipKey {
         SipKey::new(11, 22)
+    }
+
+    /// The library's server announcing `hello`, over an empty set.
+    fn server(hello: Hello) -> FlightLink {
+        let backend = RibltBackend::<riblt::FixedBytes<8>>::with_key_and_alpha(
+            8,
+            32,
+            key(),
+            riblt::DEFAULT_ALPHA,
+        );
+        library_server(backend, &[], hello, usize::MAX)
     }
 
     #[test]
@@ -403,101 +390,117 @@ mod tests {
         );
     }
 
-    /// Runs both halves over in-memory pipes and returns their results.
-    fn run(client: Hello, server: Hello) -> (Result<Hello>, Result<Hello>) {
-        // Client writes first; feed that to the server, then the server's
-        // answer back to the client.
-        let mut c2s = Vec::new();
-        write_frame(&mut c2s, &client.to_bytes()).unwrap();
-        let mut server_end = pipe_end(c2s);
-        let server_result = server_handshake(&mut server_end, &server);
-        let mut client_end = pipe_end(server_end.outgoing);
-        let client_result = client_handshake(&mut client_end, &client);
-        (client_result, server_result)
+    /// The client half against the library's server announcing `server`:
+    /// the client's result, and why the server hung up, if it did.
+    fn run(client: Hello, server_hello: Hello) -> (Result<Hello>, Option<EngineError>) {
+        let mut link = server(server_hello);
+        let client_result = client_handshake(&mut link, &client);
+        (client_result, link.hung_up)
     }
 
     #[test]
     fn matching_peers_complete_and_client_adopts_server_shards() {
-        let (client_result, server_result) =
-            run(Hello::new(key(), SHARDS_ANY, 8), Hello::new(key(), 32, 8));
-        let seen_by_server = server_result.unwrap();
-        assert_eq!(seen_by_server.shards, SHARDS_ANY);
-        let server_hello = client_result.unwrap();
+        let mut link = server(Hello::new(key(), 32, 8));
+        let server_hello = client_handshake(&mut link, &Hello::new(key(), SHARDS_ANY, 8)).unwrap();
         assert_eq!(
             server_hello.shards, 32,
             "server shard count is authoritative"
         );
+        assert_eq!(link.hung_up, None);
+        // What the server was told: no preference.
+        let seen_by_server = Hello::from_bytes(&read_frame(&mut &link.sent[..]).unwrap()).unwrap();
+        assert_eq!(seen_by_server.shards, SHARDS_ANY);
     }
 
     #[test]
     fn pipelined_frames_leave_with_the_hello_and_wait_behind_it() {
-        let (client, server) = (Hello::new(key(), SHARDS_ANY, 8), Hello::new(key(), 4, 8));
+        let (client, server_hello) = (Hello::new(key(), SHARDS_ANY, 8), Hello::new(key(), 4, 8));
+        let open = EngineMessage::Open(encode_stream_open(RIBLT_STREAM_MAGIC, 8));
         let mut pipelined = Vec::new();
-        append_frame(&mut pipelined, b"first frame of the conversation").unwrap();
-        // The server's answer is not there yet: the client's flight must
-        // already be complete when it starts waiting.
-        let mut client_end = pipe_end(Vec::new());
-        assert!(client_handshake_pipelined(&mut client_end, &client, &pipelined).is_err());
-        assert_eq!(client_end.writes, 1, "hello and frames share one write");
-        // The server's handshake reads the hello and nothing past it.
-        let mut server_end = pipe_end(client_end.outgoing);
-        server_handshake(&mut server_end, &server).unwrap();
+        append_frame(
+            &mut pipelined,
+            &MuxFrame::new(1, SHARD_ALL, open).to_bytes(),
+        )
+        .unwrap();
+        let mut link = server(server_hello);
         assert_eq!(
-            read_frame(&mut server_end).unwrap(),
-            b"first frame of the conversation"
+            client_handshake_pipelined(&mut link, &client, &pipelined).unwrap(),
+            server_hello
         );
+        // The frames left with the hello, in one write, before the client
+        // waited...
+        let mut flight = Vec::new();
+        append_frame(&mut flight, &client.to_bytes()).unwrap();
+        flight.extend_from_slice(&pipelined);
+        assert_eq!(link.sent, flight);
+        assert_eq!(link.writes, 1, "hello and frames share one write");
+        assert_eq!(link.flights, 1);
+        // ...and the server read them behind it: its hello, then its answer
+        // to the open, every shard's first tile, is all it said.
+        let mut said = &link.received[..];
+        let hello = Hello::from_bytes(&read_frame(&mut said).unwrap()).unwrap();
+        assert_eq!(hello, server_hello);
+        for shard in 0..4 {
+            let reply = read_mux_frame(&mut said).unwrap();
+            assert_eq!(reply.shard, shard);
+            assert!(matches!(reply.message, EngineMessage::Payload(_)));
+        }
+        assert!(said.is_empty());
     }
 
     #[test]
     fn version_mismatch_is_rejected_with_the_reason() {
         let mut old = Hello::new(key(), 4, 8);
         old.version = 0;
-        let (client_result, server_result) = run(old, Hello::new(key(), 4, 8));
-        assert!(matches!(server_result, Err(EngineError::Handshake(_))));
+        let (client_result, hung_up) = run(old, Hello::new(key(), 4, 8));
+        assert!(matches!(hung_up, Some(EngineError::Handshake(_))));
         let err = client_result.unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
     fn key_mismatch_is_rejected_with_the_reason() {
-        let (client_result, server_result) = run(
+        let (client_result, hung_up) = run(
             Hello::new(SipKey::new(1, 1), 4, 8),
             Hello::new(SipKey::new(2, 2), 4, 8),
         );
-        assert!(server_result.is_err());
+        assert!(hung_up.is_some());
         let err = client_result.unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
     }
 
     #[test]
     fn symbol_len_mismatch_is_rejected_with_the_reason() {
-        let (client_result, server_result) = run(Hello::new(key(), 4, 16), Hello::new(key(), 4, 8));
-        assert!(server_result.is_err());
+        let (client_result, hung_up) = run(Hello::new(key(), 4, 16), Hello::new(key(), 4, 8));
+        assert!(hung_up.is_some());
         let err = client_result.unwrap_err();
         assert!(err.to_string().contains("symbol length"), "{err}");
     }
 
     #[test]
     fn garbage_hello_gets_a_malformed_reject() {
-        let mut c2s = Vec::new();
-        write_frame(&mut c2s, b"not a hello at all").unwrap();
-        let mut server_end = pipe_end(c2s);
-        assert!(server_handshake(&mut server_end, &Hello::new(key(), 4, 8)).is_err());
-        let reply = read_frame(&mut Cursor::new(server_end.outgoing)).unwrap();
+        let mut link = server(Hello::new(key(), 4, 8));
+        write_frame(&mut link, b"not a hello at all").unwrap();
+        let reply = read_frame(&mut link).unwrap();
         let (reason, _) = decode_reject(&reply).expect("server sent a reject frame");
         assert_eq!(reason, RejectReason::Malformed);
+        assert!(link.hung_up.is_some());
     }
 
     #[test]
     fn truncated_stream_surfaces_as_io_not_a_hang() {
-        // A peer that sends half a frame then closes.
+        // A peer that sends half a frame then waits.
         let mut partial = Vec::new();
         write_frame(&mut partial, &Hello::new(key(), 4, 8).to_bytes()).unwrap();
         partial.truncate(partial.len() - 5);
-        let mut server_end = pipe_end(partial);
-        assert!(matches!(
-            server_handshake(&mut server_end, &Hello::new(key(), 4, 8)),
-            Err(EngineError::Io(_, _))
-        ));
+        let mut link = server(Hello::new(key(), 4, 8));
+        link.write_all(&partial).unwrap();
+        // The server gives up on the half frame and hangs up, so the peer
+        // reads end-of-stream instead of waiting for ever.
+        assert_eq!(
+            read_frame(&mut link).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
+        assert!(matches!(link.hung_up, Some(EngineError::Io(_, _))));
     }
 }

@@ -18,8 +18,10 @@
 //! [`std::io::Read`]` + `[`std::io::Write`] stream, and [`handshake`] is the
 //! versioned hello exchange (magic, protocol version, SipKey fingerprint,
 //! shard-count negotiation) the `reconciled` daemon speaks in front of the
-//! multiplexed [`MuxFrame`] protocol. See `ARCHITECTURE.md` at the
-//! repository root for the full wire-format reference.
+//! multiplexed [`MuxFrame`] protocol, and [`FirstFlight`] sizes what a
+//! server sends before the client has decoded anything. See
+//! `ARCHITECTURE.md` at the repository root for the full wire-format
+//! reference.
 //!
 //! ## Quick start
 //!
@@ -44,12 +46,22 @@ pub mod backends;
 pub mod datagram;
 mod engine;
 mod error;
+pub mod first_flight;
 pub mod framing;
 pub mod handshake;
 pub mod mux;
 pub mod shard;
 pub mod window;
 pub mod wirefmt;
+
+// The unit tests talk to `netsim`'s reference server, the same source file
+// (a dev-dependency on `netsim` would link a second copy of this crate,
+// whose types are not these). That file names this crate by its name.
+#[cfg(test)]
+extern crate self as reconcile_core;
+#[cfg(test)]
+#[path = "../../netsim/src/flight.rs"]
+mod flight;
 
 pub use backend::{Progress, ReconcileBackend, StreamProgress};
 pub use datagram::{
@@ -61,6 +73,7 @@ pub use engine::{
     run_in_memory, ClientEngine, EngineMessage, RangeRequest, RunReport, ServerEngine,
 };
 pub use error::{EngineError, Result};
+pub use first_flight::{CountSketch, FirstFlight};
 pub use framing::{
     append_frame, read_frame, read_frame_or_eof, read_mux_frame, write_frame, write_mux_frame,
     FrameBuffer, LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES,

@@ -11,7 +11,8 @@
 //! * [`ServerMux`] — routes incoming frames to per-`(session, shard)`
 //!   [`ServerEngine`]s, creating them on `Open` through a caller-supplied
 //!   factory and retiring them on `Done`. An `Open` addressed to
-//!   [`SHARD_ALL`] is one `Open` per shard.
+//!   [`SHARD_ALL`] is one `Open` per shard, and with a count sketch behind
+//!   it also the grant and the first flight [`FirstFlight`] sizes.
 //! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
 //!   by round: it absorbs a round's payloads (independent shards in
 //!   parallel on a `std::thread` worker pool), then turns the streaming
@@ -27,8 +28,10 @@ use riblt::{DifferenceEstimate, SetDifference};
 use crate::backend::{Progress, ReconcileBackend};
 use crate::engine::{ClientEngine, EngineMessage, RangeRequest, ServerEngine};
 use crate::error::{EngineError, Result};
+use crate::first_flight::{CountSketch, FirstFlight};
 use crate::shard::{SessionId, ShardId, SHARD_ALL};
 use crate::window::request_until;
+use crate::wirefmt::split_stream_open;
 
 /// Observation handles a [`ClientMux`] records into while absorbing
 /// payloads. The handles are plain `obs` instruments — attach ones
@@ -117,6 +120,11 @@ where
     engines: HashMap<(SessionId, ShardId), ServerEngine<B>>,
     /// Shards a wildcard open stands for (0 = never told: refuse them).
     shards: u16,
+    /// What sizes a wildcard open's first flight: the server's own count
+    /// sketch, its tile and its per-stream unit budget.
+    own: CountSketch,
+    tile: usize,
+    unit_budget: usize,
 }
 
 impl<B, F> ServerMux<B, F>
@@ -130,13 +138,35 @@ where
             factory,
             engines: HashMap::new(),
             shards: 0,
+            own: CountSketch::new(),
+            tile: 0,
+            unit_budget: 0,
         }
     }
 
     /// Tells the demultiplexer how many shards a session has, so an `Open`
-    /// addressed to [`SHARD_ALL`] can be expanded into shards `0..shards`.
-    pub fn serving_shards(mut self, shards: u16) -> Self {
+    /// addressed to [`SHARD_ALL`] can be expanded into shards `0..shards`,
+    /// and how to size such an open's first flight when it carries a count
+    /// sketch ([`FirstFlight::for_sketch`]): against `own`, the sketch of
+    /// the server's whole set, for engines that serve `tile`-symbol payloads
+    /// and at most `unit_budget` symbols per stream. Only streaming
+    /// backends, whose opens are a magic and an item length, can be opened
+    /// this way.
+    ///
+    /// # Panics
+    /// If `tile` is 0.
+    pub fn serving_shards(
+        mut self,
+        shards: u16,
+        own: CountSketch,
+        tile: usize,
+        unit_budget: usize,
+    ) -> Self {
+        assert!(tile > 0, "a tile holds at least one symbol");
         self.shards = shards;
+        self.own = own;
+        self.tile = tile;
+        self.unit_budget = unit_budget;
         self
     }
 
@@ -151,18 +181,37 @@ where
     ///
     /// An `Open` addressed to [`SHARD_ALL`] is handled as the same `Open`
     /// for each shard in turn, and answered by every shard's first payload
-    /// in shard order.
+    /// in shard order. If it carries a count sketch, the answer starts with
+    /// the grant frame and each shard's first payload is followed by the
+    /// rest of its first flight: what serving the granted range to every
+    /// shard returns.
     pub fn handle(&mut self, frame: &MuxFrame) -> Result<Vec<MuxFrame>> {
         if frame.shard == SHARD_ALL {
-            if !matches!(frame.message, EngineMessage::Open(_)) || self.shards == 0 {
+            let (EngineMessage::Open(open), true) = (&frame.message, self.shards > 0) else {
                 return Err(EngineError::Protocol(
                     "only an open may address every shard",
                 ));
-            }
-            let mut replies = Vec::with_capacity(usize::from(self.shards));
+            };
+            let (_, sketch) = split_stream_open(open)?;
+            let grant = FirstFlight::for_sketch(
+                sketch,
+                &self.own,
+                self.shards,
+                self.tile,
+                self.unit_budget,
+            )?
+            .grant;
+            let mut replies = Vec::with_capacity(usize::from(self.shards) + 1);
+            replies.extend(grant.map(|range| {
+                MuxFrame::new(frame.session, SHARD_ALL, EngineMessage::Request(range))
+            }));
             for shard in 0..self.shards {
                 let open = MuxFrame::new(frame.session, shard, frame.message.clone());
                 replies.extend(self.handle(&open)?);
+                if let Some(range) = grant.filter(|range| range.count > 0) {
+                    let rest = MuxFrame::new(frame.session, shard, EngineMessage::Request(range));
+                    replies.extend(self.handle(&rest)?);
+                }
             }
             return Ok(replies);
         }
@@ -319,8 +368,10 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// Caps the stream symbols requested per shard. The cap is applied when
     /// a request is sized, so a shard that cannot decode (a mis-matched
     /// mapping parameter, say) fails with [`EngineError::DecodeIncomplete`]
-    /// after receiving less than `units` plus one batch — one wedged shard
-    /// never gets to spend the others' allowance.
+    /// after receiving less than `units` plus one batch, or its first
+    /// flight if that was more — one wedged shard never gets to spend the
+    /// others' allowance. A first flight is the server's to size (see
+    /// [`Self::book_first_flight`]), so this cap does not bound it.
     pub fn set_unit_budget(&mut self, units: usize) {
         self.unit_budget = units;
     }
@@ -366,6 +417,35 @@ impl<B: ReconcileBackend> ClientMux<B> {
         for sc in self.shards.iter_mut().flatten() {
             sc.awaiting += 1;
         }
+    }
+
+    /// [`Self::expect_first_payloads`] for a wildcard open that carried a
+    /// count sketch, from the grant frame the server sent ahead of the
+    /// payloads ([`crate::first_flight`]): a range request addressed to
+    /// [`SHARD_ALL`] naming `[tile, symbols)`. Every registered shard is
+    /// owed `[0, symbols)` in `tile`-symbol payloads and has asked for all
+    /// of it, so its window goes on from there. A grant past the unit budget
+    /// ([`Self::set_unit_budget`]) is booked all the same — its payloads are
+    /// on their way — and leaves the shard nothing more to ask.
+    pub fn book_first_flight(&mut self, grant: &MuxFrame) -> Result<()> {
+        let range = match grant {
+            MuxFrame {
+                session,
+                shard: SHARD_ALL,
+                message: EngineMessage::Request(range),
+            } if *session == self.session => *range,
+            _ => return Err(EngineError::Protocol("expected the first flight's grant")),
+        };
+        let (tile, rest) = (range.offset as usize, usize::from(range.count));
+        if tile == 0 || rest % tile != 0 {
+            return Err(EngineError::Protocol("a grant of no whole tiles"));
+        }
+        for sc in self.shards.iter_mut().flatten() {
+            sc.tile = tile;
+            sc.requested = tile + rest;
+            sc.awaiting += 1 + rest / tile;
+        }
+        Ok(())
     }
 
     /// True once every shard has completed.
@@ -521,7 +601,7 @@ mod tests {
     use crate::backends::RibltBackend;
     use crate::engine::RangeRequest;
     use crate::shard::ShardPartitioner;
-    use riblt::FixedBytes;
+    use riblt::{FixedBytes, Symbol};
     use riblt_hash::{SipKey, SplitMix64};
 
     type Item = FixedBytes<8>;
@@ -703,14 +783,15 @@ mod tests {
         let EngineMessage::Open(body) = opens[0].message.clone() else {
             panic!("opens() emits opens");
         };
-        let wildcard = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open(body));
+        let wildcard = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open(body.clone()));
 
         let mut per_shard = server();
         let expected: Vec<MuxFrame> = opens
             .iter()
             .flat_map(|open| per_shard.handle(open).unwrap())
             .collect();
-        let mut expanding = server().serving_shards(4);
+        let told = || server().serving_shards(4, CountSketch::new(), 32, usize::MAX);
+        let mut expanding = told();
         assert_eq!(expanding.handle(&wildcard).unwrap(), expected);
         assert_eq!(expanding.active_sessions(), 4);
         // The shards are open now: a second wildcard is four duplicates.
@@ -721,7 +802,7 @@ mod tests {
         // Nothing but an open may be addressed to every shard, and a mux
         // that was never told its shard count cannot expand one.
         for refused in [
-            (server().serving_shards(4), EngineMessage::Done),
+            (told(), EngineMessage::Done),
             (server(), wildcard.message.clone()),
         ] {
             let (mut mux, message) = refused;
@@ -745,6 +826,31 @@ mod tests {
             booked.handle_round(&expected, 1).unwrap(),
             mux.handle_round(&expected, 1).unwrap()
         );
+
+        // With a count sketch behind it, the open is answered by the grant
+        // first, then every shard's whole first flight: 1,000 differences,
+        // 250 a shard, whose first rung (337.5) is 11 tiles.
+        let sketch =
+            |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()));
+        let mut wire = Vec::new();
+        sketch(&items(500..1_500)).encode(&mut wire);
+        let own = sketch(&items(0..1_000));
+        let flight = FirstFlight::for_sketch(&wire, &own, 4, 32, usize::MAX).unwrap();
+        let grant = flight.grant.unwrap();
+        assert_eq!(
+            (flight.symbols, grant),
+            (352, RangeRequest::new(32, 320).unwrap())
+        );
+        let sketched = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open([body, wire].concat()));
+        let replies = server()
+            .serving_shards(4, own, 32, usize::MAX)
+            .handle(&sketched)
+            .unwrap();
+        assert_eq!(
+            replies[0],
+            MuxFrame::new(9, SHARD_ALL, EngineMessage::Request(grant))
+        );
+        assert_eq!(replies.len(), 1 + 4 * 11);
     }
 
     #[test]

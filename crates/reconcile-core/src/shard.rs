@@ -70,14 +70,14 @@ impl ShardPartitioner {
         (splitmix64(hash) % u64::from(self.shards)) as ShardId
     }
 
-    /// Hashes `items` once and groups their positions by shard: a counting
-    /// sort, so no item moves and nothing is allocated per shard.
-    fn group<S: Symbol>(&self, items: &[S]) -> Grouping {
+    /// Groups the positions of the items whose keyed hashes are `hashes` by
+    /// shard: a counting sort, so no item moves and nothing is allocated per
+    /// shard.
+    fn group(&self, hashes: &[u64]) -> Grouping {
         assert!(
-            u32::try_from(items.len()).is_ok(),
+            u32::try_from(hashes.len()).is_ok(),
             "a set's positions must fit a u32"
         );
-        let hashes = S::hash_many_with(items, self.key);
         let shard_of: Vec<ShardId> = hashes.iter().map(|&h| self.shard_of_hash(h)).collect();
         // `bounds[s]` becomes the start of shard `s` in `members`, after one
         // pass that counts into the slot above it and one that sums.
@@ -89,23 +89,19 @@ impl ShardPartitioner {
             bounds[shard + 1] += bounds[shard];
         }
         let mut next = bounds.clone();
-        let mut members = vec![0u32; items.len()];
+        let mut members = vec![0u32; hashes.len()];
         for (position, &shard) in shard_of.iter().enumerate() {
             let slot = &mut next[usize::from(shard)];
             members[*slot] = position as u32;
             *slot += 1;
         }
-        Grouping {
-            hashes,
-            members,
-            bounds,
-        }
+        Grouping { members, bounds }
     }
 
     /// Splits `items` into per-shard vectors (index = shard id), each item
     /// hashed once and each vector allocated at its final size.
     pub fn partition<S: Symbol>(&self, items: &[S]) -> Vec<Vec<S>> {
-        let grouping = self.group(items);
+        let grouping = self.group(&S::hash_many_with(items, self.key));
         (0..self.shards)
             .map(|shard| {
                 let members = grouping.members(shard).iter();
@@ -127,20 +123,38 @@ impl ShardPartitioner {
         B::Item: Symbol,
         F: Fn(ShardId) -> B,
     {
-        let grouping = self.group(items);
+        self.client_engines_keyed(items, &B::Item::hash_many_with(items, self.key), factory)
+    }
+
+    /// [`Self::client_engines`] for a caller that has hashed `items` already
+    /// (`hashes[i]` is `items[i]`'s hash under [`Self::key`]): the TCP client
+    /// hashes its set before its hello, for the count sketch its wildcard
+    /// open carries, and places the items with the same hashes afterwards.
+    ///
+    /// # Panics
+    /// If `items` and `hashes` differ in length.
+    pub fn client_engines_keyed<B, F>(
+        &self,
+        items: &[B::Item],
+        hashes: &[u64],
+        factory: F,
+    ) -> Vec<ClientEngine<B>>
+    where
+        B: ReconcileBackend,
+        F: Fn(ShardId) -> B,
+    {
+        let grouping = self.group(hashes);
         (0..self.shards)
             .map(|shard| {
                 let members = grouping.members(shard);
-                ClientEngine::new_keyed(factory(shard), items, &grouping.hashes, members)
+                ClientEngine::new_keyed(factory(shard), items, hashes, members)
             })
             .collect()
     }
 }
 
-/// A set's positions grouped by shard, and the keyed hashes that placed them.
+/// A set's positions grouped by shard.
 struct Grouping {
-    /// `hashes[i]` is item `i`'s hash under the partitioner's key.
-    hashes: Vec<u64>,
     /// Every position once: shard 0's in input order, then shard 1's, ….
     members: Vec<u32>,
     /// Shard `s` owns `members[bounds[s]..bounds[s + 1]]`.

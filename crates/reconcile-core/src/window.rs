@@ -9,7 +9,9 @@
 //! of what it needs at once:
 //!
 //! 1. up to [`FIRST_RUNG`]`·d̂` while the estimate rests on one batch per
-//!    shard (±9.5 % pooled over 8 shards). This ask is sized to finish the
+//!    shard (±9.5 % pooled over 8 shards), or on the count sketch of the
+//!    client's set (±9 %) when a server asks it for the client, as its
+//!    first flight (below). This ask is sized to finish the
 //!    median shard: rounded up to whole tiles it reaches the `1.41·d` the
 //!    median shard of 250 differences decodes at, so about half the shards
 //!    are done after one request round. What it spends is whatever an
@@ -27,16 +29,25 @@
 //!
 //! Ranges are whole tiles (the server's batch size) and every ask is at
 //! least one tile, so no stream ever takes more rounds than asking tile by
-//! tile would, and a difference of up to a tile and a half per shard
-//! (`d̂ ≤ 47`) is asked for exactly as it was tile by tile. At 2,000
-//! differences over 8 shards the window takes 2.3 request rounds after the
-//! handshake's flight instead of 11.8, for 4.9 % more symbols than tile by
-//! tile; the ladder it replaced (`1.25·d̂`, then `1.45·d̂`, whose first ask
-//! was sized to land *below* the median shard) took 3.1 for 2.5 %. Rounds
-//! against symbols is the whole trade: `table_window_policy` (in
-//! `riblt-bench`) replays this function over recorded decodes and is the
-//! source of every number here and of the table in ARCHITECTURE.md ("The
-//! request window").
+//! tile would.
+//!
+//! The first ask is the first flight, and a server sizes it with this
+//! function too: from offset 0, at its own estimate of `d̂` per shard, read
+//! off the count sketch a wildcard open carries ([`crate::first_flight`]),
+//! before the client has decoded anything. So the first rung leaves in the
+//! handshake's own round trip; the client books it as asked for, and its
+//! first request is the second rung. An open without a sketch is estimate 0,
+//! which this function answers with one tile, and a first rung within one
+//! tile (`1.35·d̂ ≤ 32`, `d̂ ≤ 23` a shard) is one tile either way. At 2,000
+//! differences over 8 shards the window takes 2.3 request rounds after a
+//! one-tile first flight instead of 11.8 tile by tile, for 4.9 % more
+//! symbols, and 1.3 after the sized first flight, for the same symbols; the
+//! ladder it replaced (`1.25·d̂`, then `1.45·d̂`, whose first ask was sized to
+//! land *below* the median shard) took 3.1 for 2.5 %. Rounds against symbols
+//! is the whole trade: `table_window_policy` (in `riblt-bench`) replays this
+//! function over recorded decodes, with either first flight, and is the
+//! source of every number here and of the tables in ARCHITECTURE.md ("The
+//! request window", "The first flight").
 //!
 //! Which rung a stream stands on is read off `requested` against `d̂`, not
 //! remembered, so an estimate that grows can put a stream back under the

@@ -23,17 +23,29 @@ pub fn encode_stream_open(magic: [u8; 4], symbol_len: usize) -> Vec<u8> {
     out
 }
 
-/// Validates an opening request produced by [`encode_stream_open`].
-pub fn validate_stream_open(request: &[u8], magic: [u8; 4], symbol_len: usize) -> Result<()> {
-    if request.len() < 5 || request[..4] != magic {
+/// Validates an opening request produced by [`encode_stream_open`] and
+/// returns what follows its item length, unread: the count sketch a
+/// wildcard open carries ([`crate::first_flight`]), or nothing.
+pub fn validate_stream_open(request: &[u8], magic: [u8; 4], symbol_len: usize) -> Result<&[u8]> {
+    if !request.starts_with(&magic) {
+        return Err(EngineError::WireFormat("bad stream open request"));
+    }
+    let (declared, rest) = split_stream_open(request)?;
+    if declared as usize != symbol_len {
+        return Err(EngineError::WireFormat("symbol length mismatch"));
+    }
+    Ok(rest)
+}
+
+/// A stream open's declared item length and the bytes after it; the magic
+/// is not checked.
+pub(crate) fn split_stream_open(request: &[u8]) -> Result<(u64, &[u8])> {
+    if request.len() < 5 {
         return Err(EngineError::WireFormat("bad stream open request"));
     }
     let mut pos = 4;
     let declared = read_vlq(request, &mut pos)?;
-    if declared as usize != symbol_len {
-        return Err(EngineError::WireFormat("symbol length mismatch"));
-    }
-    Ok(())
+    Ok((declared, &request[pos..]))
 }
 
 /// Checks a range request against a per-session streaming encoder that

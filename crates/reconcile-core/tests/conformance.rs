@@ -12,8 +12,8 @@ use reconcile_core::backends::{
     IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
 };
 use reconcile_core::{
-    run_in_memory, ClientEngine, ClientMux, EngineError, MuxFrame, ReconcileBackend, RunReport,
-    ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
+    run_in_memory, ClientEngine, ClientMux, CountSketch, EngineError, MuxFrame, ReconcileBackend,
+    RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
@@ -181,7 +181,9 @@ where
         let mut server = ServerMux::new(|_session, shard: ShardId| {
             ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
         })
-        .serving_shards(4);
+        // The wildcard below carries no count sketch, so neither the
+        // server's sketch nor its tile comes into it: one tile a shard.
+        .serving_shards(4, CountSketch::new(), 16, usize::MAX);
         let mut client = ClientMux::new(7);
         for (shard, part) in client_parts.iter().enumerate() {
             client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));

@@ -66,7 +66,8 @@ pub fn read_vlq(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     loop {
         let byte = *bytes.get(*pos).ok_or(Error::WireFormat("truncated VLQ"))?;
         *pos += 1;
-        if shift >= 64 {
+        // The tenth byte holds bit 63 and nothing above it.
+        if shift >= 64 || (shift == 63 && byte > 1) {
             return Err(Error::WireFormat("VLQ overflows 64 bits"));
         }
         value |= u64::from(byte & 0x7f) << shift;
@@ -363,6 +364,16 @@ mod tests {
             read_vlq(&buf, &mut pos).unwrap_err(),
             Error::WireFormat("truncated VLQ")
         );
+        // Past u64: an eleventh byte, or a tenth above bit 63.
+        for past in [
+            [0xffu8; 11].to_vec(),
+            [[0xff; 9].as_slice(), &[0x02]].concat(),
+        ] {
+            assert_eq!(
+                read_vlq(&past, &mut 0).unwrap_err(),
+                Error::WireFormat("VLQ overflows 64 bits")
+            );
+        }
     }
 
     #[test]

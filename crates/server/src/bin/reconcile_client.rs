@@ -17,12 +17,19 @@
 //! every shard over one multiplexed connection, then prints what it
 //! learned, and — after an optional push — the digest of its converged
 //! set, which equals the daemon's `STATS` digest once both hold the union.
+//!
+//! `estimate=` is the difference the daemon estimated from the count sketch
+//! this client's open carried, and sized the first flight from. Items both
+//! sides hold cancel out of that estimate, so it is recomputed here from
+//! the recovered difference alone, bit for bit (as long as the daemon's set
+//! did not change during the sync).
 
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use reconcile_core::backends::RibltBackend;
+use reconcile_core::CountSketch;
 use riblt::{FixedBytes, Symbol};
 use riblt_hash::SipKey;
 use server::cli::{flag_value, load_items, parse_key};
@@ -128,9 +135,11 @@ fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), 
 
     let learned: Vec<S> = diffs.iter().flat_map(|d| d.remote_only.clone()).collect();
     let local_only: Vec<S> = diffs.iter().flat_map(|d| d.local_only.clone()).collect();
+    let sketch = |items: &[S]| CountSketch::from_hashes(&S::hash_many_with(items, key));
+    let estimate = sketch(&local_only).estimate_difference(&sketch(&learned));
     println!(
-        "reconcile-client: shards={} rounds_after_handshake={} units={} learned={} local_only={} \
-         bytes_tx={} bytes_rx={}",
+        "reconcile-client: shards={} estimate={estimate:.1} rounds_after_handshake={} units={} \
+         learned={} local_only={} bytes_tx={} bytes_rx={}",
         outcome.shards,
         outcome.rounds,
         outcome.units,

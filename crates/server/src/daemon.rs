@@ -23,10 +23,14 @@
 //!    count)` one `Payload` per tile of the range, in order; `Done` retires
 //!    the `(session, shard)`. An `Open` addressed to
 //!    [`SHARD_ALL`] opens every shard; clients
-//!    pipeline it behind their hello, so the first tiles follow the
-//!    daemon's hello in the same flight. The daemon never pushes
-//!    unprompted — on a shared connection only the client knows which
-//!    shards still need symbols, and how many.
+//!    pipeline it behind their hello, so the first flight follows the
+//!    daemon's hello in the same round trip. When it carries a count sketch
+//!    of the client's set, the node's own counts turn it into an estimate of
+//!    the difference, and every shard's first flight is sized from that
+//!    ([`FirstFlight::for_sketch`], the library's one rule) and announced in a
+//!    grant frame ahead of the payloads. The daemon never pushes beyond
+//!    what was asked or granted — on a shared connection only the client
+//!    knows which shards still need symbols, and how many.
 //! 3. The peer closes the connection (or times out, or errors); the
 //!    connection's byte/CPU accounting folds into the daemon-wide stats.
 //!
@@ -71,7 +75,7 @@ use reconcile_core::framing::{append_frame, LENGTH_PREFIX_BYTES};
 use reconcile_core::handshake::{Hello, HELLO_BYTES};
 use reconcile_core::wirefmt::validate_stream_open;
 use reconcile_core::{
-    EngineError, EngineMessage, MuxFrame, RangeRequest, SessionId, ShardId, SHARD_ALL,
+    EngineError, EngineMessage, FirstFlight, MuxFrame, RangeRequest, SessionId, ShardId, SHARD_ALL,
 };
 use riblt::wire::SymbolCodec;
 use riblt::Symbol;
@@ -546,8 +550,9 @@ pub(crate) fn account_handshake<S: Symbol + Ord>(
 #[derive(Debug, Default)]
 pub(crate) struct OpenStreams {
     served: HashMap<(SessionId, ShardId), usize>,
-    /// A wildcard open in progress: its session and the next shard to open.
-    wildcard: Option<(SessionId, ShardId)>,
+    /// A wildcard open in progress: its session, the next shard to open and
+    /// the symbols each shard's first flight holds.
+    wildcard: Option<(SessionId, ShardId, usize)>,
 }
 
 impl OpenStreams {
@@ -567,7 +572,9 @@ impl OpenStreams {
 /// it calls for (length-prefixed, ready to write) to `out`: `Open` → the
 /// stream's first tile, `Request` → one payload frame per tile of its
 /// range, `Done` → none. An `Open` addressed to [`SHARD_ALL`] is an `Open`
-/// of every shard: this opens shard 0 and leaves the rest to
+/// of every shard, each answered with its first flight (one tile, or the
+/// granted range when the open carries a count sketch, behind the grant
+/// frame): this opens shard 0 and leaves the rest to
 /// [`open_next_wildcard_shard`], so the caller's backpressure check runs
 /// between shards as it does between separate opens. `out` is the
 /// connection's write buffer: a reply is staged where it will be flushed
@@ -596,16 +603,45 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
     }
     match frame.message {
         EngineMessage::Open(ref request) => {
-            validate_stream_open(request, RIBLT_STREAM_MAGIC, config.symbol_len)?;
+            let sketch = validate_stream_open(request, RIBLT_STREAM_MAGIC, config.symbol_len)?;
             if frame.shard != SHARD_ALL {
-                return open_stream(shared, streams, key, acct, out);
+                return open_stream(shared, streams, key, config.batch_symbols, acct, out);
             }
             // The wildcard is the open a client pipelines behind its hello,
             // before it knows the shard count: once, and first.
             if acct.sessions_opened > 0 {
                 return Err(EngineError::Protocol("wildcard open after another open"));
             }
-            streams.wildcard = Some((frame.session, 0));
+            let flight = FirstFlight::for_sketch(
+                sketch,
+                lock_unpoisoned(&shared.node).count_sketch(),
+                config.shards,
+                config.batch_symbols,
+                config.max_units_per_session,
+            )?;
+            if let Some(grant) = flight.grant {
+                let grant = MuxFrame::new(frame.session, SHARD_ALL, EngineMessage::Request(grant));
+                let staged = out.len();
+                append_frame(out, &grant.to_bytes())?;
+                let wire_out = (out.len() - staged) as u64;
+                acct.bytes_out += wire_out;
+                shared.metrics.bytes_out.add(wire_out);
+            }
+            shared
+                .metrics
+                .first_flight_symbols
+                .observe(flight.symbols as u64);
+            let estimate = flight
+                .estimate
+                .map_or_else(|| "none".to_string(), |d| format!("{d:.1}"));
+            shared.metrics.events.record(
+                "first_flight",
+                format!(
+                    "session={} estimate={estimate} symbols_per_shard={}",
+                    frame.session, flight.symbols
+                ),
+            );
+            streams.wildcard = Some((frame.session, 0, flight.symbols));
             open_next_wildcard_shard(shared, streams, acct, out)
         }
         EngineMessage::Request(range) => {
@@ -634,26 +670,27 @@ pub(crate) fn handle_client_frame<S: Symbol + Ord>(
 }
 
 /// Opens the next shard of the wildcard open being expanded (a no-op when
-/// none is): exactly what a per-shard `Open` of that shard does, first tile
-/// included.
+/// none is): what a per-shard `Open` of that shard does, with the wildcard's
+/// first flight in place of the first tile.
 pub(crate) fn open_next_wildcard_shard<S: Symbol + Ord>(
     shared: &SharedState<S>,
     streams: &mut OpenStreams,
     acct: &mut ConnAccounting,
     out: &mut Vec<u8>,
 ) -> reconcile_core::Result<()> {
-    let Some((session, shard)) = streams.wildcard else {
+    let Some((session, shard, symbols)) = streams.wildcard else {
         return Ok(());
     };
-    streams.wildcard = (shard + 1 < shared.config.shards).then_some((session, shard + 1));
-    open_stream(shared, streams, (session, shard), acct, out)
+    streams.wildcard = (shard + 1 < shared.config.shards).then_some((session, shard + 1, symbols));
+    open_stream(shared, streams, (session, shard), symbols, acct, out)
 }
 
-/// Opens the stream `key` and stages its first tile.
+/// Opens the stream `key` and stages its first `symbols` (whole tiles).
 fn open_stream<S: Symbol + Ord>(
     shared: &SharedState<S>,
     streams: &mut OpenStreams,
     key: (SessionId, ShardId),
+    symbols: usize,
     acct: &mut ConnAccounting,
     out: &mut Vec<u8>,
 ) -> reconcile_core::Result<()> {
@@ -665,8 +702,14 @@ fn open_stream<S: Symbol + Ord>(
     }
     acct.sessions_opened += 1;
     shared.metrics.sessions_opened.inc();
-    let first_tile = RangeRequest::new(0, shared.config.batch_symbols)?;
-    serve_range(shared, streams, key, first_tile, acct, out)
+    serve_range(
+        shared,
+        streams,
+        key,
+        RangeRequest::new(0, symbols)?,
+        acct,
+        out,
+    )
 }
 
 /// Stages one payload frame per tile of `range` of the open stream `key`.
@@ -898,6 +941,23 @@ mod tests {
         let local_only: usize = diffs.iter().map(|d| d.local_only.len()).sum();
         assert_eq!(remote, 100);
         assert_eq!(local_only, 50);
+        // TRACE names what the count sketch told the daemon and what it
+        // granted: whole tiles for 150 differences ± 4σ (± 72) over 4
+        // shards — two, at the estimate's mean (1.35 × 37.5 = 50.6 → 64).
+        let events = daemon.metrics().events.last(16);
+        let flight = events
+            .iter()
+            .find(|e| e.kind == "first_flight")
+            .expect("a first_flight event");
+        let field = |name: &str| -> f64 {
+            let value = flight.detail.split(&format!("{name}=")).nth(1).unwrap();
+            value.split(' ').next().unwrap().parse().unwrap()
+        };
+        assert!((90.0..=230.0).contains(&field("estimate")), "{flight:?}");
+        assert_eq!(field("symbols_per_shard") % 32.0, 0.0, "{flight:?}");
+        let histogram = &daemon.metrics().first_flight_symbols;
+        assert_eq!(histogram.count(), 1);
+        assert_eq!(histogram.sum() as f64, field("symbols_per_shard"));
         daemon.shutdown();
     }
 

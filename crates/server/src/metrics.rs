@@ -87,6 +87,8 @@ pub struct DaemonMetrics {
     pub session_symbols: Arc<Histogram>,
     /// Payload frame sizes in bytes.
     pub payload_bytes: Arc<Histogram>,
+    /// Symbols every shard's first flight held, per wildcard open.
+    pub first_flight_symbols: Arc<Histogram>,
 }
 
 impl DaemonMetrics {
@@ -217,6 +219,11 @@ impl DaemonMetrics {
             "reconciled_payload_bytes",
             "Payload frame sizes written to peers, in bytes.",
         );
+        let first_flight_symbols = registry.histogram(
+            "reconciled_first_flight_symbols",
+            "Coded symbols per shard of the first flight answering a wildcard open \
+             (one tile, or the range its count sketch was granted).",
+        );
 
         DaemonMetrics {
             registry,
@@ -250,6 +257,7 @@ impl DaemonMetrics {
             serve_batch_seconds,
             session_symbols,
             payload_bytes,
+            first_flight_symbols,
         }
     }
 }

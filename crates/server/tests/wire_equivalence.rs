@@ -8,14 +8,18 @@
 //! symbol from the items with the streaming `Encoder`. Coded symbols are
 //! linear and every peer reads the same universal prefix (paper §4, §7.3),
 //! so an incrementally patched cache and a fresh encoder must agree cell
-//! for cell; here they are made to, for full protocol-v3 reconciliations
-//! (the golden pair frozen in `golden/v3_sync.hex`, and a seeded battery
+//! for cell; here they are made to, for full protocol-v4 reconciliations
+//! (the golden pair frozen in `golden/v4_sync.hex`, and a seeded battery
 //! over shard counts, tile sizes and difference sizes), for every handshake
-//! reject and for post-handshake teardowns.
+//! reject and for post-handshake teardowns. The count sketch a wildcard
+//! open carries is held to the same standard: the daemon's node counts,
+//! moved mutation by mutation, and the library's, counted afresh,
+//! must size the same grant, and every hostile sketch must be answered
+//! alike.
 //!
-//! Hostile ranges and wildcards are the daemon's own policy (typed error,
-//! owed payloads, nothing unasked, nobody else pays) and keep explicit
-//! expectations.
+//! Hostile ranges, wildcards and sketches are the daemon's own policy
+//! (typed error, owed payloads, nothing unasked, nobody else pays) and keep
+//! explicit expectations.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -26,10 +30,11 @@ use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::{Hello, PROTOCOL_VERSION, REJECT_MAGIC};
 use reconcile_core::wirefmt::encode_stream_open;
 use reconcile_core::{
-    read_frame, write_frame, EngineError, EngineMessage, MuxFrame, RangeRequest, SetDifference,
-    ShardPartitioner, SHARD_ALL,
+    read_frame, write_frame, CountSketch, EngineError, EngineMessage, MuxFrame, RangeRequest,
+    SetDifference, ShardPartitioner, SHARD_ALL,
 };
-use riblt::FixedBytes;
+use riblt::wire::{write_vlq, zigzag_encode};
+use riblt::{FixedBytes, Symbol};
 use riblt_hash::{SipKey, SplitMix64};
 use server::{Daemon, DaemonConfig};
 use statesync::{sync_sharded_tcp, TcpSyncConfig};
@@ -59,8 +64,13 @@ fn items(range: std::ops::Range<u64>) -> Vec<Item> {
     range.map(Item::from_u64).collect()
 }
 
+/// The golden server's set.
+fn server_items() -> Vec<Item> {
+    items(0..3_000)
+}
+
 fn spawn_with(config: DaemonConfig) -> Daemon<Item> {
-    Daemon::spawn(config, items(0..3_000)).unwrap()
+    Daemon::spawn(config, server_items()).unwrap()
 }
 
 fn spawn() -> Daemon<Item> {
@@ -71,13 +81,19 @@ fn backend(batch_symbols: usize) -> RibltBackend<Item> {
     RibltBackend::with_key_and_alpha(8, batch_symbols, KEY, riblt::DEFAULT_ALPHA)
 }
 
-/// The library's server over `server_items`, behind an in-memory link.
-fn reference(server_items: &[Item], shards: u16, batch_symbols: usize) -> FlightLink {
+/// The library's server over `server_items`, behind an in-memory link,
+/// configured as a daemon spawned with `config` is.
+fn reference_for(config: &DaemonConfig, server_items: &[Item]) -> FlightLink {
     library_server(
-        backend(batch_symbols),
-        ShardPartitioner::new(KEY, shards).partition(server_items),
-        Hello::new(KEY, shards, 8),
+        backend(config.batch_symbols),
+        server_items,
+        Hello::new(KEY, config.shards, 8),
+        config.max_units_per_session,
     )
+}
+
+fn reference(server_items: &[Item], shards: u16, batch_symbols: usize) -> FlightLink {
+    reference_for(&config(shards, batch_symbols), server_items)
 }
 
 /// Wraps a connection, recording every byte in each direction.
@@ -171,16 +187,10 @@ fn raw_exchange_with(daemon: &Daemon<Item>, frames: &[Vec<u8>]) -> Vec<u8> {
     replies
 }
 
-fn raw_exchange(frames: &[Vec<u8>]) -> Vec<u8> {
-    let daemon = spawn();
-    let replies = raw_exchange_with(&daemon, frames);
-    daemon.shutdown();
-    replies
-}
-
-/// Everything the library's server says to the same frames.
-fn reference_exchange(frames: &[Vec<u8>]) -> Vec<u8> {
-    let mut link = reference(&items(0..3_000), SHARDS, TILE);
+/// Everything the library's server configured as `config` says to
+/// `frames`.
+fn reference_exchange(config: &DaemonConfig, frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut link = reference_for(config, &server_items());
     for frame in frames {
         write_frame(&mut link, frame).unwrap();
     }
@@ -189,15 +199,27 @@ fn reference_exchange(frames: &[Vec<u8>]) -> Vec<u8> {
     said
 }
 
-/// The daemon and the library's server say the same thing to `frames`.
-fn assert_same_answer(what: &str, frames: &[Vec<u8>]) -> Vec<u8> {
-    let daemon = raw_exchange(frames);
-    assert_eq!(
-        daemon,
-        reference_exchange(frames),
+/// The daemon and the library's server, both configured as `config`, say
+/// the same thing to `frames`. Returns it, and the daemon for a closer look.
+fn assert_same_answer_with(
+    what: &str,
+    config: DaemonConfig,
+    frames: &[Vec<u8>],
+) -> (Vec<u8>, Daemon<Item>) {
+    let reference = reference_exchange(&config, frames);
+    let daemon = spawn_with(config);
+    let said = raw_exchange_with(&daemon, frames);
+    assert!(
+        said == reference,
         "{what}: the daemon and the library answer differently"
     );
-    daemon
+    (said, daemon)
+}
+
+fn assert_same_answer(what: &str, frames: &[Vec<u8>]) -> Vec<u8> {
+    let (said, daemon) = assert_same_answer_with(what, config(SHARDS, TILE), frames);
+    daemon.shutdown();
+    said
 }
 
 #[test]
@@ -205,7 +227,7 @@ fn full_reconciliation_transcripts_are_byte_identical() {
     let daemon = spawn();
     let (sent_daemon, recv_daemon) = sync_against(&daemon);
     daemon.shutdown();
-    let library = reference(&items(0..3_000), SHARDS, TILE);
+    let library = reference(&server_items(), SHARDS, TILE);
     let ((sent_library, recv_library), _) = transcript(library, &golden_local(), TILE);
     // Same server bytes ⇒ the deterministic client sends the same bytes —
     // assert both directions so a divergence pinpoints its side.
@@ -221,23 +243,44 @@ fn full_reconciliation_transcripts_are_byte_identical() {
         !recv_daemon.is_empty(),
         "transcript is empty — the comparison proved nothing"
     );
-    // The transcript exercises what v2 added — 75 differences per shard make
-    // the first round's requests span several tiles — and what v3 did: one
-    // wildcard open behind the hello, and no other open.
+    // The transcript exercises what v3 added — one wildcard open behind the
+    // hello, and no other open — and what v4 did: the open carries the
+    // client's count sketch, and the server's answer starts with a grant of
+    // several tiles a shard (its estimate of the 300 differences is 278.0,
+    // 69.5 a shard, whose first rung is 1.35 × 69.5 = 93.8 → 3 tiles). The
+    // shards need 99–119 symbols: each asks once more, up to the first rung
+    // of the decoders' own estimate (≈ 75 a shard: 101 → 4 tiles), since
+    // the sketch read low, and is done.
     let mut sent = &sent_daemon[..];
     read_frame(&mut sent).expect("client hello");
-    let mut widest = 0u16;
     let mut opens = Vec::new();
+    let mut requests = Vec::new();
     while let Ok(frame) = read_frame(&mut sent) {
         let frame = MuxFrame::from_bytes(&frame).unwrap();
         match frame.message {
-            EngineMessage::Request(range) => widest = widest.max(range.count),
+            EngineMessage::Request(range) => requests.push(range),
             EngineMessage::Open(_) => opens.push(frame.shard),
             _ => {}
         }
     }
-    assert!(widest >= 64, "no multi-tile request in the transcript");
     assert_eq!(opens, [SHARD_ALL], "one wildcard open, no per-shard open");
+    assert_eq!(requests.len(), usize::from(SHARDS), "one request round");
+    let fourth_tile = RangeRequest {
+        offset: 3 * TILE as u32,
+        count: TILE as u16,
+    };
+    assert!(requests.iter().all(|r| *r == fourth_tile), "{requests:?}");
+    let mut received = &recv_daemon[..];
+    read_frame(&mut received).expect("server hello");
+    let grant = MuxFrame::from_bytes(&read_frame(&mut received).unwrap()).unwrap();
+    let tiles = RangeRequest {
+        offset: TILE as u32,
+        count: 2 * TILE as u16,
+    };
+    assert_eq!(
+        grant,
+        MuxFrame::new(1, SHARD_ALL, EngineMessage::Request(tiles))
+    );
 
     // Frozen: a change to these bytes is a protocol change, and says so in
     // review. `UPDATE_GOLDEN=1 cargo test -p server --test wire_equivalence`
@@ -248,14 +291,14 @@ fn full_reconciliation_transcripts_are_byte_identical() {
         hex(&sent_daemon),
         hex(&recv_daemon)
     );
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v3_sync.hex");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v4_sync.hex");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(golden, &transcript).unwrap();
     }
     let frozen = std::fs::read_to_string(golden).expect("golden transcript");
     assert!(
         transcript == frozen,
-        "the v3 transcript moved off tests/golden/v3_sync.hex"
+        "the v4 transcript moved off tests/golden/v4_sync.hex"
     );
 }
 
@@ -328,6 +371,9 @@ fn handshake_reject_bytes_are_identical() {
     // ways) are turned away by name.
     refusal("a v1 peer", versioned(1), 2);
     refusal("a v2 peer", versioned(2), 2);
+    // A v3 peer's wildcard open carries no sketch and this daemon would
+    // serve it, but a v3 daemon would ignore our sketch and send no grant.
+    refusal("a v3 peer", versioned(3), 2);
     let wider_items = Hello::new(KEY, 0, 16);
     refusal("wrong item length", wider_items.to_bytes().to_vec(), 4);
     // Garbage that does not even parse as a hello.
@@ -631,6 +677,144 @@ fn hostile_wildcards_close_only_their_connection() {
             "wildcard open after another open",
         ),
     ]);
+}
+
+/// A wildcard open carrying `sketch` behind its stream header.
+fn sketched_open(sketch: &[u8]) -> Vec<u8> {
+    let mut body = encode_stream_open(RIBLT_STREAM_MAGIC, 8);
+    body.extend_from_slice(sketch);
+    mux_frame(SHARD_ALL, EngineMessage::Open(body))
+}
+
+/// A sketch's wire form with `buckets` and `n` declared and these counts
+/// (zig-zag-coded against `n / 256`, as `CountSketch::encode` codes them).
+fn sketch_bytes(buckets: u64, n: u64, counts: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_vlq(&mut wire, buckets);
+    write_vlq(&mut wire, n);
+    for count in counts {
+        write_vlq(&mut wire, zigzag_encode(count as i64 - (n / 256) as i64));
+    }
+    wire
+}
+
+/// Every byte of a sketch is hostile. Each malformed one ends in a typed
+/// error on its own connection, after the server hello and before anything
+/// else is staged; each well-formed one, however absurd the difference it
+/// implies, in a grant no larger than one `Request` per shard could have
+/// asked for: `RangeRequest::largest_count(tile)` and
+/// `max_units_per_session`. The library's server answers every case with
+/// the same bytes.
+#[test]
+fn hostile_sketches_cost_their_connection_or_get_a_capped_grant() {
+    let mut good = Vec::new();
+    let client = golden_local();
+    CountSketch::from_hashes(&Item::hash_many_with(&client, KEY)).encode(&mut good);
+    let mut trailing = good.clone();
+    trailing.push(0);
+    let refused: [(&str, Vec<u8>, &str); 7] = [
+        (
+            "a truncated sketch",
+            good[..good.len() / 2].to_vec(),
+            "truncated VLQ",
+        ),
+        ("trailing bytes", trailing, "bytes after the count sketch"),
+        (
+            "a wrong bucket count",
+            sketch_bytes(128, 300, vec![2; 128]),
+            "count sketch of another bucket count",
+        ),
+        (
+            "a varint past u64",
+            [&[0xff; 9][..], &[0x02]].concat(),
+            "VLQ overflows 64 bits",
+        ),
+        (
+            "counts that disagree with the set size",
+            sketch_bytes(256, 300, vec![1; 256]),
+            "count sketch buckets disagree with its item count",
+        ),
+        (
+            "n beyond u32",
+            sketch_bytes(256, 1 << 32, vec![1 << 24; 256]),
+            "count sketch of over u32::MAX items",
+        ),
+        (
+            "every bucket at maximum",
+            sketch_bytes(256, u64::from(u32::MAX), vec![u64::from(u32::MAX); 256]),
+            "count sketch buckets disagree with its item count",
+        ),
+    ];
+    let hello = Hello::new(KEY, 0, 8).to_bytes().to_vec();
+    let server_hello = {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &Hello::new(KEY, SHARDS, 8).to_bytes()).unwrap();
+        framed
+    };
+    for (what, sketch, error) in refused {
+        let frames = [hello.clone(), sketched_open(&sketch)];
+        let (said, daemon) = assert_same_answer_with(what, config(SHARDS, TILE), &frames);
+        assert_eq!(said, server_hello, "{what}: staged more than the hello");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while daemon.stats().connection_errors == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: no error counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let events = daemon.metrics().events.last(64);
+        let typed = format!("error=malformed wire data: {error}");
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == "conn_error" && e.detail.ends_with(&typed)),
+            "{what}: no `{typed}` in {events:?}"
+        );
+        // Only that connection paid: the next peer syncs in full.
+        sync_against(&daemon);
+        assert_eq!(daemon.stats().connection_errors, 1, "{what}");
+        daemon.shutdown();
+    }
+
+    // Well-formed and absurd: all of u32::MAX items in one bucket.
+    let one_bucket = sketch_bytes(
+        256,
+        u64::from(u32::MAX),
+        (0..256).map(|b| if b == 0 { u64::from(u32::MAX) } else { 0 }),
+    );
+    let largest = RangeRequest::largest_count(TILE);
+    for (what, budget, symbols) in [
+        ("capped by the largest request", 1 << 20, largest),
+        ("capped by the unit budget", 100, 96),
+        ("a budget below one tile", 10, TILE),
+    ] {
+        let config = DaemonConfig {
+            max_units_per_session: budget,
+            ..config(SHARDS, TILE)
+        };
+        let frames = [hello.clone(), sketched_open(&one_bucket)];
+        let (said, daemon) = assert_same_answer_with(what, config, &frames);
+        assert_eq!(daemon.stats().connection_errors, 0, "{what}");
+        daemon.shutdown();
+        let mut rest = &said[..];
+        read_frame(&mut rest).expect("server hello");
+        let grant = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
+        let granted = RangeRequest::new(TILE, symbols - TILE).unwrap();
+        assert_eq!(grant.message, EngineMessage::Request(granted), "{what}");
+        for shard in 0..SHARDS {
+            for _ in 0..symbols / TILE {
+                let payload = MuxFrame::from_bytes(&read_frame(&mut rest).unwrap()).unwrap();
+                assert_eq!(payload.shard, shard, "{what}");
+                assert!(matches!(payload.message, EngineMessage::Payload(_)));
+            }
+        }
+        assert!(
+            rest.is_empty(),
+            "{what}: {} bytes beyond the grant",
+            rest.len()
+        );
+    }
 }
 
 /// A wildcard open stages one tile per shard; the reactor checks its

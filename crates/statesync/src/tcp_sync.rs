@@ -11,19 +11,23 @@
 //!    protocol version, SipKey fingerprint, shard-count negotiation) with
 //!    one wildcard `Open` [`MuxFrame`] ([`SHARD_ALL`]) behind it, which
 //!    opens every shard the server has before this side knows how many
-//!    that is. The server answers with its hello and every shard's first
-//!    batch, so the first coded symbols arrive in the handshake's own round
-//!    trip. The server's shard count is authoritative; this driver
-//!    partitions the local set with whatever the server announces, while
-//!    the first batches are already in the socket.
+//!    that is, and carries a [`CountSketch`] of the local set. The server
+//!    estimates the difference from it ([`reconcile_core::first_flight`])
+//!    and answers with its hello, a grant saying how much of every shard's
+//!    stream it is sending, and that much of every shard — the window's
+//!    first rung — so the first round trip carries what a request round
+//!    would otherwise have asked for. The server's shard count is
+//!    authoritative; this client partitions the local set with whatever the
+//!    server announces, while the first flight is already in the socket.
 //! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
 //!    next one from what the decoders now hold (see
-//!    [`reconcile_core::window`]): `Done` for shards that decoded,
+//!    [`reconcile_core::window`]; the first flight counts as the first
+//!    rung's request): `Done` for shards that decoded,
 //!    `Request(offset, count)` for the rest. A round's frames leave in one
 //!    write and cost one round trip, however many batches they ask for; its
 //!    payloads are absorbed in arrival order, independent shards in
 //!    parallel on a `std::thread` worker pool. A difference that fits the
-//!    first batches needs no round at all: the sync ends one round trip
+//!    first flight needs no round at all: the sync ends one round trip
 //!    after it began.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
@@ -41,8 +45,8 @@ use std::time::Instant;
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
 use reconcile_core::handshake::{client_handshake_pipelined, Hello};
 use reconcile_core::{
-    append_frame, ClientEngine, ClientMux, EngineError, FrameBuffer, MuxFrame, ReconcileBackend,
-    SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
+    append_frame, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, FrameBuffer,
+    MuxFrame, ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::Symbol;
 use riblt_hash::SipKey;
@@ -83,6 +87,11 @@ pub struct TcpSyncConfig {
     /// Decode worker threads (0 = one per available core).
     pub threads: usize,
     /// Safety budget: never request past this many scheme units per shard.
+    /// It bounds what this side asks for. The first flight is not asked for
+    /// but sized by the server from the open's count sketch, under the
+    /// server's own per-stream budget, as the one tile of an unsketched open
+    /// always was: a first flight past this budget is read whole, and
+    /// nothing more is asked.
     pub max_units_per_shard: usize,
     /// Session id tagged onto every frame of this conversation.
     pub session: SessionId,
@@ -108,7 +117,7 @@ pub struct TcpSyncOutcome {
     pub shards: u16,
     /// Request rounds after the handshake exchange until every shard
     /// completed: round trips beyond the first, which carries the hellos
-    /// and every shard's first batch. 0 when those batches decoded.
+    /// and every shard's first flight. 0 when those flights decoded.
     pub rounds: usize,
     /// Scheme units (coded symbols) consumed across all shards.
     pub units: usize,
@@ -134,17 +143,19 @@ pub struct TcpSyncOutcome {
 ///
 /// One open request serves every shard and leaves before the local set is
 /// partitioned: it is the `open_request` of `factory(0)`'s client over the
-/// *empty* set, so **the backend's open request must not depend on the
-/// local set or the shard**. That holds for the rateless streaming
-/// backends (a magic and the item length), which is all the `reconciled`
-/// daemon accepts; a backend whose open carries an estimator of its set
-/// belongs on [`ClientMux::opens`].
+/// *empty* set with the local set's [`CountSketch`] appended, so **the
+/// backend's open request must not depend on the local set or the shard**.
+/// That holds for the rateless streaming backends (a magic and the item
+/// length), which is all the `reconciled` daemon accepts; a backend whose
+/// open carries an estimator of its set belongs on [`ClientMux::opens`].
 ///
-/// `local_items` is only read while the shard clients are built
-/// ([`ShardPartitioner::client_engines`]: each item hashed once, for both
-/// its shard and its checksum, and cloned once, into its shard's decoder).
-/// From then on every decoder owns its items; no partition of the set is
-/// ever built, so no second copy of it lives through the round trips.
+/// `local_items` is hashed once, before the hello, for the sketch, and only
+/// read again while the shard clients are built
+/// ([`ShardPartitioner::client_engines_keyed`]: the same hashes place each
+/// item and become its checksum, and each item is cloned once, into its
+/// shard's decoder). From then on every decoder owns its items; no
+/// partition of the set is ever built, so no second copy of it lives
+/// through the round trips.
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -172,7 +183,14 @@ where
         )));
     }
     let local_hello = Hello::new(config.key, config.shards_hint, config.symbol_len);
-    let open = ClientEngine::new(factory(0), &[]).open();
+    let hashes = B::Item::hash_many_with(local_items, config.key);
+    let open = match ClientEngine::new(factory(0), &[]).open() {
+        EngineMessage::Open(mut request) => {
+            CountSketch::from_hashes(&hashes).encode(&mut request);
+            EngineMessage::Open(request)
+        }
+        other => other,
+    };
     let mut wildcard = Vec::new();
     append_frame(
         &mut wildcard,
@@ -183,17 +201,28 @@ where
     let hello_wire = LENGTH_PREFIX_BYTES + reconcile_core::handshake::HELLO_BYTES;
     let mut bytes_sent = hello_wire + wildcard.len();
     let mut bytes_received = hello_wire;
+    let mut inbound = FrameBuffer::new();
+    let mut chunk = [0u8; READ_CHUNK_BYTES];
+    // The grant leads the payloads: how much of every shard is on its way.
+    let grant = read_round(io, &mut inbound, &mut chunk, 1)?;
+    bytes_received += LENGTH_PREFIX_BYTES + grant[0].wire_size();
 
     // --- 2. Partition with the negotiated count; the wildcard has opened
-    // every shard, so each is owed its first payload already. ---
-    let engines = ShardPartitioner::new(config.key, shards).client_engines(local_items, &factory);
+    // every shard, so each is owed its first flight already. ---
+    let engines = ShardPartitioner::new(config.key, shards).client_engines_keyed(
+        local_items,
+        &hashes,
+        &factory,
+    );
+    // Every item is placed: nothing of the set-up lives through the rounds.
+    drop(hashes);
     let mut client = ClientMux::new(config.session);
     client.set_metrics(mux_metrics());
     client.set_unit_budget(config.max_units_per_shard);
     for (shard, engine) in engines.into_iter().enumerate() {
         client.insert_shard(shard as ShardId, engine);
     }
-    client.expect_first_payloads();
+    client.book_first_flight(&grant[0])?;
 
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
@@ -204,14 +233,12 @@ where
     };
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
-    let mut inbound = FrameBuffer::new();
-    let mut chunk = [0u8; READ_CHUNK_BYTES];
 
-    // --- 3. The first payloads, then rounds of range requests until every
+    // --- 3. The first flight, then rounds of range requests until every
     // shard is done. ---
     loop {
-        // The server answers every open with one payload and every range
-        // with one payload per batch, in request order. All of them are
+        // The server answers every open with its first flight and every
+        // range with one payload per batch, in request order. All of them are
         // read — the tail a shard no longer needs too, so the stream stays
         // in frame and the bytes are counted.
         let payloads = read_round(io, &mut inbound, &mut chunk, client.awaiting())?;
@@ -296,57 +323,14 @@ fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Res
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::handshake::{client_handshake, server_handshake};
-    use reconcile_core::{
-        read_mux_frame, write_mux_frame, EngineMessage, RangeRequest, ServerEngine, ServerMux,
-    };
+    use reconcile_core::handshake::client_handshake;
+    use reconcile_core::{read_mux_frame, RangeRequest};
     use riblt::FixedBytes;
-    use std::net::{TcpListener, TcpStream};
 
     type Item = FixedBytes<8>;
 
     fn items(range: std::ops::Range<u64>) -> Vec<Item> {
         range.map(Item::from_u64).collect()
-    }
-
-    /// A minimal in-test server: handshake, then a ServerMux over real
-    /// frames until the client closes. (The production counterpart is the
-    /// `reconciled` daemon in `crates/server`, which serves from shared
-    /// sketch caches instead of per-session engines.) Returns the coded
-    /// symbols it sent each shard, in 16-symbol batches.
-    fn serve_once(
-        listener: TcpListener,
-        server_items: Vec<Item>,
-        key: SipKey,
-        shards: u16,
-    ) -> Vec<usize> {
-        let (mut conn, _) = listener.accept().unwrap();
-        let hello = Hello::new(key, shards, 8);
-        server_handshake(&mut conn, &hello).unwrap();
-        let partitioner = ShardPartitioner::new(key, shards);
-        let parts = partitioner.partition(&server_items);
-        let backend = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA);
-        let mut mux = ServerMux::new(move |_session, shard| {
-            ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
-        })
-        .serving_shards(shards);
-        let mut retired = 0usize;
-        let mut sent = vec![0usize; usize::from(shards)];
-        while retired < usize::from(shards) {
-            let frame = match read_mux_frame(&mut conn) {
-                Ok(frame) => frame,
-                Err(_) => break, // client closed
-            };
-            let was_done = frame.message == EngineMessage::Done;
-            for reply in mux.handle(&frame).unwrap() {
-                sent[usize::from(reply.shard)] += 16;
-                write_mux_frame(&mut conn, &reply).unwrap();
-            }
-            if was_done {
-                retired += 1;
-            }
-        }
-        sent
     }
 
     const FLIGHT_SHARDS: u16 = 8;
@@ -356,20 +340,26 @@ mod tests {
         RibltBackend::new(8, FLIGHT_TILE)
     }
 
-    /// `serve_once` without the socket: the library's server behind a link
-    /// that counts flights.
-    fn link_to(server_items: &[Item]) -> netsim::FlightLink {
-        let key = SipKey::default();
-        netsim::library_server(
-            flight_backend(),
-            ShardPartitioner::new(key, FLIGHT_SHARDS).partition(server_items),
-            Hello::new(key, FLIGHT_SHARDS, 8),
-        )
+    /// The library's server over `server_items`, behind a link that counts
+    /// flights: `shards` shards of `backend`'s tiles, under its key, and
+    /// the daemon's default unit budget.
+    fn library(
+        backend: RibltBackend<Item>,
+        server_items: &[Item],
+        shards: u16,
+    ) -> netsim::FlightLink {
+        let hello = Hello::new(backend.key, shards, 8);
+        netsim::library_server(backend, server_items, hello, 1 << 20)
     }
 
-    /// The protocol-v2 client, kept as the reference the wildcard path is
-    /// held to: hello exchange, one `Open` per shard, then the same rounds.
-    /// Returns the differences and the units consumed.
+    fn link_to(server_items: &[Item]) -> netsim::FlightLink {
+        library(flight_backend(), server_items, FLIGHT_SHARDS)
+    }
+
+    /// The per-shard-open client, kept as the reference the sketched
+    /// wildcard is held to: hello exchange, one `Open` per shard (no sketch,
+    /// so one tile each, as protocol version 2 served them), then the same
+    /// rounds. Returns the differences and the units consumed.
     fn sync_with_per_shard_opens<T: Read + Write>(
         io: &mut T,
         local: &[Item],
@@ -399,6 +389,17 @@ mod tests {
     fn frames_after_hello(mut sent: &[u8]) -> Vec<MuxFrame> {
         reconcile_core::read_frame(&mut sent).unwrap();
         std::iter::from_fn(|| read_mux_frame(&mut sent).ok()).collect()
+    }
+
+    /// The range requests of a client's transcript, by shard.
+    fn requests(sent: &[u8], shards: u16) -> Vec<Vec<RangeRequest>> {
+        let mut by_shard = vec![Vec::new(); usize::from(shards)];
+        for frame in frames_after_hello(sent) {
+            if let EngineMessage::Request(range) = frame.message {
+                by_shard[usize::from(frame.shard)].push(range);
+            }
+        }
+        by_shard
     }
 
     #[test]
@@ -444,7 +445,9 @@ mod tests {
 
     #[test]
     fn a_difference_within_the_first_tiles_takes_one_flight() {
-        // 20 differences over 8 shards: every shard's first 32 symbols decode.
+        // 20 differences over 8 shards: the sketch's d̂ ≈ 20 puts 2.5 on a
+        // shard, whose first rung (1.35 × 2.5 = 3.4 symbols) is one tile —
+        // the grant is [32, 32) — and every shard's first 32 symbols decode.
         let mut link = link_to(&items(0..3_000));
         let (diffs, outcome) = sync_sharded_tcp(
             &mut link,
@@ -466,9 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn the_wildcard_saves_one_flight_and_changes_nothing_else() {
+    fn the_sketched_wildcard_saves_two_flights_and_changes_nothing_else() {
         let server_items = items(0..20_000);
-        let local = items(1_200..20_800); // d = 2,000
+        let local = items(1_000..21_000); // d = 2,000, half on each side
         let mut reference = link_to(&server_items);
         let (expected, expected_units) = sync_with_per_shard_opens(&mut reference, &local);
 
@@ -480,60 +483,50 @@ mod tests {
         let (diffs, outcome) =
             sync_sharded_tcp(&mut link, &local, |_| flight_backend(), &config).unwrap();
 
+        // Every decoder consumed the same prefix, tile for tile.
         assert_eq!(diffs, expected, "same differences, item for item");
         assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 2_000);
         assert_eq!(outcome.units, expected_units);
-        assert_eq!(link.flights + 1, reference.flights);
-        assert_eq!(outcome.rounds + 1, link.flights);
-        assert!(
-            outcome.rounds >= 1,
-            "2,000 differences need more than 8 tiles"
-        );
 
-        // Past the opens the two clients say the same thing, frame for frame.
-        let past_opens = |sent: &[u8]| -> Vec<MuxFrame> {
-            frames_after_hello(sent)
-                .into_iter()
-                .filter(|f| !matches!(f.message, EngineMessage::Open(_)))
-                .collect()
+        // The reference spends a flight on the hellos and one on its opens,
+        // each answered with one tile; from the 8 tiles' pooled estimate
+        // round 1 asks every shard up to the first rung and round 2 finishes
+        // the rest: 4 flights.
+        assert_eq!(reference.flights, 4);
+        // The sketch's estimate, 2,074.1 (2,000 ± 9 %), is 259.3 a shard,
+        // whose first rung, 1.35 × 259.3 = 350.0, is 11 tiles: the server
+        // grants [32, 352) and sends every shard 352 symbols in the
+        // handshake's flight.
+        let sketch =
+            |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()));
+        let estimate = sketch(&local).estimate_difference(&sketch(&server_items));
+        assert_eq!(format!("{estimate:.1}"), "2074.1");
+        // Four shards decode within it (at 332–347 symbols). The other four
+        // (356–381) ask on from the grant, straight to the second rung —
+        // 1.35·d̂ + 4·√d̂ ≈ 400.7 of the pooled estimate, so to 416 — and are
+        // done: one request round, 2 flights where the reference took 4.
+        let asked = requests(&link.sent, FLIGHT_SHARDS);
+        let rest = RangeRequest {
+            offset: 352,
+            count: 64,
         };
-        let requests = past_opens(&link.sent);
-        assert_eq!(requests, past_opens(&reference.sent));
-        assert!(requests.iter().any(|f| matches!(
-            f.message,
-            EngineMessage::Request(RangeRequest { count, .. }) if usize::from(count) > FLIGHT_TILE
-        )));
-        let opens = |sent: &[u8]| frames_after_hello(sent).len() - requests.len();
-        assert_eq!(
-            (opens(&link.sent), opens(&reference.sent)),
-            (1, usize::from(FLIGHT_SHARDS))
-        );
+        assert_eq!(asked.iter().filter(|asks| asks[..] == [rest]).count(), 4);
+        assert_eq!(asked.iter().filter(|asks| asks.is_empty()).count(), 4);
+        assert_eq!((link.flights, outcome.rounds), (2, 1));
     }
 
     #[test]
-    fn syncs_over_a_real_socket_and_adopts_server_shards() {
+    fn adopts_the_server_shard_count_whatever_it_proposes() {
         let key = SipKey::new(5, 6);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_items = items(0..3_000);
-        let handle = std::thread::spawn(move || serve_once(listener, server_items, key, 8));
-
-        let local = items(40..3_015);
-        let mut conn = TcpStream::connect(addr).unwrap();
+        let backend = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA);
+        let mut link = library(backend.clone(), &items(0..3_000), 8);
         let config = TcpSyncConfig {
             key,
             shards_hint: 2, // advisory only: the server's 8 must win
             ..Default::default()
         };
-        let (diffs, outcome) = sync_sharded_tcp(
-            &mut conn,
-            &local,
-            |_| RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA),
-            &config,
-        )
-        .unwrap();
-        drop(conn);
-        handle.join().unwrap();
+        let (diffs, outcome) =
+            sync_sharded_tcp(&mut link, &items(40..3_015), |_| backend.clone(), &config).unwrap();
 
         assert_eq!(outcome.shards, 8);
         assert_eq!(diffs.len(), 8);
@@ -545,18 +538,27 @@ mod tests {
         assert!(outcome.bytes_received > outcome.bytes_sent);
     }
 
+    /// The coded symbols a server sent each of `shards` shards, in
+    /// `tile`-symbol payloads, from everything it said.
+    fn symbols_sent(mut said: &[u8], shards: u16, tile: usize) -> Vec<usize> {
+        reconcile_core::read_frame(&mut said).unwrap();
+        let mut sent = vec![0; usize::from(shards)];
+        while let Ok(frame) = read_mux_frame(&mut said) {
+            if let EngineMessage::Payload(_) = frame.message {
+                sent[usize::from(frame.shard)] += tile;
+            }
+        }
+        sent
+    }
+
     #[test]
     fn unit_budget_bounds_what_a_wedged_shard_is_sent() {
         // A client whose mapping parameter differs from the server's can
         // never decode. The budget caps what it asks for, not what it has
         // already been sent: every shard stops within one batch of it.
         let key = SipKey::new(9, 9);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_items = items(0..2_000);
-        let handle = std::thread::spawn(move || serve_once(listener, server_items, key, 4));
-
-        let mut conn = TcpStream::connect(addr).unwrap();
+        let server = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA);
+        let mut link = library(server, &items(0..2_000), 4);
         let budget = 200;
         let config = TcpSyncConfig {
             key,
@@ -564,44 +566,76 @@ mod tests {
             ..Default::default()
         };
         let err = sync_sharded_tcp(
-            &mut conn,
+            &mut link,
             &items(300..2_000),
             |_| RibltBackend::<Item>::with_key_and_alpha(8, 16, key, 0.3),
             &config,
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::DecodeIncomplete), "{err}");
-        drop(conn);
-        let sent = handle.join().unwrap();
-        for (shard, &symbols) in sent.iter().enumerate() {
-            assert!(symbols > 16, "shard {shard} never got past its open");
-            assert!(symbols < budget + 16, "shard {shard} was sent {symbols}");
+        // The first flight counts: the sketch's 321.7 of the 300
+        // differences sized it at 7 tiles (1.35 × 80.4 = 108.6 → 112
+        // symbols), and the asks after it stop at the tile holding 200.
+        for (shard, sent) in symbols_sent(&link.received, 4, 16).into_iter().enumerate() {
+            assert!(sent > 16, "shard {shard} never got past its open");
+            assert!(sent < budget + 16, "shard {shard} was sent {sent}");
         }
     }
 
     #[test]
+    fn a_first_flight_beyond_the_budget_is_read_and_nothing_more_is_asked() {
+        // The first flight is the server's to size, under its own budget:
+        // the client's caps what the client asks for, and a grant already
+        // past it leaves nothing to ask. 1,200 differences over 4 shards
+        // put the first rung far past a budget of 64 symbols.
+        let key = SipKey::new(9, 9);
+        let server = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA);
+        let mut link = library(server, &items(0..2_000), 4);
+        let budget = 64;
+        let config = TcpSyncConfig {
+            key,
+            max_units_per_shard: budget,
+            ..Default::default()
+        };
+        let err = sync_sharded_tcp(
+            &mut link,
+            &items(600..2_600),
+            |_| RibltBackend::<Item>::with_key_and_alpha(8, 16, key, 0.3),
+            &config,
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::DecodeIncomplete), "{err}");
+        let mut said = &link.received[..];
+        reconcile_core::read_frame(&mut said).unwrap();
+        let EngineMessage::Request(grant) = read_mux_frame(&mut said).unwrap().message else {
+            panic!("the grant leads the payloads");
+        };
+        let granted = grant.offset as usize + usize::from(grant.count);
+        assert!(granted > budget + 16, "granted {granted}");
+        // Every shard was sent the grant and asked for nothing: the sync
+        // ended in the handshake's flight.
+        assert_eq!(symbols_sent(&link.received, 4, 16), vec![granted; 4]);
+        assert!(requests(&link.sent, 4).iter().all(Vec::is_empty));
+        assert_eq!(link.flights, 1);
+    }
+
+    #[test]
     fn key_mismatch_fails_the_handshake_not_the_decode() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            let hello = Hello::new(SipKey::new(1, 1), 4, 8);
-            // The server's handshake errors out after sending the reject.
-            assert!(server_handshake(&mut conn, &hello).is_err());
-        });
-        let mut conn = TcpStream::connect(addr).unwrap();
+        let server = RibltBackend::<Item>::with_key_and_alpha(8, 16, SipKey::new(1, 1), 0.5);
+        let mut link = library(server, &[], 4);
         let config = TcpSyncConfig {
             key: SipKey::new(2, 2),
             ..Default::default()
         };
         let err = sync_sharded_tcp(
-            &mut conn,
+            &mut link,
             &items(0..10),
             |_| RibltBackend::<Item>::new(8, 16),
             &config,
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Handshake(_)), "{err}");
-        handle.join().unwrap();
+        // The server refused the hello and said why before it hung up.
+        assert!(matches!(link.hung_up, Some(EngineError::Handshake(_))));
     }
 }

@@ -3,14 +3,14 @@
 //! emulator, beside what asking one batch per round would have cost.
 //!
 //! Each row syncs a ledger pair that differs by exactly `d` items (half on
-//! each side) through `statesync::sync_sharded_riblt` — 8 shards, 32-symbol
-//! batches, one decode thread, an uncapped link — at RTT ∈ {0, 10, 50,
-//! 100 ms}, averaged over seeded trials. `rounds` counts as
-//! `statesync::TcpSyncOutcome::rounds` does since protocol version 3:
-//! request rounds *after* the handshake exchange, whose round trip carries
-//! the hello, the opens and every shard's first batch (the simulator has no
-//! hello, so that exchange is its opening flight). A round costs one round
-//! trip, so `sync_ms` = `(rounds + 1) × RTT` + measured CPU.
+//! each side) through `statesync::sync_sharded_riblt` (the shipped client
+//! against the library's server) — 8 shards, 32-symbol batches, one decode
+//! thread, an uncapped link — at RTT ∈ {0, 10, 50, 100 ms}, averaged over
+//! seeded trials. `rounds` counts as `statesync::TcpSyncOutcome::rounds`
+//! does: request rounds *after* the handshake exchange, whose round trip
+//! carries the hellos and every shard's first flight. A round costs one
+//! round trip, so `sync_ms` = `(rounds + 1) × RTT` + measured CPU, the
+//! client's set-up pass included.
 //!
 //! The lock-step columns are analytic, not measured — no lock-step code
 //! path exists any more. A decoder consumes the same prefix of its stream
@@ -119,7 +119,7 @@ fn main() {
                 let (updated, outcome) =
                     sync_sharded_riblt(&latest, &stale, config).expect("sharded sync");
                 assert_eq!(updated, latest, "sync did not converge");
-                // The simulator's count includes its opening flight.
+                // The simulator's count includes the handshake's flight.
                 rounds += outcome.rounds - 1;
                 rounds_max = rounds_max.max(outcome.rounds - 1);
                 sync_ms += outcome.completion_time_s * 1e3;

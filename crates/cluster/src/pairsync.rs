@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use netsim::Topology;
-use reconcile_core::window::request_until;
+use reconcile_core::window::next_requests;
 use reconcile_core::{
     EngineError, EngineMessage, MuxFrame, RangeRequest, Result, SessionId, ShardId,
 };
@@ -124,8 +124,8 @@ struct ShardState<S: Symbol> {
     shard: ShardId,
     /// Symbols absorbed so far, i.e. the stream offset the next ask starts at.
     received: usize,
-    /// This round's ask.
-    range: RangeRequest,
+    /// This round's asks.
+    ranges: Vec<RangeRequest>,
     payloads: Vec<Vec<u8>>,
     own_window: Vec<CodedSymbol<S>>,
     estimate: DifferenceEstimate,
@@ -241,7 +241,7 @@ where
         active.push(ShardState {
             shard,
             received: 0,
-            range: first_tile,
+            ranges: vec![first_tile],
             payloads: Vec::new(),
             own_window: Vec::new(),
             estimate: DifferenceEstimate::default(),
@@ -261,19 +261,21 @@ where
         rounds += 1;
 
         // --- Serve phase (responder): one cache-range read per tile of
-        // each shard's range. ---
+        // each shard's ranges. ---
         let t_serve = Instant::now();
         let mut payload_frames: Vec<(usize, Vec<u8>)> = Vec::with_capacity(active.len());
         for (idx, state) in active.iter().enumerate() {
-            let tiles = state.range.tiles(tile, usize::MAX)?;
             let server_codec =
                 SymbolCodec::with_alpha(symbol_len, b.shard_len(state.shard) as u64, alpha);
-            for index in 0..tiles {
-                let next = state.range.offset as usize + index * tile;
-                let cells = b.shard_cells(state.shard, next, tile);
-                let payload = server_codec.encode_batch(cells, next as u64);
-                let frame = MuxFrame::new(session, state.shard, EngineMessage::Payload(payload));
-                payload_frames.push((idx, frame.to_bytes()));
+            for range in &state.ranges {
+                let tiles = range.tiles(tile, usize::MAX)?;
+                for next in (range.offset as usize..).step_by(tile).take(tiles) {
+                    let cells = b.shard_cells(state.shard, next, tile);
+                    let payload = server_codec.encode_batch(cells, next as u64);
+                    let frame =
+                        MuxFrame::new(session, state.shard, EngineMessage::Payload(payload));
+                    payload_frames.push((idx, frame.to_bytes()));
+                }
             }
         }
         let serve_elapsed = t_serve.elapsed();
@@ -301,9 +303,8 @@ where
         // peels each shard independently.
         let t_decode = Instant::now();
         for state in active.iter_mut() {
-            state.own_window = a
-                .shard_cells(state.shard, state.received, usize::from(state.range.count))
-                .to_vec();
+            let asked = state.ranges.iter().map(|r| usize::from(r.count)).sum();
+            state.own_window = a.shard_cells(state.shard, state.received, asked).to_vec();
         }
         parallel_for_each_observed(&mut active, threads, &metrics.decode_shards, |state| {
             // Tiles in arrival order; once the shard decodes, the rest of
@@ -343,7 +344,7 @@ where
         decode_wall_s += decode_s;
         client_clock = client_clock.max(last_arrival) + decode_s;
 
-        // --- Reply phase: Done for completed shards, the next range for
+        // --- Reply phase: Done for completed shards, the next ranges for
         // the rest. ---
         let mut pooled = finished_estimate;
         for state in &active {
@@ -354,29 +355,24 @@ where
             if let Some(error) = state.error.take() {
                 return Err(error);
             }
-            let message = if let Some(diff) = state.result.take() {
+            let done = state.result.is_some();
+            let messages = if let Some(diff) = state.result.take() {
                 finished_estimate.merge(&state.estimate);
                 units += state.received;
                 differences.push((state.shard, diff));
-                EngineMessage::Done
+                vec![EngineMessage::Done]
             } else {
-                // One request per shard per round: a want beyond the
-                // request cap spills into the next.
-                let until = request_until(
-                    state.received,
-                    tile,
-                    pooled.mean(),
-                    config.max_units_per_shard,
-                )
-                .ok_or(EngineError::DecodeIncomplete)?;
-                let count = (until - state.received).min(RangeRequest::largest_count(tile));
-                state.range = RangeRequest::new(state.received, count)?;
-                EngineMessage::Request(state.range)
+                let budget = config.max_units_per_shard;
+                let asks = next_requests(state.received, tile, pooled.mean(), budget)?;
+                state.ranges = asks.collect::<Result<_>>()?;
+                let ranges = state.ranges.iter().copied();
+                ranges.map(EngineMessage::Request).collect()
             };
-            let done = message == EngineMessage::Done;
-            let wire = MuxFrame::new(session, state.shard, message).to_bytes();
-            let arrival = topology.send(initiator, responder, client_clock, wire.len());
-            server_clock = server_clock.max(arrival);
+            for message in messages {
+                let wire = MuxFrame::new(session, state.shard, message).to_bytes();
+                let arrival = topology.send(initiator, responder, client_clock, wire.len());
+                server_clock = server_clock.max(arrival);
+            }
             if !done {
                 still_active.push(state);
             }

@@ -26,11 +26,11 @@ use std::sync::Arc;
 use riblt::{DifferenceEstimate, SetDifference};
 
 use crate::backend::{Progress, ReconcileBackend};
-use crate::engine::{ClientEngine, EngineMessage, RangeRequest, ServerEngine};
+use crate::engine::{ClientEngine, EngineMessage, ServerEngine};
 use crate::error::{EngineError, Result};
 use crate::first_flight::{CountSketch, FirstFlight};
 use crate::shard::{SessionId, ShardId, SHARD_ALL};
-use crate::window::request_until;
+use crate::window::next_requests;
 use crate::wirefmt::split_stream_open;
 
 /// Observation handles a [`ClientMux`] records into while absorbing
@@ -560,13 +560,9 @@ impl<B: ReconcileBackend> ClientMux<B> {
             if sc.done || sc.awaiting > 0 || sc.tile == 0 {
                 continue;
             }
-            let until = request_until(sc.requested, sc.tile, pooled.mean(), self.unit_budget)
-                .ok_or(EngineError::DecodeIncomplete)?;
-            // A want beyond the per-request cap goes out as several requests,
-            // all in this round.
-            while sc.requested < until {
-                let count = (until - sc.requested).min(RangeRequest::largest_count(sc.tile));
-                let range = RangeRequest::new(sc.requested, count)?;
+            for range in next_requests(sc.requested, sc.tile, pooled.mean(), self.unit_budget)? {
+                let range = range?;
+                let count = usize::from(range.count);
                 out.push(MuxFrame::new(
                     session,
                     shard as ShardId,

@@ -60,6 +60,9 @@
 //! the ask never shrinks as the estimate grows, and it never shrinks as
 //! `requested` grows.
 
+use crate::engine::RangeRequest;
+use crate::error::{EngineError, Result};
+
 /// First ask, as a multiple of the estimated difference.
 pub const FIRST_RUNG: f64 = 1.35;
 /// Second ask, as a multiple of the estimate's square root above the first.
@@ -92,6 +95,25 @@ pub fn request_until(
     let last = budget.div_ceil(tile).saturating_mul(tile);
     let until = (tiles * tile).max(requested.saturating_add(tile)).min(last);
     (until > requested).then_some(until)
+}
+
+/// One round's range requests, from `requested` to [`request_until`]'s
+/// offset: a want past [`RangeRequest::largest_count`] goes out as several,
+/// all in this round. [`EngineError::DecodeIncomplete`] at the budget, and
+/// a range past the wire's fields is an error of its own. An iterator, not
+/// a `Vec`: the client asks every round and allocates nothing for it.
+pub fn next_requests(
+    requested: usize,
+    tile: usize,
+    difference: f64,
+    budget: usize,
+) -> Result<impl Iterator<Item = Result<RangeRequest>>> {
+    let until =
+        request_until(requested, tile, difference, budget).ok_or(EngineError::DecodeIncomplete)?;
+    let cap = RangeRequest::largest_count(tile);
+    Ok((requested..until)
+        .step_by(cap)
+        .map(move |offset| RangeRequest::new(offset, (until - offset).min(cap))))
 }
 
 #[cfg(test)]
@@ -134,6 +156,34 @@ mod tests {
         // (1.35·262 = 353.7): the ask is the rung's 12 tiles, not the 416 it
         // was at 250.
         assert_eq!(request_until(352, 32, 262.0, usize::MAX), Some(384));
+    }
+
+    #[test]
+    fn a_want_past_the_request_cap_is_split_within_the_round() {
+        let cap = RangeRequest::largest_count(32);
+        let range = |offset, count| RangeRequest::new(offset, count).unwrap();
+        let asks = |requested, difference, budget| {
+            next_requests(requested, 32, difference, budget)
+                .and_then(|asks| asks.collect::<Result<Vec<_>>>())
+        };
+        // Within the cap: one request, to `request_until`'s offset.
+        assert_eq!(asks(32, 250.0, usize::MAX), Ok(vec![range(32, 320)]));
+        // 1.35 × 30,000 = 40,500 → 1,266 tiles = 40,512: three requests.
+        assert_eq!(
+            asks(32, 30_000.0, usize::MAX),
+            Ok(vec![
+                range(32, cap),
+                range(32 + cap, cap),
+                range(32 + 2 * cap, 40_512 - 32 - 2 * cap),
+            ])
+        );
+        // At the budget's tile there is nothing left to ask.
+        assert_eq!(asks(224, 1e9, 200), Err(EngineError::DecodeIncomplete));
+        // An offset past the wire's u32 is refused, not wrapped.
+        assert!(matches!(
+            asks(1 << 32, 0.0, usize::MAX),
+            Err(EngineError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!   --admin ADDR          daemon admin address (for --push)
 //!   --push                push local-only items back through the admin
 //!                         socket, so both processes converge on the union
-//!   --shards-hint N       proposed shard count (0 = server decides)
 //!   --symbol-len N        item length in bytes: 8, 16 or 32 (default 8)
 //!   --key K0HEX:K1HEX     shared SipKey (must match the daemon's)
 //!   --timeout-ms N        socket read/write timeout (default 10000)
@@ -28,23 +27,21 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use reconcile_core::backends::RibltBackend;
 use reconcile_core::CountSketch;
 use riblt::{FixedBytes, Symbol};
 use riblt_hash::SipKey;
 use server::cli::{flag_value, load_items, parse_key};
 use server::AdminClient;
-use statesync::{sync_sharded_tcp, TcpSyncConfig};
+use statesync::SyncClient;
 
 const USAGE: &str = "Usage: reconcile-client --connect ADDR --load FILE [--admin ADDR] [--push] \
-                     [--shards-hint N] [--symbol-len 8|16|32] [--key K0HEX:K1HEX] [--timeout-ms N]";
+                     [--symbol-len 8|16|32] [--key K0HEX:K1HEX] [--timeout-ms N]";
 
 struct Options {
     connect: String,
     load: PathBuf,
     admin: Option<String>,
     push: bool,
-    shards_hint: u16,
     symbol_len: usize,
     key: SipKey,
     timeout: Duration,
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
     let mut load = None;
     let mut admin = None;
     let mut push = false;
-    let mut shards_hint = 0u16;
     let mut symbol_len = 8usize;
     let mut key = SipKey::default();
     let mut timeout = Duration::from_millis(10_000);
@@ -66,11 +62,6 @@ fn parse_args() -> Result<Options, String> {
             "--load" => load = Some(PathBuf::from(flag_value(&mut args, "--load")?)),
             "--admin" => admin = Some(flag_value(&mut args, "--admin")?),
             "--push" => push = true,
-            "--shards-hint" => {
-                shards_hint = flag_value(&mut args, "--shards-hint")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards-hint: {e}"))?;
-            }
             "--symbol-len" => {
                 symbol_len = flag_value(&mut args, "--symbol-len")?
                     .parse()
@@ -98,15 +89,15 @@ fn parse_args() -> Result<Options, String> {
         load: load.ok_or("--load is required")?,
         admin,
         push,
-        shards_hint,
         symbol_len,
         key,
         timeout,
     })
 }
 
-fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), String> {
-    let mut items: Vec<S> = load_items(&options.load, options.symbol_len)?;
+fn run<S: Symbol + Ord + Send>(options: Options) -> Result<(), String> {
+    let key = options.key;
+    let mut client = SyncClient::<S>::new(load_items(&options.load, options.symbol_len)?, key, 0);
 
     let mut conn = TcpStream::connect(&options.connect)
         .map_err(|e| format!("cannot connect to {}: {e}", options.connect))?;
@@ -116,21 +107,9 @@ fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), 
         .and_then(|()| conn.set_write_timeout(Some(options.timeout)))
         .map_err(|e| format!("cannot set socket options: {e}"))?;
 
-    let key = options.key;
-    let symbol_len = options.symbol_len;
-    let config = TcpSyncConfig {
-        shards_hint: options.shards_hint,
-        key,
-        symbol_len,
-        ..Default::default()
-    };
-    let (diffs, outcome) = sync_sharded_tcp(
-        &mut conn,
-        &items,
-        |_shard| RibltBackend::<S>::with_key_and_alpha(symbol_len, 32, key, riblt::DEFAULT_ALPHA),
-        &config,
-    )
-    .map_err(|e| format!("sync failed: {e}"))?;
+    let (diffs, outcome) = client
+        .sync(&mut conn)
+        .map_err(|e| format!("sync failed: {e}"))?;
     drop(conn);
 
     let learned: Vec<S> = diffs.iter().flat_map(|d| d.remote_only.clone()).collect();
@@ -168,11 +147,11 @@ fn run<S: Symbol + Ord + Send + Sync + 'static>(options: Options) -> Result<(), 
         );
     }
 
-    items.extend(learned);
-    let digest = cluster::set_digest(items.iter(), key);
+    client.apply(&diffs);
+    let digest = cluster::set_digest(client.items(), key);
     println!(
         "reconcile-client: count={} digest={digest:016x}",
-        items.len()
+        client.items().len()
     );
     Ok(())
 }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use reconcile_core::backends::RibltBackend;
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
-use statesync::{sync_sharded_tcp, sync_sharded_udp, TcpSyncConfig, UdpSyncConfig};
+use statesync::{sync_sharded_udp, SyncClient, UdpSyncConfig};
 
 /// The item type the load generator speaks — the same 8-byte items the
 /// `reconciled`/`reconcile-client` binaries use.
@@ -243,23 +243,17 @@ fn client_main(
     latencies: &Mutex<Vec<Duration>>,
 ) {
     let staleness = config.staleness[index % config.staleness.len().max(1)];
-    let local = client_items(config.base_items, staleness);
+    let mut client = SyncClient::new(client_items(config.base_items, staleness), config.key, 1);
     let expected_diffs = 2 * staleness as usize;
-
-    if config.transport == Transport::Udp {
-        return client_main_udp(
-            &local,
-            expected_diffs,
-            addr,
-            config,
-            barrier,
-            syncs_ok,
-            syncs_failed,
-            diffs_total,
-            units_total,
-            latencies,
-        );
-    }
+    let udp = UdpSyncConfig {
+        key: config.key,
+        symbol_len: ITEM_LEN,
+        deadline: config.read_timeout,
+        ..Default::default()
+    };
+    let backend = |_| {
+        RibltBackend::<Item>::with_key_and_alpha(ITEM_LEN, 32, config.key, riblt::DEFAULT_ALPHA)
+    };
 
     // Connect before the barrier: when the fleet starts syncing, every
     // connection already exists — concurrency is the configured count.
@@ -268,42 +262,30 @@ fn client_main(
 
     for round in 0..config.rounds {
         if round > 0 {
-            // One handshake per connection: every round needs a fresh one.
-            // Under churn the old connection drops first; otherwise it is
-            // held until the replacement is dialed, so the daemon's active
-            // count never dips below the fleet size.
+            // One handshake (or cookie session) per connection: every round
+            // needs a fresh one. Under churn the old connection drops first;
+            // otherwise it is held until the replacement is dialed, so the
+            // daemon's active count never dips below the fleet size.
             if config.reconnect {
                 drop(conn.take());
             }
-            let fresh = connect(addr, config);
-            conn = fresh;
+            conn = connect(addr, config);
         }
-        let Some(stream) = conn.as_mut() else {
-            syncs_failed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
         let t0 = Instant::now();
-        let result = sync_sharded_tcp(
-            stream,
-            &local,
-            |_| {
-                RibltBackend::<Item>::with_key_and_alpha(
-                    ITEM_LEN,
-                    32,
-                    config.key,
-                    riblt::DEFAULT_ALPHA,
-                )
-            },
-            &TcpSyncConfig {
-                key: config.key,
-                symbol_len: ITEM_LEN,
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let result = match conn.as_mut() {
+            Some(Conn::Tcp(stream)) => client
+                .sync(stream)
+                .map(|(diffs, outcome)| (diffs, outcome.units, outcome.rounds)),
+            Some(Conn::Udp(socket)) => sync_sharded_udp(socket, client.items(), backend, &udp)
+                .map(|(diffs, outcome)| (diffs, outcome.units, 0)),
+            None => {
+                syncs_failed.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+        };
         let elapsed = t0.elapsed();
         match result {
-            Ok((round_diffs, outcome)) => {
+            Ok((round_diffs, units, request_rounds)) => {
                 let recovered: usize = round_diffs
                     .iter()
                     .map(|d| d.remote_only.len() + d.local_only.len())
@@ -311,8 +293,8 @@ fn client_main(
                 if recovered == expected_diffs {
                     syncs_ok.fetch_add(1, Ordering::Relaxed);
                     diffs_total.fetch_add(recovered, Ordering::Relaxed);
-                    units_total.fetch_add(outcome.units, Ordering::Relaxed);
-                    request_rounds_total.fetch_add(outcome.rounds, Ordering::Relaxed);
+                    units_total.fetch_add(units, Ordering::Relaxed);
+                    request_rounds_total.fetch_add(request_rounds, Ordering::Relaxed);
                     obs::lock_unpoisoned(latencies).push(elapsed);
                 } else {
                     syncs_failed.fetch_add(1, Ordering::Relaxed);
@@ -328,89 +310,23 @@ fn client_main(
     }
 }
 
-/// UDP counterpart of the TCP round loop: every round is a fresh socket
-/// and a fresh cookie session (there is no connection to reuse, so the
-/// `reconnect` knob does not apply).
-#[allow(clippy::too_many_arguments)]
-fn client_main_udp(
-    local: &[Item],
-    expected_diffs: usize,
-    addr: &str,
-    config: &LoadgenConfig,
-    barrier: &Barrier,
-    syncs_ok: &AtomicUsize,
-    syncs_failed: &AtomicUsize,
-    diffs_total: &AtomicUsize,
-    units_total: &AtomicUsize,
-    latencies: &Mutex<Vec<Duration>>,
-) {
-    // Bind before the barrier so the fleet's sockets all exist when the
-    // measured window opens, mirroring the TCP pre-connect.
-    let mut socket = udp_connect(addr);
-    barrier.wait();
+/// A client's connection: a TCP stream, or a UDP socket connected to the
+/// daemon's datagram listener.
+enum Conn {
+    Tcp(TcpStream),
+    Udp(UdpSocket),
+}
 
-    for round in 0..config.rounds {
-        if round > 0 {
-            socket = udp_connect(addr);
-        }
-        let Some(conduit) = socket.as_mut() else {
-            syncs_failed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        let t0 = Instant::now();
-        let result = sync_sharded_udp(
-            conduit,
-            local,
-            |_| {
-                RibltBackend::<Item>::with_key_and_alpha(
-                    ITEM_LEN,
-                    32,
-                    config.key,
-                    riblt::DEFAULT_ALPHA,
-                )
-            },
-            &UdpSyncConfig {
-                key: config.key,
-                symbol_len: ITEM_LEN,
-                deadline: config.read_timeout,
-                ..Default::default()
-            },
-        );
-        let elapsed = t0.elapsed();
-        match result {
-            Ok((round_diffs, outcome)) => {
-                let recovered: usize = round_diffs
-                    .iter()
-                    .map(|d| d.remote_only.len() + d.local_only.len())
-                    .sum();
-                if recovered == expected_diffs {
-                    syncs_ok.fetch_add(1, Ordering::Relaxed);
-                    diffs_total.fetch_add(recovered, Ordering::Relaxed);
-                    units_total.fetch_add(outcome.units, Ordering::Relaxed);
-                    obs::lock_unpoisoned(latencies).push(elapsed);
-                } else {
-                    syncs_failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                syncs_failed.fetch_add(1, Ordering::Relaxed);
-                drop(socket.take());
-            }
-        }
+fn connect(addr: &str, config: &LoadgenConfig) -> Option<Conn> {
+    if config.transport == Transport::Udp {
+        let socket = UdpSocket::bind("0.0.0.0:0").ok()?;
+        socket.connect(addr).ok()?;
+        return Some(Conn::Udp(socket));
     }
-}
-
-fn udp_connect(addr: &str) -> Option<UdpSocket> {
-    let socket = UdpSocket::bind("0.0.0.0:0").ok()?;
-    socket.connect(addr).ok()?;
-    Some(socket)
-}
-
-fn connect(addr: &str, config: &LoadgenConfig) -> Option<TcpStream> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(config.read_timeout)).ok()?;
     stream.set_nodelay(true).ok();
-    Some(stream)
+    Some(Conn::Tcp(stream))
 }
 
 /// Raises the process's file-descriptor soft limit toward `want` (bounded

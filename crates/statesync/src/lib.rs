@@ -11,14 +11,16 @@
 //! into the virtual clock and reports a [`SyncOutcome`] with completion
 //! time, byte counts, round counts and a bandwidth trace.
 //!
-//! Beyond the simulator, [`sync_sharded_tcp`] drives the same sharded
-//! multiplexed protocol over any real byte stream (`Read + Write`) — it is
-//! the client half of the `reconciled` daemon's wire protocol, complete
-//! with the versioned handshake and shard-count negotiation.
+//! [`sync_sharded_tcp`] is the client half of the `reconciled` daemon's
+//! wire protocol, over any byte stream (`Read + Write`), complete with the
+//! versioned handshake and shard-count negotiation. [`sync_sharded_riblt`]
+//! runs it over the simulated link, against the library's own server, and
+//! [`SyncClient`] is the shell an application holds: it owns the local set.
 
 #![warn(missing_docs)]
 
 pub mod chain;
+pub mod client;
 pub mod heal_backend;
 pub mod ledger;
 pub mod metrics;
@@ -28,15 +30,14 @@ pub mod tcp_sync;
 pub mod udp_sync;
 
 pub use chain::{BlockUpdate, Chain, ChainConfig};
+pub use client::SyncClient;
 pub use heal_backend::HealBackend;
 pub use ledger::{
     ledger_item, split_item, synth_account, synth_address, AccountState, Address, Ledger,
     LedgerItem, ACCOUNT_LEN, ADDRESS_LEN, ITEM_LEN,
 };
 pub use metrics::SyncOutcome;
-pub use shard_sync::{
-    sync_sharded_riblt, sync_sharded_with_backend, ShardedRibltConfig, ShardedSyncConfig,
-};
+pub use shard_sync::{sync_sharded_riblt, ShardedRibltConfig, ShardedSyncConfig};
 pub use sync::{
     sync_with_backend, sync_with_heal, sync_with_riblt, HealSyncConfig, RibltSyncConfig, SyncConfig,
 };

@@ -1,33 +1,28 @@
-//! Sharded ledger synchronization: S multiplexed engine sessions over one
-//! simulated link, with parallel shard decode on the stale replica.
+//! Sharded ledger synchronization over the simulated link: the shipped
+//! client ([`crate::sync_sharded_tcp`]) against the library's own server
+//! ([`netsim::library_server`]), every flight charged to a [`SimLink`].
 //!
-//! The single-session driver ([`crate::sync_with_backend`]) streams one
-//! coded-symbol sequence for the whole ledger; at production state sizes the
-//! client's peeling decode becomes the bottleneck (paper §7.2). This driver
-//! hash-partitions the keyspace into S shards
-//! ([`reconcile_core::ShardPartitioner`]), runs one engine session per shard
-//! through the server/client multiplexers of [`reconcile_core::mux`] — every
-//! wire frame is a `(session, shard)`-tagged [`MuxFrame`] — and absorbs the
-//! payloads of independent shards in parallel on a `std::thread` worker
-//! pool. Streaming shards ask for ranges of their streams sized by
-//! [`reconcile_core::window`], so a round moves as many batches as the
-//! decoders' estimate calls for and costs one round trip of the link. The
-//! virtual clock charges the *wall* time of each parallel absorb phase, so
-//! multi-core decode speedups translate into completion times, exactly as
-//! they would on real hardware.
+//! Where the single-session driver ([`crate::sync_with_backend`]) peels one
+//! stream for the whole ledger (the bottleneck at production state sizes,
+//! paper §7.2), this runs the `reconciled` protocol over S hash shards,
+//! decoded in parallel. The virtual clock charges the client's *wall* time
+//! between flights — its hashing and set-up pass and the parallel decode
+//! phases — so multi-core speedups show in completion times, as they would
+//! on real hardware.
 
+use std::io::{self, Read, Write};
 use std::time::Instant;
 
-use netsim::{LinkDirection, SimLink};
-use reconcile_core::{
-    ClientMux, EngineError, EngineMessage, MuxFrame, ReconcileBackend, ServerEngine, ServerMux,
-    ShardId, ShardPartitioner,
-};
+use netsim::{library_server, FlightLink, LinkDirection, SimLink};
+use reconcile_core::backends::RibltBackend;
+use reconcile_core::handshake::Hello;
+use reconcile_core::{read_frame, read_mux_frame, EngineMessage};
 use riblt_hash::SipKey;
 
-use crate::ledger::{Ledger, LedgerItem};
+use crate::ledger::{Ledger, LedgerItem, ITEM_LEN};
 use crate::metrics::SyncOutcome;
 use crate::sync::SyncConfig;
+use crate::tcp_sync::{sync_sharded_tcp, TcpSyncConfig};
 
 /// Configuration of a sharded synchronization run.
 #[derive(Debug, Clone, Copy)]
@@ -51,153 +46,6 @@ impl Default for ShardedSyncConfig {
             base: SyncConfig::default(),
         }
     }
-}
-
-/// Synchronizes `stale` to `latest` through one backend instance per shard,
-/// multiplexed over a single simulated link.
-///
-/// The factory is called once per shard on each side, so per-shard tuning
-/// (e.g. smaller batch sizes for many shards) stays in the caller's hands.
-pub fn sync_sharded_with_backend<B, F>(
-    latest: &Ledger,
-    stale: &Ledger,
-    factory: F,
-    config: ShardedSyncConfig,
-) -> reconcile_core::Result<(Ledger, SyncOutcome)>
-where
-    B: ReconcileBackend<Item = LedgerItem> + Send,
-    B::Client: Send,
-    F: Fn(ShardId) -> B,
-{
-    let threads = if config.threads == 0 {
-        cluster_threads()
-    } else {
-        config.threads
-    };
-    let partitioner = ShardPartitioner::new(config.key, config.shards);
-    let mut link = SimLink::new(config.base.link);
-
-    // --- Untimed setup: both replicas know their own sets already. ---
-    let latest_parts = partitioner.partition(&latest.items());
-    let mut server = ServerMux::new(|_session, shard| {
-        ServerEngine::new(factory(shard), &latest_parts[usize::from(shard)])
-    });
-    let mut client = ClientMux::new(0);
-    let engines = partitioner.client_engines(&stale.items(), &factory);
-    for (shard, engine) in engines.into_iter().enumerate() {
-        client.insert_shard(shard as ShardId, engine);
-    }
-
-    // --- Timed protocol. ---
-    let mut client_clock = 0.0f64;
-    let mut server_clock = 0.0f64;
-    let mut client_cpu = 0.0f64;
-    let mut server_cpu = 0.0f64;
-    let mut upstream_bytes = 0usize;
-    let mut downstream_bytes = 0usize;
-    let mut rounds = 0usize;
-    let mut payload_count = 0usize;
-
-    let mut outgoing = client.opens();
-    // Pad the aggregate opening burst up to the configured connection
-    // minimum, mirroring the single-session driver.
-    let open_wire: usize = outgoing.iter().map(MuxFrame::wire_size).sum();
-    let mut first_burst_pad = config.base.min_open_bytes.saturating_sub(open_wire);
-
-    let mut guard = 0usize;
-    while !outgoing.is_empty() {
-        guard += 1;
-        assert!(
-            guard < 4_000_000,
-            "sharded synchronization failed to converge"
-        );
-        rounds += 1;
-
-        // Client → server: ship this round's request frames.
-        let mut request_arrival = server_clock;
-        for frame in &outgoing {
-            let wire = frame.wire_size() + std::mem::take(&mut first_burst_pad);
-            upstream_bytes += wire;
-            let arrival = link.send(LinkDirection::ClientToServer, client_clock, wire);
-            request_arrival = request_arrival.max(arrival);
-        }
-        server_clock = server_clock.max(request_arrival);
-
-        // Server: answer every frame (sequential — one node, one CPU here;
-        // serving is cheap next to decoding).
-        let t0 = Instant::now();
-        let mut payloads = Vec::with_capacity(client.awaiting());
-        for frame in &outgoing {
-            payloads.extend(server.handle(frame)?);
-        }
-        let serve_s = t0.elapsed().as_secs_f64();
-        server_cpu += serve_s;
-        server_clock += serve_s;
-        payload_count += payloads.len();
-
-        // Server → client: ship the payload frames.
-        let mut payload_arrival = client_clock;
-        for frame in &payloads {
-            let wire = frame.wire_size();
-            downstream_bytes += wire;
-            let arrival = link.send(LinkDirection::ServerToClient, server_clock, wire);
-            payload_arrival = payload_arrival.max(arrival);
-        }
-
-        // Client: absorb all shards in parallel; charge the wall time.
-        let t1 = Instant::now();
-        let replies = client.handle_round(&payloads, threads)?;
-        let absorb_s = t1.elapsed().as_secs_f64();
-        client_cpu += absorb_s;
-        client_clock = client_clock.max(payload_arrival) + absorb_s;
-
-        // Done frames retire their server engine; everything else loops.
-        outgoing = Vec::with_capacity(replies.len());
-        for frame in replies {
-            if frame.message == EngineMessage::Done {
-                upstream_bytes += frame.wire_size();
-                link.send(
-                    LinkDirection::ClientToServer,
-                    client_clock,
-                    frame.wire_size(),
-                );
-                server.handle(&frame)?;
-            } else {
-                outgoing.push(frame);
-            }
-        }
-    }
-
-    if !client.all_done() {
-        return Err(EngineError::DecodeIncomplete);
-    }
-    let units_transferred = client.units();
-    let mut updated = stale.clone();
-    let mut accounts_updated = 0usize;
-    for diff in client.into_differences()? {
-        accounts_updated += diff.remote_only.len();
-        updated.apply_items(&diff.remote_only);
-    }
-
-    let outcome = SyncOutcome {
-        completion_time_s: client_clock,
-        bytes_downstream: downstream_bytes,
-        bytes_upstream: upstream_bytes,
-        rounds,
-        payloads: payload_count,
-        units_transferred,
-        accounts_updated,
-        downstream_series: link.downstream_series().clone(),
-        client_cpu_s: client_cpu,
-        server_cpu_s: server_cpu,
-    };
-    Ok((updated, outcome))
-}
-
-fn cluster_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Configuration of a sharded Rateless IBLT synchronization run.
@@ -225,22 +73,144 @@ pub fn sync_sharded_riblt(
     stale: &Ledger,
     config: ShardedRibltConfig,
 ) -> reconcile_core::Result<(Ledger, SyncOutcome)> {
-    use crate::ledger::ITEM_LEN;
-    use reconcile_core::backends::RibltBackend;
-    let key = config.sharding.key;
-    sync_sharded_with_backend(
-        latest,
-        stale,
-        |_shard| {
-            RibltBackend::<LedgerItem>::with_key_and_alpha(
-                ITEM_LEN,
-                config.batch_symbols,
-                key,
-                riblt::DEFAULT_ALPHA,
-            )
-        },
-        config.sharding,
-    )
+    simulate(latest, stale, config).map(|(updated, outcome, _)| (updated, outcome))
+}
+
+/// [`sync_sharded_riblt`], also returning the link the sync ran over.
+fn simulate(
+    latest: &Ledger,
+    stale: &Ledger,
+    config: ShardedRibltConfig,
+) -> reconcile_core::Result<(Ledger, SyncOutcome, FlightLink)> {
+    let ShardedSyncConfig {
+        shards,
+        threads,
+        key,
+        base,
+    } = config.sharding;
+    let alpha = riblt::DEFAULT_ALPHA;
+    let backend =
+        RibltBackend::<LedgerItem>::with_key_and_alpha(ITEM_LEN, config.batch_symbols, key, alpha);
+    let client = TcpSyncConfig {
+        key,
+        symbol_len: ITEM_LEN,
+        threads,
+        ..Default::default()
+    };
+    // Untimed setup: both replicas know their own sets already.
+    let (local, hello) = (stale.items(), Hello::new(key, shards, ITEM_LEN));
+    let budget = client.max_units_per_shard;
+    let mut io = SimFlights {
+        link: library_server(backend.clone(), &latest.items(), hello, budget),
+        sim: SimLink::new(base.link),
+        min_open_bytes: base.min_open_bytes,
+        unsent: 0,
+        resumed: Instant::now(),
+        client_clock: 0.0,
+        server_clock: 0.0,
+        client_cpu: 0.0,
+        server_cpu: 0.0,
+    };
+    let (differences, synced) = sync_sharded_tcp(&mut io, &local, |_| backend.clone(), &client)?;
+    // The last CPU, and the `Done`s nothing answers.
+    io.client_sends(Instant::now());
+
+    let mut updated = stale.clone();
+    for diff in &differences {
+        updated.apply_items(&diff.remote_only);
+    }
+    let outcome = SyncOutcome {
+        completion_time_s: io.client_clock,
+        bytes_downstream: io.sim.bytes_server_to_client(),
+        bytes_upstream: io.sim.bytes_client_to_server(),
+        rounds: io.link.flights,
+        payloads: payloads(&io.link.received)?,
+        units_transferred: synced.units,
+        accounts_updated: differences.iter().map(|d| d.remote_only.len()).sum(),
+        downstream_series: io.sim.downstream_series().clone(),
+        client_cpu_s: io.client_cpu,
+        server_cpu_s: io.server_cpu,
+    };
+    Ok((updated, outcome, io.link))
+}
+
+/// The payload frames among everything a server said, its hello first.
+fn payloads(mut said: &[u8]) -> reconcile_core::Result<usize> {
+    read_frame(&mut said)?;
+    let mut payloads = 0;
+    while !said.is_empty() {
+        if let EngineMessage::Payload(_) = read_mux_frame(&mut said)?.message {
+            payloads += 1;
+        }
+    }
+    Ok(payloads)
+}
+
+/// A [`FlightLink`] whose flights cost virtual time on a [`SimLink`]: what
+/// the client wrote since the last flight goes upstream at the client's
+/// clock (the first flight at least `min_open_bytes`), the wall time of the
+/// server's answer goes to the server's clock, and the answer comes back
+/// downstream. The client's CPU is the wall time between flights.
+struct SimFlights {
+    link: FlightLink,
+    sim: SimLink,
+    min_open_bytes: usize,
+    /// Bytes the client wrote since the last flight.
+    unsent: usize,
+    /// When the client last stopped waiting for the server.
+    resumed: Instant,
+    client_clock: f64,
+    server_clock: f64,
+    client_cpu: f64,
+    server_cpu: f64,
+}
+
+impl SimFlights {
+    /// Charges the client's wall time up to `now`, then sends what it wrote
+    /// since the last flight upstream; returns when that arrives.
+    fn client_sends(&mut self, now: Instant) -> f64 {
+        let cpu = now.duration_since(self.resumed).as_secs_f64();
+        self.client_clock += cpu;
+        self.client_cpu += cpu;
+        let mut bytes = std::mem::take(&mut self.unsent);
+        if self.sim.bytes_client_to_server() == 0 {
+            bytes = bytes.max(self.min_open_bytes);
+        }
+        self.sim
+            .send(LinkDirection::ClientToServer, self.client_clock, bytes)
+    }
+}
+
+impl Read for SimFlights {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let (flights, heard) = (self.link.flights, self.link.received.len());
+        let waiting = Instant::now();
+        let read = self.link.read(buf)?;
+        if self.link.flights > flights {
+            let answered = Instant::now();
+            let arrival = self.client_sends(waiting);
+            let serve = answered.duration_since(waiting).as_secs_f64();
+            self.server_clock = self.server_clock.max(arrival) + serve;
+            self.server_cpu += serve;
+            let answer = self.link.received.len() - heard;
+            let arrival = self
+                .sim
+                .send(LinkDirection::ServerToClient, self.server_clock, answer);
+            self.client_clock = self.client_clock.max(arrival);
+            self.resumed = answered;
+        }
+        Ok(read)
+    }
+}
+
+impl Write for SimFlights {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.unsent += buf.len();
+        self.link.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.link.flush()
+    }
 }
 
 #[cfg(test)]
@@ -323,5 +293,39 @@ mod tests {
         assert_eq!(outcome.accounts_updated, 0);
         // Every shard decodes its empty difference from the first batch.
         assert_eq!(outcome.rounds, 1);
+    }
+
+    #[test]
+    fn the_simulator_sends_what_the_shipped_client_sends_a_bare_server() {
+        let chain = Chain::generate(ChainConfig::test_scale(), 10);
+        let latest = chain.snapshot_at(10);
+        let stale = chain.snapshot_at(3);
+        let config = ShardedRibltConfig::default();
+        let (_, outcome, simulated) = simulate(&latest, &stale, config).unwrap();
+
+        let ShardedSyncConfig { shards, key, .. } = config.sharding;
+        let backend =
+            RibltBackend::<LedgerItem>::with_key_and_alpha(ITEM_LEN, 32, key, riblt::DEFAULT_ALPHA);
+        let hello = Hello::new(key, shards, ITEM_LEN);
+        let mut bare = library_server(backend.clone(), &latest.items(), hello, 1 << 20);
+        let tcp = TcpSyncConfig {
+            key,
+            symbol_len: ITEM_LEN,
+            threads: 1,
+            ..Default::default()
+        };
+        let (_, synced) =
+            sync_sharded_tcp(&mut bare, &stale.items(), |_| backend.clone(), &tcp).unwrap();
+
+        assert_eq!(simulated.sent, bare.sent, "the client's transcript");
+        assert_eq!(simulated.received, bare.received, "the server's");
+        // The simulator counts the handshake's flight; the client does not.
+        assert_eq!(outcome.rounds, bare.flights);
+        assert_eq!(outcome.rounds, synced.rounds + 1);
+        assert_eq!(outcome.units_transferred, synced.units);
+        assert_eq!(
+            outcome.bytes_upstream + outcome.bytes_downstream,
+            synced.bytes_sent + synced.bytes_received
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Sharded synchronization over a *real* byte stream: the client half of
 //! the `reconciled` wire protocol.
 //!
-//! Where [`crate::shard_sync`] drives S multiplexed sessions over the
-//! deterministic simulator, this module drives the identical protocol over
-//! anything that implements `Read + Write` — a localhost `TcpStream`
-//! against the `reconciled` daemon, a pipe in a test, a tunnel. The flow:
+//! This module drives S multiplexed sessions over anything that implements
+//! `Read + Write` — a localhost `TcpStream` against the `reconciled` daemon,
+//! the simulator's link ([`crate::shard_sync`]), a pipe in a test, a
+//! tunnel. [`crate::SyncClient`] is the shell applications hold. The flow:
 //!
 //! 1. One flight, one write: the hello
 //!    ([`reconcile_core::handshake::client_handshake_pipelined`] — magic,
@@ -43,7 +43,7 @@ use std::io::{Read, Write};
 use std::time::Instant;
 
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
-use reconcile_core::handshake::{client_handshake_pipelined, Hello};
+use reconcile_core::handshake::{client_handshake_pipelined, Hello, SHARDS_ANY};
 use reconcile_core::{
     append_frame, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, FrameBuffer,
     MuxFrame, ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
@@ -73,39 +73,32 @@ fn mux_metrics() -> reconcile_core::MuxMetrics {
     }
 }
 
+/// The session every frame of a sync is tagged with: a connection carries
+/// one conversation, so no server tells sessions apart.
+const SESSION: SessionId = 1;
+
 /// Configuration of a TCP (or any real-stream) sharded synchronization.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpSyncConfig {
-    /// Shard count to propose in the handshake
-    /// ([`reconcile_core::handshake::SHARDS_ANY`] = let the server decide).
-    /// The server's count always wins; this is advisory.
-    pub shards_hint: u16,
     /// Shared keyed-hash key — must fingerprint-match the server's.
     pub key: SipKey,
     /// Item length in bytes — must match the server's.
     pub symbol_len: usize,
     /// Decode worker threads (0 = one per available core).
     pub threads: usize,
-    /// Safety budget: never request past this many scheme units per shard.
-    /// It bounds what this side asks for. The first flight is not asked for
-    /// but sized by the server from the open's count sketch, under the
-    /// server's own per-stream budget, as the one tile of an unsketched open
-    /// always was: a first flight past this budget is read whole, and
-    /// nothing more is asked.
+    /// Safety budget: never ask past this many scheme units per shard. The
+    /// first flight is the server's to size, under its own per-stream
+    /// budget: one past this is read whole, and nothing more is asked.
     pub max_units_per_shard: usize,
-    /// Session id tagged onto every frame of this conversation.
-    pub session: SessionId,
 }
 
 impl Default for TcpSyncConfig {
     fn default() -> Self {
         TcpSyncConfig {
-            shards_hint: reconcile_core::handshake::SHARDS_ANY,
             key: SipKey::default(),
             symbol_len: 8,
             threads: 0,
             max_units_per_shard: 1 << 20,
-            session: 1,
         }
     }
 }
@@ -139,7 +132,8 @@ pub struct TcpSyncOutcome {
 /// `config.symbol_len`, **and α = [`riblt::DEFAULT_ALPHA`]** — the protocol
 /// pins the mapping parameter, and the handshake checks the first two but
 /// cannot see the backend's α (a non-default α decodes nothing and burns
-/// the unit budget before erroring `DecodeIncomplete`).
+/// the unit budget before erroring `DecodeIncomplete`). [`crate::SyncClient`]
+/// builds its backends so, and cannot be configured otherwise.
 ///
 /// One open request serves every shard and leaves before the local set is
 /// partitioned: it is the `open_request` of `factory(0)`'s client over the
@@ -182,7 +176,7 @@ where
             config.symbol_len
         )));
     }
-    let local_hello = Hello::new(config.key, config.shards_hint, config.symbol_len);
+    let local_hello = Hello::new(config.key, SHARDS_ANY, config.symbol_len);
     let hashes = B::Item::hash_many_with(local_items, config.key);
     let open = match ClientEngine::new(factory(0), &[]).open() {
         EngineMessage::Open(mut request) => {
@@ -194,7 +188,7 @@ where
     let mut wildcard = Vec::new();
     append_frame(
         &mut wildcard,
-        &MuxFrame::new(config.session, SHARD_ALL, open).to_bytes(),
+        &MuxFrame::new(SESSION, SHARD_ALL, open).to_bytes(),
     )?;
     let server_hello = client_handshake_pipelined(io, &local_hello, &wildcard)?;
     let shards = server_hello.shards;
@@ -216,7 +210,7 @@ where
     );
     // Every item is placed: nothing of the set-up lives through the rounds.
     drop(hashes);
-    let mut client = ClientMux::new(config.session);
+    let mut client = ClientMux::new(SESSION);
     client.set_metrics(mux_metrics());
     client.set_unit_budget(config.max_units_per_shard);
     for (shard, engine) in engines.into_iter().enumerate() {
@@ -323,8 +317,7 @@ fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Res
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::handshake::client_handshake;
-    use reconcile_core::{read_mux_frame, RangeRequest};
+    use reconcile_core::{read_mux_frame, run_in_memory, RangeRequest};
     use riblt::FixedBytes;
 
     type Item = FixedBytes<8>;
@@ -354,35 +347,6 @@ mod tests {
 
     fn link_to(server_items: &[Item]) -> netsim::FlightLink {
         library(flight_backend(), server_items, FLIGHT_SHARDS)
-    }
-
-    /// The per-shard-open client, kept as the reference the sketched
-    /// wildcard is held to: hello exchange, one `Open` per shard (no sketch,
-    /// so one tile each, as protocol version 2 served them), then the same
-    /// rounds. Returns the differences and the units consumed.
-    fn sync_with_per_shard_opens<T: Read + Write>(
-        io: &mut T,
-        local: &[Item],
-    ) -> (Vec<SetDifference<Item>>, usize) {
-        let key = SipKey::default();
-        let shards = client_handshake(io, &Hello::new(key, 0, 8)).unwrap().shards;
-        let mut client = ClientMux::new(TcpSyncConfig::default().session);
-        for (shard, part) in ShardPartitioner::new(key, shards)
-            .partition(local)
-            .iter()
-            .enumerate()
-        {
-            client.insert_shard(shard as ShardId, ClientEngine::new(flight_backend(), part));
-        }
-        write_round(io, &client.opens()).unwrap();
-        while client.awaiting() > 0 {
-            let payloads: Vec<MuxFrame> = (0..client.awaiting())
-                .map(|_| read_mux_frame(io).unwrap())
-                .collect();
-            write_round(io, &client.handle_round(&payloads, 1).unwrap()).unwrap();
-        }
-        let units = client.units();
-        (client.into_differences().unwrap(), units)
     }
 
     /// The mux frames behind the hello in a client's transcript.
@@ -472,8 +436,19 @@ mod tests {
     fn the_sketched_wildcard_saves_two_flights_and_changes_nothing_else() {
         let server_items = items(0..20_000);
         let local = items(1_000..21_000); // d = 2,000, half on each side
-        let mut reference = link_to(&server_items);
-        let (expected, expected_units) = sync_with_per_shard_opens(&mut reference, &local);
+
+        // The point-to-point reference: each shard's stream, pushed one tile
+        // at a time to a client that never asks.
+        let partitioner = ShardPartitioner::new(SipKey::default(), FLIGHT_SHARDS);
+        let (expected, expected_units): (Vec<_>, Vec<_>) = partitioner
+            .partition(&server_items)
+            .iter()
+            .zip(&partitioner.partition(&local))
+            .map(|(server, client)| {
+                let run = run_in_memory(flight_backend(), server, client, usize::MAX).unwrap();
+                (run.difference, run.units)
+            })
+            .unzip();
 
         let mut link = link_to(&server_items);
         let config = TcpSyncConfig {
@@ -486,13 +461,8 @@ mod tests {
         // Every decoder consumed the same prefix, tile for tile.
         assert_eq!(diffs, expected, "same differences, item for item");
         assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 2_000);
-        assert_eq!(outcome.units, expected_units);
+        assert_eq!(outcome.units, expected_units.iter().sum::<usize>());
 
-        // The reference spends a flight on the hellos and one on its opens,
-        // each answered with one tile; from the 8 tiles' pooled estimate
-        // round 1 asks every shard up to the first rung and round 2 finishes
-        // the rest: 4 flights.
-        assert_eq!(reference.flights, 4);
         // The sketch's estimate, 2,074.1 (2,000 ± 9 %), is 259.3 a shard,
         // whose first rung, 1.35 × 259.3 = 350.0, is 11 tiles: the server
         // grants [32, 352) and sends every shard 352 symbols in the
@@ -504,7 +474,8 @@ mod tests {
         // Four shards decode within it (at 332–347 symbols). The other four
         // (356–381) ask on from the grant, straight to the second rung —
         // 1.35·d̂ + 4·√d̂ ≈ 400.7 of the pooled estimate, so to 416 — and are
-        // done: one request round, 2 flights where the reference took 4.
+        // done: one request round, 2 flights where opening shard by shard
+        // (a flight for the hellos, one for the opens, two rounds) took 4.
         let asked = requests(&link.sent, FLIGHT_SHARDS);
         let rest = RangeRequest {
             offset: 352,
@@ -522,7 +493,6 @@ mod tests {
         let mut link = library(backend.clone(), &items(0..3_000), 8);
         let config = TcpSyncConfig {
             key,
-            shards_hint: 2, // advisory only: the server's 8 must win
             ..Default::default()
         };
         let (diffs, outcome) =

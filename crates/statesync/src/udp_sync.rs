@@ -36,7 +36,7 @@ use reconcile_core::datagram::{
     client_hello_payload, max_symbols_in_budget, request_payload, BatchSequencer, DatagramHeader,
     DatagramKind, DEFAULT_MTU_BUDGET,
 };
-use reconcile_core::handshake::{validate_server_hello, Hello};
+use reconcile_core::handshake::{validate_server_hello, Hello, SHARDS_ANY};
 use reconcile_core::{
     ClientEngine, EngineError, EngineMessage, ReconcileBackend, SetDifference, ShardId,
     ShardPartitioner,
@@ -154,8 +154,6 @@ impl<C: DatagramConduit> DatagramConduit for LossyConduit<C> {
 /// Configuration of a datagram sharded synchronization.
 #[derive(Debug, Clone, Copy)]
 pub struct UdpSyncConfig {
-    /// Shard count to propose in the handshake (the server's count wins).
-    pub shards_hint: u16,
     /// Shared keyed-hash key — must fingerprint-match the server's.
     pub key: SipKey,
     /// Item length in bytes — must match the server's.
@@ -179,7 +177,6 @@ pub struct UdpSyncConfig {
 impl Default for UdpSyncConfig {
     fn default() -> Self {
         UdpSyncConfig {
-            shards_hint: reconcile_core::handshake::SHARDS_ANY,
             key: SipKey::default(),
             symbol_len: 8,
             mtu_budget: DEFAULT_MTU_BUDGET,
@@ -274,7 +271,7 @@ where
             .as_nanos() as u64;
         splitmix64(clock ^ (&stats as *const Stats as u64)).max(1)
     };
-    let local_hello = Hello::new(config.key, config.shards_hint, config.symbol_len);
+    let local_hello = Hello::new(config.key, SHARDS_ANY, config.symbol_len);
     let hello_datagram = DatagramHeader {
         kind: DatagramKind::Hello,
         cookie: 0,

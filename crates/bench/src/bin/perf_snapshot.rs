@@ -1,8 +1,10 @@
-//! Perf-snapshot harness: pinned-seed micro-benches over the hot paths,
+//! Perf-snapshot harness: pinned-seed micro-benches over the kernels,
 //! written to `BENCH_<date>.json` in the stable schema described in
 //! `riblt_bench::snapshot`. Checked-in snapshots at the repo root form the
-//! performance trajectory of the codebase; the CI `perf-smoke` job runs
-//! `--quick` on every push and validates the emitted file.
+//! kernel trajectory of the codebase; the CI `perf-smoke` job runs
+//! `--quick` on every push and validates the emitted file. End-to-end
+//! numbers (a whole sync against the daemon, bytes per difference) are
+//! `syncbench`'s.
 //!
 //! Usage:
 //!
@@ -30,35 +32,15 @@
 //! - `sketch_subtract/32B` — cell-wise sketch subtraction, pure symbol XOR.
 //! - `mux_sharded_decode/32B` — two cluster nodes reconciling over the
 //!   simulated mux protocol; reports the measured decode/serve wall time.
-//! - `daemon_stream/32B` — a real TCP round against an in-process daemon,
-//!   client and server on loopback. This bench also captures the daemon's
-//!   live `obs` registry: its headline series (serve-batch latency
-//!   quantiles, wire-cache hits/misses) fold into the record's metrics, and
-//!   the full registry JSON lands in the snapshot's `daemon_metrics` block.
-//! - `daemon_scale/8B` — peers-vs-throughput: one reactor daemon serving a
-//!   concurrent mixed-staleness fleet via the `loadgen` harness (128 peers
-//!   quick, 1,024 full), reporting syncs/s, client-side sync p99, and the
-//!   registry's serve-batch p99. The full sweep lives in
-//!   `fig_daemon_scale`.
-//! - `udp_loss/8B` — a UDP sync against the same in-process daemon over
-//!   real loopback, clean and with 10% loss injected in both directions,
-//!   reporting completion time at each and the retransmit/datagram cost
-//!   of the loss. The full loss sweep lives in `fig_udp_loss`.
 
 use cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
 use netsim::{LinkConfig, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::ShardPartitioner;
 use riblt::{Decoder, Encoder, Sketch, Symbol};
-use riblt_bench::json::{self, JsonValue};
 use riblt_bench::snapshot::{today_utc, validate, BenchRecord, Snapshot};
 use riblt_bench::{items32, set_pair32, timed, Item32, Item8, RunScale};
 use riblt_hash::{splitmix64, SipKey};
-use server::loadgen::{raise_nofile_limit, run as loadgen_run, server_items, LoadgenConfig};
-use server::{Daemon, DaemonConfig};
-use statesync::{sync_sharded_tcp, sync_sharded_udp, LossyConduit, TcpSyncConfig, UdpSyncConfig};
-use std::net::{TcpStream, UdpSocket};
-use std::time::Duration;
 
 fn main() {
     let cli = match Cli::parse(std::env::args().skip(1)) {
@@ -103,10 +85,6 @@ fn main() {
     benches.push(bench_client_setup(scale, seed));
     benches.push(bench_sketch_subtract(scale, seed));
     benches.push(bench_mux_sharded(scale, seed));
-    let (daemon_record, daemon_metrics) = bench_daemon_stream(scale, seed);
-    benches.push(daemon_record);
-    benches.push(bench_daemon_scale(scale, seed));
-    benches.push(bench_udp_loss(scale, seed));
 
     let snapshot = Snapshot {
         generated: today_utc(),
@@ -115,7 +93,6 @@ fn main() {
             RunScale::Full => "full".into(),
         },
         seed,
-        daemon_metrics,
         benches,
     };
     let text = snapshot.to_json();
@@ -464,248 +441,4 @@ fn bench_mux_sharded(scale: RunScale, seed: u64) -> BenchRecord {
         .metric("diffs_per_s", d as f64 / outcome.decode_wall_s)
         .metric("units", outcome.units as f64)
         .metric("rounds", outcome.rounds as f64)
-}
-
-/// Pulls one numeric field out of a registry-JSON dump, matching the series
-/// by name and (when given) one label pair — e.g. the `result="hit"` leg of
-/// the wire-cache counter.
-fn series_field(
-    doc: &JsonValue,
-    name: &str,
-    label: Option<(&str, &str)>,
-    field: &str,
-) -> Option<f64> {
-    let series = doc.get("series")?.as_array()?;
-    series
-        .iter()
-        .find(|entry| {
-            entry.get("name").and_then(JsonValue::as_str) == Some(name)
-                && label.is_none_or(|(k, v)| {
-                    entry
-                        .get("labels")
-                        .and_then(|labels| labels.get(k))
-                        .and_then(JsonValue::as_str)
-                        == Some(v)
-                })
-        })
-        .and_then(|entry| entry.get(field))
-        .and_then(JsonValue::as_number)
-}
-
-fn bench_daemon_stream(scale: RunScale, seed: u64) -> (BenchRecord, Option<String>) {
-    let n = scale.pick(20_000u64, 100_000u64);
-    let d = scale.pick(1_000u64, 5_000u64);
-
-    let pair = set_pair32(n, d, derive(seed, 0xdae0));
-    let config = DaemonConfig {
-        shards: 8,
-        symbol_len: 32,
-        read_timeout: Duration::from_secs(30),
-        write_timeout: Duration::from_secs(30),
-        ..Default::default()
-    };
-    let key = config.key;
-    let daemon = Daemon::spawn(config, pair.alice).expect("daemon spawn");
-
-    let mut conn = TcpStream::connect(daemon.data_addr()).expect("connect");
-    conn.set_nodelay(true).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let ((diffs, _outcome), secs) = timed(|| {
-        sync_sharded_tcp(
-            &mut conn,
-            &pair.bob,
-            |_| RibltBackend::<Item32>::with_key_and_alpha(32, 32, key, riblt::DEFAULT_ALPHA),
-            &TcpSyncConfig {
-                key,
-                symbol_len: 32,
-                ..Default::default()
-            },
-        )
-        .expect("tcp sync")
-    });
-    drop(conn);
-    let recovered: usize = diffs
-        .iter()
-        .map(|diff| diff.remote_only.len() + diff.local_only.len())
-        .sum();
-    assert_eq!(
-        recovered, d as usize,
-        "daemon stream recovered the difference"
-    );
-    let stats = daemon.stats();
-    let metrics_json = daemon.metrics_json();
-    daemon.shutdown();
-
-    let mut record = BenchRecord::new("daemon_stream/32B")
-        .param("symbol_bytes", 32.0)
-        .param("set_size", n as f64)
-        .param("difference", d as f64)
-        .param("shards", 8.0)
-        .metric("wall_s", secs)
-        .metric("diffs_per_s", d as f64 / secs)
-        .metric("server_bytes_out", stats.bytes_out as f64)
-        .metric("server_serve_cpu_s", stats.serve_cpu_s);
-
-    // Fold the headline series from the live registry into the record so
-    // the trajectory files track serving latency and cache efficiency, not
-    // just throughput.
-    let doc = json::parse(&metrics_json).expect("daemon metrics JSON parses");
-    let histogram = "reconciled_serve_batch_seconds";
-    let cache = "reconciled_wire_cache_lookups_total";
-    for (metric, name, label, field) in [
-        ("serve_batch_p50_s", histogram, None, "p50"),
-        ("serve_batch_p99_s", histogram, None, "p99"),
-        ("wire_cache_hits", cache, Some(("result", "hit")), "value"),
-        (
-            "wire_cache_misses",
-            cache,
-            Some(("result", "miss")),
-            "value",
-        ),
-    ] {
-        if let Some(value) = series_field(&doc, name, label, field) {
-            record = record.metric(metric, value);
-        }
-    }
-
-    let has_series = doc
-        .get("series")
-        .and_then(JsonValue::as_array)
-        .is_some_and(|series| !series.is_empty());
-    (record, has_series.then_some(metrics_json))
-}
-
-fn bench_daemon_scale(scale: RunScale, seed: u64) -> BenchRecord {
-    let peers = scale.pick(128usize, 1_024usize);
-    let base_items = scale.pick(1_024u64, 4_096u64);
-    let staleness = vec![0u64, 8, 64, 256];
-    let key = SipKey::new(derive(seed, 0x5ca1e), derive(seed, 0xf1ee7));
-
-    let want_fds = (peers as u64) * 2 + 512;
-    let got_fds = raise_nofile_limit(want_fds);
-    if got_fds < want_fds {
-        eprintln!("# daemon_scale: fd limit {got_fds} < {want_fds} wanted");
-    }
-
-    let daemon = Daemon::spawn(
-        DaemonConfig {
-            shards: 8,
-            key,
-            read_timeout: Duration::from_secs(60),
-            write_timeout: Duration::from_secs(60),
-            ..Default::default()
-        },
-        server_items(base_items),
-    )
-    .expect("daemon spawn");
-
-    let config = LoadgenConfig {
-        clients: peers,
-        rounds: 1,
-        base_items,
-        staleness,
-        key,
-        read_timeout: Duration::from_secs(60),
-        ..Default::default()
-    };
-    let report = loadgen_run(&daemon.data_addr().to_string(), &config);
-    assert_eq!(
-        report.syncs_failed, 0,
-        "daemon_scale fleet had failed syncs ({}/{} ok)",
-        report.syncs_ok, peers
-    );
-
-    let serve = daemon.metrics().serve_batch_seconds.snapshot();
-    let pauses = daemon.metrics().backpressure_pauses.get();
-    daemon.shutdown();
-
-    BenchRecord::new("daemon_scale/8B")
-        .param("peers", peers as f64)
-        .param("rounds", 1.0)
-        .param("base_items", base_items as f64)
-        .param("shards", 8.0)
-        .metric("wall_s", report.wall.as_secs_f64())
-        .metric("syncs_per_s", report.syncs_per_sec())
-        .metric("sync_p50_s", report.latency_quantile(0.50))
-        .metric("sync_p99_s", report.latency_quantile(0.99))
-        .metric("serve_batch_p99_s", serve.p99() / 1e9)
-        .metric("backpressure_pauses", pauses as f64)
-}
-
-fn bench_udp_loss(scale: RunScale, seed: u64) -> BenchRecord {
-    let base_items = scale.pick(2_048u64, 8_192u64);
-    let diff = scale.pick(96u64, 256u64);
-    let loss = 0.10;
-    let key = SipKey::new(derive(seed, 0x0db1), derive(seed, 0x10bb));
-
-    let server_set: Vec<Item8> = (0..base_items).map(Item8::from_u64).collect();
-    let local: Vec<Item8> = (diff / 2..base_items + diff / 2)
-        .map(Item8::from_u64)
-        .collect();
-    let daemon = Daemon::spawn(
-        DaemonConfig {
-            shards: 4,
-            key,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            udp_listen: Some("127.0.0.1:0".into()),
-            ..Default::default()
-        },
-        server_set,
-    )
-    .expect("daemon spawn");
-
-    let sync_config = UdpSyncConfig {
-        key,
-        nonce: derive(seed, 0x0d9a) | 1,
-        deadline: Duration::from_secs(60),
-        ..Default::default()
-    };
-    let dial = || {
-        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        socket
-            .connect(daemon.udp_addr().expect("udp enabled"))
-            .expect("connect");
-        socket
-    };
-    let backend = |_| RibltBackend::<Item8>::with_key_and_alpha(8, 32, key, riblt::DEFAULT_ALPHA);
-
-    let ((_, clean), clean_s) = timed(|| {
-        let mut socket = dial();
-        sync_sharded_udp(&mut socket, &local, backend, &sync_config).expect("clean udp sync")
-    });
-    let lossy_config = UdpSyncConfig {
-        nonce: sync_config.nonce + 1,
-        ..sync_config
-    };
-    let ((diffs, lossy), lossy_s) = timed(|| {
-        let mut conduit = LossyConduit::new(dial(), loss, derive(seed, 0x70ca));
-        sync_sharded_udp(&mut conduit, &local, backend, &lossy_config).expect("lossy udp sync")
-    });
-    let recovered: usize = diffs.iter().map(|d| d.remote_only.len()).sum();
-    assert_eq!(
-        recovered as u64,
-        diff / 2,
-        "udp_loss recovered the difference"
-    );
-    daemon.shutdown();
-
-    BenchRecord::new("udp_loss/8B")
-        .param("symbol_bytes", 8.0)
-        .param("base_items", base_items as f64)
-        .param("difference", diff as f64)
-        .param("loss", loss)
-        .param("shards", 4.0)
-        .metric("wall_s", lossy_s)
-        .metric("clean_wall_s", clean_s)
-        .metric("units", lossy.units as f64)
-        .metric(
-            "extra_units",
-            lossy.units.saturating_sub(clean.units) as f64,
-        )
-        .metric("retransmits", lossy.retransmits as f64)
-        .metric("stale_batches", lossy.stale_batches as f64)
-        .metric("datagrams_sent", lossy.datagrams_sent as f64)
-        .metric("datagrams_received", lossy.datagrams_received as f64)
 }

@@ -1,13 +1,13 @@
 //! Perf-snapshot schema: the stable shape of the `BENCH_<date>.json`
 //! files written by the `perf_snapshot` binary and checked in at the repo
-//! root as the performance trajectory of the codebase.
+//! root as the kernel trajectory of the codebase.
 //!
 //! The schema is deliberately small and append-only:
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
-//!   "generated": "2026-08-07",
+//!   "schema_version": 2,
+//!   "generated": "2026-10-15",
 //!   "mode": "quick",
 //!   "seed": 0,
 //!   "benches": [
@@ -21,30 +21,46 @@
 //! ```
 //!
 //! Rules enforced by [`validate`] (and by the CI `perf-smoke` job):
-//! `schema_version` must equal [`SCHEMA_VERSION`]; `generated` is a
+//! `schema_version` is 1 or [`SCHEMA_VERSION`]; `generated` is a
 //! `YYYY-MM-DD` date; `mode` is `"quick"` or `"full"`; every bench carries
 //! a non-empty `name`, numeric `params`, and numeric `metrics` including
-//! `wall_s`; and every family in [`REQUIRED_BENCHES`] appears at least
-//! once. Adding new benches or metrics is allowed; renaming or dropping a
-//! required family is a schema regression.
+//! `wall_s`; and every required family of the file's version appears at
+//! least once. Adding new benches or metrics is allowed; renaming or
+//! dropping a required family is a schema regression.
 //!
-//! Snapshots may additionally carry an optional `daemon_metrics` object —
-//! the live daemon's `obs` registry dump (`{"series": [...]}`) captured
-//! during the `daemon_stream` bench. When the key is present it must hold a
-//! non-empty `series` array whose entries each carry a string `name` and a
-//! `type` of `counter`, `gauge`, or `histogram`, with the matching numeric
-//! fields (`value` for counters/gauges; `count` and `sum` for histograms).
-//! Older snapshots without the key stay valid.
+//! Version 2 records kernels only: its required families are
+//! [`REQUIRED_BENCHES`], and it has no `daemon_metrics` block.
+//!
+//! Version 1 files (the checked-in snapshots up to 2026-10-04) are read
+//! under exactly the rules they were written against: they must carry v1's
+//! required families, whose last two (`daemon_stream`, `udp_loss`) are
+//! daemon-level records, and may carry a `daemon_metrics` object — the
+//! live daemon's `obs` registry dump (`{"series": [...]}`). When present
+//! it must hold a non-empty `series` array whose entries each carry a
+//! string `name` and a `type` of `counter`, `gauge`, or `histogram`, with
+//! the matching numeric fields (`value` for counters/gauges; `count` and
+//! `sum` for histograms).
 
 use crate::json::{self, JsonValue};
 use std::fmt::Write as _;
 
-/// Version stamp written into (and required from) every snapshot file.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version stamp written into every snapshot file.
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// Bench families every snapshot must contain (matched as a prefix of the
-/// bench `name`, so `decode_throughput/32B` satisfies `decode_throughput`).
+/// Bench families every current snapshot must contain (matched as a prefix
+/// of the bench `name`, so `decode_throughput/32B` satisfies
+/// `decode_throughput`).
 pub const REQUIRED_BENCHES: &[&str] = &[
+    "encode_throughput",
+    "decode_throughput",
+    "decode_local_set",
+    "client_setup",
+    "sketch_subtract",
+    "mux_sharded_decode",
+];
+
+/// Bench families a `schema_version: 1` snapshot must contain.
+const V1_REQUIRED_BENCHES: &[&str] = &[
     "encode_throughput",
     "decode_throughput",
     "sketch_subtract",
@@ -98,9 +114,6 @@ pub struct Snapshot {
     pub mode: String,
     /// User seed the pinned-seed benches were XORed with (0 = default).
     pub seed: u64,
-    /// Compact registry JSON (`{"series": [...]}`) captured from the live
-    /// daemon during `daemon_stream`, if the bench produced one.
-    pub daemon_metrics: Option<String>,
     /// The bench results.
     pub benches: Vec<BenchRecord>,
 }
@@ -114,9 +127,6 @@ impl Snapshot {
         let _ = writeln!(out, "  \"generated\": {},", json::quote(&self.generated));
         let _ = writeln!(out, "  \"mode\": {},", json::quote(&self.mode));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        if let Some(metrics) = &self.daemon_metrics {
-            let _ = writeln!(out, "  \"daemon_metrics\": {},", metrics.trim());
-        }
         out.push_str("  \"benches\": [\n");
         for (i, bench) in self.benches.iter().enumerate() {
             out.push_str("    {\n");
@@ -156,9 +166,10 @@ pub fn validate(text: &str) -> Result<(), String> {
         .get("schema_version")
         .and_then(JsonValue::as_number)
         .ok_or("missing numeric `schema_version`")?;
-    if version != SCHEMA_VERSION as f64 {
+    let v1 = version == 1.0;
+    if !v1 && version != SCHEMA_VERSION as f64 {
         return Err(format!(
-            "schema_version {version} != supported {SCHEMA_VERSION}"
+            "schema_version {version} is neither 1 nor {SCHEMA_VERSION}"
         ));
     }
 
@@ -187,6 +198,9 @@ pub fn validate(text: &str) -> Result<(), String> {
         .ok_or("missing numeric `seed`")?;
 
     if let Some(metrics) = doc.get("daemon_metrics") {
+        if !v1 {
+            return Err("`daemon_metrics` is a schema_version 1 block".into());
+        }
         check_daemon_metrics(metrics)?;
     }
 
@@ -220,7 +234,12 @@ pub fn validate(text: &str) -> Result<(), String> {
         names.push(name);
     }
 
-    for family in REQUIRED_BENCHES {
+    let required = if v1 {
+        V1_REQUIRED_BENCHES
+    } else {
+        REQUIRED_BENCHES
+    };
+    for family in required {
         if !names.iter().any(|n| {
             n.strip_prefix(family)
                 .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
@@ -231,9 +250,9 @@ pub fn validate(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks the optional `daemon_metrics` block: a non-empty `series` array
-/// of named counter/gauge/histogram entries with the numeric fields their
-/// type implies.
+/// Checks a v1 snapshot's optional `daemon_metrics` block: a non-empty
+/// `series` array of named counter/gauge/histogram entries with the numeric
+/// fields their type implies.
 fn check_daemon_metrics(metrics: &JsonValue) -> Result<(), String> {
     let series = metrics
         .get("series")
@@ -325,8 +344,8 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 mod tests {
     use super::*;
 
-    fn sample() -> Snapshot {
-        let benches = REQUIRED_BENCHES
+    fn sample_of(families: &[&str]) -> Snapshot {
+        let benches = families
             .iter()
             .map(|family| {
                 BenchRecord::new(format!("{family}/32B"))
@@ -339,10 +358,40 @@ mod tests {
             generated: "2026-08-07".into(),
             mode: "quick".into(),
             seed: 0,
-            daemon_metrics: None,
             benches,
         }
     }
+
+    fn sample() -> Snapshot {
+        sample_of(REQUIRED_BENCHES)
+    }
+
+    /// `text` restamped as a `schema_version: 1` file.
+    fn as_v1(text: &str) -> String {
+        text.replace(
+            &format!("\"schema_version\": {SCHEMA_VERSION},"),
+            "\"schema_version\": 1,",
+        )
+    }
+
+    /// `text` with a `daemon_metrics` block spliced in after the header, as
+    /// v1 files carried it.
+    fn with_daemon_metrics(text: &str, block: &str) -> String {
+        text.replacen(
+            "  \"benches\"",
+            &format!("  \"daemon_metrics\": {block},\n  \"benches\""),
+            1,
+        )
+    }
+
+    const WELL_FORMED_METRICS: &str = concat!(
+        "{\"series\":[",
+        "{\"name\":\"reconciled_sessions_opened_total\",\"type\":\"counter\",\"value\":8},",
+        "{\"name\":\"reconciled_items\",\"type\":\"gauge\",\"value\":20000},",
+        "{\"name\":\"reconciled_session_symbols\",\"type\":\"histogram\",",
+        "\"count\":8,\"sum\":4096,\"max\":700,\"mean\":512,\"p50\":500,\"p90\":650,\"p99\":690}",
+        "]}"
+    );
 
     #[test]
     fn emitted_snapshot_validates() {
@@ -369,47 +418,38 @@ mod tests {
     #[test]
     fn missing_family_is_a_schema_regression() {
         let mut snap = sample();
-        snap.benches
-            .retain(|b| !b.name.starts_with("daemon_stream"));
+        snap.benches.retain(|b| !b.name.starts_with("client_setup"));
         let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("daemon_stream"), "{err}");
+        assert!(err.contains("client_setup"), "{err}");
     }
 
     #[test]
     fn family_prefix_must_match_whole_segment() {
         let mut snap = sample();
         for bench in &mut snap.benches {
-            if bench.name.starts_with("daemon_stream") {
-                bench.name = "daemon_streamer/32B".into();
+            if bench.name.starts_with("client_setup") {
+                bench.name = "client_setuper/32B".into();
             }
         }
         let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("daemon_stream"), "{err}");
+        assert!(err.contains("client_setup"), "{err}");
     }
 
     #[test]
     fn records_beyond_the_required_families_validate() {
-        // `decode_local_set` and `client_setup` are recorded by every new
-        // snapshot but are not required families: the snapshots taken
-        // before they existed stay valid.
         let mut snap = sample();
         snap.benches.push(
-            BenchRecord::new("decode_local_set/32B")
+            BenchRecord::new("decode_local_set/8B")
                 .param("local_set", 20_000.0)
-                .param("window_bytes_per_symbol", 68.0)
-                .metric("wall_s", 0.05)
-                .metric("decode_ms", 3.9),
+                .metric("wall_s", 0.05),
         );
         snap.benches.push(
-            BenchRecord::new("client_setup/32B")
-                .param("local_set", 20_000.0)
-                .param("shards", 8.0)
-                .metric("wall_s", 0.04)
-                .metric("setup_ms", 0.8),
+            BenchRecord::new("hash_many/32B")
+                .param("items", 20_000.0)
+                .metric("wall_s", 0.01)
+                .metric("hash_ms", 0.33),
         );
         validate(&snap.to_json()).unwrap();
-        assert!(!REQUIRED_BENCHES.contains(&"decode_local_set"));
-        assert!(!REQUIRED_BENCHES.contains(&"client_setup"));
     }
 
     #[test]
@@ -440,50 +480,64 @@ mod tests {
     }
 
     #[test]
-    fn daemon_metrics_block_round_trips() {
-        let mut snap = sample();
-        snap.daemon_metrics = Some(
-            concat!(
-                "{\"series\":[",
-                "{\"name\":\"reconciled_sessions_opened_total\",\"type\":\"counter\",\"value\":8},",
-                "{\"name\":\"reconciled_items\",\"type\":\"gauge\",\"value\":20000},",
-                "{\"name\":\"reconciled_session_symbols\",\"type\":\"histogram\",",
-                "\"count\":8,\"sum\":4096,\"max\":700,\"mean\":512,\"p50\":500,\"p90\":650,\"p99\":690}",
-                "]}"
-            )
-            .to_string(),
-        );
-        let text = snap.to_json();
-        validate(&text).unwrap();
-        let doc = json::parse(&text).unwrap();
-        let series = doc
-            .get("daemon_metrics")
-            .and_then(|m| m.get("series"))
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(series.len(), 3);
+    fn checked_in_v1_snapshots_validate() {
+        for text in [
+            include_str!("../../../BENCH_2026-08-07.json"),
+            include_str!("../../../BENCH_2026-10-03.json"),
+            include_str!("../../../BENCH_2026-10-04.json"),
+        ] {
+            assert!(text.contains("\"schema_version\": 1,"));
+            assert!(text.contains("\"daemon_metrics\""));
+            validate(text).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_v1_snapshot_is_held_to_the_v1_families() {
+        let v1 = sample_of(V1_REQUIRED_BENCHES);
+        validate(&as_v1(&v1.to_json())).unwrap();
+        let mut snap = v1.clone();
+        snap.benches.retain(|b| !b.name.starts_with("udp_loss"));
+        let err = validate(&as_v1(&snap.to_json())).unwrap_err();
+        assert!(err.contains("udp_loss"), "{err}");
+        // The v2 families do not stand in for them, and v1's do not
+        // satisfy v2.
+        let err = validate(&as_v1(&sample().to_json())).unwrap_err();
+        assert!(err.contains("daemon_stream"), "{err}");
+        let err = validate(&v1.to_json()).unwrap_err();
+        assert!(err.contains("decode_local_set"), "{err}");
+    }
+
+    #[test]
+    fn daemon_metrics_is_a_v1_block() {
+        let v1 = as_v1(&sample_of(V1_REQUIRED_BENCHES).to_json());
+        validate(&with_daemon_metrics(&v1, WELL_FORMED_METRICS)).unwrap();
+        let v2 = with_daemon_metrics(&sample().to_json(), WELL_FORMED_METRICS);
+        let err = validate(&v2).unwrap_err();
+        assert!(err.contains("daemon_metrics"), "{err}");
     }
 
     #[test]
     fn malformed_daemon_metrics_is_rejected() {
-        let mut snap = sample();
-        snap.daemon_metrics = Some("{\"series\":[]}".into());
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-
-        snap.daemon_metrics = Some("{\"series\":[{\"name\":\"x\",\"type\":\"counter\"}]}".into());
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("value"), "{err}");
-
-        snap.daemon_metrics =
-            Some("{\"series\":[{\"name\":\"x\",\"type\":\"summary\",\"value\":1}]}".into());
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("unknown type"), "{err}");
-
-        snap.daemon_metrics =
-            Some("{\"series\":[{\"name\":\"h\",\"type\":\"histogram\",\"count\":1}]}".into());
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("sum"), "{err}");
+        let v1 = as_v1(&sample_of(V1_REQUIRED_BENCHES).to_json());
+        for (block, reason) in [
+            ("{\"series\":[]}", "empty"),
+            (
+                "{\"series\":[{\"name\":\"x\",\"type\":\"counter\"}]}",
+                "value",
+            ),
+            (
+                "{\"series\":[{\"name\":\"x\",\"type\":\"summary\",\"value\":1}]}",
+                "unknown type",
+            ),
+            (
+                "{\"series\":[{\"name\":\"h\",\"type\":\"histogram\",\"count\":1}]}",
+                "sum",
+            ),
+        ] {
+            let err = validate(&with_daemon_metrics(&v1, block)).unwrap_err();
+            assert!(err.contains(reason), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-dependency observability: lock-free counters and gauges, log-linear
 //! latency histograms with quantile extraction, RAII span timers, a bounded
 //! ring of structured lifecycle events, and a [`Registry`] that renders
-//! everything as Prometheus text exposition or compact JSON.
+//! everything as Prometheus text exposition.
 //!
 //! ## Design
 //!

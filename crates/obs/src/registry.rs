@@ -1,5 +1,5 @@
-//! The [`Registry`]: named, labeled metric series with Prometheus-text and
-//! JSON exposition.
+//! The [`Registry`]: named, labeled metric series with Prometheus-text
+//! exposition.
 //!
 //! A registry is a flat list of series in registration order. Registration
 //! is idempotent — asking for an existing `(name, labels)` pair returns the
@@ -302,60 +302,6 @@ impl Registry {
         #[cfg(not(feature = "enabled"))]
         String::new()
     }
-
-    /// Renders every series as one compact JSON object
-    /// (`{"series":[…]}`) suitable for embedding in benchmark snapshots.
-    /// Histograms carry `count`/`sum`/`max`/`mean`/`p50`/`p90`/`p99` in
-    /// exposition units (i.e. with the registration scale applied).
-    pub fn render_json(&self) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            let inner = crate::lock_unpoisoned(&self.inner);
-            let mut out = String::from("{\"series\":[");
-            for (i, series) in inner.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"name\":{},\"type\":\"{}\"",
-                    json_string(&series.name),
-                    series.kind.type_name()
-                ));
-                if !series.labels.is_empty() {
-                    out.push_str(",\"labels\":{");
-                    for (j, (k, v)) in series.labels.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{}:{}", json_string(k), json_string(v)));
-                    }
-                    out.push('}');
-                }
-                match &series.kind {
-                    SeriesKind::Counter(c) => out.push_str(&format!(",\"value\":{}", c.get())),
-                    SeriesKind::Gauge(g) => out.push_str(&format!(",\"value\":{}", g.get())),
-                    SeriesKind::Histogram { hist, scale } => {
-                        let snap = hist.snapshot();
-                        out.push_str(&format!(
-                            ",\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                            snap.count,
-                            fmt_float(snap.sum as f64 * scale),
-                            fmt_float(snap.max as f64 * scale),
-                            fmt_float(snap.mean() * scale),
-                            fmt_float(snap.p50() * scale),
-                            fmt_float(snap.p90() * scale),
-                            fmt_float(snap.p99() * scale),
-                        ));
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-            out
-        }
-        #[cfg(not(feature = "enabled"))]
-        String::from("{\"series\":[]}")
-    }
 }
 
 #[cfg(feature = "enabled")]
@@ -444,25 +390,6 @@ fn fmt_float(v: f64) -> String {
     }
 }
 
-#[cfg(feature = "enabled")]
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Global registry
 // ---------------------------------------------------------------------------
@@ -545,26 +472,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
-    fn json_rendering_is_compact_and_parsable_shape() {
-        let reg = Registry::new();
-        reg.counter("c_total", "h").add(5);
-        let hist = reg.histogram("h_units", "h");
-        hist.observe(100);
-        let json = reg.render_json();
-        assert!(!json.contains('\n'));
-        assert!(json.starts_with("{\"series\":["), "{json}");
-        assert!(
-            json.contains("\"name\":\"c_total\",\"type\":\"counter\",\"value\":5"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"name\":\"h_units\",\"type\":\"histogram\",\"count\":1"),
-            "{json}"
-        );
-    }
-
-    #[test]
     #[cfg(not(feature = "enabled"))]
     fn disabled_registry_is_empty() {
         let reg = Registry::new();
@@ -572,7 +479,6 @@ mod tests {
         c.add(9);
         assert_eq!(reg.series_len(), 0);
         assert_eq!(reg.render_prometheus(), "");
-        assert_eq!(reg.render_json(), "{\"series\":[]}");
     }
 
     #[test]

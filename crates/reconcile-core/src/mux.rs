@@ -409,19 +409,11 @@ impl<B: ReconcileBackend> ClientMux<B> {
             .collect()
     }
 
-    /// Books every registered shard's first payload as owed without
-    /// emitting frames: for a driver whose one wildcard `Open`
-    /// ([`SHARD_ALL`]) left before it knew the shard count, and so before
-    /// this multiplexer existed.
-    pub fn expect_first_payloads(&mut self) {
-        for sc in self.shards.iter_mut().flatten() {
-            sc.awaiting += 1;
-        }
-    }
-
-    /// [`Self::expect_first_payloads`] for a wildcard open that carried a
-    /// count sketch, from the grant frame the server sent ahead of the
-    /// payloads ([`crate::first_flight`]): a range request addressed to
+    /// Books every registered shard's first flight as owed without emitting
+    /// frames, for a driver whose one wildcard `Open` ([`SHARD_ALL`], with a
+    /// count sketch) left before it knew the shard count, and so before this
+    /// multiplexer existed. The server sent a grant ahead of the payloads
+    /// ([`crate::first_flight`]): a range request addressed to
     /// [`SHARD_ALL`] naming `[tile, symbols)`. Every registered shard is
     /// owed `[0, symbols)` in `tile`-symbol payloads and has asked for all
     /// of it, so its window goes on from there. A grant past the unit budget
@@ -810,19 +802,6 @@ mod tests {
             ));
         }
 
-        // A client that booked the first payloads instead of opening each
-        // shard takes the wildcard's replies exactly as it takes the opens'.
-        let mut booked = ClientMux::new(9);
-        for (shard, part) in client_parts.iter().enumerate() {
-            booked.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-        }
-        booked.expect_first_payloads();
-        assert_eq!(booked.awaiting(), 4);
-        assert_eq!(
-            booked.handle_round(&expected, 1).unwrap(),
-            mux.handle_round(&expected, 1).unwrap()
-        );
-
         // With a count sketch behind it, the open is answered by the grant
         // first, then every shard's whole first flight: 1,000 differences,
         // 250 a shard, whose first rung (337.5) is 11 tiles.
@@ -847,6 +826,17 @@ mod tests {
             MuxFrame::new(9, SHARD_ALL, EngineMessage::Request(grant))
         );
         assert_eq!(replies.len(), 1 + 4 * 11);
+
+        // A client that booked the grant instead of opening each shard is
+        // owed exactly the payloads behind it, and takes them in one round.
+        let mut booked = ClientMux::new(9);
+        for (shard, part) in client_parts.iter().enumerate() {
+            booked.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
+        }
+        booked.book_first_flight(&replies[0]).unwrap();
+        assert_eq!(booked.awaiting(), replies.len() - 1);
+        booked.handle_round(&replies[1..], 1).unwrap();
+        assert!(booked.all_done());
     }
 
     #[test]

@@ -12,8 +12,8 @@ use reconcile_core::backends::{
     IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
 };
 use reconcile_core::{
-    run_in_memory, ClientEngine, ClientMux, CountSketch, EngineError, MuxFrame, ReconcileBackend,
-    RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
+    run_in_memory, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame,
+    ReconcileBackend, RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
@@ -170,28 +170,40 @@ where
     B::Client: Send,
 {
     let name = backend.name();
-    let partitioner = ShardPartitioner::new(riblt_hash::SipKey::default(), 4);
+    let key = riblt_hash::SipKey::default();
+    let partitioner = ShardPartitioner::new(key, 4);
     let server_parts = partitioner.partition(&sets.server);
     let client_parts = partitioner.partition(&sets.client);
+    let count_sketch =
+        |set: &[Item]| CountSketch::from_hashes(&<Item as riblt::Symbol>::hash_many_with(set, key));
 
     // `wildcard`: the streaming backends' opens say nothing about the local
-    // set, so one open addressed to every shard must do for all of them (the
-    // protocol-v3 client's first flight) and change nothing downstream.
+    // set, so the shipped client's one open addressed to every shard, with
+    // the count sketch of its set behind it, must do for all of them —
+    // answered by the grant and every shard's first flight, sized against
+    // the server's sketch — and change nothing downstream.
     let run = |wildcard: bool| {
         let mut server = ServerMux::new(|_session, shard: ShardId| {
             ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
         })
-        // The wildcard below carries no count sketch, so neither the
-        // server's sketch nor its tile comes into it: one tile a shard.
-        .serving_shards(4, CountSketch::new(), 16, usize::MAX);
+        .serving_shards(4, count_sketch(&sets.server), 16, usize::MAX);
         let mut client = ClientMux::new(7);
         for (shard, part) in client_parts.iter().enumerate() {
             client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
         }
         let mut outgoing = if wildcard {
-            client.expect_first_payloads();
-            let open = ClientEngine::new(backend.clone(), &[]).open();
-            vec![MuxFrame::new(7, SHARD_ALL, open)]
+            let mut open = ClientEngine::new(backend.clone(), &[]).open();
+            if let EngineMessage::Open(request) = &mut open {
+                count_sketch(&sets.client).encode(request);
+            }
+            let mut flight = server
+                .handle(&MuxFrame::new(7, SHARD_ALL, open))
+                .expect("serve");
+            client
+                .book_first_flight(&flight.remove(0))
+                .expect("the grant leads the first flight");
+            assert_eq!(flight.len(), client.awaiting());
+            client.handle_round(&flight, 2).expect("absorb")
         } else {
             client.opens()
         };

@@ -237,10 +237,10 @@ impl<S: Symbol + Ord> SharedState<S> {
         }
     }
 
-    /// Refreshes the point-in-time gauges (set size, live connections,
-    /// uptime) and hands back the registry to render. The gauges are only
+    /// The full registry in Prometheus text exposition format. The
+    /// point-in-time gauges (set size, live connections, uptime) are only
     /// written here — render time — so the serving path never pays for them.
-    fn refreshed_registry(&self) -> &obs::Registry {
+    pub(crate) fn render_metrics(&self) -> String {
         let m = &self.metrics;
         m.items.set(lock_unpoisoned(&self.node).len() as i64);
         m.shards.set(i64::from(self.config.shards));
@@ -248,18 +248,7 @@ impl<S: Symbol + Ord> SharedState<S> {
             .set(self.active.load(Ordering::SeqCst) as i64);
         m.uptime_seconds
             .set(self.started.elapsed().as_secs() as i64);
-        &m.registry
-    }
-
-    /// The full registry in Prometheus text exposition format.
-    pub(crate) fn render_metrics(&self) -> String {
-        self.refreshed_registry().render_prometheus()
-    }
-
-    /// Like [`Self::render_metrics`] but as the registry's compact JSON
-    /// (for benchmark snapshots).
-    pub(crate) fn render_metrics_json(&self) -> String {
-        self.refreshed_registry().render_json()
+        m.registry.render_prometheus()
     }
 
     /// The one way the served set changes: applies `mutation` under the
@@ -453,12 +442,6 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
     /// the admin `METRICS` command serves).
     pub fn metrics_text(&self) -> String {
         self.shared.render_metrics()
-    }
-
-    /// The full metric surface as compact JSON, for embedding in benchmark
-    /// snapshots.
-    pub fn metrics_json(&self) -> String {
-        self.shared.render_metrics_json()
     }
 
     /// Number of items currently in the set.

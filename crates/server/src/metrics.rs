@@ -4,8 +4,7 @@
 //! Each [`crate::daemon::Daemon`] owns its own `DaemonMetrics`, so two
 //! daemons in one process (common in tests) never share series. The
 //! registry renders over the admin socket's `METRICS` command (Prometheus
-//! text) and folds into benchmark snapshots as JSON; the event ring behind
-//! `TRACE` lives here too.
+//! text); the event ring behind `TRACE` lives here too.
 //!
 //! Handles are plain `Arc`s into lock-free instruments — the serving path
 //! updates them with relaxed atomics and never touches the registry lock.

@@ -272,14 +272,15 @@ const READ_CHUNK_BYTES: usize = 16 * 1024;
 /// Reads one round's `count` frames through `inbound`: one `read` for
 /// whatever has arrived instead of two per frame (a length, then a body).
 /// Bytes a read takes beyond this round's frames stay in `inbound` for the
-/// next call.
+/// next call. `count` is the server's to set (its shard count and its
+/// grant), so nothing is sized from it: the frames grow with what arrives.
 fn read_round<R: Read>(
     io: &mut R,
     inbound: &mut FrameBuffer,
     chunk: &mut [u8],
     count: usize,
 ) -> reconcile_core::Result<Vec<MuxFrame>> {
-    let mut frames = Vec::with_capacity(count);
+    let mut frames = Vec::new();
     while frames.len() < count {
         if let Some(bytes) = inbound.next_frame()? {
             frames.push(MuxFrame::from_bytes(&bytes)?);
@@ -405,6 +406,37 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn a_hostile_grant_costs_the_client_only_what_it_was_sent() {
+        // A valid hello announcing 65,535 shards, then a grant of 16,384
+        // one-symbol tiles a shard: a billion payloads owed, in two short
+        // frames, and then the server hangs up.
+        let mut reply = Vec::new();
+        let hello = Hello::new(SipKey::default(), u16::MAX, 8);
+        append_frame(&mut reply, &hello.to_bytes()).unwrap();
+        let grant = RangeRequest {
+            offset: 1,
+            count: 16_384,
+        };
+        let grant = MuxFrame::new(SESSION, SHARD_ALL, EngineMessage::Request(grant));
+        append_frame(&mut reply, &grant.to_bytes()).unwrap();
+        let mut link = netsim::FlightLink::new(move |_flight, out| {
+            out.extend_from_slice(&reply);
+            Err(EngineError::Protocol("a canned reply"))
+        });
+        let err = sync_sharded_tcp(
+            &mut link,
+            &items(0..100),
+            |_| flight_backend(),
+            &TcpSyncConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Io(std::io::ErrorKind::UnexpectedEof, _)),
+            "{err}"
+        );
     }
 
     #[test]

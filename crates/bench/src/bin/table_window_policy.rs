@@ -19,12 +19,25 @@
 //! undecoded shard up to `window::request_until(requested, 32, d̂, ∞)` and
 //! receives all of it.
 //!
-//! Two first flights run side by side over that one ladder: one tile per
+//! Three first flights run side by side over that one ladder: one tile per
 //! shard (`ladder`, the protocol-version-3 flight, which every open without
-//! a sketch still gets) and the server-sized flight of protocol version 4,
-//! `request_until(0, 32, d̂₀/8, ∞)` (`sized`). Lock-step — one more tile
-//! per shard per round — is analytic: `⌈max u_s/32⌉ − 1` request rounds,
-//! `Σ ⌈u_s/32⌉·32` symbols.
+//! a sketch still gets), the window's first rung of the sketch's estimate,
+//! `request_until(0, 32, d̂₀/8, ∞)`, sized to finish the median shard
+//! (`median`, the flight protocol version 4 shipped with), and the flight a
+//! server sends now, `window::first_flight_until(32, d̂₀/8)`: that rung plus
+//! `2·√(d̂₀/8)`, sized to finish the slowest of the 8 (`sized`). Lock-step —
+//! one more tile per shard per round — is analytic: `⌈max u_s/32⌉ − 1`
+//! request rounds, `Σ ⌈u_s/32⌉·32` symbols.
+//!
+//! The margin trades symbols for rounds. A shard's need is spread ±`√d` by
+//! the decoder and ±`1.3·√d` by the hash split, so the median flight leaves
+//! about half the shards one request round short, and the sync waits for
+//! the slowest. At d = 2,000 the margin's ≈ 32 symbols a shard take the
+//! mean from 1.26 request rounds to 0.69, for 3.4 % more symbols served
+//! (+8.4 % over lock-step, where the median flight read +4.9 %); sizing the
+//! median flight from the true `d` instead of `d̂₀` would only reach 1.19.
+//! Below d ≈ 140 (17.5 a shard) the margin fits the first tile and costs
+//! nothing; at 16,000 it is 1 % of what the one-tile flight serves.
 //!
 //! Output columns: `d, trials, estimate_per_diff, estimate_sd_pct,
 //! lock_step_rounds, lock_step_symbols_per_diff`, then per first flight
@@ -37,11 +50,11 @@
 //! more than the margins) is its own gate, so a later edit of a constant
 //! cannot drift silently: it exits 1 unless the sized flight reads, at
 //! d = 100, exactly lock-step's rounds and symbols; at d = 256, at most 0.6
-//! request rounds and 2 % symbols over lock-step; at d = 2,000, at most
-//! 1.45 rounds and 1.06 × lock-step's symbols; and at d = 16,000, at most
-//! 1 % more symbols than the one-tile flight.
+//! request rounds and 2.5 % symbols over lock-step; at d = 2,000, at most
+//! 0.85 rounds and 1.10 × lock-step's symbols; and at d = 16,000, at most
+//! 2 % more symbols than the one-tile flight.
 
-use reconcile_core::window::request_until;
+use reconcile_core::window::{first_flight_until, request_until};
 use reconcile_core::CountSketch;
 use riblt::{Decoder, DifferenceEstimate, Encoder, Symbol};
 use riblt_bench::{BenchCli, Item8, RunScale};
@@ -146,9 +159,9 @@ impl Tally {
     }
 }
 
-/// The two first flights: one tile, or sized from the sketch's estimate as
-/// a server sizes it.
-const FLIGHTS: [&str; 2] = ["ladder", "sized"];
+/// The three first flights: one tile, the first rung of the sketch's
+/// estimate, or that rung and its margin as a server sizes it.
+const FLIGHTS: [&str; 3] = ["ladder", "median", "sized"];
 
 fn main() {
     let cli = BenchCli::from_args();
@@ -201,8 +214,13 @@ fn main() {
                 .div_ceil(TILE)
                 - 1;
             lock_symbols += trial_lock_symbols;
-            let sized = request_until(0, TILE, estimate / SHARDS as f64, usize::MAX);
-            let firsts = [TILE, sized.expect("no budget in the simulation")];
+            let per_shard = estimate / SHARDS as f64;
+            let median = request_until(0, TILE, per_shard, usize::MAX);
+            let firsts = [
+                TILE,
+                median.expect("no budget in the simulation"),
+                first_flight_until(TILE, per_shard),
+            ];
             for (first, tally) in firsts.into_iter().zip(&mut tallies) {
                 tally.add(replay(&traces, first), trial_lock_symbols);
             }
@@ -235,7 +253,7 @@ fn main() {
         }
         csv.cells(&cells);
 
-        let [ladder, sized] = &tallies;
+        let [ladder, _, sized] = &tallies;
         let mut gate = |broken: bool, what: String| {
             if gated && broken {
                 failures.push(format!("d = {d}: the sized flight reads {what}"));
@@ -251,25 +269,25 @@ fn main() {
                 ),
             ),
             256 => gate(
-                mean(sized.rounds) > 0.6 || over_lock_step(sized.served) > 1.02,
+                mean(sized.rounds) > 0.6 || over_lock_step(sized.served) > 1.025,
                 format!(
-                    "{:.2} request rounds (at most 0.6), {:.3} x lock-step's symbols (at most 1.02)",
+                    "{:.2} request rounds (at most 0.6), {:.3} x lock-step's symbols (at most 1.025)",
                     mean(sized.rounds),
                     over_lock_step(sized.served)
                 ),
             ),
             2_000 => gate(
-                mean(sized.rounds) > 1.45 || over_lock_step(sized.served) > 1.06,
+                mean(sized.rounds) > 0.85 || over_lock_step(sized.served) > 1.10,
                 format!(
-                    "{:.2} request rounds (at most 1.45), {:.3} x lock-step's symbols (at most 1.06)",
+                    "{:.2} request rounds (at most 0.85), {:.3} x lock-step's symbols (at most 1.10)",
                     mean(sized.rounds),
                     over_lock_step(sized.served)
                 ),
             ),
             16_000 => gate(
-                sized.served as f64 > 1.01 * ladder.served as f64,
+                sized.served as f64 > 1.02 * ladder.served as f64,
                 format!(
-                    "{} symbols against the one-tile flight's {} (at most 1 % more)",
+                    "{} symbols against the one-tile flight's {} (at most 2 % more)",
                     sized.served, ladder.served
                 ),
             ),

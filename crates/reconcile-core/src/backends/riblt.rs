@@ -11,7 +11,7 @@ use riblt_hash::SipKey;
 
 use crate::backend::{Progress, ReconcileBackend, StreamProgress};
 use crate::engine::RangeRequest;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::wirefmt::{encode_stream_open, stream_range_tiles, validate_stream_open};
 
 /// Magic bytes of the regular stream's opening request, exported so
@@ -226,6 +226,13 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
 
     fn absorb(&self, client: &mut RibltClient<S, R>, payload: &[u8]) -> Result<Progress> {
         let batch = client.codec.decode_batch::<S>(payload)?;
+        // The decoder peels cells by position: a batch from anywhere but the
+        // next index (a tile repeated or skipped) would be peeled as the
+        // wrong cells. Once decoded, it takes nothing more anyway.
+        let next = client.decoder.coded_symbols_received() as u64;
+        if batch.start_index != next && !client.decoder.is_decoded() {
+            return Err(EngineError::Protocol("payload out of sequence"));
+        }
         client.decoder.add_coded_symbols(batch.symbols);
         client.decoder.check_consistent()?;
         if client.decoder.is_decoded() {
@@ -246,5 +253,60 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
 
     fn into_difference(&self, client: RibltClient<S, R>) -> Result<SetDifference<S>> {
         Ok(client.decoder.try_into_difference()?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use riblt::FixedBytes;
+
+    type Item = FixedBytes<8>;
+
+    /// A client 100 differences from its server, and the server's first
+    /// three 16-symbol tiles: none of them decodes the difference alone.
+    fn client_and_tiles() -> (RibltBackend<Item>, RibltClient<Item>, Vec<Vec<u8>>) {
+        let backend = RibltBackend::<Item>::new(8, 16);
+        let items: Vec<Item> = (0..1_000).map(Item::from_u64).collect();
+        let mut server = backend.build_server(&items);
+        let tiles = (0..3)
+            .map(|_| backend.serve(&mut server, None).unwrap())
+            .collect();
+        let client = backend.build_client(&items[100..]);
+        (backend, client, tiles)
+    }
+
+    #[test]
+    fn a_repeated_tile_is_refused_not_peeled() {
+        let (backend, mut client, tiles) = client_and_tiles();
+        assert!(matches!(
+            backend.absorb(&mut client, &tiles[0]),
+            Ok(Progress::AwaitStream(_))
+        ));
+        assert_eq!(
+            backend.absorb(&mut client, &tiles[0]),
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
+        // Nothing of it was taken: the stream goes on from where it stood.
+        assert_eq!(backend.units(&client), 16);
+        assert!(backend.absorb(&mut client, &tiles[1]).is_ok());
+        assert_eq!(backend.units(&client), 32);
+    }
+
+    #[test]
+    fn a_tile_ahead_of_the_stream_is_refused() {
+        let (backend, mut client, tiles) = client_and_tiles();
+        assert_eq!(
+            backend.absorb(&mut client, &tiles[1]),
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
+        assert_eq!(backend.units(&client), 0);
+        for tile in &tiles {
+            assert!(backend.absorb(&mut client, tile).is_ok());
+        }
+        assert_eq!(
+            backend.absorb(&mut client, &tiles[2]),
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
     }
 }

@@ -21,21 +21,23 @@
 //! estimate before its first round).
 //!
 //! [`FirstFlight::for_sketch`] sizes every shard's first flight from it with
-//! [`request_until`] itself, from offset 0 at `d̂/S` — the window's first
-//! rung, the ask sized to finish the median shard — bounded by what one
-//! range request may name ([`RangeRequest::largest_count`]) and by the
-//! server's per-stream unit budget, so a sketch buys nothing one `Request`
-//! per shard could not already ask for. The server says what it granted in
-//! one frame ahead of the payloads: a [`RangeRequest`] addressed to
-//! [`crate::SHARD_ALL`], `[tile, symbols)`, the range it serves every shard
-//! beyond the first tile an open always earns. The client books that range
-//! as requested ([`crate::ClientMux::book_first_flight`]) and its window
-//! continues from the second rung. A wrong estimate costs a round or some
-//! tail symbols, never correctness: the stream is rateless.
+//! the window's own rule, [`first_flight_until`] at `d̂/S`: the first rung
+//! (`1.35·d̂`, which finishes the median shard) plus `2·√d̂`, sized to
+//! finish the slowest of eight, since a sync waits for its slowest shard.
+//! It is bounded by what one range request may name
+//! ([`RangeRequest::largest_count`]) and by the server's per-stream unit
+//! budget, so a sketch buys nothing one `Request` per shard could not
+//! already ask for. The server says what it granted in one frame ahead of
+//! the payloads: a [`RangeRequest`] addressed to [`crate::SHARD_ALL`],
+//! `[tile, symbols)`, the range it serves every shard beyond the first tile
+//! an open always earns. The client books that range as requested
+//! ([`crate::ClientMux::book_first_flight`]) and its window continues from
+//! the second rung. A wrong estimate costs a round or some tail symbols,
+//! never correctness: the stream is rateless.
 //!
-//! An open without a sketch is estimate 0, which [`request_until`] answers
-//! with one tile, and is sent no grant: protocol version 3's answer, byte
-//! for byte.
+//! An open without a sketch is estimate 0, which [`first_flight_until`]
+//! answers with one tile, and is sent no grant: protocol version 3's
+//! answer, byte for byte.
 //!
 //! The sketch on the wire, after the stream open's magic and item length:
 //!
@@ -51,7 +53,7 @@ use riblt::wire::{read_vlq, write_vlq, zigzag_decode, zigzag_encode};
 
 use crate::engine::RangeRequest;
 use crate::error::{EngineError, Result};
-use crate::window::request_until;
+use crate::window::first_flight_until;
 
 /// Buckets of a [`CountSketch`]: a protocol constant, not a setting.
 pub const BUCKETS: usize = 1 << BUCKET_BITS;
@@ -213,11 +215,10 @@ impl FirstFlight {
             false => Some(CountSketch::decode(sketch)?.estimate_difference(own)),
         };
         let per_shard = estimate.unwrap_or(0.0) / f64::from(shards.max(1));
-        // The window's first ask, capped at what one range request may name
-        // and at the budget in whole tiles — but an open always earns one.
+        // The window's first flight, capped at what one range request may
+        // name and at the budget in whole tiles — but an open always earns one.
         let cap = RangeRequest::largest_count(tile).min(unit_budget / tile * tile);
-        let asked = request_until(0, tile, per_shard, usize::MAX).unwrap_or(tile);
-        let symbols = asked.min(cap).max(tile);
+        let symbols = first_flight_until(tile, per_shard).min(cap).max(tile);
         let grant = match estimate {
             Some(_) => Some(RangeRequest::new(tile, symbols - tile)?),
             None => None,
@@ -387,16 +388,14 @@ mod tests {
             (None, 32, None)
         );
 
-        // 2,000 differences over 8 shards: request_until(0, 32, d̂/8) — about
-        // 1.35 × 250 = 337.5 → 11 tiles.
+        // 2,000 differences over 8 shards: first_flight_until(32, d̂/8) —
+        // about 1.35 × 250 + 2·√250 = 337.5 + 31.6 = 369.1 → 12 tiles, one
+        // more than the first rung's 11 — and ±9 % on d̂ moves it by a tile.
         let client = [&common[..], &hashes(&fresh(&mut gen, 2_000))].concat();
         let sized = flight(&wire(&client), 8, 1 << 20).unwrap();
         let estimate = sized.estimate.unwrap();
-        assert_eq!(
-            Some(sized.symbols),
-            request_until(0, 32, estimate / 8.0, 1 << 20)
-        );
-        assert!((300..=400).contains(&sized.symbols), "{}", sized.symbols);
+        assert_eq!(sized.symbols, first_flight_until(32, estimate / 8.0));
+        assert!((352..=416).contains(&sized.symbols), "{}", sized.symbols);
         let grant = sized.grant.unwrap();
         assert_eq!(
             (grant.offset, usize::from(grant.count)),

@@ -804,7 +804,8 @@ mod tests {
 
         // With a count sketch behind it, the open is answered by the grant
         // first, then every shard's whole first flight: 1,000 differences,
-        // 250 a shard, whose first rung (337.5) is 11 tiles.
+        // 250 a shard, whose first rung and margin (337.5 + 2·√250 = 369.1)
+        // are 12 tiles.
         let sketch =
             |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()));
         let mut wire = Vec::new();
@@ -814,7 +815,7 @@ mod tests {
         let grant = flight.grant.unwrap();
         assert_eq!(
             (flight.symbols, grant),
-            (352, RangeRequest::new(32, 320).unwrap())
+            (384, RangeRequest::new(32, 352).unwrap())
         );
         let sketched = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open([body, wire].concat()));
         let replies = server()
@@ -825,7 +826,7 @@ mod tests {
             replies[0],
             MuxFrame::new(9, SHARD_ALL, EngineMessage::Request(grant))
         );
-        assert_eq!(replies.len(), 1 + 4 * 11);
+        assert_eq!(replies.len(), 1 + 4 * 12);
 
         // A client that booked the grant instead of opening each shard is
         // owed exactly the payloads behind it, and takes them in one round.

@@ -10,8 +10,8 @@
 //!
 //! 1. up to [`FIRST_RUNG`]`·d̂` while the estimate rests on one batch per
 //!    shard (±9.5 % pooled over 8 shards), or on the count sketch of the
-//!    client's set (±9 %) when a server asks it for the client, as its
-//!    first flight (below). This ask is sized to finish the
+//!    client's set (±9 %), from which a server sizes the first flight
+//!    (below: this rung and a margin). This ask is sized to finish the
 //!    median shard: rounded up to whole tiles it reaches the `1.41·d` the
 //!    median shard of 250 differences decodes at, so about half the shards
 //!    are done after one request round. What it spends is whatever an
@@ -31,23 +31,33 @@
 //! least one tile, so no stream ever takes more rounds than asking tile by
 //! tile would.
 //!
-//! The first ask is the first flight, and a server sizes it with this
-//! function too: from offset 0, at its own estimate of `d̂` per shard, read
+//! The first ask is the first flight, and a server sizes it before the
+//! client has decoded anything, at its own estimate of `d̂` per shard, read
 //! off the count sketch a wildcard open carries ([`crate::first_flight`]),
-//! before the client has decoded anything. So the first rung leaves in the
-//! handshake's own round trip; the client books it as asked for, and its
-//! first request is the second rung. An open without a sketch is estimate 0,
-//! which this function answers with one tile, and a first rung within one
-//! tile (`1.35·d̂ ≤ 32`, `d̂ ≤ 23` a shard) is one tile either way. At 2,000
-//! differences over 8 shards the window takes 2.3 request rounds after a
-//! one-tile first flight instead of 11.8 tile by tile, for 4.9 % more
-//! symbols, and 1.3 after the sized first flight, for the same symbols; the
-//! ladder it replaced (`1.25·d̂`, then `1.45·d̂`, whose first ask was sized to
-//! land *below* the median shard) took 3.1 for 2.5 %. Rounds against symbols
-//! is the whole trade: `table_window_policy` (in `riblt-bench`) replays this
-//! function over recorded decodes, with either first flight, and is the
-//! source of every number here and of the tables in ARCHITECTURE.md ("The
-//! request window", "The first flight").
+//! with [`first_flight_until`]: the first rung plus
+//! [`FIRST_FLIGHT_MARGIN`]`·√d̂`. The rung alone finishes the median shard,
+//! but a sync waits for its slowest, and the margin — half the second
+//! rung's reach past the first, which an estimate read off no decoded cell
+//! does not justify in full — sizes every shard for the slowest instead
+//! (PBS's trade: every group is sized so that the round succeeds for all
+//! of them, at a few symbols each). So the first flight leaves in the
+//! handshake's own round trip; the client books it as asked for, stands
+//! past the first rung, and its first request, if it needs one, reaches
+//! the second. An open without a sketch is estimate 0, which is one tile,
+//! and a flight within one tile (`1.35·d̂ + 2·√d̂ ≤ 32`, `d̂ ≤ 17.5` a
+//! shard) is one tile either way.
+//!
+//! At 2,000 differences over 8 shards the window takes 2.3 request rounds
+//! after a one-tile first flight instead of 11.8 tile by tile, for 4.9 %
+//! more symbols than that; 1.3 after a first flight of the rung alone, for
+//! the same symbols; and 0.7 after the flight with its margin, for 8.4 %
+//! (3.4 % more than the rung alone). The ladder before the rungs
+//! (`1.25·d̂`, then `1.45·d̂`, whose first ask was sized to land *below* the
+//! median shard) took 3.1 for 2.5 %. Rounds against symbols is the whole
+//! trade: `table_window_policy` (in `riblt-bench`) replays this function
+//! over recorded decodes, after each of those three first flights, and is
+//! the source of every number here and of the tables in ARCHITECTURE.md
+//! ("The request window", "The first flight").
 //!
 //! Which rung a stream stands on is read off `requested` against `d̂`, not
 //! remembered, so an estimate that grows can put a stream back under the
@@ -69,6 +79,22 @@ pub const FIRST_RUNG: f64 = 1.35;
 pub const SECOND_RUNG: f64 = 4.0;
 /// Top-up per round after the second rung, as a fraction of the estimate.
 pub const TOP_UP: f64 = 0.1;
+/// What a server's first flight adds to the first rung, as a multiple of
+/// the estimate's square root.
+pub const FIRST_FLIGHT_MARGIN: f64 = 2.0;
+
+/// The stream offset a server's first flight reaches, for a stream whose
+/// difference is estimated at `difference` symbols:
+/// [`FIRST_RUNG`]`·d̂ + `[`FIRST_FLIGHT_MARGIN`]`·√d̂` in whole tiles, and
+/// one tile for an estimate of 0, below 0 or NaN. Uncapped: what one range
+/// request may name and the server's budget are the caller's to apply.
+pub fn first_flight_until(tile: usize, difference: f64) -> usize {
+    let target = FIRST_RUNG * difference + FIRST_FLIGHT_MARGIN * difference.sqrt();
+    // NaN (and so any negative estimate, through its square root) maps to
+    // 0 tiles, which the clamp turns into the one tile an open always earns.
+    let tiles = ((target / tile as f64).ceil() as usize).clamp(1, usize::MAX / tile);
+    tiles * tile
+}
 
 /// The stream offset to request up to, for a stream whose first
 /// `requested` symbols (a multiple of `tile`) are already asked for and
@@ -260,6 +286,50 @@ mod tests {
                     "{context}: {until:?}, at {larger} {until_larger:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_first_flight_adds_the_margin_to_the_first_rung() {
+        // 250 a shard: 337.5 + 2·√250 = 369.1 → 12 tiles, where the rung
+        // alone is 11; 2,000 a shard: 2,700 + 89.4 = 2,789.4 → 88 tiles.
+        assert_eq!(first_flight_until(32, 250.0), 384);
+        assert_eq!(first_flight_until(32, 2_000.0), 2_816);
+        // One tile while 1.35·d̂ + 2·√d̂ ≤ 32, i.e. d̂ ≤ 17.5 a shard:
+        // `stale_tip`'s 12.5 (100 differences over 8 shards) keeps its one
+        // tile unless the sketch reads more than 140, 3σ high.
+        for difference in [0.0, 1.0, 12.5, 17.4, 17.5] {
+            assert_eq!(first_flight_until(32, difference), 32, "{difference}");
+        }
+        assert_eq!(first_flight_until(32, 17.6), 64);
+        assert_eq!(first_flight_until(32, 140.0 / 8.0), 32);
+        // No meaningful estimate: the one tile an open always earns.
+        for difference in [f64::NAN, -0.0, -1.0, -1e9, f64::NEG_INFINITY] {
+            assert_eq!(first_flight_until(32, difference), 32, "{difference}");
+        }
+        // An absurd one: the last whole tile a `usize` holds, for the
+        // caller to cap.
+        assert_eq!(first_flight_until(32, f64::INFINITY), usize::MAX / 32 * 32);
+    }
+
+    /// Hand-rolled property test, in the style of
+    /// `asks_never_shrink_as_requested_or_the_estimate_grows`.
+    #[test]
+    fn the_first_flight_is_whole_tiles_past_the_first_rung_and_grows_with_the_estimate() {
+        let mut gen = SplitMix64::new(0xf1f1);
+        for _ in 0..20_000 {
+            let tile = 1 + (gen.next_u64() % 64) as usize;
+            let scale = [8.0, 512.0, 65_536.0][(gen.next_u64() % 3) as usize];
+            let difference = (gen.next_u64() % 4_096) as f64 / 4_096.0 * scale;
+            let larger = difference + (gen.next_u64() % 4_096) as f64 / 4_096.0 * scale;
+            let flight = first_flight_until(tile, difference);
+            let context = format!("tile {tile}, d̂ {difference}: {flight}");
+            assert_eq!(flight % tile, 0, "{context}");
+            assert!(flight >= tile, "{context}");
+            let rung = request_until(0, tile, difference, usize::MAX).unwrap();
+            assert!(flight >= rung, "{context}, first rung {rung}");
+            let at_larger = first_flight_until(tile, larger);
+            assert!(flight <= at_larger, "{context}, at {larger} {at_larger}");
         }
     }
 

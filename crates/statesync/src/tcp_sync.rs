@@ -15,14 +15,18 @@
 //!    estimates the difference from it ([`reconcile_core::first_flight`])
 //!    and answers with its hello, a grant saying how much of every shard's
 //!    stream it is sending, and that much of every shard — the window's
-//!    first rung — so the first round trip carries what a request round
-//!    would otherwise have asked for. The server's shard count is
-//!    authoritative; this client partitions the local set with whatever the
-//!    server announces, while the first flight is already in the socket.
+//!    first rung and a `2·√d̂` margin, sized to finish the slowest shard
+//!    rather than the median one — so the first round trip carries what
+//!    one or two request rounds would otherwise have asked for. The
+//!    server's shard count is authoritative; this client partitions the
+//!    local set with whatever the server announces, while the first flight
+//!    is already in the socket. Every payload must continue its shard's
+//!    stream where the last one ended: a tile repeated or skipped fails the
+//!    sync as a protocol error instead of being peeled as the wrong cells.
 //! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
 //!    next one from what the decoders now hold (see
-//!    [`reconcile_core::window`]; the first flight counts as the first
-//!    rung's request): `Done` for shards that decoded,
+//!    [`reconcile_core::window`]; the first flight counts as a request past
+//!    the first rung): `Done` for shards that decoded,
 //!    `Request(offset, count)` for the rest. A round's frames leave in one
 //!    write and cost one round trip, however many batches they ask for; its
 //!    payloads are absorbed in arrival order, independent shards in
@@ -440,10 +444,57 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_tile_fails_the_sync_at_once() {
+        // A valid hello (one shard) and a grant of one tile beyond the open's,
+        // then the shard's first tile twice where tiles 0 and 1 were owed.
+        // Peeled as tile 1, its cells would burn the unit budget on garbage.
+        let backend = flight_backend();
+        let server_items = items(0..3_000);
+        let tile = backend
+            .serve(&mut backend.build_server(&server_items), None)
+            .unwrap();
+        let mut reply = Vec::new();
+        append_frame(&mut reply, &Hello::new(backend.key, 1, 8).to_bytes()).unwrap();
+        let grant = RangeRequest::new(FLIGHT_TILE, FLIGHT_TILE).unwrap();
+        for message in [
+            EngineMessage::Request(grant),
+            EngineMessage::Payload(tile.clone()),
+            EngineMessage::Payload(tile),
+        ] {
+            let shard = if let EngineMessage::Request(_) = message {
+                SHARD_ALL
+            } else {
+                0
+            };
+            append_frame(
+                &mut reply,
+                &MuxFrame::new(SESSION, shard, message).to_bytes(),
+            )
+            .unwrap();
+        }
+        let mut link = netsim::FlightLink::new(move |_flight, out| {
+            out.extend_from_slice(&reply);
+            Err(EngineError::Protocol("a canned reply"))
+        });
+        let err = sync_sharded_tcp(
+            &mut link,
+            &items(100..3_000),
+            |_| flight_backend(),
+            &TcpSyncConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, EngineError::Protocol("payload out of sequence"));
+        // The typed error, in the handshake's flight: no request went out.
+        assert_eq!(link.flights, 1);
+        assert_eq!(frames_after_hello(&link.sent).len(), 1);
+    }
+
+    #[test]
     fn a_difference_within_the_first_tiles_takes_one_flight() {
         // 20 differences over 8 shards: the sketch's d̂ ≈ 20 puts 2.5 on a
-        // shard, whose first rung (1.35 × 2.5 = 3.4 symbols) is one tile —
-        // the grant is [32, 32) — and every shard's first 32 symbols decode.
+        // shard, whose first flight (1.35 × 2.5 + 2·√2.5 = 6.5 symbols) is
+        // one tile — the grant is [32, 32) — and every shard's first 32
+        // symbols decode.
         let mut link = link_to(&items(0..3_000));
         let (diffs, outcome) = sync_sharded_tcp(
             &mut link,
@@ -465,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn the_sketched_wildcard_saves_two_flights_and_changes_nothing_else() {
+    fn the_sketched_wildcard_saves_three_flights_and_changes_nothing_else() {
         let server_items = items(0..20_000);
         let local = items(1_000..21_000); // d = 2,000, half on each side
 
@@ -496,26 +547,31 @@ mod tests {
         assert_eq!(outcome.units, expected_units.iter().sum::<usize>());
 
         // The sketch's estimate, 2,074.1 (2,000 ± 9 %), is 259.3 a shard,
-        // whose first rung, 1.35 × 259.3 = 350.0, is 11 tiles: the server
-        // grants [32, 352) and sends every shard 352 symbols in the
-        // handshake's flight.
+        // whose first rung and margin, 1.35 × 259.3 + 2·√259.3 = 350.0 +
+        // 32.2 = 382.2, are 12 tiles: the server grants [32, 384) and sends
+        // every shard 384 symbols in the handshake's flight.
         let sketch =
             |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()));
         let estimate = sketch(&local).estimate_difference(&sketch(&server_items));
         assert_eq!(format!("{estimate:.1}"), "2074.1");
-        // Four shards decode within it (at 332–347 symbols). The other four
-        // (356–381) ask on from the grant, straight to the second rung —
-        // 1.35·d̂ + 4·√d̂ ≈ 400.7 of the pooled estimate, so to 416 — and are
-        // done: one request round, 2 flights where opening shard by shard
-        // (a flight for the hellos, one for the opens, two rounds) took 4.
-        let asked = requests(&link.sent, FLIGHT_SHARDS);
-        let rest = RangeRequest {
-            offset: 352,
-            count: 64,
-        };
-        assert_eq!(asked.iter().filter(|asks| asks[..] == [rest]).count(), 4);
-        assert_eq!(asked.iter().filter(|asks| asks.is_empty()).count(), 4);
-        assert_eq!((link.flights, outcome.rounds), (2, 1));
+        let mut said = &link.received[..];
+        reconcile_core::read_frame(&mut said).unwrap();
+        let grant = read_mux_frame(&mut said).unwrap().message;
+        assert_eq!(
+            grant,
+            EngineMessage::Request(RangeRequest::new(32, 352).unwrap())
+        );
+        assert_eq!(
+            symbols_sent(&link.received, FLIGHT_SHARDS, FLIGHT_TILE),
+            vec![384; usize::from(FLIGHT_SHARDS)]
+        );
+        // Every shard decodes within it (at 332–381 symbols): no request at
+        // all, one flight where opening shard by shard (a flight for the
+        // hellos, one for the opens, two rounds) took 4.
+        assert!(requests(&link.sent, FLIGHT_SHARDS)
+            .iter()
+            .all(Vec::is_empty));
+        assert_eq!((link.flights, outcome.rounds), (1, 0));
     }
 
     #[test]
@@ -576,8 +632,8 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, EngineError::DecodeIncomplete), "{err}");
         // The first flight counts: the sketch's 321.7 of the 300
-        // differences sized it at 7 tiles (1.35 × 80.4 = 108.6 → 112
-        // symbols), and the asks after it stop at the tile holding 200.
+        // differences sized it at 8 tiles (1.35 × 80.4 + 2·√80.4 = 126.5 →
+        // 128 symbols), and the asks after it stop at the tile holding 200.
         for (shard, sent) in symbols_sent(&link.received, 4, 16).into_iter().enumerate() {
             assert!(sent > 16, "shard {shard} never got past its open");
             assert!(sent < budget + 16, "shard {shard} was sent {sent}");

@@ -5,8 +5,10 @@
 //! 1. **Decode scaling** — one pairwise exchange, same sets, swept over
 //!    shard counts and worker threads. The serial baseline is a single
 //!    Rateless IBLT session through the session engine (one decoder peels
-//!    the whole difference on one core); the sharded runs peel S per-shard
-//!    differences on a worker pool. `speedup_vs_serial` is serial wall-clock
+//!    the whole difference on one core); the sharded runs are
+//!    `cluster::reconcile_pair`, the shipped client's `ClientMux` peeling S
+//!    per-shard differences on up to `threads` workers against a node that
+//!    serves from its caches. `speedup_vs_serial` is serial wall-clock
 //!    over sharded wall-clock of the protocol work (serve + decode CPU, not
 //!    virtual link time) — on a multi-core host the sharded rows with
 //!    `threads > 1` beat the serial baseline.
@@ -17,7 +19,7 @@
 //! Output columns: `scenario, nodes, shards, threads, items, diff_or_churn,
 //! rounds, units, total_MB, mean_node_MB, wall_ms, speedup_vs_serial`.
 
-use cluster::{pool, reconcile_pair, Cluster, ClusterConfig, Node, NodeConfig, PairSyncConfig};
+use cluster::{reconcile_pair, Cluster, ClusterConfig, Node, NodeConfig, PairSyncConfig};
 use netsim::{LinkConfig, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::{ClientEngine, EngineMessage, ServerEngine};
@@ -64,7 +66,7 @@ fn main() {
     let cli = BenchCli::from_args();
     let scale = cli.scale;
     let mut csv = cli.sink();
-    let cores = pool::default_threads();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let n = scale.pick(20_000u64, 200_000u64);
     let d = scale.pick(2_000u64, 20_000u64);
@@ -161,9 +163,17 @@ fn main() {
                 reconcile_pair(&mut nodes, 0, 1, &mut topo, &config, 1, 0.0)
                     .expect("sharded reconcile")
             });
-            assert_eq!(nodes[0].len(), nodes[1].len());
+            // The row measured a reconciliation: both nodes now hold the
+            // same set, and it took the serial row's difference to get there.
+            assert_eq!(nodes[0].digest(), nodes[1].digest(), "{shards} shards");
+            assert!(nodes[0].items().eq(nodes[1].items()), "{shards} shards");
+            assert_eq!(
+                outcome.items_to_initiator + outcome.items_to_responder,
+                d as usize,
+                "{shards} shards recovered another difference"
+            );
             // Compare protocol CPU (serve + decode wall), the quantity the
-            // worker pool parallelizes; virtual link time is equal across
+            // decode workers parallelize; virtual link time is equal across
             // rows by construction.
             let sharded_s = outcome.decode_wall_s + outcome.serve_wall_s;
             emit(

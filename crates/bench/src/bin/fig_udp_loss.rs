@@ -7,9 +7,9 @@
 //! measures that cost two ways at each loss rate:
 //!
 //! - `netsim`: the client syncs across an in-process [`netsim`] datagram
-//!   link with seeded loss, duplication, and reordering, against a
-//!   serve loop driving `reconcile_core::datagram` directly — fully
-//!   deterministic, no kernel in the path.
+//!   link with seeded loss, duplication, and reordering, against
+//!   [`netsim::library_datagram_server`] — fully deterministic, no kernel
+//!   in the path.
 //! - `loopback`: the client syncs with a real `reconciled` daemon over
 //!   kernel loopback UDP, with the same loss rate injected client-side by
 //!   [`statesync::LossyConduit`] in both directions.
@@ -22,16 +22,11 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use netsim::{datagram_pair, DatagramEndpoint, DatagramLinkConfig};
+use netsim::{datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::datagram::{
-    handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
-    DEFAULT_MTU_BUDGET,
-};
+use reconcile_core::datagram::{DatagramServiceConfig, DEFAULT_MTU_BUDGET};
 use reconcile_core::handshake::Hello;
-use reconcile_core::ShardPartitioner;
-use riblt::wire::SymbolCodec;
-use riblt::{CodedSymbol, Encoder, FixedBytes};
+use riblt::FixedBytes;
 use riblt_bench::BenchCli;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig};
@@ -54,81 +49,14 @@ fn backend(key: SipKey) -> impl Fn(u16) -> RibltBackend<Item> {
     move |_| RibltBackend::with_key_and_alpha(SYMBOL_LEN, 32, key, riblt::DEFAULT_ALPHA)
 }
 
-/// Per-shard coded-symbol source for the netsim serve loop: one encoder
-/// per shard extended on demand, ranges re-encoded with the §6 codec —
-/// the same shape the daemon's shard caches take.
-struct ShardSource {
-    encoder: Encoder<Item>,
-    cells: Vec<CodedSymbol<Item>>,
-    set_size: u64,
-}
-
-fn serve_loop(mut endpoint: DatagramEndpoint, server_items: Vec<Item>, key: SipKey) {
-    let parts = ShardPartitioner::new(key, SHARDS).partition(&server_items);
-    let mut sources: Vec<ShardSource> = parts
-        .iter()
-        .map(|part| {
-            let mut encoder = Encoder::with_key_and_alpha(key, riblt::DEFAULT_ALPHA);
-            for item in part {
-                encoder.add_symbol(*item).unwrap();
-            }
-            ShardSource {
-                encoder,
-                cells: Vec::new(),
-                set_size: part.len() as u64,
-            }
-        })
-        .collect();
-    let config = DatagramServiceConfig {
+fn serve_loop(endpoint: DatagramEndpoint, server_items: Vec<Item>, key: SipKey) {
+    let service = DatagramServiceConfig {
         hello: Hello::new(key, SHARDS, SYMBOL_LEN),
         key,
         mtu_budget: DEFAULT_MTU_BUDGET,
         max_units_per_session: 1 << 20,
     };
-    let mut table = UdpSessionTable::new();
-    let mut idle_rounds = 0;
-    loop {
-        let Some(datagram) = endpoint.recv(Duration::from_millis(50)) else {
-            idle_rounds += 1;
-            if idle_rounds > 100 {
-                return;
-            }
-            continue;
-        };
-        idle_rounds = 0;
-        let (replies, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"netsim-client",
-            &datagram,
-            Instant::now(),
-            |shard, start, count| {
-                let source = sources.get_mut(usize::from(shard))?;
-                let end = start as usize + count;
-                while source.cells.len() < end {
-                    source
-                        .cells
-                        .push(source.encoder.produce_next_coded_symbol());
-                }
-                let codec =
-                    SymbolCodec::with_alpha(SYMBOL_LEN, source.set_size, riblt::DEFAULT_ALPHA);
-                Some(codec.encode_batch(&source.cells[start as usize..end], start))
-            },
-        );
-        for reply in replies {
-            endpoint.send(&reply);
-        }
-        endpoint.flush();
-        if matches!(
-            event,
-            DatagramEvent::Done {
-                session_complete: true,
-                ..
-            }
-        ) {
-            return;
-        }
-    }
+    library_datagram_server(endpoint, &server_items, service);
 }
 
 struct RunResult {

@@ -8,10 +8,12 @@
 //!   ([`reconcile_core::ShardPartitioner`]) and keeps one shared
 //!   [`riblt::SketchCache`] per shard — every set change patches O(log m)
 //!   cells once, and the same cells serve every concurrent session.
-//! * [`reconcile_pair`] reconciles two nodes over one link by multiplexing S
-//!   shard sessions as `(session, shard)`-tagged
-//!   [`reconcile_core::MuxFrame`]s, peeling the per-shard differences in
-//!   parallel on a `std::thread` worker pool ([`pool`]).
+//! * [`reconcile_pair`] reconciles two nodes over one link as the shipped
+//!   client and the daemon do: the initiator's
+//!   [`reconcile_core::ClientMux`] opens every shard with one sketched
+//!   wildcard open, and the responder answers from its caches with a
+//!   first flight sized from that sketch, then one payload per tile of
+//!   every range asked for.
 //! * [`Cluster`] runs N-node anti-entropy gossip over a
 //!   [`netsim::Topology`] of per-pair virtual-time links, with churn
 //!   injected between rounds, and reports rounds-to-convergence plus
@@ -54,9 +56,7 @@
 mod gossip;
 mod node;
 mod pairsync;
-pub mod pool;
 
 pub use gossip::{Cluster, ClusterConfig, ConvergenceReport, NodeStats, RoundReport};
 pub use node::{set_digest, Node, NodeConfig};
 pub use pairsync::{reconcile_pair, PairOutcome, PairSyncConfig};
-pub use pool::{default_threads, parallel_for_each, parallel_for_each_observed};

@@ -1,45 +1,43 @@
-//! Session-multiplexed pairwise reconciliation between two cluster nodes.
+//! Pairwise reconciliation between two cluster nodes, held as every other
+//! conversation of the protocol is.
 //!
-//! One exchange runs S independent shard sessions over a single link: every
-//! frame on the wire is a [`MuxFrame`] tagged with `(session, shard)`, so
-//! requests and payloads of all shards interleave freely. The responder
-//! serves coded symbols straight out of its shared per-shard
-//! [`riblt::SketchCache`]s (requests name their own range, so there is no
-//! per-session state — encode once, serve every peer); the initiator
-//! subtracts its *own* cache cells and peels each shard's difference
-//! independently, fanning the decode work out over a `std::thread` worker
-//! pool.
-//!
-//! The protocol is fully request-driven (the initiator answers every round
-//! of payloads with a range `Request` sized by [`reconcile_core::window`],
-//! or `Done`), which is what makes interleaving many sessions on one
-//! transport deadlock-free.
+//! The initiator is the TCP client's [`ClientMux`] over its own items, and
+//! the responder answers from its [`Node`] as the `reconciled` daemon does:
+//! one wildcard `Open` ([`SHARD_ALL`]) carries the initiator's
+//! [`CountSketch`](reconcile_core::CountSketch), the responder sizes every
+//! shard's first flight from it ([`FirstFlight::for_sketch`]) and says how
+//! much in a grant frame, and every range is served straight out of the
+//! responder's shared per-shard [`riblt::SketchCache`]s, one payload per
+//! tile (encode once, serve every peer). What to ask for, what to absorb
+//! and when to stop are `ClientMux`'s to decide, as for every client; only
+//! how frames cross the [`Topology`] is this module's: each with its
+//! length prefix, as on the wire.
 //!
 //! Time is accounted like the two-replica experiments: bytes move on the
-//! virtual-time [`Topology`] links, while real measured encode/decode CPU is
-//! folded into the virtual clocks — the parallel decode phase contributes
-//! its *wall* time, so multi-core speedups show up in completion times.
+//! virtual-time [`Topology`] links, while real measured serve and absorb
+//! CPU is folded into the virtual clocks — the absorb phase contributes its
+//! *wall* time, so multi-core speedups show up in completion times.
 
 use std::time::Instant;
 
 use netsim::Topology;
-use reconcile_core::window::next_requests;
+use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
+use reconcile_core::wirefmt::{encode_stream_open, validate_stream_open};
 use reconcile_core::{
-    EngineError, EngineMessage, MuxFrame, RangeRequest, Result, SessionId, ShardId,
+    ClientMux, EngineError, EngineMessage, FirstFlight, MuxFrame, RangeRequest, Result, SessionId,
+    ShardId, ShardPartitioner, LENGTH_PREFIX_BYTES, MUX_HEADER_BYTES, SHARD_ALL,
 };
 use riblt::wire::SymbolCodec;
-use riblt::{CodedSymbol, Decoder, DifferenceEstimate, SetDifference, Symbol};
+use riblt::Symbol;
 
-use crate::node::Node;
-use crate::pool::{default_threads, parallel_for_each_observed};
+use crate::node::{Node, NodeConfig};
 
 /// Handles into [`obs::global`] for the pair-sync phases. Registration is
 /// idempotent, so fetching them once per exchange costs one short registry
-/// lock, and the phase loops below touch only the returned atomics.
+/// lock, and the phase loop below touches only the returned atomics.
 struct PhaseMetrics {
     serve_rounds: std::sync::Arc<obs::Histogram>,
     decode_rounds: std::sync::Arc<obs::Histogram>,
-    decode_shards: std::sync::Arc<obs::Histogram>,
     units: std::sync::Arc<obs::Counter>,
 }
 
@@ -53,11 +51,7 @@ impl PhaseMetrics {
             ),
             decode_rounds: g.histogram_seconds(
                 "cluster_decode_round_seconds",
-                "Initiator wall time absorbing one round across all shards (includes the worker-pool fan-out).",
-            ),
-            decode_shards: g.histogram_seconds(
-                "cluster_decode_shard_seconds",
-                "Decode-worker latency for one shard within a round (subtract plus peel).",
+                "Initiator wall time absorbing one round across all shards (includes the worker fan-out).",
             ),
             units: g.counter(
                 "cluster_pair_units_total",
@@ -67,9 +61,6 @@ impl PhaseMetrics {
     }
 }
 
-/// Magic bytes opening every shard session of a cluster exchange.
-const OPEN_MAGIC: [u8; 4] = *b"CLS0";
-
 /// Tuning knobs of one pairwise exchange.
 #[derive(Debug, Clone, Copy)]
 pub struct PairSyncConfig {
@@ -77,7 +68,8 @@ pub struct PairSyncConfig {
     pub batch_symbols: usize,
     /// Decode worker threads (0 = one per available core).
     pub threads: usize,
-    /// Safety budget: never request past this many coded symbols per shard.
+    /// Safety budget: never request past this many coded symbols per shard,
+    /// and never send a first flight past it.
     pub max_units_per_shard: usize,
 }
 
@@ -94,82 +86,25 @@ impl Default for PairSyncConfig {
 /// Measured outcome of one pairwise exchange.
 #[derive(Debug, Clone)]
 pub struct PairOutcome {
-    /// Request/response rounds until every shard completed.
+    /// Serve rounds until every shard completed: the first flight's and one
+    /// per request round after it, so the TCP client's `rounds` plus one.
     pub rounds: usize,
-    /// Coded symbols transferred (all shards).
+    /// Coded symbols the initiator's decoders consumed (all shards), as the
+    /// TCP client counts them: the unused tail of a range is not counted.
     pub units: usize,
     /// Items the initiator learned from the responder.
     pub items_to_initiator: usize,
     /// Items pushed back to the responder.
     pub items_to_responder: usize,
-    /// Bytes carried by the link in both directions (frames and item push).
+    /// Bytes carried by the link in both directions: every frame with its
+    /// 4-byte length prefix, as on the wire, and the item push.
     pub bytes: usize,
-    /// Virtual seconds from the opening frames to full application.
+    /// Virtual seconds from the opening frame to full application.
     pub virtual_time_s: f64,
-    /// Real wall seconds spent in the (parallel) decode phases.
+    /// Real wall seconds spent in the (parallel) absorb phases.
     pub decode_wall_s: f64,
     /// Real wall seconds the responder spent serving cache ranges.
     pub serve_wall_s: f64,
-}
-
-/// Per-shard initiator state, shaped for the worker pool: each round the
-/// driver drops in the received payloads and the matching window of the
-/// initiator's own cache cells, and a worker subtracts and peels.
-///
-/// The peel state is an incremental [`Decoder`] with an *empty* local set:
-/// the initiator's contribution is already subtracted cell-wise (from its
-/// shard cache), so each difference cell streams straight in and peeling
-/// work stays linear in the symbols received, never re-run from scratch.
-struct ShardState<S: Symbol> {
-    shard: ShardId,
-    /// Symbols absorbed so far, i.e. the stream offset the next ask starts at.
-    received: usize,
-    /// This round's asks.
-    ranges: Vec<RangeRequest>,
-    payloads: Vec<Vec<u8>>,
-    own_window: Vec<CodedSymbol<S>>,
-    estimate: DifferenceEstimate,
-    decoder: Option<Decoder<S>>,
-    result: Option<SetDifference<S>>,
-    error: Option<EngineError>,
-}
-
-fn pair_mut<S: Symbol + Ord>(
-    nodes: &mut [Node<S>],
-    a: usize,
-    b: usize,
-) -> (&mut Node<S>, &mut Node<S>) {
-    assert!(a != b, "a node cannot reconcile with itself");
-    if a < b {
-        let (left, right) = nodes.split_at_mut(b);
-        (&mut left[a], &mut right[0])
-    } else {
-        let (left, right) = nodes.split_at_mut(a);
-        (&mut right[0], &mut left[b])
-    }
-}
-
-fn encode_open(symbol_len: usize, batch: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10);
-    out.extend_from_slice(&OPEN_MAGIC);
-    out.extend_from_slice(&(symbol_len as u16).to_le_bytes());
-    out.extend_from_slice(&(batch as u32).to_le_bytes());
-    out
-}
-
-fn validate_open(payload: &[u8], symbol_len: usize) -> Result<usize> {
-    if payload.len() != 10 || payload[..4] != OPEN_MAGIC {
-        return Err(EngineError::WireFormat("malformed cluster open"));
-    }
-    let len = u16::from_le_bytes([payload[4], payload[5]]) as usize;
-    if len != symbol_len {
-        return Err(EngineError::WireFormat("symbol length mismatch"));
-    }
-    let batch = u32::from_le_bytes([payload[6], payload[7], payload[8], payload[9]]) as usize;
-    if batch == 0 {
-        return Err(EngineError::WireFormat("zero batch size"));
-    }
-    Ok(batch)
 }
 
 /// Reconciles `nodes[initiator]` with `nodes[responder]` over the topology,
@@ -177,6 +112,10 @@ fn validate_open(payload: &[u8], symbol_len: usize) -> Result<usize> {
 /// (the initiator learns responder-only items, then pushes its own
 /// exclusive items back). Both nodes' caches absorb the applied items
 /// incrementally, so the next exchange reuses today's encoding work.
+///
+/// The initiator decodes against its items like every client, not against
+/// its own shard caches: its shard clients are built over its set first,
+/// untimed like any client's set-up. The responder serves from its caches.
 pub fn reconcile_pair<S>(
     nodes: &mut [Node<S>],
     initiator: usize,
@@ -189,201 +128,79 @@ pub fn reconcile_pair<S>(
 where
     S: Symbol + Ord + Send + Sync,
 {
-    let (a, b) = pair_mut(nodes, initiator, responder);
+    let [a, b] = nodes
+        .get_disjoint_mut([initiator, responder])
+        .expect("a node reconciles with another node of the cluster");
     if a.config() != b.config() {
         return Err(EngineError::Protocol(
             "cluster members must share shards/key/symbol_len configuration",
         ));
     }
-    let node_config = a.config();
-    let shards = node_config.shards;
-    let symbol_len = node_config.symbol_len;
-    let key = node_config.key;
-    let alpha = riblt::DEFAULT_ALPHA;
-    let threads = if config.threads == 0 {
-        default_threads()
-    } else {
-        config.threads
-    };
-    // Decoding reads set_size from each payload's header; the field on the
-    // client codec is irrelevant.
-    let client_codec = SymbolCodec::with_alpha(symbol_len, 0, alpha);
+    let NodeConfig {
+        shards,
+        key,
+        symbol_len,
+    } = a.config();
+    let (tile, budget) = (config.batch_symbols, config.max_units_per_shard);
     let metrics = PhaseMetrics::from_global();
 
-    let bytes_before = topology.total_bytes();
-    let mut client_clock = start;
-    let mut server_clock = start;
-    let mut decode_wall_s = 0.0f64;
-    let mut serve_wall_s = 0.0f64;
-    let mut rounds = 0usize;
-
-    // --- Open every shard session (client → server). ---
-    let tile = config.batch_symbols;
-    // An open asks for the stream's first tile.
-    let first_tile = RangeRequest::new(0, tile)?;
-    let mut active: Vec<ShardState<S>> = Vec::with_capacity(usize::from(shards));
-    for shard in 0..shards {
-        let frame = MuxFrame::new(
-            session,
-            shard,
-            EngineMessage::Open(encode_open(symbol_len, config.batch_symbols)),
-        );
-        let wire = frame.to_bytes();
-        let arrival = topology.send(initiator, responder, client_clock, wire.len());
-        server_clock = server_clock.max(arrival);
-        // The responder parses the open off the wire.
-        let parsed = MuxFrame::from_bytes(&wire)?;
-        let batch = match parsed.message {
-            EngineMessage::Open(ref payload) => validate_open(payload, symbol_len)?,
-            _ => return Err(EngineError::Protocol("expected an open frame")),
-        };
-        debug_assert_eq!(batch, config.batch_symbols);
-        active.push(ShardState {
-            shard,
-            received: 0,
-            ranges: vec![first_tile],
-            payloads: Vec::new(),
-            own_window: Vec::new(),
-            estimate: DifferenceEstimate::default(),
-            decoder: Some(Decoder::with_key_and_alpha(key, alpha)),
-            result: None,
-            error: None,
-        });
+    // --- Set-up: the initiator's shard clients and its wildcard open. ---
+    let backend = RibltBackend::with_key_and_alpha(symbol_len, tile, key, riblt::DEFAULT_ALPHA);
+    let items: Vec<S> = a.items().cloned().collect();
+    let engines = ShardPartitioner::new(key, shards).client_engines(&items, |_| backend.clone());
+    drop(items);
+    let mut client = ClientMux::new(session);
+    client.set_unit_budget(budget);
+    for (shard, engine) in engines.into_iter().enumerate() {
+        client.insert_shard(shard as ShardId, engine);
     }
+    let mut open = encode_stream_open(RIBLT_STREAM_MAGIC, symbol_len);
+    a.count_sketch().encode(&mut open);
+    let open = MuxFrame::new(session, SHARD_ALL, EngineMessage::Open(open));
 
-    let mut differences: Vec<(ShardId, SetDifference<S>)> = Vec::new();
-    let mut units = 0usize;
-    // Shards are a uniform hash split of one difference: the window is sized
-    // from the estimate pooled over all of them, finished ones included.
-    let mut finished_estimate = DifferenceEstimate::default();
-
-    while !active.is_empty() {
+    let bytes_before = topology.total_bytes();
+    let (up, down) = ((initiator, responder), (responder, initiator));
+    let (mut client_clock, mut server_clock) = (start, start);
+    let (mut decode_wall_s, mut serve_wall_s) = (0.0f64, 0.0f64);
+    let mut rounds = 0usize;
+    let mut asks = cross(topology, up, client_clock, &mut server_clock, vec![open])?;
+    loop {
         rounds += 1;
-
-        // --- Serve phase (responder): one cache-range read per tile of
-        // each shard's ranges. ---
         let t_serve = Instant::now();
-        let mut payload_frames: Vec<(usize, Vec<u8>)> = Vec::with_capacity(active.len());
-        for (idx, state) in active.iter().enumerate() {
-            let server_codec =
-                SymbolCodec::with_alpha(symbol_len, b.shard_len(state.shard) as u64, alpha);
-            for range in &state.ranges {
-                let tiles = range.tiles(tile, usize::MAX)?;
-                for next in (range.offset as usize..).step_by(tile).take(tiles) {
-                    let cells = b.shard_cells(state.shard, next, tile);
-                    let payload = server_codec.encode_batch(cells, next as u64);
-                    let frame =
-                        MuxFrame::new(session, state.shard, EngineMessage::Payload(payload));
-                    payload_frames.push((idx, frame.to_bytes()));
-                }
-            }
+        let mut replies = Vec::new();
+        for ask in &asks {
+            answer(b, ask, tile, budget, &mut replies)?;
         }
         let serve_elapsed = t_serve.elapsed();
         metrics.serve_rounds.observe_duration(serve_elapsed);
-        let serve_s = serve_elapsed.as_secs_f64();
-        serve_wall_s += serve_s;
-        server_clock += serve_s;
+        serve_wall_s += serve_elapsed.as_secs_f64();
+        server_clock += serve_elapsed.as_secs_f64();
 
-        let mut last_arrival = server_clock;
-        for (idx, wire) in payload_frames {
-            let arrival = topology.send(responder, initiator, server_clock, wire.len());
-            last_arrival = last_arrival.max(arrival);
-            let parsed = MuxFrame::from_bytes(&wire)?;
-            let state = &mut active[idx];
-            debug_assert_eq!(parsed.shard, state.shard);
-            match parsed.message {
-                EngineMessage::Payload(p) => state.payloads.push(p),
-                _ => return Err(EngineError::Protocol("expected a payload frame")),
-            }
+        let mut payloads = cross(topology, down, server_clock, &mut client_clock, replies)?;
+        // The grant leads the first flight: how much of every shard it is.
+        if let Some(grant) = payloads.first().filter(|frame| frame.shard == SHARD_ALL) {
+            client.book_first_flight(grant)?;
+            payloads.remove(0);
         }
-
-        // --- Client phase, all of it timed: materializing the initiator's
-        // own cache windows is client encode work (the responder's twin of
-        // it is inside the serve timer), then the worker pool subtracts and
-        // peels each shard independently.
         let t_decode = Instant::now();
-        for state in active.iter_mut() {
-            let asked = state.ranges.iter().map(|r| usize::from(r.count)).sum();
-            state.own_window = a.shard_cells(state.shard, state.received, asked).to_vec();
-        }
-        parallel_for_each_observed(&mut active, threads, &metrics.decode_shards, |state| {
-            // Tiles in arrival order; once the shard decodes, the rest of
-            // the range is an unused tail.
-            let mut own = state.own_window.chunks(tile);
-            for payload in std::mem::take(&mut state.payloads) {
-                let batch = match client_codec.decode_batch::<S>(&payload) {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        state.error = Some(e.into());
-                        return;
-                    }
-                };
-                let own = own.next().unwrap_or_default();
-                if batch.start_index as usize != state.received || batch.symbols.len() != own.len()
-                {
-                    state.error = Some(EngineError::Protocol("payload out of sequence"));
-                    return;
-                }
-                let decoder = state.decoder.as_mut().expect("decoder live until done");
-                for (mut cell, own) in batch.symbols.into_iter().zip(own) {
-                    cell.subtract(own);
-                    decoder.add_coded_symbol(cell);
-                }
-                state.received += own.len();
-                state.estimate = decoder.difference_estimate();
-                if decoder.is_decoded() {
-                    let decoder = state.decoder.take().expect("checked above");
-                    state.result = Some(decoder.into_difference());
-                    return;
-                }
-            }
-        });
+        let next = client.handle_round(&payloads, config.threads)?;
         let decode_elapsed = t_decode.elapsed();
         metrics.decode_rounds.observe_duration(decode_elapsed);
-        let decode_s = decode_elapsed.as_secs_f64();
-        decode_wall_s += decode_s;
-        client_clock = client_clock.max(last_arrival) + decode_s;
+        decode_wall_s += decode_elapsed.as_secs_f64();
+        client_clock += decode_elapsed.as_secs_f64();
 
-        // --- Reply phase: Done for completed shards, the next ranges for
-        // the rest. ---
-        let mut pooled = finished_estimate;
-        for state in &active {
-            pooled.merge(&state.estimate);
+        asks = cross(topology, up, client_clock, &mut server_clock, next)?;
+        if client.awaiting() == 0 {
+            break;
         }
-        let mut still_active = Vec::with_capacity(active.len());
-        for mut state in active {
-            if let Some(error) = state.error.take() {
-                return Err(error);
-            }
-            let done = state.result.is_some();
-            let messages = if let Some(diff) = state.result.take() {
-                finished_estimate.merge(&state.estimate);
-                units += state.received;
-                differences.push((state.shard, diff));
-                vec![EngineMessage::Done]
-            } else {
-                let budget = config.max_units_per_shard;
-                let asks = next_requests(state.received, tile, pooled.mean(), budget)?;
-                state.ranges = asks.collect::<Result<_>>()?;
-                let ranges = state.ranges.iter().copied();
-                ranges.map(EngineMessage::Request).collect()
-            };
-            for message in messages {
-                let wire = MuxFrame::new(session, state.shard, message).to_bytes();
-                let arrival = topology.send(initiator, responder, client_clock, wire.len());
-                server_clock = server_clock.max(arrival);
-            }
-            if !done {
-                still_active.push(state);
-            }
-        }
-        active = still_active;
     }
+    let units = client.units();
+    let differences = client.into_differences()?;
 
     // --- Apply the differences push-pull. ---
     let mut items_to_initiator = 0usize;
     let mut items_to_responder = 0usize;
-    for (_shard, diff) in differences {
+    for diff in differences {
         // remote_only: items only the responder holds — the pull direction.
         for item in diff.remote_only {
             if a.insert(item) {
@@ -393,8 +210,7 @@ where
         // local_only: items only the initiator holds — push them back as one
         // item frame per shard (mux header + tag + raw items).
         if !diff.local_only.is_empty() {
-            let push_bytes =
-                reconcile_core::MUX_HEADER_BYTES + 1 + diff.local_only.len() * symbol_len;
+            let push_bytes = MUX_HEADER_BYTES + 1 + diff.local_only.len() * symbol_len;
             let arrival = topology.send(initiator, responder, client_clock, push_bytes);
             server_clock = server_clock.max(arrival);
             for item in diff.local_only {
@@ -406,7 +222,7 @@ where
     }
 
     metrics.units.add(units as u64);
-    let outcome = PairOutcome {
+    Ok(PairOutcome {
         rounds,
         units,
         items_to_initiator,
@@ -415,14 +231,78 @@ where
         virtual_time_s: client_clock.max(server_clock) - start,
         decode_wall_s,
         serve_wall_s,
+    })
+}
+
+/// Carries `frames` over the `(from, to)` link, all leaving at `sent`, each
+/// with its length prefix as on the wire, and returns them as the far side
+/// parses them; `far_clock` advances to the last arrival.
+fn cross(
+    topology: &mut Topology,
+    (from, to): (usize, usize),
+    sent: f64,
+    far_clock: &mut f64,
+    frames: Vec<MuxFrame>,
+) -> Result<Vec<MuxFrame>> {
+    frames
+        .iter()
+        .map(|frame| {
+            let wire = frame.to_bytes();
+            let arrival = topology.send(from, to, sent, LENGTH_PREFIX_BYTES + wire.len());
+            *far_clock = far_clock.max(arrival);
+            MuxFrame::from_bytes(&wire)
+        })
+        .collect()
+}
+
+/// The responder's answer to one of the initiator's frames, as the daemon
+/// gives it from its node: the wildcard open is answered by the grant and
+/// every shard's first flight, sized against the node's own count sketch
+/// for `tile`-symbol payloads and at most `budget` symbols a stream; a
+/// range by one payload per tile, a range of the shard's cache in the §6
+/// codec; a `Done` by nothing. The initiator's budget bounds what it asks
+/// for, so a range is checked for alignment only.
+fn answer<S: Symbol + Ord>(
+    node: &mut Node<S>,
+    frame: &MuxFrame,
+    tile: usize,
+    budget: usize,
+    out: &mut Vec<MuxFrame>,
+) -> Result<()> {
+    let NodeConfig {
+        shards, symbol_len, ..
+    } = node.config();
+    let ranges = match &frame.message {
+        EngineMessage::Open(open) if frame.shard == SHARD_ALL => {
+            let sketch = validate_stream_open(open, RIBLT_STREAM_MAGIC, symbol_len)?;
+            let own = node.count_sketch();
+            let flight = FirstFlight::for_sketch(sketch, own, shards, tile, budget)?;
+            out.extend(flight.grant.map(|grant| {
+                MuxFrame::new(frame.session, SHARD_ALL, EngineMessage::Request(grant))
+            }));
+            let first = RangeRequest::new(0, flight.symbols)?;
+            (0..shards).map(|shard| (shard, first)).collect()
+        }
+        EngineMessage::Request(range) if frame.shard < shards => vec![(frame.shard, *range)],
+        EngineMessage::Done => Vec::new(),
+        _ => return Err(EngineError::Protocol("a frame the responder cannot serve")),
     };
-    Ok(outcome)
+    for (shard, range) in ranges {
+        let set_size = node.shard_len(shard) as u64;
+        let codec = SymbolCodec::with_alpha(symbol_len, set_size, riblt::DEFAULT_ALPHA);
+        let tiles = range.tiles(tile, usize::MAX)?;
+        for offset in (range.offset as usize..).step_by(tile).take(tiles) {
+            let cells = node.shard_cells(shard, offset, tile);
+            let payload = EngineMessage::Payload(codec.encode_batch(cells, offset as u64));
+            out.push(MuxFrame::new(frame.session, shard, payload));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeConfig;
     use netsim::LinkConfig;
     use riblt::FixedBytes;
 
@@ -493,8 +373,9 @@ mod tests {
         assert_eq!(outcome.rounds, 1);
         assert_eq!(outcome.items_to_initiator, 0);
         assert_eq!(outcome.items_to_responder, 0);
-        // One batch per shard, nothing more.
-        assert_eq!(outcome.units, 16 * PairSyncConfig::default().batch_symbols);
+        // One batch per shard, nothing more: each decoder consumes its
+        // first cell, which is empty, and is done.
+        assert_eq!(outcome.units, 16);
     }
 
     #[test]

@@ -13,10 +13,18 @@
 //! overtaken by its successor). A stashed datagram with no successor is
 //! flushed by [`DatagramEndpoint::flush`] or effectively lost, which the
 //! rateless session layer must tolerate anyway.
+//!
+//! [`library_datagram_server`] puts the library's datagram server on the
+//! far end of such a link.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use reconcile_core::datagram::{
+    handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
+};
+use reconcile_core::ShardPartitioner;
+use riblt::{SketchCache, Symbol, SymbolCodec};
 use riblt_hash::XorShift64Star;
 
 /// Impairment parameters of one direction of a datagram link.
@@ -162,6 +170,72 @@ impl DatagramEndpoint {
     /// What the impairments did at this endpoint so far.
     pub fn stats(&self) -> DatagramLinkStats {
         self.stats
+    }
+}
+
+/// How long [`library_datagram_server`] waits for a datagram before it
+/// counts the link as quiet once more.
+const QUIET_POLL: Duration = Duration::from_millis(100);
+
+/// Quiet polls after which [`library_datagram_server`] gives up on its
+/// client: five seconds of silence. A link whose client endpoint is gone
+/// answers every poll at once, so then it takes no time at all.
+const QUIET_POLLS: usize = 50;
+
+/// The library's datagram server, on the far end of `endpoint`:
+/// [`handle_server_datagram`] under `service`, serving shard `i` of
+/// `service.hello.shards` from one [`SketchCache`] over the items
+/// `service.key` places there, in the §6 codec — the daemon's shard caches
+/// without the daemon. It answers until a session completes or the link
+/// has been quiet for five seconds, so a caller runs it on a thread of its
+/// own and joins it once its client is done.
+pub fn library_datagram_server<S: Symbol>(
+    mut endpoint: DatagramEndpoint,
+    items: &[S],
+    service: DatagramServiceConfig,
+) {
+    let symbol_len = usize::from(service.hello.symbol_len);
+    let parts = ShardPartitioner::new(service.key, service.hello.shards).partition(items);
+    let mut shards: Vec<(SketchCache<S>, SymbolCodec)> = parts
+        .into_iter()
+        .map(|part| {
+            let codec =
+                SymbolCodec::with_alpha(symbol_len, part.len() as u64, riblt::DEFAULT_ALPHA);
+            let mut cache = SketchCache::with_key(service.key);
+            part.into_iter().for_each(|item| cache.add_symbol(item));
+            (cache, codec)
+        })
+        .collect();
+    let mut table = UdpSessionTable::new();
+    let mut quiet = 0;
+    while quiet < QUIET_POLLS {
+        let Some(datagram) = endpoint.recv(QUIET_POLL) else {
+            quiet += 1;
+            continue;
+        };
+        quiet = 0;
+        let (replies, event) = handle_server_datagram(
+            &mut table,
+            &service,
+            b"netsim-client",
+            &datagram,
+            Instant::now(),
+            |shard, start, count| {
+                let (cache, codec) = shards.get_mut(usize::from(shard))?;
+                Some(codec.encode_batch(cache.range(start as usize, count), start))
+            },
+        );
+        for reply in replies {
+            endpoint.send(&reply);
+        }
+        endpoint.flush();
+        if let DatagramEvent::Done {
+            session_complete: true,
+            ..
+        } = event
+        {
+            return;
+        }
     }
 }
 

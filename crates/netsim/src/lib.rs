@@ -7,7 +7,8 @@
 //!   accounting, for the N-node cluster experiments.
 //! * [`datagram_pair`] — an in-process lossy datagram link (seeded loss,
 //!   duplication, adjacent reordering) for exercising the UDP transport
-//!   without sockets.
+//!   without sockets, and [`library_datagram_server`], the library's
+//!   datagram server to put on its far end.
 //! * [`FlightLink`] / [`library_server`] — an in-memory `Read + Write` link
 //!   that counts round trips and records what each side said, with the
 //!   library's own handshake-and-mux server behind it: the reference the
@@ -27,7 +28,9 @@ mod link;
 mod timeseries;
 mod topology;
 
-pub use datagram::{datagram_pair, DatagramEndpoint, DatagramLinkConfig, DatagramLinkStats};
+pub use datagram::{
+    datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig, DatagramLinkStats,
+};
 pub use flight::{library_server, FlightLink};
 pub use link::{LinkConfig, LinkDirection, SimLink};
 pub use reconcile_core::framing::{read_frame, write_frame, MAX_FRAME_BYTES};

@@ -457,6 +457,11 @@ where
                 return (Vec::new(), DatagramEvent::Dropped("cookie/peer mismatch"));
             }
             session.last_seen = now;
+            // A shard the service does not have is no step towards the
+            // session's completion, as it is no stream to serve.
+            if header.shard >= config.hello.shards {
+                return (Vec::new(), DatagramEvent::Dropped("shard out of range"));
+            }
             // Duplicate Dones are harmless, mirroring the TCP path.
             session.done.insert(header.shard, u64::from(header.seq));
             let complete = session.done.len() >= usize::from(config.hello.shards);
@@ -791,6 +796,52 @@ mod tests {
             );
         }
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn a_done_for_a_shard_the_service_lacks_is_dropped() {
+        // As many Dones as the service has shards, none of them for one of
+        // its shards: the session is not complete, and still serves.
+        let config = service();
+        let mut table = UdpSessionTable::new();
+        let cookie = open_session(&mut table, &config);
+        let shards = config.hello.shards;
+        for shard in 10..10 + shards {
+            let done = DatagramHeader {
+                kind: DatagramKind::Done,
+                cookie,
+                shard,
+                seq: 7,
+            }
+            .encode(&[]);
+            let (replies, event) = handle_server_datagram(
+                &mut table,
+                &config,
+                b"peer-a",
+                &done,
+                Instant::now(),
+                |_, _, _| None,
+            );
+            assert!(replies.is_empty());
+            assert_eq!(event, DatagramEvent::Dropped("shard out of range"));
+        }
+        assert_eq!(table.len(), 1);
+        let request = DatagramHeader {
+            kind: DatagramKind::Request,
+            cookie,
+            shard: 0,
+            seq: 0,
+        }
+        .encode(&request_payload(1));
+        let (replies, _) = handle_server_datagram(
+            &mut table,
+            &config,
+            b"peer-a",
+            &request,
+            Instant::now(),
+            |_, _, _| Some(vec![1]),
+        );
+        assert_eq!(replies.len(), 1);
     }
 
     #[test]

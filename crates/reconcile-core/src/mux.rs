@@ -476,12 +476,17 @@ impl<B: ReconcileBackend> ClientMux<B> {
     ///
     /// A shard's frames are absorbed in arrival order; distinct shards
     /// decode independently, so they are fanned out over up to `threads`
-    /// `std::thread` workers — the hot half of sharded reconciliation.
+    /// `std::thread` workers (0 = one per available core) — the hot half of
+    /// sharded reconciliation.
     pub fn handle_round(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
     where
         B: Send,
         B::Client: Send,
     {
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            threads => threads,
+        };
         let session = self.session;
         let mut by_shard: Vec<Vec<&MuxFrame>> = vec![Vec::new(); self.shards.len()];
         for frame in frames {
@@ -723,6 +728,8 @@ mod tests {
         let sequential = run(1);
         let parallel = run(4);
         assert_eq!(sequential, parallel);
+        // 0 is one worker per available core.
+        assert_eq!(sequential, run(0));
         assert_eq!(sequential, (0..120u64).collect::<Vec<_>>());
     }
 

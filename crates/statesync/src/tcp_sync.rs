@@ -222,13 +222,6 @@ where
     }
     client.book_first_flight(&grant[0])?;
 
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
 
@@ -245,7 +238,7 @@ where
             .map(|frame| LENGTH_PREFIX_BYTES + frame.wire_size())
             .sum::<usize>();
         let t0 = Instant::now();
-        let replies = client.handle_round(&payloads, threads)?;
+        let replies = client.handle_round(&payloads, config.threads)?;
         decode_wall_s += t0.elapsed().as_secs_f64();
         bytes_sent += write_round(io, &replies)?;
         if client.awaiting() == 0 {

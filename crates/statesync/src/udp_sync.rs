@@ -151,17 +151,18 @@ impl<C: DatagramConduit> DatagramConduit for LossyConduit<C> {
     }
 }
 
-/// Configuration of a datagram sharded synchronization.
+/// Outstanding range requests kept in flight per shard.
+const INFLIGHT: usize = 4;
+
+/// Configuration of a datagram sharded synchronization. Requests ask for as
+/// many symbols as fit one [`DEFAULT_MTU_BUDGET`]-byte datagram, and each
+/// shard keeps four of them in flight.
 #[derive(Debug, Clone, Copy)]
 pub struct UdpSyncConfig {
     /// Shared keyed-hash key — must fingerprint-match the server's.
     pub key: SipKey,
     /// Item length in bytes — must match the server's.
     pub symbol_len: usize,
-    /// Per-datagram byte budget; requests ask for as many symbols as fit.
-    pub mtu_budget: usize,
-    /// Outstanding range requests kept in flight per shard.
-    pub inflight: usize,
     /// Retransmit timeout for unanswered hellos and range requests.
     pub rto: Duration,
     /// Hello attempts before the handshake is declared dead.
@@ -179,8 +180,6 @@ impl Default for UdpSyncConfig {
         UdpSyncConfig {
             key: SipKey::default(),
             symbol_len: 8,
-            mtu_budget: DEFAULT_MTU_BUDGET,
-            inflight: 4,
             rto: Duration::from_millis(100),
             hello_attempts: 10,
             deadline: Duration::from_secs(30),
@@ -308,7 +307,7 @@ where
     // server's (deterministic) clamp in the first reply teaches us the
     // actual stride, after which requests tile exactly.
     let opening_count = u16::try_from(
-        max_symbols_in_budget(config.mtu_budget, config.symbol_len).min(usize::from(u16::MAX)),
+        max_symbols_in_budget(DEFAULT_MTU_BUDGET, config.symbol_len).min(usize::from(u16::MAX)),
     )
     .expect("clamped above");
     let now = Instant::now();
@@ -377,7 +376,7 @@ where
             }
             let stride = u64::from(state.stride.unwrap_or(usize::from(opening_count)) as u32);
             let count = u16::try_from(stride.min(u64::from(u16::MAX))).expect("clamped above");
-            while state.outstanding.len() < config.inflight.max(1)
+            while state.outstanding.len() < INFLIGHT
                 && state.stride.is_some()
                 && (state.frontier as usize) < config.max_units_per_shard
             {
@@ -536,7 +535,7 @@ fn drain_ready<C: DatagramConduit>(
             let count = u16::try_from(
                 state
                     .stride
-                    .unwrap_or(max_symbols_in_budget(config.mtu_budget, config.symbol_len))
+                    .unwrap_or(max_symbols_in_budget(DEFAULT_MTU_BUDGET, config.symbol_len))
                     .min(usize::from(u16::MAX)),
             )
             .expect("clamped above");
@@ -583,11 +582,8 @@ mod tests {
     use super::*;
     use netsim::{datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::datagram::{
-        handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
-    };
-    use riblt::wire::SymbolCodec;
-    use riblt::{CodedSymbol, Encoder, FixedBytes};
+    use reconcile_core::datagram::DatagramServiceConfig;
+    use riblt::FixedBytes;
 
     type Item = FixedBytes<8>;
 
@@ -595,86 +591,21 @@ mod tests {
         range.map(Item::from_u64).collect()
     }
 
-    /// Per-shard coded-symbol source mirroring the daemon's shard caches:
-    /// one encoder per shard, extended on demand, ranges re-encoded with
-    /// the §6 codec.
-    struct ShardSource {
-        encoder: Encoder<Item>,
-        cells: Vec<CodedSymbol<Item>>,
-        set_size: u64,
-    }
-
+    /// The library's datagram server over `server_items`, `shards` shards
+    /// under `key`, until its client is done.
     fn serve_loop(
-        mut endpoint: netsim::DatagramEndpoint,
+        endpoint: netsim::DatagramEndpoint,
         server_items: Vec<Item>,
         key: SipKey,
         shards: u16,
     ) {
-        let partitioner = ShardPartitioner::new(key, shards);
-        let parts = partitioner.partition(&server_items);
-        let mut sources: Vec<ShardSource> = parts
-            .iter()
-            .map(|part| {
-                let mut encoder = Encoder::with_key_and_alpha(key, riblt::DEFAULT_ALPHA);
-                for item in part {
-                    encoder.add_symbol(*item).unwrap();
-                }
-                ShardSource {
-                    encoder,
-                    cells: Vec::new(),
-                    set_size: part.len() as u64,
-                }
-            })
-            .collect();
-        let config = DatagramServiceConfig {
+        let service = DatagramServiceConfig {
             hello: Hello::new(key, shards, 8),
             key,
             mtu_budget: DEFAULT_MTU_BUDGET,
             max_units_per_session: 1 << 20,
         };
-        let mut table = UdpSessionTable::new();
-        let mut idle_rounds = 0;
-        loop {
-            let Some(datagram) = endpoint.recv(Duration::from_millis(100)) else {
-                idle_rounds += 1;
-                if idle_rounds > 50 {
-                    return; // client gone
-                }
-                continue;
-            };
-            idle_rounds = 0;
-            let (replies, event) = handle_server_datagram(
-                &mut table,
-                &config,
-                b"sim-client",
-                &datagram,
-                Instant::now(),
-                |shard, start, count| {
-                    let source = sources.get_mut(usize::from(shard))?;
-                    let end = start as usize + count;
-                    while source.cells.len() < end {
-                        source
-                            .cells
-                            .push(source.encoder.produce_next_coded_symbol());
-                    }
-                    let codec = SymbolCodec::with_alpha(8, source.set_size, riblt::DEFAULT_ALPHA);
-                    Some(codec.encode_batch(&source.cells[start as usize..end], start))
-                },
-            );
-            for reply in replies {
-                endpoint.send(&reply);
-            }
-            endpoint.flush();
-            if matches!(
-                event,
-                DatagramEvent::Done {
-                    session_complete: true,
-                    ..
-                }
-            ) {
-                return;
-            }
-        }
+        netsim::library_datagram_server(endpoint, &server_items, service);
     }
 
     fn run_sync(

@@ -160,7 +160,7 @@ fn main() {
                 ..Default::default()
             };
             let (outcome, _) = timed(|| {
-                reconcile_pair(&mut nodes, 0, 1, &mut topo, &config, 1, 0.0)
+                reconcile_pair(&mut nodes, 0, 1, &mut topo, &config, 0.0)
                     .expect("sharded reconcile")
             });
             // The row measured a reconciliation: both nodes now hold the

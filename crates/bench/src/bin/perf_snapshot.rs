@@ -424,7 +424,6 @@ fn bench_mux_sharded(scale: RunScale, seed: u64) -> BenchRecord {
         1,
         &mut topology,
         &PairSyncConfig::default(),
-        1,
         0.0,
     )
     .expect("pair reconciliation");

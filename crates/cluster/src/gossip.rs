@@ -50,7 +50,7 @@ pub struct NodeStats {
     pub bytes_received: usize,
     /// Real wall seconds this node spent peeling shard differences.
     pub decode_s: f64,
-    /// Real wall seconds this node spent serving cache ranges.
+    /// Real wall seconds this node spent answering flights.
     pub serve_s: f64,
 }
 
@@ -92,7 +92,6 @@ pub struct Cluster<S: Symbol + Ord> {
     topology: Topology,
     rng: SplitMix64,
     stats: Vec<NodeStats>,
-    next_session: u32,
     virtual_time_s: f64,
     rounds: usize,
 }
@@ -109,7 +108,6 @@ impl<S: Symbol + Ord + Send + Sync> Cluster<S> {
             topology: Topology::full_mesh(config.nodes, config.link),
             rng: SplitMix64::new(config.seed ^ 0xc105_7e12_9055_1e0d),
             stats: vec![NodeStats::default(); config.nodes],
-            next_session: 1,
             virtual_time_s: 0.0,
             rounds: 0,
             config,
@@ -187,15 +185,12 @@ impl<S: Symbol + Ord + Send + Sync> Cluster<S> {
                     r
                 }
             };
-            let session = self.next_session;
-            self.next_session += 1;
             let outcome = reconcile_pair(
                 &mut self.nodes,
                 initiator,
                 peer,
                 &mut self.topology,
                 &self.config.pair,
-                session,
                 start,
             )?;
             round_end = round_end.max(start + outcome.virtual_time_s);

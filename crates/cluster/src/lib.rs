@@ -8,12 +8,16 @@
 //!   ([`reconcile_core::ShardPartitioner`]) and keeps one shared
 //!   [`riblt::SketchCache`] per shard — every set change patches O(log m)
 //!   cells once, and the same cells serve every concurrent session.
-//! * [`reconcile_pair`] reconciles two nodes over one link as the shipped
-//!   client and the daemon do: the initiator's
-//!   [`reconcile_core::ClientMux`] opens every shard with one sketched
-//!   wildcard open, and the responder answers from its caches with a
-//!   first flight sized from that sketch, then one payload per tile of
-//!   every range asked for.
+//! * [`Responder`] is the serving half of the protocol without the I/O:
+//!   one per conversation, it answers a client's frames from a [`Node`]'s
+//!   caches (a wildcard open with a first flight sized from the open's
+//!   count sketch, every range with one payload per tile) and stages the
+//!   replies straight into the caller's write buffer. The `reconciled`
+//!   daemon serves every connection through it.
+//! * [`reconcile_pair`] reconciles two nodes over one link as a client and
+//!   the daemon do: the initiator runs the shipped TCP client,
+//!   [`reconcile_core::sync_sharded_tcp`], against the responder node's
+//!   [`Responder`], every flight charged to the link.
 //! * [`Cluster`] runs N-node anti-entropy gossip over a
 //!   [`netsim::Topology`] of per-pair virtual-time links, with churn
 //!   injected between rounds, and reports rounds-to-convergence plus
@@ -56,7 +60,9 @@
 mod gossip;
 mod node;
 mod pairsync;
+mod responder;
 
 pub use gossip::{Cluster, ClusterConfig, ConvergenceReport, NodeStats, RoundReport};
 pub use node::{set_digest, Node, NodeConfig};
 pub use pairsync::{reconcile_pair, PairOutcome, PairSyncConfig};
+pub use responder::{Responder, Served, Tiles};

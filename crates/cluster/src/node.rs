@@ -13,6 +13,7 @@
 use std::collections::BTreeSet;
 
 use reconcile_core::{CountSketch, ShardId, ShardPartitioner};
+use riblt::wire::SymbolCodec;
 use riblt::{CodedSymbol, HashedSymbol, SketchCache, Symbol};
 use riblt_hash::SipKey;
 
@@ -199,6 +200,15 @@ impl<S: Symbol + Ord> Node<S> {
     /// concurrent session reads the same cells.
     pub fn shard_cells(&mut self, shard: ShardId, start: usize, len: usize) -> &[CodedSymbol<S>] {
         self.caches[usize::from(shard)].range(start, len)
+    }
+
+    /// The coded symbols `[start, start + len)` of `shard` in the §6 wire
+    /// codec ([`SymbolCodec`], sized for the shard's set): the payload a
+    /// peer is sent for that range of the shard's stream.
+    pub fn encode_tile(&mut self, shard: ShardId, start: usize, len: usize) -> Vec<u8> {
+        let set_size = self.shard_len(shard) as u64;
+        let codec = SymbolCodec::with_alpha(self.config.symbol_len, set_size, riblt::DEFAULT_ALPHA);
+        codec.encode_batch(self.shard_cells(shard, start, len), start as u64)
     }
 
     /// The count sketch of the whole set ([`reconcile_core::first_flight`]).

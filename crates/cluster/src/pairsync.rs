@@ -1,65 +1,22 @@
 //! Pairwise reconciliation between two cluster nodes, held as every other
-//! conversation of the protocol is.
-//!
-//! The initiator is the TCP client's [`ClientMux`] over its own items, and
-//! the responder answers from its [`Node`] as the `reconciled` daemon does:
-//! one wildcard `Open` ([`SHARD_ALL`]) carries the initiator's
-//! [`CountSketch`](reconcile_core::CountSketch), the responder sizes every
-//! shard's first flight from it ([`FirstFlight::for_sketch`]) and says how
-//! much in a grant frame, and every range is served straight out of the
-//! responder's shared per-shard [`riblt::SketchCache`]s, one payload per
-//! tile (encode once, serve every peer). What to ask for, what to absorb
-//! and when to stop are `ClientMux`'s to decide, as for every client; only
-//! how frames cross the [`Topology`] is this module's: each with its
-//! length prefix, as on the wire.
-//!
-//! Time is accounted like the two-replica experiments: bytes move on the
-//! virtual-time [`Topology`] links, while real measured serve and absorb
-//! CPU is folded into the virtual clocks — the absorb phase contributes its
-//! *wall* time, so multi-core speedups show up in completion times.
+//! conversation of the protocol is: the initiator runs the shipped TCP
+//! client, [`sync_sharded_tcp`], over its own items, and the responder
+//! answers from its [`Node`] through a [`Responder`] behind the handshake,
+//! as the `reconciled` daemon does. Only how the conversation crosses the
+//! [`Topology`] is this module's: every flight on the link between the two
+//! nodes ([`SimFlights`]), its bytes as on the wire, the responder's serve
+//! time and the initiator's wall time between flights (its set-up pass and
+//! absorb phases, so multi-core speedups show in completion times) on the
+//! virtual clocks.
 
-use std::time::Instant;
-
-use netsim::Topology;
-use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
-use reconcile_core::wirefmt::{encode_stream_open, validate_stream_open};
-use reconcile_core::{
-    ClientMux, EngineError, EngineMessage, FirstFlight, MuxFrame, RangeRequest, Result, SessionId,
-    ShardId, ShardPartitioner, LENGTH_PREFIX_BYTES, MUX_HEADER_BYTES, SHARD_ALL,
-};
-use riblt::wire::SymbolCodec;
+use netsim::{FlightLinkTo, SimFlights, Topology};
+use reconcile_core::backends::RibltBackend;
+use reconcile_core::handshake::Hello;
+use reconcile_core::{sync_sharded_tcp, EngineError, Result, TcpSyncConfig, MUX_HEADER_BYTES};
 use riblt::Symbol;
 
 use crate::node::{Node, NodeConfig};
-
-/// Handles into [`obs::global`] for the pair-sync phases. Registration is
-/// idempotent, so fetching them once per exchange costs one short registry
-/// lock, and the phase loop below touches only the returned atomics.
-struct PhaseMetrics {
-    serve_rounds: std::sync::Arc<obs::Histogram>,
-    decode_rounds: std::sync::Arc<obs::Histogram>,
-    units: std::sync::Arc<obs::Counter>,
-}
-
-impl PhaseMetrics {
-    fn from_global() -> PhaseMetrics {
-        let g = obs::global();
-        PhaseMetrics {
-            serve_rounds: g.histogram_seconds(
-                "cluster_serve_round_seconds",
-                "Responder wall time encoding one round of per-shard cache ranges.",
-            ),
-            decode_rounds: g.histogram_seconds(
-                "cluster_decode_round_seconds",
-                "Initiator wall time absorbing one round across all shards (includes the worker fan-out).",
-            ),
-            units: g.counter(
-                "cluster_pair_units_total",
-                "Coded symbols consumed by pairwise exchanges.",
-            ),
-        }
-    }
-}
+use crate::responder::Responder;
 
 /// Tuning knobs of one pairwise exchange.
 #[derive(Debug, Clone, Copy)]
@@ -96,14 +53,16 @@ pub struct PairOutcome {
     pub items_to_initiator: usize,
     /// Items pushed back to the responder.
     pub items_to_responder: usize,
-    /// Bytes carried by the link in both directions: every frame with its
-    /// 4-byte length prefix, as on the wire, and the item push.
+    /// Bytes carried by the link in both directions: the two hellos and
+    /// every frame, each with its 4-byte length prefix, as on the wire, and
+    /// the item push.
     pub bytes: usize,
-    /// Virtual seconds from the opening frame to full application.
+    /// Virtual seconds from the initiator's set-up pass to full
+    /// application.
     pub virtual_time_s: f64,
     /// Real wall seconds spent in the (parallel) absorb phases.
     pub decode_wall_s: f64,
-    /// Real wall seconds the responder spent serving cache ranges.
+    /// Real wall seconds the responder spent answering flights.
     pub serve_wall_s: f64,
 }
 
@@ -114,15 +73,14 @@ pub struct PairOutcome {
 /// incrementally, so the next exchange reuses today's encoding work.
 ///
 /// The initiator decodes against its items like every client, not against
-/// its own shard caches: its shard clients are built over its set first,
-/// untimed like any client's set-up. The responder serves from its caches.
+/// its own shard caches: its shard clients are built over its set, on the
+/// clock like any client's set-up. The responder serves from its caches.
 pub fn reconcile_pair<S>(
     nodes: &mut [Node<S>],
     initiator: usize,
     responder: usize,
     topology: &mut Topology,
     config: &PairSyncConfig,
-    session: SessionId,
     start: f64,
 ) -> Result<PairOutcome>
 where
@@ -142,60 +100,33 @@ where
         symbol_len,
     } = a.config();
     let (tile, budget) = (config.batch_symbols, config.max_units_per_shard);
-    let metrics = PhaseMetrics::from_global();
-
-    // --- Set-up: the initiator's shard clients and its wildcard open. ---
-    let backend = RibltBackend::with_key_and_alpha(symbol_len, tile, key, riblt::DEFAULT_ALPHA);
     let items: Vec<S> = a.items().cloned().collect();
-    let engines = ShardPartitioner::new(key, shards).client_engines(&items, |_| backend.clone());
-    drop(items);
-    let mut client = ClientMux::new(session);
-    client.set_unit_budget(budget);
-    for (shard, engine) in engines.into_iter().enumerate() {
-        client.insert_shard(shard as ShardId, engine);
-    }
-    let mut open = encode_stream_open(RIBLT_STREAM_MAGIC, symbol_len);
-    a.count_sketch().encode(&mut open);
-    let open = MuxFrame::new(session, SHARD_ALL, EngineMessage::Open(open));
-
     let bytes_before = topology.total_bytes();
-    let (up, down) = ((initiator, responder), (responder, initiator));
-    let (mut client_clock, mut server_clock) = (start, start);
-    let (mut decode_wall_s, mut serve_wall_s) = (0.0f64, 0.0f64);
-    let mut rounds = 0usize;
-    let mut asks = cross(topology, up, client_clock, &mut server_clock, vec![open])?;
-    loop {
-        rounds += 1;
-        let t_serve = Instant::now();
-        let mut replies = Vec::new();
-        for ask in &asks {
-            answer(b, ask, tile, budget, &mut replies)?;
-        }
-        let serve_elapsed = t_serve.elapsed();
-        metrics.serve_rounds.observe_duration(serve_elapsed);
-        serve_wall_s += serve_elapsed.as_secs_f64();
-        server_clock += serve_elapsed.as_secs_f64();
 
-        let mut payloads = cross(topology, down, server_clock, &mut client_clock, replies)?;
-        // The grant leads the first flight: how much of every shard it is.
-        if let Some(grant) = payloads.first().filter(|frame| frame.shard == SHARD_ALL) {
-            client.book_first_flight(grant)?;
-            payloads.remove(0);
-        }
-        let t_decode = Instant::now();
-        let next = client.handle_round(&payloads, config.threads)?;
-        let decode_elapsed = t_decode.elapsed();
-        metrics.decode_rounds.observe_duration(decode_elapsed);
-        decode_wall_s += decode_elapsed.as_secs_f64();
-        client_clock += decode_elapsed.as_secs_f64();
+    // --- The responder: the handshake, then its node's answers. ---
+    let mut serving = Responder::new(shards, symbol_len, tile, budget);
+    let hello = Hello::new(key, shards, symbol_len);
+    let server = FlightLinkTo::handshaking(hello, |frame, out| {
+        serving.handle(frame, &mut *b, out)?;
+        while serving.open_next_shard(&mut *b, out)?.is_some() {}
+        Ok(())
+    });
 
-        asks = cross(topology, up, client_clock, &mut server_clock, next)?;
-        if client.awaiting() == 0 {
-            break;
-        }
-    }
-    let units = client.units();
-    let differences = client.into_differences()?;
+    // --- The initiator: the shipped client, every flight on the clock. ---
+    let backend = RibltBackend::with_key_and_alpha(symbol_len, tile, key, riblt::DEFAULT_ALPHA);
+    let client = TcpSyncConfig {
+        key,
+        symbol_len,
+        threads: config.threads,
+        max_units_per_shard: budget,
+    };
+    let mut io = SimFlights::new(server, topology, (initiator, responder), start);
+    let (differences, synced) = sync_sharded_tcp(&mut io, &items, |_| backend.clone(), &client)?;
+    io.finish();
+    let (client_clock, mut server_clock, serve_wall_s) =
+        (io.client_clock, io.server_clock, io.server_cpu);
+    drop(io);
+    drop(items);
 
     // --- Apply the differences push-pull. ---
     let mut items_to_initiator = 0usize;
@@ -221,83 +152,16 @@ where
         }
     }
 
-    metrics.units.add(units as u64);
     Ok(PairOutcome {
-        rounds,
-        units,
+        rounds: synced.rounds + 1,
+        units: synced.units,
         items_to_initiator,
         items_to_responder,
         bytes: topology.total_bytes() - bytes_before,
         virtual_time_s: client_clock.max(server_clock) - start,
-        decode_wall_s,
+        decode_wall_s: synced.decode_wall_s,
         serve_wall_s,
     })
-}
-
-/// Carries `frames` over the `(from, to)` link, all leaving at `sent`, each
-/// with its length prefix as on the wire, and returns them as the far side
-/// parses them; `far_clock` advances to the last arrival.
-fn cross(
-    topology: &mut Topology,
-    (from, to): (usize, usize),
-    sent: f64,
-    far_clock: &mut f64,
-    frames: Vec<MuxFrame>,
-) -> Result<Vec<MuxFrame>> {
-    frames
-        .iter()
-        .map(|frame| {
-            let wire = frame.to_bytes();
-            let arrival = topology.send(from, to, sent, LENGTH_PREFIX_BYTES + wire.len());
-            *far_clock = far_clock.max(arrival);
-            MuxFrame::from_bytes(&wire)
-        })
-        .collect()
-}
-
-/// The responder's answer to one of the initiator's frames, as the daemon
-/// gives it from its node: the wildcard open is answered by the grant and
-/// every shard's first flight, sized against the node's own count sketch
-/// for `tile`-symbol payloads and at most `budget` symbols a stream; a
-/// range by one payload per tile, a range of the shard's cache in the §6
-/// codec; a `Done` by nothing. The initiator's budget bounds what it asks
-/// for, so a range is checked for alignment only.
-fn answer<S: Symbol + Ord>(
-    node: &mut Node<S>,
-    frame: &MuxFrame,
-    tile: usize,
-    budget: usize,
-    out: &mut Vec<MuxFrame>,
-) -> Result<()> {
-    let NodeConfig {
-        shards, symbol_len, ..
-    } = node.config();
-    let ranges = match &frame.message {
-        EngineMessage::Open(open) if frame.shard == SHARD_ALL => {
-            let sketch = validate_stream_open(open, RIBLT_STREAM_MAGIC, symbol_len)?;
-            let own = node.count_sketch();
-            let flight = FirstFlight::for_sketch(sketch, own, shards, tile, budget)?;
-            out.extend(flight.grant.map(|grant| {
-                MuxFrame::new(frame.session, SHARD_ALL, EngineMessage::Request(grant))
-            }));
-            let first = RangeRequest::new(0, flight.symbols)?;
-            (0..shards).map(|shard| (shard, first)).collect()
-        }
-        EngineMessage::Request(range) if frame.shard < shards => vec![(frame.shard, *range)],
-        EngineMessage::Done => Vec::new(),
-        _ => return Err(EngineError::Protocol("a frame the responder cannot serve")),
-    };
-    for (shard, range) in ranges {
-        let set_size = node.shard_len(shard) as u64;
-        let codec = SymbolCodec::with_alpha(symbol_len, set_size, riblt::DEFAULT_ALPHA);
-        let tiles = range.tiles(tile, usize::MAX)?;
-        for offset in (range.offset as usize..).step_by(tile).take(tiles) {
-            let cells = node.shard_cells(shard, offset, tile);
-            let payload = EngineMessage::Payload(codec.encode_batch(cells, offset as u64));
-            out.push(MuxFrame::new(frame.session, shard, payload));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -336,16 +200,8 @@ mod tests {
         let b: Vec<u64> = (150..3_080).collect();
         let mut nodes = make_nodes(8, &[a, b]);
         let mut topo = Topology::full_mesh(2, LinkConfig::paper_default());
-        let outcome = reconcile_pair(
-            &mut nodes,
-            0,
-            1,
-            &mut topo,
-            &PairSyncConfig::default(),
-            1,
-            0.0,
-        )
-        .unwrap();
+        let outcome =
+            reconcile_pair(&mut nodes, 0, 1, &mut topo, &PairSyncConfig::default(), 0.0).unwrap();
         assert_eq!(outcome.items_to_initiator, 80);
         assert_eq!(outcome.items_to_responder, 150);
         assert_eq!(nodes[0].len(), 3_080 + 150 - 150);
@@ -360,16 +216,8 @@ mod tests {
         let set: Vec<u64> = (0..2_000).collect();
         let mut nodes = make_nodes(16, &[set.clone(), set]);
         let mut topo = Topology::full_mesh(2, LinkConfig::unlimited());
-        let outcome = reconcile_pair(
-            &mut nodes,
-            0,
-            1,
-            &mut topo,
-            &PairSyncConfig::default(),
-            1,
-            0.0,
-        )
-        .unwrap();
+        let outcome =
+            reconcile_pair(&mut nodes, 0, 1, &mut topo, &PairSyncConfig::default(), 0.0).unwrap();
         assert_eq!(outcome.rounds, 1);
         assert_eq!(outcome.items_to_initiator, 0);
         assert_eq!(outcome.items_to_responder, 0);
@@ -394,7 +242,7 @@ mod tests {
         for cfg in [serial_cfg, parallel_cfg] {
             let mut nodes = make_nodes(16, &[a.clone(), b.clone()]);
             let mut topo = Topology::full_mesh(2, LinkConfig::unlimited());
-            let outcome = reconcile_pair(&mut nodes, 0, 1, &mut topo, &cfg, 1, 0.0).unwrap();
+            let outcome = reconcile_pair(&mut nodes, 0, 1, &mut topo, &cfg, 0.0).unwrap();
             assert_equal_sets(&nodes);
             result_sets.push((
                 nodes[0].digest(),
@@ -413,16 +261,8 @@ mod tests {
             Node::<Item>::new(1, NodeConfig::new(16, 8)),
         ];
         let mut topo = Topology::full_mesh(2, LinkConfig::unlimited());
-        let err = reconcile_pair(
-            &mut nodes,
-            0,
-            1,
-            &mut topo,
-            &PairSyncConfig::default(),
-            1,
-            0.0,
-        )
-        .unwrap_err();
+        let err = reconcile_pair(&mut nodes, 0, 1, &mut topo, &PairSyncConfig::default(), 0.0)
+            .unwrap_err();
         assert!(matches!(err, EngineError::Protocol(_)));
     }
 
@@ -441,8 +281,8 @@ mod tests {
         );
         let mut topo = Topology::full_mesh(3, LinkConfig::unlimited());
         let cfg = PairSyncConfig::default();
-        reconcile_pair(&mut nodes, 1, 0, &mut topo, &cfg, 1, 0.0).unwrap();
-        reconcile_pair(&mut nodes, 2, 0, &mut topo, &cfg, 2, 0.0).unwrap();
+        reconcile_pair(&mut nodes, 1, 0, &mut topo, &cfg, 0.0).unwrap();
+        reconcile_pair(&mut nodes, 2, 0, &mut topo, &cfg, 0.0).unwrap();
         assert_equal_sets(&nodes);
         assert_eq!(nodes[2].len(), 1_000);
     }
@@ -461,7 +301,7 @@ mod tests {
             max_units_per_shard: 64,
             ..Default::default()
         };
-        let err = reconcile_pair(&mut nodes, 0, 1, &mut topo, &cfg, 1, 0.0).unwrap_err();
+        let err = reconcile_pair(&mut nodes, 0, 1, &mut topo, &cfg, 0.0).unwrap_err();
         assert_eq!(err, EngineError::DecodeIncomplete);
     }
 }

@@ -36,9 +36,10 @@ use riblt::Symbol;
 /// says back. An `Err` means it hung up after saying it, and the client
 /// reads end-of-stream from then on. So does a client that waits with
 /// nothing in flight: on a real link it would wait for ever, here its test
-/// fails instead of hanging.
-pub struct FlightLink {
-    serve: Box<Serve>,
+/// fails instead of hanging. The server may borrow what it serves from for
+/// `'s`; [`FlightLink`] is the link whose server owns all of it.
+pub struct FlightLinkTo<'s> {
+    serve: Box<Serve<'s>>,
     unsent: Vec<u8>,
     unread: VecDeque<u8>,
     /// Why the server hung up, once it has.
@@ -53,15 +54,17 @@ pub struct FlightLink {
     pub received: Vec<u8>,
 }
 
-/// A server: one flight's bytes in, its answer appended.
-type Serve = dyn FnMut(&[u8], &mut Vec<u8>) -> reconcile_core::Result<()>;
+/// A [`FlightLinkTo`] a server that borrows nothing, such as
+/// [`library_server`].
+pub type FlightLink = FlightLinkTo<'static>;
 
-impl FlightLink {
+/// A server: one flight's bytes in, its answer appended.
+type Serve<'s> = dyn FnMut(&[u8], &mut Vec<u8>) -> reconcile_core::Result<()> + 's;
+
+impl<'s> FlightLinkTo<'s> {
     /// A link to `serve`.
-    pub fn new(
-        serve: impl FnMut(&[u8], &mut Vec<u8>) -> reconcile_core::Result<()> + 'static,
-    ) -> Self {
-        FlightLink {
+    pub fn new(serve: impl FnMut(&[u8], &mut Vec<u8>) -> reconcile_core::Result<()> + 's) -> Self {
+        FlightLinkTo {
             serve: Box::new(serve),
             unsent: Vec::new(),
             unread: VecDeque::new(),
@@ -72,9 +75,37 @@ impl FlightLink {
             received: Vec::new(),
         }
     }
+
+    /// A link to a server that answers the hello with [`server_handshake`]
+    /// announcing `hello`, then hands `serve` each mux frame (its bytes
+    /// after the length prefix) and the buffer its answer goes to.
+    pub fn handshaking(
+        hello: Hello,
+        mut serve: impl FnMut(&[u8], &mut Vec<u8>) -> reconcile_core::Result<()> + 's,
+    ) -> Self {
+        let mut inbound = FrameBuffer::new();
+        let mut greeted = false;
+        FlightLinkTo::new(move |mut flight: &[u8], out: &mut Vec<u8>| {
+            if !greeted {
+                let mut duplex = Duplex {
+                    from_client: flight,
+                    to_client: &mut *out,
+                };
+                server_handshake(&mut duplex, &hello)?;
+                // The handshake read the hello and nothing past it.
+                flight = duplex.from_client;
+                greeted = true;
+            }
+            inbound.push_bytes(flight);
+            while let Some(frame) = inbound.next_frame()? {
+                serve(&frame, out)?;
+            }
+            Ok(())
+        })
+    }
 }
 
-impl Read for FlightLink {
+impl Read for FlightLinkTo<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.unread.is_empty() && !self.unsent.is_empty() && self.hung_up.is_none() {
             self.flights += 1;
@@ -88,7 +119,7 @@ impl Read for FlightLink {
     }
 }
 
-impl Write for FlightLink {
+impl Write for FlightLinkTo<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.writes += 1;
         self.unsent.extend_from_slice(buf);
@@ -122,12 +153,13 @@ impl Write for Duplex<'_, '_> {
     }
 }
 
-/// A link to the library's server over `items`: [`server_handshake`]
-/// announcing `hello`, then a [`ServerMux`] serving shard `i` of
-/// `hello.shards` from a [`ServerEngine`] over the items the backend's key
-/// places there, and sizing wildcard opens' first flights from the count
-/// sketch of `items`, the backend's tile and at most `unit_budget` symbols
-/// a stream — the daemon's `max_units_per_session`. A hello it refuses, a
+/// A link to the library's server over `items`: the handshake announcing
+/// `hello` ([`FlightLinkTo::handshaking`]), then a [`ServerMux`] serving
+/// shard `i` of `hello.shards` from a [`ServerEngine`] over the items the
+/// backend's key places there, and sizing wildcard opens' first flights
+/// from the count sketch of `items`, the backend's tile and at most
+/// `unit_budget` symbols a stream — the daemon's `max_units_per_session`.
+/// A hello it refuses, a
 /// frame it cannot parse or a request its engines reject ends the
 /// conversation the way a server ends one: whatever it had said, then
 /// end-of-stream.
@@ -145,24 +177,9 @@ pub fn library_server<S: Symbol + 'static>(
         ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
     })
     .serving_shards(hello.shards, own, tile, unit_budget);
-    let mut inbound = FrameBuffer::new();
-    let mut greeted = false;
-    FlightLink::new(move |mut flight: &[u8], out: &mut Vec<u8>| {
-        if !greeted {
-            let mut duplex = Duplex {
-                from_client: flight,
-                to_client: &mut *out,
-            };
-            server_handshake(&mut duplex, &hello)?;
-            // The handshake read the hello and nothing past it.
-            flight = duplex.from_client;
-            greeted = true;
-        }
-        inbound.push_bytes(flight);
-        while let Some(frame) = inbound.next_frame()? {
-            for reply in mux.handle(&MuxFrame::from_bytes(&frame)?)? {
-                append_frame(out, &reply.to_bytes())?;
-            }
+    FlightLink::handshaking(hello, move |frame, out| {
+        for reply in mux.handle(&MuxFrame::from_bytes(frame)?)? {
+            append_frame(out, &reply.to_bytes())?;
         }
         Ok(())
     })

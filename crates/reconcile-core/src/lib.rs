@@ -19,7 +19,9 @@
 //! versioned hello exchange (magic, protocol version, SipKey fingerprint,
 //! shard-count negotiation) the `reconciled` daemon speaks in front of the
 //! multiplexed [`MuxFrame`] protocol, and [`FirstFlight`] sizes what a
-//! server sends before the client has decoded anything. See
+//! server sends before the client has decoded anything.
+//! [`sync_sharded_tcp`] is that protocol's one client, over any
+//! `Read + Write` stream. See
 //! `ARCHITECTURE.md` at the repository root for the full wire-format
 //! reference.
 //!
@@ -51,6 +53,7 @@ pub mod framing;
 pub mod handshake;
 pub mod mux;
 pub mod shard;
+pub mod tcp_sync;
 pub mod window;
 pub mod wirefmt;
 
@@ -84,6 +87,7 @@ pub use handshake::{
 };
 pub use mux::{ClientMux, MuxFrame, MuxMetrics, ServerMux, MUX_HEADER_BYTES};
 pub use shard::{SessionId, ShardId, ShardPartitioner, SHARD_ALL};
+pub use tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 
 /// Re-export of the difference type every backend emits.
 pub use riblt::SetDifference;

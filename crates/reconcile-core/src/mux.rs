@@ -29,6 +29,7 @@ use crate::backend::{Progress, ReconcileBackend};
 use crate::engine::{ClientEngine, EngineMessage, ServerEngine};
 use crate::error::{EngineError, Result};
 use crate::first_flight::{CountSketch, FirstFlight};
+use crate::framing::{LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES};
 use crate::shard::{SessionId, ShardId, SHARD_ALL};
 use crate::window::next_requests;
 use crate::wirefmt::split_stream_open;
@@ -102,6 +103,36 @@ impl MuxFrame {
             shard,
             message,
         })
+    }
+
+    /// Appends the length-prefixed frame of a `Payload` of `payload` for
+    /// `(session, shard)` to `out`: the bytes [`append_frame`] stages for
+    /// that frame's [`Self::to_bytes`], with `payload` copied once instead
+    /// of into a frame first. Size limits match [`append_frame`]'s.
+    ///
+    /// [`append_frame`]: crate::framing::append_frame
+    pub fn append_payload(
+        out: &mut Vec<u8>,
+        session: SessionId,
+        shard: ShardId,
+        payload: &[u8],
+    ) -> std::io::Result<()> {
+        let len = MUX_HEADER_BYTES + 1 + payload.len();
+        if len > MAX_FRAME_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "frame exceeds MAX_FRAME_BYTES",
+            ));
+        }
+        out.reserve(LENGTH_PREFIX_BYTES + len);
+        // MAX_FRAME_BYTES fits a u32, so the cast cannot truncate.
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        out.extend_from_slice(&session.to_le_bytes());
+        out.extend_from_slice(&shard.to_le_bytes());
+        // The tag `EngineMessage::to_frame` writes for a payload.
+        out.push(1);
+        out.extend_from_slice(payload);
+        Ok(())
     }
 }
 
@@ -876,6 +907,15 @@ mod tests {
             let bytes = frame.to_bytes();
             assert_eq!(bytes.len(), frame.wire_size());
             assert_eq!(MuxFrame::from_bytes(&bytes).unwrap(), frame);
+        }
+        // A payload staged in place is the frame `append_frame` stages.
+        for payload in [Vec::new(), vec![7; 300]] {
+            let mut framed = vec![9];
+            let frame = MuxFrame::new(0xdead_beef, 513, EngineMessage::Payload(payload.clone()));
+            crate::append_frame(&mut framed, &frame.to_bytes()).unwrap();
+            let mut staged = vec![9];
+            MuxFrame::append_payload(&mut staged, 0xdead_beef, 513, &payload).unwrap();
+            assert_eq!(staged, framed);
         }
     }
 

@@ -3,16 +3,17 @@
 //!
 //! This module drives S multiplexed sessions over anything that implements
 //! `Read + Write` — a localhost `TcpStream` against the `reconciled` daemon,
-//! the simulator's link ([`crate::shard_sync`]), a pipe in a test, a
-//! tunnel. [`crate::SyncClient`] is the shell applications hold. The flow:
+//! the simulator's link (`statesync::sync_sharded_riblt`), a cluster pair
+//! exchange (`cluster::reconcile_pair`), a pipe in a test, a tunnel.
+//! `statesync::SyncClient` is the shell applications hold. The flow:
 //!
 //! 1. One flight, one write: the hello
-//!    ([`reconcile_core::handshake::client_handshake_pipelined`] — magic,
+//!    ([`crate::handshake::client_handshake_pipelined`] — magic,
 //!    protocol version, SipKey fingerprint, shard-count negotiation) with
 //!    one wildcard `Open` [`MuxFrame`] ([`SHARD_ALL`]) behind it, which
 //!    opens every shard the server has before this side knows how many
 //!    that is, and carries a [`CountSketch`] of the local set. The server
-//!    estimates the difference from it ([`reconcile_core::first_flight`])
+//!    estimates the difference from it ([`crate::first_flight`])
 //!    and answers with its hello, a grant saying how much of every shard's
 //!    stream it is sending, and that much of every shard — the window's
 //!    first rung and a `2·√d̂` margin, sized to finish the slowest shard
@@ -25,7 +26,7 @@
 //!    sync as a protocol error instead of being peeled as the wrong cells.
 //! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
 //!    next one from what the decoders now hold (see
-//!    [`reconcile_core::window`]; the first flight counts as a request past
+//!    [`crate::window`]; the first flight counts as a request past
 //!    the first rung): `Done` for shards that decoded,
 //!    `Request(offset, count)` for the rest. A round's frames leave in one
 //!    write and cost one round trip, however many batches they ask for; its
@@ -46,22 +47,22 @@
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use reconcile_core::framing::LENGTH_PREFIX_BYTES;
-use reconcile_core::handshake::{client_handshake_pipelined, Hello, SHARDS_ANY};
-use reconcile_core::{
+use crate::framing::LENGTH_PREFIX_BYTES;
+use crate::handshake::{client_handshake_pipelined, Hello, SHARDS_ANY};
+use crate::{
     append_frame, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, FrameBuffer,
     MuxFrame, ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::Symbol;
 use riblt_hash::SipKey;
 
-/// [`reconcile_core::MuxMetrics`] registered in the process-wide
+/// [`crate::MuxMetrics`] registered in the process-wide
 /// [`obs::global`] registry under `statesync_mux_*` names: every TCP sync
 /// in the process records its absorbed payloads (count, bytes, decode
 /// progress per round-trip) there.
-fn mux_metrics() -> reconcile_core::MuxMetrics {
+fn mux_metrics() -> crate::MuxMetrics {
     let g = obs::global();
-    reconcile_core::MuxMetrics {
+    crate::MuxMetrics {
         payloads: g.counter(
             "statesync_mux_payloads_total",
             "Payload frames absorbed by TCP sync clients.",
@@ -136,7 +137,7 @@ pub struct TcpSyncOutcome {
 /// `config.symbol_len`, **and α = [`riblt::DEFAULT_ALPHA`]** — the protocol
 /// pins the mapping parameter, and the handshake checks the first two but
 /// cannot see the backend's α (a non-default α decodes nothing and burns
-/// the unit budget before erroring `DecodeIncomplete`). [`crate::SyncClient`]
+/// the unit budget before erroring `DecodeIncomplete`). `statesync::SyncClient`
 /// builds its backends so, and cannot be configured otherwise.
 ///
 /// One open request serves every shard and leaves before the local set is
@@ -164,7 +165,7 @@ pub fn sync_sharded_tcp<B, F, T>(
     local_items: &[B::Item],
     factory: F,
     config: &TcpSyncConfig,
-) -> reconcile_core::Result<(Vec<SetDifference<B::Item>>, TcpSyncOutcome)>
+) -> crate::Result<(Vec<SetDifference<B::Item>>, TcpSyncOutcome)>
 where
     B: ReconcileBackend + Send,
     B::Client: Send,
@@ -196,7 +197,7 @@ where
     )?;
     let server_hello = client_handshake_pipelined(io, &local_hello, &wildcard)?;
     let shards = server_hello.shards;
-    let hello_wire = LENGTH_PREFIX_BYTES + reconcile_core::handshake::HELLO_BYTES;
+    let hello_wire = LENGTH_PREFIX_BYTES + crate::handshake::HELLO_BYTES;
     let mut bytes_sent = hello_wire + wildcard.len();
     let mut bytes_received = hello_wire;
     let mut inbound = FrameBuffer::new();
@@ -276,7 +277,7 @@ fn read_round<R: Read>(
     inbound: &mut FrameBuffer,
     chunk: &mut [u8],
     count: usize,
-) -> reconcile_core::Result<Vec<MuxFrame>> {
+) -> crate::Result<Vec<MuxFrame>> {
     let mut frames = Vec::new();
     while frames.len() < count {
         if let Some(bytes) = inbound.next_frame()? {
@@ -301,7 +302,7 @@ fn read_round<R: Read>(
 /// Writes one round's frames, each length-prefixed, with a single
 /// `write_all`: one syscall and one burst of segments per round trip
 /// instead of one per frame. Returns the bytes written.
-fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Result<usize> {
+fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> crate::Result<usize> {
     let mut wire = Vec::new();
     for frame in frames {
         append_frame(&mut wire, &frame.to_bytes())?;
@@ -314,6 +315,7 @@ fn write_round<W: Write>(io: &mut W, frames: &[MuxFrame]) -> reconcile_core::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight as netsim;
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::{read_mux_frame, run_in_memory, RangeRequest};
     use riblt::FixedBytes;

@@ -18,21 +18,16 @@
 //! 1. The handshake of [`reconcile_core::handshake`]: magic, protocol
 //!    version, SipKey fingerprint, shard-count announcement. Mismatched
 //!    peers are rejected with a reason frame before the connection closes.
-//! 2. Mux frames, request-driven: `Open` (validated against the rateless
-//!    stream magic) produces the stream's first tile, `Request(offset,
-//!    count)` one `Payload` per tile of the range, in order; `Done` retires
-//!    the `(session, shard)`. An `Open` addressed to
-//!    [`SHARD_ALL`] opens every shard; clients
-//!    pipeline it behind their hello, so the first flight follows the
-//!    daemon's hello in the same round trip. When it carries a count sketch
-//!    of the client's set, the node's own counts turn it into an estimate of
-//!    the difference, and every shard's first flight is sized from that
-//!    ([`FirstFlight::for_sketch`], the library's one rule) and announced in a
-//!    grant frame ahead of the payloads. The daemon never pushes beyond
-//!    what was asked or granted — on a shared connection only the client
-//!    knows which shards still need symbols, and how many.
+//! 2. Mux frames, request-driven, each handed to the connection's
+//!    [`cluster::Responder`], the sans-IO serving half a cluster pair
+//!    exchange serves through too (its docs have the dispatch). Clients
+//!    pipeline a wildcard `Open` carrying a count sketch behind their
+//!    hello, so the grant and every shard's first flight follow the
+//!    daemon's hello in the same round trip. The daemon never pushes
+//!    beyond what was asked or granted — on a shared connection only the
+//!    client knows which shards still need symbols, and how many.
 //! 3. The peer closes the connection (or times out, or errors); the
-//!    connection's byte/CPU accounting folds into the daemon-wide stats.
+//!    connection's byte accounting folds into the daemon-wide stats.
 //!
 //! Every connection carries read *and* write timeouts: a peer that connects
 //! and goes silent, or stops draining its receive window, costs one bounded
@@ -50,11 +45,12 @@
 //! Admin `ADD`/`REMOVE` take the node lock, so each served batch is a
 //! consistent snapshot. A mutation *between* batches of a long-running
 //! session changes later cells out from under the stream (already-served
-//! ranges described the old set); the decoder then simply fails to settle
-//! and the client retries against the new state — rateless streams make
-//! the retry cheap, and the unit budget bounds the damage. Sessions are
-//! short (seconds) relative to typical churn, exactly the deployment the
-//! paper's incremental-cache story targets.
+//! ranges described the old set). The client's peeler notices the splice
+//! and stops with the sticky `riblt::Error::InconsistentStream` instead of
+//! spending its unit budget on it, and the sync fails; nothing retries it,
+//! so the caller syncs again against the new state if it wants one.
+//! Sessions are short (seconds) relative to typical churn, the deployment
+//! the paper's incremental-cache story targets.
 
 use std::collections::HashMap;
 use std::io;
@@ -64,20 +60,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cluster::{Node, NodeConfig};
+use cluster::{Node, NodeConfig, Served, Tiles};
 use obs::{lock_unpoisoned, SpanTimer};
-use reconcile_core::backends::RIBLT_STREAM_MAGIC;
 use reconcile_core::datagram::{
     handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
-    DEFAULT_MTU_BUDGET, MIN_MTU_BUDGET,
+    DEFAULT_MTU_BUDGET,
 };
-use reconcile_core::framing::{append_frame, LENGTH_PREFIX_BYTES};
+use reconcile_core::framing::LENGTH_PREFIX_BYTES;
 use reconcile_core::handshake::{Hello, HELLO_BYTES};
-use reconcile_core::wirefmt::validate_stream_open;
-use reconcile_core::{
-    EngineError, EngineMessage, FirstFlight, MuxFrame, RangeRequest, SessionId, ShardId, SHARD_ALL,
-};
-use riblt::wire::SymbolCodec;
+use reconcile_core::{CountSketch, RangeRequest, ShardId};
 use riblt::Symbol;
 use riblt_hash::SipKey;
 
@@ -121,12 +112,9 @@ pub struct DaemonConfig {
     pub max_write_buffer: usize,
     /// UDP data listener address (`None` disables the datagram transport).
     /// Serves the same coded-symbol streams as the TCP listener, over the
-    /// session-cookie datagram protocol (`reconcile_core::datagram`).
+    /// session-cookie datagram protocol (`reconcile_core::datagram`), in
+    /// datagrams of at most `DEFAULT_MTU_BUDGET` bytes.
     pub udp_listen: Option<String>,
-    /// Per-datagram byte budget on the UDP transport: replies are packed
-    /// with as many symbols as fit, and larger inbound datagrams are
-    /// dropped.
-    pub udp_mtu_budget: usize,
 }
 
 impl Default for DaemonConfig {
@@ -144,7 +132,6 @@ impl Default for DaemonConfig {
             reactor_workers: 0,
             max_write_buffer: 1 << 20,
             udp_listen: None,
-            udp_mtu_budget: DEFAULT_MTU_BUDGET,
         }
     }
 }
@@ -179,7 +166,6 @@ pub struct DaemonStats {
 pub(crate) struct ConnAccounting {
     pub(crate) bytes_in: u64,
     pub(crate) bytes_out: u64,
-    pub(crate) serve_cpu_s: f64,
     pub(crate) sessions_opened: usize,
     pub(crate) sessions_completed: usize,
 }
@@ -355,33 +341,21 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
                 ),
             ));
         }
-        if config.udp_listen.is_some() && config.udp_mtu_budget < MIN_MTU_BUDGET {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "udp_mtu_budget {} is below the {MIN_MTU_BUDGET}-byte floor",
-                    config.udp_mtu_budget
-                ),
-            ));
-        }
         let data_listener = TcpListener::bind(&config.listen)?;
         let admin_listener = TcpListener::bind(&config.admin)?;
         data_listener.set_nonblocking(true)?;
         admin_listener.set_nonblocking(true)?;
         let data_addr = data_listener.local_addr()?;
         let admin_addr = admin_listener.local_addr()?;
-        let udp_socket = match &config.udp_listen {
-            Some(addr) => {
-                let socket = UdpSocket::bind(addr)?;
-                socket.set_nonblocking(true)?;
-                Some(socket)
-            }
-            None => None,
-        };
-        let udp_addr = match &udp_socket {
-            Some(socket) => Some(socket.local_addr()?),
-            None => None,
-        };
+        let udp_socket = config
+            .udp_listen
+            .as_ref()
+            .map(UdpSocket::bind)
+            .transpose()?;
+        if let Some(socket) = &udp_socket {
+            socket.set_nonblocking(true)?;
+        }
+        let udp_addr = udp_socket.as_ref().map(UdpSocket::local_addr).transpose()?;
 
         let mut node = Node::new(
             0,
@@ -512,236 +486,84 @@ impl<S: Symbol + Ord + Send + 'static> Drop for Daemon<S> {
     }
 }
 
-/// Books the two 18-byte hello frames (one each way) a completed handshake
-/// moved.
-pub(crate) fn account_handshake<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    acct: &mut ConnAccounting,
-) {
-    let hello_wire = (LENGTH_PREFIX_BYTES + HELLO_BYTES) as u64;
-    acct.bytes_in += hello_wire;
-    acct.bytes_out += hello_wire;
-    shared.metrics.bytes_in.add(hello_wire);
-    shared.metrics.bytes_out.add(hello_wire);
-}
-
-/// All per-connection protocol state: the `(session, shard)` streams that
-/// are open, each with the symbols served on it so far, and how far a
-/// wildcard open has been expanded. The counts are accounting for the
-/// `session_done` record only — every request names its own range, so
-/// serving never consults them.
-#[derive(Debug, Default)]
-pub(crate) struct OpenStreams {
-    served: HashMap<(SessionId, ShardId), usize>,
-    /// A wildcard open in progress: its session, the next shard to open and
-    /// the symbols each shard's first flight holds.
-    wildcard: Option<(SessionId, ShardId, usize)>,
-}
-
-impl OpenStreams {
-    pub(crate) fn new() -> Self {
-        Self::default()
+impl ConnAccounting {
+    /// Books the two 18-byte hello frames (one each way) a completed
+    /// handshake moved.
+    pub(crate) fn book_handshake<S: Symbol + Ord>(&mut self, shared: &SharedState<S>) {
+        let hello = (LENGTH_PREFIX_BYTES + HELLO_BYTES) as u64;
+        let (bytes_in, bytes_out) = (hello, hello);
+        self.book(
+            shared,
+            &Served {
+                bytes_in,
+                bytes_out,
+                ..Served::default()
+            },
+        );
     }
 
-    /// True while a wildcard open has shards left to open. The serving loop
-    /// opens them one [`open_next_wildcard_shard`] at a time before it takes
-    /// the connection's next frame.
-    pub(crate) fn expanding_wildcard(&self) -> bool {
-        self.wildcard.is_some()
-    }
-}
-
-/// Dispatches one post-handshake client frame, appending the reply frames
-/// it calls for (length-prefixed, ready to write) to `out`: `Open` → the
-/// stream's first tile, `Request` → one payload frame per tile of its
-/// range, `Done` → none. An `Open` addressed to [`SHARD_ALL`] is an `Open`
-/// of every shard, each answered with its first flight (one tile, or the
-/// granted range when the open carries a count sketch, behind the grant
-/// frame): this opens shard 0 and leaves the rest to
-/// [`open_next_wildcard_shard`], so the caller's backpressure check runs
-/// between shards as it does between separate opens. `out` is the
-/// connection's write buffer: a reply is staged where it will be flushed
-/// from, never copied.
-///
-/// A request is validated in full before anything is staged, so a hostile
-/// range costs a typed error and the connection, never memory proportional
-/// to the count it named.
-pub(crate) fn handle_client_frame<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    streams: &mut OpenStreams,
-    frame_bytes: &[u8],
-    acct: &mut ConnAccounting,
-    out: &mut Vec<u8>,
-) -> reconcile_core::Result<()> {
-    let config = &shared.config;
-    let frame = MuxFrame::from_bytes(frame_bytes)?;
-    let wire_in = (LENGTH_PREFIX_BYTES + frame.wire_size()) as u64;
-    acct.bytes_in += wire_in;
-    shared.metrics.bytes_in.add(wire_in);
-    let key = (frame.session, frame.shard);
-    if frame.shard == SHARD_ALL && !matches!(frame.message, EngineMessage::Open(_)) {
-        return Err(EngineError::Protocol(
-            "only an open may address every shard",
-        ));
-    }
-    match frame.message {
-        EngineMessage::Open(ref request) => {
-            let sketch = validate_stream_open(request, RIBLT_STREAM_MAGIC, config.symbol_len)?;
-            if frame.shard != SHARD_ALL {
-                return open_stream(shared, streams, key, config.batch_symbols, acct, out);
-            }
-            // The wildcard is the open a client pipelines behind its hello,
-            // before it knows the shard count: once, and first.
-            if acct.sessions_opened > 0 {
-                return Err(EngineError::Protocol("wildcard open after another open"));
-            }
-            let flight = FirstFlight::for_sketch(
-                sketch,
-                lock_unpoisoned(&shared.node).count_sketch(),
-                config.shards,
-                config.batch_symbols,
-                config.max_units_per_session,
-            )?;
-            if let Some(grant) = flight.grant {
-                let grant = MuxFrame::new(frame.session, SHARD_ALL, EngineMessage::Request(grant));
-                let staged = out.len();
-                append_frame(out, &grant.to_bytes())?;
-                let wire_out = (out.len() - staged) as u64;
-                acct.bytes_out += wire_out;
-                shared.metrics.bytes_out.add(wire_out);
-            }
-            shared
-                .metrics
-                .first_flight_symbols
-                .observe(flight.symbols as u64);
+    /// Folds one turn of the connection's [`cluster::Responder`] into its
+    /// accounting and the daemon's metrics, and records the turn's
+    /// `first_flight` and `session_done` events on `TRACE`.
+    pub(crate) fn book<S: Symbol + Ord>(&mut self, shared: &SharedState<S>, served: &Served) {
+        let metrics = &shared.metrics;
+        self.bytes_in += served.bytes_in;
+        metrics.bytes_in.add(served.bytes_in);
+        self.bytes_out += served.bytes_out;
+        metrics.bytes_out.add(served.bytes_out);
+        self.sessions_opened += served.opened;
+        metrics.sessions_opened.add(served.opened as u64);
+        if let Some((session, flight)) = served.first_flight {
+            metrics.first_flight_symbols.observe(flight.symbols as u64);
             let estimate = flight
                 .estimate
                 .map_or_else(|| "none".to_string(), |d| format!("{d:.1}"));
-            shared.metrics.events.record(
+            metrics.events.record(
                 "first_flight",
                 format!(
-                    "session={} estimate={estimate} symbols_per_shard={}",
-                    frame.session, flight.symbols
+                    "session={session} estimate={estimate} symbols_per_shard={}",
+                    flight.symbols
                 ),
             );
-            streams.wildcard = Some((frame.session, 0, flight.symbols));
-            open_next_wildcard_shard(shared, streams, acct, out)
         }
-        EngineMessage::Request(range) => {
-            if !streams.served.contains_key(&key) {
-                return Err(EngineError::Protocol("request for unknown session/shard"));
-            }
-            serve_range(shared, streams, key, range, acct, out)
+        if let Some((session, shard, symbols)) = served.completed {
+            self.sessions_completed += 1;
+            metrics.sessions_completed.inc();
+            metrics.session_symbols.observe(symbols as u64);
+            metrics.events.record(
+                "session_done",
+                format!("session={session} shard={shard} symbols={symbols}"),
+            );
         }
-        EngineMessage::Done => {
-            // Duplicate Dones are harmless, as they are to `ServerMux`.
-            if let Some(served) = streams.served.remove(&key) {
-                acct.sessions_completed += 1;
-                shared.metrics.sessions_completed.inc();
-                shared.metrics.session_symbols.observe(served as u64);
-                shared.metrics.events.record(
-                    "session_done",
-                    format!("session={} shard={} symbols={served}", key.0, key.1),
-                );
-            }
-            Ok(())
-        }
-        EngineMessage::Payload(_) | EngineMessage::Query(_) => Err(EngineError::Protocol(
-            "client sent a server-side or interactive frame",
-        )),
     }
 }
 
-/// Opens the next shard of the wildcard open being expanded (a no-op when
-/// none is): what a per-shard `Open` of that shard does, with the wildcard's
-/// first flight in place of the first tile.
-pub(crate) fn open_next_wildcard_shard<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    streams: &mut OpenStreams,
-    acct: &mut ConnAccounting,
-    out: &mut Vec<u8>,
-) -> reconcile_core::Result<()> {
-    let Some((session, shard, symbols)) = streams.wildcard else {
-        return Ok(());
-    };
-    streams.wildcard = (shard + 1 < shared.config.shards).then_some((session, shard + 1, symbols));
-    open_stream(shared, streams, (session, shard), symbols, acct, out)
-}
+/// What a connection's [`cluster::Responder`] serves from: the node, under
+/// its lock, through the wire-batch cache ([`encode_shard_batch`]).
+impl<S: Symbol + Ord> Tiles for &SharedState<S> {
+    fn with_count_sketch<R>(&self, read: impl FnOnce(&CountSketch) -> R) -> R {
+        read(lock_unpoisoned(&self.node).count_sketch())
+    }
 
-/// Opens the stream `key` and stages its first `symbols` (whole tiles).
-fn open_stream<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    streams: &mut OpenStreams,
-    key: (SessionId, ShardId),
-    symbols: usize,
-    acct: &mut ConnAccounting,
-    out: &mut Vec<u8>,
-) -> reconcile_core::Result<()> {
-    if key.1 >= shared.config.shards {
-        return Err(EngineError::Protocol("shard out of range"));
+    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Vec<u8> {
+        encode_shard_batch(self, shard, offset, count)
     }
-    if streams.served.insert(key, 0).is_some() {
-        return Err(EngineError::Protocol("duplicate open for session/shard"));
-    }
-    acct.sessions_opened += 1;
-    shared.metrics.sessions_opened.inc();
-    serve_range(
-        shared,
-        streams,
-        key,
-        RangeRequest::new(0, symbols)?,
-        acct,
-        out,
-    )
-}
-
-/// Stages one payload frame per tile of `range` of the open stream `key`.
-fn serve_range<S: Symbol + Ord>(
-    shared: &SharedState<S>,
-    streams: &mut OpenStreams,
-    key: (SessionId, ShardId),
-    range: RangeRequest,
-    acct: &mut ConnAccounting,
-    out: &mut Vec<u8>,
-) -> reconcile_core::Result<()> {
-    let config = &shared.config;
-    let tile = config.batch_symbols;
-    // A stream's first tile is always within budget, as it was for v1.
-    let tiles = range.tiles(tile, config.max_units_per_session.max(tile))?;
-    let staged = out.len();
-    for index in 0..tiles {
-        let batch_span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
-        let offset = range.offset as usize + index * tile;
-        let (payload, serve_cpu) = encode_shard_batch(shared, key.1, offset, tile);
-        acct.serve_cpu_s += serve_cpu.as_secs_f64();
-        let reply = MuxFrame::new(key.0, key.1, EngineMessage::Payload(payload)).to_bytes();
-        batch_span.stop();
-        if let Err(e) = append_frame(out, &reply) {
-            // Stage all of a reply or none of it.
-            out.truncate(staged);
-            return Err(e.into());
-        }
-    }
-    let wire_out = (out.len() - staged) as u64;
-    acct.bytes_out += wire_out;
-    shared.metrics.bytes_out.add(wire_out);
-    *streams.served.get_mut(&key).expect("open checked above") += tiles * tile;
-    Ok(())
 }
 
 /// Produces the wire-encoded batch `[next, next + count)` of a shard — a
 /// precomputed wire batch when the shard is unchanged since it was encoded,
-/// otherwise a cache-range read plus §6 encode under the node lock. Shared
-/// by the TCP path (count = `batch_symbols`) and the UDP path (count =
+/// otherwise a cache-range read plus §6 encode under the node lock — and
+/// times it in `serve_batch_seconds` and the serve CPU counter. Shared by
+/// the TCP path (count = `batch_symbols`) and the UDP path (count =
 /// whatever fits the MTU budget); the cache key includes the count so the
-/// two strides never collide. Returns the payload and the CPU time spent.
+/// two strides never collide.
 pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
     shared: &SharedState<S>,
     shard: ShardId,
     next: usize,
     count: usize,
-) -> (Vec<u8>, Duration) {
-    let config = &shared.config;
+) -> Vec<u8> {
+    let span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
     let t0 = Instant::now();
     // Every peer reads the same universal prefix of a shard's coded-symbol
     // sequence, so the encoded bytes of `[next, next + count)` can be reused
@@ -759,12 +581,10 @@ pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
                 let mut node = lock_unpoisoned(&shared.node);
                 // Re-read under the node lock: mutators bump while holding
                 // it, so this generation matches the encoded snapshot.
-                let gen_now = shared.shard_gen(shard);
-                let set_size = node.shard_len(shard) as u64;
-                let codec =
-                    SymbolCodec::with_alpha(config.symbol_len, set_size, riblt::DEFAULT_ALPHA);
-                let cells = node.shard_cells(shard, next, count);
-                (gen_now, codec.encode_batch(cells, next as u64))
+                (
+                    shared.shard_gen(shard),
+                    node.encode_tile(shard, next, count),
+                )
             };
             lock_unpoisoned(&shared.wire_cache).insert(
                 shard,
@@ -777,13 +597,14 @@ pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
         }
     };
     let serve_cpu = t0.elapsed();
+    span.stop();
     shared
         .metrics
         .serve_cpu_nanos
         .add(serve_cpu.as_nanos().min(u64::MAX as u128) as u64);
     shared.metrics.payload_bytes.observe(payload.len() as u64);
     shared.metrics.symbols_served.add(count as u64);
-    (payload, serve_cpu)
+    payload
 }
 
 /// Dispatches one inbound UDP datagram and transmits any replies; the
@@ -802,7 +623,7 @@ pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
     let service = DatagramServiceConfig {
         hello: Hello::new(config.key, config.shards, config.symbol_len),
         key: config.key,
-        mtu_budget: config.udp_mtu_budget,
+        mtu_budget: DEFAULT_MTU_BUDGET,
         max_units_per_session: config.max_units_per_session,
     };
     let peer_bytes = peer.to_string().into_bytes();
@@ -815,13 +636,8 @@ pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
             datagram,
             Instant::now(),
             |shard, start, count| {
-                if shard >= config.shards {
-                    return None;
-                }
-                let span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
-                let (payload, _) = encode_shard_batch(shared, shard, start as usize, count);
-                span.stop();
-                Some(payload)
+                (shard < config.shards)
+                    .then(|| encode_shard_batch(shared, shard, start as usize, count))
             },
         )
     };
@@ -876,6 +692,7 @@ pub(crate) fn sweep_udp_sessions<S: Symbol + Ord>(shared: &SharedState<S>) {
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
+    use reconcile_core::EngineError;
     use riblt::FixedBytes;
     use statesync::{sync_sharded_tcp, TcpSyncConfig};
     use std::net::TcpStream;

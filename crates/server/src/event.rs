@@ -6,8 +6,8 @@
 //!
 //! Serving a peer needs no per-peer computation state: a connection is a
 //! handshake followed by stateless range reads out of the shared per-shard
-//! sketch caches (`handle_client_frame` stages each reply straight into the
-//! connection's write buffer). Nothing about a connection is worth a
+//! sketch caches (the connection's `cluster::Responder` stages each reply
+//! straight into its write buffer). Nothing about a connection is worth a
 //! dedicated OS thread, so one worker can interleave thousands of peers;
 //! the concurrency ceiling becomes file descriptors, not stacks. This is
 //! the daemon's only serving path.
@@ -46,14 +46,14 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use cluster::Responder;
 use reconcile_core::framing::{append_frame, FrameBuffer};
 use reconcile_core::handshake::{reject_frame_bytes, validate_client_hello, Hello, RejectReason};
 use riblt::Symbol;
 
 use crate::admin;
 use crate::daemon::{
-    account_handshake, handle_client_frame, handle_udp_datagram, open_next_wildcard_shard,
-    sweep_udp_sessions, ConnAccounting, OpenStreams, SharedState,
+    handle_udp_datagram, sweep_udp_sessions, ConnAccounting, DaemonConfig, SharedState,
 };
 use crate::reactor::{Interest, PollEvent, Poller};
 
@@ -203,12 +203,19 @@ struct Conn {
     /// Close outcome text, set the moment the close was decided (the
     /// connection may still be flushing).
     outcome: Option<String>,
-    streams: OpenStreams,
+    /// Serves the mux frames after the handshake.
+    responder: Responder,
     acct: ConnAccounting,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, peer: SocketAddr, state: ConnState, now: Instant) -> Conn {
+    fn new(
+        stream: TcpStream,
+        peer: SocketAddr,
+        state: ConnState,
+        now: Instant,
+        config: &DaemonConfig,
+    ) -> Conn {
         Conn {
             stream,
             peer,
@@ -225,7 +232,12 @@ impl Conn {
             opened: now,
             handshake_observed: false,
             outcome: None,
-            streams: OpenStreams::new(),
+            responder: Responder::new(
+                config.shards,
+                config.symbol_len,
+                config.batch_symbols,
+                config.max_units_per_session,
+            ),
             acct: ConnAccounting::default(),
         }
     }
@@ -480,7 +492,7 @@ fn accept_ready<S: Symbol + Ord>(
         shared.active.fetch_add(1, Ordering::SeqCst);
         let token = *next_token;
         *next_token += 1;
-        let conn = Conn::new(stream, peer, state, now);
+        let conn = Conn::new(stream, peer, state, now, &shared.config);
         if let Err(e) = poller.register(conn.stream.as_raw_fd(), token, conn.interest) {
             eprintln!("reconciled: cannot register {peer}: {e}");
             shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -610,7 +622,7 @@ fn pump<S: Symbol + Ord>(
                     match validate_client_hello(&client, local_hello) {
                         Ok(()) => {
                             conn.queue_frame(&local_hello.to_bytes());
-                            account_handshake(shared, &mut conn.acct);
+                            conn.acct.book_handshake(shared);
                             observe_handshake(shared, conn);
                             conn.state = ConnState::Serving;
                         }
@@ -630,16 +642,14 @@ fn pump<S: Symbol + Ord>(
                     // Replies are staged straight into the write buffer; an
                     // oversized one (it would desynchronize the stream)
                     // comes back as an error with nothing staged.
-                    let served = if conn.streams.expanding_wildcard() {
-                        // One shard per turn, so the pause check below runs
-                        // between the shards of a wildcard open as it does
-                        // between separate opens.
-                        open_next_wildcard_shard(
-                            shared,
-                            &mut conn.streams,
-                            &mut conn.acct,
-                            &mut conn.outbuf,
-                        )
+                    // The node, through the wire-batch cache.
+                    let mut tiles = shared;
+                    // One shard of a wildcard open per turn, so the pause
+                    // check below runs between its shards as it does
+                    // between separate opens.
+                    let next = conn.responder.open_next_shard(&mut tiles, &mut conn.outbuf);
+                    let served = if let Some(served) = next.transpose() {
+                        served
                     } else {
                         let frame = match conn.inbuf.next_frame() {
                             Ok(Some(frame)) => frame,
@@ -653,17 +663,14 @@ fn pump<S: Symbol + Ord>(
                                 break;
                             }
                         };
-                        handle_client_frame(
-                            shared,
-                            &mut conn.streams,
-                            &frame,
-                            &mut conn.acct,
-                            &mut conn.outbuf,
-                        )
+                        conn.responder.handle(&frame, &mut tiles, &mut conn.outbuf)
                     };
-                    if let Err(e) = served {
-                        begin_close(shared, conn, Close::Error(e.to_string()));
-                        break;
+                    match served {
+                        Ok(served) => conn.acct.book(shared, &served),
+                        Err(e) => {
+                            begin_close(shared, conn, Close::Error(e.to_string()));
+                            break;
+                        }
                     }
                 }
                 ConnState::Admin => {

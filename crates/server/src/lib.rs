@@ -9,13 +9,14 @@
 //! * maintains one item set hash-partitioned into shards, each shard backed
 //!   by a shared incrementally-maintained [`riblt::SketchCache`] (via
 //!   [`cluster::Node`]) — coded symbols are computed **once** per set
-//!   change and the same cells serve every connected peer at any staleness;
+//!   change and the same cells serve every connected peer at any staleness,
+//!   each connection through its own [`cluster::Responder`];
 //! * speaks the versioned handshake of
 //!   [`reconcile_core::handshake`] (magic, protocol version, SipKey
 //!   fingerprint, shard-count negotiation) in front of the multiplexed
 //!   [`reconcile_core::MuxFrame`] wire protocol;
 //! * enforces read/write timeouts on every connection (a silent peer can
-//!   never wedge a serving thread), keeps per-connection byte/CPU
+//!   never wedge a serving thread), keeps per-connection byte
 //!   accounting, and shuts down gracefully;
 //! * exposes a line-oriented admin/metrics socket (`STATS`, `METRICS`,
 //!   `TRACE`, `ADD <hex>`, `REMOVE <hex>`, `QUIT`, `SHUTDOWN`) so operators

@@ -79,7 +79,7 @@ pub struct DaemonMetrics {
     pub handshake_seconds: Arc<Histogram>,
     /// Data-connection lifetime (ns → seconds).
     pub connection_seconds: Arc<Histogram>,
-    /// Per-batch serve latency: cache lookup or encode plus the write
+    /// Per-batch serve latency: cache lookup or encode, never the write
     /// (ns → seconds).
     pub serve_batch_seconds: Arc<Histogram>,
     /// Coded symbols streamed per completed `(session, shard)` stream.
@@ -207,8 +207,8 @@ impl DaemonMetrics {
         );
         let serve_batch_seconds = registry.histogram_seconds(
             "reconciled_serve_batch_seconds",
-            "Latency of producing one coded-symbol batch (cache lookup or encode plus frame \
-             assembly; excludes the socket write, so a slow reader cannot inflate it).",
+            "Latency of producing one coded-symbol batch (cache lookup or encode; excludes \
+             staging the frame and the socket write, so a slow reader cannot inflate it).",
         );
         let session_symbols = registry.histogram(
             "reconciled_session_symbols",

@@ -1,6 +1,6 @@
 //! Slow-peer isolation: a peer draining its replies at 1 byte per 100 ms
 //! must pause only itself. The serve-batch latency histogram — which
-//! covers cache lookup/encode plus frame assembly, never the socket write
+//! covers the cache lookup or encode, never staging or the socket write
 //! — must keep a fast p99 for the rest of the fleet, and the slow peer's
 //! stall must show up as backpressure pauses, not as connection errors or
 //! encode-path delays.

@@ -7,11 +7,9 @@
 use std::io::{Read, Write};
 
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::SetDifference;
+use reconcile_core::{sync_sharded_tcp, SetDifference, TcpSyncConfig, TcpSyncOutcome};
 use riblt::Symbol;
 use riblt_hash::SipKey;
-
-use crate::tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 
 /// A client that owns its local set: a sorted, deduplicated `Vec`, which
 /// every [`Self::sync`] hands to the driver as it is, with no copy per sync.

@@ -13,9 +13,11 @@
 //!
 //! [`sync_sharded_tcp`] is the client half of the `reconciled` daemon's
 //! wire protocol, over any byte stream (`Read + Write`), complete with the
-//! versioned handshake and shard-count negotiation. [`sync_sharded_riblt`]
-//! runs it over the simulated link, against the library's own server, and
-//! [`SyncClient`] is the shell an application holds: it owns the local set.
+//! versioned handshake and shard-count negotiation; it lives in
+//! `reconcile-core` beside the multiplexer it drives, and is re-exported
+//! here. [`sync_sharded_riblt`] runs it over the simulated link, against the
+//! library's own server, and [`SyncClient`] is the shell an application
+//! holds: it owns the local set.
 
 #![warn(missing_docs)]
 
@@ -26,7 +28,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod shard_sync;
 pub mod sync;
-pub mod tcp_sync;
 pub mod udp_sync;
 
 pub use chain::{BlockUpdate, Chain, ChainConfig};
@@ -37,11 +38,11 @@ pub use ledger::{
     LedgerItem, ACCOUNT_LEN, ADDRESS_LEN, ITEM_LEN,
 };
 pub use metrics::SyncOutcome;
+pub use reconcile_core::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 pub use shard_sync::{sync_sharded_riblt, ShardedRibltConfig, ShardedSyncConfig};
 pub use sync::{
     sync_with_backend, sync_with_heal, sync_with_riblt, HealSyncConfig, RibltSyncConfig, SyncConfig,
 };
-pub use tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 pub use udp_sync::{
     sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome,
 };

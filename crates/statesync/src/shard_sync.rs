@@ -1,6 +1,8 @@
 //! Sharded ledger synchronization over the simulated link: the shipped
 //! client ([`crate::sync_sharded_tcp`]) against the library's own server
-//! ([`netsim::library_server`]), every flight charged to a [`SimLink`].
+//! ([`netsim::library_server`]), every flight charged to a two-node
+//! [`Topology`] ([`SimFlights`]), as a cluster pair exchange charges its
+//! own.
 //!
 //! Where the single-session driver ([`crate::sync_with_backend`]) peels one
 //! stream for the whole ledger (the bottleneck at production state sizes,
@@ -10,19 +12,15 @@
 //! phases — so multi-core speedups show in completion times, as they would
 //! on real hardware.
 
-use std::io::{self, Read, Write};
-use std::time::Instant;
-
-use netsim::{library_server, FlightLink, LinkDirection, SimLink};
+use netsim::{library_server, FlightLink, SimFlights, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::handshake::Hello;
-use reconcile_core::{read_frame, read_mux_frame, EngineMessage};
+use reconcile_core::{read_frame, read_mux_frame, sync_sharded_tcp, EngineMessage, TcpSyncConfig};
 use riblt_hash::SipKey;
 
 use crate::ledger::{Ledger, LedgerItem, ITEM_LEN};
 use crate::metrics::SyncOutcome;
 use crate::sync::SyncConfig;
-use crate::tcp_sync::{sync_sharded_tcp, TcpSyncConfig};
 
 /// Configuration of a sharded synchronization run.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +31,9 @@ pub struct ShardedSyncConfig {
     pub threads: usize,
     /// Keyed-hash key of the shard partition — must match on both replicas.
     pub key: SipKey,
-    /// Transport parameters.
+    /// Transport parameters: the link. `min_open_bytes` pads the
+    /// single-stream drivers' opens only; the sharded client's first flight
+    /// (hello and sketched open) is larger than its default anyway.
     pub base: SyncConfig,
 }
 
@@ -100,38 +100,34 @@ fn simulate(
     // Untimed setup: both replicas know their own sets already.
     let (local, hello) = (stale.items(), Hello::new(key, shards, ITEM_LEN));
     let budget = client.max_units_per_shard;
-    let mut io = SimFlights {
-        link: library_server(backend.clone(), &latest.items(), hello, budget),
-        sim: SimLink::new(base.link),
-        min_open_bytes: base.min_open_bytes,
-        unsent: 0,
-        resumed: Instant::now(),
-        client_clock: 0.0,
-        server_clock: 0.0,
-        client_cpu: 0.0,
-        server_cpu: 0.0,
-    };
+    let server = library_server(backend.clone(), &latest.items(), hello, budget);
+    let mut topology = Topology::full_mesh(2, base.link);
+    let mut io = SimFlights::new(server, &mut topology, (0, 1), 0.0);
     let (differences, synced) = sync_sharded_tcp(&mut io, &local, |_| backend.clone(), &client)?;
     // The last CPU, and the `Done`s nothing answers.
-    io.client_sends(Instant::now());
+    io.finish();
+    let (completion_time_s, client_cpu_s, server_cpu_s) =
+        (io.client_clock, io.client_cpu, io.server_cpu);
+    let said = io.link;
 
     let mut updated = stale.clone();
     for diff in &differences {
         updated.apply_items(&diff.remote_only);
     }
+    let sim = topology.link_mut(0, 1);
     let outcome = SyncOutcome {
-        completion_time_s: io.client_clock,
-        bytes_downstream: io.sim.bytes_server_to_client(),
-        bytes_upstream: io.sim.bytes_client_to_server(),
-        rounds: io.link.flights,
-        payloads: payloads(&io.link.received)?,
+        completion_time_s,
+        bytes_downstream: sim.bytes_server_to_client(),
+        bytes_upstream: sim.bytes_client_to_server(),
+        rounds: said.flights,
+        payloads: payloads(&said.received)?,
         units_transferred: synced.units,
         accounts_updated: differences.iter().map(|d| d.remote_only.len()).sum(),
-        downstream_series: io.sim.downstream_series().clone(),
-        client_cpu_s: io.client_cpu,
-        server_cpu_s: io.server_cpu,
+        downstream_series: sim.downstream_series().clone(),
+        client_cpu_s,
+        server_cpu_s,
     };
-    Ok((updated, outcome, io.link))
+    Ok((updated, outcome, said))
 }
 
 /// The payload frames among everything a server said, its hello first.
@@ -144,73 +140,6 @@ fn payloads(mut said: &[u8]) -> reconcile_core::Result<usize> {
         }
     }
     Ok(payloads)
-}
-
-/// A [`FlightLink`] whose flights cost virtual time on a [`SimLink`]: what
-/// the client wrote since the last flight goes upstream at the client's
-/// clock (the first flight at least `min_open_bytes`), the wall time of the
-/// server's answer goes to the server's clock, and the answer comes back
-/// downstream. The client's CPU is the wall time between flights.
-struct SimFlights {
-    link: FlightLink,
-    sim: SimLink,
-    min_open_bytes: usize,
-    /// Bytes the client wrote since the last flight.
-    unsent: usize,
-    /// When the client last stopped waiting for the server.
-    resumed: Instant,
-    client_clock: f64,
-    server_clock: f64,
-    client_cpu: f64,
-    server_cpu: f64,
-}
-
-impl SimFlights {
-    /// Charges the client's wall time up to `now`, then sends what it wrote
-    /// since the last flight upstream; returns when that arrives.
-    fn client_sends(&mut self, now: Instant) -> f64 {
-        let cpu = now.duration_since(self.resumed).as_secs_f64();
-        self.client_clock += cpu;
-        self.client_cpu += cpu;
-        let mut bytes = std::mem::take(&mut self.unsent);
-        if self.sim.bytes_client_to_server() == 0 {
-            bytes = bytes.max(self.min_open_bytes);
-        }
-        self.sim
-            .send(LinkDirection::ClientToServer, self.client_clock, bytes)
-    }
-}
-
-impl Read for SimFlights {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let (flights, heard) = (self.link.flights, self.link.received.len());
-        let waiting = Instant::now();
-        let read = self.link.read(buf)?;
-        if self.link.flights > flights {
-            let answered = Instant::now();
-            let arrival = self.client_sends(waiting);
-            let serve = answered.duration_since(waiting).as_secs_f64();
-            self.server_clock = self.server_clock.max(arrival) + serve;
-            self.server_cpu += serve;
-            let answer = self.link.received.len() - heard;
-            let arrival = self
-                .sim
-                .send(LinkDirection::ServerToClient, self.server_clock, answer);
-            self.client_clock = self.client_clock.max(arrival);
-            self.resumed = answered;
-        }
-        Ok(read)
-    }
-}
-
-impl Write for SimFlights {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.unsent += buf.len();
-        self.link.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.link.flush()
-    }
 }
 
 #[cfg(test)]

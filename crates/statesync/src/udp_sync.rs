@@ -1,7 +1,7 @@
 //! Sharded synchronization over a lossy datagram transport: the client
 //! half of the `reconciled` UDP wire protocol.
 //!
-//! Where [`crate::tcp_sync`] rides a reliable byte stream, this module
+//! Where [`crate::sync_sharded_tcp`] rides a reliable byte stream, this module
 //! drives the same per-shard rateless streams over anything that moves
 //! unreliable datagrams — a connected [`std::net::UdpSocket`] against the
 //! daemon, a [`netsim::DatagramEndpoint`] pair in a test or benchmark —

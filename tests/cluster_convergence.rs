@@ -108,9 +108,9 @@ fn one_responder_serves_many_peers_from_one_cache() {
 
     let mut topo = Topology::full_mesh(6, LinkConfig::paper_default());
     let config = PairSyncConfig::default();
-    for (session, peer) in [(1u32, 1usize), (2, 2), (3, 3), (4, 4), (5, 5)] {
-        let outcome = reconcile_pair(&mut nodes, peer, 0, &mut topo, &config, session, 0.0)
-            .expect("peer sync");
+    for peer in 1..6 {
+        let outcome =
+            reconcile_pair(&mut nodes, peer, 0, &mut topo, &config, 0.0).expect("peer sync");
         assert_eq!(outcome.items_to_responder, 0, "hub already had everything");
     }
     for peer in 1..6 {

@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 use rateless_reconciliation::cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
 use rateless_reconciliation::netsim::{library_server, LinkConfig, Topology};
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
-use rateless_reconciliation::reconcile_core::handshake::{Hello, HELLO_BYTES};
-use rateless_reconciliation::reconcile_core::{LENGTH_PREFIX_BYTES, MUX_HEADER_BYTES};
+use rateless_reconciliation::reconcile_core::handshake::Hello;
+use rateless_reconciliation::reconcile_core::MUX_HEADER_BYTES;
 use rateless_reconciliation::riblt::FixedBytes;
 use rateless_reconciliation::statesync::{sync_sharded_tcp, TcpSyncConfig};
 
@@ -71,8 +71,7 @@ fn a_pair_exchange_is_the_tcp_clients_conversation() {
 
             let mut nodes = vec![node(0, shards, client), node(1, shards, server)];
             let mut topology = Topology::full_mesh(2, LinkConfig::unlimited());
-            let pair =
-                reconcile_pair(&mut nodes, 0, 1, &mut topology, &pair_config, 1, 0.0).unwrap();
+            let pair = reconcile_pair(&mut nodes, 0, 1, &mut topology, &pair_config, 0.0).unwrap();
 
             // The same differences, item for item: what each node gained is
             // what the TCP client recovered on that side.
@@ -93,17 +92,16 @@ fn a_pair_exchange_is_the_tcp_clients_conversation() {
             assert_eq!(pair.units, tcp.units, "{case}");
             assert_eq!(pair.rounds, tcp.rounds + 1, "{case}");
 
-            // The same frames: the pair's bytes are the TCP transcript's but
-            // for the two hellos, plus one item frame per shard pushed back.
+            // The same frames: the pair's bytes are the TCP transcript's,
+            // plus one item frame per shard pushed back.
             let push: usize = diffs
                 .iter()
                 .filter(|d| !d.local_only.is_empty())
                 .map(|d| MUX_HEADER_BYTES + 1 + d.local_only.len() * ITEM_LEN)
                 .sum();
-            let hellos = 2 * (LENGTH_PREFIX_BYTES + HELLO_BYTES);
             assert_eq!(
                 pair.bytes - push,
-                link.sent.len() + link.received.len() - hellos,
+                link.sent.len() + link.received.len(),
                 "{case}"
             );
         }

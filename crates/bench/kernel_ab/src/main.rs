@@ -22,6 +22,7 @@
 //! those are the rows a PR edits. Every kernel returns a digest of what it
 //! computed, and the two sides' digests must agree.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -32,6 +33,8 @@ const SET: usize = 20_000;
 const SHARDS: u16 = 8;
 /// Coded symbols per payload, the daemon's default tile.
 const TILE: usize = 32;
+/// Symbols a stream may serve, the daemon's default budget.
+const UNIT_BUDGET: usize = 1 << 20;
 
 /// Inputs as plain bytes, generated once and wrapped into each side's types.
 pub struct Raw {
@@ -43,6 +46,8 @@ pub struct Raw {
     remote_far: Vec<[u8; ITEM_LEN]>,
     /// 10,000 more, for the pure peel.
     fresh: Vec<[u8; ITEM_LEN]>,
+    /// The local set with its last 1,000 items replaced (d = 2,000).
+    remote_mid: Vec<[u8; ITEM_LEN]>,
 }
 
 impl Raw {
@@ -66,11 +71,13 @@ impl Raw {
         let remote_near = replace_tail(50, draw(50));
         let remote_far = replace_tail(2_000, draw(2_000));
         let fresh = draw(10_000);
+        let remote_mid = replace_tail(1_000, draw(1_000));
         Raw {
             local,
             remote_near,
             remote_far,
             fresh,
+            remote_mid,
         }
     }
 }
@@ -86,13 +93,18 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 type Sample = (f64, u64);
 
 macro_rules! side {
-    ($side:ident, $riblt:ident, $hash:ident, $core:ident, $cluster:ident) => {
+    ($side:ident, $riblt:ident, $hash:ident, $core:ident, $cluster:ident, $netsim:ident) => {
         pub mod $side {
-            use super::{black_box, timed, Raw, Sample, SHARDS, TILE};
-            use $cluster::{Node, NodeConfig};
+            use super::{black_box, timed, Raw, RefCell, Sample, SHARDS, TILE, UNIT_BUDGET};
+            use $cluster::{Node, NodeConfig, Responder};
             use $core::backends::RibltBackend;
-            use $core::{ClientEngine, EngineMessage, Progress, ServerEngine, ShardPartitioner};
+            use $core::handshake::Hello;
+            use $core::{
+                sync_sharded_tcp, ClientEngine, EngineMessage, Progress, ServerEngine,
+                ShardPartitioner, TcpSyncConfig,
+            };
             use $hash::SipKey;
+            use $netsim::FlightLinkTo;
             use $riblt::{CodedSymbol, Decoder, Encoder, FixedBytes, Symbol};
 
             pub type Item = FixedBytes<32>;
@@ -109,6 +121,9 @@ macro_rules! side {
                 peel_2k: Vec<CodedSymbol<Item>>,
                 peel_10k: Vec<CodedSymbol<Item>>,
                 peel_10k_narrow: Vec<CodedSymbol<Narrow>>,
+                /// Warm servers of the remote sets at d = 100 and d = 2,000.
+                near_node: RefCell<Node<Item>>,
+                mid_node: RefCell<Node<Item>>,
             }
 
             fn backend(key: SipKey) -> RibltBackend<Item> {
@@ -147,8 +162,17 @@ macro_rules! side {
                         payloads
                     })
                     .collect();
+                let warm_node = |remote: &[[u8; 32]]| {
+                    let mut node = empty_node();
+                    node.extend(wrap(remote));
+                    let node = RefCell::new(node);
+                    one_shot(key, &local, &node);
+                    node
+                };
                 Inputs {
                     key,
+                    near_node: warm_node(&raw.remote_near),
+                    mid_node: warm_node(&raw.remote_mid),
                     near_payloads,
                     far_stream: stream(&wrap(&raw.remote_far), 8_000),
                     peel_2k: stream(&fresh[..2_000], 4_004),
@@ -237,6 +261,47 @@ macro_rules! side {
                 (secs, coded[0].checksum ^ coded[2_999].checksum)
             }
 
+            /// One whole one-shot sync of `local` on one thread, the client
+            /// (`sync_sharded_tcp`) and the server (a `Responder` over
+            /// `node`, behind the handshake) in one process, as a cluster
+            /// pair exchange holds it: the seconds the sync took, and the
+            /// units consumed beside the differences recovered.
+            fn one_shot(key: SipKey, local: &[Item], node: &RefCell<Node<Item>>) -> Sample {
+                let mut node = node.borrow_mut();
+                let mut serving = Responder::new(SHARDS, 32, TILE, UNIT_BUDGET);
+                let mut link =
+                    FlightLinkTo::handshaking(Hello::new(key, SHARDS, 32), |frame, out| {
+                        serving.handle(frame, &mut *node, out)?;
+                        while serving.open_next_shard(&mut *node, out)?.is_some() {}
+                        Ok(())
+                    });
+                let config = TcpSyncConfig {
+                    key,
+                    symbol_len: 32,
+                    threads: 1,
+                    max_units_per_shard: UNIT_BUDGET,
+                };
+                let ((differences, outcome), secs) = timed(|| {
+                    sync_sharded_tcp(&mut link, local, |_| backend(key), &config).unwrap()
+                });
+                let recovered: usize = differences
+                    .iter()
+                    .map(|d| d.remote_only.len() + d.local_only.len())
+                    .sum();
+                (secs, (outcome.units as u64) << 32 | recovered as u64)
+            }
+
+            /// A stale replica's whole sync against a warm node at d = 100
+            /// (`stale_tip`): hash, place, build and absorb, and the serving.
+            fn one_shot_near(inputs: &Inputs) -> Sample {
+                one_shot(inputs.key, &inputs.local, &inputs.near_node)
+            }
+
+            /// [`one_shot_near`] at d = 2,000, where shards ask again.
+            fn one_shot_mid(inputs: &Inputs) -> Sample {
+                one_shot(inputs.key, &inputs.local, &inputs.mid_node)
+            }
+
             /// An empty node for the per-side `node_build` kernels.
             pub fn empty_node() -> Node<Item> {
                 Node::new(0, NodeConfig::new(SHARDS, 32))
@@ -253,18 +318,27 @@ macro_rules! side {
                 ("pure peel, d 10,000, 32 B", peel_10k),
                 ("pure peel, d 10,000, 8 B", peel_10k_narrow),
                 ("encode 3,000 of 20,000, 32 B", encode_3k),
+                (
+                    "one_shot sync, d 100: 20,000 × 32 B, 8 shards",
+                    one_shot_near,
+                ),
+                (
+                    "one_shot sync, d 2,000: 20,000 × 32 B, 8 shards",
+                    one_shot_mid,
+                ),
             ];
         }
     };
 }
 
-side!(change, riblt, riblt_hash, reconcile_core, cluster);
+side!(change, riblt, riblt_hash, reconcile_core, cluster, netsim);
 side!(
     parent,
     parent_riblt,
     parent_riblt_hash,
     parent_reconcile_core,
-    parent_cluster
+    parent_cluster,
+    parent_netsim
 );
 
 // --- Kernels whose two sides differ (PR 21: the batch hash and the bulk

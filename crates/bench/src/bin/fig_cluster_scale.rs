@@ -90,16 +90,18 @@ fn main() {
     ]);
 
     // --- 1. Decode scaling: serial single-session baseline. ---
-    // Engine construction (both sides ingesting their own sets) happens
-    // before the timer, mirroring the sharded rows where node/cache setup
-    // is likewise untimed — `serial_s` is pure protocol work (serve +
-    // decode), the quantity sharding parallelizes.
+    // The server's engine is built before the timer, mirroring the sharded
+    // rows where the responder's node and caches are likewise untimed. The
+    // client's engine is built on the timer, as the sharded rows' client
+    // builds each shard's decoder when its first payload arrives, inside
+    // `decode_wall_s` — `serial_s` is the protocol work (serve, client
+    // set-up and decode), the quantity sharding parallelizes.
     let pair = set_pair32(n, d, cli.seed_or(0xc100));
     let backend = RibltBackend::<Item32>::new(ITEM_LEN, 64);
     let mut server = ServerEngine::new(backend.clone(), &pair.alice);
-    let mut client = ClientEngine::new(backend, &pair.bob);
     let mut serial_bytes = 0usize;
-    let ((), serial_s) = timed(|| {
+    let (client, serial_s) = timed(|| {
+        let mut client = ClientEngine::new(backend, &pair.bob);
         let open = client.open();
         serial_bytes += open.wire_size();
         let mut pending = server.handle(&open).expect("open").pop();
@@ -115,6 +117,7 @@ fn main() {
                 None => pending = Some(server.next_payload().expect("stream")),
             }
         }
+        client
     });
     let serial_units = client.units();
     let diff = client.into_difference().expect("serial reconcile");

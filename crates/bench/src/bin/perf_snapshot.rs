@@ -32,6 +32,11 @@
 //! - `sketch_subtract/32B` — cell-wise sketch subtraction, pure symbol XOR.
 //! - `mux_sharded_decode/32B` — two cluster nodes reconciling over the
 //!   simulated mux protocol; reports the measured decode/serve wall time.
+//!   The client builds each shard's decoder when that shard's first payload
+//!   arrives, so `decode_wall_s`, and `wall_s` with it, include building
+//!   the decoders over the initiator's 20,000 items; snapshots taken while
+//!   the client built every decoder before the first round timed the
+//!   absorbs alone (EXPERIMENTS.md says from which snapshot on).
 
 use cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
 use netsim::{LinkConfig, Topology};

@@ -60,7 +60,9 @@ pub struct PairOutcome {
     /// Virtual seconds from the initiator's set-up pass to full
     /// application.
     pub virtual_time_s: f64,
-    /// Real wall seconds spent in the (parallel) absorb phases.
+    /// Real wall seconds spent in the (parallel) absorb phases, building
+    /// each shard's decoder over the initiator's items included
+    /// ([`TcpSyncOutcome::decode_wall_s`](reconcile_core::TcpSyncOutcome::decode_wall_s)).
     pub decode_wall_s: f64,
     /// Real wall seconds the responder spent answering flights.
     pub serve_wall_s: f64,

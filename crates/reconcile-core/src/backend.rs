@@ -81,7 +81,7 @@ pub trait ReconcileBackend {
     /// local set is `items[m]` for each `m` of `members`, in that order, and
     /// `hashes[i]` must be `items[i]`'s hash under the backend's key. This
     /// is what a sharded driver holds once it has hashed the whole set to
-    /// place it ([`ShardPartitioner::client_engines`](crate::ShardPartitioner::client_engines)):
+    /// place it ([`ShardPartitioner::group`](crate::ShardPartitioner::group)):
     /// one slice, and per shard a list of positions. A backend that
     /// checksums its items with that same hash overrides this to clone each
     /// member once, straight into its decoder, without hashing it again;

@@ -86,7 +86,7 @@ pub use handshake::{
     PROTOCOL_VERSION,
 };
 pub use mux::{ClientMux, MuxFrame, MuxMetrics, ServerMux, MUX_HEADER_BYTES};
-pub use shard::{SessionId, ShardId, ShardPartitioner, SHARD_ALL};
+pub use shard::{Grouping, SessionId, ShardId, ShardPartitioner, SHARD_ALL};
 pub use tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 
 /// Re-export of the difference type every backend emits.

@@ -15,7 +15,9 @@
 //!   it also the grant and the first flight [`FirstFlight`] sizes.
 //! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
 //!   by round: it absorbs a round's payloads (independent shards in
-//!   parallel on a `std::thread` worker pool), then turns the streaming
+//!   parallel on a `std::thread` worker pool, each shard's endpoint built
+//!   on its first payload if it was registered pending, and consumed into
+//!   its difference as soon as it decodes), then turns the streaming
 //!   flow's "keep pushing" into explicit range requests (on a shared link
 //!   the server must not push unprompted) sized by [`crate::window`] from
 //!   the estimate its decoders pool.
@@ -288,9 +290,20 @@ where
     }
 }
 
+/// Where one shard's client endpoint stands.
+enum Endpoint<B: ReconcileBackend> {
+    /// Registered, not built yet: the round that brings its first payload
+    /// builds it ([`ClientMux::handle_round_with`]).
+    Pending,
+    /// Absorbing payloads.
+    Live(ClientEngine<B>),
+    /// Decoded, and the endpoint consumed at once, so its window is freed:
+    /// the difference, and the scheme units the endpoint had consumed.
+    Finished(SetDifference<B::Item>, usize),
+}
+
 struct ShardClient<B: ReconcileBackend> {
-    engine: ClientEngine<B>,
-    done: bool,
+    endpoint: Endpoint<B>,
     /// Payload frames the server still owes this shard.
     awaiting: usize,
     /// Streaming flow: the server's batch size, learned from the payload
@@ -303,14 +316,22 @@ struct ShardClient<B: ReconcileBackend> {
 }
 
 impl<B: ReconcileBackend> ShardClient<B> {
+    fn is_done(&self) -> bool {
+        matches!(self.endpoint, Endpoint::Finished(..))
+    }
+
     /// Absorbs this round's payloads in arrival order and returns the
     /// shard's immediate reply (`Done`, or an interactive `Query`), if any.
+    /// A pending shard is built by `build` before its first payload; a
+    /// shard that completes is consumed into its difference at once.
     /// Payloads that arrive after the shard completed are the unused tail
     /// of a range: counted off, not absorbed.
     fn absorb_round(
         &mut self,
+        shard: ShardId,
         frames: &[&MuxFrame],
         metrics: Option<&MuxMetrics>,
+        build: &impl Fn(ShardId) -> ClientEngine<B>,
     ) -> Result<Option<EngineMessage>> {
         let mut reply = None;
         for frame in frames {
@@ -318,22 +339,30 @@ impl<B: ReconcileBackend> ShardClient<B> {
                 return Err(EngineError::Protocol("unsolicited payload"));
             }
             self.awaiting -= 1;
-            if self.done {
-                continue;
+            if let Endpoint::Pending = self.endpoint {
+                self.endpoint = Endpoint::Live(build(shard));
             }
-            let before = self.engine.units();
-            let progress = self.engine.absorb(&frame.message)?;
+            let Endpoint::Live(engine) = &mut self.endpoint else {
+                continue;
+            };
+            let before = engine.units();
+            let progress = engine.absorb(&frame.message)?;
             if let Some(m) = metrics {
                 m.payloads.inc();
-                m.payload_units
-                    .observe((self.engine.units() - before) as u64);
+                m.payload_units.observe((engine.units() - before) as u64);
                 if let EngineMessage::Payload(bytes) = &frame.message {
                     m.payload_bytes.observe(bytes.len() as u64);
                 }
             }
             match progress {
                 Progress::Complete => {
-                    self.done = true;
+                    let Endpoint::Live(engine) =
+                        std::mem::replace(&mut self.endpoint, Endpoint::Pending)
+                    else {
+                        unreachable!("the payload was absorbed by a live endpoint");
+                    };
+                    let units = engine.units();
+                    self.endpoint = Endpoint::Finished(engine.into_difference()?, units);
                     reply = Some(EngineMessage::Done);
                 }
                 Progress::SendRequest(request) => {
@@ -356,6 +385,13 @@ impl<B: ReconcileBackend> ShardClient<B> {
 }
 
 /// Client-side multiplexer: one session, many per-shard client engines.
+///
+/// A shard is registered either built ([`Self::insert_shard`]) or pending
+/// ([`Self::insert_pending`]), in which case the round that brings its
+/// first payload builds it. A shard that decodes is consumed into its
+/// difference at once: a one-shot driver that registers every shard
+/// pending and absorbs on one thread holds one shard's endpoint at a time,
+/// as long as each shard decodes within the round that built it.
 #[derive(Debug)]
 pub struct ClientMux<B: ReconcileBackend> {
     session: SessionId,
@@ -366,8 +402,13 @@ pub struct ClientMux<B: ReconcileBackend> {
 
 impl<B: ReconcileBackend> std::fmt::Debug for ShardClient<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = match self.endpoint {
+            Endpoint::Pending => "pending",
+            Endpoint::Live(_) => "live",
+            Endpoint::Finished(..) => "finished",
+        };
         f.debug_struct("ShardClient")
-            .field("done", &self.done)
+            .field("endpoint", &state)
             .field("awaiting", &self.awaiting)
             .field("requested", &self.requested)
             .finish()
@@ -410,14 +451,25 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// Registers the client endpoint for `shard` (built over the local items
     /// of that shard).
     pub fn insert_shard(&mut self, shard: ShardId, engine: ClientEngine<B>) {
+        self.register(shard, Endpoint::Live(engine));
+    }
+
+    /// Registers `shard` without its endpoint, which
+    /// [`Self::handle_round_with`] builds when the shard's first payload
+    /// arrives. A pending shard cannot open: it is for a driver whose
+    /// wildcard `Open` opened it ([`Self::book_first_flight`]).
+    pub fn insert_pending(&mut self, shard: ShardId) {
+        self.register(shard, Endpoint::Pending);
+    }
+
+    fn register(&mut self, shard: ShardId, endpoint: Endpoint<B>) {
         let idx = usize::from(shard);
         if self.shards.len() <= idx {
             self.shards.resize_with(idx + 1, || None);
         }
         assert!(self.shards[idx].is_none(), "shard registered twice");
         self.shards[idx] = Some(ShardClient {
-            engine,
-            done: false,
+            endpoint,
             awaiting: 0,
             tile: 0,
             requested: 0,
@@ -426,6 +478,9 @@ impl<B: ReconcileBackend> ClientMux<B> {
     }
 
     /// Opening frames for every registered shard; each is owed one payload.
+    ///
+    /// # Panics
+    /// If a shard is pending ([`Self::insert_pending`]).
     pub fn opens(&mut self) -> Vec<MuxFrame> {
         let session = self.session;
         self.shards
@@ -433,8 +488,11 @@ impl<B: ReconcileBackend> ClientMux<B> {
             .enumerate()
             .filter_map(|(shard, slot)| {
                 slot.as_mut().map(|sc| {
+                    let Endpoint::Live(engine) = &mut sc.endpoint else {
+                        panic!("only a built shard opens its own stream");
+                    };
                     sc.awaiting += 1;
-                    MuxFrame::new(session, shard as ShardId, sc.engine.open())
+                    MuxFrame::new(session, shard as ShardId, engine.open())
                 })
             })
             .collect()
@@ -473,7 +531,13 @@ impl<B: ReconcileBackend> ClientMux<B> {
 
     /// True once every shard has completed.
     pub fn all_done(&self) -> bool {
-        self.shards.iter().flatten().all(|sc| sc.done)
+        self.shards.iter().flatten().all(ShardClient::is_done)
+    }
+
+    /// Registered shards whose endpoint is not built yet.
+    pub fn pending(&self) -> usize {
+        let pending = |sc: &&ShardClient<B>| matches!(sc.endpoint, Endpoint::Pending);
+        self.shards.iter().flatten().filter(pending).count()
     }
 
     /// Payload frames the server still owes this session: how many frames a
@@ -484,11 +548,12 @@ impl<B: ReconcileBackend> ClientMux<B> {
 
     /// Total scheme units consumed across all shards.
     pub fn units(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|sc| sc.engine.units())
-            .sum()
+        let units = |sc: &ShardClient<B>| match &sc.endpoint {
+            Endpoint::Pending => 0,
+            Endpoint::Live(engine) => engine.units(),
+            Endpoint::Finished(_, units) => *units,
+        };
+        self.shards.iter().flatten().map(units).sum()
     }
 
     /// Handles one payload frame; see [`Self::handle_round`].
@@ -496,8 +561,25 @@ impl<B: ReconcileBackend> ClientMux<B> {
     where
         B: Send,
         B::Client: Send,
+        B::Item: Send,
     {
         self.handle_round(std::slice::from_ref(frame), 1)
+    }
+
+    /// [`Self::handle_round_with`] for a multiplexer whose shards were all
+    /// registered built ([`Self::insert_shard`]).
+    ///
+    /// # Panics
+    /// If a payload arrives for a pending shard.
+    pub fn handle_round(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
+    where
+        B: Send,
+        B::Client: Send,
+        B::Item: Send,
+    {
+        self.handle_round_with(frames, threads, |_| {
+            panic!("a pending shard is built by handle_round_with")
+        })
     }
 
     /// Handles one round of payload frames and returns the client's next
@@ -508,11 +590,20 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// A shard's frames are absorbed in arrival order; distinct shards
     /// decode independently, so they are fanned out over up to `threads`
     /// `std::thread` workers (0 = one per available core) — the hot half of
-    /// sharded reconciliation.
-    pub fn handle_round(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
+    /// sharded reconciliation. A pending shard ([`Self::insert_pending`]) is
+    /// built by `build` on the thread that absorbs its first payload, and a
+    /// shard that completes is consumed into its difference there too.
+    pub fn handle_round_with<F>(
+        &mut self,
+        frames: &[MuxFrame],
+        threads: usize,
+        build: F,
+    ) -> Result<Vec<MuxFrame>>
     where
         B: Send,
         B::Client: Send,
+        B::Item: Send,
+        F: Fn(ShardId) -> ClientEngine<B> + Sync,
     {
         let threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -542,9 +633,10 @@ impl<B: ReconcileBackend> ClientMux<B> {
             .collect();
 
         let metrics = self.metrics.as_ref();
+        let build = &build;
         let absorb = |(shard, sc, list): &mut (ShardId, &mut ShardClient<B>, Vec<&MuxFrame>)| {
             Ok(sc
-                .absorb_round(list, metrics)?
+                .absorb_round(*shard, list, metrics, build)?
                 .map(|message| MuxFrame::new(session, *shard, message)))
         };
         let mut replies: Vec<Result<Option<MuxFrame>>> = Vec::with_capacity(work.len());
@@ -585,7 +677,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
         let session = self.session;
         for (shard, sc) in self.shards.iter_mut().enumerate() {
             let Some(sc) = sc else { continue };
-            if sc.done || sc.awaiting > 0 || sc.tile == 0 {
+            if sc.is_done() || sc.awaiting > 0 || sc.tile == 0 {
                 continue;
             }
             for range in next_requests(sc.requested, sc.tile, pooled.mean(), self.unit_budget)? {
@@ -609,11 +701,9 @@ impl<B: ReconcileBackend> ClientMux<B> {
         self.shards
             .into_iter()
             .flatten()
-            .map(|sc| {
-                if !sc.engine.is_done() {
-                    return Err(EngineError::DecodeIncomplete);
-                }
-                sc.engine.into_difference()
+            .map(|sc| match sc.endpoint {
+                Endpoint::Finished(difference, _) => Ok(difference),
+                Endpoint::Pending | Endpoint::Live(_) => Err(EngineError::DecodeIncomplete),
             })
             .collect()
     }
@@ -627,6 +717,7 @@ mod tests {
     use crate::shard::ShardPartitioner;
     use riblt::{FixedBytes, Symbol};
     use riblt_hash::{SipKey, SplitMix64};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     type Item = FixedBytes<8>;
 
@@ -876,6 +967,196 @@ mod tests {
         assert_eq!(booked.awaiting(), replies.len() - 1);
         booked.handle_round(&replies[1..], 1).unwrap();
         assert!(booked.all_done());
+    }
+
+    /// A [`RibltBackend`] whose clients count themselves: how many were
+    /// built, how many are alive, and the most that were alive at once.
+    #[derive(Clone, Default)]
+    struct Counted {
+        built: Arc<AtomicUsize>,
+        live: Arc<AtomicUsize>,
+        peak: Arc<AtomicUsize>,
+    }
+
+    /// A counted client; dropping it (or consuming it into its difference)
+    /// drops its [`Alive`] too.
+    struct CountedClient {
+        inner: <RibltBackend<Item> as ReconcileBackend>::Client,
+        _alive: Alive,
+    }
+
+    struct Alive(Arc<AtomicUsize>);
+
+    impl Drop for Alive {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Counted {
+        fn inner() -> RibltBackend<Item> {
+            RibltBackend::new(8, 32)
+        }
+
+        fn count(&self, inner: <RibltBackend<Item> as ReconcileBackend>::Client) -> CountedClient {
+            self.built.fetch_add(1, Ordering::SeqCst);
+            let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(live, Ordering::SeqCst);
+            CountedClient {
+                inner,
+                _alive: Alive(Arc::clone(&self.live)),
+            }
+        }
+
+        /// Built, alive, most alive at once.
+        fn counts(&self) -> [usize; 3] {
+            [&self.built, &self.live, &self.peak].map(|n| n.load(Ordering::SeqCst))
+        }
+    }
+
+    impl ReconcileBackend for Counted {
+        type Item = Item;
+        type Server = <RibltBackend<Item> as ReconcileBackend>::Server;
+        type Client = CountedClient;
+
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn build_server(&self, items: &[Item]) -> Self::Server {
+            Self::inner().build_server(items)
+        }
+        fn build_client(&self, items: &[Item]) -> CountedClient {
+            self.count(Self::inner().build_client(items))
+        }
+        fn build_client_keyed(
+            &self,
+            items: &[Item],
+            hashes: &[u64],
+            members: &[u32],
+        ) -> CountedClient {
+            self.count(Self::inner().build_client_keyed(items, hashes, members))
+        }
+        fn open_request(&self, client: &mut CountedClient) -> Vec<u8> {
+            Self::inner().open_request(&mut client.inner)
+        }
+        fn serve(&self, server: &mut Self::Server, request: Option<&[u8]>) -> Result<Vec<u8>> {
+            Self::inner().serve(server, request)
+        }
+        fn serve_range(
+            &self,
+            server: &mut Self::Server,
+            range: RangeRequest,
+        ) -> Result<Vec<Vec<u8>>> {
+            Self::inner().serve_range(server, range)
+        }
+        fn absorb(&self, client: &mut CountedClient, payload: &[u8]) -> Result<Progress> {
+            Self::inner().absorb(&mut client.inner, payload)
+        }
+        fn units(&self, client: &CountedClient) -> usize {
+            Self::inner().units(&client.inner)
+        }
+        fn into_difference(&self, client: CountedClient) -> Result<SetDifference<Item>> {
+            Self::inner().into_difference(client.inner)
+        }
+    }
+
+    #[test]
+    fn a_pending_shard_is_built_by_its_first_payload_and_freed_when_it_decodes() {
+        let (key, shards) = (SipKey::default(), 4u16);
+        let partitioner = ShardPartitioner::new(key, shards);
+        let (server_items, local) = (items(0..1_000), items(30..1_000));
+        let server_parts = partitioner.partition(&server_items);
+        let sketch = |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, key));
+        // The shipped client's opening flight: one sketched wildcard open,
+        // answered by the grant and every shard's first flight.
+        let mut open = ClientEngine::new(Counted::inner(), &[]).open();
+        if let EngineMessage::Open(request) = &mut open {
+            sketch(&local).encode(request);
+        }
+        let mut flight = ServerMux::new(|_s, shard| {
+            ServerEngine::new(Counted::inner(), &server_parts[usize::from(shard)])
+        })
+        .serving_shards(shards, sketch(&server_items), 32, usize::MAX)
+        .handle(&MuxFrame::new(1, SHARD_ALL, open))
+        .unwrap();
+        let grant = flight.remove(0);
+
+        // The eager path: every endpoint built before the first payload.
+        let eager_backend = Counted::default();
+        let mut eager = ClientMux::new(1);
+        for (shard, engine) in partitioner
+            .client_engines(&local, |_| eager_backend.clone())
+            .into_iter()
+            .enumerate()
+        {
+            eager.insert_shard(shard as ShardId, engine);
+        }
+        assert_eq!(eager_backend.counts(), [4, 4, 4]);
+        eager.book_first_flight(&grant).unwrap();
+        assert!(eager
+            .handle_round(&flight, 1)
+            .unwrap()
+            .iter()
+            .all(|f| f.message == EngineMessage::Done));
+
+        // The one-shot path: every shard pending, built from one grouping.
+        let counted = Counted::default();
+        let hashes = Item::hash_many_with(&local, key);
+        let grouping = partitioner.group(&hashes);
+        let build = |shard| {
+            ClientEngine::new_keyed(counted.clone(), &local, &hashes, grouping.members(shard))
+        };
+        let mut lazy = ClientMux::new(1);
+        for shard in 0..shards {
+            lazy.insert_pending(shard);
+        }
+        lazy.book_first_flight(&grant).unwrap();
+        assert_eq!((lazy.pending(), counted.counts()), (4, [0, 0, 0]));
+        // A shard whose payloads are not in the round is not built: the
+        // first two shards' flights, then the rest.
+        let split = flight.iter().position(|f| f.shard == 2).unwrap();
+        let replies = [
+            lazy.handle_round_with(&flight[..split], 1, build).unwrap(),
+            lazy.handle_round_with(&flight[split..], 1, build).unwrap(),
+        ];
+        assert_eq!(lazy.pending(), 0);
+        assert!(replies.iter().all(
+            |round| round.len() == 2 && round.iter().all(|f| f.message == EngineMessage::Done)
+        ));
+        // Every shard decoded its first flight: one endpoint alive at a time,
+        // none once the round is over.
+        assert_eq!(counted.counts(), [4, 0, 1]);
+        assert!(lazy.all_done());
+        assert_eq!(lazy.units(), eager.units());
+        assert_eq!(
+            lazy.into_differences().unwrap(),
+            eager.into_differences().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_pending_shard_that_never_hears_from_its_server_is_never_built() {
+        let counted = Counted::default();
+        let mut mux = ClientMux::<Counted>::new(1);
+        mux.insert_pending(0);
+        mux.insert_pending(1);
+        let grant = MuxFrame::new(
+            1,
+            SHARD_ALL,
+            EngineMessage::Request(RangeRequest::new(32, 0).unwrap()),
+        );
+        mux.book_first_flight(&grant).unwrap();
+        let build = |_| ClientEngine::new(counted.clone(), &items(0..10));
+        // Nothing arrives: nothing is built, and nothing decoded.
+        assert!(mux.handle_round_with(&[], 1, build).unwrap().is_empty());
+        assert_eq!(
+            (mux.pending(), mux.units(), counted.counts()),
+            (2, 0, [0, 0, 0])
+        );
+        assert!(matches!(
+            mux.into_differences(),
+            Err(EngineError::DecodeIncomplete)
+        ));
     }
 
     #[test]

@@ -70,10 +70,17 @@ impl ShardPartitioner {
         (splitmix64(hash) % u64::from(self.shards)) as ShardId
     }
 
-    /// Groups the positions of the items whose keyed hashes are `hashes` by
-    /// shard: a counting sort, so no item moves and nothing is allocated per
-    /// shard.
-    fn group(&self, hashes: &[u64]) -> Grouping {
+    /// Groups the positions of the items whose keyed hashes are `hashes`
+    /// (`hashes[i]` is item `i`'s hash under [`Self::key`]) by shard: a
+    /// counting sort, so no item moves and nothing is allocated per shard.
+    /// This is how every sharded client places its set: the same hashes
+    /// become the items' checksums in each shard's endpoint
+    /// ([`ClientEngine::new_keyed`]), so a caller that has hashed its set
+    /// already (the TCP client, for its count sketch) hashes nothing twice.
+    ///
+    /// # Panics
+    /// If there are more than `u32::MAX` positions.
+    pub fn group(&self, hashes: &[u64]) -> Grouping {
         assert!(
             u32::try_from(hashes.len()).is_ok(),
             "a set's positions must fit a u32"
@@ -112,49 +119,32 @@ impl ShardPartitioner {
 
     /// Builds one client endpoint per shard (index = shard id) over
     /// `factory`'s backend for it, in one pass over `items`: each item is
-    /// hashed once (the hash that places it is handed on as its checksum)
-    /// and cloned once, from the caller's slice straight into its shard's
-    /// endpoint ([`ReconcileBackend::build_client_keyed`]). No per-shard copy
-    /// of the set exists in between, and nothing of the grouping outlives
-    /// this call.
+    /// hashed once, placed by [`Self::group`] (the hash that places it is
+    /// handed on as its checksum) and cloned once, from the caller's slice
+    /// straight into its shard's endpoint
+    /// ([`ReconcileBackend::build_client_keyed`]). No per-shard copy of the
+    /// set exists in between, and nothing of the grouping outlives this
+    /// call.
     pub fn client_engines<B, F>(&self, items: &[B::Item], factory: F) -> Vec<ClientEngine<B>>
     where
         B: ReconcileBackend,
         B::Item: Symbol,
         F: Fn(ShardId) -> B,
     {
-        self.client_engines_keyed(items, &B::Item::hash_many_with(items, self.key), factory)
-    }
-
-    /// [`Self::client_engines`] for a caller that has hashed `items` already
-    /// (`hashes[i]` is `items[i]`'s hash under [`Self::key`]): the TCP client
-    /// hashes its set before its hello, for the count sketch its wildcard
-    /// open carries, and places the items with the same hashes afterwards.
-    ///
-    /// # Panics
-    /// If `items` and `hashes` differ in length.
-    pub fn client_engines_keyed<B, F>(
-        &self,
-        items: &[B::Item],
-        hashes: &[u64],
-        factory: F,
-    ) -> Vec<ClientEngine<B>>
-    where
-        B: ReconcileBackend,
-        F: Fn(ShardId) -> B,
-    {
-        let grouping = self.group(hashes);
+        let hashes = B::Item::hash_many_with(items, self.key);
+        let grouping = self.group(&hashes);
         (0..self.shards)
             .map(|shard| {
-                let members = grouping.members(shard);
-                ClientEngine::new_keyed(factory(shard), items, hashes, members)
+                ClientEngine::new_keyed(factory(shard), items, &hashes, grouping.members(shard))
             })
             .collect()
     }
 }
 
-/// A set's positions grouped by shard.
-struct Grouping {
+/// A set's positions grouped by shard ([`ShardPartitioner::group`]): 4 bytes
+/// per item.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Grouping {
     /// Every position once: shard 0's in input order, then shard 1's, ….
     members: Vec<u32>,
     /// Shard `s` owns `members[bounds[s]..bounds[s + 1]]`.
@@ -162,7 +152,11 @@ struct Grouping {
 }
 
 impl Grouping {
-    fn members(&self, shard: ShardId) -> &[u32] {
+    /// The positions of shard `shard`'s items, in input order.
+    ///
+    /// # Panics
+    /// If `shard` is not a shard of the partition.
+    pub fn members(&self, shard: ShardId) -> &[u32] {
         let shard = usize::from(shard);
         &self.members[self.bounds[shard]..self.bounds[shard + 1]]
     }

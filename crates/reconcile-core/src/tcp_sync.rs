@@ -19,11 +19,12 @@
 //!    first rung and a `2·√d̂` margin, sized to finish the slowest shard
 //!    rather than the median one — so the first round trip carries what
 //!    one or two request rounds would otherwise have asked for. The
-//!    server's shard count is authoritative; this client partitions the
-//!    local set with whatever the server announces, while the first flight
-//!    is already in the socket. Every payload must continue its shard's
-//!    stream where the last one ended: a tile repeated or skipped fails the
-//!    sync as a protocol error instead of being peeled as the wrong cells.
+//!    server's shard count is authoritative; this client groups the local
+//!    set's hashes by whatever shard count the server announces, while the
+//!    first flight is already in the socket, and builds no decoder yet.
+//!    Every payload must continue its shard's stream where the last one
+//!    ended: a tile repeated or skipped fails the sync as a protocol error
+//!    instead of being peeled as the wrong cells.
 //! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
 //!    next one from what the decoders now hold (see
 //!    [`crate::window`]; the first flight counts as a request past
@@ -31,9 +32,14 @@
 //!    `Request(offset, count)` for the rest. A round's frames leave in one
 //!    write and cost one round trip, however many batches they ask for; its
 //!    payloads are absorbed in arrival order, independent shards in
-//!    parallel on a `std::thread` worker pool. A difference that fits the
-//!    first flight needs no round at all: the sync ends one round trip
-//!    after it began.
+//!    parallel on a `std::thread` worker pool. A shard's decoder is built
+//!    on the thread that absorbs its first tile, and consumed into the
+//!    shard's difference as soon as it decodes, which frees its window:
+//!    absorbing on one thread, a sync whose shards decode their first
+//!    flights holds one decoder at a time, not one per shard. The hashes
+//!    and the grouping go with the round that builds the last shard. A
+//!    difference that fits the first flight needs no round at all: the sync
+//!    ends one round trip after it began.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
 //!    accounting of the conversation.
@@ -123,7 +129,9 @@ pub struct TcpSyncOutcome {
     pub bytes_sent: usize,
     /// Bytes read from the stream (frames + length prefixes).
     pub bytes_received: usize,
-    /// Wall seconds spent absorbing payloads (the parallel decode phases).
+    /// Wall seconds spent absorbing payloads (the parallel decode phases),
+    /// building each shard's decoder over its local items included: that
+    /// happens when the shard's first payload is absorbed.
     pub decode_wall_s: f64,
 }
 
@@ -149,12 +157,14 @@ pub struct TcpSyncOutcome {
 /// open carries an estimator of its set belongs on [`ClientMux::opens`].
 ///
 /// `local_items` is hashed once, before the hello, for the sketch, and only
-/// read again while the shard clients are built
-/// ([`ShardPartitioner::client_engines_keyed`]: the same hashes place each
-/// item and become its checksum, and each item is cloned once, into its
-/// shard's decoder). From then on every decoder owns its items; no
-/// partition of the set is ever built, so no second copy of it lives
-/// through the round trips.
+/// read again while the shard clients are built, each when its shard's
+/// first payload arrives ([`ShardPartitioner::group`] places the items by
+/// the same hashes that become their checksums, and
+/// [`ClientEngine::new_keyed`] clones each item once, into its shard's
+/// decoder). No partition of the set is ever built, so no second copy of it
+/// exists; a decoder lives from its shard's first payload until the shard
+/// decodes, and the hashes and the grouping until the round that builds
+/// the last shard ends.
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -169,8 +179,8 @@ pub fn sync_sharded_tcp<B, F, T>(
 where
     B: ReconcileBackend + Send,
     B::Client: Send,
-    B::Item: Symbol,
-    F: Fn(ShardId) -> B,
+    B::Item: Symbol + Send + Sync,
+    F: Fn(ShardId) -> B + Sync,
     T: Read + Write,
 {
     // --- 1. Hello and one wildcard open, in one write. The server's shard
@@ -206,20 +216,16 @@ where
     let grant = read_round(io, &mut inbound, &mut chunk, 1)?;
     bytes_received += LENGTH_PREFIX_BYTES + grant[0].wire_size();
 
-    // --- 2. Partition with the negotiated count; the wildcard has opened
-    // every shard, so each is owed its first flight already. ---
-    let engines = ShardPartitioner::new(config.key, shards).client_engines_keyed(
-        local_items,
-        &hashes,
-        &factory,
-    );
-    // Every item is placed: nothing of the set-up lives through the rounds.
-    drop(hashes);
+    // --- 2. Place the items with the negotiated count; the wildcard has
+    // opened every shard, so each is owed its first flight already. A
+    // shard's endpoint is built when its first payload arrives. ---
+    let grouping = ShardPartitioner::new(config.key, shards).group(&hashes);
+    let mut placement = Some((hashes, grouping));
     let mut client = ClientMux::new(SESSION);
     client.set_metrics(mux_metrics());
     client.set_unit_budget(config.max_units_per_shard);
-    for (shard, engine) in engines.into_iter().enumerate() {
-        client.insert_shard(shard as ShardId, engine);
+    for shard in 0..shards {
+        client.insert_pending(shard);
     }
     client.book_first_flight(&grant[0])?;
 
@@ -239,8 +245,18 @@ where
             .map(|frame| LENGTH_PREFIX_BYTES + frame.wire_size())
             .sum::<usize>();
         let t0 = Instant::now();
-        let replies = client.handle_round(&payloads, config.threads)?;
+        let replies = client.handle_round_with(&payloads, config.threads, |shard| {
+            let (hashes, grouping) = placement
+                .as_ref()
+                .expect("the placement outlives the last pending shard");
+            let members = grouping.members(shard);
+            ClientEngine::new_keyed(factory(shard), local_items, hashes, members)
+        })?;
         decode_wall_s += t0.elapsed().as_secs_f64();
+        if client.pending() == 0 {
+            // Every shard is built: nothing of the set-up is read again.
+            placement = None;
+        }
         bytes_sent += write_round(io, &replies)?;
         if client.awaiting() == 0 {
             break;

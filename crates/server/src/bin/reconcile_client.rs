@@ -95,7 +95,7 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-fn run<S: Symbol + Ord + Send>(options: Options) -> Result<(), String> {
+fn run<S: Symbol + Ord + Send + Sync>(options: Options) -> Result<(), String> {
     let key = options.key;
     let mut client = SyncClient::<S>::new(load_items(&options.load, options.symbol_len)?, key, 0);
 

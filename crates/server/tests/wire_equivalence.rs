@@ -306,7 +306,7 @@ fn full_reconciliation_transcripts_are_byte_identical() {
 /// reset would race the reject — so the client still reads *why*.
 #[test]
 fn pipelined_clients_still_read_the_reject_reason() {
-    fn refused<I: riblt::Symbol + Send + std::fmt::Debug>(
+    fn refused<I: riblt::Symbol + Send + Sync + std::fmt::Debug>(
         daemon: &Daemon<Item>,
         key: SipKey,
         symbol_len: usize,

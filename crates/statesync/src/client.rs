@@ -19,7 +19,7 @@ pub struct SyncClient<S> {
     config: TcpSyncConfig,
 }
 
-impl<S: Symbol + Ord + Send> SyncClient<S> {
+impl<S: Symbol + Ord + Send + Sync> SyncClient<S> {
     /// A client over `items` (sorted and deduplicated here) that syncs under
     /// `key` and decodes on `threads` workers (0 = one per available core).
     pub fn new(mut items: Vec<S>, key: SipKey, threads: usize) -> Self {

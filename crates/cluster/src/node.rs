@@ -9,8 +9,15 @@
 //! caches it keeps the [`CountSketch`] of its whole set, one count moved per
 //! mutation, against which a client's sketched wildcard open estimates the
 //! difference before the first flight.
+//!
+//! The node also keeps the wire encoding of its cells: each shard holds the
+//! tiles encoded in its current generation, which every change to its items
+//! moves, and [`Node::serve_tile`] shares them with every peer. Every server
+//! reads tiles this way: the daemon's TCP and UDP halves and the pair
+//! exchange.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use reconcile_core::{CountSketch, ShardId, ShardPartitioner};
 use riblt::wire::SymbolCodec;
@@ -67,30 +74,61 @@ where
     acc ^ len
 }
 
-/// One cluster node: an item set plus one shared sketch cache per shard.
+/// Bound on the encoded tiles a node keeps over all its shards; crossing it
+/// drops them all (serving encodes them again), which keeps the worst case
+/// small without an eviction policy on the serve path.
+const MAX_TILES: usize = 4096;
+
+/// One shard of a [`Node`]: its cells (which count its items), its
+/// generation and the tiles encoded in that generation.
+#[derive(Debug, Clone)]
+struct Shard<S: Symbol> {
+    cache: SketchCache<S>,
+    /// Changes to the shard's items so far.
+    generation: u64,
+    /// Encoded tiles of the current generation, keyed by `(start, len)`:
+    /// TCP tiles and UDP datagrams cover the same offsets with different
+    /// lengths.
+    tiles: HashMap<(usize, usize), Arc<[u8]>>,
+}
+
+impl<S: Symbol> Shard<S> {
+    /// The cache, for one change to the shard's items: a new generation, in
+    /// which no tile of the old one is valid.
+    fn change(&mut self) -> &mut SketchCache<S> {
+        self.generation += 1;
+        self.tiles.clear();
+        &mut self.cache
+    }
+}
+
+/// One cluster node: an item set plus, per shard, a shared sketch cache and
+/// the tiles encoded from it.
 #[derive(Debug, Clone)]
 pub struct Node<S: Symbol + Ord> {
     id: usize,
     config: NodeConfig,
     partitioner: ShardPartitioner,
     items: BTreeSet<S>,
-    caches: Vec<SketchCache<S>>,
-    shard_sizes: Vec<usize>,
+    shards: Vec<Shard<S>>,
     counts: CountSketch,
 }
 
 impl<S: Symbol + Ord> Node<S> {
     /// Creates an empty node.
     pub fn new(id: usize, config: NodeConfig) -> Self {
-        let caches = (0..config.shards)
-            .map(|_| SketchCache::with_key(config.key))
+        let shards = (0..config.shards)
+            .map(|_| Shard {
+                cache: SketchCache::with_key(config.key),
+                generation: 0,
+                tiles: HashMap::new(),
+            })
             .collect();
         Node {
             id,
             partitioner: ShardPartitioner::new(config.key, config.shards),
             items: BTreeSet::new(),
-            caches,
-            shard_sizes: vec![0; usize::from(config.shards)],
+            shards,
             counts: CountSketch::new(),
             config,
         }
@@ -123,7 +161,14 @@ impl<S: Symbol + Ord> Node<S> {
 
     /// Number of items in `shard`.
     pub fn shard_len(&self, shard: ShardId) -> usize {
-        self.shard_sizes[usize::from(shard)]
+        self.shards[usize::from(shard)].cache.set_size() as usize
+    }
+
+    /// How many times `shard`'s items have changed: every item an
+    /// [`Self::insert`], [`Self::remove`] or [`Self::extend`] adds to it or
+    /// takes from it moves it by one, and drops the shard's encoded tiles.
+    pub fn shard_generation(&self, shard: ShardId) -> u64 {
+        self.shards[usize::from(shard)].generation
     }
 
     /// The shard `item` maps to.
@@ -154,8 +199,7 @@ impl<S: Symbol + Ord> Node<S> {
         let hashed = HashedSymbol::new(item, self.config.key);
         let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
         self.counts.insert(hashed.hash);
-        self.caches[shard].add_hashed_symbol(hashed);
-        self.shard_sizes[shard] += 1;
+        self.shards[shard].change().add_hashed_symbol(hashed);
         true
     }
 
@@ -174,8 +218,8 @@ impl<S: Symbol + Ord> Node<S> {
         for (item, hash) in fresh.iter().zip(hashes) {
             let shard = usize::from(self.partitioner.shard_of_hash(hash));
             self.counts.insert(hash);
-            self.caches[shard].add_hashed_symbol(HashedSymbol::with_hash(item.clone(), hash));
-            self.shard_sizes[shard] += 1;
+            let hashed = HashedSymbol::with_hash(item.clone(), hash);
+            self.shards[shard].change().add_hashed_symbol(hashed);
         }
         let added = fresh.len();
         self.items.append(&mut BTreeSet::from_iter(fresh));
@@ -190,8 +234,7 @@ impl<S: Symbol + Ord> Node<S> {
         let hashed = HashedSymbol::new(item.clone(), self.config.key);
         let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
         self.counts.remove(hashed.hash);
-        self.caches[shard].remove_hashed_symbol(hashed);
-        self.shard_sizes[shard] -= 1;
+        self.shards[shard].change().remove_hashed_symbol(hashed);
         true
     }
 
@@ -199,7 +242,7 @@ impl<S: Symbol + Ord> Node<S> {
     /// from the shared cache (materializing further cells on demand). Every
     /// concurrent session reads the same cells.
     pub fn shard_cells(&mut self, shard: ShardId, start: usize, len: usize) -> &[CodedSymbol<S>] {
-        self.caches[usize::from(shard)].range(start, len)
+        self.shards[usize::from(shard)].cache.range(start, len)
     }
 
     /// The coded symbols `[start, start + len)` of `shard` in the §6 wire
@@ -211,6 +254,26 @@ impl<S: Symbol + Ord> Node<S> {
         codec.encode_batch(self.shard_cells(shard, start, len), start as u64)
     }
 
+    /// [`Self::encode_tile`], encoded once per generation of the shard and
+    /// shared by every peer it is served to, and whether it was cached
+    /// (a cached tile is a map lookup and allocates nothing). At most 4,096
+    /// tiles are kept over all shards; the one that would cross the bound
+    /// drops the others first.
+    pub fn serve_tile(&mut self, shard: ShardId, start: usize, len: usize) -> (Arc<[u8]>, bool) {
+        let index = usize::from(shard);
+        if let Some(tile) = self.shards[index].tiles.get(&(start, len)) {
+            return (Arc::clone(tile), true);
+        }
+        let tile: Arc<[u8]> = self.encode_tile(shard, start, len).into();
+        if self.shards.iter().map(|s| s.tiles.len()).sum::<usize>() >= MAX_TILES {
+            self.shards.iter_mut().for_each(|s| s.tiles.clear());
+        }
+        self.shards[index]
+            .tiles
+            .insert((start, len), Arc::clone(&tile));
+        (tile, false)
+    }
+
     /// The count sketch of the whole set ([`reconcile_core::first_flight`]).
     pub fn count_sketch(&self) -> &CountSketch {
         &self.counts
@@ -220,9 +283,9 @@ impl<S: Symbol + Ord> Node<S> {
     /// summed over shards (see [`SketchCache::window_entries`]): the node's
     /// memory per mutation, as opposed to per item.
     pub fn cache_window_entries(&self) -> (usize, usize) {
-        self.caches
+        self.shards
             .iter()
-            .map(SketchCache::window_entries)
+            .map(|s| s.cache.window_entries())
             .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr))
     }
 
@@ -251,6 +314,11 @@ mod tests {
     #[test]
     fn insert_and_remove_keep_caches_consistent_with_a_rebuild() {
         let mut node = node_with(0, 0..500);
+        // Tiles served before the changes must not be served after them.
+        for shard in 0..node.shards() {
+            node.serve_tile(shard, 0, 32);
+            node.serve_tile(shard, 5, 1);
+        }
         for i in 100..160 {
             node.remove(&Item::from_u64(i));
         }
@@ -261,18 +329,70 @@ mod tests {
     }
 
     /// Each shard cache equals the from-scratch sketch of the shard's
-    /// membership, over the first `m` cells, and the count sketch the one of
-    /// the whole set.
+    /// membership, over the first `m` cells (`m` ≥ 32), every tile the node
+    /// serves of them equals the rebuilt cells in the wire codec, and the
+    /// count sketch equals the one of the whole set. A change to one shard
+    /// leaves every other shard's tiles cached, and the node never keeps
+    /// more tiles than its bound (this serves over 4,096 at `m` = 320).
     fn assert_caches_match_a_rebuild(node: &mut Node<Item>, m: usize) {
-        let key = node.config().key;
+        let (key, symbol_len) = (node.config().key, node.config().symbol_len);
         let hashes: Vec<u64> = node.items().map(|item| item.hash_with(key)).collect();
         assert_eq!(node.count_sketch(), &CountSketch::from_hashes(&hashes));
+        let mut rebuilt = Vec::new();
         for shard in 0..node.shards() {
-            let mut fresh = Sketch::with_key(m, node.config().key);
+            let mut fresh = Sketch::with_key(m, key);
             for item in node.items().filter(|i| node.shard_of(i) == shard) {
                 fresh.add_symbol(item);
             }
             assert_eq!(node.shard_cells(shard, 0, m), fresh.cells());
+            rebuilt.push(fresh);
+        }
+        // A TCP-sized tile first, then datagram-sized ones.
+        for len in [32, 1, 2, 3] {
+            for shard in 0..node.shards() {
+                let set_size = node.shard_len(shard) as u64;
+                let codec = SymbolCodec::with_alpha(symbol_len, set_size, riblt::DEFAULT_ALPHA);
+                let cells = rebuilt[usize::from(shard)].cells();
+                for start in (0..=m - len).step_by(len) {
+                    let expected = codec.encode_batch(&cells[start..start + len], start as u64);
+                    let (tile, _) = node.serve_tile(shard, start, len);
+                    assert_eq!(*tile, *expected, "shard {shard} tile ({start}, {len})");
+                    let (again, cached) = node.serve_tile(shard, start, len);
+                    assert!(cached && Arc::ptr_eq(&tile, &again));
+                    let kept: usize = node.shards.iter().map(|s| s.tiles.len()).sum();
+                    assert!(kept <= MAX_TILES, "{kept} tiles kept");
+                }
+            }
+            if len == 32 {
+                assert_changes_stay_in_their_shard(node, m);
+            }
+        }
+    }
+
+    /// Removes and re-inserts one item, so the set is unchanged: its shard
+    /// moves two generations and encodes its `m / 32` TCP tiles again, to the
+    /// same bytes; every other shard keeps its tiles.
+    fn assert_changes_stay_in_their_shard(node: &mut Node<Item>, m: usize) {
+        let mut before = Vec::new();
+        for shard in 0..node.shards() {
+            for start in (0..m / 32).map(|i| i * 32) {
+                let (tile, _) = node.serve_tile(shard, start, 32);
+                before.push((shard, start, node.shard_generation(shard), tile));
+            }
+        }
+        let item = node.items().next().cloned().expect("a node with items");
+        let changed = node.shard_of(&item);
+        assert!(node.remove(&item) && node.insert(item));
+        for (shard, start, generation, tile) in before {
+            let (again, cached) = node.serve_tile(shard, start, 32);
+            assert_eq!(again, tile);
+            if shard == changed {
+                assert!(!cached);
+                assert_eq!(node.shard_generation(shard), generation + 2);
+            } else {
+                assert!(cached && Arc::ptr_eq(&again, &tile));
+                assert_eq!(node.shard_generation(shard), generation);
+            }
         }
     }
 
@@ -285,6 +405,7 @@ mod tests {
         let mut node = node_with(0, 0..live);
         node.shard_cells(0, 0, 64); // some shards serve while they churn
         node.shard_cells(5, 0, 256);
+        node.serve_tile(5, 224, 32);
         let mut next = live;
         for burst in 0..1_000u64 {
             for i in 0..256 {
@@ -295,7 +416,9 @@ mod tests {
             }
             next += 256;
             if burst % 100 == 0 {
-                node.shard_cells((burst / 100) as u16 % 8, 0, 96);
+                let shard = (burst / 100) as u16 % 8;
+                node.shard_cells(shard, 0, 96);
+                node.serve_tile(shard, 64, 32);
             }
         }
         assert_eq!(node.len() as u64, live);
@@ -303,7 +426,8 @@ mod tests {
         let bound = node.len() * 3 / 2;
         assert!(additions <= bound, "{additions} additions for {live} items");
         assert!(removals <= bound, "{removals} removals for {live} items");
-        // Cells materialized before, during and after the churn.
+        // Cells materialized and tiles served before, during and after the
+        // churn.
         assert_caches_match_a_rebuild(&mut node, 320);
     }
 

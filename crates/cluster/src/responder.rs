@@ -3,8 +3,9 @@
 //! exchange — and is the same object on both: handed the client's frames
 //! after the handshake one at a time, it stages the replies, length-prefixed,
 //! straight into the caller's write buffer and reports what it did
-//! ([`Served`]). It reads what it serves through [`Tiles`]: a [`Node`], or
-//! the daemon's node behind its cache of encoded tiles.
+//! ([`Served`]). It reads what it serves through [`Tiles`]: a [`Node`]'s
+//! encoded tiles ([`Node::serve_tile`]), taken directly or, in the daemon,
+//! under the node's lock.
 //!
 //! An `Open` of one shard earns the stream's first tile. An `Open` of
 //! [`SHARD_ALL`], once and first, earns a grant and every shard's first
@@ -26,6 +27,7 @@
 //! served.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use reconcile_core::backends::RIBLT_STREAM_MAGIC;
 use reconcile_core::wirefmt::validate_stream_open;
@@ -43,8 +45,9 @@ pub trait Tiles {
     fn with_count_sketch<R>(&self, read: impl FnOnce(&CountSketch) -> R) -> R;
 
     /// The coded symbols `[offset, offset + count)` of `shard`'s stream, as
-    /// [`Node::encode_tile`] encodes them.
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Vec<u8>;
+    /// [`Node::encode_tile`] encodes them, shared with every other reader of
+    /// the same tile ([`Node::serve_tile`]).
+    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]>;
 }
 
 impl<S: Symbol + Ord> Tiles for Node<S> {
@@ -52,8 +55,8 @@ impl<S: Symbol + Ord> Tiles for Node<S> {
         read(self.count_sketch())
     }
 
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Vec<u8> {
-        self.encode_tile(shard, offset, count)
+    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]> {
+        self.serve_tile(shard, offset, count).0
     }
 }
 

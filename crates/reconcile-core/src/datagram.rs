@@ -21,8 +21,9 @@
 //! 3. **Idempotent serving**: requests name explicit `[start, start+count)`
 //!    symbol ranges, so a duplicated or reordered request re-serves the
 //!    same universal prefix instead of corrupting shared state. The only
-//!    per-session server state is liveness and budget accounting
-//!    ([`UdpSessionTable`]).
+//!    per-session server state is the peer the cookie is bound to, liveness
+//!    and the shards the client has completed ([`UdpSessionTable`]); the
+//!    unit budget is checked against each request's own range.
 //!
 //! The decoder itself consumes coded symbols **positionally** (its lazy
 //! local-set streaming applies contributions in sequence-index order), so
@@ -44,7 +45,7 @@
 //! Done payload     : empty (seq = coded symbols the client consumed)
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
 use riblt_hash::{siphash24, SipKey};
@@ -300,10 +301,8 @@ struct UdpSession {
     peer: Vec<u8>,
     /// Last datagram observed, for idle expiry.
     last_seen: Instant,
-    /// Highest symbol offset served per shard (budget accounting).
-    served: HashMap<ShardId, u64>,
     /// Shards the client completed with `Done`.
-    done: HashMap<ShardId, u64>,
+    done: HashSet<ShardId>,
 }
 
 /// The server's table of live datagram sessions, keyed by cookie.
@@ -431,8 +430,6 @@ where
             let Some(batch) = serve(header.shard, start, count) else {
                 return (Vec::new(), DatagramEvent::Dropped("unservable request"));
             };
-            let high = session.served.entry(header.shard).or_insert(0);
-            *high = (*high).max(start + count as u64);
             let reply = DatagramHeader {
                 kind: DatagramKind::Symbols,
                 cookie: header.cookie,
@@ -463,7 +460,7 @@ where
                 return (Vec::new(), DatagramEvent::Dropped("shard out of range"));
             }
             // Duplicate Dones are harmless, mirroring the TCP path.
-            session.done.insert(header.shard, u64::from(header.seq));
+            session.done.insert(header.shard);
             let complete = session.done.len() >= usize::from(config.hello.shards);
             if complete {
                 table.sessions.remove(&header.cookie);
@@ -521,8 +518,7 @@ fn handle_hello(
                 UdpSession {
                     peer: peer.to_vec(),
                     last_seen: now,
-                    served: HashMap::new(),
-                    done: HashMap::new(),
+                    done: HashSet::new(),
                 },
             );
             true

@@ -25,6 +25,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 
 use obs::lock_unpoisoned;
+use reconcile_core::ShardPartitioner;
 use riblt::Symbol;
 
 use crate::daemon::{Mutation, SharedState};
@@ -92,19 +93,23 @@ pub(crate) fn execute<S: Symbol + Ord>(line: &str, shared: &SharedState<S>) -> R
                     shared.config.symbol_len * 2
                 ));
             };
+            // For the TRACE record; the admin path is not hot, so it hashes
+            // the item once more rather than have every mutation report it.
+            let shard =
+                ShardPartitioner::new(shared.config.key, shared.config.shards).shard_of(&item);
             let (mutation, event, done) = if verb == "ADD" {
                 (Mutation::Insert(item), "admin_add", "added")
             } else {
                 (Mutation::Remove(&item), "admin_remove", "removed")
             };
             let changed = shared.mutate(mutation);
-            if let Some(shard) = changed {
+            if changed {
                 shared
                     .metrics
                     .events
                     .record(event, format!("shard={shard}"));
             }
-            Reply::Line(format!("OK {done}={}", usize::from(changed.is_some())))
+            Reply::Line(format!("OK {done}={}", usize::from(changed)))
         }
         "QUIT" => Reply::Close("BYE".into()),
         "SHUTDOWN" => {
@@ -117,16 +122,14 @@ pub(crate) fn execute<S: Symbol + Ord>(line: &str, shared: &SharedState<S>) -> R
 }
 
 fn stats_line<S: Symbol + Ord>(shared: &SharedState<S>) -> String {
-    let (count, digest) = {
+    // The sum of the node's shard generations: how many times a shard's
+    // encoded tiles have been invalidated, the initial load included.
+    let (count, digest, cache_gen) = {
         let node = lock_unpoisoned(&shared.node);
-        (node.len(), node.digest())
+        let cache_gen: u64 = (0..node.shards()).map(|s| node.shard_generation(s)).sum();
+        (node.len(), node.digest(), cache_gen)
     };
     let stats = shared.stats_snapshot();
-    // Sum of per-shard mutation generations: how many times cached wire
-    // batches have been invalidated since start.
-    let cache_gen: u64 = (0..shared.config.shards)
-        .map(|shard| shared.shard_gen(shard))
-        .sum();
     format!(
         "OK count={count} shards={} digest={digest:016x} \
          connections_active={} connections_accepted={} \

@@ -10,8 +10,11 @@
 //! the shard's universal coded-symbol sequence, wire-encoded with the §6
 //! compressed codec — so the encoding work for a set change is paid
 //! **once** and every concurrent peer at any staleness reads the same
-//! tiles. Requests are stateless: per-connection state is nothing but the
-//! set of `(session, shard)` streams that are open.
+//! tiles: the node keeps each tile it encodes until its shard changes
+//! ([`cluster::Node::serve_tile`]), and the daemon takes it under the node
+//! lock, times it and counts it. Requests are stateless: per-connection
+//! state is nothing but the set of `(session, shard)` streams that are
+//! open.
 //!
 //! ## Connection lifecycle
 //!
@@ -52,10 +55,9 @@
 //! Sessions are short (seconds) relative to typical churn, the deployment
 //! the paper's incremental-cache story targets.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -177,17 +179,6 @@ pub(crate) struct SharedState<S: Symbol + Ord> {
     pub(crate) stop: AtomicBool,
     pub(crate) active: AtomicUsize,
     pub(crate) started: Instant,
-    /// Per-shard mutation generation. Bumped (under the node lock) by every
-    /// successful insert/remove; a cached wire batch is valid only while its
-    /// shard's generation is unchanged.
-    pub(crate) shard_gens: Vec<AtomicU64>,
-    /// Precomputed wire batches, keyed by `(shard, offset, count)`. Serving
-    /// a repeat tile — every peer reads the same universal coded-symbol
-    /// prefix — becomes a map lookup plus a memcpy instead of a cache-range
-    /// read and §6 re-encode under the node lock. The count is part of the
-    /// key because TCP (batch_symbols) and UDP (MTU-sized) batches tile the
-    /// same offsets with different strides.
-    pub(crate) wire_cache: Mutex<WireBatchCache>,
     /// Live UDP sessions, keyed by cookie (empty when the datagram
     /// transport is disabled).
     pub(crate) udp_sessions: Mutex<UdpSessionTable>,
@@ -238,65 +229,21 @@ impl<S: Symbol + Ord> SharedState<S> {
     }
 
     /// The one way the served set changes: applies `mutation` under the
-    /// node lock and, if the set changed, invalidates the shard's cached
-    /// wire batches and counts the write. Returns the shard that changed,
-    /// `None` when the item was already present (or already absent).
-    pub(crate) fn mutate(&self, mutation: Mutation<'_, S>) -> Option<ShardId> {
-        let mut node = lock_unpoisoned(&self.node);
-        let (shard, changed, counter) = match mutation {
-            Mutation::Insert(item) => (
-                node.shard_of(&item),
-                node.insert(item),
-                &self.metrics.inserts,
-            ),
-            Mutation::Remove(item) => (
-                node.shard_of(item),
-                node.remove(item),
-                &self.metrics.removes,
-            ),
+    /// node lock (which drops the changed shard's encoded tiles) and, if the
+    /// set changed, counts the write. Returns false when the item was
+    /// already present (or already absent).
+    pub(crate) fn mutate(&self, mutation: Mutation<'_, S>) -> bool {
+        let (changed, counter) = {
+            let mut node = lock_unpoisoned(&self.node);
+            match mutation {
+                Mutation::Insert(item) => (node.insert(item), &self.metrics.inserts),
+                Mutation::Remove(item) => (node.remove(item), &self.metrics.removes),
+            }
         };
-        if !changed {
-            return None;
+        if changed {
+            counter.inc();
         }
-        // Bumped with the node lock held, so the generation an encode
-        // observes under the same lock is stable.
-        self.shard_gens[usize::from(shard)].fetch_add(1, Ordering::Release);
-        drop(node);
-        counter.inc();
-        Some(shard)
-    }
-
-    pub(crate) fn shard_gen(&self, shard: ShardId) -> u64 {
-        self.shard_gens[usize::from(shard)].load(Ordering::Acquire)
-    }
-}
-
-/// Bound on cached wire batches across all shards; crossing it clears the
-/// cache (serves repopulate it), keeping worst-case memory small without
-/// an eviction policy on the hot path.
-const WIRE_CACHE_MAX_BATCHES: usize = 4096;
-
-/// See [`SharedState::wire_cache`].
-#[derive(Default)]
-pub(crate) struct WireBatchCache {
-    batches: HashMap<(ShardId, usize, usize), (u64, Vec<u8>)>,
-}
-
-impl WireBatchCache {
-    fn get(&self, shard: ShardId, offset: usize, count: usize, gen: u64) -> Option<Vec<u8>> {
-        match self.batches.get(&(shard, offset, count)) {
-            Some((cached_gen, bytes)) if *cached_gen == gen => Some(bytes.clone()),
-            _ => None,
-        }
-    }
-
-    fn insert(&mut self, shard: ShardId, offset: usize, count: usize, gen: u64, bytes: Vec<u8>) {
-        if self.batches.len() >= WIRE_CACHE_MAX_BATCHES
-            && !self.batches.contains_key(&(shard, offset, count))
-        {
-            self.batches.clear();
-        }
-        self.batches.insert((shard, offset, count), (gen, bytes));
+        changed
     }
 }
 
@@ -367,7 +314,6 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
         );
         node.extend(initial);
 
-        let shard_gens = (0..config.shards).map(|_| AtomicU64::new(0)).collect();
         let shared = Arc::new(SharedState {
             config,
             node: Mutex::new(node),
@@ -375,8 +321,6 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),
-            shard_gens,
-            wire_cache: Mutex::new(WireBatchCache::default()),
             udp_sessions: Mutex::new(UdpSessionTable::new()),
         });
 
@@ -443,12 +387,12 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
     /// Adds an item (patching O(log m) cells of its shard's cache).
     /// Returns false if it was already present.
     pub fn insert(&self, item: S) -> bool {
-        self.shared.mutate(Mutation::Insert(item)).is_some()
+        self.shared.mutate(Mutation::Insert(item))
     }
 
     /// Removes an item. Returns false if it was absent.
     pub fn remove(&self, item: &S) -> bool {
-        self.shared.mutate(Mutation::Remove(item)).is_some()
+        self.shared.mutate(Mutation::Remove(item))
     }
 
     /// True once a shutdown has been requested (via [`Self::shutdown`] or
@@ -539,65 +483,39 @@ impl ConnAccounting {
 }
 
 /// What a connection's [`cluster::Responder`] serves from: the node, under
-/// its lock, through the wire-batch cache ([`encode_shard_batch`]).
+/// its lock ([`encode_shard_batch`]).
 impl<S: Symbol + Ord> Tiles for &SharedState<S> {
     fn with_count_sketch<R>(&self, read: impl FnOnce(&CountSketch) -> R) -> R {
         read(lock_unpoisoned(&self.node).count_sketch())
     }
 
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Vec<u8> {
+    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]> {
         encode_shard_batch(self, shard, offset, count)
     }
 }
 
-/// Produces the wire-encoded batch `[next, next + count)` of a shard — a
-/// precomputed wire batch when the shard is unchanged since it was encoded,
-/// otherwise a cache-range read plus §6 encode under the node lock — and
-/// times it in `serve_batch_seconds` and the serve CPU counter. Shared by
-/// the TCP path (count = `batch_symbols`) and the UDP path (count =
-/// whatever fits the MTU budget); the cache key includes the count so the
-/// two strides never collide.
+/// The wire-encoded batch `[next, next + count)` of a shard, taken from the
+/// node under its lock ([`cluster::Node::serve_tile`]: a repeat tile of an
+/// unchanged shard is shared, anything else is encoded once), counted as a
+/// wire-cache hit or miss and timed in `serve_batch_seconds` and the serve
+/// CPU counter. Shared by the TCP path (count = `batch_symbols`) and the
+/// UDP path (count = whatever fits the MTU budget).
 pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
     shared: &SharedState<S>,
     shard: ShardId,
     next: usize,
     count: usize,
-) -> Vec<u8> {
+) -> Arc<[u8]> {
     let span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
     let t0 = Instant::now();
-    // Every peer reads the same universal prefix of a shard's coded-symbol
-    // sequence, so the encoded bytes of `[next, next + count)` can be reused
-    // across sessions and connections until the shard mutates.
-    let gen = shared.shard_gen(shard);
-    let cached = lock_unpoisoned(&shared.wire_cache).get(shard, next, count, gen);
-    let payload = match cached {
-        Some(bytes) => {
-            shared.metrics.wire_cache_hits.inc();
-            bytes
-        }
-        None => {
-            shared.metrics.wire_cache_misses.inc();
-            let (gen_now, encoded) = {
-                let mut node = lock_unpoisoned(&shared.node);
-                // Re-read under the node lock: mutators bump while holding
-                // it, so this generation matches the encoded snapshot.
-                (
-                    shared.shard_gen(shard),
-                    node.encode_tile(shard, next, count),
-                )
-            };
-            lock_unpoisoned(&shared.wire_cache).insert(
-                shard,
-                next,
-                count,
-                gen_now,
-                encoded.clone(),
-            );
-            encoded
-        }
-    };
+    let (payload, cached) = lock_unpoisoned(&shared.node).serve_tile(shard, next, count);
     let serve_cpu = t0.elapsed();
     span.stop();
+    if cached {
+        shared.metrics.wire_cache_hits.inc();
+    } else {
+        shared.metrics.wire_cache_misses.inc();
+    }
     shared
         .metrics
         .serve_cpu_nanos
@@ -637,7 +555,7 @@ pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
             Instant::now(),
             |shard, start, count| {
                 (shard < config.shards)
-                    .then(|| encode_shard_batch(shared, shard, start as usize, count))
+                    .then(|| encode_shard_batch(shared, shard, start as usize, count).to_vec())
             },
         )
     };
@@ -695,6 +613,7 @@ mod tests {
     use reconcile_core::EngineError;
     use riblt::FixedBytes;
     use statesync::{sync_sharded_tcp, TcpSyncConfig};
+    use std::collections::HashSet;
     use std::net::TcpStream;
 
     type Item = FixedBytes<8>;
@@ -800,9 +719,29 @@ mod tests {
         assert!(diffs.iter().all(|d| d.is_empty()));
         // Mutate through the in-process API (the admin socket path is
         // exercised by the admin tests and the two-process test).
-        assert!(daemon.insert(Item::from_u64(9_999)));
-        assert!(daemon.remove(&Item::from_u64(3)));
+        let (added, removed) = (Item::from_u64(9_999), Item::from_u64(3));
+        let touched: HashSet<ShardId> = {
+            let node = lock_unpoisoned(&daemon.shared.node);
+            [node.shard_of(&added), node.shard_of(&removed)].into()
+        };
+        assert!(daemon.insert(added));
+        assert!(daemon.remove(&removed));
+        let metrics = daemon.metrics();
+        let lookups = || {
+            (
+                metrics.wire_cache_hits.get(),
+                metrics.wire_cache_misses.get(),
+            )
+        };
+        let before = lookups();
         let (diffs, _) = sync_against(&daemon, &local);
+        // Both syncs are one tile a shard. Only the changed shards' tiles
+        // are encoded again; the others are the warm sync's.
+        let after = lookups();
+        let (hits, misses) = (after.0 - before.0, after.1 - before.1);
+        let shards = u64::from(daemon.shared.config.shards);
+        assert_eq!(hits + misses, shards, "one tile a shard");
+        assert_eq!(misses, touched.len() as u64);
         let remote: Vec<u64> = diffs
             .iter()
             .flat_map(|d| d.remote_only.iter().map(|i| i.to_u64()))

@@ -21,7 +21,8 @@
 //! connections it accepted. Connections never migrate between workers, so
 //! there is no cross-thread handoff, no wake pipe, and no locking around
 //! connection state; workers only share the daemon's `SharedState`
-//! (node, caches, metrics), which synchronizes itself.
+//! (the node with its encoded tiles, the UDP sessions, metrics), which
+//! synchronizes itself.
 //!
 //! ## Backpressure
 //!
@@ -642,7 +643,7 @@ fn pump<S: Symbol + Ord>(
                     // Replies are staged straight into the write buffer; an
                     // oversized one (it would desynchronize the stream)
                     // comes back as an error with nothing staged.
-                    // The node, through the wire-batch cache.
+                    // The node and its encoded tiles, under the node lock.
                     let mut tiles = shared;
                     // One shard of a wildcard open per turn, so the pause
                     // check below runs between its shards as it does

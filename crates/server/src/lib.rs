@@ -9,8 +9,9 @@
 //! * maintains one item set hash-partitioned into shards, each shard backed
 //!   by a shared incrementally-maintained [`riblt::SketchCache`] (via
 //!   [`cluster::Node`]) — coded symbols are computed **once** per set
-//!   change and the same cells serve every connected peer at any staleness,
-//!   each connection through its own [`cluster::Responder`];
+//!   change and the same cells, wire-encoded once per shard generation,
+//!   serve every connected peer at any staleness, each connection through
+//!   its own [`cluster::Responder`];
 //! * speaks the versioned handshake of
 //!   [`reconcile_core::handshake`] (magic, protocol version, SipKey
 //!   fingerprint, shard-count negotiation) in front of the multiplexed

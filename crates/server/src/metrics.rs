@@ -40,9 +40,9 @@ pub struct DaemonMetrics {
     pub handshake_failures: Arc<Counter>,
     /// Connections dropped after the handshake (protocol, timeout, I/O).
     pub connection_errors: Arc<Counter>,
-    /// Wire-batch cache lookups that hit (`result="hit"`).
+    /// Tiles served from the node's encoded-tile cache (`result="hit"`).
     pub wire_cache_hits: Arc<Counter>,
-    /// Wire-batch cache lookups that missed (`result="miss"`).
+    /// Tiles the node encoded to serve them (`result="miss"`).
     pub wire_cache_misses: Arc<Counter>,
     /// Successful set mutations (`op="insert"`).
     pub inserts: Arc<Counter>,
@@ -128,7 +128,8 @@ impl DaemonMetrics {
             "reconciled_connection_errors_total",
             "Connections dropped after the handshake for protocol violations, timeouts or I/O errors.",
         );
-        let cache_help = "Wire-batch cache lookups while serving coded-symbol batches.";
+        let cache_help =
+            "Lookups in the node's encoded-tile cache while serving coded-symbol batches.";
         let wire_cache_hits = registry.counter_with(
             "reconciled_wire_cache_lookups_total",
             cache_help,

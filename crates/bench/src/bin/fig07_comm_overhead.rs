@@ -16,9 +16,10 @@
 
 use iblt::{calibrate, Iblt, ESTIMATOR_WIRE_BYTES};
 use merkle_trie::heal_in_memory;
-use reconcile_core::backends::{IbltBackend, IrregularRibltBackend, MetIbltBackend, RibltBackend};
+use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
 use reconcile_core::{run_in_memory, ReconcileBackend};
 use riblt_bench::{set_pair32, BenchCli, Item32};
+use statesync::backends::{IbltBackend, MetIbltBackend};
 
 const ITEM_LEN: usize = 32;
 /// Checksum + compressed count of one rateless coded symbol (§7.1: "these

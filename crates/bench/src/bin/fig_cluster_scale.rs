@@ -6,7 +6,7 @@
 //!    shard counts and worker threads. The serial baseline is a single
 //!    Rateless IBLT session through the session engine (one decoder peels
 //!    the whole difference on one core); the sharded runs are
-//!    `cluster::reconcile_pair`, the shipped client's `ClientMux` peeling S
+//!    `netsim::reconcile_pair`, the shipped client's `ClientMux` peeling S
 //!    per-shard differences on up to `threads` workers against a node that
 //!    serves from its caches. `speedup_vs_serial` is serial wall-clock
 //!    over sharded wall-clock of the protocol work (serve + decode CPU, not
@@ -19,8 +19,8 @@
 //! Output columns: `scenario, nodes, shards, threads, items, diff_or_churn,
 //! rounds, units, total_MB, mean_node_MB, wall_ms, speedup_vs_serial`.
 
-use cluster::{reconcile_pair, Cluster, ClusterConfig, Node, NodeConfig, PairSyncConfig};
-use netsim::{LinkConfig, Topology};
+use cluster::{Node, NodeConfig};
+use netsim::{reconcile_pair, Cluster, ClusterConfig, LinkConfig, PairSyncConfig, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::{ClientEngine, EngineMessage, ServerEngine};
 use riblt::FixedBytes;

@@ -12,7 +12,7 @@
 //!   in the path.
 //! - `loopback`: the client syncs with a real `reconciled` daemon over
 //!   kernel loopback UDP, with the same loss rate injected client-side by
-//!   [`statesync::LossyConduit`] in both directions.
+//!   [`cluster::LossyConduit`] in both directions.
 //!
 //! A `tcp` row (same daemon, same workload) anchors the zero-loss
 //! baseline. Acceptance: every sync at loss rates up to 10% must complete
@@ -22,17 +22,16 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
+use cluster::{sync_sharded_udp, LossyConduit, UdpSyncConfig, UdpSyncOutcome};
 use netsim::{datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::datagram::{DatagramServiceConfig, DEFAULT_MTU_BUDGET};
 use reconcile_core::handshake::Hello;
+use reconcile_core::{sync_sharded_tcp, TcpSyncConfig};
 use riblt::FixedBytes;
 use riblt_bench::BenchCli;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig};
-use statesync::{
-    sync_sharded_tcp, sync_sharded_udp, LossyConduit, TcpSyncConfig, UdpSyncConfig, UdpSyncOutcome,
-};
 
 type Item = FixedBytes<8>;
 

@@ -38,8 +38,8 @@
 //!   the client built every decoder before the first round timed the
 //!   absorbs alone (EXPERIMENTS.md says from which snapshot on).
 
-use cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
-use netsim::{LinkConfig, Topology};
+use cluster::{Node, NodeConfig};
+use netsim::{reconcile_pair, LinkConfig, PairSyncConfig, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::ShardPartitioner;
 use riblt::{Decoder, Encoder, Sketch, Symbol};

@@ -84,6 +84,7 @@ impl<S: Symbol + Ord + Send + Sync> SyncClient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netsim;
     use reconcile_core::handshake::Hello;
     use riblt::FixedBytes;
 

@@ -1,8 +1,8 @@
-//! # cluster — sharded multi-peer reconciliation
+//! # cluster — the replica: serving a set and syncing one
 //!
 //! The paper's deployment story (§2, §7.3) is one node serving *many* peers
 //! of different staleness from a single incrementally-maintained
-//! coded-symbol cache. This crate scales that story out:
+//! coded-symbol cache. This crate holds both ends of that story:
 //!
 //! * [`Node`] hash-partitions its item set into S shards
 //!   ([`reconcile_core::ShardPartitioner`]) and keeps one shared
@@ -14,55 +14,53 @@
 //!   count sketch, every range with one payload per tile) and stages the
 //!   replies straight into the caller's write buffer. The `reconciled`
 //!   daemon serves every connection through it.
-//! * [`reconcile_pair`] reconciles two nodes over one link as a client and
-//!   the daemon do: the initiator runs the shipped TCP client,
-//!   [`reconcile_core::sync_sharded_tcp`], against the responder node's
-//!   [`Responder`], every flight charged to the link.
-//! * [`Cluster`] runs N-node anti-entropy gossip over a
-//!   [`netsim::Topology`] of per-pair virtual-time links, with churn
-//!   injected between rounds, and reports rounds-to-convergence plus
-//!   per-node bytes and decode/serve CPU.
+//! * [`SyncClient`] is the client an application holds: it owns the local
+//!   set and syncs it over any byte stream through the shipped TCP client,
+//!   [`reconcile_core::sync_sharded_tcp`].
+//! * [`sync_sharded_udp`] is the client of the daemon's datagram protocol,
+//!   over any [`DatagramConduit`].
+//!
+//! The pair exchange and the N-node gossip that run these over simulated
+//! links are experiment harness and live in `netsim`, whose crate docs
+//! have a quick start.
 //!
 //! **Shared key requirement.** Every member of a cluster must be configured
 //! with the same [`riblt_hash::SipKey`] (and shard count and item length):
 //! the key drives both the shard partition and the coded-symbol
 //! checksums/index mappings, so nodes with different keys speak incompatible
-//! codes. [`reconcile_pair`] rejects mismatched configurations up front.
-//!
-//! ## Quick start
-//!
-//! ```
-//! use cluster::{Cluster, ClusterConfig, NodeConfig, PairSyncConfig};
-//! use netsim::LinkConfig;
-//! use riblt::FixedBytes;
-//!
-//! type Item = FixedBytes<8>;
-//! let mut cluster = Cluster::<Item>::new(ClusterConfig {
-//!     nodes: 4,
-//!     node: NodeConfig::new(8, 8), // 8 shards, 8-byte items
-//!     link: LinkConfig::unlimited(),
-//!     pair: PairSyncConfig::default(),
-//!     seed: 7,
-//! });
-//! for node in 0..4 {
-//!     for i in 0..100u64 {
-//!         cluster.insert_at(node, Item::from_u64(i)); // replicated history
-//!     }
-//!     cluster.insert_at(node, Item::from_u64(1_000 + node as u64)); // a local write
-//! }
-//! let report = cluster.run_until_converged(20).unwrap();
-//! assert!(report.converged);
-//! assert_eq!(cluster.node(0).len(), 104);
-//! ```
+//! codes. The handshake's key fingerprint refuses a peer configured
+//! otherwise.
 
 #![warn(missing_docs)]
 
-mod gossip;
+mod client;
 mod node;
-mod pairsync;
 mod responder;
+mod udp_sync;
 
-pub use gossip::{Cluster, ClusterConfig, ConvergenceReport, NodeStats, RoundReport};
+pub use client::SyncClient;
 pub use node::{set_digest, Node, NodeConfig};
-pub use pairsync::{reconcile_pair, PairOutcome, PairSyncConfig};
 pub use responder::{Responder, Served, Tiles};
+pub use udp_sync::{
+    sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome,
+};
+
+// The unit tests drive the clients against `netsim`'s reference servers,
+// compiled from the same source files: `netsim` depends on this crate, so
+// as a dev-dependency it would link a second copy of it, whose types are
+// not these. Those files name this crate by its name.
+#[cfg(test)]
+extern crate self as cluster;
+#[cfg(test)]
+#[path = "../../netsim/src/datagram.rs"]
+mod netsim_datagram;
+#[cfg(test)]
+#[path = "../../netsim/src/flight.rs"]
+mod netsim_flight;
+#[cfg(test)]
+mod netsim {
+    pub use crate::netsim_datagram::{
+        datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig,
+    };
+    pub use crate::netsim_flight::{library_server, FlightLink};
+}

@@ -1,11 +1,12 @@
 //! Sharded synchronization over a lossy datagram transport: the client
 //! half of the `reconciled` UDP wire protocol.
 //!
-//! Where [`crate::sync_sharded_tcp`] rides a reliable byte stream, this module
-//! drives the same per-shard rateless streams over anything that moves
-//! unreliable datagrams — a connected [`std::net::UdpSocket`] against the
-//! daemon, a [`netsim::DatagramEndpoint`] pair in a test or benchmark —
-//! through the [`DatagramConduit`] trait. The flow:
+//! Where [`reconcile_core::sync_sharded_tcp`] rides a reliable byte
+//! stream, this module drives the same per-shard rateless streams over
+//! anything that moves unreliable datagrams — a connected
+//! [`std::net::UdpSocket`] against the daemon, a `netsim::DatagramEndpoint`
+//! pair in a test or benchmark — through the [`DatagramConduit`] trait. The
+//! flow:
 //!
 //! 1. **Handshake over datagrams**: the 18-byte hello plus a client nonce
 //!    is retransmitted until the server's `HelloAck` arrives with the
@@ -49,7 +50,7 @@ use riblt_hash::{splitmix64, SipKey, XorShift64Star};
 const MAX_DATAGRAM_BYTES: usize = 65_536;
 
 /// Moves datagrams for [`sync_sharded_udp`]: a connected UDP socket, a
-/// [`netsim::DatagramEndpoint`], or a [`LossyConduit`] wrapper injecting
+/// `netsim::DatagramEndpoint`, or a [`LossyConduit`] wrapper injecting
 /// deterministic impairments over either.
 pub trait DatagramConduit {
     /// Sends one datagram (best effort — datagrams may be silently lost).
@@ -80,17 +81,6 @@ impl DatagramConduit for UdpSocket {
             }
             Err(e) => Err(e),
         }
-    }
-}
-
-impl DatagramConduit for netsim::DatagramEndpoint {
-    fn send(&mut self, datagram: &[u8]) -> io::Result<()> {
-        netsim::DatagramEndpoint::send(self, datagram);
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout: Duration) -> io::Result<Option<Vec<u8>>> {
-        Ok(netsim::DatagramEndpoint::recv(self, timeout))
     }
 }
 
@@ -230,7 +220,7 @@ struct ShardState<B: ReconcileBackend> {
 /// the recovered per-shard differences (index = shard id).
 ///
 /// `factory` builds the backend per shard exactly as in
-/// [`crate::sync_sharded_tcp`] — it must configure `config.key`,
+/// [`reconcile_core::sync_sharded_tcp`] — it must configure `config.key`,
 /// `config.symbol_len`, and α = [`riblt::DEFAULT_ALPHA`]. The conduit
 /// must already be bound to the server (a `connect`ed UDP socket or one
 /// end of a datagram pair).
@@ -580,7 +570,7 @@ fn drain_ready<C: DatagramConduit>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{datagram_pair, DatagramLinkConfig};
+    use crate::netsim::{self, datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::datagram::DatagramServiceConfig;
     use riblt::FixedBytes;
@@ -685,11 +675,11 @@ mod tests {
             let mut link = netsim::FlightLink::new(move |_, out| {
                 Ok(reconcile_core::append_frame(out, &bad.to_bytes())?)
             });
-            let over_tcp = crate::sync_sharded_tcp(
+            let over_tcp = reconcile_core::sync_sharded_tcp(
                 &mut link,
                 &[] as &[Item],
                 |_| RibltBackend::<Item>::new(8, 32),
-                &crate::TcpSyncConfig {
+                &reconcile_core::TcpSyncConfig {
                     key,
                     ..Default::default()
                 },

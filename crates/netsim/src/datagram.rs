@@ -17,14 +17,15 @@
 //! [`library_datagram_server`] puts the library's datagram server on the
 //! far end of such a link.
 
+use std::io;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
+use cluster::{DatagramConduit, Node, NodeConfig};
 use reconcile_core::datagram::{
     handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
 };
-use reconcile_core::ShardPartitioner;
-use riblt::{SketchCache, Symbol, SymbolCodec};
+use riblt::Symbol;
 use riblt_hash::XorShift64Star;
 
 /// Impairment parameters of one direction of a datagram link.
@@ -173,6 +174,17 @@ impl DatagramEndpoint {
     }
 }
 
+impl DatagramConduit for DatagramEndpoint {
+    fn send(&mut self, datagram: &[u8]) -> io::Result<()> {
+        DatagramEndpoint::send(self, datagram);
+        Ok(())
+    }
+
+    fn recv(&mut self, timeout: Duration) -> io::Result<Option<Vec<u8>>> {
+        Ok(DatagramEndpoint::recv(self, timeout))
+    }
+}
+
 /// How long [`library_datagram_server`] waits for a datagram before it
 /// counts the link as quiet once more.
 const QUIET_POLL: Duration = Duration::from_millis(100);
@@ -183,29 +195,27 @@ const QUIET_POLL: Duration = Duration::from_millis(100);
 const QUIET_POLLS: usize = 50;
 
 /// The library's datagram server, on the far end of `endpoint`:
-/// [`handle_server_datagram`] under `service`, serving shard `i` of
-/// `service.hello.shards` from one [`SketchCache`] over the items
-/// `service.key` places there, in the §6 codec — the daemon's shard caches
-/// without the daemon. It answers until a session completes or the link
-/// has been quiet for five seconds, so a caller runs it on a thread of its
-/// own and joins it once its client is done.
-pub fn library_datagram_server<S: Symbol>(
+/// [`handle_server_datagram`] under `service`, serving the tiles of a
+/// [`Node`] over `items` in `service.hello.shards` shards under
+/// `service.key` ([`Node::serve_tile`]), as the daemon's UDP half does. It
+/// answers until a session completes or the link has been quiet for five
+/// seconds, so a caller runs it on a thread of its own and joins it once
+/// its client is done.
+pub fn library_datagram_server<S: Symbol + Ord>(
     mut endpoint: DatagramEndpoint,
     items: &[S],
     service: DatagramServiceConfig,
 ) {
-    let symbol_len = usize::from(service.hello.symbol_len);
-    let parts = ShardPartitioner::new(service.key, service.hello.shards).partition(items);
-    let mut shards: Vec<(SketchCache<S>, SymbolCodec)> = parts
-        .into_iter()
-        .map(|part| {
-            let codec =
-                SymbolCodec::with_alpha(symbol_len, part.len() as u64, riblt::DEFAULT_ALPHA);
-            let mut cache = SketchCache::with_key(service.key);
-            part.into_iter().for_each(|item| cache.add_symbol(item));
-            (cache, codec)
-        })
-        .collect();
+    let shards = service.hello.shards;
+    let mut node = Node::new(
+        0,
+        NodeConfig {
+            shards,
+            key: service.key,
+            symbol_len: usize::from(service.hello.symbol_len),
+        },
+    );
+    node.extend(items.iter().cloned());
     let mut table = UdpSessionTable::new();
     let mut quiet = 0;
     while quiet < QUIET_POLLS {
@@ -221,8 +231,7 @@ pub fn library_datagram_server<S: Symbol>(
             &datagram,
             Instant::now(),
             |shard, start, count| {
-                let (cache, codec) = shards.get_mut(usize::from(shard))?;
-                Some(codec.encode_batch(cache.range(start as usize, count), start))
+                (shard < shards).then(|| node.serve_tile(shard, start as usize, count).0.to_vec())
             },
         );
         for reply in replies {

@@ -2,7 +2,7 @@
 //!
 //! Every round, each node initiates one session-multiplexed exchange
 //! ([`reconcile_pair`]) with a uniformly random peer over the per-pair
-//! [`netsim::Topology`] links. Exchanges within a round execute
+//! [`Topology`] links. Exchanges within a round execute
 //! *sequentially in node-id order* against live state — a sequential
 //! anti-entropy sweep, so an item written early in a round can travel more
 //! than one hop before the round ends (rounds-to-convergence is therefore a
@@ -17,13 +17,14 @@
 //! still holds the item — production systems layer tombstones on top, which
 //! is orthogonal to the reconciliation transport measured here).
 
-use netsim::{LinkConfig, Topology};
+use cluster::{Node, NodeConfig};
 use reconcile_core::Result;
 use riblt::Symbol;
 use riblt_hash::SplitMix64;
 
-use crate::node::{Node, NodeConfig};
+use crate::link::LinkConfig;
 use crate::pairsync::{reconcile_pair, PairSyncConfig};
+use crate::topology::Topology;
 
 /// Configuration of a gossip cluster.
 #[derive(Debug, Clone, Copy)]

@@ -9,14 +9,15 @@
 //! absorb phases, so multi-core speedups show in completion times) on the
 //! virtual clocks.
 
-use netsim::{FlightLinkTo, SimFlights, Topology};
+use cluster::{Node, NodeConfig, Responder};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::handshake::Hello;
 use reconcile_core::{sync_sharded_tcp, EngineError, Result, TcpSyncConfig, MUX_HEADER_BYTES};
 use riblt::Symbol;
 
-use crate::node::{Node, NodeConfig};
-use crate::responder::Responder;
+use crate::flight::FlightLinkTo;
+use crate::sim_flights::SimFlights;
+use crate::topology::Topology;
 
 /// Tuning knobs of one pairwise exchange.
 #[derive(Debug, Clone, Copy)]
@@ -169,7 +170,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::LinkConfig;
+    use crate::link::LinkConfig;
     use riblt::FixedBytes;
 
     type Item = FixedBytes<8>;

@@ -60,11 +60,5 @@ impl From<riblt::Error> for EngineError {
     }
 }
 
-impl From<pinsketch::PinSketchError> for EngineError {
-    fn from(e: pinsketch::PinSketchError) -> Self {
-        EngineError::Backend(e.to_string())
-    }
-}
-
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -11,7 +11,10 @@
 //! Higher layers — the `statesync` virtual-time driver, the experiment
 //! binaries, the examples — select schemes through this trait, so adding a
 //! transport (sharding, multi-peer fan-out, real sockets) is written once
-//! and works for every scheme.
+//! and works for every scheme. The crate itself holds one scheme's adapter,
+//! the shipped one: Rateless IBLT ([`backends`]). The baselines' adapters
+//! (regular IBLT, MET-IBLT, PinSketch, Merkle-trie heal) live in
+//! `statesync::backends`, outside the product the daemon links.
 //!
 //! For real connections the crate also owns the byte-level transport
 //! plumbing: [`framing`] is the length-prefixed frame codec over any

@@ -4,8 +4,8 @@
 //! This module drives S multiplexed sessions over anything that implements
 //! `Read + Write` — a localhost `TcpStream` against the `reconciled` daemon,
 //! the simulator's link (`statesync::sync_sharded_riblt`), a cluster pair
-//! exchange (`cluster::reconcile_pair`), a pipe in a test, a tunnel.
-//! `statesync::SyncClient` is the shell applications hold. The flow:
+//! exchange (`netsim::reconcile_pair`), a pipe in a test, a tunnel.
+//! `cluster::SyncClient` is the shell applications hold. The flow:
 //!
 //! 1. One flight, one write: the hello
 //!    ([`crate::handshake::client_handshake_pipelined`] — magic,
@@ -145,7 +145,7 @@ pub struct TcpSyncOutcome {
 /// `config.symbol_len`, **and α = [`riblt::DEFAULT_ALPHA`]** — the protocol
 /// pins the mapping parameter, and the handshake checks the first two but
 /// cannot see the backend's α (a non-default α decodes nothing and burns
-/// the unit budget before erroring `DecodeIncomplete`). `statesync::SyncClient`
+/// the unit budget before erroring `DecodeIncomplete`). `cluster::SyncClient`
 /// builds its backends so, and cannot be configured otherwise.
 ///
 /// One open request serves every shard and leaves before the local set is

@@ -27,12 +27,12 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use cluster::SyncClient;
 use reconcile_core::CountSketch;
 use riblt::{FixedBytes, Symbol};
 use riblt_hash::SipKey;
 use server::cli::{flag_value, load_items, parse_key};
 use server::AdminClient;
-use statesync::SyncClient;
 
 const USAGE: &str = "Usage: reconcile-client --connect ADDR --load FILE [--admin ADDR] [--push] \
                      [--symbol-len 8|16|32] [--key K0HEX:K1HEX] [--timeout-ms N]";

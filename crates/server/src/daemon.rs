@@ -610,9 +610,8 @@ pub(crate) fn sweep_udp_sessions<S: Symbol + Ord>(shared: &SharedState<S>) {
 mod tests {
     use super::*;
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::EngineError;
+    use reconcile_core::{sync_sharded_tcp, EngineError, TcpSyncConfig, TcpSyncOutcome};
     use riblt::FixedBytes;
-    use statesync::{sync_sharded_tcp, TcpSyncConfig};
     use std::collections::HashSet;
     use std::net::TcpStream;
 
@@ -634,7 +633,7 @@ mod tests {
     fn sync_against(
         daemon: &Daemon<Item>,
         local: &[Item],
-    ) -> (Vec<riblt::SetDifference<Item>>, statesync::TcpSyncOutcome) {
+    ) -> (Vec<riblt::SetDifference<Item>>, TcpSyncOutcome) {
         let mut conn = TcpStream::connect(daemon.data_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let key = daemon.shared.config.key;

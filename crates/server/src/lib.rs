@@ -27,7 +27,7 @@
 //!   events.
 //!
 //! The binaries `reconciled` (the daemon) and `reconcile-client` (drives
-//! [`statesync::sync_sharded_tcp`] against it, optionally pushing its
+//! [`reconcile_core::sync_sharded_tcp`] against it, optionally pushing its
 //! exclusive items back through the admin socket) turn the library into two
 //! real OS processes that converge over localhost — see the repository's
 //! `ARCHITECTURE.md` for the protocol reference and `README.md` for a

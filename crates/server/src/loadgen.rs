@@ -27,10 +27,10 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cluster::{sync_sharded_udp, SyncClient, UdpSyncConfig};
 use reconcile_core::backends::RibltBackend;
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
-use statesync::{sync_sharded_udp, SyncClient, UdpSyncConfig};
 
 /// The item type the load generator speaks — the same 8-byte items the
 /// `reconciled`/`reconcile-client` binaries use.
@@ -46,7 +46,7 @@ pub enum Transport {
     #[default]
     Tcp,
     /// Datagram transport: one UDP socket per round, cookie-session
-    /// protocol ([`statesync::sync_sharded_udp`]).
+    /// protocol ([`cluster::sync_sharded_udp`]).
     Udp,
 }
 
@@ -109,7 +109,7 @@ pub struct LoadgenReport {
     /// Coded-symbol units consumed across all successful rounds.
     pub units_consumed: usize,
     /// Protocol request rounds after the handshake exchange
-    /// (`statesync::TcpSyncOutcome::rounds`), summed over the successful
+    /// (`reconcile_core::TcpSyncOutcome::rounds`), summed over the successful
     /// syncs; 0 over UDP, which has no rounds.
     pub request_rounds: usize,
     /// Wall time from the post-connect barrier to the last client's exit.

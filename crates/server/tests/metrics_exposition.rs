@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 
 use obs::{sample_value, validate_prometheus};
 use reconcile_core::backends::RibltBackend;
+use reconcile_core::{sync_sharded_tcp, TcpSyncConfig};
 use riblt::FixedBytes;
 use server::{AdminClient, Daemon, DaemonConfig};
-use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
 

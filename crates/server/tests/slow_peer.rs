@@ -15,11 +15,13 @@ use std::time::{Duration, Instant};
 use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::Hello;
 use reconcile_core::wirefmt::encode_stream_open;
-use reconcile_core::{client_handshake, write_frame, EngineMessage, MuxFrame, RangeRequest};
+use reconcile_core::{
+    client_handshake, sync_sharded_tcp, write_frame, EngineMessage, MuxFrame, RangeRequest,
+    TcpSyncConfig,
+};
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig};
-use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
 

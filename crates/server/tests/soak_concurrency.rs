@@ -11,10 +11,10 @@ use std::time::{Duration, Instant};
 
 use cluster::set_digest;
 use reconcile_core::backends::RibltBackend;
+use reconcile_core::{sync_sharded_tcp, TcpSyncConfig};
 use riblt::FixedBytes;
 use server::loadgen::{self, LoadgenConfig};
 use server::{item_to_hex, AdminClient, Daemon, DaemonConfig};
-use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
 

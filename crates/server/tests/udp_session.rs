@@ -9,6 +9,7 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
+use cluster::{sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::datagram::{
     client_hello_payload, DatagramHeader, DatagramKind, DATAGRAM_HEADER_BYTES,
@@ -17,7 +18,6 @@ use reconcile_core::handshake::Hello;
 use riblt::FixedBytes;
 use riblt_hash::SipKey;
 use server::{Daemon, DaemonConfig};
-use statesync::{sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome};
 
 type Item = FixedBytes<8>;
 

@@ -30,14 +30,13 @@ use reconcile_core::backends::{RibltBackend, RIBLT_STREAM_MAGIC};
 use reconcile_core::handshake::{Hello, PROTOCOL_VERSION, REJECT_MAGIC};
 use reconcile_core::wirefmt::encode_stream_open;
 use reconcile_core::{
-    read_frame, write_frame, CountSketch, EngineError, EngineMessage, MuxFrame, RangeRequest,
-    SetDifference, ShardPartitioner, SHARD_ALL,
+    read_frame, sync_sharded_tcp, write_frame, CountSketch, EngineError, EngineMessage, MuxFrame,
+    RangeRequest, SetDifference, ShardPartitioner, TcpSyncConfig, SHARD_ALL,
 };
 use riblt::wire::{write_vlq, zigzag_encode};
 use riblt::{FixedBytes, Symbol};
 use riblt_hash::{SipKey, SplitMix64};
 use server::{Daemon, DaemonConfig};
-use statesync::{sync_sharded_tcp, TcpSyncConfig};
 
 type Item = FixedBytes<8>;
 

@@ -10,12 +10,11 @@
 use std::marker::PhantomData;
 
 use iblt::{recommended, Iblt, StrataEstimator};
+use reconcile_core::{EngineError, Progress, ReconcileBackend, Result};
 use riblt::wire::{read_vlq, write_vlq};
 use riblt::{SetDifference, Symbol};
 use riblt_hash::SipKey;
 
-use crate::backend::{Progress, ReconcileBackend};
-use crate::error::{EngineError, Result};
 use crate::wirefmt::{decode_iblt, encode_iblt};
 
 /// Request tags.

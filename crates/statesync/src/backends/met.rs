@@ -10,12 +10,11 @@ use std::marker::PhantomData;
 
 use iblt::Iblt;
 use met_iblt::{joint_decode, MetIblt};
+use reconcile_core::{EngineError, Progress, ReconcileBackend, Result};
 use riblt::wire::{read_vlq, write_vlq};
 use riblt::{SetDifference, Symbol};
 use riblt_hash::SipKey;
 
-use crate::backend::{Progress, ReconcileBackend};
-use crate::error::{EngineError, Result};
 use crate::wirefmt::{decode_iblt, encode_iblt};
 
 /// MET-IBLT over `symbol_len`-byte items.

@@ -9,11 +9,14 @@
 use std::collections::BTreeSet;
 
 use pinsketch::{PinSketch, PinSketchError};
+use reconcile_core::{EngineError, Progress, ReconcileBackend, Result};
 use riblt::wire::{read_vlq, write_vlq};
 use riblt::{FixedBytes, SetDifference};
 
-use crate::backend::{Progress, ReconcileBackend};
-use crate::error::{EngineError, Result};
+/// A PinSketch failure as the engine reports it.
+fn backend_error(e: PinSketchError) -> EngineError {
+    EngineError::Backend(e.to_string())
+}
 
 /// The item type PinSketch reconciles: one GF(2^64) element.
 pub type PinItem = FixedBytes<8>;
@@ -110,7 +113,8 @@ impl ReconcileBackend for PinSketchBackend {
         if capacity == 0 || capacity > self.max_capacity {
             return Err(EngineError::WireFormat("bad sketch capacity"));
         }
-        let sketch = PinSketch::from_set(capacity, server.elements.iter().copied())?;
+        let sketch = PinSketch::from_set(capacity, server.elements.iter().copied())
+            .map_err(backend_error)?;
         Ok(sketch.to_bytes())
     }
 
@@ -118,8 +122,9 @@ impl ReconcileBackend for PinSketchBackend {
         let remote = PinSketch::from_bytes(payload)
             .map_err(|_| EngineError::WireFormat("malformed sketch"))?;
         client.syndromes_received += remote.capacity();
-        let mine = PinSketch::from_set(remote.capacity(), client.elements.iter().copied())?;
-        match remote.merged(&mine)?.decode() {
+        let mine = PinSketch::from_set(remote.capacity(), client.elements.iter().copied())
+            .map_err(backend_error)?;
+        match remote.merged(&mine).map_err(backend_error)?.decode() {
             Ok(elements) => {
                 let mut difference = SetDifference::default();
                 for e in elements {
@@ -142,7 +147,7 @@ impl ReconcileBackend for PinSketchBackend {
                 write_vlq(&mut req, next as u64);
                 Ok(Progress::SendRequest(req))
             }
-            Err(e) => Err(e.into()),
+            Err(e) => Err(backend_error(e)),
         }
     }
 

@@ -11,27 +11,33 @@
 //! into the virtual clock and reports a [`SyncOutcome`] with completion
 //! time, byte counts, round counts and a bandwidth trace.
 //!
+//! The baselines of §7 sit beside it: [`backends`] holds the
+//! `ReconcileBackend` adapters of regular IBLT, MET-IBLT and PinSketch, and
+//! [`HealBackend`] is the Merkle-trie heal. None of them is linked by the
+//! `reconciled` daemon.
+//!
 //! [`sync_sharded_tcp`] is the client half of the `reconciled` daemon's
 //! wire protocol, over any byte stream (`Read + Write`), complete with the
 //! versioned handshake and shard-count negotiation; it lives in
 //! `reconcile-core` beside the multiplexer it drives, and is re-exported
-//! here. [`sync_sharded_riblt`] runs it over the simulated link, against the
-//! library's own server, and [`SyncClient`] is the shell an application
-//! holds: it owns the local set.
+//! here, as are [`SyncClient`], the shell an application holds, and
+//! [`sync_sharded_udp`], the datagram client, both of which live in
+//! `cluster`. [`sync_sharded_riblt`] runs the TCP client over the simulated
+//! link, against the library's own server.
 
 #![warn(missing_docs)]
 
+pub mod backends;
 pub mod chain;
-pub mod client;
 pub mod heal_backend;
 pub mod ledger;
 pub mod metrics;
 pub mod shard_sync;
 pub mod sync;
-pub mod udp_sync;
+mod wirefmt;
 
 pub use chain::{BlockUpdate, Chain, ChainConfig};
-pub use client::SyncClient;
+pub use cluster::{sync_sharded_udp, SyncClient, UdpSyncConfig};
 pub use heal_backend::HealBackend;
 pub use ledger::{
     ledger_item, split_item, synth_account, synth_address, AccountState, Address, Ledger,
@@ -42,7 +48,4 @@ pub use reconcile_core::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 pub use shard_sync::{sync_sharded_riblt, ShardedRibltConfig, ShardedSyncConfig};
 pub use sync::{
     sync_with_backend, sync_with_heal, sync_with_riblt, HealSyncConfig, RibltSyncConfig, SyncConfig,
-};
-pub use udp_sync::{
-    sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome,
 };

@@ -381,7 +381,7 @@ mod tests {
     fn generic_driver_accepts_any_backend() {
         // The same scenario through two more sketch families, straight
         // through the trait — the refactor's point.
-        use reconcile_core::backends::{IbltBackend, MetIbltBackend};
+        use crate::backends::{IbltBackend, MetIbltBackend};
         let chain = Chain::generate(ChainConfig::test_scale(), 10);
         let latest = chain.snapshot_at(10);
         let stale = chain.snapshot_at(6);
@@ -404,7 +404,7 @@ mod tests {
     fn ladder_exhaustion_is_an_error_not_a_panic() {
         // A MET ladder capped at 16 cannot cover a large difference; the
         // generic driver must surface DecodeIncomplete instead of panicking.
-        use reconcile_core::backends::MetIbltBackend;
+        use crate::backends::MetIbltBackend;
         use reconcile_core::EngineError;
         let latest = Ledger::genesis(2_000);
         let stale = Ledger::new();

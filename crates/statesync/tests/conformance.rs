@@ -8,15 +8,14 @@
 
 use std::collections::BTreeSet;
 
-use reconcile_core::backends::{
-    IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
-};
+use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
 use reconcile_core::{
     run_in_memory, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame,
     ReconcileBackend, RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
+use statesync::backends::{IbltBackend, MetIbltBackend, PinSketchBackend};
 
 type Item = FixedBytes<8>;
 

@@ -8,12 +8,11 @@
 //! comparison: identical protocol conditions, costs differing only by
 //! scheme.
 
-use reconcile_core::backends::{
-    IbltBackend, IrregularRibltBackend, MetIbltBackend, PinSketchBackend, RibltBackend,
-};
+use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
 use reconcile_core::{run_in_memory, ReconcileBackend, RunReport};
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
+use statesync::backends::{IbltBackend, MetIbltBackend, PinSketchBackend};
 
 type Item = FixedBytes<8>;
 

@@ -9,8 +9,8 @@
 //! landing on random nodes for the first rounds (churn) — the cluster still
 //! converges to identical sets a few rounds after the writes stop.
 
-use cluster::{Cluster, ClusterConfig, NodeConfig, PairSyncConfig};
-use netsim::LinkConfig;
+use cluster::NodeConfig;
+use netsim::{Cluster, ClusterConfig, LinkConfig, PairSyncConfig};
 use riblt::FixedBytes;
 use riblt_hash::SplitMix64;
 

@@ -2,10 +2,10 @@
 //! cluster with churn injected mid-gossip converges to identical sets over
 //! the netsim topology.
 
-use rateless_reconciliation::cluster::{
-    reconcile_pair, Cluster, ClusterConfig, Node, NodeConfig, PairSyncConfig,
+use rateless_reconciliation::cluster::{Node, NodeConfig};
+use rateless_reconciliation::netsim::{
+    reconcile_pair, Cluster, ClusterConfig, LinkConfig, PairSyncConfig, Topology,
 };
-use rateless_reconciliation::netsim::{LinkConfig, Topology};
 use rateless_reconciliation::riblt::FixedBytes;
 use rateless_reconciliation::riblt_hash::SplitMix64;
 

@@ -1,16 +1,17 @@
 //! A cluster pair exchange is the TCP client's conversation: the same sets
-//! reconciled by `cluster::reconcile_pair` and by `sync_sharded_tcp` against
+//! reconciled by `netsim::reconcile_pair` and by `sync_sharded_tcp` against
 //! the library's own server recover the same differences from the same
 //! symbols, in the same frames, with one more round — the pair counts the
 //! first flight's, the TCP client counts rounds after the handshake.
 //!
-//! The umbrella crate holds this test because it sees both `cluster` and
-//! `statesync`; neither depends on the other.
+//! The umbrella crate holds this test beside the other cross-crate ones.
 
 use std::collections::BTreeSet;
 
-use rateless_reconciliation::cluster::{reconcile_pair, Node, NodeConfig, PairSyncConfig};
-use rateless_reconciliation::netsim::{library_server, LinkConfig, Topology};
+use rateless_reconciliation::cluster::{Node, NodeConfig};
+use rateless_reconciliation::netsim::{
+    library_server, reconcile_pair, LinkConfig, PairSyncConfig, Topology,
+};
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
 use rateless_reconciliation::reconcile_core::handshake::Hello;
 use rateless_reconciliation::reconcile_core::MUX_HEADER_BYTES;

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rateless_reconciliation::merkle_trie::MerkleTrie;
 use rateless_reconciliation::pinsketch::PinSketch;
-use rateless_reconciliation::reconcile_core::backends::{IbltBackend, RibltBackend};
+use rateless_reconciliation::reconcile_core::backends::RibltBackend;
 use rateless_reconciliation::reconcile_core::{
     ClientEngine, EngineMessage, Progress, ReconcileBackend, ServerEngine, ShardPartitioner,
 };
@@ -19,6 +19,7 @@ use rateless_reconciliation::riblt::{
     IrregularClasses, MappingRule, Sketch, SketchCache, Uniform,
 };
 use rateless_reconciliation::riblt_hash::{SipKey, SplitMix64};
+use rateless_reconciliation::statesync::backends::IbltBackend;
 
 type Item = FixedBytes<8>;
 

@@ -341,15 +341,13 @@ side!(
     parent_netsim
 );
 
-// --- Kernels whose two sides differ (PR 21: the batch hash and the bulk
-// node load exist on the change's side only). ---
+// --- Kernels whose two sides differ (the eight-lane hash and the item-major
+// first-flight pass exist on the change's side only; the bulk node load,
+// `Node::extend`, is on both sides now). ---
 
 fn hash_set_parent(inputs: &parent::Inputs) -> Sample {
     use parent_riblt::Symbol;
-    let (hashes, secs) = timed(|| -> Vec<u64> {
-        let hash = |item: &parent::Item| item.hash_with(inputs.key);
-        inputs.local.iter().map(hash).collect()
-    });
+    let (hashes, secs) = timed(|| parent::Item::hash_many_with(&inputs.local, inputs.key));
     (secs, hashes.iter().fold(0, |acc, h| acc ^ h))
 }
 
@@ -379,6 +377,98 @@ fn node_build_change(inputs: &change::Inputs) -> Sample {
     (secs, node.digest())
 }
 
+/// One digest of every shard's cells, in shard order.
+fn cells_digest(cells: impl Iterator<Item = (u64, i64)>) -> u64 {
+    cells.fold(0, |acc, (checksum, count)| {
+        acc.rotate_left(7) ^ checksum ^ count as u64
+    })
+}
+
+/// The local set's contribution to each of the eight shards' first `m`
+/// cells as the one-shot client computed it before: group the hashes by
+/// shard, fill a coding window per shard, walk it cell by cell.
+fn first_flight_window(inputs: &parent::Inputs, m: usize) -> Sample {
+    use parent_riblt::{Encoder, HashedSymbol, Symbol};
+    let hashes = parent::Item::hash_many_with(&inputs.local, inputs.key);
+    let partitioner = parent_reconcile_core::ShardPartitioner::new(inputs.key, SHARDS);
+    let (cells, secs) = timed(|| {
+        let grouping = partitioner.group(&hashes);
+        let mut cells = Vec::with_capacity(usize::from(SHARDS) * m);
+        for shard in 0..SHARDS {
+            let members = grouping.members(shard);
+            let mut window = Encoder::<parent::Item>::with_key(inputs.key);
+            window.reserve(members.len());
+            for &at in members {
+                let at = at as usize;
+                let hashed = HashedSymbol::with_hash(inputs.local[at], hashes[at]);
+                window.add_hashed_symbol(hashed).unwrap();
+            }
+            cells.extend(window.produce_coded_symbols(m));
+        }
+        cells
+    });
+    (
+        secs,
+        cells_digest(cells.iter().map(|c| (c.checksum, c.count))),
+    )
+}
+
+/// `riblt::apply_prefix`'s signature, which its scalar lanes share.
+type PrefixKernel = fn(
+    &mut [riblt::CodedSymbol<change::Item>],
+    &[change::Item],
+    &[u64],
+    &[u32],
+    f64,
+    riblt::Direction,
+) -> Vec<riblt::IndexMapping>;
+
+/// The same cells item by item (`riblt::apply_prefix` or its scalar
+/// lanes), each member's mapping parked at `m`.
+fn first_flight_items(inputs: &change::Inputs, m: usize, apply: PrefixKernel) -> Sample {
+    use riblt::{CodedSymbol, Direction, Symbol};
+    let hashes = change::Item::hash_many_with(&inputs.local, inputs.key);
+    let partitioner = reconcile_core::ShardPartitioner::new(inputs.key, SHARDS);
+    let (cells, secs) = timed(|| {
+        let grouping = partitioner.group(&hashes);
+        let mut cells = vec![CodedSymbol::<change::Item>::default(); usize::from(SHARDS) * m];
+        for (shard, cells) in (0..SHARDS).zip(cells.chunks_mut(m)) {
+            let members = grouping.members(shard);
+            let parked = apply(cells, &inputs.local, &hashes, members, 0.5, Direction::Add);
+            black_box(parked);
+        }
+        cells
+    });
+    (
+        secs,
+        cells_digest(cells.iter().map(|c| (c.checksum, c.count))),
+    )
+}
+
+fn first_flight_window_32(inputs: &parent::Inputs) -> Sample {
+    first_flight_window(inputs, 32)
+}
+
+fn first_flight_window_384(inputs: &parent::Inputs) -> Sample {
+    first_flight_window(inputs, 384)
+}
+
+fn first_flight_kernel_32(inputs: &change::Inputs) -> Sample {
+    first_flight_items(inputs, 32, riblt::apply_prefix)
+}
+
+fn first_flight_kernel_384(inputs: &change::Inputs) -> Sample {
+    first_flight_items(inputs, 384, riblt::apply_prefix)
+}
+
+fn first_flight_scalar_32(inputs: &change::Inputs) -> Sample {
+    first_flight_items(inputs, 32, riblt::apply_prefix_scalar)
+}
+
+fn first_flight_scalar_384(inputs: &change::Inputs) -> Sample {
+    first_flight_items(inputs, 384, riblt::apply_prefix_scalar)
+}
+
 type Pair = (
     &'static str,
     fn(&parent::Inputs) -> Sample,
@@ -387,7 +477,7 @@ type Pair = (
 
 const DIFFERING: &[Pair] = &[
     (
-        "hash 20,000 × 32 B: `hash_with` each / `hash_many_with`",
+        "hash 20,000 × 32 B: `hash_many_with`, parent's / change's lanes",
         hash_set_parent,
         hash_set_change,
     ),
@@ -395,6 +485,26 @@ const DIFFERING: &[Pair] = &[
         "node build, 20,000 × 32 B: `insert` each / `extend`",
         node_build_parent,
         node_build_change,
+    ),
+    (
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: group + fill + walk / `apply_prefix`",
+        first_flight_window_32,
+        first_flight_kernel_32,
+    ),
+    (
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: group + fill + walk / scalar lanes",
+        first_flight_window_32,
+        first_flight_scalar_32,
+    ),
+    (
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: group + fill + walk / `apply_prefix`",
+        first_flight_window_384,
+        first_flight_kernel_384,
+    ),
+    (
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: group + fill + walk / scalar lanes",
+        first_flight_window_384,
+        first_flight_scalar_384,
     ),
 ];
 
@@ -442,6 +552,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if riblt::prefix_uses_avx512(0.5) {
+        eprintln!("# change: AVX-512 lanes (avx512f + avx512dq detected)");
+    } else {
+        eprintln!("# change: scalar lanes only (no avx512f + avx512dq)");
+    }
     let raw = Raw::generate(cli.seed);
     let (parent_inputs, change_inputs) = (parent::inputs(&raw), change::inputs(&raw));
 

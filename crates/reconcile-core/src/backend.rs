@@ -54,6 +54,38 @@ pub enum Progress {
     Complete,
 }
 
+/// One payload absorbed while a client was built
+/// ([`ReconcileBackend::build_client_keyed`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Absorbed {
+    /// What [`ReconcileBackend::absorb`] reported for the payload.
+    pub progress: Progress,
+    /// [`ReconcileBackend::units`] of the client after the payload.
+    pub units: usize,
+}
+
+/// [`ReconcileBackend::absorb`]s `payloads` into `client` in order, up to
+/// the one that completes it.
+pub(crate) fn absorb_until_complete<B: ReconcileBackend + ?Sized>(
+    backend: &B,
+    client: &mut B::Client,
+    payloads: &[&[u8]],
+) -> Result<Vec<Absorbed>> {
+    let mut absorbed = Vec::with_capacity(payloads.len());
+    for payload in payloads {
+        let progress = backend.absorb(client, payload)?;
+        let complete = progress == Progress::Complete;
+        absorbed.push(Absorbed {
+            progress,
+            units: backend.units(client),
+        });
+        if complete {
+            break;
+        }
+    }
+    Ok(absorbed)
+}
+
 /// A pluggable set-reconciliation scheme.
 ///
 /// The backend value itself is the scheme *configuration* (symbol length,
@@ -77,15 +109,27 @@ pub trait ReconcileBackend {
     /// Builds the client endpoint over the local set.
     fn build_client(&self, items: &[Self::Item]) -> Self::Client;
 
-    /// Builds the client endpoint over part of a larger set, in place: the
-    /// local set is `items[m]` for each `m` of `members`, in that order, and
-    /// `hashes[i]` must be `items[i]`'s hash under the backend's key. This
-    /// is what a sharded driver holds once it has hashed the whole set to
-    /// place it ([`ShardPartitioner::group`](crate::ShardPartitioner::group)):
-    /// one slice, and per shard a list of positions. A backend that
-    /// checksums its items with that same hash overrides this to clone each
-    /// member once, straight into its decoder, without hashing it again;
-    /// the default gathers the members and ignores the hashes.
+    /// Builds the client endpoint over part of a larger set, in place, and
+    /// absorbs `first` into it: the payloads of the client's first round,
+    /// in arrival order. The local set is `items[m]` for each `m` of
+    /// `members`, in that order, and `hashes[i]` must be `items[i]`'s hash
+    /// under the backend's key. This is what a sharded driver holds once it
+    /// has hashed the whole set to place it
+    /// ([`ShardPartitioner::group`](crate::ShardPartitioner::group)): one
+    /// slice, and per shard a list of positions; and a one-shot driver
+    /// builds a shard when its first payloads have arrived.
+    ///
+    /// Returns the client and what it made of each payload, in order, up to
+    /// the one that completed it (a payload after that is not absorbed):
+    /// exactly what [`Self::absorb`] would have returned payload by payload.
+    /// An error is the one `absorb` would have returned at the payload that
+    /// raised it. The default builds the client over the gathered members
+    /// (ignoring the hashes) and absorbs the payloads one by one. A backend
+    /// that checksums its items with the same hash overrides this to take
+    /// each member straight from the caller's slice without hashing it
+    /// again, and may take the payloads' cells in one pass instead of
+    /// first building the state later payloads need: the cells that
+    /// arrived bound what it computes.
     ///
     /// # Panics
     /// If `items` and `hashes` differ in length, or a member is out of
@@ -95,11 +139,14 @@ pub trait ReconcileBackend {
         items: &[Self::Item],
         hashes: &[u64],
         members: &[u32],
-    ) -> Self::Client {
+        first: &[&[u8]],
+    ) -> Result<(Self::Client, Vec<Absorbed>)> {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
         let gathered: Vec<Self::Item> =
             members.iter().map(|&m| items[m as usize].clone()).collect();
-        self.build_client(&gathered)
+        let mut client = self.build_client(&gathered);
+        let absorbed = absorb_until_complete(self, &mut client, first)?;
+        Ok((client, absorbed))
     }
 
     /// The client's opening request (may carry an estimator, a capacity

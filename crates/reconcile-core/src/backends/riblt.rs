@@ -4,12 +4,12 @@
 use std::marker::PhantomData;
 
 use riblt::{
-    Decoder, Encoder, HashedSymbol, IrregularClasses, MappingRule, SetDifference, Symbol,
-    SymbolCodec, Uniform, DEFAULT_ALPHA,
+    apply_prefix, CodedSymbol, Decoder, Direction, Encoder, HashedSymbol, IrregularClasses,
+    MappingRule, SetDifference, Symbol, SymbolCodec, Uniform, DEFAULT_ALPHA,
 };
 use riblt_hash::SipKey;
 
-use crate::backend::{Progress, ReconcileBackend, StreamProgress};
+use crate::backend::{absorb_until_complete, Absorbed, Progress, ReconcileBackend, StreamProgress};
 use crate::engine::RangeRequest;
 use crate::error::{EngineError, Result};
 use crate::wirefmt::{encode_stream_open, stream_range_tiles, validate_stream_open};
@@ -161,6 +161,23 @@ pub struct RibltClient<S: Symbol, R: StreamRule = Uniform> {
     codec: SymbolCodec,
 }
 
+impl<S: Symbol, R: StreamRule> RibltClient<S, R> {
+    /// What the decoder wants after the cells it has taken in.
+    fn progress(&self) -> Result<Progress> {
+        self.decoder.check_consistent()?;
+        if self.decoder.is_decoded() {
+            Ok(Progress::Complete)
+        } else {
+            // Mixed-α cells carry no difference estimate: the decoder leaves
+            // it empty, and drivers ask one batch at a time.
+            Ok(Progress::AwaitStream(StreamProgress {
+                consumed: self.decoder.coded_symbols_received(),
+                estimate: self.decoder.difference_estimate(),
+            }))
+        }
+    }
+}
+
 /// Client state of [`IrregularRibltBackend`].
 pub type IrregularClient<S> = RibltClient<S, IrregularClasses>;
 
@@ -192,18 +209,77 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         self.client_over(items.len(), hashed)
     }
 
+    /// Under one α, the cells of `first` are taken as they arrived: the
+    /// members' contribution to them is subtracted item by item
+    /// ([`riblt::apply_prefix`]), never more cells than arrived, and the
+    /// difference cells go to a decoder that holds no local set. A shard
+    /// that decodes within them never clones an item; one that does not
+    /// gets its window then, parked past those cells
+    /// ([`Decoder::adopt_local_set`]). Under mixed α the window is filled
+    /// from index 0 and the payloads absorbed through it.
     fn build_client_keyed(
         &self,
         items: &[S],
         hashes: &[u64],
         members: &[u32],
-    ) -> RibltClient<S, R> {
+        first: &[&[u8]],
+    ) -> Result<(RibltClient<S, R>, Vec<Absorbed>)> {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
-        let hashed = members.iter().map(|&m| {
+        let hashed = |&m: &u32| {
             let m = m as usize;
             HashedSymbol::with_hash(items[m].clone(), hashes[m])
-        });
-        self.client_over(members.len(), hashed)
+        };
+        let Some(alpha) = self.rule.uniform_alpha() else {
+            let mut client = self.client_over(members.len(), members.iter().map(hashed));
+            let absorbed = absorb_until_complete(self, &mut client, first)?;
+            return Ok((client, absorbed));
+        };
+        let mut client = RibltClient {
+            decoder: Decoder::with_rule(self.rule.clone(), self.key),
+            codec: self.codec(0),
+        };
+        // The cells that continue the stream from index 0, payload by
+        // payload, and why the first one that does not was refused.
+        let mut cells: Vec<CodedSymbol<S>> = Vec::new();
+        let mut lengths = Vec::with_capacity(first.len());
+        let mut refused = None;
+        for payload in first {
+            match client.codec.decode_batch::<S>(payload) {
+                Ok(batch) if batch.start_index == cells.len() as u64 => {
+                    lengths.push(batch.symbols.len());
+                    cells.extend(batch.symbols);
+                }
+                Ok(_) => {
+                    refused = Some(EngineError::Protocol("payload out of sequence"));
+                    break;
+                }
+                Err(error) => {
+                    refused = Some(error.into());
+                    break;
+                }
+            }
+        }
+        let parked = apply_prefix(&mut cells, items, hashes, members, alpha, Direction::Remove);
+        let mut cells = cells.into_iter();
+        let mut absorbed = Vec::with_capacity(lengths.len());
+        for length in lengths {
+            client
+                .decoder
+                .add_coded_symbols(cells.by_ref().take(length));
+            absorbed.push(Absorbed {
+                progress: client.progress()?,
+                units: client.decoder.coded_symbols_received(),
+            });
+            if client.decoder.is_decoded() {
+                return Ok((client, absorbed));
+            }
+        }
+        if let Some(refused) = refused {
+            return Err(refused);
+        }
+        let symbols = members.iter().map(hashed).collect();
+        client.decoder.adopt_local_set(symbols, parked);
+        Ok((client, absorbed))
     }
 
     fn open_request(&self, _client: &mut RibltClient<S, R>) -> Vec<u8> {
@@ -234,17 +310,7 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
             return Err(EngineError::Protocol("payload out of sequence"));
         }
         client.decoder.add_coded_symbols(batch.symbols);
-        client.decoder.check_consistent()?;
-        if client.decoder.is_decoded() {
-            Ok(Progress::Complete)
-        } else {
-            // Mixed-α cells carry no difference estimate: the decoder leaves
-            // it empty, and drivers ask one batch at a time.
-            Ok(Progress::AwaitStream(StreamProgress {
-                consumed: client.decoder.coded_symbols_received(),
-                estimate: client.decoder.difference_estimate(),
-            }))
-        }
+        client.progress()
     }
 
     fn units(&self, client: &RibltClient<S, R>) -> usize {
@@ -274,6 +340,109 @@ mod tests {
             .collect();
         let client = backend.build_client(&items[100..]);
         (backend, client, tiles)
+    }
+
+    /// A client built over its first `first` tiles (`build_client_keyed`)
+    /// against one built over its set and fed the tiles one by one: the same
+    /// progress and units after every tile, then the same stream to the
+    /// end, the same difference. The members sit among other items, so the
+    /// positions matter.
+    fn check_first_round_build<R: StreamRule + Default>(d: u64, first: usize) -> Option<Progress> {
+        let backend = RibltBackend::<Item, R>::new(8, 16);
+        let server_items: Vec<Item> = (0..2_000).map(Item::from_u64).collect();
+        let local: Vec<Item> = (d / 2..2_000 + d - d / 2).map(Item::from_u64).collect();
+        let all: Vec<Item> = local
+            .iter()
+            .flat_map(|item| [Item::from_u64(1 << 40 | item.to_u64()), *item])
+            .collect();
+        let members: Vec<u32> = (1..all.len() as u32).step_by(2).collect();
+        let hashes = Item::hash_many_with(&all, backend.key);
+        let mut server = backend.build_server(&server_items);
+        let tiles: Vec<Vec<u8>> = (0..64)
+            .map(|_| backend.serve(&mut server, None).unwrap())
+            .collect();
+        let at = format!("{} d {d}, {first} tiles", backend.name());
+
+        let mut plain = backend.build_client(&local);
+        let first_tiles: Vec<&[u8]> = tiles[..first].iter().map(Vec::as_slice).collect();
+        let (mut keyed, absorbed) = backend
+            .build_client_keyed(&all, &hashes, &members, &first_tiles)
+            .unwrap();
+        let mut progress = None;
+        for (n, tile) in tiles.iter().enumerate() {
+            let expected = backend.absorb(&mut plain, tile).unwrap();
+            let got = match absorbed.get(n) {
+                Some(absorbed) => {
+                    assert_eq!(absorbed.units, backend.units(&plain), "{at}: tile {n}");
+                    absorbed.progress.clone()
+                }
+                None => {
+                    assert!(n >= first || progress == Some(Progress::Complete), "{at}");
+                    backend.absorb(&mut keyed, tile).unwrap()
+                }
+            };
+            assert_eq!(got, expected, "{at}: tile {n}");
+            progress.get_or_insert(got.clone());
+            if got == Progress::Complete {
+                assert_eq!(absorbed.len(), (n + 1).min(first), "{at}");
+                break;
+            }
+        }
+        assert_eq!(backend.units(&keyed), backend.units(&plain), "{at}");
+        let difference = backend.into_difference(keyed).unwrap();
+        assert_eq!(difference, backend.into_difference(plain).unwrap(), "{at}");
+        assert_eq!(difference.len() as u64, d, "{at}");
+        absorbed.first().map(|first| first.progress.clone())
+    }
+
+    #[test]
+    fn a_client_built_over_its_first_tiles_decodes_like_one_fed_them() {
+        for first in [1, 4] {
+            // d = 0: the first cell drains to empty.
+            let progress = check_first_round_build::<Uniform>(0, first);
+            assert_eq!(progress, Some(Progress::Complete));
+        }
+        // Decoded inside the first four tiles; asks again after two.
+        check_first_round_build::<Uniform>(10, 4);
+        check_first_round_build::<Uniform>(120, 2);
+        check_first_round_build::<Uniform>(120, 0);
+        // Mixed α takes the window from index 0.
+        check_first_round_build::<IrregularClasses>(10, 4);
+        check_first_round_build::<IrregularClasses>(120, 2);
+    }
+
+    #[test]
+    fn a_tile_the_first_round_does_not_need_is_never_read() {
+        let backend = RibltBackend::<Item>::new(8, 16);
+        let server_items: Vec<Item> = (0..1_000).map(Item::from_u64).collect();
+        let mut server = backend.build_server(&server_items);
+        let tiles: Vec<Vec<u8>> = (0..4)
+            .map(|_| backend.serve(&mut server, None).unwrap())
+            .collect();
+        let hashes = Item::hash_many_with(&server_items, backend.key);
+        let build = |local: std::ops::Range<u32>, first: &[&[u8]]| {
+            let members: Vec<u32> = local.collect();
+            backend
+                .build_client_keyed(&server_items, &hashes, &members, first)
+                .map(|(_, absorbed)| absorbed.len())
+        };
+        // Decoded by the first tile: the repeat behind it is not looked at.
+        let first = [&tiles[0][..], &tiles[0], b"not a tile"];
+        assert_eq!(build(0..1_000, &first), Ok(1));
+        // Not decoded when the repeat arrives: refused as `absorb` would.
+        assert_eq!(
+            build(100..1_000, &first),
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
+        assert!(matches!(
+            build(100..1_000, &[&tiles[0], b"not a tile"]),
+            Err(EngineError::WireFormat(_))
+        ));
+        // A first round that does not start the stream.
+        assert_eq!(
+            build(100..1_000, &[&tiles[1]]),
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
     }
 
     #[test]

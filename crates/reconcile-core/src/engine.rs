@@ -10,7 +10,7 @@
 
 use riblt::SetDifference;
 
-use crate::backend::{Progress, ReconcileBackend};
+use crate::backend::{Absorbed, Progress, ReconcileBackend};
 use crate::error::{EngineError, Result};
 
 /// A stateless request for coded symbols `[offset, offset + count)` of one
@@ -244,11 +244,23 @@ impl<B: ReconcileBackend> ClientEngine<B> {
     }
 
     /// Creates a client endpoint over the `members` of `items` (positions
-    /// into it), given every item's keyed hash; see
-    /// [`ReconcileBackend::build_client_keyed`].
-    pub fn new_keyed(backend: B, items: &[B::Item], hashes: &[u64], members: &[u32]) -> Self {
-        let client = backend.build_client_keyed(items, hashes, members);
-        Self::over(backend, client)
+    /// into it), given every item's keyed hash, and absorbs `first`, the
+    /// payloads of its first round, as it is built; see
+    /// [`ReconcileBackend::build_client_keyed`]. Returns the endpoint and
+    /// what it made of each payload up to the one that completed it.
+    pub fn new_keyed(
+        backend: B,
+        items: &[B::Item],
+        hashes: &[u64],
+        members: &[u32],
+        first: &[&[u8]],
+    ) -> Result<(Self, Vec<Absorbed>)> {
+        let (client, absorbed) = backend.build_client_keyed(items, hashes, members, first)?;
+        let mut engine = Self::over(backend, client);
+        engine.done = absorbed
+            .last()
+            .is_some_and(|last| last.progress == Progress::Complete);
+        Ok((engine, absorbed))
     }
 
     fn over(backend: B, client: B::Client) -> Self {

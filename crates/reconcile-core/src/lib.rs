@@ -69,7 +69,7 @@ extern crate self as reconcile_core;
 #[path = "../../netsim/src/flight.rs"]
 mod flight;
 
-pub use backend::{Progress, ReconcileBackend, StreamProgress};
+pub use backend::{Absorbed, Progress, ReconcileBackend, StreamProgress};
 pub use datagram::{
     handle_server_datagram, max_symbols_in_budget, session_cookie, BatchSequencer, DatagramEvent,
     DatagramHeader, DatagramKind, DatagramServiceConfig, UdpSessionTable, DATAGRAM_HEADER_BYTES,

@@ -16,8 +16,8 @@
 //! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
 //!   by round: it absorbs a round's payloads (independent shards in
 //!   parallel on a `std::thread` worker pool, each shard's endpoint built
-//!   on its first payload if it was registered pending, and consumed into
-//!   its difference as soon as it decodes), then turns the streaming
+//!   over its first round's payloads if it was registered pending, and
+//!   consumed into its difference as soon as it decodes), then turns the streaming
 //!   flow's "keep pushing" into explicit range requests (on a shared link
 //!   the server must not push unprompted) sized by [`crate::window`] from
 //!   the estimate its decoders pool.
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use riblt::{DifferenceEstimate, SetDifference};
 
-use crate::backend::{Progress, ReconcileBackend};
+use crate::backend::{Absorbed, Progress, ReconcileBackend};
 use crate::engine::{ClientEngine, EngineMessage, ServerEngine};
 use crate::error::{EngineError, Result};
 use crate::first_flight::{CountSketch, FirstFlight};
@@ -322,39 +322,63 @@ impl<B: ReconcileBackend> ShardClient<B> {
 
     /// Absorbs this round's payloads in arrival order and returns the
     /// shard's immediate reply (`Done`, or an interactive `Query`), if any.
-    /// A pending shard is built by `build` before its first payload; a
-    /// shard that completes is consumed into its difference at once.
-    /// Payloads that arrive after the shard completed are the unused tail
-    /// of a range: counted off, not absorbed.
+    /// A pending shard is built by `build` over the payloads it is owed from
+    /// here on, which it absorbs as it is built; a shard that completes is
+    /// consumed into its difference at once. Payloads that arrive after the
+    /// shard completed are the unused tail of a range: counted off, not
+    /// absorbed.
     fn absorb_round(
         &mut self,
         shard: ShardId,
         frames: &[&MuxFrame],
         metrics: Option<&MuxMetrics>,
-        build: &impl Fn(ShardId) -> ClientEngine<B>,
+        build: &impl Fn(ShardId, &[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)>,
     ) -> Result<Option<EngineMessage>> {
         let mut reply = None;
-        for frame in frames {
+        // What a build absorbed, payload by payload, still to be booked, and
+        // the units consumed before the payload being booked.
+        let mut built = Vec::new().into_iter();
+        let mut consumed = match &self.endpoint {
+            Endpoint::Live(engine) => engine.units(),
+            _ => 0,
+        };
+        for (at, frame) in frames.iter().enumerate() {
             if self.awaiting == 0 {
                 return Err(EngineError::Protocol("unsolicited payload"));
             }
-            self.awaiting -= 1;
             if let Endpoint::Pending = self.endpoint {
-                self.endpoint = Endpoint::Live(build(shard));
+                let owed = &frames[at..frames.len().min(at + self.awaiting)];
+                let first: Vec<&[u8]> = owed
+                    .iter()
+                    .map_while(|frame| match &frame.message {
+                        EngineMessage::Payload(payload) => Some(payload.as_slice()),
+                        _ => None,
+                    })
+                    .collect();
+                let (engine, absorbed) = build(shard, &first)?;
+                self.endpoint = Endpoint::Live(engine);
+                built = absorbed.into_iter();
             }
+            self.awaiting -= 1;
             let Endpoint::Live(engine) = &mut self.endpoint else {
                 continue;
             };
-            let before = engine.units();
-            let progress = engine.absorb(&frame.message)?;
+            let absorbed = match built.next() {
+                Some(absorbed) => absorbed,
+                None => Absorbed {
+                    progress: engine.absorb(&frame.message)?,
+                    units: engine.units(),
+                },
+            };
             if let Some(m) = metrics {
                 m.payloads.inc();
-                m.payload_units.observe((engine.units() - before) as u64);
+                m.payload_units.observe((absorbed.units - consumed) as u64);
                 if let EngineMessage::Payload(bytes) = &frame.message {
                     m.payload_bytes.observe(bytes.len() as u64);
                 }
             }
-            match progress {
+            consumed = absorbed.units;
+            match absorbed.progress {
                 Progress::Complete => {
                     let Endpoint::Live(engine) =
                         std::mem::replace(&mut self.endpoint, Endpoint::Pending)
@@ -577,7 +601,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
         B::Client: Send,
         B::Item: Send,
     {
-        self.handle_round_with(frames, threads, |_| {
+        self.handle_round_with(frames, threads, |_, _| {
             panic!("a pending shard is built by handle_round_with")
         })
     }
@@ -591,8 +615,10 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// decode independently, so they are fanned out over up to `threads`
     /// `std::thread` workers (0 = one per available core) — the hot half of
     /// sharded reconciliation. A pending shard ([`Self::insert_pending`]) is
-    /// built by `build` on the thread that absorbs its first payload, and a
-    /// shard that completes is consumed into its difference there too.
+    /// built by `build` on the thread that absorbs its first payload, over
+    /// that payload and the ones behind it in the round, which the build
+    /// absorbs ([`ClientEngine::new_keyed`] is such a builder); a shard
+    /// that completes is consumed into its difference there too.
     pub fn handle_round_with<F>(
         &mut self,
         frames: &[MuxFrame],
@@ -603,7 +629,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
         B: Send,
         B::Client: Send,
         B::Item: Send,
-        F: Fn(ShardId) -> ClientEngine<B> + Sync,
+        F: Fn(ShardId, &[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)> + Sync,
     {
         let threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -1033,8 +1059,11 @@ mod tests {
             items: &[Item],
             hashes: &[u64],
             members: &[u32],
-        ) -> CountedClient {
-            self.count(Self::inner().build_client_keyed(items, hashes, members))
+            first: &[&[u8]],
+        ) -> Result<(CountedClient, Vec<Absorbed>)> {
+            let (inner, absorbed) =
+                Self::inner().build_client_keyed(items, hashes, members, first)?;
+            Ok((self.count(inner), absorbed))
         }
         fn open_request(&self, client: &mut CountedClient) -> Vec<u8> {
             Self::inner().open_request(&mut client.inner)
@@ -1103,8 +1132,9 @@ mod tests {
         let counted = Counted::default();
         let hashes = Item::hash_many_with(&local, key);
         let grouping = partitioner.group(&hashes);
-        let build = |shard| {
-            ClientEngine::new_keyed(counted.clone(), &local, &hashes, grouping.members(shard))
+        let build = |shard, first: &[&[u8]]| {
+            let members = grouping.members(shard);
+            ClientEngine::new_keyed(counted.clone(), &local, &hashes, members, first)
         };
         let mut lazy = ClientMux::new(1);
         for shard in 0..shards {
@@ -1146,7 +1176,8 @@ mod tests {
             EngineMessage::Request(RangeRequest::new(32, 0).unwrap()),
         );
         mux.book_first_flight(&grant).unwrap();
-        let build = |_| ClientEngine::new(counted.clone(), &items(0..10));
+        let build =
+            |_, _: &[&[u8]]| Ok((ClientEngine::new(counted.clone(), &items(0..10)), vec![]));
         // Nothing arrives: nothing is built, and nothing decoded.
         assert!(mux.handle_round_with(&[], 1, build).unwrap().is_empty());
         assert_eq!(

@@ -135,7 +135,10 @@ impl ShardPartitioner {
         let grouping = self.group(&hashes);
         (0..self.shards)
             .map(|shard| {
-                ClientEngine::new_keyed(factory(shard), items, &hashes, grouping.members(shard))
+                let members = grouping.members(shard);
+                ClientEngine::new_keyed(factory(shard), items, &hashes, members, &[])
+                    .expect("a client built with no payload has none to refuse")
+                    .0
             })
             .collect()
     }

@@ -22,9 +22,11 @@
 //!    server's shard count is authoritative; this client groups the local
 //!    set's hashes by whatever shard count the server announces, while the
 //!    first flight is already in the socket, and builds no decoder yet.
-//!    Every payload must continue its shard's stream where the last one
-//!    ended: a tile repeated or skipped fails the sync as a protocol error
-//!    instead of being peeled as the wrong cells.
+//!    The hashes come eight at a time in AVX-512 lanes where the CPU has
+//!    them ([`riblt_hash::siphash24_many`]). Every payload must continue its
+//!    shard's stream where the last one ended: a tile repeated or skipped
+//!    fails the sync as a protocol error instead of being peeled as the
+//!    wrong cells.
 //! 2. Rounds of range requests. After every round [`ClientMux`] sizes the
 //!    next one from what the decoders now hold (see
 //!    [`crate::window`]; the first flight counts as a request past
@@ -33,13 +35,21 @@
 //!    write and cost one round trip, however many batches they ask for; its
 //!    payloads are absorbed in arrival order, independent shards in
 //!    parallel on a `std::thread` worker pool. A shard's decoder is built
-//!    on the thread that absorbs its first tile, and consumed into the
-//!    shard's difference as soon as it decodes, which frees its window:
-//!    absorbing on one thread, a sync whose shards decode their first
-//!    flights holds one decoder at a time, not one per shard. The hashes
-//!    and the grouping go with the round that builds the last shard. A
-//!    difference that fits the first flight needs no round at all: the sync
-//!    ends one round trip after it began.
+//!    on the thread that absorbs its first round, over that round's
+//!    payloads ([`ClientEngine::new_keyed`]): the shard's items are walked
+//!    over the cells that arrived, and no further, eight members in flight
+//!    ([`riblt::apply_prefix`], in AVX-512 lanes where the CPU has them),
+//!    which takes their contribution out of those cells, and the decoder
+//!    peels the difference cells with no local window. A shard that decodes
+//!    there never clones an item or fills a window; only a shard that asks
+//!    again gets its window, from the mappings the walk left parked where
+//!    the cells end and the borrowed set. A decoder is consumed into the
+//!    shard's difference as soon as it decodes: absorbing on one thread, a
+//!    sync whose shards decode their first flights holds one decoder at a
+//!    time, not one per shard. The hashes and the grouping go with the
+//!    round that builds the last shard. A difference that fits the first
+//!    flight needs no round at all: the sync ends one round trip after it
+//!    began.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
 //!    accounting of the conversation.
@@ -157,14 +167,15 @@ pub struct TcpSyncOutcome {
 /// open carries an estimator of its set belongs on [`ClientMux::opens`].
 ///
 /// `local_items` is hashed once, before the hello, for the sketch, and only
-/// read again while the shard clients are built, each when its shard's
-/// first payload arrives ([`ShardPartitioner::group`] places the items by
-/// the same hashes that become their checksums, and
-/// [`ClientEngine::new_keyed`] clones each item once, into its shard's
-/// decoder). No partition of the set is ever built, so no second copy of it
-/// exists; a decoder lives from its shard's first payload until the shard
-/// decodes, and the hashes and the grouping until the round that builds
-/// the last shard ends.
+/// read again while the shard clients are built, each over its shard's
+/// first payloads when they arrive ([`ShardPartitioner::group`] places the
+/// items by the same hashes that become their checksums, and
+/// [`ClientEngine::new_keyed`] walks each shard's items over the cells that
+/// arrived, cloning each item once, into its shard's decoder, only for a
+/// shard that must read past them). No partition of the set is ever built,
+/// so no second copy of it exists; a decoder lives from its shard's first
+/// payload until the shard decodes, and the hashes and the grouping until
+/// the round that builds the last shard ends.
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -245,12 +256,12 @@ where
             .map(|frame| LENGTH_PREFIX_BYTES + frame.wire_size())
             .sum::<usize>();
         let t0 = Instant::now();
-        let replies = client.handle_round_with(&payloads, config.threads, |shard| {
+        let replies = client.handle_round_with(&payloads, config.threads, |shard, first| {
             let (hashes, grouping) = placement
                 .as_ref()
                 .expect("the placement outlives the last pending shard");
             let members = grouping.members(shard);
-            ClientEngine::new_keyed(factory(shard), local_items, hashes, members)
+            ClientEngine::new_keyed(factory(shard), local_items, hashes, members, first)
         })?;
         decode_wall_s += t0.elapsed().as_secs_f64();
         if client.pending() == 0 {

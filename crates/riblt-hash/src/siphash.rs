@@ -125,11 +125,29 @@ const LANES: usize = 4;
 /// Computes SipHash-2-4 of every message under `key`, in order:
 /// `out[i] == siphash24(key, messages[i])`.
 ///
-/// Groups of four messages of equal length, which is every group when the
+/// Groups of messages of equal length, which is every group when the
 /// messages are the items of one set, advance through their blocks together
-/// so their round chains overlap. A group of mixed lengths and the last
-/// `n mod 4` messages go through [`siphash24`] one at a time.
+/// so their round chains overlap: eight at a time, one per 64-bit lane of an
+/// AVX-512 register, where the CPU has `avx512f`, and four at a time in
+/// scalar registers everywhere else. A group of mixed lengths and the last
+/// messages that fill no group go through the four scalar lanes, or
+/// [`siphash24`] one at a time.
 pub fn siphash24_many<'a, I>(key: SipKey, messages: I) -> Vec<u64>
+where
+    I: IntoIterator<Item = &'a [u8]>,
+{
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `is_x86_feature_detected!` found `avx512f`, the only
+        // feature the eight-lane path is compiled for.
+        return unsafe { wide::siphash24_many(key, messages.into_iter()) };
+    }
+    siphash24_many_in_fours(key, messages)
+}
+
+/// [`siphash24_many`] in four scalar lanes: the path of every CPU without
+/// AVX-512, and the reference the eight-lane path is tested against.
+fn siphash24_many_in_fours<'a, I>(key: SipKey, messages: I) -> Vec<u64>
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
@@ -208,6 +226,228 @@ fn siphash24_lanes(key: SipKey, messages: &[&[u8]; LANES], len: usize) -> [u64; 
         }
     }
     v.map(|[v0, v1, v2, v3]| v0 ^ v1 ^ v2 ^ v3)
+}
+
+/// Hashes `group` into `out` the way [`siphash24_many_in_fours`] hashes its
+/// groups: four equal-length messages in lockstep, anything else one at a
+/// time. The eight-lane path's fallback for a group it cannot take whole.
+#[cfg(target_arch = "x86_64")]
+fn siphash24_group(key: SipKey, group: &[&[u8]], out: &mut Vec<u64>) {
+    for four in group.chunks(LANES) {
+        let len = four[0].len();
+        match <&[&[u8]; LANES]>::try_from(four) {
+            Ok(four) if four.iter().all(|message| message.len() == len) => {
+                out.extend_from_slice(&siphash24_lanes(key, four, len));
+            }
+            _ => out.extend(four.iter().map(|message| siphash24(key, message))),
+        }
+    }
+}
+
+/// SipHash-2-4 in the eight 64-bit lanes of AVX-512 registers: each of the
+/// four state words of eight messages in one register, so one instruction
+/// advances all eight (`vprolq` is a native 64-bit rotate). Compiled for
+/// `avx512f` and entered only where the CPU has it.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use std::arch::x86_64::{
+        __m512i, _mm256_loadu_si256, _mm256_setzero_si256, _mm512_add_epi64,
+        _mm512_castsi256_si512, _mm512_inserti64x4, _mm512_permutex2var_epi64, _mm512_rol_epi64,
+        _mm512_set1_epi64, _mm512_set_epi64, _mm512_storeu_si512, _mm512_xor_si512,
+    };
+
+    use super::{siphash24_group, SipKey};
+
+    /// Messages one register holds.
+    const LANES: usize = 8;
+
+    /// [`super::siphash24_many`] eight equal-length messages at a time; a
+    /// group of mixed lengths and the last `n mod 8` messages go through
+    /// [`siphash24_group`].
+    ///
+    /// # Safety
+    /// The CPU must have `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn siphash24_many<'a>(
+        key: SipKey,
+        mut messages: impl Iterator<Item = &'a [u8]>,
+    ) -> Vec<u64> {
+        let mut out = Vec::with_capacity(messages.size_hint().0);
+        let mut group: [&[u8]; LANES] = [&[]; LANES];
+        loop {
+            let mut filled = 0;
+            while filled < LANES {
+                match messages.next() {
+                    Some(message) => group[filled] = message,
+                    None => break,
+                }
+                filled += 1;
+            }
+            let len = group[0].len();
+            if filled == LANES && group.iter().all(|message| message.len() == len) {
+                out.extend_from_slice(&siphash24_x8(key, &group, len));
+            } else {
+                siphash24_group(key, &group[..filled], &mut out);
+            }
+            if filled < LANES {
+                return out;
+            }
+        }
+    }
+
+    /// One register from eight lane values, lane 0 first.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn lanes(words: [u64; LANES]) -> __m512i {
+        let [w0, w1, w2, w3, w4, w5, w6, w7] = words;
+        let lane = |w: u64| w as i64;
+        _mm512_set_epi64(
+            lane(w7),
+            lane(w6),
+            lane(w5),
+            lane(w4),
+            lane(w3),
+            lane(w2),
+            lane(w1),
+            lane(w0),
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sipround(v: &mut [__m512i; 4]) {
+        let [v0, v1, v2, v3] = v;
+        *v0 = _mm512_add_epi64(*v0, *v1);
+        *v1 = _mm512_rol_epi64::<13>(*v1);
+        *v1 = _mm512_xor_si512(*v1, *v0);
+        *v0 = _mm512_rol_epi64::<32>(*v0);
+        *v2 = _mm512_add_epi64(*v2, *v3);
+        *v3 = _mm512_rol_epi64::<16>(*v3);
+        *v3 = _mm512_xor_si512(*v3, *v2);
+        *v0 = _mm512_add_epi64(*v0, *v3);
+        *v3 = _mm512_rol_epi64::<21>(*v3);
+        *v3 = _mm512_xor_si512(*v3, *v0);
+        *v2 = _mm512_add_epi64(*v2, *v1);
+        *v1 = _mm512_rol_epi64::<17>(*v1);
+        *v1 = _mm512_xor_si512(*v1, *v2);
+        *v2 = _mm512_rol_epi64::<32>(*v2);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn compress(v: &mut [__m512i; 4], m: __m512i) {
+        v[3] = _mm512_xor_si512(v[3], m);
+        sipround(v);
+        sipround(v);
+        v[0] = _mm512_xor_si512(v[0], m);
+    }
+
+    /// Four blocks of each message, 32 bytes from `at`: block `k` of every
+    /// message in register `k`, lane `i` from message `i`. Two messages per
+    /// register as loaded, then two rounds of lane permutes: a transpose of
+    /// eight rows of four words, without a scalar load per word.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn four_blocks(messages: &[&[u8]; LANES], at: usize) -> [__m512i; 4] {
+        // Plain loops, not `array::map`: a closure that calls an intrinsic
+        // is not inlined into this function from a generic one.
+        let mut rows = [_mm256_setzero_si256(); LANES];
+        for (row, message) in rows.iter_mut().zip(messages) {
+            let bytes: &[u8; 32] = message[at..at + 32].try_into().expect("32 bytes");
+            // SAFETY: `bytes` is 32 readable bytes, the width of the load,
+            // which has no alignment requirement; the CPU feature it needs
+            // (AVX, implied by `avx512f`) is the one `siphash24_many`
+            // detected before entering this module.
+            *row = unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
+        }
+        let pair = |i: usize| _mm512_inserti64x4::<1>(_mm512_castsi256_si512(rows[i]), rows[i + 1]);
+        // [a0..a3 b0..b3] and [c0..c3 d0..d3] → [a0 b0 c0 d0 a1 b1 c1 d1]
+        // (words 0 and 1) and [a2 b2 c2 d2 a3 b3 c3 d3] (words 2 and 3).
+        let (even, odd) = (
+            _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0),
+            _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2),
+        );
+        let (ab, cd, ef, gh) = (pair(0), pair(2), pair(4), pair(6));
+        let abcd = [
+            _mm512_permutex2var_epi64(ab, even, cd),
+            _mm512_permutex2var_epi64(ab, odd, cd),
+        ];
+        let efgh = [
+            _mm512_permutex2var_epi64(ef, even, gh),
+            _mm512_permutex2var_epi64(ef, odd, gh),
+        ];
+        // The low halves of both, then the high halves.
+        let (low, high) = (
+            _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0),
+            _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4),
+        );
+        [
+            _mm512_permutex2var_epi64(abcd[0], low, efgh[0]),
+            _mm512_permutex2var_epi64(abcd[0], high, efgh[0]),
+            _mm512_permutex2var_epi64(abcd[1], low, efgh[1]),
+            _mm512_permutex2var_epi64(abcd[1], high, efgh[1]),
+        ]
+    }
+
+    /// [`super::siphash24`] of eight messages of `len` bytes each.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn siphash24_x8(key: SipKey, messages: &[&[u8]; LANES], len: usize) -> [u64; LANES] {
+        let mut cut: [&[u8]; LANES] = [&[]; LANES];
+        for (cut, message) in cut.iter_mut().zip(messages) {
+            *cut = &message[..len];
+        }
+        let messages = &cut;
+        let init = |c: u64, k: u64| _mm512_set1_epi64((c ^ k) as i64);
+        let mut v = [
+            init(0x736f_6d65_7073_6575, key.k0),
+            init(0x646f_7261_6e64_6f6d, key.k1),
+            init(0x6c79_6765_6e65_7261, key.k0),
+            init(0x7465_6462_7974_6573, key.k1),
+        ];
+        let whole = len - len % 8;
+        let mut at = 0;
+        while at + 32 <= whole {
+            for block in four_blocks(messages, at) {
+                compress(&mut v, block);
+            }
+            at += 32;
+        }
+        while at < whole {
+            let mut block = [0u64; LANES];
+            for (word, message) in block.iter_mut().zip(messages) {
+                *word = u64::from_le_bytes(message[at..at + 8].try_into().expect("a block"));
+            }
+            compress(&mut v, lanes(block));
+            at += 8;
+        }
+        // Final block: remaining bytes plus the message length in the top
+        // byte, which is all of it for whole blocks.
+        let length = ((len & 0xff) as u64) << 56;
+        let last = if whole == len {
+            _mm512_set1_epi64(length as i64)
+        } else {
+            let mut block = [0u64; LANES];
+            for (word, message) in block.iter_mut().zip(messages) {
+                let mut last = [0u8; 8];
+                last[..len - whole].copy_from_slice(&message[whole..]);
+                *word = u64::from_le_bytes(last) | length;
+            }
+            lanes(block)
+        };
+        compress(&mut v, last);
+        v[2] = _mm512_xor_si512(v[2], _mm512_set1_epi64(0xff));
+        for _ in 0..4 {
+            sipround(&mut v);
+        }
+        let tags = _mm512_xor_si512(_mm512_xor_si512(v[0], v[1]), _mm512_xor_si512(v[2], v[3]));
+        let mut out = [0u64; LANES];
+        // SAFETY: `out` is 64 writable bytes, the width of the store, which
+        // has no alignment requirement; its feature, `avx512f`, is the one
+        // `siphash24_many` detected before entering this module.
+        unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), tags) };
+        out
+    }
 }
 
 /// Incremental SipHash-2-4 hasher for callers that feed data in pieces.
@@ -432,6 +672,79 @@ mod tests {
         }
         let ragged: Vec<&[u8]> = (0..23).map(|i| &bytes[i..i + (i * 7) % 41]).collect();
         assert_many_matches_one_by_one(key, &ragged);
+    }
+
+    /// Which lanes [`siphash24_many`] runs on this CPU, printed by the tests
+    /// that hold them to [`siphash24`], so a run on a CPU without AVX-512
+    /// says that it only exercised the four scalar lanes.
+    fn lanes_in_use() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "eight AVX-512 lanes (avx512f detected)";
+        }
+        "four scalar lanes (no avx512f)"
+    }
+
+    #[test]
+    fn many_matches_one_by_one_at_every_length_and_count_in_either_lanes() {
+        println!("siphash24_many runs {}", lanes_in_use());
+        let key = SipKey::new(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210);
+        let mut bytes = vec![0u8; 17 * 64];
+        crate::SplitMix64::new(0xa5a5).fill_bytes(&mut bytes);
+        for len in 0..=64usize {
+            // Up to 17 messages: no group, one ragged one, one whole group of
+            // eight and a ragged one behind it, two whole groups and one more.
+            for count in 0..=17usize {
+                let messages: Vec<&[u8]> =
+                    (0..count).map(|i| &bytes[i * 64..i * 64 + len]).collect();
+                let one_by_one: Vec<u64> = messages.iter().map(|m| siphash24(key, m)).collect();
+                let at = format!("{count} messages of {len} bytes");
+                assert_eq!(
+                    siphash24_many(key, messages.iter().copied()),
+                    one_by_one,
+                    "{at}"
+                );
+                assert_eq!(
+                    siphash24_many_in_fours(key, messages.iter().copied()),
+                    one_by_one,
+                    "{at}, four lanes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn many_matches_one_by_one_on_groups_of_mixed_lengths_in_either_lanes() {
+        println!("siphash24_many runs {}", lanes_in_use());
+        let key = SipKey::default();
+        let mut bytes = vec![0u8; 24 * 40];
+        crate::SplitMix64::new(0x3c3c).fill_bytes(&mut bytes);
+        let messages: Vec<&[u8]> = bytes.chunks_exact(40).collect();
+        let check = |messages: &[&[u8]], at: &str| {
+            let one_by_one: Vec<u64> = messages.iter().map(|m| siphash24(key, m)).collect();
+            assert_eq!(
+                siphash24_many(key, messages.iter().copied()),
+                one_by_one,
+                "{at}"
+            );
+            assert_eq!(
+                siphash24_many_in_fours(key, messages.iter().copied()),
+                one_by_one,
+                "{at}, four lanes"
+            );
+        };
+        // One odd length at each position of the first eight-group (which
+        // leaves one four-group whole), then the rest back in step.
+        for odd in 0..8 {
+            for odd_len in [0, 7, 8, 39] {
+                let mut mixed = messages.clone();
+                mixed[odd] = &bytes[..odd_len];
+                check(&mixed, &format!("length {odd_len} at {odd}"));
+            }
+        }
+        // Every group mixed, every length different.
+        let ragged: Vec<&[u8]> = (0..23).map(|i| &bytes[i..i + (i * 11) % 65]).collect();
+        check(&ragged, "ragged");
     }
 
     #[test]

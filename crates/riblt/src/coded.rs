@@ -82,8 +82,15 @@ impl<S: Symbol> CodedSymbol<S> {
     /// Applies a hashed source symbol in the given direction.
     #[inline]
     pub fn apply(&mut self, symbol: &HashedSymbol<S>, direction: Direction) {
-        self.sum.xor_in_place(&symbol.symbol);
-        self.checksum ^= symbol.hash;
+        self.apply_parts(&symbol.symbol, symbol.hash, direction);
+    }
+
+    /// [`Self::apply`] of `symbol` whose keyed hash is `hash`, for callers
+    /// that keep the two apart.
+    #[inline]
+    pub(crate) fn apply_parts(&mut self, symbol: &S, hash: u64, direction: Direction) {
+        self.sum.xor_in_place(symbol);
+        self.checksum ^= hash;
         match direction {
             Direction::Add => self.count += 1,
             Direction::Remove => self.count -= 1,

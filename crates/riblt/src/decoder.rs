@@ -17,7 +17,7 @@ use riblt_hash::SipKey;
 use crate::coded::{CodedSymbol, Direction};
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
-use crate::mapping::{mapped_probability, MappingRule, Uniform};
+use crate::mapping::{mapped_probability, IndexMapping, MappingRule, Uniform};
 use crate::peel::Peeler;
 use crate::symbol::{HashedSymbol, Symbol};
 
@@ -230,6 +230,29 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         let alpha = self.rule.alpha_of(symbol.hash);
         self.local_set.push_fresh(symbol, alpha);
         Ok(())
+    }
+
+    /// Takes in the local set after the cells ingested so far arrived with
+    /// its contribution already subtracted ([`crate::apply_prefix`] with
+    /// [`Direction::Remove`]): `symbols[i]` with `mappings[i]`, its mapping
+    /// walked to its first index at or past
+    /// [`Self::coded_symbols_received`], as `apply_prefix` returns them.
+    /// The decoder subtracts the local set from every later cell itself, so
+    /// a client that took its first cells' local contribution item by item
+    /// builds this window only if it must read past them.
+    ///
+    /// # Panics
+    /// If local symbols were added already, the two differ in length, a
+    /// mapping stands below the next cell, or a mapping's α is not the one
+    /// the decoder's rule gives its symbol.
+    pub fn adopt_local_set(&mut self, symbols: Vec<HashedSymbol<S>>, mappings: Vec<IndexMapping>) {
+        for (symbol, mapping) in symbols.iter().zip(&mappings) {
+            assert!(
+                mapping.alpha() == self.rule.alpha_of(symbol.hash),
+                "a mapping of another rule"
+            );
+        }
+        self.local_set.adopt(symbols, mappings);
     }
 
     /// Ingests a batch of coded symbols, stopping as soon as decoding

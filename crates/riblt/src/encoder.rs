@@ -138,6 +138,35 @@ impl<S: Symbol> CodingWindow<S> {
         self.push_entry(symbol, mapping);
     }
 
+    /// Takes over `symbols`, `mappings[i]` being the mapping of
+    /// `symbols[i]` walked to its first index at or past the next one this
+    /// window produces, and parks each there: from then on the window
+    /// contributes to every index what one that held the set from index 0
+    /// would have. The mappings are kept as they are, not copied.
+    ///
+    /// # Panics
+    /// If the window holds symbols already, the two differ in length, or a
+    /// mapping stands below the next index.
+    pub(crate) fn adopt(&mut self, symbols: Vec<HashedSymbol<S>>, mappings: Vec<IndexMapping>) {
+        assert!(
+            self.symbols.is_empty(),
+            "a window adopts a set only when empty"
+        );
+        assert_eq!(symbols.len(), mappings.len(), "one mapping per symbol");
+        assert!(
+            symbols.len() < NO_POS as usize,
+            "coding window position overflow"
+        );
+        self.bucket_next = vec![NO_POS; symbols.len()];
+        self.symbols = symbols;
+        self.mappings = mappings;
+        for pos in 0..self.mappings.len() {
+            let index = self.mappings[pos].current_index();
+            assert!(index >= self.next_index, "a mapping behind the window");
+            self.enqueue(pos as u32, index);
+        }
+    }
+
     /// Applies every symbol mapped to the current index into `cs` (in the
     /// given direction) and advances the window to the next index.
     pub(crate) fn apply_next(&mut self, cs: &mut CodedSymbol<S>, direction: Direction) {

@@ -50,6 +50,9 @@
 //! * [`coded`] — coded-symbol format and arithmetic.
 //! * [`encoder`] / [`decoder`] — the streaming protocol endpoints, generic
 //!   over the rule.
+//! * [`prefix`] — a set's contribution to the first `m` coded symbols,
+//!   computed item by item, eight members in flight (AVX-512 lanes where
+//!   the CPU has them), for a decoder that holds those cells already.
 //! * [`sketch`] — fixed-size sketches (generic over the rule) and
 //!   incrementally maintained caches.
 //! * `peel` (private) — the one peeling loop behind [`Decoder`] and
@@ -74,6 +77,7 @@ pub mod error;
 pub mod irregular;
 pub mod mapping;
 mod peel;
+pub mod prefix;
 pub mod sketch;
 pub mod symbol;
 pub mod wire;
@@ -84,6 +88,7 @@ pub use encoder::Encoder;
 pub use error::{Error, Result};
 pub use irregular::{IrregularClasses, IrregularDecoder, IrregularEncoder, IrregularSketch};
 pub use mapping::{mapped_probability, rho, IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
+pub use prefix::{apply_prefix, apply_prefix_scalar, prefix_uses_avx512};
 pub use sketch::{Sketch, SketchCache};
 pub use symbol::{xor_bytes_in_place, FixedBytes, HashedSymbol, Symbol, VecSymbol};
 pub use wire::{decode_coded_symbols, encode_coded_symbols, SymbolCodec};

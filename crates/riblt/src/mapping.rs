@@ -129,9 +129,11 @@ const FACTOR_BLOCK: usize = 8;
 /// forms of it must compute every factor bit for bit alike.
 #[inline(always)]
 fn one_minus_r(draw: u64) -> f64 {
-    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-    1.0 - (draw >> 11) as f64 * SCALE
+    1.0 - (draw >> 11) as f64 * DRAW_SCALE
 }
+
+/// 2⁻⁵³: turns the high 53 bits of a draw into a uniform value in [0, 1).
+pub(crate) const DRAW_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Jump factor `(1 − r)^(−α) − 1` of one draw at α = 0.5: only a square
 /// root (the reason the paper fixes α = 0.5 in the final design).
@@ -213,6 +215,20 @@ impl IndexMapping {
         }
     }
 
+    /// The mapping standing at index `current` with generator `prng`, which
+    /// must be where repeated [`Self::advance`] from the symbol's seed left
+    /// it: for walks that step the generator outside this type (the
+    /// AVX-512 lanes of `crate::prefix`, x86-64 only).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    #[inline]
+    pub(crate) fn parked(prng: XorShift64Star, current: u64, alpha: f64) -> Self {
+        IndexMapping {
+            prng,
+            current,
+            alpha,
+        }
+    }
+
     /// The coded-symbol index the symbol is currently mapped to.
     #[inline]
     pub fn current_index(&self) -> u64 {
@@ -236,6 +252,38 @@ impl IndexMapping {
         };
         self.current = next_index(self.current, self.alpha, factor);
         self.current
+    }
+
+    /// [`Self::advance`] of every mapping in `lanes`: the draws of all of
+    /// them first, then their jump factors in one loop (which vectorizes
+    /// when they share α = 0.5), then their indices, so the square roots
+    /// and divisions of independent mappings overlap instead of each
+    /// waiting on its own. Each mapping takes exactly the step `advance`
+    /// would.
+    #[inline]
+    pub(crate) fn advance_lanes<const N: usize>(lanes: &mut [IndexMapping; N]) {
+        let mut draws = [0u64; N];
+        for (draw, lane) in draws.iter_mut().zip(lanes.iter_mut()) {
+            *draw = lane.prng.next_u64();
+        }
+        let mut factors = [0f64; N];
+        // The α test stays outside the loops so each vectorizes.
+        if lanes.iter().all(|lane| lane.alpha == 0.5) {
+            for (factor, draw) in factors.iter_mut().zip(draws) {
+                *factor = sqrt_factor(draw);
+            }
+        } else {
+            for ((factor, draw), lane) in factors.iter_mut().zip(draws).zip(lanes.iter()) {
+                *factor = if lane.alpha == 0.5 {
+                    sqrt_factor(draw)
+                } else {
+                    pow_factor(draw, lane.alpha)
+                };
+            }
+        }
+        for (lane, factor) in lanes.iter_mut().zip(factors) {
+            lane.current = next_index(lane.current, lane.alpha, factor);
+        }
     }
 
     /// Returns all mapped indices strictly below `m`, starting from the
@@ -499,6 +547,26 @@ mod tests {
                 for _ in 0..draw(4) {
                     assert_eq!(mixed.advance(), plain.advance(), "seed {seed:#x} α {alpha}");
                     steps += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn advancing_lanes_together_takes_each_lanes_own_step() {
+        // One α for all (the vectorized loop) and mixed α, the zero seed
+        // among them.
+        for alphas in [[0.5; 4], [0.5, 0.3, 0.5, 0.9]] {
+            let fresh =
+                |lane: usize| IndexMapping::with_alpha(splitmix64(lane as u64), alphas[lane]);
+            let mut lanes: [IndexMapping; 4] = std::array::from_fn(fresh);
+            lanes[2] = IndexMapping::with_alpha(0, alphas[2]);
+            let mut alone = lanes.clone();
+            for _ in 0..40 {
+                IndexMapping::advance_lanes(&mut lanes);
+                for (lane, mapping) in lanes.iter().zip(&mut alone) {
+                    assert_eq!(lane.current_index(), mapping.advance(), "α {alphas:?}");
+                    assert_eq!(lane.prng, mapping.prng);
                 }
             }
         }

@@ -431,7 +431,9 @@ where
                 let gathered: Vec<Item> =
                     members.iter().map(|&m| sets.client[m as usize]).collect();
                 let mut plain = backend.build_client(&gathered);
-                let mut keyed = backend.build_client_keyed(&sets.client, &hashes, &members);
+                let (mut keyed, _) = backend
+                    .build_client_keyed(&sets.client, &hashes, &members, &[])
+                    .unwrap();
                 let open = backend.open_request(&mut plain);
                 assert_eq!(backend.open_request(&mut keyed), open, "{at}");
                 let mut server = backend.build_server(&server_parts[usize::from(shard)]);
@@ -492,7 +494,7 @@ fn backends_without_a_keyed_build_ignore_the_hashes() {
 #[should_panic(expected = "one keyed hash per item")]
 fn keyed_build_refuses_a_short_hash_slice() {
     let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
-    RibltBackend::<Item>::new(8, 16).build_client_keyed(&items, &[0; 9], &[0, 1]);
+    let _ = RibltBackend::<Item>::new(8, 16).build_client_keyed(&items, &[0; 9], &[0, 1], &[]);
 }
 
 /// The defaulted method checks the same.
@@ -500,5 +502,5 @@ fn keyed_build_refuses_a_short_hash_slice() {
 #[should_panic(expected = "one keyed hash per item")]
 fn default_keyed_build_refuses_a_long_hash_slice() {
     let items: Vec<Item> = (1..=10).map(Item::from_u64).collect();
-    IbltBackend::<Item>::new(8).build_client_keyed(&items, &[0; 11], &[0, 1]);
+    let _ = IbltBackend::<Item>::new(8).build_client_keyed(&items, &[0; 11], &[0, 1], &[]);
 }

@@ -95,12 +95,12 @@ type Sample = (f64, u64);
 macro_rules! side {
     ($side:ident, $riblt:ident, $hash:ident, $core:ident, $cluster:ident, $netsim:ident) => {
         pub mod $side {
-            use super::{black_box, timed, Raw, RefCell, Sample, SHARDS, TILE, UNIT_BUDGET};
+            use super::{timed, Raw, RefCell, Sample, SHARDS, TILE, UNIT_BUDGET};
             use $cluster::{Node, NodeConfig, Responder};
             use $core::backends::RibltBackend;
             use $core::handshake::Hello;
             use $core::{
-                sync_sharded_tcp, ClientEngine, EngineMessage, Progress, ServerEngine,
+                sync_sharded_tcp, ClientEngine, CountSketch, FirstFlight, ReconcileBackend,
                 ShardPartitioner, TcpSyncConfig,
             };
             use $hash::SipKey;
@@ -114,8 +114,8 @@ macro_rules! side {
             pub struct Inputs {
                 pub key: SipKey,
                 pub local: Vec<Item>,
-                /// Per shard, the payloads a `stale_tip` server streams.
-                near_payloads: Vec<Vec<EngineMessage>>,
+                /// Per shard, the first flight a `stale_tip` server sends.
+                near_flight: Vec<Vec<Vec<u8>>>,
                 /// One stream against `local` at d = 2 × 2,000.
                 far_stream: Vec<CodedSymbol<Item>>,
                 peel_2k: Vec<CodedSymbol<Item>>,
@@ -150,16 +150,22 @@ macro_rules! side {
                     .iter()
                     .map(|b| FixedBytes(b[..8].try_into().unwrap()))
                     .collect();
-                let partitioner = ShardPartitioner::new(key, SHARDS);
-                let near_payloads = partitioner
-                    .partition(&wrap(&raw.remote_near))
+                let remote_near = wrap(&raw.remote_near);
+                let sketch =
+                    |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, key));
+                let mut wire = Vec::new();
+                sketch(&local).encode(&mut wire);
+                let flight =
+                    FirstFlight::for_sketch(&wire, &sketch(&remote_near), SHARDS, TILE, UNIT_BUDGET)
+                        .unwrap();
+                let near_flight = ShardPartitioner::new(key, SHARDS)
+                    .partition(&remote_near)
                     .iter()
                     .map(|part| {
-                        let mut server = ServerEngine::new(backend(key), part);
-                        let open = ClientEngine::new(backend(key), &[]).open();
-                        let mut payloads = server.handle(&open).unwrap();
-                        payloads.extend((1..8).map(|_| server.next_payload().unwrap()));
-                        payloads
+                        let mut server = backend(key).build_server(part);
+                        (0..flight.symbols / TILE)
+                            .map(|_| backend(key).serve(&mut server, None).unwrap())
+                            .collect()
                     })
                     .collect();
                 let warm_node = |remote: &[[u8; 32]]| {
@@ -173,7 +179,7 @@ macro_rules! side {
                     key,
                     near_node: warm_node(&raw.remote_near),
                     mid_node: warm_node(&raw.remote_mid),
-                    near_payloads,
+                    near_flight,
                     far_stream: stream(&wrap(&raw.remote_far), 8_000),
                     peel_2k: stream(&fresh[..2_000], 4_004),
                     peel_10k: stream(&fresh, 20_004),
@@ -182,30 +188,27 @@ macro_rules! side {
                 }
             }
 
-            /// The client's set-up pass: hash, group by shard, fill eight
-            /// decoder windows (`ShardPartitioner::client_engines`).
+            /// The one-shot client's set-up at `stale_tip` (d = 100): hash,
+            /// group by shard, and build each shard's endpoint over its first
+            /// flight (`ClientEngine::new_keyed`), dropping each as a sync
+            /// does: `perf_snapshot`'s `client_setup/32B`.
             fn client_setup(inputs: &Inputs) -> Sample {
                 let partitioner = ShardPartitioner::new(inputs.key, SHARDS);
-                let (engines, secs) =
-                    timed(|| partitioner.client_engines(&inputs.local, |_| backend(inputs.key)));
-                let shards = engines.len() as u64;
-                black_box(engines);
-                (secs, shards)
-            }
-
-            /// All of a `stale_tip` sync's client CPU: the set-up pass, then
-            /// every shard absorbing tiles until its 100/8 differences peel.
-            fn stale_tip_client(inputs: &Inputs) -> Sample {
-                let partitioner = ShardPartitioner::new(inputs.key, SHARDS);
                 let (units, secs) = timed(|| {
-                    let engines =
-                        partitioner.client_engines(&inputs.local, |_| backend(inputs.key));
+                    let hashes = Item::hash_many_with(&inputs.local, inputs.key);
+                    let grouping = partitioner.group(&hashes);
                     let mut units = 0;
-                    for (mut engine, payloads) in engines.into_iter().zip(&inputs.near_payloads) {
-                        let done = payloads
-                            .iter()
-                            .any(|payload| engine.absorb(payload).unwrap() == Progress::Complete);
-                        assert!(done, "a shard of ~12 differences decodes within 8 tiles");
+                    for (shard, flight) in (0..SHARDS).zip(&inputs.near_flight) {
+                        let first: Vec<&[u8]> = flight.iter().map(Vec::as_slice).collect();
+                        let members = grouping.members(shard);
+                        let (engine, _) = ClientEngine::new_keyed(
+                            backend(inputs.key),
+                            &inputs.local,
+                            &hashes,
+                            members,
+                            &first,
+                        )
+                        .unwrap();
                         units += engine.units() as u64;
                     }
                     units
@@ -308,8 +311,10 @@ macro_rules! side {
             }
 
             pub const KERNELS: &[(&str, fn(&Inputs) -> Sample)] = &[
-                ("client_setup/32B: 20,000 items, 8 shards", client_setup),
-                ("stale_tip client: set-up + absorb, d 100", stale_tip_client),
+                (
+                    "client_setup/32B: 20,000 items, 8 shards, stale_tip first flight",
+                    client_setup,
+                ),
                 (
                     "decode_local_set/32B: 20,000 local, d 4,000",
                     decode_local_set,
@@ -341,9 +346,11 @@ side!(
     parent_netsim
 );
 
-// --- Kernels whose two sides differ (the eight-lane hash and the item-major
-// first-flight pass exist on the change's side only; the bulk node load,
-// `Node::extend`, is on both sides now). ---
+// --- Kernels whose two sides differ (the parent's side of the first-flight
+// rows fills a window, which every commit has; the change's side walks
+// items through `apply_prefix` under its mapping-rule argument; the
+// eight-lane hash and the bulk node load, `Node::extend`, are on both sides
+// now). ---
 
 fn hash_set_parent(inputs: &parent::Inputs) -> Sample {
     use parent_riblt::Symbol;
@@ -413,20 +420,21 @@ fn first_flight_window(inputs: &parent::Inputs, m: usize) -> Sample {
     )
 }
 
-/// `riblt::apply_prefix`'s signature, which its scalar lanes share.
+/// `riblt::apply_prefix`'s signature under the regular rule, which its
+/// scalar lanes share.
 type PrefixKernel = fn(
     &mut [riblt::CodedSymbol<change::Item>],
     &[change::Item],
     &[u64],
     &[u32],
-    f64,
+    &riblt::Uniform,
     riblt::Direction,
 ) -> Vec<riblt::IndexMapping>;
 
 /// The same cells item by item (`riblt::apply_prefix` or its scalar
-/// lanes), each member's mapping parked at `m`.
+/// lanes, under the rule argument), each member's mapping parked at `m`.
 fn first_flight_items(inputs: &change::Inputs, m: usize, apply: PrefixKernel) -> Sample {
-    use riblt::{CodedSymbol, Direction, Symbol};
+    use riblt::{CodedSymbol, Direction, Symbol, Uniform};
     let hashes = change::Item::hash_many_with(&inputs.local, inputs.key);
     let partitioner = reconcile_core::ShardPartitioner::new(inputs.key, SHARDS);
     let (cells, secs) = timed(|| {
@@ -434,7 +442,8 @@ fn first_flight_items(inputs: &change::Inputs, m: usize, apply: PrefixKernel) ->
         let mut cells = vec![CodedSymbol::<change::Item>::default(); usize::from(SHARDS) * m];
         for (shard, cells) in (0..SHARDS).zip(cells.chunks_mut(m)) {
             let members = grouping.members(shard);
-            let parked = apply(cells, &inputs.local, &hashes, members, 0.5, Direction::Add);
+            let rule = Uniform(0.5);
+            let parked = apply(cells, &inputs.local, &hashes, members, &rule, Direction::Add);
             black_box(parked);
         }
         cells
@@ -552,7 +561,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if riblt::prefix_uses_avx512(0.5) {
+    if riblt::prefix_uses_avx512(&riblt::Uniform(0.5)) {
         eprintln!("# change: AVX-512 lanes (avx512f + avx512dq detected)");
     } else {
         eprintln!("# change: scalar lanes only (no avx512f + avx512dq)");

@@ -24,11 +24,15 @@
 //!   the local set (not peeling) carries the time. `decode_throughput`
 //!   decodes against an empty local set and cannot see that pass. Carries
 //!   the coding window's bytes per symbol as a param.
-//! - `client_setup/32B` — what a sharded client does with its 20,000-item
-//!   set before the first payload arrives: hash every item, group them by
-//!   shard, fill eight decoder windows
-//!   (`ShardPartitioner::client_engines`). The hash alone and `partition`
-//!   (the same grouping, gathered into vectors) ride along as stages.
+//! - `client_setup/32B` — what the one-shot sharded client does with its
+//!   20,000-item set at `stale_tip`'s d = 100: hash every item, group them
+//!   by shard, and build each of the eight shards' endpoints over that
+//!   shard's first flight (`ClientEngine::new_keyed`: the shard's items
+//!   walked over the cells that arrived, a window only for a shard that
+//!   reads on). The hash alone and the grouping ride along as stages.
+//!   Snapshots taken while the client filled every shard's window before
+//!   its first payload timed that fill instead (EXPERIMENTS.md says from
+//!   which snapshot on).
 //! - `sketch_subtract/32B` — cell-wise sketch subtraction, pure symbol XOR.
 //! - `mux_sharded_decode/32B` — two cluster nodes reconciling over the
 //!   simulated mux protocol; reports the measured decode/serve wall time.
@@ -41,7 +45,7 @@
 use cluster::{Node, NodeConfig};
 use netsim::{reconcile_pair, LinkConfig, PairSyncConfig, Topology};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::ShardPartitioner;
+use reconcile_core::{ClientEngine, CountSketch, FirstFlight, ReconcileBackend, ShardPartitioner};
 use riblt::{Decoder, Encoder, Sketch, Symbol};
 use riblt_bench::snapshot::{today_utc, validate, BenchRecord, Snapshot};
 use riblt_bench::{items32, set_pair32, timed, Item32, Item8, RunScale};
@@ -298,10 +302,12 @@ fn bench_decode_local_set(scale: RunScale, seed: u64) -> BenchRecord {
         .metric("coded_symbols_per_s", used_total as f64 / decode_s)
 }
 
-/// The sharded client's set-up pass over a 20,000-item set and 8 shards,
-/// the benchmark's sizes: each trial builds the eight client endpoints from
-/// scratch and drops them, as a stateless sync does. Same sizes in both
-/// modes; `--full` only adds trials. Means per trial, with the fastest
+/// The one-shot sharded client's set-up over a 20,000-item set and 8
+/// shards, the benchmark's sizes, against `stale_tip`'s server (its last 50
+/// items replaced: d = 100): each trial hashes the set, groups it and builds
+/// every shard's endpoint over the first flight the server sizes from the
+/// client's count sketch, dropping each as the sync would. Same sizes in
+/// both modes; `--full` only adds trials. Means per trial, with the fastest
 /// trial of the whole pass beside them (the host's quiet-moment reading).
 fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
     let n = 20_000u64;
@@ -309,9 +315,27 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
     let trials = scale.pick(50u32, 200u32);
 
     let items = items32(n, derive(seed, 0x5e70));
+    let mut remote = items[..n as usize - 50].to_vec();
+    remote.extend(items32(50, derive(seed, 0x5e71)));
     let key = SipKey::default();
     let partitioner = ShardPartitioner::new(key, shards);
-    let backend = |_| RibltBackend::<Item32>::with_key_and_alpha(32, 32, key, riblt::DEFAULT_ALPHA);
+    let backend = RibltBackend::<Item32>::with_key_and_alpha(32, 32, key, riblt::DEFAULT_ALPHA);
+    let sketch = |set: &[Item32]| CountSketch::from_hashes(&Item32::hash_many_with(set, key));
+    let mut wire = Vec::new();
+    sketch(&items).encode(&mut wire);
+    let flight = FirstFlight::for_sketch(&wire, &sketch(&remote), shards, 32, 1 << 20)
+        .expect("a sketch of the same shape");
+    let flights: Vec<Vec<Vec<u8>>> = partitioner
+        .partition(&remote)
+        .iter()
+        .map(|part| {
+            let mut server = backend.build_server(part);
+            let tiles = flight.symbols / backend.batch_symbols;
+            (0..tiles)
+                .map(|_| backend.serve(&mut server, None).expect("stream"))
+                .collect()
+        })
+        .collect();
 
     // Each stage in its own run of back-to-back trials, so none pays for
     // what the one before it left in the cache. Total and fastest seconds.
@@ -325,12 +349,22 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
         }
         (total_s, best_s)
     }
+    let hashes = Item32::hash_many_with(&items, key);
     let (hash_s, _) = trials_of(trials, || Item32::hash_many_with(&items, key));
-    let (partition_s, _) = trials_of(trials, || partitioner.partition(&items));
+    let (group_s, _) = trials_of(trials, || partitioner.group(&hashes));
     let (setup_s, setup_best_s) = trials_of(trials, || {
-        let engines = partitioner.client_engines(&items, backend);
-        assert_eq!(engines.len(), usize::from(shards));
-        engines
+        let hashes = Item32::hash_many_with(&items, key);
+        let grouping = partitioner.group(&hashes);
+        let mut units = 0;
+        for (shard, flight) in (0..shards).zip(&flights) {
+            let first: Vec<&[u8]> = flight.iter().map(Vec::as_slice).collect();
+            let members = grouping.members(shard);
+            let (engine, _) =
+                ClientEngine::new_keyed(backend.clone(), &items, &hashes, members, &first)
+                    .expect("a first flight of valid tiles");
+            units += engine.units();
+        }
+        units
     });
 
     let per_trial_ms = |secs: f64| secs * 1e3 / f64::from(trials);
@@ -338,12 +372,14 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
         .param("symbol_bytes", 32.0)
         .param("local_set", n as f64)
         .param("shards", f64::from(shards))
+        .param("difference", 100.0)
+        .param("first_flight_symbols", flight.symbols as f64)
         .param("trials", f64::from(trials))
         .metric("wall_s", setup_s)
         .metric("setup_ms", per_trial_ms(setup_s))
         .metric("setup_ms_best", setup_best_s * 1e3)
         .metric("hash_ms", per_trial_ms(hash_s))
-        .metric("partition_ms", per_trial_ms(partition_s))
+        .metric("group_ms", per_trial_ms(group_s))
         .metric("items_per_s", n as f64 * f64::from(trials) / setup_s)
 }
 

@@ -18,10 +18,12 @@
 //!    sequence, so duplicated or reordered requests are idempotent and a
 //!    lost reply is healed by re-requesting the same range. A small
 //!    pipeline of outstanding requests per shard keeps the link busy.
-//! 3. **Positional absorption**: the decoder streams its local-set
-//!    contributions in sequence-index order, so arriving batches pass
-//!    through a [`BatchSequencer`] reorder buffer and are fed to the
-//!    engine strictly in order.
+//! 3. **Positional absorption**: a shard's cells are taken in
+//!    sequence-index order, so arriving batches pass through a
+//!    [`BatchSequencer`] reorder buffer and are fed to the shard strictly
+//!    in order. A shard's first in-order batch builds its endpoint, which
+//!    is consumed into its difference the moment it decodes
+//!    ([`ShardEndpoint`]), as the stream client's shards are.
 //!
 //! Loss costs extra symbols, not retransmission machinery: a dropped
 //! `Symbols` datagram just means the range is served again on the
@@ -39,7 +41,7 @@ use reconcile_core::datagram::{
 };
 use reconcile_core::handshake::{validate_server_hello, Hello, SHARDS_ANY};
 use reconcile_core::{
-    ClientEngine, EngineError, EngineMessage, ReconcileBackend, SetDifference, ShardId,
+    Absorbed, ClientEngine, EngineError, ReconcileBackend, SetDifference, ShardEndpoint, ShardId,
     ShardPartitioner,
 };
 use riblt::wire::peek_batch_extent;
@@ -204,7 +206,7 @@ pub struct UdpSyncOutcome {
 
 /// One shard's client-side stream state.
 struct ShardState<B: ReconcileBackend> {
-    engine: ClientEngine<B>,
+    endpoint: ShardEndpoint<B>,
     sequencer: BatchSequencer,
     /// Outstanding range requests: start offset → (count, last send).
     outstanding: HashMap<u64, (u16, Instant)>,
@@ -212,7 +214,6 @@ struct ShardState<B: ReconcileBackend> {
     frontier: u64,
     /// Symbols per reply, learned from the first served batch.
     stride: Option<usize>,
-    done: bool,
 }
 
 /// Synchronizes the local set against a `reconciled` server over a
@@ -225,10 +226,12 @@ struct ShardState<B: ReconcileBackend> {
 /// must already be bound to the server (a `connect`ed UDP socket or one
 /// end of a datagram pair).
 ///
-/// `local_items` is only read while the shard clients are built, each item
-/// hashed once for both its shard and its checksum; from then on every
-/// shard's decoder owns its own copy of its items, and no other copy of the
-/// set lives through the exchange.
+/// `local_items` is hashed once, after the handshake, and read again only
+/// while a shard's endpoint is built over its first in-order batch
+/// ([`ClientEngine::new_keyed`]: the shard's items walked over that batch's
+/// cells, and cloned into a window only if it must read on). An endpoint
+/// lives until its shard decodes, the hashes and their grouping until the
+/// last shard is built.
 pub fn sync_sharded_udp<B, F, C>(
     conduit: &mut C,
     local_items: &[B::Item],
@@ -279,17 +282,18 @@ where
     )?;
     let shards = server_hello.shards;
 
-    // --- 2. Partition with the negotiated count; one stream per shard. ---
-    let mut states: Vec<ShardState<B>> = ShardPartitioner::new(config.key, shards)
-        .client_engines(local_items, &factory)
-        .into_iter()
-        .map(|engine| ShardState {
-            engine,
+    // --- 2. Place the items with the negotiated count; one stream per
+    // shard, each built when its first in-order batch arrives. ---
+    let hashes = B::Item::hash_many_with(local_items, config.key);
+    let grouping = ShardPartitioner::new(config.key, shards).group(&hashes);
+    let mut placement = Some((hashes, grouping));
+    let mut states: Vec<ShardState<B>> = (0..shards)
+        .map(|_| ShardState {
+            endpoint: ShardEndpoint::Pending,
             sequencer: BatchSequencer::new(),
             outstanding: HashMap::new(),
             frontier: 0,
             stride: None,
-            done: false,
         })
         .collect();
 
@@ -317,7 +321,7 @@ where
     // --- 3. Event loop: receive, reorder, absorb, refill, retransmit. ---
     let poll = (config.rto / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
     loop {
-        if states.iter().all(|s| s.done) {
+        if states.iter().all(|s| s.endpoint.is_done()) {
             break;
         }
         if started.elapsed() > config.deadline {
@@ -326,7 +330,7 @@ where
                 format!(
                     "datagram sync deadline ({:?}) exceeded with {} of {shards} shards done",
                     config.deadline,
-                    states.iter().filter(|s| s.done).count(),
+                    states.iter().filter(|s| s.endpoint.is_done()).count(),
                 ),
             ));
         }
@@ -343,8 +347,9 @@ where
             {
                 continue; // duplicate HelloAck, stray kinds: ignore
             }
-            let state = &mut states[usize::from(header.shard)];
-            if state.done {
+            let shard = header.shard;
+            let state = &mut states[usize::from(shard)];
+            if state.endpoint.is_done() {
                 continue;
             }
             let start = u64::from(header.seq);
@@ -352,16 +357,28 @@ where
             if !state.sequencer.accept(start, payload.to_vec()) {
                 stats.stale_batches += 1;
             }
-            drain_ready(conduit, cookie, header.shard, state, config, &mut stats)?;
-            if state.engine.units() > config.max_units_per_shard {
+            let build = |shard, first: &[&[u8]]| {
+                let (hashes, grouping) = placement
+                    .as_ref()
+                    .expect("the placement outlives the last pending shard");
+                let members = grouping.members(shard);
+                ClientEngine::new_keyed(factory(shard), local_items, hashes, members, first)
+            };
+            drain_ready(conduit, cookie, shard, state, config, &mut stats, &build)?;
+            if state.endpoint.units() > config.max_units_per_shard {
                 return Err(EngineError::DecodeIncomplete);
+            }
+            let pending = |s: &ShardState<B>| matches!(s.endpoint, ShardEndpoint::Pending);
+            if placement.is_some() && !states.iter().any(pending) {
+                // Every shard is built: nothing of the set-up is read again.
+                placement = None;
             }
         }
 
         // Refill pipelines and retransmit unanswered requests.
         let now = Instant::now();
         for (shard, state) in states.iter_mut().enumerate() {
-            if state.done {
+            if state.endpoint.is_done() {
                 continue;
             }
             let stride = u64::from(state.stride.unwrap_or(usize::from(opening_count)) as u32);
@@ -400,10 +417,10 @@ where
         }
     }
 
-    let units = states.iter().map(|s| s.engine.units()).sum();
+    let units = states.iter().map(|s| s.endpoint.units()).sum();
     let mut differences = Vec::with_capacity(states.len());
     for state in states {
-        differences.push(state.engine.into_difference()?);
+        differences.push(state.endpoint.into_difference()?);
     }
     let outcome = UdpSyncOutcome {
         shards,
@@ -506,16 +523,17 @@ fn send_request<C: DatagramConduit>(
     Ok(())
 }
 
-/// Feeds every in-order buffered batch of a shard to its engine; on
-/// completion, fires `Done` twice (best effort — the session also expires
-/// server-side on idle).
-fn drain_ready<C: DatagramConduit>(
+/// Feeds every in-order buffered batch of a shard to its endpoint, the
+/// first one through `build`; on completion, fires `Done` twice (best
+/// effort — the session also expires server-side on idle).
+fn drain_ready<C: DatagramConduit, B: ReconcileBackend>(
     conduit: &mut C,
     cookie: u64,
     shard: ShardId,
-    state: &mut ShardState<impl ReconcileBackend>,
+    state: &mut ShardState<B>,
     config: &UdpSyncConfig,
     stats: &mut Stats,
+    build: &impl Fn(ShardId, &[&[u8]]) -> reconcile_core::Result<(ClientEngine<B>, Vec<Absorbed>)>,
 ) -> reconcile_core::Result<()> {
     while let Some(payload) = state.sequencer.pop_ready() {
         let Ok((_, batch_len)) = peek_batch_extent(&payload) else {
@@ -540,18 +558,17 @@ fn drain_ready<C: DatagramConduit>(
             state.stride = Some(batch_len.max(1));
             state.frontier = batch_len as u64;
         }
-        let reply = state
-            .engine
-            .handle(&EngineMessage::Payload(payload.clone()))?;
+        state
+            .endpoint
+            .absorb(&[&payload], |first| build(shard, first))?;
         state.sequencer.advance(batch_len as u64);
-        if matches!(reply, Some(EngineMessage::Done)) {
-            state.done = true;
+        if state.endpoint.is_done() {
             state.outstanding.clear();
             let done = DatagramHeader {
                 kind: DatagramKind::Done,
                 cookie,
                 shard,
-                seq: u32::try_from(state.engine.units()).unwrap_or(u32::MAX),
+                seq: u32::try_from(state.endpoint.units()).unwrap_or(u32::MAX),
             }
             .encode(&[]);
             // Twice: a lost Done only delays the server's idle sweep, but
@@ -573,7 +590,10 @@ mod tests {
     use crate::netsim::{self, datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::datagram::DatagramServiceConfig;
+    use reconcile_core::{EngineMessage, Progress, Result};
     use riblt::FixedBytes;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     type Item = FixedBytes<8>;
 
@@ -598,12 +618,27 @@ mod tests {
         netsim::library_datagram_server(endpoint, &server_items, service);
     }
 
+    fn backend(key: SipKey) -> RibltBackend<Item> {
+        RibltBackend::with_key_and_alpha(8, 32, key, riblt::DEFAULT_ALPHA)
+    }
+
     fn run_sync(
         link: DatagramLinkConfig,
         server_items: Vec<Item>,
         local: Vec<Item>,
         key: SipKey,
         shards: u16,
+    ) -> reconcile_core::Result<(Vec<SetDifference<Item>>, UdpSyncOutcome)> {
+        run_sync_with(link, server_items, local, key, shards, |_| backend(key))
+    }
+
+    fn run_sync_with<B: ReconcileBackend<Item = Item>>(
+        link: DatagramLinkConfig,
+        server_items: Vec<Item>,
+        local: Vec<Item>,
+        key: SipKey,
+        shards: u16,
+        factory: impl Fn(ShardId) -> B,
     ) -> reconcile_core::Result<(Vec<SetDifference<Item>>, UdpSyncOutcome)> {
         let (mut client_end, server_end) = datagram_pair(link);
         let server = std::thread::spawn(move || serve_loop(server_end, server_items, key, shards));
@@ -614,12 +649,7 @@ mod tests {
             nonce: 77,
             ..Default::default()
         };
-        let result = sync_sharded_udp(
-            &mut client_end,
-            &local,
-            |_| RibltBackend::<Item>::with_key_and_alpha(8, 32, key, riblt::DEFAULT_ALPHA),
-            &config,
-        );
+        let result = sync_sharded_udp(&mut client_end, &local, factory, &config);
         drop(client_end);
         server.join().unwrap();
         result
@@ -708,6 +738,236 @@ mod tests {
         assert_eq!(local_only, 30);
         assert!(outcome.units > 0);
         assert_eq!(outcome.retransmits, 0, "clean link needs no retransmits");
+    }
+
+    /// Built, alive now, most alive at once.
+    type Counts = Rc<Cell<[usize; 3]>>;
+
+    /// The test backend, counting itself: an endpoint owns the backend it
+    /// was built with, so the counts are the sync's endpoints.
+    struct Counted {
+        inner: RibltBackend<Item>,
+        counts: Counts,
+    }
+
+    impl Counted {
+        fn new(key: SipKey, counts: &Counts) -> Self {
+            let [built, alive, peak] = counts.get();
+            counts.set([built + 1, alive + 1, peak.max(alive + 1)]);
+            let counts = Rc::clone(counts);
+            Counted {
+                inner: backend(key),
+                counts,
+            }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            let [built, alive, peak] = self.counts.get();
+            self.counts.set([built, alive - 1, peak]);
+        }
+    }
+
+    impl ReconcileBackend for Counted {
+        type Item = Item;
+        type Server = <RibltBackend<Item> as ReconcileBackend>::Server;
+        type Client = <RibltBackend<Item> as ReconcileBackend>::Client;
+
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn build_server(&self, items: &[Item]) -> Self::Server {
+            self.inner.build_server(items)
+        }
+        fn build_client(&self, items: &[Item]) -> Self::Client {
+            self.inner.build_client(items)
+        }
+        fn build_client_keyed(
+            &self,
+            items: &[Item],
+            hashes: &[u64],
+            members: &[u32],
+            first: &[&[u8]],
+        ) -> Result<(Self::Client, Vec<Absorbed>)> {
+            self.inner.build_client_keyed(items, hashes, members, first)
+        }
+        fn open_request(&self, client: &mut Self::Client) -> Vec<u8> {
+            self.inner.open_request(client)
+        }
+        fn serve(&self, server: &mut Self::Server, request: Option<&[u8]>) -> Result<Vec<u8>> {
+            self.inner.serve(server, request)
+        }
+        fn absorb(&self, client: &mut Self::Client, payload: &[u8]) -> Result<Progress> {
+            self.inner.absorb(client, payload)
+        }
+        fn units(&self, client: &Self::Client) -> usize {
+            self.inner.units(client)
+        }
+        fn into_difference(&self, client: Self::Client) -> Result<SetDifference<Item>> {
+            self.inner.into_difference(client)
+        }
+    }
+
+    #[test]
+    fn shards_are_built_by_their_first_batch_and_freed_when_they_decode() {
+        let key = SipKey::new(5, 6);
+        let counts = Counts::default();
+        // d = 8 over four shards: every shard decodes in its first batch.
+        let (diffs, outcome) = run_sync_with(
+            DatagramLinkConfig::default(),
+            items(0..2_000),
+            items(4..2_004),
+            key,
+            4,
+            |_| Counted::new(key, &counts),
+        )
+        .unwrap();
+        assert_eq!(outcome.datagrams_received, 1 + 4, "{outcome:?}");
+        let found: usize = diffs.iter().map(SetDifference::len).sum();
+        assert_eq!(found, 8);
+        // Four endpoints, one alive at a time, none at the end.
+        assert_eq!(counts.get(), [4, 0, 1]);
+    }
+
+    #[test]
+    fn the_one_shot_build_consumes_what_an_eager_one_does() {
+        let (key, shards) = (SipKey::new(9, 4), 4u16);
+        let (server_items, local) = (items(0..4_000), items(1_000..5_000));
+        let (diffs, outcome) = run_sync(
+            DatagramLinkConfig::default(),
+            server_items.clone(),
+            local.clone(),
+            key,
+            shards,
+        )
+        .unwrap();
+        // The eager reference: every shard's window filled over its part of
+        // the set before the stream, which is then fed to it tile by tile.
+        let partitioner = ShardPartitioner::new(key, shards);
+        let server_parts = partitioner.partition(&server_items);
+        let (mut units, mut eager) = (0, Vec::new());
+        for (shard, part) in partitioner.partition(&local).iter().enumerate() {
+            let mut client = ClientEngine::new(backend(key), part);
+            let mut server = reconcile_core::ServerEngine::new(backend(key), &server_parts[shard]);
+            let mut payload = server.handle(&client.open()).unwrap().remove(0);
+            while client.absorb(&payload).unwrap() != Progress::Complete {
+                payload = server.next_payload().unwrap();
+            }
+            units += client.units();
+            eager.push(client.into_difference().unwrap());
+        }
+        assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 2_000);
+        assert_eq!((outcome.units, diffs), (units, eager));
+    }
+
+    /// Records what the client sends.
+    #[derive(Default)]
+    struct Sent(Vec<Vec<u8>>);
+
+    impl DatagramConduit for Sent {
+        fn send(&mut self, datagram: &[u8]) -> io::Result<()> {
+            self.0.push(datagram.to_vec());
+            Ok(())
+        }
+        fn recv(&mut self, _: Duration) -> io::Result<Option<Vec<u8>>> {
+            Ok(None)
+        }
+    }
+
+    #[test]
+    fn a_hostile_first_batch_ends_as_an_eager_client_would() {
+        let key = SipKey::new(2, 7);
+        let local = items(40..1_000);
+        let hashes = Item::hash_many_with(&local, key);
+        let members: Vec<u32> = (0..local.len() as u32).collect();
+        let build = |_, first: &[&[u8]]| {
+            ClientEngine::new_keyed(backend(key), &local, &hashes, &members, first)
+        };
+        let valid = backend(key)
+            .serve(&mut backend(key).build_server(&items(0..1_000)), None)
+            .unwrap();
+        let (_, count) = peek_batch_extent(&valid).unwrap();
+        // `valid` with the VLQ header field `field` (after the magic and the
+        // version: symbol length, set size, start, count) set to `value`.
+        let rewrite = |field: usize, value: u64| {
+            let mut at = 5;
+            for _ in 0..field {
+                riblt::wire::read_vlq(&valid, &mut at).unwrap();
+            }
+            let mut out = valid[..at].to_vec();
+            riblt::wire::read_vlq(&valid, &mut at).unwrap();
+            riblt::wire::write_vlq(&mut out, value);
+            [&out, &valid[at..]].concat()
+        };
+        let mut gen = riblt_hash::SplitMix64::new(0x0bad_ba7c);
+        // Cases that ended in a re-request, a typed error, a built endpoint.
+        let mut seen = [0; 3];
+        for case in 0..302 {
+            let mut payload = valid.clone();
+            match case {
+                // A start at the end of the index range, a set size no set
+                // has.
+                300 => payload = rewrite(2, u64::MAX),
+                301 => payload = rewrite(1, u64::MAX),
+                _ if case % 3 == 0 => {
+                    for _ in 0..1 + gen.next_u64() % 3 {
+                        let bit = gen.next_u64() as usize % (8 * payload.len());
+                        payload[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                _ if case % 3 == 1 => payload.truncate(gen.next_u64() as usize % payload.len()),
+                // More symbols than the bytes hold.
+                _ => payload = rewrite(3, (count + 1) as u64 + gen.next_u64() % (1 << 20)),
+            }
+            let at = format!("case {case}");
+            // The parent's end: the eager client absorbing it, unless the
+            // envelope is refused first.
+            let eager = peek_batch_extent(&payload).ok().map(|_| {
+                let mut client = ClientEngine::new(backend(key), &local);
+                let progress = client.absorb(&EngineMessage::Payload(payload.clone()));
+                progress.map(|_| client.units())
+            });
+            let mut state = ShardState {
+                endpoint: ShardEndpoint::Pending,
+                sequencer: BatchSequencer::new(),
+                outstanding: HashMap::new(),
+                frontier: 0,
+                stride: None,
+            };
+            state.sequencer.accept(0, payload);
+            let mut sent = Sent::default();
+            let config = UdpSyncConfig::default();
+            let ended = drain_ready(
+                &mut sent,
+                1,
+                0,
+                &mut state,
+                &config,
+                &mut Stats::default(),
+                &build,
+            );
+            seen[eager.as_ref().map_or(0, |end| 1 + usize::from(end.is_ok()))] += 1;
+            match eager {
+                None => {
+                    assert_eq!(ended, Ok(()), "{at}");
+                    assert!(matches!(state.endpoint, ShardEndpoint::Pending), "{at}");
+                    let (header, _) = DatagramHeader::decode(&sent.0[0]).unwrap();
+                    assert_eq!(
+                        (header.kind, header.seq),
+                        (DatagramKind::Request, 0),
+                        "{at}"
+                    );
+                }
+                Some(Err(error)) => assert_eq!(ended, Err(error), "{at}"),
+                // Built over exactly the cells that arrived.
+                Some(Ok(units)) => {
+                    assert_eq!(ended, Ok(()), "{at}");
+                    assert_eq!(state.endpoint.units(), units, "{at}");
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every end seen: {seen:?}");
     }
 
     #[test]

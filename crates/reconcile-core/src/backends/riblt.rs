@@ -9,7 +9,7 @@ use riblt::{
 };
 use riblt_hash::SipKey;
 
-use crate::backend::{absorb_until_complete, Absorbed, Progress, ReconcileBackend, StreamProgress};
+use crate::backend::{Absorbed, Progress, ReconcileBackend, StreamProgress};
 use crate::engine::RangeRequest;
 use crate::error::{EngineError, Result};
 use crate::wirefmt::{encode_stream_open, stream_range_tiles, validate_stream_open};
@@ -90,24 +90,6 @@ impl<S: Symbol, R: StreamRule> RibltBackend<S, R> {
     fn codec(&self, set_size: u64) -> SymbolCodec {
         let alpha = self.rule.uniform_alpha().unwrap_or(DEFAULT_ALPHA);
         SymbolCodec::with_alpha(self.symbol_len, set_size, alpha)
-    }
-
-    /// The client endpoint over a local set of `len` hashed symbols, its
-    /// window sized for them up front.
-    fn client_over(
-        &self,
-        len: usize,
-        local_set: impl Iterator<Item = HashedSymbol<S>>,
-    ) -> RibltClient<S, R> {
-        let mut decoder = Decoder::with_rule(self.rule.clone(), self.key);
-        decoder.reserve_local_set(len);
-        for hashed in local_set {
-            decoder
-                .add_hashed_symbol(hashed)
-                .expect("fresh decoder accepts symbols");
-        }
-        let codec = self.codec(0);
-        RibltClient { decoder, codec }
     }
 }
 
@@ -202,21 +184,24 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         RibltServer { encoder, codec }
     }
 
+    /// The keyed build over every position, with no payloads: the set's
+    /// window, every mapping at index 0.
     fn build_client(&self, items: &[S]) -> RibltClient<S, R> {
-        let hashed = items
-            .iter()
-            .map(|item| HashedSymbol::new(item.clone(), self.key));
-        self.client_over(items.len(), hashed)
+        let hashes = S::hash_many_with(items, self.key);
+        let positions = u32::try_from(items.len()).expect("a set's positions must fit a u32");
+        let members: Vec<u32> = (0..positions).collect();
+        self.build_client_keyed(items, &hashes, &members, &[])
+            .expect("a client built with no payload has none to refuse")
+            .0
     }
 
-    /// Under one α, the cells of `first` are taken as they arrived: the
-    /// members' contribution to them is subtracted item by item
-    /// ([`riblt::apply_prefix`]), never more cells than arrived, and the
-    /// difference cells go to a decoder that holds no local set. A shard
-    /// that decodes within them never clones an item; one that does not
-    /// gets its window then, parked past those cells
-    /// ([`Decoder::adopt_local_set`]). Under mixed α the window is filled
-    /// from index 0 and the payloads absorbed through it.
+    /// The cells of `first` are taken as they arrived: the members'
+    /// contribution to them is subtracted item by item, each member at the
+    /// α the rule gives it ([`riblt::apply_prefix`]), never more cells than
+    /// arrived, and the difference cells go to a decoder that holds no
+    /// local set. A shard that decodes within them never clones an item;
+    /// one that does not gets its window then, parked past those cells
+    /// ([`Decoder::adopt_local_set`]).
     fn build_client_keyed(
         &self,
         items: &[S],
@@ -225,15 +210,6 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         first: &[&[u8]],
     ) -> Result<(RibltClient<S, R>, Vec<Absorbed>)> {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
-        let hashed = |&m: &u32| {
-            let m = m as usize;
-            HashedSymbol::with_hash(items[m].clone(), hashes[m])
-        };
-        let Some(alpha) = self.rule.uniform_alpha() else {
-            let mut client = self.client_over(members.len(), members.iter().map(hashed));
-            let absorbed = absorb_until_complete(self, &mut client, first)?;
-            return Ok((client, absorbed));
-        };
         let mut client = RibltClient {
             decoder: Decoder::with_rule(self.rule.clone(), self.key),
             codec: self.codec(0),
@@ -259,7 +235,14 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
                 }
             }
         }
-        let parked = apply_prefix(&mut cells, items, hashes, members, alpha, Direction::Remove);
+        let parked = apply_prefix(
+            &mut cells,
+            items,
+            hashes,
+            members,
+            &self.rule,
+            Direction::Remove,
+        );
         let mut cells = cells.into_iter();
         let mut absorbed = Vec::with_capacity(lengths.len());
         for length in lengths {
@@ -277,8 +260,11 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         if let Some(refused) = refused {
             return Err(refused);
         }
-        let symbols = members.iter().map(hashed).collect();
-        client.decoder.adopt_local_set(symbols, parked);
+        let hashed =
+            |&m: &u32| HashedSymbol::with_hash(items[m as usize].clone(), hashes[m as usize]);
+        client
+            .decoder
+            .adopt_local_set(members.iter().map(hashed).collect(), parked);
         Ok((client, absorbed))
     }
 
@@ -406,7 +392,7 @@ mod tests {
         check_first_round_build::<Uniform>(10, 4);
         check_first_round_build::<Uniform>(120, 2);
         check_first_round_build::<Uniform>(120, 0);
-        // Mixed α takes the window from index 0.
+        // Mixed α walks its members each at its class's α.
         check_first_round_build::<IrregularClasses>(10, 4);
         check_first_round_build::<IrregularClasses>(120, 2);
     }

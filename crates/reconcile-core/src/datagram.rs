@@ -25,10 +25,11 @@
 //!    and the shards the client has completed ([`UdpSessionTable`]); the
 //!    unit budget is checked against each request's own range.
 //!
-//! The decoder itself consumes coded symbols **positionally** (its lazy
-//! local-set streaming applies contributions in sequence-index order), so
-//! the client side reorders arriving batches with a [`BatchSequencer`]
-//! before feeding the engine; the server side needs no ordering at all.
+//! A shard's client consumes coded symbols **positionally** (it is built
+//! over the cells of its first batch, its items walked over exactly those,
+//! and takes every later cell by its sequence index), so the client side
+//! reorders arriving batches with a [`BatchSequencer`] before feeding the
+//! shard; the server side needs no ordering at all.
 //!
 //! ```text
 //! Datagram header (19 bytes):

@@ -10,7 +10,7 @@
 
 use riblt::SetDifference;
 
-use crate::backend::{Absorbed, Progress, ReconcileBackend};
+use crate::backend::{absorb_until_complete, Absorbed, Progress, ReconcileBackend};
 use crate::error::{EngineError, Result};
 
 /// A stateless request for coded symbols `[offset, offset + count)` of one
@@ -315,6 +315,87 @@ impl<B: ReconcileBackend> ClientEngine<B> {
     /// Consumes the endpoint, returning the recovered difference.
     pub fn into_difference(self) -> Result<SetDifference<B::Item>> {
         self.backend.into_difference(self.client)
+    }
+}
+
+/// Where one shard's client endpoint stands in a driver that builds it when
+/// its first payloads arrive and consumes it the moment it decodes, as the
+/// stream client's [`crate::ClientMux`] and the datagram client do.
+pub enum ShardEndpoint<B: ReconcileBackend> {
+    /// Not built yet: its first payloads build it ([`Self::absorb`]).
+    Pending,
+    /// Absorbing payloads.
+    Live(ClientEngine<B>),
+    /// Decoded, and the endpoint consumed at once, so its window is freed:
+    /// the difference, and the scheme units the endpoint had consumed.
+    Finished(SetDifference<B::Item>, usize),
+}
+
+impl<B: ReconcileBackend> ShardEndpoint<B> {
+    /// Absorbs `payloads` in order and returns what the endpoint made of
+    /// each, up to the one that completed it, which consumes the endpoint
+    /// into its difference. A pending endpoint is built over them by
+    /// `build` ([`ClientEngine::new_keyed`]); a finished one absorbs
+    /// nothing, and no payload builds nothing. An error leaves the endpoint
+    /// pending.
+    pub fn absorb(
+        &mut self,
+        payloads: &[&[u8]],
+        build: impl FnOnce(&[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)>,
+    ) -> Result<Vec<Absorbed>> {
+        let (engine, absorbed) = match std::mem::replace(self, ShardEndpoint::Pending) {
+            ShardEndpoint::Pending if !payloads.is_empty() => build(payloads)?,
+            ShardEndpoint::Live(mut engine) => {
+                let absorbed =
+                    absorb_until_complete(&engine.backend, &mut engine.client, payloads)?;
+                (engine, absorbed)
+            }
+            unchanged => {
+                *self = unchanged;
+                return Ok(Vec::new());
+            }
+        };
+        *self = match absorbed.last() {
+            Some(last) if last.progress == Progress::Complete => {
+                let units = engine.units();
+                ShardEndpoint::Finished(engine.into_difference()?, units)
+            }
+            _ => ShardEndpoint::Live(engine),
+        };
+        Ok(absorbed)
+    }
+
+    /// True once the endpoint decoded.
+    pub fn is_done(&self) -> bool {
+        matches!(self, ShardEndpoint::Finished(..))
+    }
+
+    /// Scheme units consumed so far (none while pending).
+    pub fn units(&self) -> usize {
+        match self {
+            ShardEndpoint::Pending => 0,
+            ShardEndpoint::Live(engine) => engine.units(),
+            ShardEndpoint::Finished(_, units) => *units,
+        }
+    }
+
+    /// The recovered difference of a finished endpoint;
+    /// [`EngineError::DecodeIncomplete`] for any other.
+    pub fn into_difference(self) -> Result<SetDifference<B::Item>> {
+        match self {
+            ShardEndpoint::Finished(difference, _) => Ok(difference),
+            _ => Err(EngineError::DecodeIncomplete),
+        }
+    }
+}
+
+impl<B: ReconcileBackend> std::fmt::Debug for ShardEndpoint<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ShardEndpoint::Pending => "Pending",
+            ShardEndpoint::Live(_) => "Live",
+            ShardEndpoint::Finished(..) => "Finished",
+        })
     }
 }
 

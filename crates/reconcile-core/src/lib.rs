@@ -77,6 +77,7 @@ pub use datagram::{
 };
 pub use engine::{
     run_in_memory, ClientEngine, EngineMessage, RangeRequest, RunReport, ServerEngine,
+    ShardEndpoint,
 };
 pub use error::{EngineError, Result};
 pub use first_flight::{CountSketch, FirstFlight};

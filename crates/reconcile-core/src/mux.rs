@@ -28,7 +28,7 @@ use std::sync::Arc;
 use riblt::{DifferenceEstimate, SetDifference};
 
 use crate::backend::{Absorbed, Progress, ReconcileBackend};
-use crate::engine::{ClientEngine, EngineMessage, ServerEngine};
+use crate::engine::{ClientEngine, EngineMessage, ServerEngine, ShardEndpoint};
 use crate::error::{EngineError, Result};
 use crate::first_flight::{CountSketch, FirstFlight};
 use crate::framing::{LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES};
@@ -290,20 +290,9 @@ where
     }
 }
 
-/// Where one shard's client endpoint stands.
-enum Endpoint<B: ReconcileBackend> {
-    /// Registered, not built yet: the round that brings its first payload
-    /// builds it ([`ClientMux::handle_round_with`]).
-    Pending,
-    /// Absorbing payloads.
-    Live(ClientEngine<B>),
-    /// Decoded, and the endpoint consumed at once, so its window is freed:
-    /// the difference, and the scheme units the endpoint had consumed.
-    Finished(SetDifference<B::Item>, usize),
-}
-
+#[derive(Debug)]
 struct ShardClient<B: ReconcileBackend> {
-    endpoint: Endpoint<B>,
+    endpoint: ShardEndpoint<B>,
     /// Payload frames the server still owes this shard.
     awaiting: usize,
     /// Streaming flow: the server's batch size, learned from the payload
@@ -316,15 +305,11 @@ struct ShardClient<B: ReconcileBackend> {
 }
 
 impl<B: ReconcileBackend> ShardClient<B> {
-    fn is_done(&self) -> bool {
-        matches!(self.endpoint, Endpoint::Finished(..))
-    }
-
     /// Absorbs this round's payloads in arrival order and returns the
     /// shard's immediate reply (`Done`, or an interactive `Query`), if any.
-    /// A pending shard is built by `build` over the payloads it is owed from
-    /// here on, which it absorbs as it is built; a shard that completes is
-    /// consumed into its difference at once. Payloads that arrive after the
+    /// A pending shard is built by `build` over them, which absorbs them as
+    /// it builds; a shard that completes is consumed into its difference at
+    /// once ([`ShardEndpoint::absorb`]). Payloads that arrive after the
     /// shard completed are the unused tail of a range: counted off, not
     /// absorbed.
     fn absorb_round(
@@ -334,61 +319,32 @@ impl<B: ReconcileBackend> ShardClient<B> {
         metrics: Option<&MuxMetrics>,
         build: &impl Fn(ShardId, &[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)>,
     ) -> Result<Option<EngineMessage>> {
+        if frames.len() > self.awaiting {
+            return Err(EngineError::Protocol("unsolicited payload"));
+        }
+        self.awaiting -= frames.len();
+        let payloads = frames
+            .iter()
+            .map(|frame| match &frame.message {
+                EngineMessage::Payload(payload) => Ok(payload.as_slice()),
+                _ => Err(EngineError::Protocol("client expects payloads")),
+            })
+            .collect::<Result<Vec<&[u8]>>>()?;
+        // The units consumed before the payload being booked.
+        let mut consumed = self.endpoint.units();
+        let absorbed = self
+            .endpoint
+            .absorb(&payloads, |first| build(shard, first))?;
         let mut reply = None;
-        // What a build absorbed, payload by payload, still to be booked, and
-        // the units consumed before the payload being booked.
-        let mut built = Vec::new().into_iter();
-        let mut consumed = match &self.endpoint {
-            Endpoint::Live(engine) => engine.units(),
-            _ => 0,
-        };
-        for (at, frame) in frames.iter().enumerate() {
-            if self.awaiting == 0 {
-                return Err(EngineError::Protocol("unsolicited payload"));
-            }
-            if let Endpoint::Pending = self.endpoint {
-                let owed = &frames[at..frames.len().min(at + self.awaiting)];
-                let first: Vec<&[u8]> = owed
-                    .iter()
-                    .map_while(|frame| match &frame.message {
-                        EngineMessage::Payload(payload) => Some(payload.as_slice()),
-                        _ => None,
-                    })
-                    .collect();
-                let (engine, absorbed) = build(shard, &first)?;
-                self.endpoint = Endpoint::Live(engine);
-                built = absorbed.into_iter();
-            }
-            self.awaiting -= 1;
-            let Endpoint::Live(engine) = &mut self.endpoint else {
-                continue;
-            };
-            let absorbed = match built.next() {
-                Some(absorbed) => absorbed,
-                None => Absorbed {
-                    progress: engine.absorb(&frame.message)?,
-                    units: engine.units(),
-                },
-            };
+        for (absorbed, payload) in absorbed.into_iter().zip(&payloads) {
             if let Some(m) = metrics {
                 m.payloads.inc();
                 m.payload_units.observe((absorbed.units - consumed) as u64);
-                if let EngineMessage::Payload(bytes) = &frame.message {
-                    m.payload_bytes.observe(bytes.len() as u64);
-                }
+                m.payload_bytes.observe(payload.len() as u64);
             }
             consumed = absorbed.units;
             match absorbed.progress {
-                Progress::Complete => {
-                    let Endpoint::Live(engine) =
-                        std::mem::replace(&mut self.endpoint, Endpoint::Pending)
-                    else {
-                        unreachable!("the payload was absorbed by a live endpoint");
-                    };
-                    let units = engine.units();
-                    self.endpoint = Endpoint::Finished(engine.into_difference()?, units);
-                    reply = Some(EngineMessage::Done);
-                }
+                Progress::Complete => reply = Some(EngineMessage::Done),
                 Progress::SendRequest(request) => {
                     self.awaiting += 1;
                     reply = Some(EngineMessage::Query(request));
@@ -422,21 +378,6 @@ pub struct ClientMux<B: ReconcileBackend> {
     shards: Vec<Option<ShardClient<B>>>,
     metrics: Option<MuxMetrics>,
     unit_budget: usize,
-}
-
-impl<B: ReconcileBackend> std::fmt::Debug for ShardClient<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.endpoint {
-            Endpoint::Pending => "pending",
-            Endpoint::Live(_) => "live",
-            Endpoint::Finished(..) => "finished",
-        };
-        f.debug_struct("ShardClient")
-            .field("endpoint", &state)
-            .field("awaiting", &self.awaiting)
-            .field("requested", &self.requested)
-            .finish()
-    }
 }
 
 impl<B: ReconcileBackend> ClientMux<B> {
@@ -475,7 +416,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// Registers the client endpoint for `shard` (built over the local items
     /// of that shard).
     pub fn insert_shard(&mut self, shard: ShardId, engine: ClientEngine<B>) {
-        self.register(shard, Endpoint::Live(engine));
+        self.register(shard, ShardEndpoint::Live(engine));
     }
 
     /// Registers `shard` without its endpoint, which
@@ -483,10 +424,10 @@ impl<B: ReconcileBackend> ClientMux<B> {
     /// arrives. A pending shard cannot open: it is for a driver whose
     /// wildcard `Open` opened it ([`Self::book_first_flight`]).
     pub fn insert_pending(&mut self, shard: ShardId) {
-        self.register(shard, Endpoint::Pending);
+        self.register(shard, ShardEndpoint::Pending);
     }
 
-    fn register(&mut self, shard: ShardId, endpoint: Endpoint<B>) {
+    fn register(&mut self, shard: ShardId, endpoint: ShardEndpoint<B>) {
         let idx = usize::from(shard);
         if self.shards.len() <= idx {
             self.shards.resize_with(idx + 1, || None);
@@ -512,7 +453,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
             .enumerate()
             .filter_map(|(shard, slot)| {
                 slot.as_mut().map(|sc| {
-                    let Endpoint::Live(engine) = &mut sc.endpoint else {
+                    let ShardEndpoint::Live(engine) = &mut sc.endpoint else {
                         panic!("only a built shard opens its own stream");
                     };
                     sc.awaiting += 1;
@@ -555,12 +496,12 @@ impl<B: ReconcileBackend> ClientMux<B> {
 
     /// True once every shard has completed.
     pub fn all_done(&self) -> bool {
-        self.shards.iter().flatten().all(ShardClient::is_done)
+        self.shards.iter().flatten().all(|sc| sc.endpoint.is_done())
     }
 
     /// Registered shards whose endpoint is not built yet.
     pub fn pending(&self) -> usize {
-        let pending = |sc: &&ShardClient<B>| matches!(sc.endpoint, Endpoint::Pending);
+        let pending = |sc: &&ShardClient<B>| matches!(sc.endpoint, ShardEndpoint::Pending);
         self.shards.iter().flatten().filter(pending).count()
     }
 
@@ -572,12 +513,11 @@ impl<B: ReconcileBackend> ClientMux<B> {
 
     /// Total scheme units consumed across all shards.
     pub fn units(&self) -> usize {
-        let units = |sc: &ShardClient<B>| match &sc.endpoint {
-            Endpoint::Pending => 0,
-            Endpoint::Live(engine) => engine.units(),
-            Endpoint::Finished(_, units) => *units,
-        };
-        self.shards.iter().flatten().map(units).sum()
+        self.shards
+            .iter()
+            .flatten()
+            .map(|sc| sc.endpoint.units())
+            .sum()
     }
 
     /// Handles one payload frame; see [`Self::handle_round`].
@@ -703,7 +643,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
         let session = self.session;
         for (shard, sc) in self.shards.iter_mut().enumerate() {
             let Some(sc) = sc else { continue };
-            if sc.is_done() || sc.awaiting > 0 || sc.tile == 0 {
+            if sc.endpoint.is_done() || sc.awaiting > 0 || sc.tile == 0 {
                 continue;
             }
             for range in next_requests(sc.requested, sc.tile, pooled.mean(), self.unit_budget)? {
@@ -727,10 +667,7 @@ impl<B: ReconcileBackend> ClientMux<B> {
         self.shards
             .into_iter()
             .flatten()
-            .map(|sc| match sc.endpoint {
-                Endpoint::Finished(difference, _) => Ok(difference),
-                Endpoint::Pending | Endpoint::Live(_) => Err(EngineError::DecodeIncomplete),
-            })
+            .map(|sc| sc.endpoint.into_difference())
             .collect()
     }
 }
@@ -1110,14 +1047,12 @@ mod tests {
         .unwrap();
         let grant = flight.remove(0);
 
-        // The eager path: every endpoint built before the first payload.
+        // The eager path: every endpoint built over its part of the set
+        // before the first payload.
         let eager_backend = Counted::default();
         let mut eager = ClientMux::new(1);
-        for (shard, engine) in partitioner
-            .client_engines(&local, |_| eager_backend.clone())
-            .into_iter()
-            .enumerate()
-        {
+        for (shard, part) in partitioner.partition(&local).iter().enumerate() {
+            let engine = ClientEngine::new(eager_backend.clone(), part);
             eager.insert_shard(shard as ShardId, engine);
         }
         assert_eq!(eager_backend.counts(), [4, 4, 4]);

@@ -12,9 +12,6 @@
 use riblt::Symbol;
 use riblt_hash::{splitmix64, SipKey};
 
-use crate::backend::ReconcileBackend;
-use crate::engine::ClientEngine;
-
 /// Shard index inside one node's partition space.
 pub type ShardId = u16;
 
@@ -75,8 +72,9 @@ impl ShardPartitioner {
     /// counting sort, so no item moves and nothing is allocated per shard.
     /// This is how every sharded client places its set: the same hashes
     /// become the items' checksums in each shard's endpoint
-    /// ([`ClientEngine::new_keyed`]), so a caller that has hashed its set
-    /// already (the TCP client, for its count sketch) hashes nothing twice.
+    /// ([`crate::ClientEngine::new_keyed`]), so a caller that has hashed its
+    /// set already (the TCP client, for its count sketch) hashes nothing
+    /// twice.
     ///
     /// # Panics
     /// If there are more than `u32::MAX` positions.
@@ -113,32 +111,6 @@ impl ShardPartitioner {
             .map(|shard| {
                 let members = grouping.members(shard).iter();
                 members.map(|&i| items[i as usize].clone()).collect()
-            })
-            .collect()
-    }
-
-    /// Builds one client endpoint per shard (index = shard id) over
-    /// `factory`'s backend for it, in one pass over `items`: each item is
-    /// hashed once, placed by [`Self::group`] (the hash that places it is
-    /// handed on as its checksum) and cloned once, from the caller's slice
-    /// straight into its shard's endpoint
-    /// ([`ReconcileBackend::build_client_keyed`]). No per-shard copy of the
-    /// set exists in between, and nothing of the grouping outlives this
-    /// call.
-    pub fn client_engines<B, F>(&self, items: &[B::Item], factory: F) -> Vec<ClientEngine<B>>
-    where
-        B: ReconcileBackend,
-        B::Item: Symbol,
-        F: Fn(ShardId) -> B,
-    {
-        let hashes = B::Item::hash_many_with(items, self.key);
-        let grouping = self.group(&hashes);
-        (0..self.shards)
-            .map(|shard| {
-                let members = grouping.members(shard);
-                ClientEngine::new_keyed(factory(shard), items, &hashes, members, &[])
-                    .expect("a client built with no payload has none to refuse")
-                    .0
             })
             .collect()
     }

@@ -209,12 +209,6 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         self.local_set.len()
     }
 
-    /// Makes room for `additional` more local symbols; worth calling when
-    /// the size of the local set is known before it is added.
-    pub fn reserve_local_set(&mut self, additional: usize) {
-        self.local_set.reserve(additional);
-    }
-
     /// Adds a symbol of the local set. Must be called before the first
     /// [`Self::add_coded_symbol`].
     pub fn add_symbol(&mut self, symbol: S) -> Result<()> {

@@ -14,16 +14,18 @@
 //! its first index at or past `m`, where a window that must go on from `m`
 //! takes it up ([`crate::Decoder::adopt_local_set`]).
 //!
-//! Two forms compute the same cells and mappings bit for bit: scalar lanes
-//! over [`IndexMapping::advance`] (every target, every α), and, at α = 0.5
-//! on CPUs with `avx512f` and `avx512dq`, the lanes of AVX-512 registers,
-//! which run the xorshift draw, the u64 → f64 conversion, the square root,
-//! the division and the integer ceil of eight members at once with the
-//! scalar form's exact operations. [`apply_prefix`] picks by CPU detection
-//! alone.
+//! Every mapping rule walks: each member at the α its rule gives it, so
+//! the irregular variant's mixed classes take the same walk as the regular
+//! stream. Two forms compute the same cells and mappings bit for bit:
+//! scalar lanes over [`IndexMapping::advance`] (every target, every rule),
+//! and, where the rule is uniform α = 0.5 on CPUs with `avx512f` and
+//! `avx512dq`, the lanes of AVX-512 registers, which run the xorshift
+//! draw, the u64 → f64 conversion, the square root, the division and the
+//! integer ceil of eight members at once with the scalar form's exact
+//! operations. [`apply_prefix`] picks by the rule and CPU detection alone.
 
 use crate::coded::{CodedSymbol, Direction};
-use crate::mapping::IndexMapping;
+use crate::mapping::{IndexMapping, MappingRule};
 use crate::symbol::Symbol;
 
 /// Members in flight.
@@ -34,27 +36,27 @@ const LANES: usize = 8;
 /// at or past `m`, in the order of `members`.
 ///
 /// The set is `items[j]` for each `j` of `members` (positions into
-/// `items`), `hashes[j]` being `items[j]`'s keyed hash, all of them mapped
-/// with parameter `alpha`: the cells equal the first `m` an
-/// [`crate::Encoder`] of those members produces (applied in `direction`),
-/// and each mapping stands where repeated [`IndexMapping::advance`] would
-/// first reach `m` or beyond. Runs in AVX-512 lanes where
-/// [`prefix_uses_avx512`] says so, in [`apply_prefix_scalar`]'s lanes
-/// otherwise.
+/// `items`), `hashes[j]` being `items[j]`'s keyed hash, each mapped with
+/// the parameter `rule` gives it: the cells equal the first `m` an
+/// [`crate::Encoder`] of those members under `rule` produces (applied in
+/// `direction`), and each mapping stands where repeated
+/// [`IndexMapping::advance`] would first reach `m` or beyond. Runs in
+/// AVX-512 lanes where [`prefix_uses_avx512`] says so, in
+/// [`apply_prefix_scalar`]'s lanes otherwise.
 ///
 /// # Panics
 /// If `items` and `hashes` differ in length, a member is out of range, or
-/// `alpha` is not positive.
-pub fn apply_prefix<S: Symbol>(
+/// the rule gives a member an α that is not positive.
+pub fn apply_prefix<S: Symbol, R: MappingRule>(
     cells: &mut [CodedSymbol<S>],
     items: &[S],
     hashes: &[u64],
     members: &[u32],
-    alpha: f64,
+    rule: &R,
     direction: Direction,
 ) -> Vec<IndexMapping> {
     #[cfg(target_arch = "x86_64")]
-    if !cells.is_empty() && prefix_uses_avx512(alpha) {
+    if !cells.is_empty() && prefix_uses_avx512(rule) {
         assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
         // Every entry is overwritten: each member parks once.
         let mut parked = vec![IndexMapping::new(0); members.len()];
@@ -64,28 +66,33 @@ pub fn apply_prefix<S: Symbol>(
         unsafe { wide::apply_prefix(cells, items, hashes, members, direction, &mut parked) };
         return parked;
     }
-    apply_prefix_scalar(cells, items, hashes, members, alpha, direction)
+    apply_prefix_scalar(cells, items, hashes, members, rule, direction)
 }
 
 /// [`apply_prefix`] in scalar lanes, each an [`IndexMapping`] stepped with
-/// its own arithmetic (the eight lanes' draws and factors computed
-/// together): the path of every CPU without AVX-512 and of every α but
-/// 0.5, and the reference the AVX-512 lanes are held to.
+/// its own arithmetic and its own α (the eight lanes' draws and factors
+/// computed together): the path of every CPU without AVX-512 and of every
+/// rule but uniform α = 0.5, mixed ones included, and the reference the
+/// AVX-512 lanes are held to.
 ///
 /// # Panics
 /// As [`apply_prefix`].
-pub fn apply_prefix_scalar<S: Symbol>(
+pub fn apply_prefix_scalar<S: Symbol, R: MappingRule>(
     cells: &mut [CodedSymbol<S>],
     items: &[S],
     hashes: &[u64],
     members: &[u32],
-    alpha: f64,
+    rule: &R,
     direction: Direction,
 ) -> Vec<IndexMapping> {
     assert_eq!(items.len(), hashes.len(), "one keyed hash per item");
     // Fresh mappings, each replaced by its parked one once it leaves the
     // prefix.
-    let mut parked = fresh_mappings(hashes, members, alpha);
+    let fresh = |&at: &u32| {
+        let hash = hashes[at as usize];
+        IndexMapping::with_alpha(hash, rule.alpha_of(hash))
+    };
+    let mut parked: Vec<IndexMapping> = members.iter().map(fresh).collect();
     let (m, n) = (cells.len() as u64, members.len());
     if m == 0 {
         return parked;
@@ -126,26 +133,21 @@ pub fn apply_prefix_scalar<S: Symbol>(
     parked
 }
 
-/// Whether [`apply_prefix`] at `alpha` runs in AVX-512 lanes on this CPU:
-/// at α = 0.5 where `avx512f` and `avx512dq` are detected.
-pub fn prefix_uses_avx512(alpha: f64) -> bool {
+/// Whether [`apply_prefix`] under `rule` runs in AVX-512 lanes on this
+/// CPU: where the rule is uniform α = 0.5 and `avx512f` and `avx512dq` are
+/// detected.
+pub fn prefix_uses_avx512<R: MappingRule>(rule: &R) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        alpha == 0.5
+        rule.uniform_alpha() == Some(0.5)
             && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = alpha;
+        let _ = rule;
         false
     }
-}
-
-/// Every member's mapping at index 0, in the order of `members`.
-fn fresh_mappings(hashes: &[u64], members: &[u32], alpha: f64) -> Vec<IndexMapping> {
-    let fresh = |&at: &u32| IndexMapping::with_alpha(hashes[at as usize], alpha);
-    members.iter().map(fresh).collect()
 }
 
 /// The α = 0.5 walk in the lanes of AVX-512 registers. Compiled for
@@ -355,7 +357,8 @@ mod wide {
 mod tests {
     use super::*;
     use crate::encoder::Encoder;
-    use crate::mapping::DEFAULT_ALPHA;
+    use crate::irregular::IrregularClasses;
+    use crate::mapping::{Uniform, DEFAULT_ALPHA};
     use crate::symbol::{FixedBytes, HashedSymbol};
     use riblt_hash::{splitmix64, SipKey};
 
@@ -379,17 +382,17 @@ mod tests {
         (items, hashes)
     }
 
-    /// What the coding window makes of the members: an encoder's first `m`
-    /// cells, and each member's mapping advanced one index at a time until
-    /// it reaches `m`.
-    fn by_the_window(
+    /// What the coding window makes of the members under `rule`: an
+    /// encoder's first `m` cells, and each member's mapping advanced one
+    /// index at a time until it reaches `m`.
+    fn by_the_window<R: MappingRule>(
         items: &[Item],
         hashes: &[u64],
         members: &[u32],
         m: usize,
-        alpha: f64,
+        rule: &R,
     ) -> (Vec<CodedSymbol<Item>>, Vec<Signature>) {
-        let mut encoder = Encoder::<Item>::with_key_and_alpha(SipKey::default(), alpha);
+        let mut encoder = Encoder::<Item, R>::with_rule(rule.clone(), SipKey::default());
         for &at in members {
             let at = at as usize;
             let hashed = HashedSymbol::with_hash(items[at], hashes[at]);
@@ -399,7 +402,8 @@ mod tests {
         let parked = members
             .iter()
             .map(|&at| {
-                let mut mapping = IndexMapping::with_alpha(hashes[at as usize], alpha);
+                let hash = hashes[at as usize];
+                let mut mapping = IndexMapping::with_alpha(hash, rule.alpha_of(hash));
                 while mapping.current_index() < m as u64 {
                     mapping.advance();
                 }
@@ -419,14 +423,10 @@ mod tests {
         (at, (0..4).map(|_| mapping.advance()).collect())
     }
 
-    #[test]
-    fn both_lane_forms_equal_the_window_cell_for_cell_and_park_where_it_would() {
-        let lanes = if prefix_uses_avx512(DEFAULT_ALPHA) {
-            "AVX-512 lanes and scalar lanes (avx512f + avx512dq detected)"
-        } else {
-            "scalar lanes only (no avx512f + avx512dq)"
-        };
-        println!("apply_prefix: checking {lanes}");
+    /// Both lane forms under `rule` against the window, over sets of every
+    /// size around a lane count, split into shards as a client splits its
+    /// set, at prefixes of one cell to twelve tiles.
+    fn both_forms_equal_the_window<R: MappingRule>(rule: &R) {
         let key = SipKey::default();
         for (n, with_zero) in [
             (0, false),
@@ -445,29 +445,22 @@ mod tests {
                         .filter(|&at| splitmix64(hashes[at as usize]) % shards == shard)
                         .collect();
                     for m in [1usize, 2, 31, 32, 33, 384] {
-                        let at = format!("n {n} shard {shard}/{shards} m {m}");
-                        let (cells, parked) =
-                            by_the_window(&items, &hashes, &members, m, DEFAULT_ALPHA);
-                        type Form = fn(
+                        let at = format!("{rule:?}: n {n} shard {shard}/{shards} m {m}");
+                        let (cells, parked) = by_the_window(&items, &hashes, &members, m, rule);
+                        type Form<R> = fn(
                             &mut [CodedSymbol<Item>],
                             &[Item],
                             &[u64],
                             &[u32],
-                            f64,
+                            &R,
                             Direction,
                         ) -> Vec<IndexMapping>;
-                        let forms: [(&str, Form); 2] =
+                        let forms: [(&str, Form<R>); 2] =
                             [("detected", apply_prefix), ("scalar", apply_prefix_scalar)];
                         for (form, apply) in forms {
                             let mut mine = vec![CodedSymbol::default(); m];
-                            let mappings = apply(
-                                &mut mine,
-                                &items,
-                                &hashes,
-                                &members,
-                                DEFAULT_ALPHA,
-                                Direction::Add,
-                            );
+                            let mappings =
+                                apply(&mut mine, &items, &hashes, &members, rule, Direction::Add);
                             assert_eq!(mine, cells, "{form}: {at}");
                             let mine: Vec<_> = mappings.into_iter().map(park_signature).collect();
                             assert_eq!(mine, parked, "{form}: {at}");
@@ -479,29 +472,45 @@ mod tests {
     }
 
     #[test]
+    fn both_lane_forms_equal_the_window_cell_for_cell_and_park_where_it_would() {
+        let lanes = if prefix_uses_avx512(&Uniform(DEFAULT_ALPHA)) {
+            "AVX-512 lanes and scalar lanes (avx512f + avx512dq detected)"
+        } else {
+            "scalar lanes only (no avx512f + avx512dq)"
+        };
+        println!("apply_prefix: checking {lanes}");
+        both_forms_equal_the_window(&Uniform(DEFAULT_ALPHA));
+        // A mixed rule walks each member at its class's α, in scalar lanes.
+        let irregular = IrregularClasses::default();
+        assert!(!prefix_uses_avx512(&irregular));
+        both_forms_equal_the_window(&irregular);
+    }
+
+    #[test]
     fn other_alphas_and_a_removed_set_take_the_scalar_lanes_alike() {
         let key = SipKey::default();
         let (items, hashes) = set(300, 77, key, true);
         let members: Vec<u32> = (0..300).step_by(2).collect();
         for alpha in [0.3, 0.9] {
-            assert!(!prefix_uses_avx512(alpha));
-            let (cells, parked) = by_the_window(&items, &hashes, &members, 40, alpha);
+            let rule = Uniform(alpha);
+            assert!(!prefix_uses_avx512(&rule));
+            let (cells, parked) = by_the_window(&items, &hashes, &members, 40, &rule);
             let mut mine = vec![CodedSymbol::default(); 40];
             let mappings =
-                apply_prefix(&mut mine, &items, &hashes, &members, alpha, Direction::Add);
+                apply_prefix(&mut mine, &items, &hashes, &members, &rule, Direction::Add);
             assert_eq!(mine, cells, "alpha {alpha}");
             let mine: Vec<_> = mappings.into_iter().map(park_signature).collect();
             assert_eq!(mine, parked, "alpha {alpha}");
         }
         // Removing what was added leaves empty cells.
-        let mut cells = vec![CodedSymbol::default(); 64];
-        apply_prefix(&mut cells, &items, &hashes, &members, 0.5, Direction::Add);
+        let (mut cells, rule) = (vec![CodedSymbol::default(); 64], Uniform(0.5));
+        apply_prefix(&mut cells, &items, &hashes, &members, &rule, Direction::Add);
         apply_prefix(
             &mut cells,
             &items,
             &hashes,
             &members,
-            0.5,
+            &rule,
             Direction::Remove,
         );
         assert!(cells.iter().all(CodedSymbol::is_empty_cell));
@@ -512,7 +521,9 @@ mod tests {
         let key = SipKey::default();
         let (items, hashes) = set(20, 3, key, false);
         let members: Vec<u32> = (0..20).collect();
-        let parked = apply_prefix::<Item>(&mut [], &items, &hashes, &members, 0.5, Direction::Add);
+        let rule = Uniform(0.5);
+        let parked =
+            apply_prefix::<Item, _>(&mut [], &items, &hashes, &members, &rule, Direction::Add);
         for (mapping, &hash) in parked.into_iter().zip(&hashes) {
             assert_eq!(
                 park_signature(mapping),
@@ -531,7 +542,7 @@ mod tests {
             &items,
             &hashes[..9],
             &[0, 1],
-            0.5,
+            &Uniform(0.5),
             Direction::Add,
         );
     }

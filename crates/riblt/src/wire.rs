@@ -190,8 +190,11 @@ impl SymbolCodec {
             return Err(Error::WireFormat("implausible batch length"));
         }
         let mut symbols = Vec::with_capacity(batch_len);
+        // A hostile start or set size wraps the index or the count (as
+        // integers do in a release build) into cells the caller refuses or
+        // cannot peel; it never panics.
         for offset in 0..batch_len {
-            let index = start_index + offset as u64;
+            let index = start_index.wrapping_add(offset as u64);
             let end = pos + symbol_len;
             if end > bytes.len() {
                 return Err(Error::WireFormat("truncated sum"));
@@ -206,7 +209,7 @@ impl SymbolCodec {
             let checksum = u64::from_le_bytes(cbytes);
             pos += 8;
             let delta = zigzag_decode(read_vlq(bytes, &mut pos)?);
-            let count = expected_count(set_size, index, self.alpha) + delta;
+            let count = expected_count(set_size, index, self.alpha).wrapping_add(delta);
             symbols.push(CodedSymbol {
                 sum,
                 checksum,

@@ -11,12 +11,13 @@ use rateless_reconciliation::merkle_trie::MerkleTrie;
 use rateless_reconciliation::pinsketch::PinSketch;
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
 use rateless_reconciliation::reconcile_core::{
-    ClientEngine, EngineMessage, Progress, ReconcileBackend, ServerEngine, ShardPartitioner,
+    Absorbed, ClientEngine, EngineMessage, Progress, ReconcileBackend, ServerEngine,
+    ShardPartitioner,
 };
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{
     decode_coded_symbols, encode_coded_symbols, CodedSymbol, Decoder, Encoder, Error, FixedBytes,
-    IrregularClasses, MappingRule, Sketch, SketchCache, Uniform,
+    IrregularClasses, MappingRule, Sketch, SketchCache, Symbol, Uniform,
 };
 use rateless_reconciliation::riblt_hash::{SipKey, SplitMix64};
 use rateless_reconciliation::statesync::backends::IbltBackend;
@@ -178,15 +179,16 @@ fn sketch_decode_agrees_with_streaming_decoder_on_every_prefix() {
     );
 }
 
-/// The one-pass sharded set-up ([`ShardPartitioner::client_engines`]: hash,
-/// group positions, fill each shard in place) is the two-step one
-/// (`partition`, then `ClientEngine::new` per part) for any set, key and
-/// shard count, empty shards included: shard by shard the two engines ask
-/// for the same stream, report the same progress and units after every
-/// payload, and recover the same difference in the same order. Run over a
-/// backend that fills its decoders in place and one that gathers.
+/// The one-shot sharded set-up (hash, [`ShardPartitioner::group`], then per
+/// shard [`ClientEngine::new_keyed`] over the shard's first payloads, or
+/// over none) is the two-step one (`partition`, then `ClientEngine::new` per
+/// part) for any set, key and shard count, empty shards included: shard by
+/// shard the engines ask for the same stream, report the same progress and
+/// units after every payload, and recover the same difference in the same
+/// order. Run over a backend that walks its members over the cells that
+/// arrived and one that gathers.
 #[test]
-fn client_engines_consume_the_same_units_as_partition_then_build() {
+fn keyed_builds_consume_the_same_units_as_partition_then_build() {
     fn agree<B: ReconcileBackend<Item = Item> + Clone>(backend: impl Fn(SipKey) -> B, case: u64) {
         let mut gen = SplitMix64::new(0x5e7b + case);
         let server_set = random_set(&mut gen, 1_000_000, 400);
@@ -202,29 +204,54 @@ fn client_engines_consume_the_same_units_as_partition_then_build() {
         let key = SipKey::new(case, 0xc0de ^ case);
         let shards = 1 + (gen.next_u64() % 9) as u16;
         let partitioner = ShardPartitioner::new(key, shards);
-        let one_pass = partitioner.client_engines(&local_items, |_| backend(key));
+        let hashes = Item::hash_many_with(&local_items, key);
+        let grouping = partitioner.group(&hashes);
         let local_parts = partitioner.partition(&local_items);
         let server_parts = partitioner.partition(&server_items);
-        assert_eq!(one_pass.len(), usize::from(shards), "case {case}");
         assert_eq!(
             local_parts.iter().map(Vec::len).sum::<usize>(),
             local_items.len(),
             "case {case}"
         );
 
-        for (shard, mut one_pass) in one_pass.into_iter().enumerate() {
+        for shard in 0..shards {
             let at = format!("case {case}, shard {shard} of {shards}");
-            let mut two_step = ClientEngine::new(backend(key), &local_parts[shard]);
-            let mut server = ServerEngine::new(backend(key), &server_parts[shard]);
-            let open = one_pass.open();
-            assert_eq!(two_step.open(), open, "{at}");
+            let keyed = |first: &[&[u8]]| {
+                let members = grouping.members(shard);
+                ClientEngine::new_keyed(backend(key), &local_items, &hashes, members, first)
+            };
+            let mut two_step = ClientEngine::new(backend(key), &local_parts[usize::from(shard)]);
+            let mut server = ServerEngine::new(backend(key), &server_parts[usize::from(shard)]);
+            let (mut over_none, none) = keyed(&[]).expect("no payload to refuse");
+            assert!(none.is_empty(), "{at}");
+            let open = two_step.open();
+            assert_eq!(over_none.open(), open, "{at}");
             let mut payloads = server.handle(&open).expect("serve the open");
+            let first: Vec<&[u8]> = payloads
+                .iter()
+                .map(|payload| match payload {
+                    EngineMessage::Payload(bytes) => bytes.as_slice(),
+                    other => panic!("{at}: the open is answered by {other:?}"),
+                })
+                .collect();
+            let (mut over_first, built) = keyed(&first).expect("build over the first payloads");
+            let mut built = built.into_iter();
             loop {
                 let mut progress = None;
                 for payload in &payloads {
-                    let step = one_pass.absorb(payload).expect("absorb");
-                    assert_eq!(two_step.absorb(payload).expect("absorb"), step, "{at}");
-                    assert_eq!(two_step.units(), one_pass.units(), "{at}");
+                    let step = two_step.absorb(payload).expect("absorb");
+                    let units = two_step.units();
+                    assert_eq!(over_none.absorb(payload).expect("absorb"), step, "{at}");
+                    assert_eq!(over_none.units(), units, "{at}");
+                    let absorbed = built.next().unwrap_or_else(|| Absorbed {
+                        progress: over_first.absorb(payload).expect("absorb"),
+                        units: over_first.units(),
+                    });
+                    let expected = Absorbed {
+                        progress: step.clone(),
+                        units,
+                    };
+                    assert_eq!(absorbed, expected, "{at}");
                     progress = Some(step);
                 }
                 payloads = match progress.expect("a payload per request") {
@@ -235,11 +262,14 @@ fn client_engines_consume_the_same_units_as_partition_then_build() {
                         .expect("serve the query"),
                 };
             }
-            assert_eq!(
-                one_pass.into_difference().expect("decoded"),
-                two_step.into_difference().expect("decoded"),
-                "{at}"
-            );
+            let difference = two_step.into_difference().expect("decoded");
+            for keyed in [over_none, over_first] {
+                assert_eq!(
+                    keyed.into_difference().expect("decoded"),
+                    difference,
+                    "{at}"
+                );
+            }
         }
     }
 

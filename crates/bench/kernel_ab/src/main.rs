@@ -100,7 +100,7 @@ macro_rules! side {
             use $core::backends::RibltBackend;
             use $core::handshake::Hello;
             use $core::{
-                sync_sharded_tcp, ClientEngine, CountSketch, FirstFlight, ReconcileBackend,
+                sync_sharded_tcp, CountSketch, FirstFlight, ReconcileBackend,
                 ShardPartitioner, TcpSyncConfig,
             };
             use $hash::SipKey;
@@ -189,9 +189,9 @@ macro_rules! side {
             }
 
             /// The one-shot client's set-up at `stale_tip` (d = 100): hash,
-            /// group by shard, and build each shard's endpoint over its first
-            /// flight (`ClientEngine::new_keyed`), dropping each as a sync
-            /// does: `perf_snapshot`'s `client_setup/32B`.
+            /// group by shard, and build each shard's client over its first
+            /// flight (`ReconcileBackend::build_client_keyed`), dropping each
+            /// as a sync does: `perf_snapshot`'s `client_setup/32B`.
             fn client_setup(inputs: &Inputs) -> Sample {
                 let partitioner = ShardPartitioner::new(inputs.key, SHARDS);
                 let (units, secs) = timed(|| {
@@ -201,15 +201,11 @@ macro_rules! side {
                     for (shard, flight) in (0..SHARDS).zip(&inputs.near_flight) {
                         let first: Vec<&[u8]> = flight.iter().map(Vec::as_slice).collect();
                         let members = grouping.members(shard);
-                        let (engine, _) = ClientEngine::new_keyed(
-                            backend(inputs.key),
-                            &inputs.local,
-                            &hashes,
-                            members,
-                            &first,
-                        )
-                        .unwrap();
-                        units += engine.units() as u64;
+                        let backend = backend(inputs.key);
+                        let (client, _) = backend
+                            .build_client_keyed(&inputs.local, &hashes, members, &first)
+                            .unwrap();
+                        units += backend.units(&client) as u64;
                     }
                     units
                 });

@@ -26,10 +26,10 @@
 //!   the coding window's bytes per symbol as a param.
 //! - `client_setup/32B` — what the one-shot sharded client does with its
 //!   20,000-item set at `stale_tip`'s d = 100: hash every item, group them
-//!   by shard, and build each of the eight shards' endpoints over that
-//!   shard's first flight (`ClientEngine::new_keyed`: the shard's items
-//!   walked over the cells that arrived, a window only for a shard that
-//!   reads on). The hash alone and the grouping ride along as stages.
+//!   by shard, and build each of the eight shards' clients over that
+//!   shard's first flight (`ReconcileBackend::build_client_keyed`: the
+//!   shard's items walked over the cells that arrived, a window only for a
+//!   shard that reads on). The hash alone and the grouping ride along as stages.
 //!   Snapshots taken while the client filled every shard's window before
 //!   its first payload timed that fill instead (EXPERIMENTS.md says from
 //!   which snapshot on).
@@ -45,7 +45,7 @@
 use cluster::{Node, NodeConfig};
 use netsim::{reconcile_pair, LinkConfig, PairSyncConfig, Topology};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::{ClientEngine, CountSketch, FirstFlight, ReconcileBackend, ShardPartitioner};
+use reconcile_core::{CountSketch, FirstFlight, ReconcileBackend, ShardPartitioner};
 use riblt::{Decoder, Encoder, Sketch, Symbol};
 use riblt_bench::snapshot::{today_utc, validate, BenchRecord, Snapshot};
 use riblt_bench::{items32, set_pair32, timed, Item32, Item8, RunScale};
@@ -359,10 +359,10 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
         for (shard, flight) in (0..shards).zip(&flights) {
             let first: Vec<&[u8]> = flight.iter().map(Vec::as_slice).collect();
             let members = grouping.members(shard);
-            let (engine, _) =
-                ClientEngine::new_keyed(backend.clone(), &items, &hashes, members, &first)
-                    .expect("a first flight of valid tiles");
-            units += engine.units();
+            let (client, _) = backend
+                .build_client_keyed(&items, &hashes, members, &first)
+                .expect("a first flight of valid tiles");
+            units += backend.units(&client);
         }
         units
     });

@@ -41,7 +41,7 @@ use reconcile_core::datagram::{
 };
 use reconcile_core::handshake::{validate_server_hello, Hello, SHARDS_ANY};
 use reconcile_core::{
-    Absorbed, ClientEngine, EngineError, ReconcileBackend, SetDifference, ShardEndpoint, ShardId,
+    Absorbed, EngineError, ReconcileBackend, SetDifference, ShardEndpoint, ShardId,
     ShardPartitioner,
 };
 use riblt::wire::peek_batch_extent;
@@ -228,10 +228,10 @@ struct ShardState<B: ReconcileBackend> {
 ///
 /// `local_items` is hashed once, after the handshake, and read again only
 /// while a shard's endpoint is built over its first in-order batch
-/// ([`ClientEngine::new_keyed`]: the shard's items walked over that batch's
-/// cells, and cloned into a window only if it must read on). An endpoint
-/// lives until its shard decodes, the hashes and their grouping until the
-/// last shard is built.
+/// ([`ReconcileBackend::build_client_keyed`]: the shard's items walked over
+/// that batch's cells, and cloned into a window only if it must read on).
+/// An endpoint lives until its shard decodes, the hashes and their grouping
+/// until the last shard is built.
 pub fn sync_sharded_udp<B, F, C>(
     conduit: &mut C,
     local_items: &[B::Item],
@@ -361,8 +361,14 @@ where
                 let (hashes, grouping) = placement
                     .as_ref()
                     .expect("the placement outlives the last pending shard");
-                let members = grouping.members(shard);
-                ClientEngine::new_keyed(factory(shard), local_items, hashes, members, first)
+                let backend = factory(shard);
+                let (client, absorbed) = backend.build_client_keyed(
+                    local_items,
+                    hashes,
+                    grouping.members(shard),
+                    first,
+                )?;
+                Ok((backend, client, absorbed))
             };
             drain_ready(conduit, cookie, shard, state, config, &mut stats, &build)?;
             if state.endpoint.units() > config.max_units_per_shard {
@@ -533,7 +539,7 @@ fn drain_ready<C: DatagramConduit, B: ReconcileBackend>(
     state: &mut ShardState<B>,
     config: &UdpSyncConfig,
     stats: &mut Stats,
-    build: &impl Fn(ShardId, &[&[u8]]) -> reconcile_core::Result<(ClientEngine<B>, Vec<Absorbed>)>,
+    build: &impl Fn(ShardId, &[&[u8]]) -> reconcile_core::Result<(B, B::Client, Vec<Absorbed>)>,
 ) -> reconcile_core::Result<()> {
     while let Some(payload) = state.sequencer.pop_ready() {
         let Ok((_, batch_len)) = peek_batch_extent(&payload) else {
@@ -590,7 +596,7 @@ mod tests {
     use crate::netsim::{self, datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::datagram::DatagramServiceConfig;
-    use reconcile_core::{EngineMessage, Progress, Result};
+    use reconcile_core::{ClientEngine, EngineMessage, Progress, Result};
     use riblt::FixedBytes;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -882,7 +888,9 @@ mod tests {
         let hashes = Item::hash_many_with(&local, key);
         let members: Vec<u32> = (0..local.len() as u32).collect();
         let build = |_, first: &[&[u8]]| {
-            ClientEngine::new_keyed(backend(key), &local, &hashes, &members, first)
+            let (client, absorbed) =
+                backend(key).build_client_keyed(&local, &hashes, &members, first)?;
+            Ok((backend(key), client, absorbed))
         };
         let valid = backend(key)
             .serve(&mut backend(key).build_server(&items(0..1_000)), None)

@@ -23,11 +23,11 @@
 //!
 //! ## Ownership model
 //!
-//! Components with a natural owner and lifecycle (the `reconciled` daemon)
-//! construct their own [`Registry`] so concurrent instances — e.g. two
-//! daemons inside one test process — never share series. Library layers
-//! with no owner to hang state on (cluster worker pools, statesync muxes)
-//! use the process-wide [`global`] registry.
+//! There is no process-wide registry. Every [`Registry`] has an owner that
+//! renders it (the `reconciled` daemon's admin socket, a benchmark's
+//! report), so concurrent instances — e.g. two daemons inside one test
+//! process — never share series, and no series is recorded that nothing
+//! reads.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +42,7 @@ mod span;
 pub use counter::{Counter, Gauge};
 pub use expose::{sample_value, validate_prometheus, ExpositionSummary};
 pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{global, Registry, NANOS_SCALE};
+pub use registry::{Registry, NANOS_SCALE};
 pub use ring::{Event, EventRing};
 pub use span::SpanTimer;
 

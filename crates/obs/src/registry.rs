@@ -390,19 +390,6 @@ fn fmt_float(v: f64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Global registry
-// ---------------------------------------------------------------------------
-
-/// The process-wide registry used by library layers (cluster pools,
-/// statesync muxes) that have no natural owner to hang a registry on.
-/// Components that do own their lifecycle (the daemon) carry their own
-/// [`Registry`] instead so tests never share series.
-pub fn global() -> &'static Registry {
-    static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,12 +466,5 @@ mod tests {
         c.add(9);
         assert_eq!(reg.series_len(), 0);
         assert_eq!(reg.render_prometheus(), "");
-    }
-
-    #[test]
-    fn global_returns_the_same_registry() {
-        let a = global() as *const Registry;
-        let b = global() as *const Registry;
-        assert_eq!(a, b);
     }
 }

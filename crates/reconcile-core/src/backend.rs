@@ -34,9 +34,6 @@ use crate::error::{EngineError, Result};
 /// session driver needs to size its next range request.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamProgress {
-    /// Coded symbols consumed so far, i.e. the stream offset of the next
-    /// symbol the decoder wants.
-    pub consumed: usize,
     /// The decoder's sketch of the whole difference's size (no observations
     /// for schemes that have none; drivers then ask one batch at a time).
     pub estimate: DifferenceEstimate,

@@ -153,7 +153,6 @@ impl<S: Symbol, R: StreamRule> RibltClient<S, R> {
             // Mixed-α cells carry no difference estimate: the decoder leaves
             // it empty, and drivers ask one batch at a time.
             Ok(Progress::AwaitStream(StreamProgress {
-                consumed: self.decoder.coded_symbols_received(),
                 estimate: self.decoder.difference_estimate(),
             }))
         }

@@ -184,11 +184,6 @@ impl<B: ReconcileBackend> ServerEngine<B> {
         }
     }
 
-    /// True once the client has signalled completion.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Handles one client message, returning the payloads to send back, in
     /// order: one for `Open` and `Query`, one per tile for a range
     /// `Request`, none for [`EngineMessage::Done`].
@@ -228,7 +223,8 @@ impl<B: ReconcileBackend> ServerEngine<B> {
     }
 }
 
-/// The decoding endpoint (local set) of a session.
+/// The decoding endpoint (local set) of a point-to-point session
+/// ([`run_in_memory`]).
 #[derive(Debug)]
 pub struct ClientEngine<B: ReconcileBackend> {
     backend: B,
@@ -240,30 +236,6 @@ impl<B: ReconcileBackend> ClientEngine<B> {
     /// Creates a client endpoint over `items`.
     pub fn new(backend: B, items: &[B::Item]) -> Self {
         let client = backend.build_client(items);
-        Self::over(backend, client)
-    }
-
-    /// Creates a client endpoint over the `members` of `items` (positions
-    /// into it), given every item's keyed hash, and absorbs `first`, the
-    /// payloads of its first round, as it is built; see
-    /// [`ReconcileBackend::build_client_keyed`]. Returns the endpoint and
-    /// what it made of each payload up to the one that completed it.
-    pub fn new_keyed(
-        backend: B,
-        items: &[B::Item],
-        hashes: &[u64],
-        members: &[u32],
-        first: &[&[u8]],
-    ) -> Result<(Self, Vec<Absorbed>)> {
-        let (client, absorbed) = backend.build_client_keyed(items, hashes, members, first)?;
-        let mut engine = Self::over(backend, client);
-        engine.done = absorbed
-            .last()
-            .is_some_and(|last| last.progress == Progress::Complete);
-        Ok((engine, absorbed))
-    }
-
-    fn over(backend: B, client: B::Client) -> Self {
         ClientEngine {
             backend,
             client,
@@ -324,44 +296,50 @@ impl<B: ReconcileBackend> ClientEngine<B> {
 pub enum ShardEndpoint<B: ReconcileBackend> {
     /// Not built yet: its first payloads build it ([`Self::absorb`]).
     Pending,
-    /// Absorbing payloads.
-    Live(ClientEngine<B>),
-    /// Decoded, and the endpoint consumed at once, so its window is freed:
-    /// the difference, and the scheme units the endpoint had consumed.
+    /// Absorbing payloads: the backend and the client it built.
+    Live(B, B::Client),
+    /// Decoded, and the client consumed at once, so its window is freed:
+    /// the difference, and the scheme units the client had consumed.
     Finished(SetDifference<B::Item>, usize),
 }
 
 impl<B: ReconcileBackend> ShardEndpoint<B> {
     /// Absorbs `payloads` in order and returns what the endpoint made of
-    /// each, up to the one that completed it, which consumes the endpoint
+    /// each, up to the one that completed it, which consumes the client
     /// into its difference. A pending endpoint is built over them by
-    /// `build` ([`ClientEngine::new_keyed`]); a finished one absorbs
-    /// nothing, and no payload builds nothing. An error leaves the endpoint
-    /// pending.
+    /// `build` (the backend, and what its
+    /// [`ReconcileBackend::build_client_keyed`] returned); a finished one
+    /// absorbs nothing, and no payload builds nothing. An error while
+    /// building or absorbing leaves the endpoint as it was: a pending one
+    /// pending, a live one live with the payloads before the failing one
+    /// absorbed.
     pub fn absorb(
         &mut self,
         payloads: &[&[u8]],
-        build: impl FnOnce(&[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)>,
+        build: impl FnOnce(&[&[u8]]) -> Result<(B, B::Client, Vec<Absorbed>)>,
     ) -> Result<Vec<Absorbed>> {
-        let (engine, absorbed) = match std::mem::replace(self, ShardEndpoint::Pending) {
-            ShardEndpoint::Pending if !payloads.is_empty() => build(payloads)?,
-            ShardEndpoint::Live(mut engine) => {
-                let absorbed =
-                    absorb_until_complete(&engine.backend, &mut engine.client, payloads)?;
-                (engine, absorbed)
+        let absorbed = match self {
+            ShardEndpoint::Pending if !payloads.is_empty() => {
+                let (backend, client, absorbed) = build(payloads)?;
+                *self = ShardEndpoint::Live(backend, client);
+                absorbed
             }
-            unchanged => {
-                *self = unchanged;
-                return Ok(Vec::new());
+            ShardEndpoint::Live(backend, client) => {
+                absorb_until_complete(backend, client, payloads)?
             }
+            _ => return Ok(Vec::new()),
         };
-        *self = match absorbed.last() {
-            Some(last) if last.progress == Progress::Complete => {
-                let units = engine.units();
-                ShardEndpoint::Finished(engine.into_difference()?, units)
+        if absorbed
+            .last()
+            .is_some_and(|last| last.progress == Progress::Complete)
+        {
+            if let ShardEndpoint::Live(backend, client) =
+                std::mem::replace(self, ShardEndpoint::Pending)
+            {
+                let units = backend.units(&client);
+                *self = ShardEndpoint::Finished(backend.into_difference(client)?, units);
             }
-            _ => ShardEndpoint::Live(engine),
-        };
+        }
         Ok(absorbed)
     }
 
@@ -374,7 +352,7 @@ impl<B: ReconcileBackend> ShardEndpoint<B> {
     pub fn units(&self) -> usize {
         match self {
             ShardEndpoint::Pending => 0,
-            ShardEndpoint::Live(engine) => engine.units(),
+            ShardEndpoint::Live(backend, client) => backend.units(client),
             ShardEndpoint::Finished(_, units) => *units,
         }
     }
@@ -393,7 +371,7 @@ impl<B: ReconcileBackend> std::fmt::Debug for ShardEndpoint<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ShardEndpoint::Pending => "Pending",
-            ShardEndpoint::Live(_) => "Live",
+            ShardEndpoint::Live(..) => "Live",
             ShardEndpoint::Finished(..) => "Finished",
         })
     }
@@ -480,6 +458,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backends::RibltBackend;
+    use riblt::{FixedBytes, Symbol};
 
     #[test]
     fn range_request_roundtrips_and_rejects_other_lengths() {
@@ -519,5 +499,47 @@ mod tests {
                 "{hostile:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_failed_absorb_leaves_the_endpoint_as_it_was() {
+        type Item = FixedBytes<8>;
+        let backend = RibltBackend::<Item>::new(8, 16);
+        let local: Vec<Item> = (100..3_000).map(Item::from_u64).collect();
+        let hashes = Item::hash_many_with(&local, backend.key);
+        let members: Vec<u32> = (0..local.len() as u32).collect();
+        let build = |first: &[&[u8]]| {
+            let (client, absorbed) =
+                backend.build_client_keyed(&local, &hashes, &members, first)?;
+            Ok((backend.clone(), client, absorbed))
+        };
+        let server_items: Vec<Item> = (0..3_000).map(Item::from_u64).collect();
+        let mut server = backend.build_server(&server_items);
+        let tiles: Vec<Vec<u8>> = (0..2)
+            .map(|_| backend.serve(&mut server, None).unwrap())
+            .collect();
+
+        // A pending endpoint whose build fails stays pending.
+        let mut endpoint = ShardEndpoint::Pending;
+        let truncated = &tiles[0][..tiles[0].len() / 2];
+        assert!(endpoint.absorb(&[truncated], build).is_err());
+        assert!(matches!(endpoint, ShardEndpoint::Pending));
+
+        // A live one keeps its decoder and what it took in: a tile out of
+        // sequence is refused, and the next one still continues the stream.
+        endpoint.absorb(&[&tiles[0]], build).unwrap();
+        let units = endpoint.units();
+        assert_eq!(units, 16);
+        let refused = endpoint.absorb(&[&tiles[0]], |_| unreachable!("built already"));
+        assert_eq!(
+            refused,
+            Err(EngineError::Protocol("payload out of sequence"))
+        );
+        assert!(matches!(endpoint, ShardEndpoint::Live(..)));
+        assert_eq!(endpoint.units(), units);
+        endpoint
+            .absorb(&[&tiles[1]], |_| unreachable!("built already"))
+            .unwrap();
+        assert_eq!(endpoint.units(), units + 16);
     }
 }

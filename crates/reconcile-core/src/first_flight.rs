@@ -30,9 +30,9 @@
 //! already ask for. The server says what it granted in one frame ahead of
 //! the payloads: a [`RangeRequest`] addressed to [`crate::SHARD_ALL`],
 //! `[tile, symbols)`, the range it serves every shard beyond the first tile
-//! an open always earns. The client books that range as requested
-//! ([`crate::ClientMux::book_first_flight`]) and its window continues from
-//! the second rung. A wrong estimate costs a round or some tail symbols,
+//! an open always earns. The client is built from that range, booked as
+//! requested ([`crate::ClientMux::new`]), and its window continues from the
+//! second rung. A wrong estimate costs a round or some tail symbols,
 //! never correctness: the stream is rateless.
 //!
 //! An open without a sketch is estimate 0, which [`first_flight_until`]

@@ -9,9 +9,10 @@
 //! [`run_in_memory`]) that drives any backend over opaque byte messages.
 //!
 //! Higher layers — the `statesync` virtual-time driver, the experiment
-//! binaries, the examples — select schemes through this trait, so adding a
-//! transport (sharding, multi-peer fan-out, real sockets) is written once
-//! and works for every scheme. The crate itself holds one scheme's adapter,
+//! binaries, the examples — select schemes through this trait, so a driver
+//! is written once and works for every scheme; the sharded, multiplexed
+//! transport takes the streaming schemes, whose opens need no rate. The
+//! crate itself holds one scheme's adapter,
 //! the shipped one: Rateless IBLT ([`backends`]). The baselines' adapters
 //! (regular IBLT, MET-IBLT, PinSketch, Merkle-trie heal) live in
 //! `statesync::backends`, outside the product the daemon links.
@@ -24,7 +25,11 @@
 //! multiplexed [`MuxFrame`] protocol, and [`FirstFlight`] sizes what a
 //! server sends before the client has decoded anything.
 //! [`sync_sharded_tcp`] is that protocol's one client, over any
-//! `Read + Write` stream. See
+//! `Read + Write` stream: it opens every shard with one wildcard `Open` and
+//! drives them through a [`ClientMux`] built from the server's grant. The
+//! stream client speaks only the rateless streaming flow; the interactive
+//! one is [`run_in_memory`]'s, for comparing schemes. The crate records no
+//! metrics: it does not depend on `obs`. See
 //! `ARCHITECTURE.md` at the repository root for the full wire-format
 //! reference.
 //!
@@ -89,7 +94,7 @@ pub use handshake::{
     client_handshake, client_handshake_pipelined, key_fingerprint, server_handshake, Hello,
     PROTOCOL_VERSION,
 };
-pub use mux::{ClientMux, MuxFrame, MuxMetrics, ServerMux, MUX_HEADER_BYTES};
+pub use mux::{ClientMux, MuxFrame, ServerMux, MUX_HEADER_BYTES};
 pub use shard::{Grouping, SessionId, ShardId, ShardPartitioner, SHARD_ALL};
 pub use tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 

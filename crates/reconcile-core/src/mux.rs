@@ -13,43 +13,30 @@
 //!   factory and retiring them on `Done`. An `Open` addressed to
 //!   [`SHARD_ALL`] is one `Open` per shard, and with a count sketch behind
 //!   it also the grant and the first flight [`FirstFlight`] sizes.
-//! * [`ClientMux`] — drives one session's per-shard [`ClientEngine`]s round
-//!   by round: it absorbs a round's payloads (independent shards in
-//!   parallel on a `std::thread` worker pool, each shard's endpoint built
-//!   over its first round's payloads if it was registered pending, and
-//!   consumed into its difference as soon as it decodes), then turns the streaming
-//!   flow's "keep pushing" into explicit range requests (on a shared link
-//!   the server must not push unprompted) sized by [`crate::window`] from
-//!   the estimate its decoders pool.
+//! * [`ClientMux`] — the stream client's half of one session, built from
+//!   the grant that answered its wildcard `Open`. It drives every shard
+//!   round by round: it absorbs a round's payloads (independent shards in
+//!   parallel on a `std::thread` worker pool, each shard built over its
+//!   first round's payloads and consumed into its difference as soon as it
+//!   decodes), then turns the streaming flow's "keep pushing" into explicit
+//!   range requests (on a shared link the server must not push unprompted)
+//!   sized by [`crate::window`] from the estimate its decoders pool.
+//!
+//! The server half still accepts an `Open` per shard as well as the
+//! wildcard; no client sends one.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use riblt::{DifferenceEstimate, SetDifference};
 
 use crate::backend::{Absorbed, Progress, ReconcileBackend};
-use crate::engine::{ClientEngine, EngineMessage, ServerEngine, ShardEndpoint};
+use crate::engine::{EngineMessage, ServerEngine, ShardEndpoint};
 use crate::error::{EngineError, Result};
 use crate::first_flight::{CountSketch, FirstFlight};
 use crate::framing::{LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES};
 use crate::shard::{SessionId, ShardId, SHARD_ALL};
 use crate::window::next_requests;
 use crate::wirefmt::split_stream_open;
-
-/// Observation handles a [`ClientMux`] records into while absorbing
-/// payloads. The handles are plain `obs` instruments — attach ones
-/// registered in whatever registry should expose them (see
-/// [`ClientMux::set_metrics`]); an unattached mux records nothing.
-#[derive(Debug, Clone, Default)]
-pub struct MuxMetrics {
-    /// Payload frames absorbed.
-    pub payloads: Arc<obs::Counter>,
-    /// Scheme units consumed per absorbed payload (decode progress per
-    /// round-trip).
-    pub payload_units: Arc<obs::Histogram>,
-    /// Payload frame sizes in bytes.
-    pub payload_bytes: Arc<obs::Histogram>,
-}
 
 /// Bytes of mux header prepended to every engine-message frame.
 pub const MUX_HEADER_BYTES: usize = 6;
@@ -295,68 +282,35 @@ struct ShardClient<B: ReconcileBackend> {
     endpoint: ShardEndpoint<B>,
     /// Payload frames the server still owes this shard.
     awaiting: usize,
-    /// Streaming flow: the server's batch size, learned from the payload
-    /// that answered the `Open` (0 until then).
-    tile: usize,
-    /// Streaming flow: stream symbols asked for so far.
+    /// Stream symbols asked for so far.
     requested: usize,
-    /// Streaming flow: the decoder's latest sketch of the difference.
+    /// The decoder's latest sketch of the difference.
     estimate: DifferenceEstimate,
 }
 
 impl<B: ReconcileBackend> ShardClient<B> {
-    /// Absorbs this round's payloads in arrival order and returns the
-    /// shard's immediate reply (`Done`, or an interactive `Query`), if any.
-    /// A pending shard is built by `build` over them, which absorbs them as
-    /// it builds; a shard that completes is consumed into its difference at
-    /// once ([`ShardEndpoint::absorb`]). Payloads that arrive after the
-    /// shard completed are the unused tail of a range: counted off, not
-    /// absorbed.
+    /// Absorbs this round's payloads in arrival order and returns `Done` if
+    /// the shard completed. A pending shard is built by `build` over them,
+    /// which absorbs them as it builds; a shard that completes is consumed
+    /// into its difference at once ([`ShardEndpoint::absorb`]). Payloads
+    /// that arrive after the shard completed are the unused tail of a
+    /// range: counted off, not absorbed.
     fn absorb_round(
         &mut self,
         shard: ShardId,
-        frames: &[&MuxFrame],
-        metrics: Option<&MuxMetrics>,
-        build: &impl Fn(ShardId, &[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)>,
+        payloads: &[&[u8]],
+        build: &impl Fn(ShardId, &[&[u8]]) -> Result<(B, B::Client, Vec<Absorbed>)>,
     ) -> Result<Option<EngineMessage>> {
-        if frames.len() > self.awaiting {
-            return Err(EngineError::Protocol("unsolicited payload"));
-        }
-        self.awaiting -= frames.len();
-        let payloads = frames
-            .iter()
-            .map(|frame| match &frame.message {
-                EngineMessage::Payload(payload) => Ok(payload.as_slice()),
-                _ => Err(EngineError::Protocol("client expects payloads")),
-            })
-            .collect::<Result<Vec<&[u8]>>>()?;
-        // The units consumed before the payload being booked.
-        let mut consumed = self.endpoint.units();
         let absorbed = self
             .endpoint
-            .absorb(&payloads, |first| build(shard, first))?;
+            .absorb(payloads, |first| build(shard, first))?;
         let mut reply = None;
-        for (absorbed, payload) in absorbed.into_iter().zip(&payloads) {
-            if let Some(m) = metrics {
-                m.payloads.inc();
-                m.payload_units.observe((absorbed.units - consumed) as u64);
-                m.payload_bytes.observe(payload.len() as u64);
-            }
-            consumed = absorbed.units;
+        for absorbed in absorbed {
             match absorbed.progress {
                 Progress::Complete => reply = Some(EngineMessage::Done),
-                Progress::SendRequest(request) => {
-                    self.awaiting += 1;
-                    reply = Some(EngineMessage::Query(request));
-                }
-                Progress::AwaitStream(stream) => {
-                    if self.tile == 0 {
-                        // The whole first payload was consumed (the decoder
-                        // only stops early when it completes).
-                        self.tile = stream.consumed;
-                        self.requested = stream.consumed;
-                    }
-                    self.estimate = stream.estimate;
+                Progress::AwaitStream(stream) => self.estimate = stream.estimate,
+                Progress::SendRequest(_) => {
+                    return Err(EngineError::Protocol("a stream client sends no queries"))
                 }
             }
         }
@@ -364,202 +318,116 @@ impl<B: ReconcileBackend> ShardClient<B> {
     }
 }
 
-/// Client-side multiplexer: one session, many per-shard client engines.
+/// Client-side multiplexer: one session's shards, opened together by one
+/// wildcard `Open` ([`SHARD_ALL`], with a count sketch) and the server's
+/// grant.
 ///
-/// A shard is registered either built ([`Self::insert_shard`]) or pending
-/// ([`Self::insert_pending`]), in which case the round that brings its
-/// first payload builds it. A shard that decodes is consumed into its
-/// difference at once: a one-shot driver that registers every shard
-/// pending and absorbs on one thread holds one shard's endpoint at a time,
-/// as long as each shard decodes within the round that built it.
+/// Every shard starts pending: the round that brings its first payloads
+/// builds it. A shard that decodes is consumed into its difference at once:
+/// a one-shot driver that absorbs on one thread holds one shard's endpoint
+/// at a time, as long as each shard decodes within the round that built it.
 #[derive(Debug)]
 pub struct ClientMux<B: ReconcileBackend> {
     session: SessionId,
-    shards: Vec<Option<ShardClient<B>>>,
-    metrics: Option<MuxMetrics>,
+    /// The server's payload size in stream symbols.
+    tile: usize,
     unit_budget: usize,
+    shards: Vec<ShardClient<B>>,
 }
 
 impl<B: ReconcileBackend> ClientMux<B> {
-    /// Creates an empty multiplexer for `session`.
-    pub fn new(session: SessionId) -> Self {
-        ClientMux {
-            session,
-            shards: Vec::new(),
-            metrics: None,
-            unit_budget: usize::MAX,
-        }
-    }
-
-    /// The session id every emitted frame carries.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// Attaches observation handles; every subsequently absorbed payload
-    /// records its size and decode progress into them.
-    pub fn set_metrics(&mut self, metrics: MuxMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Caps the stream symbols requested per shard. The cap is applied when
-    /// a request is sized, so a shard that cannot decode (a mis-matched
-    /// mapping parameter, say) fails with [`EngineError::DecodeIncomplete`]
-    /// after receiving less than `units` plus one batch, or its first
-    /// flight if that was more — one wedged shard never gets to spend the
-    /// others' allowance. A first flight is the server's to size (see
-    /// [`Self::book_first_flight`]), so this cap does not bound it.
-    pub fn set_unit_budget(&mut self, units: usize) {
-        self.unit_budget = units;
-    }
-
-    /// Registers the client endpoint for `shard` (built over the local items
-    /// of that shard).
-    pub fn insert_shard(&mut self, shard: ShardId, engine: ClientEngine<B>) {
-        self.register(shard, ShardEndpoint::Live(engine));
-    }
-
-    /// Registers `shard` without its endpoint, which
-    /// [`Self::handle_round_with`] builds when the shard's first payload
-    /// arrives. A pending shard cannot open: it is for a driver whose
-    /// wildcard `Open` opened it ([`Self::book_first_flight`]).
-    pub fn insert_pending(&mut self, shard: ShardId) {
-        self.register(shard, ShardEndpoint::Pending);
-    }
-
-    fn register(&mut self, shard: ShardId, endpoint: ShardEndpoint<B>) {
-        let idx = usize::from(shard);
-        if self.shards.len() <= idx {
-            self.shards.resize_with(idx + 1, || None);
-        }
-        assert!(self.shards[idx].is_none(), "shard registered twice");
-        self.shards[idx] = Some(ShardClient {
-            endpoint,
-            awaiting: 0,
-            tile: 0,
-            requested: 0,
-            estimate: DifferenceEstimate::default(),
-        });
-    }
-
-    /// Opening frames for every registered shard; each is owed one payload.
+    /// The client of `session` on a server of `shards` shards, whose one
+    /// wildcard `Open` left before it knew the shard count, and so before
+    /// this multiplexer existed. The server answered it with `grant` ahead
+    /// of the payloads ([`crate::first_flight`]): a range request addressed
+    /// to [`SHARD_ALL`] naming `[tile, symbols)`. Every shard is registered
+    /// pending and owed `[0, symbols)` in `tile`-symbol payloads, which it
+    /// has asked for, so its window goes on from there.
     ///
-    /// # Panics
-    /// If a shard is pending ([`Self::insert_pending`]).
-    pub fn opens(&mut self) -> Vec<MuxFrame> {
-        let session = self.session;
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(shard, slot)| {
-                slot.as_mut().map(|sc| {
-                    let ShardEndpoint::Live(engine) = &mut sc.endpoint else {
-                        panic!("only a built shard opens its own stream");
-                    };
-                    sc.awaiting += 1;
-                    MuxFrame::new(session, shard as ShardId, engine.open())
-                })
-            })
-            .collect()
-    }
-
-    /// Books every registered shard's first flight as owed without emitting
-    /// frames, for a driver whose one wildcard `Open` ([`SHARD_ALL`], with a
-    /// count sketch) left before it knew the shard count, and so before this
-    /// multiplexer existed. The server sent a grant ahead of the payloads
-    /// ([`crate::first_flight`]): a range request addressed to
-    /// [`SHARD_ALL`] naming `[tile, symbols)`. Every registered shard is
-    /// owed `[0, symbols)` in `tile`-symbol payloads and has asked for all
-    /// of it, so its window goes on from there. A grant past the unit budget
-    /// ([`Self::set_unit_budget`]) is booked all the same — its payloads are
-    /// on their way — and leaves the shard nothing more to ask.
-    pub fn book_first_flight(&mut self, grant: &MuxFrame) -> Result<()> {
+    /// `unit_budget` caps the stream symbols requested per shard. The cap
+    /// is applied when a request is sized, so a shard that cannot decode (a
+    /// mis-matched mapping parameter, say) fails with
+    /// [`EngineError::DecodeIncomplete`] after receiving less than
+    /// `unit_budget` plus one tile, or its first flight if that was more:
+    /// one wedged shard never gets to spend the others' allowance. The
+    /// first flight is the server's to size, so the cap does not bound it;
+    /// a grant past it is booked all the same (its payloads are on their
+    /// way) and leaves the shard nothing more to ask.
+    pub fn new(
+        session: SessionId,
+        shards: u16,
+        grant: &MuxFrame,
+        unit_budget: usize,
+    ) -> Result<Self> {
         let range = match grant {
             MuxFrame {
-                session,
+                session: to,
                 shard: SHARD_ALL,
                 message: EngineMessage::Request(range),
-            } if *session == self.session => *range,
+            } if *to == session => *range,
             _ => return Err(EngineError::Protocol("expected the first flight's grant")),
         };
         let (tile, rest) = (range.offset as usize, usize::from(range.count));
         if tile == 0 || rest % tile != 0 {
             return Err(EngineError::Protocol("a grant of no whole tiles"));
         }
-        for sc in self.shards.iter_mut().flatten() {
-            sc.tile = tile;
-            sc.requested = tile + rest;
-            sc.awaiting += 1 + rest / tile;
-        }
-        Ok(())
+        let shards = (0..shards)
+            .map(|_| ShardClient {
+                endpoint: ShardEndpoint::Pending,
+                awaiting: 1 + rest / tile,
+                requested: tile + rest,
+                estimate: DifferenceEstimate::default(),
+            })
+            .collect();
+        Ok(ClientMux {
+            session,
+            tile,
+            unit_budget,
+            shards,
+        })
     }
 
     /// True once every shard has completed.
     pub fn all_done(&self) -> bool {
-        self.shards.iter().flatten().all(|sc| sc.endpoint.is_done())
+        self.shards.iter().all(|sc| sc.endpoint.is_done())
     }
 
-    /// Registered shards whose endpoint is not built yet.
+    /// Shards whose endpoint is not built yet.
     pub fn pending(&self) -> usize {
         let pending = |sc: &&ShardClient<B>| matches!(sc.endpoint, ShardEndpoint::Pending);
-        self.shards.iter().flatten().filter(pending).count()
+        self.shards.iter().filter(pending).count()
     }
 
     /// Payload frames the server still owes this session: how many frames a
     /// stream driver must read before the next [`Self::handle_round`].
     pub fn awaiting(&self) -> usize {
-        self.shards.iter().flatten().map(|sc| sc.awaiting).sum()
+        self.shards.iter().map(|sc| sc.awaiting).sum()
     }
 
     /// Total scheme units consumed across all shards.
     pub fn units(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|sc| sc.endpoint.units())
-            .sum()
-    }
-
-    /// Handles one payload frame; see [`Self::handle_round`].
-    pub fn handle(&mut self, frame: &MuxFrame) -> Result<Vec<MuxFrame>>
-    where
-        B: Send,
-        B::Client: Send,
-        B::Item: Send,
-    {
-        self.handle_round(std::slice::from_ref(frame), 1)
-    }
-
-    /// [`Self::handle_round_with`] for a multiplexer whose shards were all
-    /// registered built ([`Self::insert_shard`]).
-    ///
-    /// # Panics
-    /// If a payload arrives for a pending shard.
-    pub fn handle_round(&mut self, frames: &[MuxFrame], threads: usize) -> Result<Vec<MuxFrame>>
-    where
-        B: Send,
-        B::Client: Send,
-        B::Item: Send,
-    {
-        self.handle_round_with(frames, threads, |_, _| {
-            panic!("a pending shard is built by handle_round_with")
-        })
+        self.shards.iter().map(|sc| sc.endpoint.units()).sum()
     }
 
     /// Handles one round of payload frames and returns the client's next
-    /// frames: `Done` for shards that completed, a `Query` per interactive
-    /// shard, and range `Request`s for every streaming shard that is owed
-    /// nothing more.
+    /// frames: `Done` for shards that completed, and range `Request`s for
+    /// every shard that is owed nothing more.
     ///
-    /// A shard's frames are absorbed in arrival order; distinct shards
-    /// decode independently, so they are fanned out over up to `threads`
-    /// `std::thread` workers (0 = one per available core) — the hot half of
-    /// sharded reconciliation. A pending shard ([`Self::insert_pending`]) is
-    /// built by `build` on the thread that absorbs its first payload, over
-    /// that payload and the ones behind it in the round, which the build
-    /// absorbs ([`ClientEngine::new_keyed`] is such a builder); a shard
-    /// that completes is consumed into its difference there too.
-    pub fn handle_round_with<F>(
+    /// The round is checked whole before any of it is absorbed: a frame for
+    /// another session or an unknown shard, a frame that is not a payload,
+    /// or more payloads than a shard is owed fails it with
+    /// [`EngineError::Protocol`] and absorbs nothing. A shard's frames are
+    /// absorbed in arrival order; distinct shards decode independently, so
+    /// they are fanned out over up to `threads` `std::thread` workers (0 =
+    /// one per available core) — the hot half of sharded reconciliation. A
+    /// pending shard is built by `build` on the thread that absorbs its
+    /// first payload, over that payload and the ones behind it in the round,
+    /// which the build absorbs: `build` returns the backend and what its
+    /// [`ReconcileBackend::build_client_keyed`] returned. A shard that
+    /// completes is consumed into its difference there too. A backend that
+    /// asks for an interactive query fails the round: this client speaks
+    /// only the streaming flow.
+    pub fn handle_round<F>(
         &mut self,
         frames: &[MuxFrame],
         threads: usize,
@@ -569,40 +437,49 @@ impl<B: ReconcileBackend> ClientMux<B> {
         B: Send,
         B::Client: Send,
         B::Item: Send,
-        F: Fn(ShardId, &[&[u8]]) -> Result<(ClientEngine<B>, Vec<Absorbed>)> + Sync,
+        F: Fn(ShardId, &[&[u8]]) -> Result<(B, B::Client, Vec<Absorbed>)> + Sync,
     {
         let threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             threads => threads,
         };
         let session = self.session;
-        let mut by_shard: Vec<Vec<&MuxFrame>> = vec![Vec::new(); self.shards.len()];
+        let mut by_shard: Vec<Vec<&[u8]>> = vec![Vec::new(); self.shards.len()];
         for frame in frames {
             if frame.session != session {
                 return Err(EngineError::Protocol("frame for another session"));
             }
-            match by_shard.get_mut(usize::from(frame.shard)) {
-                Some(list) if self.shards[usize::from(frame.shard)].is_some() => list.push(frame),
-                _ => return Err(EngineError::Protocol("frame for unknown shard")),
+            let list = by_shard
+                .get_mut(usize::from(frame.shard))
+                .ok_or(EngineError::Protocol("frame for unknown shard"))?;
+            match &frame.message {
+                EngineMessage::Payload(payload) => list.push(payload),
+                _ => return Err(EngineError::Protocol("client expects payloads")),
             }
         }
-        let mut work: Vec<(ShardId, &mut ShardClient<B>, Vec<&MuxFrame>)> = self
+        if by_shard
+            .iter()
+            .zip(&self.shards)
+            .any(|(list, sc)| list.len() > sc.awaiting)
+        {
+            return Err(EngineError::Protocol("unsolicited payload"));
+        }
+        let mut work: Vec<_> = self
             .shards
             .iter_mut()
             .zip(by_shard)
             .enumerate()
             .filter(|(_, (_, list))| !list.is_empty())
-            .map(|(idx, (slot, list))| {
-                let sc = slot.as_mut().expect("frames only target registered shards");
+            .map(|(idx, (sc, list))| {
+                sc.awaiting -= list.len();
                 (idx as ShardId, sc, list)
             })
             .collect();
 
-        let metrics = self.metrics.as_ref();
         let build = &build;
-        let absorb = |(shard, sc, list): &mut (ShardId, &mut ShardClient<B>, Vec<&MuxFrame>)| {
+        let absorb = |(shard, sc, list): &mut (ShardId, &mut ShardClient<B>, Vec<&[u8]>)| {
             Ok(sc
-                .absorb_round(*shard, list, metrics, build)?
+                .absorb_round(*shard, list, build)?
                 .map(|message| MuxFrame::new(session, *shard, message)))
         };
         let mut replies: Vec<Result<Option<MuxFrame>>> = Vec::with_capacity(work.len());
@@ -630,32 +507,30 @@ impl<B: ReconcileBackend> ClientMux<B> {
         Ok(out)
     }
 
-    /// Appends the range requests of every streaming shard that is neither
-    /// done nor owed payloads, sized by [`crate::window`] from the estimate
-    /// pooled over all shards: shards are a uniform hash split of one
-    /// difference, so the pooled mean is a better estimate of each shard's
-    /// share than its own few cells.
+    /// Appends the range requests of every shard that is neither done nor
+    /// owed payloads, sized by [`crate::window`] from the estimate pooled
+    /// over all shards: shards are a uniform hash split of one difference,
+    /// so the pooled mean is a better estimate of each shard's share than
+    /// its own few cells.
     fn request_ranges(&mut self, out: &mut Vec<MuxFrame>) -> Result<()> {
         let mut pooled = DifferenceEstimate::default();
-        for sc in self.shards.iter().flatten() {
+        for sc in &self.shards {
             pooled.merge(&sc.estimate);
         }
-        let session = self.session;
         for (shard, sc) in self.shards.iter_mut().enumerate() {
-            let Some(sc) = sc else { continue };
-            if sc.endpoint.is_done() || sc.awaiting > 0 || sc.tile == 0 {
+            if sc.endpoint.is_done() || sc.awaiting > 0 {
                 continue;
             }
-            for range in next_requests(sc.requested, sc.tile, pooled.mean(), self.unit_budget)? {
+            for range in next_requests(sc.requested, self.tile, pooled.mean(), self.unit_budget)? {
                 let range = range?;
                 let count = usize::from(range.count);
                 out.push(MuxFrame::new(
-                    session,
+                    self.session,
                     shard as ShardId,
                     EngineMessage::Request(range),
                 ));
                 sc.requested += count;
-                sc.awaiting += count / sc.tile;
+                sc.awaiting += count / self.tile;
             }
         }
         Ok(())
@@ -666,7 +541,6 @@ impl<B: ReconcileBackend> ClientMux<B> {
     pub fn into_differences(self) -> Result<Vec<SetDifference<B::Item>>> {
         self.shards
             .into_iter()
-            .flatten()
             .map(|sc| sc.endpoint.into_difference())
             .collect()
     }
@@ -676,11 +550,12 @@ impl<B: ReconcileBackend> ClientMux<B> {
 mod tests {
     use super::*;
     use crate::backends::RibltBackend;
-    use crate::engine::RangeRequest;
-    use crate::shard::ShardPartitioner;
+    use crate::engine::{run_in_memory, ClientEngine, RangeRequest};
+    use crate::shard::{Grouping, ShardPartitioner};
     use riblt::{FixedBytes, Symbol};
     use riblt_hash::{SipKey, SplitMix64};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     type Item = FixedBytes<8>;
 
@@ -688,44 +563,123 @@ mod tests {
         range.map(Item::from_u64).collect()
     }
 
+    fn sketch(set: &[Item]) -> CountSketch {
+        CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()))
+    }
+
+    /// The shipped client's opening frame for `session`: one open addressed
+    /// to every shard, with the count sketch of `local` behind it.
+    fn wildcard(session: SessionId, local: &[Item]) -> MuxFrame {
+        let backend = RibltBackend::<Item>::new(8, 32);
+        let mut open = backend.open_request(&mut backend.build_client(&[]));
+        sketch(local).encode(&mut open);
+        MuxFrame::new(session, SHARD_ALL, EngineMessage::Open(open))
+    }
+
+    /// The library's server of `server_items` in `shards` shards of
+    /// `tile`-symbol payloads, told how to answer a wildcard.
+    fn server(
+        tile: usize,
+        server_items: &[Item],
+        shards: u16,
+    ) -> ServerMux<
+        RibltBackend<Item>,
+        impl FnMut(SessionId, ShardId) -> ServerEngine<RibltBackend<Item>>,
+    > {
+        let backend = RibltBackend::<Item>::new(8, tile);
+        let parts = ShardPartitioner::new(SipKey::default(), shards).partition(server_items);
+        ServerMux::new(move |_session, shard| {
+            ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
+        })
+        .serving_shards(shards, sketch(server_items), tile, usize::MAX)
+    }
+
+    /// A local set placed by shard, as the stream client places it.
+    struct Local {
+        items: Vec<Item>,
+        hashes: Vec<u64>,
+        grouping: Grouping,
+    }
+
+    impl Local {
+        fn new(items: Vec<Item>, shards: u16) -> Self {
+            let hashes = Item::hash_many_with(&items, SipKey::default());
+            let grouping = ShardPartitioner::new(SipKey::default(), shards).group(&hashes);
+            Local {
+                items,
+                hashes,
+                grouping,
+            }
+        }
+
+        /// What builds a shard over its first payloads: `backend`'s keyed
+        /// build over the shard's members.
+        #[allow(clippy::type_complexity)]
+        fn build<'a, B: ReconcileBackend<Item = Item> + Clone + Sync>(
+            &'a self,
+            backend: &'a B,
+        ) -> impl Fn(ShardId, &[&[u8]]) -> Result<(B, B::Client, Vec<Absorbed>)> + Sync + 'a
+        {
+            move |shard, first| {
+                let members = self.grouping.members(shard);
+                let (client, absorbed) =
+                    backend.build_client_keyed(&self.items, &self.hashes, members, first)?;
+                Ok((backend.clone(), client, absorbed))
+            }
+        }
+    }
+
+    /// Drives `mux` from its first flight until every shard is done, every
+    /// round through `server`, and returns the recovered remote items.
+    fn drive<F>(
+        server: &mut ServerMux<RibltBackend<Item>, F>,
+        mux: &mut ClientMux<RibltBackend<Item>>,
+        flight: &[MuxFrame],
+        threads: usize,
+        local: &Local,
+        backend: &RibltBackend<Item>,
+    ) where
+        F: FnMut(SessionId, ShardId) -> ServerEngine<RibltBackend<Item>>,
+    {
+        assert_eq!(flight.len(), mux.awaiting());
+        let build = local.build(backend);
+        let mut outgoing = mux.handle_round(flight, threads, &build).unwrap();
+        let mut guard = 0;
+        while !outgoing.is_empty() {
+            guard += 1;
+            assert!(guard < 10_000, "failed to converge");
+            // Done frames go to the server too: they retire its state and
+            // are answered by nothing.
+            let payloads: Vec<MuxFrame> = outgoing
+                .iter()
+                .flat_map(|frame| server.handle(frame).unwrap())
+                .collect();
+            assert_eq!(payloads.len(), mux.awaiting());
+            outgoing = mux.handle_round(&payloads, threads, &build).unwrap();
+        }
+    }
+
     /// Drives `sessions` independent sharded conversations to completion
     /// over one simulated ordered transport, interleaving all frames.
     #[test]
     fn many_sessions_interleave_over_one_link() {
         let shards = 4u16;
-        let partitioner = ShardPartitioner::new(SipKey::default(), shards);
         let backend = RibltBackend::<Item>::new(8, 8);
+        let mut server = server(8, &items(0..2_000), shards);
 
-        let server_items = items(0..2_000);
-        let server_parts = partitioner.partition(&server_items);
-        let backend_for_server = backend.clone();
-        let mut server = ServerMux::new(move |_session, shard| {
-            ServerEngine::new(
-                backend_for_server.clone(),
-                &server_parts[usize::from(shard)],
-            )
-        });
-
-        // Three peers at different staleness share the link.
+        // Three peers at different staleness share the link; each mux is
+        // built when its session's grant arrives.
         let mut clients = Vec::new();
-        let mut expected = Vec::new();
         for (session, missing) in [(7u32, 3u64), (8, 17), (9, 60)] {
-            let local = items(missing..2_000);
-            let parts = partitioner.partition(&local);
-            let mut mux = ClientMux::new(session);
-            for (shard, part) in parts.iter().enumerate() {
-                mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-            }
-            clients.push(mux);
-            expected.push(missing);
+            let local = Local::new(items(missing..2_000), shards);
+            clients.push((session, missing, local, None));
         }
 
         // All opens from all sessions, then strict round-robin over replies:
         // the transport carries bytes; both ends resolve (session, shard).
         let mut wire: Vec<Vec<u8>> = clients
-            .iter_mut()
-            .flat_map(|c| c.opens())
-            .map(|f| f.to_bytes())
+            .iter()
+            .map(|(session, _, local, _)| wildcard(*session, &local.items).to_bytes())
             .collect();
         let mut guard = 0;
         while !wire.is_empty() {
@@ -735,28 +689,28 @@ mod tests {
             for bytes in &wire {
                 let frame = MuxFrame::from_bytes(bytes).unwrap();
                 for reply in server.handle(&frame).unwrap() {
-                    let reply_bytes = reply.to_bytes();
-                    let payload = MuxFrame::from_bytes(&reply_bytes).unwrap();
-                    let client = clients
+                    let reply = MuxFrame::from_bytes(&reply.to_bytes()).unwrap();
+                    let (session, _, local, mux) = clients
                         .iter_mut()
-                        .find(|c| c.session() == payload.session)
+                        .find(|(session, ..)| *session == reply.session)
                         .unwrap();
+                    let Some(mux) = mux else {
+                        *mux = Some(ClientMux::new(*session, shards, &reply, usize::MAX).unwrap());
+                        continue;
+                    };
                     // A shard asks again only once the last tile it is owed
                     // has arrived, so single-frame delivery is a valid round.
-                    next.extend(
-                        client
-                            .handle(&payload)
-                            .unwrap()
-                            .iter()
-                            .map(MuxFrame::to_bytes),
-                    );
+                    let round = std::slice::from_ref(&reply);
+                    let replies = mux.handle_round(round, 1, local.build(&backend)).unwrap();
+                    next.extend(replies.iter().map(MuxFrame::to_bytes));
                 }
             }
             wire = next;
         }
 
         assert_eq!(server.active_sessions(), 0, "engines retired on Done");
-        for (mux, missing) in clients.into_iter().zip(expected) {
+        for (_, missing, _, mux) in clients {
+            let mux = mux.expect("every session was granted its first flight");
             assert!(mux.all_done());
             let diffs = mux.into_differences().unwrap();
             let total: usize = diffs.iter().map(|d| d.remote_only.len()).sum();
@@ -768,37 +722,15 @@ mod tests {
     #[test]
     fn parallel_absorb_matches_sequential() {
         let shards = 8u16;
-        let partitioner = ShardPartitioner::new(SipKey::default(), shards);
         let backend = RibltBackend::<Item>::new(8, 16);
         let server_items = items(0..3_000);
-        let client_items = items(120..3_000);
-        let server_parts = partitioner.partition(&server_items);
-        let client_parts = partitioner.partition(&client_items);
+        let local = Local::new(items(120..3_000), shards);
 
         let run = |threads: usize| {
-            let backend_for_server = backend.clone();
-            let parts = server_parts.clone();
-            let mut server = ServerMux::new(move |_s, shard| {
-                ServerEngine::new(backend_for_server.clone(), &parts[usize::from(shard)])
-            });
-            let mut mux = ClientMux::new(1);
-            for (shard, part) in client_parts.iter().enumerate() {
-                mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-            }
-            let mut outgoing = mux.opens();
-            let mut guard = 0;
-            while !outgoing.is_empty() {
-                guard += 1;
-                assert!(guard < 10_000);
-                // Done frames go to the server too: they retire its state
-                // and are answered by nothing.
-                let payloads: Vec<MuxFrame> = outgoing
-                    .iter()
-                    .flat_map(|frame| server.handle(frame).unwrap())
-                    .collect();
-                assert_eq!(payloads.len(), mux.awaiting());
-                outgoing = mux.handle_round(&payloads, threads).unwrap();
-            }
+            let mut server = server(16, &server_items, shards);
+            let mut flight = server.handle(&wildcard(1, &local.items)).unwrap();
+            let mut mux = ClientMux::new(1, shards, &flight.remove(0), usize::MAX).unwrap();
+            drive(&mut server, &mut mux, &flight, threads, &local, &backend);
             let mut remote: Vec<u64> = mux
                 .into_differences()
                 .unwrap()
@@ -820,24 +752,14 @@ mod tests {
 
     #[test]
     fn identical_sets_request_nothing() {
-        // d = 0: every shard's first batch decodes, so the client's whole
+        // d = 0: every shard's first flight decodes, so the client's whole
         // second flight is four Dones and the server owes nothing.
-        let partitioner = ShardPartitioner::new(SipKey::default(), 4);
         let backend = RibltBackend::<Item>::new(8, 32);
-        let parts = partitioner.partition(&items(0..1_000));
-        let mut server = ServerMux::new(|_s, shard| {
-            ServerEngine::new(backend.clone(), &parts[usize::from(shard)])
-        });
-        let mut mux = ClientMux::new(1);
-        for (shard, part) in parts.iter().enumerate() {
-            mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-        }
-        let payloads: Vec<MuxFrame> = mux
-            .opens()
-            .iter()
-            .flat_map(|frame| server.handle(frame).unwrap())
-            .collect();
-        let replies = mux.handle_round(&payloads, 1).unwrap();
+        let local = Local::new(items(0..1_000), 4);
+        let mut server = server(32, &local.items, 4);
+        let mut flight = server.handle(&wildcard(1, &local.items)).unwrap();
+        let mut mux = ClientMux::new(1, 4, &flight.remove(0), usize::MAX).unwrap();
+        let replies = mux.handle_round(&flight, 1, local.build(&backend)).unwrap();
         assert_eq!(replies.len(), 4);
         assert!(replies.iter().all(|f| f.message == EngineMessage::Done));
         assert_eq!(mux.awaiting(), 0);
@@ -849,20 +771,15 @@ mod tests {
         let partitioner = ShardPartitioner::new(SipKey::default(), 4);
         let backend = RibltBackend::<Item>::new(8, 32);
         let server_parts = partitioner.partition(&items(0..1_000));
-        let client_parts = partitioner.partition(&items(30..1_000));
         let server = || {
             ServerMux::new(|_s, shard| {
                 ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
             })
         };
-        let mut mux = ClientMux::new(9);
-        for (shard, part) in client_parts.iter().enumerate() {
-            mux.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-        }
-        let opens = mux.opens();
-        let EngineMessage::Open(body) = opens[0].message.clone() else {
-            panic!("opens() emits opens");
-        };
+        let body = backend.open_request(&mut backend.build_client(&[]));
+        let opens: Vec<MuxFrame> = (0..4)
+            .map(|shard| MuxFrame::new(9, shard, EngineMessage::Open(body.clone())))
+            .collect();
         let wildcard = MuxFrame::new(9, SHARD_ALL, EngineMessage::Open(body.clone()));
 
         let mut per_shard = server();
@@ -898,8 +815,7 @@ mod tests {
         // first, then every shard's whole first flight: 1,000 differences,
         // 250 a shard, whose first rung and margin (337.5 + 2·√250 = 369.1)
         // are 12 tiles.
-        let sketch =
-            |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, SipKey::default()));
+        let client_items = items(30..1_000);
         let mut wire = Vec::new();
         sketch(&items(500..1_500)).encode(&mut wire);
         let own = sketch(&items(0..1_000));
@@ -920,16 +836,14 @@ mod tests {
         );
         assert_eq!(replies.len(), 1 + 4 * 12);
 
-        // A client that booked the grant instead of opening each shard is
-        // owed exactly the payloads behind it, and takes them in one round.
-        let mut booked = ClientMux::new(9);
-        for (shard, part) in client_parts.iter().enumerate() {
-            booked.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-        }
-        booked.book_first_flight(&replies[0]).unwrap();
-        assert_eq!(booked.awaiting(), replies.len() - 1);
-        booked.handle_round(&replies[1..], 1).unwrap();
-        assert!(booked.all_done());
+        // A client built from the grant is owed exactly the payloads behind
+        // it, and takes them in one round.
+        let local = Local::new(client_items, 4);
+        let mut mux = ClientMux::new(9, 4, &replies[0], usize::MAX).unwrap();
+        assert_eq!(mux.awaiting(), replies.len() - 1);
+        mux.handle_round(&replies[1..], 1, local.build(&backend))
+            .unwrap();
+        assert!(mux.all_done());
     }
 
     /// A [`RibltBackend`] whose clients count themselves: how many were
@@ -1028,93 +942,68 @@ mod tests {
 
     #[test]
     fn a_pending_shard_is_built_by_its_first_payload_and_freed_when_it_decodes() {
-        let (key, shards) = (SipKey::default(), 4u16);
-        let partitioner = ShardPartitioner::new(key, shards);
-        let (server_items, local) = (items(0..1_000), items(30..1_000));
-        let server_parts = partitioner.partition(&server_items);
-        let sketch = |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, key));
+        let shards = 4u16;
+        let partitioner = ShardPartitioner::new(SipKey::default(), shards);
+        let (server_items, local) = (items(0..1_000), Local::new(items(30..1_000), shards));
         // The shipped client's opening flight: one sketched wildcard open,
         // answered by the grant and every shard's first flight.
-        let mut open = ClientEngine::new(Counted::inner(), &[]).open();
-        if let EngineMessage::Open(request) = &mut open {
-            sketch(&local).encode(request);
-        }
-        let mut flight = ServerMux::new(|_s, shard| {
-            ServerEngine::new(Counted::inner(), &server_parts[usize::from(shard)])
-        })
-        .serving_shards(shards, sketch(&server_items), 32, usize::MAX)
-        .handle(&MuxFrame::new(1, SHARD_ALL, open))
-        .unwrap();
+        let mut flight = server(32, &server_items, shards)
+            .handle(&wildcard(1, &local.items))
+            .unwrap();
         let grant = flight.remove(0);
 
-        // The eager path: every endpoint built over its part of the set
-        // before the first payload.
-        let eager_backend = Counted::default();
-        let mut eager = ClientMux::new(1);
-        for (shard, part) in partitioner.partition(&local).iter().enumerate() {
-            let engine = ClientEngine::new(eager_backend.clone(), part);
-            eager.insert_shard(shard as ShardId, engine);
-        }
-        assert_eq!(eager_backend.counts(), [4, 4, 4]);
-        eager.book_first_flight(&grant).unwrap();
-        assert!(eager
-            .handle_round(&flight, 1)
-            .unwrap()
-            .iter()
-            .all(|f| f.message == EngineMessage::Done));
-
-        // The one-shot path: every shard pending, built from one grouping.
         let counted = Counted::default();
-        let hashes = Item::hash_many_with(&local, key);
-        let grouping = partitioner.group(&hashes);
-        let build = |shard, first: &[&[u8]]| {
-            let members = grouping.members(shard);
-            ClientEngine::new_keyed(counted.clone(), &local, &hashes, members, first)
-        };
-        let mut lazy = ClientMux::new(1);
-        for shard in 0..shards {
-            lazy.insert_pending(shard);
-        }
-        lazy.book_first_flight(&grant).unwrap();
-        assert_eq!((lazy.pending(), counted.counts()), (4, [0, 0, 0]));
+        let build = local.build(&counted);
+        let mut mux = ClientMux::new(1, shards, &grant, usize::MAX).unwrap();
+        assert_eq!((mux.pending(), counted.counts()), (4, [0, 0, 0]));
         // A shard whose payloads are not in the round is not built: the
         // first two shards' flights, then the rest.
         let split = flight.iter().position(|f| f.shard == 2).unwrap();
         let replies = [
-            lazy.handle_round_with(&flight[..split], 1, build).unwrap(),
-            lazy.handle_round_with(&flight[split..], 1, build).unwrap(),
+            mux.handle_round(&flight[..split], 1, &build).unwrap(),
+            mux.handle_round(&flight[split..], 1, &build).unwrap(),
         ];
-        assert_eq!(lazy.pending(), 0);
+        assert_eq!(mux.pending(), 0);
         assert!(replies.iter().all(
             |round| round.len() == 2 && round.iter().all(|f| f.message == EngineMessage::Done)
         ));
         // Every shard decoded its first flight: one endpoint alive at a time,
         // none once the round is over.
         assert_eq!(counted.counts(), [4, 0, 1]);
-        assert!(lazy.all_done());
-        assert_eq!(lazy.units(), eager.units());
-        assert_eq!(
-            lazy.into_differences().unwrap(),
-            eager.into_differences().unwrap()
-        );
+        assert!(mux.all_done());
+
+        // The point-to-point reference: each shard's stream, pushed one tile
+        // at a time to a client built over its part of the set.
+        let (expected, units): (Vec<_>, Vec<_>) = partitioner
+            .partition(&server_items)
+            .iter()
+            .zip(&partitioner.partition(&local.items))
+            .map(|(server, client)| {
+                let run = run_in_memory(Counted::inner(), server, client, usize::MAX).unwrap();
+                (run.difference, run.units)
+            })
+            .unzip();
+        assert_eq!(mux.units(), units.iter().sum::<usize>());
+        assert_eq!(mux.into_differences().unwrap(), expected);
+    }
+
+    /// The grant of one `tile`-symbol tile a shard, for session 1.
+    fn one_tile(tile: u32) -> MuxFrame {
+        let range = RangeRequest {
+            offset: tile,
+            count: 0,
+        };
+        MuxFrame::new(1, SHARD_ALL, EngineMessage::Request(range))
     }
 
     #[test]
     fn a_pending_shard_that_never_hears_from_its_server_is_never_built() {
         let counted = Counted::default();
-        let mut mux = ClientMux::<Counted>::new(1);
-        mux.insert_pending(0);
-        mux.insert_pending(1);
-        let grant = MuxFrame::new(
-            1,
-            SHARD_ALL,
-            EngineMessage::Request(RangeRequest::new(32, 0).unwrap()),
-        );
-        mux.book_first_flight(&grant).unwrap();
-        let build =
-            |_, _: &[&[u8]]| Ok((ClientEngine::new(counted.clone(), &items(0..10)), vec![]));
+        let local = Local::new(items(0..10), 2);
+        let mut mux = ClientMux::<Counted>::new(1, 2, &one_tile(32), usize::MAX).unwrap();
         // Nothing arrives: nothing is built, and nothing decoded.
-        assert!(mux.handle_round_with(&[], 1, build).unwrap().is_empty());
+        let replies = mux.handle_round(&[], 1, local.build(&counted)).unwrap();
+        assert!(replies.is_empty());
         assert_eq!(
             (mux.pending(), mux.units(), counted.counts()),
             (2, 0, [0, 0, 0])
@@ -1125,17 +1014,161 @@ mod tests {
         ));
     }
 
+    /// A grant the client refuses, and the error it names: no mux is built.
+    fn refuses_grant(grant: MuxFrame, error: &'static str) {
+        let refused = ClientMux::<RibltBackend<Item>>::new(1, 4, &grant, usize::MAX);
+        assert!(
+            matches!(refused, Err(EngineError::Protocol(said)) if said == error),
+            "{grant:?}"
+        );
+    }
+
+    #[test]
+    fn a_grant_for_another_session_builds_no_mux() {
+        let grant = MuxFrame {
+            session: 2,
+            ..one_tile(32)
+        };
+        refuses_grant(grant, "expected the first flight's grant");
+    }
+
+    #[test]
+    fn a_grant_addressed_to_one_shard_builds_no_mux() {
+        let grant = MuxFrame {
+            shard: 0,
+            ..one_tile(32)
+        };
+        refuses_grant(grant, "expected the first flight's grant");
+    }
+
+    #[test]
+    fn a_grant_that_is_not_a_request_builds_no_mux() {
+        for message in [
+            EngineMessage::Payload(Vec::new()),
+            EngineMessage::Open(Vec::new()),
+            EngineMessage::Done,
+        ] {
+            let grant = MuxFrame::new(1, SHARD_ALL, message);
+            refuses_grant(grant, "expected the first flight's grant");
+        }
+    }
+
+    #[test]
+    fn a_grant_of_tile_zero_builds_no_mux() {
+        refuses_grant(one_tile(0), "a grant of no whole tiles");
+    }
+
+    #[test]
+    fn a_grant_of_a_partial_tile_builds_no_mux() {
+        let range = RangeRequest {
+            offset: 32,
+            count: 48,
+        };
+        let grant = MuxFrame::new(1, SHARD_ALL, EngineMessage::Request(range));
+        refuses_grant(grant, "a grant of no whole tiles");
+    }
+
+    /// A session of four shards one 32-symbol tile into its first flight,
+    /// none of them built, and the flight the server sent it.
+    fn first_flight() -> (ClientMux<RibltBackend<Item>>, Vec<MuxFrame>, Local) {
+        let local = Local::new(items(400..1_400), 4);
+        let mut flight = server(32, &items(0..1_000), 4)
+            .handle(&wildcard(1, &local.items))
+            .unwrap();
+        let mux = ClientMux::new(1, 4, &flight.remove(0), usize::MAX).unwrap();
+        (mux, flight, local)
+    }
+
+    /// A round the client refuses, and the error it names: nothing of the
+    /// round is absorbed, and the session still awaits its whole flight.
+    fn refuses_round(round: &[MuxFrame], error: &'static str) {
+        let (mut mux, flight, local) = first_flight();
+        let backend = RibltBackend::<Item>::new(8, 32);
+        let refused = mux.handle_round(round, 1, local.build(&backend));
+        assert!(
+            matches!(refused, Err(EngineError::Protocol(said)) if said == error),
+            "{refused:?}"
+        );
+        assert_eq!(
+            (mux.pending(), mux.units(), mux.awaiting()),
+            (4, 0, flight.len())
+        );
+    }
+
     #[test]
     fn unsolicited_and_misaddressed_payloads_are_protocol_errors() {
-        let backend = RibltBackend::<Item>::new(8, 32);
-        let mut mux = ClientMux::new(1);
-        mux.insert_shard(0, ClientEngine::new(backend, &items(0..10)));
-        let payload =
-            |session, shard| MuxFrame::new(session, shard, EngineMessage::Payload(vec![]));
-        // Nothing is owed before the opens went out.
-        for frame in [payload(1, 0), payload(2, 0), payload(1, 3)] {
-            assert!(matches!(mux.handle(&frame), Err(EngineError::Protocol(_))));
+        let (_, flight, _) = first_flight();
+        // Shard 0's flight and one tile more than it is owed.
+        let mut round: Vec<MuxFrame> = flight.iter().filter(|f| f.shard == 0).cloned().collect();
+        round.push(round[0].clone());
+        refuses_round(&round, "unsolicited payload");
+        // The whole flight, one payload of it addressed to another session.
+        let mut round = flight.clone();
+        round[5].session = 2;
+        refuses_round(&round, "frame for another session");
+    }
+
+    #[test]
+    fn a_frame_for_an_unknown_shard_absorbs_nothing() {
+        let (_, mut flight, _) = first_flight();
+        flight[7].shard = 4;
+        refuses_round(&flight, "frame for unknown shard");
+    }
+
+    #[test]
+    fn a_frame_that_is_not_a_payload_absorbs_nothing() {
+        let (_, mut flight, _) = first_flight();
+        flight[7].message = EngineMessage::Done;
+        refuses_round(&flight, "client expects payloads");
+    }
+
+    /// An interactive backend: it answers every payload with a query, and
+    /// takes nothing in.
+    #[derive(Clone)]
+    struct Asks;
+
+    impl ReconcileBackend for Asks {
+        type Item = Item;
+        type Server = ();
+        type Client = ();
+
+        fn name(&self) -> &'static str {
+            "asks"
         }
+        fn build_server(&self, _: &[Item]) {}
+        fn build_client(&self, _: &[Item]) {}
+        fn open_request(&self, _: &mut ()) -> Vec<u8> {
+            Vec::new()
+        }
+        fn serve(&self, _: &mut (), _: Option<&[u8]>) -> Result<Vec<u8>> {
+            Ok(Vec::new())
+        }
+        fn absorb(&self, _: &mut (), _: &[u8]) -> Result<Progress> {
+            Ok(Progress::SendRequest(vec![1]))
+        }
+        fn units(&self, _: &()) -> usize {
+            0
+        }
+        fn into_difference(&self, _: ()) -> Result<SetDifference<Item>> {
+            Err(EngineError::DecodeIncomplete)
+        }
+    }
+
+    #[test]
+    fn a_backend_that_asks_a_query_is_a_protocol_error() {
+        let local = Local::new(items(0..10), 1);
+        let mut mux = ClientMux::<Asks>::new(1, 1, &one_tile(32), usize::MAX).unwrap();
+        let payload = MuxFrame::new(1, 0, EngineMessage::Payload(vec![0; 8]));
+        let refused = mux.handle_round(&[payload], 1, local.build(&Asks));
+        assert!(
+            matches!(
+                refused,
+                Err(EngineError::Protocol("a stream client sends no queries"))
+            ),
+            "{refused:?}"
+        );
+        // No query leaves, and no unit was taken in.
+        assert_eq!((mux.units(), mux.all_done()), (0, false));
     }
 
     #[test]

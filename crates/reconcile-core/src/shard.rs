@@ -71,10 +71,10 @@ impl ShardPartitioner {
     /// (`hashes[i]` is item `i`'s hash under [`Self::key`]) by shard: a
     /// counting sort, so no item moves and nothing is allocated per shard.
     /// This is how every sharded client places its set: the same hashes
-    /// become the items' checksums in each shard's endpoint
-    /// ([`crate::ClientEngine::new_keyed`]), so a caller that has hashed its
-    /// set already (the TCP client, for its count sketch) hashes nothing
-    /// twice.
+    /// become the items' checksums in each shard's client
+    /// ([`crate::ReconcileBackend::build_client_keyed`]), so a caller that
+    /// has hashed its set already (the TCP client, for its count sketch)
+    /// hashes nothing twice.
     ///
     /// # Panics
     /// If there are more than `u32::MAX` positions.

@@ -33,23 +33,22 @@
 //!    the first rung): `Done` for shards that decoded,
 //!    `Request(offset, count)` for the rest. A round's frames leave in one
 //!    write and cost one round trip, however many batches they ask for; its
-//!    payloads are absorbed in arrival order, independent shards in
-//!    parallel on a `std::thread` worker pool. A shard's decoder is built
-//!    on the thread that absorbs its first round, over that round's
-//!    payloads ([`ClientEngine::new_keyed`]): the shard's items are walked
+//!    payloads are absorbed in arrival order, independent shards in parallel
+//!    on a `std::thread` worker pool. A shard's decoder is built on the thread
+//!    that absorbs its first round, over that round's payloads
+//!    ([`ReconcileBackend::build_client_keyed`]): the shard's items are walked
 //!    over the cells that arrived, and no further, eight members in flight
 //!    ([`riblt::apply_prefix`], in AVX-512 lanes where the CPU has them),
-//!    which takes their contribution out of those cells, and the decoder
-//!    peels the difference cells with no local window. A shard that decodes
-//!    there never clones an item or fills a window; only a shard that asks
-//!    again gets its window, from the mappings the walk left parked where
-//!    the cells end and the borrowed set. A decoder is consumed into the
-//!    shard's difference as soon as it decodes: absorbing on one thread, a
-//!    sync whose shards decode their first flights holds one decoder at a
-//!    time, not one per shard. The hashes and the grouping go with the
-//!    round that builds the last shard. A difference that fits the first
-//!    flight needs no round at all: the sync ends one round trip after it
-//!    began.
+//!    which takes their contribution out of those cells, and the decoder peels
+//!    the difference cells with no local window. A shard that decodes there
+//!    never clones an item or fills a window; only a shard that asks again
+//!    gets its window, from the mappings the walk left parked where the cells
+//!    end and the borrowed set. A decoder is consumed into the shard's
+//!    difference as soon as it decodes: absorbing on one thread, a sync whose
+//!    shards decode their first flights holds one decoder at a time, not one
+//!    per shard. The hashes and the grouping go with the round that builds the
+//!    last shard. A difference that fits the first flight needs no round at
+//!    all: the sync ends one round trip after it began.
 //! 3. When every shard is done the recovered per-shard
 //!    [`SetDifference`]s are returned together with a byte/round/unit
 //!    accounting of the conversation.
@@ -66,33 +65,11 @@ use std::time::Instant;
 use crate::framing::LENGTH_PREFIX_BYTES;
 use crate::handshake::{client_handshake_pipelined, Hello, SHARDS_ANY};
 use crate::{
-    append_frame, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, FrameBuffer,
-    MuxFrame, ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
+    append_frame, ClientMux, CountSketch, EngineError, EngineMessage, FrameBuffer, MuxFrame,
+    ReconcileBackend, SessionId, SetDifference, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::Symbol;
 use riblt_hash::SipKey;
-
-/// [`crate::MuxMetrics`] registered in the process-wide
-/// [`obs::global`] registry under `statesync_mux_*` names: every TCP sync
-/// in the process records its absorbed payloads (count, bytes, decode
-/// progress per round-trip) there.
-fn mux_metrics() -> crate::MuxMetrics {
-    let g = obs::global();
-    crate::MuxMetrics {
-        payloads: g.counter(
-            "statesync_mux_payloads_total",
-            "Payload frames absorbed by TCP sync clients.",
-        ),
-        payload_units: g.histogram(
-            "statesync_mux_payload_units",
-            "Scheme units consumed per absorbed payload frame.",
-        ),
-        payload_bytes: g.histogram(
-            "statesync_mux_payload_bytes",
-            "Payload frame sizes absorbed by TCP sync clients, in bytes.",
-        ),
-    }
-}
 
 /// The session every frame of a sync is tagged with: a connection carries
 /// one conversation, so no server tells sessions apart.
@@ -163,19 +140,20 @@ pub struct TcpSyncOutcome {
 /// *empty* set with the local set's [`CountSketch`] appended, so **the
 /// backend's open request must not depend on the local set or the shard**.
 /// That holds for the rateless streaming backends (a magic and the item
-/// length), which is all the `reconciled` daemon accepts; a backend whose
-/// open carries an estimator of its set belongs on [`ClientMux::opens`].
+/// length), which is all the `reconciled` daemon accepts; a backend that
+/// answers a payload with an interactive query fails the sync with
+/// [`EngineError::Protocol`].
 ///
 /// `local_items` is hashed once, before the hello, for the sketch, and only
 /// read again while the shard clients are built, each over its shard's
 /// first payloads when they arrive ([`ShardPartitioner::group`] places the
 /// items by the same hashes that become their checksums, and
-/// [`ClientEngine::new_keyed`] walks each shard's items over the cells that
-/// arrived, cloning each item once, into its shard's decoder, only for a
-/// shard that must read past them). No partition of the set is ever built,
-/// so no second copy of it exists; a decoder lives from its shard's first
-/// payload until the shard decodes, and the hashes and the grouping until
-/// the round that builds the last shard ends.
+/// [`ReconcileBackend::build_client_keyed`] walks each shard's items over
+/// the cells that arrived, cloning each item once, into its shard's
+/// decoder, only for a shard that must read past them). No partition of
+/// the set is ever built, so no second copy of it exists; a decoder lives
+/// from its shard's first payload until the shard decodes, and the hashes
+/// and the grouping until the round that builds the last shard ends.
 ///
 /// The caller owns the stream: timeouts (`TcpStream::set_read_timeout`) and
 /// connection teardown stay in its hands. A server that stops answering
@@ -204,17 +182,13 @@ where
     }
     let local_hello = Hello::new(config.key, SHARDS_ANY, config.symbol_len);
     let hashes = B::Item::hash_many_with(local_items, config.key);
-    let open = match ClientEngine::new(factory(0), &[]).open() {
-        EngineMessage::Open(mut request) => {
-            CountSketch::from_hashes(&hashes).encode(&mut request);
-            EngineMessage::Open(request)
-        }
-        other => other,
-    };
+    let backend = factory(0);
+    let mut open = backend.open_request(&mut backend.build_client(&[]));
+    CountSketch::from_hashes(&hashes).encode(&mut open);
     let mut wildcard = Vec::new();
     append_frame(
         &mut wildcard,
-        &MuxFrame::new(SESSION, SHARD_ALL, open).to_bytes(),
+        &MuxFrame::new(SESSION, SHARD_ALL, EngineMessage::Open(open)).to_bytes(),
     )?;
     let server_hello = client_handshake_pipelined(io, &local_hello, &wildcard)?;
     let shards = server_hello.shards;
@@ -232,13 +206,7 @@ where
     // shard's endpoint is built when its first payload arrives. ---
     let grouping = ShardPartitioner::new(config.key, shards).group(&hashes);
     let mut placement = Some((hashes, grouping));
-    let mut client = ClientMux::new(SESSION);
-    client.set_metrics(mux_metrics());
-    client.set_unit_budget(config.max_units_per_shard);
-    for shard in 0..shards {
-        client.insert_pending(shard);
-    }
-    client.book_first_flight(&grant[0])?;
+    let mut client = ClientMux::new(SESSION, shards, &grant[0], config.max_units_per_shard)?;
 
     let mut rounds = 0usize;
     let mut decode_wall_s = 0.0f64;
@@ -256,12 +224,14 @@ where
             .map(|frame| LENGTH_PREFIX_BYTES + frame.wire_size())
             .sum::<usize>();
         let t0 = Instant::now();
-        let replies = client.handle_round_with(&payloads, config.threads, |shard, first| {
+        let replies = client.handle_round(&payloads, config.threads, |shard, first| {
             let (hashes, grouping) = placement
                 .as_ref()
                 .expect("the placement outlives the last pending shard");
-            let members = grouping.members(shard);
-            ClientEngine::new_keyed(factory(shard), local_items, hashes, members, first)
+            let backend = factory(shard);
+            let (shard_client, absorbed) =
+                backend.build_client_keyed(local_items, hashes, grouping.members(shard), first)?;
+            Ok((backend, shard_client, absorbed))
         })?;
         decode_wall_s += t0.elapsed().as_secs_f64();
         if client.pending() == 0 {

@@ -204,11 +204,6 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         self.coded.len()
     }
 
-    /// Number of local (own-set) symbols registered.
-    pub fn local_set_size(&self) -> usize {
-        self.local_set.len()
-    }
-
     /// Adds a symbol of the local set. Must be called before the first
     /// [`Self::add_coded_symbol`].
     pub fn add_symbol(&mut self, symbol: S) -> Result<()> {
@@ -351,16 +346,6 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
             return Err(Error::InconsistentStream);
         }
         Ok(())
-    }
-
-    /// Symbols recovered so far that only the remote set contains (A \ B).
-    pub fn remote_symbols(&self) -> impl Iterator<Item = &S> {
-        self.remote_recovered.symbols().iter().map(|h| &h.symbol)
-    }
-
-    /// Symbols recovered so far that only the local set contains (B \ A).
-    pub fn local_symbols(&self) -> impl Iterator<Item = &S> {
-        self.local_recovered.symbols().iter().map(|h| &h.symbol)
     }
 
     /// Number of difference symbols recovered so far.

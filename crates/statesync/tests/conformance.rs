@@ -10,11 +10,11 @@ use std::collections::BTreeSet;
 
 use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
 use reconcile_core::{
-    run_in_memory, ClientEngine, ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame,
-    ReconcileBackend, RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
+    run_in_memory, ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame, ReconcileBackend,
+    RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
-use riblt_hash::splitmix64;
+use riblt_hash::{splitmix64, SipKey};
 use statesync::backends::{IbltBackend, MetIbltBackend, PinSketchBackend};
 
 type Item = FixedBytes<8>;
@@ -120,14 +120,12 @@ fn build_sets(s: Scenario) -> Sets {
 
 fn check<B>(backend: B, scenario: Scenario)
 where
-    B: ReconcileBackend<Item = Item> + Clone + Send,
-    B::Client: Send,
+    B: ReconcileBackend<Item = Item> + Clone,
 {
     let name = backend.name();
     let sets = build_sets(scenario);
-    let report: RunReport<Item> =
-        run_in_memory(backend.clone(), &sets.server, &sets.client, 1_000_000)
-            .unwrap_or_else(|e| panic!("{name} failed scenario {}: {e}", scenario.name));
+    let report: RunReport<Item> = run_in_memory(backend, &sets.server, &sets.client, 1_000_000)
+        .unwrap_or_else(|e| panic!("{name} failed scenario {}: {e}", scenario.name));
     let remote: BTreeSet<u64> = report
         .difference
         .remote_only
@@ -153,85 +151,67 @@ where
     assert!(report.rounds >= 1);
     assert!(report.bytes_to_server > 0);
     assert!(report.bytes_to_client > 0);
-    // Only the rateless schemes stream ranges, and only their opens are
-    // independent of the local set.
-    let streams = matches!(name, "riblt" | "irregular-riblt");
-    check_muxed(backend, &sets, scenario, streams);
 }
 
-/// The multiplexed flow (range requests sized by the client's window, the
-/// `reconciled` wire protocol) must hand every shard's decoder exactly the
-/// prefix the point-to-point stream does: same recovered difference, item
-/// for item and in the same order, from the same number of units.
-fn check_muxed<B>(backend: B, sets: &Sets, scenario: Scenario, streams: bool)
+/// [`check`], and then the multiplexed flow of a streaming backend keyed by
+/// `key`: the shipped client's one open addressed to every shard, with the
+/// count sketch of its set behind it, answered by the grant and every
+/// shard's first flight, then range requests sized by the client's window
+/// (the `reconciled` wire protocol). It must hand every shard's decoder
+/// exactly the prefix the point-to-point stream does: same recovered
+/// difference, item for item and in the same order, from the same number of
+/// units.
+fn check_streaming<B>(backend: B, key: SipKey, scenario: Scenario)
 where
-    B: ReconcileBackend<Item = Item> + Clone + Send,
+    B: ReconcileBackend<Item = Item> + Clone + Send + Sync,
     B::Client: Send,
 {
+    check(backend.clone(), scenario);
     let name = backend.name();
-    let key = riblt_hash::SipKey::default();
+    let sets = build_sets(scenario);
     let partitioner = ShardPartitioner::new(key, 4);
     let server_parts = partitioner.partition(&sets.server);
-    let client_parts = partitioner.partition(&sets.client);
-    let count_sketch =
-        |set: &[Item]| CountSketch::from_hashes(&<Item as riblt::Symbol>::hash_many_with(set, key));
+    let hashes = <Item as riblt::Symbol>::hash_many_with(&sets.client, key);
+    let grouping = partitioner.group(&hashes);
 
-    // `wildcard`: the streaming backends' opens say nothing about the local
-    // set, so the shipped client's one open addressed to every shard, with
-    // the count sketch of its set behind it, must do for all of them —
-    // answered by the grant and every shard's first flight, sized against
-    // the server's sketch — and change nothing downstream.
-    let run = |wildcard: bool| {
-        let mut server = ServerMux::new(|_session, shard: ShardId| {
-            ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
-        })
-        .serving_shards(4, count_sketch(&sets.server), 16, usize::MAX);
-        let mut client = ClientMux::new(7);
-        for (shard, part) in client_parts.iter().enumerate() {
-            client.insert_shard(shard as ShardId, ClientEngine::new(backend.clone(), part));
-        }
-        let mut outgoing = if wildcard {
-            let mut open = ClientEngine::new(backend.clone(), &[]).open();
-            if let EngineMessage::Open(request) = &mut open {
-                count_sketch(&sets.client).encode(request);
-            }
-            let mut flight = server
-                .handle(&MuxFrame::new(7, SHARD_ALL, open))
-                .expect("serve");
-            client
-                .book_first_flight(&flight.remove(0))
-                .expect("the grant leads the first flight");
-            assert_eq!(flight.len(), client.awaiting());
-            client.handle_round(&flight, 2).expect("absorb")
-        } else {
-            client.opens()
-        };
-        while !outgoing.is_empty() {
-            let payloads: Vec<_> = outgoing
-                .iter()
-                .flat_map(|frame| server.handle(frame).expect("serve"))
-                .collect();
-            assert_eq!(payloads.len(), client.awaiting());
-            outgoing = client.handle_round(&payloads, 2).expect("absorb");
-        }
-        let units = client.units();
-        (
-            client.into_differences().expect("every shard decoded"),
-            units,
-        )
+    let mut server = ServerMux::new(|_session, shard: ShardId| {
+        ServerEngine::new(backend.clone(), &server_parts[usize::from(shard)])
+    })
+    .serving_shards(4, count_sketch(&sets.server, key), 16, usize::MAX);
+    let mut open = backend.open_request(&mut backend.build_client(&[]));
+    count_sketch(&sets.client, key).encode(&mut open);
+    let mut flight = server
+        .handle(&MuxFrame::new(7, SHARD_ALL, EngineMessage::Open(open)))
+        .expect("serve");
+    let mut client = ClientMux::new(7, 4, &flight.remove(0), usize::MAX)
+        .expect("the grant leads the first flight");
+    let build = |shard, first: &[&[u8]]| {
+        let members = grouping.members(shard);
+        let (built, absorbed) =
+            backend.build_client_keyed(&sets.client, &hashes, members, first)?;
+        Ok((backend.clone(), built, absorbed))
     };
-    let (muxed, muxed_units) = run(false);
-    if streams {
-        assert_eq!(
-            run(true),
-            (muxed.clone(), muxed_units),
-            "{name}/{}",
-            scenario.name
-        );
+    let mut payloads = flight;
+    loop {
+        assert_eq!(payloads.len(), client.awaiting());
+        let outgoing = client.handle_round(&payloads, 2, build).expect("absorb");
+        if outgoing.is_empty() {
+            break;
+        }
+        payloads = outgoing
+            .iter()
+            .flat_map(|frame| server.handle(frame).expect("serve"))
+            .collect();
     }
+    let muxed_units = client.units();
+    let muxed = client.into_differences().expect("every shard decoded");
 
     let mut direct_units = 0;
-    for (shard, (server_part, client_part)) in server_parts.iter().zip(&client_parts).enumerate() {
+    for (shard, (server_part, client_part)) in server_parts
+        .iter()
+        .zip(&partitioner.partition(&sets.client))
+        .enumerate()
+    {
         let direct = run_in_memory(backend.clone(), server_part, client_part, 1_000_000).unwrap();
         direct_units += direct.units;
         assert_eq!(
@@ -243,17 +223,25 @@ where
     assert_eq!(muxed_units, direct_units, "{name}/{}", scenario.name);
 }
 
+fn count_sketch(set: &[Item], key: SipKey) -> CountSketch {
+    CountSketch::from_hashes(&<Item as riblt::Symbol>::hash_many_with(set, key))
+}
+
 #[test]
 fn riblt_backend_passes_the_matrix() {
     for &s in SCENARIOS {
-        check(RibltBackend::<Item>::new(8, 16), s);
+        check_streaming(RibltBackend::<Item>::new(8, 16), SipKey::default(), s);
     }
 }
 
 #[test]
 fn irregular_riblt_backend_passes_the_matrix() {
     for &s in SCENARIOS {
-        check(IrregularRibltBackend::<Item>::new(8, 16), s);
+        check_streaming(
+            IrregularRibltBackend::<Item>::new(8, 16),
+            SipKey::default(),
+            s,
+        );
     }
 }
 
@@ -282,7 +270,6 @@ fn pinsketch_backend_passes_the_matrix() {
 /// derive the same keyed hashes, so reconciliation still completes).
 #[test]
 fn non_default_keys_reconcile() {
-    use riblt_hash::SipKey;
     let key = SipKey::new(0x5ec2e7, 0x4e1);
     let scenario = Scenario {
         name: "keyed",
@@ -291,8 +278,9 @@ fn non_default_keys_reconcile() {
         client_only: 15,
         seed: 0xbb,
     };
-    check(
+    check_streaming(
         RibltBackend::<Item>::with_key_and_alpha(8, 16, key, riblt::DEFAULT_ALPHA),
+        key,
         scenario,
     );
     let mut iblt = IbltBackend::<Item>::new(8);
@@ -421,7 +409,7 @@ where
         let sets = build_sets(scenario);
         let hashes = hashes_of(&sets.client);
         for shards in [1, 4] {
-            let partitioner = ShardPartitioner::new(riblt_hash::SipKey::default(), shards);
+            let partitioner = ShardPartitioner::new(SipKey::default(), shards);
             let server_parts = partitioner.partition(&sets.server);
             for shard in 0..shards {
                 let at = format!("{name}/{}: shard {shard} of {shards}", scenario.name);
@@ -468,7 +456,6 @@ where
 #[test]
 fn keyed_client_builds_decode_like_unkeyed_ones() {
     use riblt::Symbol;
-    use riblt_hash::SipKey;
     let hashes = |items: &[Item]| -> Vec<u64> {
         items
             .iter()

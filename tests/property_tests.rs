@@ -180,13 +180,13 @@ fn sketch_decode_agrees_with_streaming_decoder_on_every_prefix() {
 }
 
 /// The one-shot sharded set-up (hash, [`ShardPartitioner::group`], then per
-/// shard [`ClientEngine::new_keyed`] over the shard's first payloads, or
-/// over none) is the two-step one (`partition`, then `ClientEngine::new` per
-/// part) for any set, key and shard count, empty shards included: shard by
-/// shard the engines ask for the same stream, report the same progress and
-/// units after every payload, and recover the same difference in the same
-/// order. Run over a backend that walks its members over the cells that
-/// arrived and one that gathers.
+/// shard [`ReconcileBackend::build_client_keyed`] over the shard's first
+/// payloads, or over none) is the two-step one (`partition`, then
+/// `ClientEngine::new` per part) for any set, key and shard count, empty
+/// shards included: shard by shard the clients ask for the same stream, report
+/// the same progress and units after every payload, and recover the same
+/// difference in the same order. Run over a backend that walks its members
+/// over the cells that arrived and one that gathers.
 #[test]
 fn keyed_builds_consume_the_same_units_as_partition_then_build() {
     fn agree<B: ReconcileBackend<Item = Item> + Clone>(backend: impl Fn(SipKey) -> B, case: u64) {
@@ -216,16 +216,22 @@ fn keyed_builds_consume_the_same_units_as_partition_then_build() {
 
         for shard in 0..shards {
             let at = format!("case {case}, shard {shard} of {shards}");
+            let keyed_backend = backend(key);
             let keyed = |first: &[&[u8]]| {
                 let members = grouping.members(shard);
-                ClientEngine::new_keyed(backend(key), &local_items, &hashes, members, first)
+                keyed_backend.build_client_keyed(&local_items, &hashes, members, first)
+            };
+            let bytes = |payload: &EngineMessage| match payload {
+                EngineMessage::Payload(bytes) => bytes.clone(),
+                other => panic!("{other:?} is not a payload"),
             };
             let mut two_step = ClientEngine::new(backend(key), &local_parts[usize::from(shard)]);
             let mut server = ServerEngine::new(backend(key), &server_parts[usize::from(shard)]);
             let (mut over_none, none) = keyed(&[]).expect("no payload to refuse");
             assert!(none.is_empty(), "{at}");
             let open = two_step.open();
-            assert_eq!(over_none.open(), open, "{at}");
+            let open_none = keyed_backend.open_request(&mut over_none);
+            assert_eq!(EngineMessage::Open(open_none), open, "{at}");
             let mut payloads = server.handle(&open).expect("serve the open");
             let first: Vec<&[u8]> = payloads
                 .iter()
@@ -241,11 +247,16 @@ fn keyed_builds_consume_the_same_units_as_partition_then_build() {
                 for payload in &payloads {
                     let step = two_step.absorb(payload).expect("absorb");
                     let units = two_step.units();
-                    assert_eq!(over_none.absorb(payload).expect("absorb"), step, "{at}");
-                    assert_eq!(over_none.units(), units, "{at}");
+                    let progress_none = keyed_backend
+                        .absorb(&mut over_none, &bytes(payload))
+                        .expect("absorb");
+                    assert_eq!(progress_none, step, "{at}");
+                    assert_eq!(keyed_backend.units(&over_none), units, "{at}");
                     let absorbed = built.next().unwrap_or_else(|| Absorbed {
-                        progress: over_first.absorb(payload).expect("absorb"),
-                        units: over_first.units(),
+                        progress: keyed_backend
+                            .absorb(&mut over_first, &bytes(payload))
+                            .expect("absorb"),
+                        units: keyed_backend.units(&over_first),
                     });
                     let expected = Absorbed {
                         progress: step.clone(),
@@ -265,7 +276,7 @@ fn keyed_builds_consume_the_same_units_as_partition_then_build() {
             let difference = two_step.into_difference().expect("decoded");
             for keyed in [over_none, over_first] {
                 assert_eq!(
-                    keyed.into_difference().expect("decoded"),
+                    keyed_backend.into_difference(keyed).expect("decoded"),
                     difference,
                     "{at}"
                 );

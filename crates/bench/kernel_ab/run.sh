@@ -20,7 +20,9 @@ fi
 parent="$root/target/kernel_ab/parent"
 rm -rf "$parent"
 mkdir -p "$parent"
-git -C "$root" archive "$rev" | tar -x -C "$parent"
+# `-m`: the files get the time of this export, not of their commit, so that
+# cargo rebuilds a parent whose sources are older than the last build.
+git -C "$root" archive "$rev" | tar -x -m -C "$parent"
 sed -i 's/^version = "0\.1\.0"$/version = "0.0.9"/' "$parent/Cargo.toml"
 grep -q '^version = "0\.0\.9"$' "$parent/Cargo.toml" || {
     echo "run.sh: no workspace version line to rename in $rev's Cargo.toml" >&2

@@ -23,7 +23,6 @@
 //! computed, and the two sides' digests must agree.
 
 use std::cell::RefCell;
-use std::hint::black_box;
 use std::time::Instant;
 
 /// 32-byte items, the benchmark's size; 8-byte ones for the narrow peel.
@@ -95,7 +94,7 @@ type Sample = (f64, u64);
 macro_rules! side {
     ($side:ident, $riblt:ident, $hash:ident, $core:ident, $cluster:ident, $netsim:ident) => {
         pub mod $side {
-            use super::{timed, Raw, RefCell, Sample, SHARDS, TILE, UNIT_BUDGET};
+            use super::{cells_digest, timed, Raw, RefCell, Sample, SHARDS, TILE, UNIT_BUDGET};
             use $cluster::{Node, NodeConfig, Responder};
             use $core::backends::RibltBackend;
             use $core::handshake::Hello;
@@ -105,7 +104,7 @@ macro_rules! side {
             };
             use $hash::SipKey;
             use $netsim::FlightLinkTo;
-            use $riblt::{CodedSymbol, Decoder, Encoder, FixedBytes, Symbol};
+            use $riblt::{CodedSymbol, Decoder, Direction, Encoder, FixedBytes, Symbol, Uniform};
 
             pub type Item = FixedBytes<32>;
             pub type Narrow = FixedBytes<8>;
@@ -301,6 +300,52 @@ macro_rules! side {
                 one_shot(inputs.key, &inputs.local, &inputs.mid_node)
             }
 
+            /// `apply_prefix`'s signature under the regular rule, which its
+            /// scalar lanes share, whatever form the parked mappings take.
+            pub type Walk<P> =
+                fn(&mut [CodedSymbol<Item>], &[Item], &[u64], &[u32], &Uniform, Direction) -> P;
+
+            /// The local set's contribution to each of the eight shards'
+            /// first `m` cells, item by item: group the hashes by shard and
+            /// walk each shard's members with `apply`, which parks each
+            /// member's mapping at `m`.
+            pub fn first_flight<P>(inputs: &Inputs, m: usize, apply: Walk<P>) -> Sample {
+                let hashes = Item::hash_many_with(&inputs.local, inputs.key);
+                let partitioner = ShardPartitioner::new(inputs.key, SHARDS);
+                let (cells, secs) = timed(|| {
+                    let grouping = partitioner.group(&hashes);
+                    let mut cells = vec![CodedSymbol::<Item>::default(); usize::from(SHARDS) * m];
+                    for (shard, cells) in (0..SHARDS).zip(cells.chunks_mut(m)) {
+                        let members = grouping.members(shard);
+                        let rule = Uniform(0.5);
+                        let parked =
+                            apply(cells, &inputs.local, &hashes, members, &rule, Direction::Add);
+                        std::hint::black_box(parked);
+                    }
+                    cells
+                });
+                (
+                    secs,
+                    cells_digest(cells.iter().map(|c| (c.checksum, c.count))),
+                )
+            }
+
+            fn first_flight_32(inputs: &Inputs) -> Sample {
+                first_flight(inputs, 32, $riblt::apply_prefix)
+            }
+
+            fn first_flight_384(inputs: &Inputs) -> Sample {
+                first_flight(inputs, 384, $riblt::apply_prefix)
+            }
+
+            fn first_flight_scalar_32(inputs: &Inputs) -> Sample {
+                first_flight(inputs, 32, $riblt::apply_prefix_scalar)
+            }
+
+            fn first_flight_scalar_384(inputs: &Inputs) -> Sample {
+                first_flight(inputs, 384, $riblt::apply_prefix_scalar)
+            }
+
             /// An empty node for the per-side `node_build` kernels.
             pub fn empty_node() -> Node<Item> {
                 Node::new(0, NodeConfig::new(SHARDS, 32))
@@ -327,6 +372,22 @@ macro_rules! side {
                     "one_shot sync, d 2,000: 20,000 × 32 B, 8 shards",
                     one_shot_mid,
                 ),
+                (
+                    "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: `apply_prefix`",
+                    first_flight_32,
+                ),
+                (
+                    "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: `apply_prefix`",
+                    first_flight_384,
+                ),
+                (
+                    "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: scalar lanes",
+                    first_flight_scalar_32,
+                ),
+                (
+                    "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: scalar lanes",
+                    first_flight_scalar_384,
+                ),
             ];
         }
     };
@@ -342,11 +403,11 @@ side!(
     parent_netsim
 );
 
-// --- Kernels whose two sides differ (the parent's side of the first-flight
-// rows fills a window, which every commit has; the change's side walks
-// items through `apply_prefix` under its mapping-rule argument; the
-// eight-lane hash and the bulk node load, `Node::extend`, are on both sides
-// now). ---
+// --- Kernels whose two sides differ (the eight-lane hash and the bulk node
+// load, `Node::extend`, are on both sides now; the change's first-flight
+// walk can leave its parked mappings in a park log, `apply_prefix_logged`,
+// which is what `build_client_keyed` runs, where the parent builds every
+// mapping). ---
 
 fn hash_set_parent(inputs: &parent::Inputs) -> Sample {
     use parent_riblt::Symbol;
@@ -387,91 +448,20 @@ fn cells_digest(cells: impl Iterator<Item = (u64, i64)>) -> u64 {
     })
 }
 
-/// The local set's contribution to each of the eight shards' first `m`
-/// cells as the one-shot client computed it before: group the hashes by
-/// shard, fill a coding window per shard, walk it cell by cell.
-fn first_flight_window(inputs: &parent::Inputs, m: usize) -> Sample {
-    use parent_riblt::{Encoder, HashedSymbol, Symbol};
-    let hashes = parent::Item::hash_many_with(&inputs.local, inputs.key);
-    let partitioner = parent_reconcile_core::ShardPartitioner::new(inputs.key, SHARDS);
-    let (cells, secs) = timed(|| {
-        let grouping = partitioner.group(&hashes);
-        let mut cells = Vec::with_capacity(usize::from(SHARDS) * m);
-        for shard in 0..SHARDS {
-            let members = grouping.members(shard);
-            let mut window = Encoder::<parent::Item>::with_key(inputs.key);
-            window.reserve(members.len());
-            for &at in members {
-                let at = at as usize;
-                let hashed = HashedSymbol::with_hash(inputs.local[at], hashes[at]);
-                window.add_hashed_symbol(hashed).unwrap();
-            }
-            cells.extend(window.produce_coded_symbols(m));
-        }
-        cells
-    });
-    (
-        secs,
-        cells_digest(cells.iter().map(|c| (c.checksum, c.count))),
-    )
+fn first_flight_parent_32(inputs: &parent::Inputs) -> Sample {
+    parent::first_flight(inputs, 32, parent_riblt::apply_prefix)
 }
 
-/// `riblt::apply_prefix`'s signature under the regular rule, which its
-/// scalar lanes share.
-type PrefixKernel = fn(
-    &mut [riblt::CodedSymbol<change::Item>],
-    &[change::Item],
-    &[u64],
-    &[u32],
-    &riblt::Uniform,
-    riblt::Direction,
-) -> Vec<riblt::IndexMapping>;
-
-/// The same cells item by item (`riblt::apply_prefix` or its scalar
-/// lanes, under the rule argument), each member's mapping parked at `m`.
-fn first_flight_items(inputs: &change::Inputs, m: usize, apply: PrefixKernel) -> Sample {
-    use riblt::{CodedSymbol, Direction, Symbol, Uniform};
-    let hashes = change::Item::hash_many_with(&inputs.local, inputs.key);
-    let partitioner = reconcile_core::ShardPartitioner::new(inputs.key, SHARDS);
-    let (cells, secs) = timed(|| {
-        let grouping = partitioner.group(&hashes);
-        let mut cells = vec![CodedSymbol::<change::Item>::default(); usize::from(SHARDS) * m];
-        for (shard, cells) in (0..SHARDS).zip(cells.chunks_mut(m)) {
-            let members = grouping.members(shard);
-            let rule = Uniform(0.5);
-            let parked = apply(cells, &inputs.local, &hashes, members, &rule, Direction::Add);
-            black_box(parked);
-        }
-        cells
-    });
-    (
-        secs,
-        cells_digest(cells.iter().map(|c| (c.checksum, c.count))),
-    )
+fn first_flight_parent_384(inputs: &parent::Inputs) -> Sample {
+    parent::first_flight(inputs, 384, parent_riblt::apply_prefix)
 }
 
-fn first_flight_window_32(inputs: &parent::Inputs) -> Sample {
-    first_flight_window(inputs, 32)
+fn first_flight_logged_32(inputs: &change::Inputs) -> Sample {
+    change::first_flight(inputs, 32, riblt::apply_prefix_logged)
 }
 
-fn first_flight_window_384(inputs: &parent::Inputs) -> Sample {
-    first_flight_window(inputs, 384)
-}
-
-fn first_flight_kernel_32(inputs: &change::Inputs) -> Sample {
-    first_flight_items(inputs, 32, riblt::apply_prefix)
-}
-
-fn first_flight_kernel_384(inputs: &change::Inputs) -> Sample {
-    first_flight_items(inputs, 384, riblt::apply_prefix)
-}
-
-fn first_flight_scalar_32(inputs: &change::Inputs) -> Sample {
-    first_flight_items(inputs, 32, riblt::apply_prefix_scalar)
-}
-
-fn first_flight_scalar_384(inputs: &change::Inputs) -> Sample {
-    first_flight_items(inputs, 384, riblt::apply_prefix_scalar)
+fn first_flight_logged_384(inputs: &change::Inputs) -> Sample {
+    change::first_flight(inputs, 384, riblt::apply_prefix_logged)
 }
 
 type Pair = (
@@ -492,24 +482,14 @@ const DIFFERING: &[Pair] = &[
         node_build_change,
     ),
     (
-        "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: group + fill + walk / `apply_prefix`",
-        first_flight_window_32,
-        first_flight_kernel_32,
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: `apply_prefix` / `apply_prefix_logged`",
+        first_flight_parent_32,
+        first_flight_logged_32,
     ),
     (
-        "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: group + fill + walk / scalar lanes",
-        first_flight_window_32,
-        first_flight_scalar_32,
-    ),
-    (
-        "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: group + fill + walk / `apply_prefix`",
-        first_flight_window_384,
-        first_flight_kernel_384,
-    ),
-    (
-        "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: group + fill + walk / scalar lanes",
-        first_flight_window_384,
-        first_flight_scalar_384,
+        "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: `apply_prefix` / `apply_prefix_logged`",
+        first_flight_parent_384,
+        first_flight_logged_384,
     ),
 ];
 

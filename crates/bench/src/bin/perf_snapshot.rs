@@ -29,7 +29,9 @@
 //!   by shard, and build each of the eight shards' clients over that
 //!   shard's first flight (`ReconcileBackend::build_client_keyed`: the
 //!   shard's items walked over the cells that arrived, a window only for a
-//!   shard that reads on). The hash alone and the grouping ride along as stages.
+//!   shard that reads on). The hash alone, the grouping and the item walk
+//!   (`riblt::apply_prefix_logged` of every shard's members over its first
+//!   flight's cells) ride along as stages.
 //!   Snapshots taken while the client filled every shard's window before
 //!   its first payload timed that fill instead (EXPERIMENTS.md says from
 //!   which snapshot on).
@@ -46,7 +48,7 @@ use cluster::{Node, NodeConfig};
 use netsim::{reconcile_pair, LinkConfig, PairSyncConfig, Topology};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::{CountSketch, FirstFlight, ReconcileBackend, ShardPartitioner};
-use riblt::{Decoder, Encoder, Sketch, Symbol};
+use riblt::{CodedSymbol, Decoder, Direction, Encoder, Sketch, Symbol, Uniform};
 use riblt_bench::snapshot::{today_utc, validate, BenchRecord, Snapshot};
 use riblt_bench::{items32, set_pair32, timed, Item32, Item8, RunScale};
 use riblt_hash::{splitmix64, SipKey};
@@ -352,6 +354,24 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
     let hashes = Item32::hash_many_with(&items, key);
     let (hash_s, _) = trials_of(trials, || Item32::hash_many_with(&items, key));
     let (group_s, _) = trials_of(trials, || partitioner.group(&hashes));
+    let grouping = partitioner.group(&hashes);
+    let mut cells =
+        vec![vec![CodedSymbol::<Item32>::default(); flight.symbols]; usize::from(shards)];
+    let (walk_s, _) = trials_of(trials, || {
+        for (shard, cells) in (0..shards).zip(&mut cells) {
+            let members = grouping.members(shard);
+            let rule = Uniform(riblt::DEFAULT_ALPHA);
+            let parked = riblt::apply_prefix_logged(
+                cells,
+                &items,
+                &hashes,
+                members,
+                &rule,
+                Direction::Remove,
+            );
+            std::hint::black_box(parked);
+        }
+    });
     let (setup_s, setup_best_s) = trials_of(trials, || {
         let hashes = Item32::hash_many_with(&items, key);
         let grouping = partitioner.group(&hashes);
@@ -380,6 +400,7 @@ fn bench_client_setup(scale: RunScale, seed: u64) -> BenchRecord {
         .metric("setup_ms_best", setup_best_s * 1e3)
         .metric("hash_ms", per_trial_ms(hash_s))
         .metric("group_ms", per_trial_ms(group_s))
+        .metric("walk_ms", per_trial_ms(walk_s))
         .metric("items_per_s", n as f64 * f64::from(trials) / setup_s)
 }
 

@@ -4,7 +4,7 @@
 use std::marker::PhantomData;
 
 use riblt::{
-    apply_prefix, CodedSymbol, Decoder, Direction, Encoder, HashedSymbol, IrregularClasses,
+    apply_prefix_logged, CodedSymbol, Decoder, Direction, Encoder, HashedSymbol, IrregularClasses,
     MappingRule, SetDifference, Symbol, SymbolCodec, Uniform, DEFAULT_ALPHA,
 };
 use riblt_hash::SipKey;
@@ -196,10 +196,11 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
 
     /// The cells of `first` are taken as they arrived: the members'
     /// contribution to them is subtracted item by item, each member at the
-    /// α the rule gives it ([`riblt::apply_prefix`]), never more cells than
-    /// arrived, and the difference cells go to a decoder that holds no
-    /// local set. A shard that decodes within them never clones an item;
-    /// one that does not gets its window then, parked past those cells
+    /// α the rule gives it ([`riblt::apply_prefix_logged`]), never more
+    /// cells than arrived, and the difference cells go to a decoder that
+    /// holds no local set. A shard that decodes within them never clones an
+    /// item or builds a mapping; one that does not gets its window then,
+    /// its mappings built from the walk's park log, parked past those cells
     /// ([`Decoder::adopt_local_set`]).
     fn build_client_keyed(
         &self,
@@ -234,7 +235,7 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
                 }
             }
         }
-        let parked = apply_prefix(
+        let parked = apply_prefix_logged(
             &mut cells,
             items,
             hashes,
@@ -263,7 +264,7 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
             |&m: &u32| HashedSymbol::with_hash(items[m as usize].clone(), hashes[m as usize]);
         client
             .decoder
-            .adopt_local_set(members.iter().map(hashed).collect(), parked);
+            .adopt_local_set(members.iter().map(hashed).collect(), parked.into_mappings());
         Ok((client, absorbed))
     }
 

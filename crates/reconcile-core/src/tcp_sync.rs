@@ -38,12 +38,12 @@
 //!    that absorbs its first round, over that round's payloads
 //!    ([`ReconcileBackend::build_client_keyed`]): the shard's items are walked
 //!    over the cells that arrived, and no further, eight members in flight
-//!    ([`riblt::apply_prefix`], in AVX-512 lanes where the CPU has them),
-//!    which takes their contribution out of those cells, and the decoder peels
-//!    the difference cells with no local window. A shard that decodes there
-//!    never clones an item or fills a window; only a shard that asks again
-//!    gets its window, from the mappings the walk left parked where the cells
-//!    end and the borrowed set. A decoder is consumed into the shard's
+//!    ([`riblt::apply_prefix_logged`], in AVX-512 lanes where the CPU has
+//!    them), which takes their contribution out of those cells, and the
+//!    decoder peels the difference cells with no local window. A shard that
+//!    decodes there never clones an item, builds a mapping or fills a window;
+//!    only a shard that asks again gets its window, from the mappings the
+//!    walk left parked where the cells end and the borrowed set. A decoder is consumed into the shard's
 //!    difference as soon as it decodes: absorbing on one thread, a sync whose
 //!    shards decode their first flights holds one decoder at a time, not one
 //!    per shard. The hashes and the grouping go with the round that builds the

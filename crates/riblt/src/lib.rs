@@ -88,7 +88,9 @@ pub use encoder::Encoder;
 pub use error::{Error, Result};
 pub use irregular::{IrregularClasses, IrregularDecoder, IrregularEncoder, IrregularSketch};
 pub use mapping::{mapped_probability, rho, IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
-pub use prefix::{apply_prefix, apply_prefix_scalar, prefix_uses_avx512};
+pub use prefix::{
+    apply_prefix, apply_prefix_logged, apply_prefix_scalar, prefix_uses_avx512, ParkLog,
+};
 pub use sketch::{Sketch, SketchCache};
 pub use symbol::{xor_bytes_in_place, FixedBytes, HashedSymbol, Symbol, VecSymbol};
 pub use wire::{decode_coded_symbols, encode_coded_symbols, SymbolCodec};

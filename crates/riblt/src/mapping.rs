@@ -218,8 +218,8 @@ impl IndexMapping {
     /// The mapping standing at index `current` with generator `prng`, which
     /// must be where repeated [`Self::advance`] from the symbol's seed left
     /// it: for walks that step the generator outside this type (the
-    /// AVX-512 lanes of `crate::prefix`, x86-64 only).
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    /// AVX-512 lanes of `crate::prefix`, whose park log becomes mappings
+    /// through it).
     #[inline]
     pub(crate) fn parked(prng: XorShift64Star, current: u64, alpha: f64) -> Self {
         IndexMapping {

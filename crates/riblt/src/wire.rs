@@ -165,7 +165,8 @@ impl SymbolCodec {
     /// Returns the coded symbols together with the start index and the set
     /// size declared by the sender. The codec's own `symbol_len` is checked
     /// against the header; `set_size`/`alpha` from the header are used for
-    /// count reconstruction.
+    /// count reconstruction. `bytes` must be the batch and nothing more:
+    /// bytes past its last symbol are refused.
     pub fn decode_batch<S: Symbol>(&self, bytes: &[u8]) -> Result<DecodedBatch<S>> {
         let mut pos = 0usize;
         if bytes.len() < 5 || bytes[..4] != MAGIC {
@@ -215,6 +216,11 @@ impl SymbolCodec {
                 checksum,
                 count,
             });
+        }
+        // A batch is the whole payload: bytes past its last symbol are a
+        // trailer or symbols its length does not count, never dropped.
+        if pos != bytes.len() {
+            return Err(Error::WireFormat("bytes after the batch"));
         }
         Ok(DecodedBatch {
             symbols,
@@ -455,6 +461,44 @@ mod tests {
         for cut in [bytes.len() - 1, bytes.len() / 2, 6] {
             assert!(codec.decode_batch::<Sym>(&bytes[..cut]).is_err());
         }
+    }
+
+    /// A 32-symbol batch of a 100-item set.
+    fn batch_of_32() -> (SymbolCodec, Vec<CodedSymbol<Sym>>, Vec<u8>) {
+        let mut enc = Encoder::<Sym>::new();
+        for i in 0..100u64 {
+            enc.add_symbol(Sym::from_u64(i)).unwrap();
+        }
+        let symbols = enc.produce_coded_symbols(32);
+        let codec = SymbolCodec::new(8, 100);
+        let bytes = codec.encode_batch(&symbols, 0);
+        (codec, symbols, bytes)
+    }
+
+    #[test]
+    fn bytes_after_the_last_symbol_are_refused() {
+        let (codec, symbols, mut bytes) = batch_of_32();
+        assert_eq!(codec.decode_batch::<Sym>(&bytes).unwrap().symbols, symbols);
+        bytes.extend([0u8; 16]);
+        assert_eq!(
+            codec.decode_batch::<Sym>(&bytes).unwrap_err(),
+            Error::WireFormat("bytes after the batch")
+        );
+    }
+
+    #[test]
+    fn a_length_shorter_than_the_batch_is_refused() {
+        let (codec, _, bytes) = batch_of_32();
+        // The length VLQ follows the magic, the version and three one-byte
+        // VLQs (symbol length 8, set size 100, start 0).
+        let length_at = MAGIC.len() + 4;
+        assert_eq!(bytes[length_at], 32);
+        let mut shortened = bytes.clone();
+        shortened[length_at] = 5;
+        assert_eq!(
+            codec.decode_batch::<Sym>(&shortened).unwrap_err(),
+            Error::WireFormat("bytes after the batch")
+        );
     }
 
     #[test]

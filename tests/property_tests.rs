@@ -16,8 +16,9 @@ use rateless_reconciliation::reconcile_core::{
 };
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{
-    decode_coded_symbols, encode_coded_symbols, CodedSymbol, Decoder, Encoder, Error, FixedBytes,
-    IrregularClasses, MappingRule, Sketch, SketchCache, Symbol, Uniform,
+    apply_prefix, apply_prefix_logged, apply_prefix_scalar, decode_coded_symbols,
+    encode_coded_symbols, prefix_uses_avx512, CodedSymbol, Decoder, Direction, Encoder, Error,
+    FixedBytes, IndexMapping, IrregularClasses, MappingRule, Sketch, SketchCache, Symbol, Uniform,
 };
 use rateless_reconciliation::riblt_hash::{SipKey, SplitMix64};
 use rateless_reconciliation::statesync::backends::IbltBackend;
@@ -298,6 +299,178 @@ fn keyed_builds_consume_the_same_units_as_partition_then_build() {
             case,
         );
     }
+}
+
+/// Shuffles `values` in place (Fisher–Yates).
+fn shuffle<T>(values: &mut [T], gen: &mut SplitMix64) {
+    for at in (1..values.len()).rev() {
+        values.swap(at, (gen.next_u64() % (at as u64 + 1)) as usize);
+    }
+}
+
+/// Where a mapping stands and the next four indices it gives: two mappings
+/// with equal ones are parked alike.
+fn park_signature(mut mapping: IndexMapping) -> (u64, Vec<u64>) {
+    let at = mapping.current_index();
+    (at, (0..4).map(|_| mapping.advance()).collect())
+}
+
+/// The AVX-512 lanes hand the members to lanes, and park them, in another
+/// order than the scalar lanes; neither order may show. Over set sizes
+/// around multiples of the lane count and random ones, prefixes of one cell
+/// (every member parks at its first step), two cells and random lengths,
+/// and random subsets in shuffled order applied both ways to cells that
+/// already hold a stream, `apply_prefix` and the park log of
+/// `apply_prefix_logged` equal the scalar lanes cell for cell, and every
+/// member parks where `IndexMapping::advance` first reaches the prefix's
+/// end.
+#[test]
+fn the_prefix_walk_is_the_same_in_any_lane_order() {
+    let rule = Uniform(0.5);
+    if prefix_uses_avx512(&rule) {
+        println!("checking the AVX-512 lanes against the scalar lanes");
+    } else {
+        println!("no avx512f + avx512dq: the scalar lanes against themselves");
+    }
+    let key = SipKey::new(0x0de5, 0xf7ee);
+    let mut gen = SplitMix64::new(0x0de5_f7ee);
+    let mut sizes = vec![0usize, 1, 5, 7, 8, 9, 15, 16, 17, 1_023, 1_024, 1_025];
+    sizes.extend((0..12).map(|_| (gen.next_u64() % 3_001) as usize));
+    for n in sizes {
+        // The members: `n` of `2n + 5` items, in shuffled order.
+        let items: Vec<Item> = (0..2 * n as u64 + 5)
+            .map(|_| Item::from_u64(gen.next_u64()))
+            .collect();
+        let hashes = Item::hash_many_with(&items, key);
+        let mut members: Vec<u32> = (0..items.len() as u32).collect();
+        shuffle(&mut members, &mut gen);
+        members.truncate(n);
+        for m in [1, 2, 1 + (gen.next_u64() % 600) as usize] {
+            let mut other = Encoder::<Item>::with_key(key);
+            for _ in 0..50 {
+                other.add_symbol(Item::from_u64(gen.next_u64())).unwrap();
+            }
+            let start = other.produce_coded_symbols(m);
+            for direction in [Direction::Add, Direction::Remove] {
+                let at = format!("n {n}, m {m}, {direction:?}");
+                let mut scalar = start.clone();
+                let reference =
+                    apply_prefix_scalar(&mut scalar, &items, &hashes, &members, &rule, direction);
+                let mut detected = start.clone();
+                let parked =
+                    apply_prefix(&mut detected, &items, &hashes, &members, &rule, direction);
+                assert_eq!(detected, scalar, "{at}");
+                let mut logged = start.clone();
+                let log =
+                    apply_prefix_logged(&mut logged, &items, &hashes, &members, &rule, direction)
+                        .into_mappings();
+                assert_eq!(logged, scalar, "{at}");
+                for (j, &member) in members.iter().enumerate() {
+                    let mut walked = IndexMapping::new(hashes[member as usize]);
+                    while walked.current_index() < m as u64 {
+                        walked.advance();
+                    }
+                    let expected = park_signature(walked);
+                    for mapping in [&reference[j], &parked[j], &log[j]] {
+                        assert_eq!(
+                            park_signature(mapping.clone()),
+                            expected,
+                            "{at}: member {j}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A sharded client built over each shard's first flight, in which some
+/// shards decode and the others ask again (so only those turn their park
+/// log into mappings), against a plain client of the shard's part fed the
+/// same stream: the same progress and units after every payload, and the
+/// same difference.
+#[test]
+fn a_keyed_build_matches_the_plain_client_whether_a_shard_decodes_or_asks_again() {
+    let key = SipKey::new(0xf117, 0x4e7);
+    let backend = RibltBackend::<Item>::with_key_and_alpha(8, 16, key, 0.5);
+    let partitioner = ShardPartitioner::new(key, 8);
+    let mut gen = SplitMix64::new(0x0f11_74e7);
+    let local: Vec<Item> = (0..3_000).map(|_| Item::from_u64(gen.next_u64())).collect();
+    // Shard `s` differs by `differences[s]`: half of them local items the
+    // server lacks, half server items the client lacks.
+    let differences = [0usize, 2, 6, 12, 40, 64, 3, 90];
+    let mut server: Vec<Item> = Vec::new();
+    let mut dropped = [0usize; 8];
+    for item in &local {
+        let shard = usize::from(partitioner.shard_of(item));
+        if dropped[shard] < differences[shard] / 2 {
+            dropped[shard] += 1;
+        } else {
+            server.push(*item);
+        }
+    }
+    for (shard, &d) in differences.iter().enumerate() {
+        let mut added = 0;
+        while added < d - d / 2 {
+            let item = Item::from_u64(gen.next_u64());
+            if usize::from(partitioner.shard_of(&item)) == shard {
+                server.push(item);
+                added += 1;
+            }
+        }
+    }
+    let hashes = Item::hash_many_with(&local, key);
+    let grouping = partitioner.group(&hashes);
+    let (local_parts, server_parts) = (
+        partitioner.partition(&local),
+        partitioner.partition(&server),
+    );
+    // A first flight of two tiles: 32 cells, enough for the small shards.
+    let first_tiles = 2;
+    let (mut decoded, mut asked_again) = (0, 0);
+    for shard in 0..8u16 {
+        let at = format!("shard {shard}, d {}", differences[usize::from(shard)]);
+        let mut encoder = backend.build_server(&server_parts[usize::from(shard)]);
+        let tiles: Vec<Vec<u8>> = (0..64)
+            .map(|_| backend.serve(&mut encoder, None).unwrap())
+            .collect();
+        let first: Vec<&[u8]> = tiles[..first_tiles].iter().map(Vec::as_slice).collect();
+        let (mut keyed, absorbed) = backend
+            .build_client_keyed(&local, &hashes, grouping.members(shard), &first)
+            .unwrap();
+        let mut plain = backend.build_client(&local_parts[usize::from(shard)]);
+        for (n, tile) in tiles.iter().enumerate() {
+            let progress = backend.absorb(&mut plain, tile).unwrap();
+            let got = match absorbed.get(n) {
+                Some(absorbed) => absorbed.clone(),
+                None => Absorbed {
+                    progress: backend.absorb(&mut keyed, tile).unwrap(),
+                    units: backend.units(&keyed),
+                },
+            };
+            let expected = Absorbed {
+                progress,
+                units: backend.units(&plain),
+            };
+            assert_eq!(got, expected, "{at}: tile {n}");
+            if expected.progress == Progress::Complete {
+                if n < first_tiles {
+                    decoded += 1;
+                } else {
+                    asked_again += 1;
+                }
+                break;
+            }
+        }
+        let difference = backend.into_difference(keyed).unwrap();
+        assert_eq!(difference, backend.into_difference(plain).unwrap(), "{at}");
+        let recovered = difference.remote_only.len() + difference.local_only.len();
+        assert_eq!(recovered, differences[usize::from(shard)], "{at}");
+    }
+    assert!(
+        decoded > 0 && asked_again > 0,
+        "{decoded} decoded, {asked_again} asked again"
+    );
 }
 
 /// After an arbitrary interleaving of adds, removes (of present items) and

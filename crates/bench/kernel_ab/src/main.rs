@@ -104,7 +104,9 @@ macro_rules! side {
             };
             use $hash::SipKey;
             use $netsim::FlightLinkTo;
-            use $riblt::{CodedSymbol, Decoder, Direction, Encoder, FixedBytes, Symbol, Uniform};
+            use $riblt::{
+                CodedSymbol, Decoder, Direction, Encoder, FixedBytes, SketchCache, Symbol, Uniform,
+            };
 
             pub type Item = FixedBytes<32>;
             pub type Narrow = FixedBytes<8>;
@@ -346,6 +348,74 @@ macro_rules! side {
                 first_flight(inputs, 384, $riblt::apply_prefix_scalar)
             }
 
+            /// `cache_materialize`: the local set loaded into a node
+            /// (`Node::extend`, untimed), then the first `m` cells of every
+            /// shard (`shard_cells`), a cold cache's first ask.
+            fn cache_materialize(inputs: &Inputs, m: usize) -> Sample {
+                let mut node = empty_node();
+                node.extend(inputs.local.iter().copied());
+                let (digest, secs) = timed(|| {
+                    (0..SHARDS).fold(0, |acc, shard| {
+                        let cells = node.shard_cells(shard, 0, m).iter();
+                        acc ^ cells_digest(cells.map(|c| (c.checksum, c.count)))
+                    })
+                });
+                (secs, digest)
+            }
+
+            fn cache_materialize_32(inputs: &Inputs) -> Sample {
+                cache_materialize(inputs, 32)
+            }
+
+            fn cache_materialize_384(inputs: &Inputs) -> Sample {
+                cache_materialize(inputs, 384)
+            }
+
+            /// `cache_materialize` of the local set in one cache at `alpha`,
+            /// its items added untimed, its first `m` cells timed.
+            fn cache_materialize_one(inputs: &Inputs, m: usize, alpha: f64) -> Sample {
+                let mut cache = SketchCache::<Item>::with_key_and_alpha(inputs.key, alpha);
+                inputs.local.iter().for_each(|&item| cache.add_symbol(item));
+                let (digest, secs) = timed(|| {
+                    let cells = cache.prefix(m).iter();
+                    cells_digest(cells.map(|c| (c.checksum, c.count)))
+                });
+                (secs, digest)
+            }
+
+            fn cache_materialize_3k(inputs: &Inputs) -> Sample {
+                cache_materialize_one(inputs, 3_000, 0.5)
+            }
+
+            /// `cache_materialize` in eight caches at α = 0.3, which the
+            /// walk takes in scalar lanes: the shards' parts, added untimed.
+            fn cache_materialize_scalar(inputs: &Inputs, m: usize) -> Sample {
+                let parts = ShardPartitioner::new(inputs.key, SHARDS).partition(&inputs.local);
+                let mut caches: Vec<SketchCache<Item>> = parts
+                    .iter()
+                    .map(|part| {
+                        let mut cache = SketchCache::with_key_and_alpha(inputs.key, 0.3);
+                        part.iter().for_each(|&item| cache.add_symbol(item));
+                        cache
+                    })
+                    .collect();
+                let (digest, secs) = timed(|| {
+                    caches.iter_mut().fold(0, |acc, cache| {
+                        let cells = cache.prefix(m).iter();
+                        acc ^ cells_digest(cells.map(|c| (c.checksum, c.count)))
+                    })
+                });
+                (secs, digest)
+            }
+
+            fn cache_materialize_scalar_32(inputs: &Inputs) -> Sample {
+                cache_materialize_scalar(inputs, 32)
+            }
+
+            fn cache_materialize_scalar_384(inputs: &Inputs) -> Sample {
+                cache_materialize_scalar(inputs, 384)
+            }
+
             /// An empty node for the per-side `node_build` kernels.
             pub fn empty_node() -> Node<Item> {
                 Node::new(0, NodeConfig::new(SHARDS, 32))
@@ -387,6 +457,26 @@ macro_rules! side {
                 (
                     "first-flight local cells, 20,000 × 32 B, 8 shards, m 384: scalar lanes",
                     first_flight_scalar_384,
+                ),
+                (
+                    "cache_materialize, 20,000 × 32 B, 8 shards, m 32: `shard_cells`",
+                    cache_materialize_32,
+                ),
+                (
+                    "cache_materialize, 20,000 × 32 B, 8 shards, m 384: `shard_cells`",
+                    cache_materialize_384,
+                ),
+                (
+                    "cache_materialize, 20,000 × 32 B, one cache, m 3,000: `prefix`",
+                    cache_materialize_3k,
+                ),
+                (
+                    "cache_materialize, 20,000 × 32 B, 8 caches at α 0.3, m 32: `prefix`",
+                    cache_materialize_scalar_32,
+                ),
+                (
+                    "cache_materialize, 20,000 × 32 B, 8 caches at α 0.3, m 384: `prefix`",
+                    cache_materialize_scalar_384,
                 ),
             ];
         }

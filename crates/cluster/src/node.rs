@@ -14,7 +14,8 @@
 //! tiles encoded in its current generation, which every change to its items
 //! moves, and [`Node::serve_tile`] shares them with every peer. Every server
 //! reads tiles this way: the daemon's TCP and UDP halves and the pair
-//! exchange.
+//! exchange. A TCP range is read whole ([`Node::serve_tiles`]), so a shard
+//! whose cache is cold builds the range's cells in one item walk.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -215,6 +216,14 @@ impl<S: Symbol + Ord> Node<S> {
         fresh.dedup();
         fresh.retain(|item| !self.items.contains(item));
         let hashes = S::hash_many_with(&fresh, self.config.key);
+        // Each shard's window grows once, to its exact share.
+        let mut loads = vec![0; self.shards.len()];
+        for &hash in &hashes {
+            loads[usize::from(self.partitioner.shard_of_hash(hash))] += 1;
+        }
+        for (shard, load) in self.shards.iter_mut().zip(loads) {
+            shard.cache.reserve(load);
+        }
         for (item, hash) in fresh.iter().zip(hashes) {
             let shard = usize::from(self.partitioner.shard_of_hash(hash));
             self.counts.insert(hash);
@@ -272,6 +281,31 @@ impl<S: Symbol + Ord> Node<S> {
             .tiles
             .insert((start, len), Arc::clone(&tile));
         (tile, false)
+    }
+
+    /// [`Self::serve_tile`] for the `count` tiles of `tile` symbols that
+    /// cover `shard`'s stream from `offset`, in order: the cells of the
+    /// whole range are materialized first, so a shard with none yet builds
+    /// them in one item walk ([`SketchCache::extend`]), and then each tile
+    /// is taken from the cache or encoded.
+    pub fn serve_tiles(
+        &mut self,
+        shard: ShardId,
+        offset: usize,
+        count: usize,
+        tile: usize,
+    ) -> Vec<(Arc<[u8]>, bool)> {
+        let cache = &mut self.shards[usize::from(shard)].cache;
+        cache.ensure_len(offset + count * tile);
+        (0..count)
+            .map(|k| self.serve_tile(shard, offset + k * tile, tile))
+            .collect()
+    }
+
+    /// Coded symbols of `shard`'s stream materialized so far: what its
+    /// cache has built, for every peer it has served.
+    pub fn shard_cells_built(&self, shard: ShardId) -> usize {
+        self.shards[usize::from(shard)].cache.len()
     }
 
     /// The count sketch of the whole set ([`reconcile_core::first_flight`]).

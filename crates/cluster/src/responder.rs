@@ -4,8 +4,10 @@
 //! after the handshake one at a time, it stages the replies, length-prefixed,
 //! straight into the caller's write buffer and reports what it did
 //! ([`Served`]). It reads what it serves through [`Tiles`]: a [`Node`]'s
-//! encoded tiles ([`Node::serve_tile`]), taken directly or, in the daemon,
-//! under the node's lock.
+//! encoded tiles ([`Node::serve_tiles`]), taken directly or, in the daemon,
+//! under the node's lock, one call (and one hold of the lock) per range it
+//! has checked, so a shard whose cache is cold builds the range's cells in
+//! one item walk.
 //!
 //! An `Open` of one shard earns the stream's first tile. An `Open` of
 //! [`SHARD_ALL`], once and first, earns a grant and every shard's first
@@ -13,8 +15,9 @@
 //! carries, one shard per call ([`Responder::open_next_shard`]) so that the
 //! caller can pause between shards. A `Request` earns one payload per tile
 //! of its range, checked in full first ([`RangeRequest::tiles`]), so a
-//! hostile range costs a typed error, never memory. A `Done` retires the
-//! stream. Anything else is a typed error, and the end of the conversation.
+//! hostile range costs a typed error, never memory, and no cell is built
+//! for a range that is refused. A `Done` retires the stream. Anything else
+//! is a typed error, and the end of the conversation.
 //!
 //! **Bytes staged per byte received.** No frame stages more than a sketched
 //! wildcard open: [`RangeRequest::largest_count`] symbols a shard (or the
@@ -44,10 +47,14 @@ pub trait Tiles {
     /// Calls `read` with the count sketch of the whole served set.
     fn with_count_sketch<R>(&self, read: impl FnOnce(&CountSketch) -> R) -> R;
 
-    /// The coded symbols `[offset, offset + count)` of `shard`'s stream, as
-    /// [`Node::encode_tile`] encodes them, shared with every other reader of
-    /// the same tile ([`Node::serve_tile`]).
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]>;
+    /// The `count` tiles of `tile` coded symbols that cover `shard`'s
+    /// stream from `offset`, in order, each as [`Node::encode_tile`]
+    /// encodes it and shared with every other reader of the same tile
+    /// ([`Node::serve_tiles`]). A [`Responder`] calls it once per range it
+    /// has checked, so that a cold shard builds the whole range's cells at
+    /// once and the daemon takes its node lock once per range.
+    fn tiles(&mut self, shard: ShardId, offset: usize, count: usize, tile: usize)
+        -> Vec<Arc<[u8]>>;
 }
 
 impl<S: Symbol + Ord> Tiles for Node<S> {
@@ -55,8 +62,15 @@ impl<S: Symbol + Ord> Tiles for Node<S> {
         read(self.count_sketch())
     }
 
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]> {
-        self.serve_tile(shard, offset, count).0
+    fn tiles(
+        &mut self,
+        shard: ShardId,
+        offset: usize,
+        count: usize,
+        tile: usize,
+    ) -> Vec<Arc<[u8]>> {
+        let served = self.serve_tiles(shard, offset, count, tile);
+        served.into_iter().map(|(payload, _)| payload).collect()
     }
 }
 
@@ -229,8 +243,7 @@ impl Responder {
         };
         let count = range.tiles(self.tile, self.limit)?;
         let staged = out.len();
-        for offset in (range.offset as usize..).step_by(self.tile).take(count) {
-            let payload = tiles.tile(shard, offset, self.tile);
+        for payload in tiles.tiles(shard, range.offset as usize, count, self.tile) {
             if let Err(e) = MuxFrame::append_payload(out, session, shard, &payload) {
                 out.truncate(staged);
                 return Err(e.into());
@@ -389,5 +402,74 @@ mod tests {
         assert!(responder
             .handle(&request(3, 96, 32), &mut node, &mut out)
             .is_err());
+    }
+
+    #[test]
+    fn a_refused_frame_builds_no_cell() {
+        // Only a range `RangeRequest::tiles` accepted is materialized: a
+        // request past the budget or for a stream never opened, and a
+        // wildcard open refused before its grant, leave every shard's cells
+        // as they were (none, on a fresh node).
+        let mut node = node(2_000);
+        let mut responder = Responder::new(SHARDS, 32, TILE, 256);
+        let mut out = Vec::new();
+        let request = |shard, offset, count| {
+            let range = RangeRequest::new(offset, count).unwrap();
+            MuxFrame::new(1, shard, EngineMessage::Request(range)).to_bytes()
+        };
+        let built = |node: &Node<Item>| -> Vec<usize> {
+            (0..SHARDS).map(|s| node.shard_cells_built(s)).collect()
+        };
+        let mut torn = open_frame(SHARD_ALL, Some(&CountSketch::from_hashes(&[1, 2, 3])));
+        torn.push(0);
+        let refused = [
+            (torn, "bytes after the count sketch"),
+            (request(2, 0, 32), "request for unknown session/shard"),
+        ];
+        for (frame, error) in &refused {
+            let err = responder.handle(frame, &mut node, &mut out).unwrap_err();
+            assert!(err.to_string().contains(error), "{err}");
+            assert_eq!(built(&node), vec![0; usize::from(SHARDS)], "{error}");
+        }
+        assert!(out.is_empty());
+
+        // One open shard: its first tile is built, and a range past the
+        // budget, or once the stream is retired, builds no more.
+        responder
+            .handle(&open_frame(2, None), &mut node, &mut out)
+            .unwrap();
+        let mut cells = vec![0; usize::from(SHARDS)];
+        cells[2] = TILE;
+        assert_eq!(built(&node), cells);
+        let err = responder
+            .handle(&request(2, 224, 64), &mut node, &mut out)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Protocol("range request exceeds the unit budget")
+        );
+        let err = responder
+            .handle(&open_frame(SHARD_ALL, None), &mut node, &mut out)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Protocol("wildcard open after another open")
+        );
+        let done = MuxFrame::new(1, 2, EngineMessage::Done).to_bytes();
+        responder.handle(&done, &mut node, &mut out).unwrap();
+        assert!(responder
+            .handle(&request(2, 32, 32), &mut node, &mut out)
+            .is_err());
+        assert_eq!(built(&node), cells);
+        // An accepted range is built whole, in one call.
+        let mut responder = Responder::new(SHARDS, 32, TILE, 256);
+        responder
+            .handle(&open_frame(5, None), &mut node, &mut out)
+            .unwrap();
+        responder
+            .handle(&request(5, 64, 96), &mut node, &mut out)
+            .unwrap();
+        cells[5] = 160;
+        assert_eq!(built(&node), cells);
     }
 }

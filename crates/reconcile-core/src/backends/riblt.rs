@@ -4,8 +4,8 @@
 use std::marker::PhantomData;
 
 use riblt::{
-    apply_prefix_logged, CodedSymbol, Decoder, Direction, Encoder, HashedSymbol, IrregularClasses,
-    MappingRule, SetDifference, Symbol, SymbolCodec, Uniform, DEFAULT_ALPHA,
+    apply_prefix_logged, CodedSymbol, Decoder, Direction, Encoder, IrregularClasses, MappingRule,
+    SetDifference, Symbol, SymbolCodec, Uniform, DEFAULT_ALPHA,
 };
 use riblt_hash::SipKey;
 
@@ -260,11 +260,11 @@ impl<S: Symbol, R: StreamRule> ReconcileBackend for RibltBackend<S, R> {
         if let Some(refused) = refused {
             return Err(refused);
         }
-        let hashed =
-            |&m: &u32| HashedSymbol::with_hash(items[m as usize].clone(), hashes[m as usize]);
+        let own_items = members.iter().map(|&m| items[m as usize].clone()).collect();
+        let own_hashes = members.iter().map(|&m| hashes[m as usize]).collect();
         client
             .decoder
-            .adopt_local_set(members.iter().map(hashed).collect(), parked.into_mappings());
+            .adopt_local_set(own_items, own_hashes, parked.into_mappings());
         Ok((client, absorbed))
     }
 

@@ -223,25 +223,30 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
 
     /// Takes in the local set after the cells ingested so far arrived with
     /// its contribution already subtracted ([`crate::apply_prefix`] with
-    /// [`Direction::Remove`]): `symbols[i]` with `mappings[i]`, its mapping
-    /// walked to its first index at or past
+    /// [`Direction::Remove`]): `items[i]` with keyed hash `hashes[i]` and
+    /// mapping `mappings[i]`, walked to its first index at or past
     /// [`Self::coded_symbols_received`], as `apply_prefix` returns them.
     /// The decoder subtracts the local set from every later cell itself, so
     /// a client that took its first cells' local contribution item by item
     /// builds this window only if it must read past them.
     ///
     /// # Panics
-    /// If local symbols were added already, the two differ in length, a
+    /// If local symbols were added already, the three differ in length, a
     /// mapping stands below the next cell, or a mapping's α is not the one
     /// the decoder's rule gives its symbol.
-    pub fn adopt_local_set(&mut self, symbols: Vec<HashedSymbol<S>>, mappings: Vec<IndexMapping>) {
-        for (symbol, mapping) in symbols.iter().zip(&mappings) {
+    pub fn adopt_local_set(
+        &mut self,
+        items: Vec<S>,
+        hashes: Vec<u64>,
+        mappings: Vec<IndexMapping>,
+    ) {
+        for (&hash, mapping) in hashes.iter().zip(&mappings) {
             assert!(
-                mapping.alpha() == self.rule.alpha_of(symbol.hash),
+                mapping.alpha() == self.rule.alpha_of(hash),
                 "a mapping of another rule"
             );
         }
-        self.local_set.adopt(symbols, mappings);
+        self.local_set.adopt(items, hashes, mappings);
     }
 
     /// Ingests a batch of coded symbols, stopping as soon as decoding
@@ -366,18 +371,8 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
     /// difference; this returns whatever has been recovered so far.
     pub fn into_difference(self) -> SetDifference<S> {
         SetDifference {
-            remote_only: self
-                .remote_recovered
-                .symbols()
-                .iter()
-                .map(|h| h.symbol.clone())
-                .collect(),
-            local_only: self
-                .local_recovered
-                .symbols()
-                .iter()
-                .map(|h| h.symbol.clone())
-                .collect(),
+            remote_only: self.remote_recovered.into_items(),
+            local_only: self.local_recovered.into_items(),
         }
     }
 

@@ -16,6 +16,7 @@ use riblt_hash::SipKey;
 use crate::coded::{prefetch, CodedSymbol, Direction};
 use crate::error::{Error, Result};
 use crate::mapping::{IndexMapping, MappingRule, Uniform};
+use crate::prefix::apply_prefix_logged;
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// Sentinel terminating a bucket chain in [`CodingWindow`].
@@ -24,9 +25,11 @@ const NO_POS: u32 = u32::MAX;
 /// The coding window: source symbols ordered by the next coded-symbol index
 /// they are mapped to.
 ///
-/// Shared by the encoder (which *adds* symbols into produced coded symbols)
-/// and the decoder (which lazily generates its local set's contribution and
-/// subtracts it, and maintains windows of recovered symbols).
+/// Shared by the encoder (which *adds* symbols into produced coded symbols),
+/// the decoder (which lazily generates its local set's contribution and
+/// subtracts it, and maintains windows of recovered symbols) and
+/// [`crate::SketchCache`] (whose first cells come from one item walk,
+/// [`Self::apply_prefix`], and later ones from this window).
 ///
 /// Scheduling uses a calendar queue instead of a binary heap: coded-symbol
 /// indices are produced strictly in order 0, 1, 2, …, so each symbol is
@@ -38,15 +41,21 @@ const NO_POS: u32 = u32::MAX;
 /// which co-mapped symbols are applied within one index differs from the
 /// heap's, but application is XOR/add — commutative — so every produced
 /// coded symbol is byte-identical.
+///
+/// Symbols and their keyed hashes are kept in two parallel vectors, the
+/// form [`crate::apply_prefix_logged`] walks, so the window hands its set to
+/// the walk as it stands.
 #[derive(Debug, Clone)]
 pub(crate) struct CodingWindow<S: Symbol> {
-    symbols: Vec<HashedSymbol<S>>,
+    items: Vec<S>,
+    /// `hashes[i]` is the keyed hash of `items[i]`.
+    hashes: Vec<u64>,
     mappings: Vec<IndexMapping>,
     /// `bucket_head[i]` is the first position in the chain of symbols whose
     /// next mapped index is `i` ([`NO_POS`] = empty). Grows lazily, bounded
     /// to a constant factor of the produced prefix (see [`Self::enqueue`]).
     bucket_head: Vec<u32>,
-    /// Intrusive chain links, parallel to `symbols`.
+    /// Intrusive chain links, parallel to `items`.
     bucket_next: Vec<u32>,
     /// (next mapped index, position) entries beyond the bucketed horizon.
     overflow: BinaryHeap<Reverse<(u64, u32)>>,
@@ -58,7 +67,8 @@ pub(crate) struct CodingWindow<S: Symbol> {
 impl<S: Symbol> CodingWindow<S> {
     pub(crate) fn new(key: SipKey) -> Self {
         CodingWindow {
-            symbols: Vec::new(),
+            items: Vec::new(),
+            hashes: Vec::new(),
             mappings: Vec::new(),
             bucket_head: Vec::new(),
             bucket_next: Vec::new(),
@@ -73,7 +83,7 @@ impl<S: Symbol> CodingWindow<S> {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.symbols.len()
+        self.items.len()
     }
 
     pub(crate) fn next_index(&self) -> u64 {
@@ -84,7 +94,8 @@ impl<S: Symbol> CodingWindow<S> {
     /// for a set of known size then never copies itself while it fills,
     /// and holds no doubling slack afterwards.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.symbols.reserve_exact(additional);
+        self.items.reserve_exact(additional);
+        self.hashes.reserve_exact(additional);
         self.mappings.reserve_exact(additional);
         self.bucket_next.reserve_exact(additional);
     }
@@ -109,12 +120,27 @@ impl<S: Symbol> CodingWindow<S> {
         }
     }
 
+    /// Parks every position at its mapping's current index, in position
+    /// order, on empty queues.
+    fn park_all(&mut self) {
+        self.bucket_head.clear();
+        self.overflow.clear();
+        self.bucket_next.clear();
+        self.bucket_next.resize(self.items.len(), NO_POS);
+        for pos in 0..self.mappings.len() {
+            let index = self.mappings[pos].current_index();
+            assert!(index >= self.next_index, "a mapping behind the window");
+            self.enqueue(pos as u32, index);
+        }
+    }
+
     /// Registers a symbol/mapping pair and parks it at its current index.
     fn push_entry(&mut self, symbol: HashedSymbol<S>, mapping: IndexMapping) {
-        let pos = self.symbols.len();
+        let pos = self.items.len();
         assert!(pos < NO_POS as usize, "coding window position overflow");
         let index = mapping.current_index();
-        self.symbols.push(symbol);
+        self.items.push(symbol.symbol);
+        self.hashes.push(symbol.hash);
         self.mappings.push(mapping);
         self.bucket_next.push(NO_POS);
         self.enqueue(pos as u32, index);
@@ -138,33 +164,63 @@ impl<S: Symbol> CodingWindow<S> {
         self.push_entry(symbol, mapping);
     }
 
-    /// Takes over `symbols`, `mappings[i]` being the mapping of
-    /// `symbols[i]` walked to its first index at or past the next one this
-    /// window produces, and parks each there: from then on the window
-    /// contributes to every index what one that held the set from index 0
-    /// would have. The mappings are kept as they are, not copied.
+    /// Takes over `items`, `hashes[i]` being the keyed hash of `items[i]`
+    /// and `mappings[i]` its mapping walked to its first index at or past
+    /// the next one this window produces, and parks each there: from then on
+    /// the window contributes to every index what one that held the set from
+    /// index 0 would have. The vectors are kept as they are, not copied.
     ///
     /// # Panics
-    /// If the window holds symbols already, the two differ in length, or a
-    /// mapping stands below the next index.
-    pub(crate) fn adopt(&mut self, symbols: Vec<HashedSymbol<S>>, mappings: Vec<IndexMapping>) {
+    /// If the window holds symbols already, the three differ in length, or
+    /// a mapping stands below the next index.
+    pub(crate) fn adopt(&mut self, items: Vec<S>, hashes: Vec<u64>, mappings: Vec<IndexMapping>) {
         assert!(
-            self.symbols.is_empty(),
+            self.items.is_empty(),
             "a window adopts a set only when empty"
         );
-        assert_eq!(symbols.len(), mappings.len(), "one mapping per symbol");
         assert!(
-            symbols.len() < NO_POS as usize,
+            items.len() == hashes.len() && items.len() == mappings.len(),
+            "one hash and one mapping per symbol"
+        );
+        assert!(
+            items.len() < NO_POS as usize,
             "coding window position overflow"
         );
-        self.bucket_next = vec![NO_POS; symbols.len()];
-        self.symbols = symbols;
+        self.items = items;
+        self.hashes = hashes;
         self.mappings = mappings;
-        for pos in 0..self.mappings.len() {
-            let index = self.mappings[pos].current_index();
-            assert!(index >= self.next_index, "a mapping behind the window");
-            self.enqueue(pos as u32, index);
-        }
+        self.park_all();
+    }
+
+    /// Applies every symbol to `cells`, the first `cells.len()` coded
+    /// symbols, in `direction`, and parks the window at `cells.len()`: what
+    /// as many calls of [`Self::apply_next`] do, in one item walk instead
+    /// ([`crate::apply_prefix_logged`], each symbol at the α `rule` gives
+    /// it). The walk's park log is written over the window's own mappings,
+    /// so nothing it allocates outlives it.
+    ///
+    /// # Panics
+    /// If the window has produced anything already, or (debug builds) a
+    /// mapping is not the fresh one of its symbol under `rule`.
+    pub(crate) fn apply_prefix<R: MappingRule>(
+        &mut self,
+        cells: &mut [CodedSymbol<S>],
+        rule: &R,
+        direction: Direction,
+    ) {
+        assert_eq!(self.next_index, 0, "a window walks only from index 0");
+        debug_assert!(self
+            .mappings
+            .iter()
+            .zip(&self.hashes)
+            .all(|(mapping, &hash)| mapping.current_index() == 0
+                && mapping.alpha() == rule.alpha_of(hash)));
+        // Below `NO_POS`: `push_entry` and `adopt` hold the window there.
+        let members: Vec<u32> = (0..self.items.len() as u32).collect();
+        apply_prefix_logged(cells, &self.items, &self.hashes, &members, rule, direction)
+            .park_into(&mut self.mappings);
+        self.next_index = cells.len() as u64;
+        self.park_all();
     }
 
     /// Applies every symbol mapped to the current index into `cs` (in the
@@ -180,10 +236,10 @@ impl<S: Symbol> CodingWindow<S> {
                 // fetches before working on this one.
                 pos = self.bucket_next[p];
                 if pos != NO_POS {
-                    prefetch(&self.symbols[pos as usize]);
+                    prefetch(&self.items[pos as usize]);
                     prefetch(&self.mappings[pos as usize]);
                 }
-                cs.apply(&self.symbols[p], direction);
+                cs.apply_parts(&self.items[p], self.hashes[p], direction);
                 let advanced = self.mappings[p].advance();
                 self.enqueue(p as u32, advanced);
             }
@@ -195,7 +251,7 @@ impl<S: Symbol> CodingWindow<S> {
             }
             self.overflow.pop();
             let p = pos as usize;
-            cs.apply(&self.symbols[p], direction);
+            cs.apply_parts(&self.items[p], self.hashes[p], direction);
             let advanced = self.mappings[p].advance();
             self.enqueue(pos, advanced);
         }
@@ -210,33 +266,43 @@ impl<S: Symbol> CodingWindow<S> {
         // Every fresh mapping starts at index 0: chain them all into one
         // bucket directly.
         self.bucket_head.push(NO_POS);
-        for (pos, sym) in self.symbols.iter().enumerate() {
+        for (pos, &hash) in self.hashes.iter().enumerate() {
             let alpha = self.mappings[pos].alpha();
-            self.mappings[pos] = IndexMapping::with_alpha(sym.hash, alpha);
+            self.mappings[pos] = IndexMapping::with_alpha(hash, alpha);
             self.bucket_next[pos] = self.bucket_head[0];
             self.bucket_head[0] = pos as u32;
         }
     }
 
-    /// Drops every symbol `keep` turns down and re-parks the survivors, each
-    /// with its mapping where it stands, so the window contributes to every
-    /// future index exactly what the survivors alone would have.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&HashedSymbol<S>) -> bool) {
-        let symbols = std::mem::take(&mut self.symbols);
-        let mappings = std::mem::take(&mut self.mappings);
-        self.bucket_head.clear();
-        self.bucket_next.clear();
-        self.overflow.clear();
-        for (symbol, mapping) in symbols.into_iter().zip(mappings) {
-            if keep(&symbol) {
-                self.push_entry(symbol, mapping);
+    /// Drops every symbol whose keyed hash `keep` turns down (asked in
+    /// position order) and re-parks the survivors, each with its mapping
+    /// where it stands, so the window contributes to every future index
+    /// exactly what the survivors alone would have.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.items.len() {
+            if keep(self.hashes[at]) {
+                self.items.swap(kept, at);
+                self.hashes.swap(kept, at);
+                self.mappings.swap(kept, at);
+                kept += 1;
             }
         }
+        self.items.truncate(kept);
+        self.hashes.truncate(kept);
+        self.mappings.truncate(kept);
+        self.park_all();
     }
 
-    /// Iterates over the stored symbols (used to report recovered sets).
-    pub(crate) fn symbols(&self) -> &[HashedSymbol<S>] {
-        &self.symbols
+    /// The stored symbols' keyed hashes, in position order.
+    pub(crate) fn hashes(&self) -> &[u64] {
+        &self.hashes
+    }
+
+    /// The stored symbols, in position order (used to report recovered
+    /// sets).
+    pub(crate) fn into_items(self) -> Vec<S> {
+        self.items
     }
 }
 

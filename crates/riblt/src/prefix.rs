@@ -5,14 +5,15 @@
 //! queue, applies them and parks each again at its next index, so every
 //! step chases a bucket chain and then waits on one symbol's
 //! square-root-and-divide chain. When the length of the prefix is known
-//! before the walk — a client holding the first `m` cells of a stream — the
+//! before the walk — a client holding the first `m` cells of a stream, a
+//! server's cold [`crate::SketchCache`] asked for its first `m` — the
 //! same cells come out of walking items instead: each member of the set is
 //! applied to every index it maps to below `m`, eight members in flight so
 //! that eight independent draw chains overlap, and a lane takes the next
 //! member as soon as its item's next index reaches `m`. No window is
 //! filled and no queue kept; each member's mapping is parked at its first
 //! index at or past `m`, where a window that must go on from `m` takes it
-//! up ([`crate::Decoder::adopt_local_set`]).
+//! up ([`crate::Decoder::adopt_local_set`], or the cache's own windows).
 //!
 //! A member leaves the prefix every few steps, so which lanes finish
 //! differs at almost every step. Retiring and refilling them one lane at a
@@ -30,9 +31,11 @@
 //! sum (an XOR and a count) over the members that map to it, and every
 //! member is walked from its own seed and parked once.
 //!
-//! The park log stays a log until something reads it: a shard that decodes
-//! within the prefix drops it unread, and only one that asks again turns it
-//! into mappings ([`ParkLog::into_mappings`]).
+//! The park log stays a log until something reads it: a client's shard
+//! that decodes within the prefix drops it unread, and only one that asks
+//! again turns it into mappings ([`ParkLog::into_mappings`]). A cold cache
+//! writes it over its coding windows' mappings in place, which stand at
+//! index 0 until then, and parks the windows at `m`.
 //!
 //! Every mapping rule walks: each member at the α its rule gives it, so
 //! the irregular variant's mixed classes take the same walk as the regular
@@ -134,18 +137,35 @@ impl ParkLog {
     pub fn into_mappings(self) -> Vec<IndexMapping> {
         match self.0 {
             Parked::Mappings(mappings) => mappings,
+            Parked::Log { ref positions, .. } => {
+                // Every entry is overwritten: each member parks once.
+                let mut mappings = vec![IndexMapping::new(0); positions.len()];
+                self.park_into(&mut mappings);
+                mappings
+            }
+        }
+    }
+
+    /// Writes each member's parked mapping over `mappings[j]`, `j` being
+    /// its position in the walk's members: what a coding window that held
+    /// the members from index 0 takes up in place
+    /// ([`crate::encoder::CodingWindow::apply_prefix`]).
+    ///
+    /// # Panics
+    /// If `mappings` is not one per member.
+    pub(crate) fn park_into(self, mappings: &mut [IndexMapping]) {
+        match self.0 {
+            Parked::Mappings(parked) => mappings.clone_from_slice(&parked),
             Parked::Log {
                 positions,
                 states,
                 indices,
             } => {
-                // Every entry is overwritten: each member parks once.
-                let mut mappings = vec![IndexMapping::new(0); positions.len()];
+                assert_eq!(positions.len(), mappings.len(), "one mapping per member");
                 for ((&at, &state), &index) in positions.iter().zip(&states).zip(&indices) {
                     let prng = riblt_hash::XorShift64Star::new(state);
                     mappings[at as usize] = IndexMapping::parked(prng, index, 0.5);
                 }
-                mappings
             }
         }
     }
@@ -631,6 +651,86 @@ mod tests {
             Direction::Remove,
         );
         assert!(cells.iter().all(CodedSymbol::is_empty_cell));
+    }
+
+    /// The member orders of the small-scope test over positions `0..n`:
+    /// sorted, reversed, the two halves interleaved, and four seeded
+    /// shuffles.
+    fn member_orders(n: u32) -> Vec<(String, Vec<u32>)> {
+        let sorted: Vec<u32> = (0..n).collect();
+        let half = n.div_ceil(2);
+        let interleaved = (0..half)
+            .flat_map(|at| [at, at + half])
+            .filter(|&at| at < n)
+            .collect();
+        let mut orders = vec![
+            ("sorted".to_string(), sorted.clone()),
+            (
+                "reversed".to_string(),
+                sorted.iter().rev().copied().collect(),
+            ),
+            ("interleaved".to_string(), interleaved),
+        ];
+        for seed in 0..4u64 {
+            let mut gen = riblt_hash::SplitMix64::new(seed * 0x9e37 + u64::from(n));
+            let mut shuffled = sorted.clone();
+            for at in (1..shuffled.len()).rev() {
+                shuffled.swap(at, (gen.next_u64() % (at as u64 + 1)) as usize);
+            }
+            orders.push((format!("shuffle {seed}"), shuffled));
+        }
+        orders
+    }
+
+    #[test]
+    fn every_small_walk_equals_the_scalar_lanes_exhaustively() {
+        // Every set of up to three lane groups over every prefix of up to
+        // twelve cells, in seven member orders: each retire-and-refill
+        // pattern the lanes can meet that small, and the tail.
+        let rule = Uniform(DEFAULT_ALPHA);
+        let lanes = if prefix_uses_avx512(&rule) {
+            "AVX-512 lanes (avx512f + avx512dq detected) against the scalar lanes"
+        } else {
+            "scalar lanes against themselves (no avx512f + avx512dq)"
+        };
+        println!("apply_prefix_logged, n <= 24, m <= 12: {lanes}");
+        let key = SipKey::new(0x5ca1, 0xe5);
+        let (items, hashes) = set(24, 0x5ca1e5, key, true);
+        for n in 0..=24u32 {
+            for (order, members) in member_orders(n) {
+                for m in 0..=12usize {
+                    let at = format!("n {n}, {order}, m {m}");
+                    let mut scalar = vec![CodedSymbol::default(); m];
+                    let reference = apply_prefix_scalar(
+                        &mut scalar,
+                        &items,
+                        &hashes,
+                        &members,
+                        &rule,
+                        Direction::Add,
+                    );
+                    let mut logged = vec![CodedSymbol::default(); m];
+                    let parked = apply_prefix_logged(
+                        &mut logged,
+                        &items,
+                        &hashes,
+                        &members,
+                        &rule,
+                        Direction::Add,
+                    )
+                    .into_mappings();
+                    assert_eq!(logged, scalar, "{at}");
+                    assert_eq!(parked.len(), reference.len(), "{at}");
+                    for (j, (mine, theirs)) in parked.into_iter().zip(reference).enumerate() {
+                        assert_eq!(
+                            park_signature(mine),
+                            park_signature(theirs),
+                            "{at}: member {j}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -218,6 +218,14 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
 /// cells), extends it when longer prefixes are needed, and streams
 /// `prefix(..)` to any peer that asks — the same cached symbols serve every
 /// peer because the sequence is universal.
+///
+/// Extension is cold or warm. The first one (every call that materializes,
+/// [`Self::ensure_len`], [`Self::range`], [`Self::prefix`] and
+/// [`Self::to_sketch`], goes through [`Self::extend`]) finds no cells and
+/// builds the whole ask in one item walk, eight items in flight, AVX-512
+/// lanes where the CPU has them and α = 0.5; every later one steps the
+/// coding windows index by index. Both give the same cells, so a server
+/// that asks for its whole first flight at once pays one walk per shard.
 #[derive(Debug, Clone)]
 pub struct SketchCache<S: Symbol> {
     cells: Vec<CodedSymbol<S>>,
@@ -283,6 +291,13 @@ impl<S: Symbol> SketchCache<S> {
         self.alpha
     }
 
+    /// Makes room for `additional` more additions, exactly: a cache loaded
+    /// with a set of known size never copies its window while it fills and
+    /// holds no doubling slack afterwards.
+    pub fn reserve(&mut self, additional: usize) {
+        self.additions.reserve(additional);
+    }
+
     /// Adds an item to the cached set, patching the materialized prefix.
     pub fn add_symbol(&mut self, symbol: S) {
         self.add_hashed_symbol(HashedSymbol::new(symbol, self.key));
@@ -323,8 +338,8 @@ impl<S: Symbol> SketchCache<S> {
     /// mutation for ever.
     fn cancel_pairs(&mut self) {
         let mut removed: HashMap<u64, usize> = HashMap::with_capacity(self.removals.len());
-        for symbol in self.removals.symbols() {
-            *removed.entry(symbol.hash).or_default() += 1;
+        for &hash in self.removals.hashes() {
+            *removed.entry(hash).or_default() += 1;
         }
         // Takes one removal of `hash` off the tally, if any is left on it.
         let mut take = |hash: u64| match removed.get_mut(&hash) {
@@ -334,9 +349,9 @@ impl<S: Symbol> SketchCache<S> {
             }
             _ => false,
         };
-        self.additions.retain(|symbol| !take(symbol.hash));
+        self.additions.retain(|hash| !take(hash));
         // What the additions left on the tally found no addition: keep it.
-        self.removals.retain(|symbol| take(symbol.hash));
+        self.removals.retain(take);
         self.unmatched_removals = self.removals.len();
     }
 
@@ -348,7 +363,25 @@ impl<S: Symbol> SketchCache<S> {
     }
 
     /// Extends the materialized prefix by `extra` coded symbols.
+    ///
+    /// A cold cache (no cells yet) builds them in one item walk
+    /// ([`crate::apply_prefix_logged`]): its additions applied, then the
+    /// removals no addition cancelled taken out, each item over every index
+    /// it maps to below the new length, eight in flight. The walk's park
+    /// log is written into the windows' own mappings, which are then parked
+    /// at the new length. A warm cache extends through its windows, index
+    /// by index: far from cell 0 an item rarely reaches a short extension,
+    /// and the calendar queue skips the rest.
     pub fn extend(&mut self, extra: usize) {
+        if self.cells.is_empty() && extra > 0 {
+            self.cells = vec![CodedSymbol::default(); extra];
+            let rule = Uniform(self.alpha);
+            self.additions
+                .apply_prefix(&mut self.cells, &rule, Direction::Add);
+            self.removals
+                .apply_prefix(&mut self.cells, &rule, Direction::Remove);
+            return;
+        }
         for _ in 0..extra {
             let mut cs = CodedSymbol::default();
             self.additions.apply_next(&mut cs, Direction::Add);
@@ -664,6 +697,54 @@ mod tests {
         let tail = cache.range(100, 20).to_vec();
         assert_eq!(cache.len(), 120);
         assert_eq!(tail, cache.cells()[100..120]);
+    }
+
+    /// Seeded items no other draw of `gen` repeats (in practice).
+    fn random_syms(gen: &mut riblt_hash::SplitMix64, n: usize) -> Vec<Sym> {
+        (0..n).map(|_| Sym::from_u64(gen.next_u64())).collect()
+    }
+
+    /// The sketch at α of `added` less `removed`, each applied one by one.
+    fn rebuild(m: usize, alpha: f64, added: &[Sym], removed: &[Sym]) -> Vec<CodedSymbol<Sym>> {
+        let mut sketch = Sketch::with_key_and_alpha(m, SipKey::default(), alpha);
+        added.iter().for_each(|item| sketch.add_symbol(item));
+        removed.iter().for_each(|item| sketch.remove_symbol(item));
+        sketch.cells().to_vec()
+    }
+
+    #[test]
+    fn a_cold_build_equals_a_rebuild_and_parks_where_the_window_would() {
+        // Additions, and removals too few to cancel (under a quarter of the
+        // additions) plus ones of items never added, none materialized: the
+        // first extension walks items, over both lane forms (α = 0.5 takes
+        // the AVX-512 lanes where the CPU has them, α = 0.3 the scalar
+        // ones). Later mutations and a longer prefix go through the
+        // windows, so they read the mappings the walk parked.
+        let mut gen = riblt_hash::SplitMix64::new(0xc01d);
+        for alpha in [DEFAULT_ALPHA, 0.3] {
+            for m in [1usize, 2, 31, 32, 33, 384, 3_000] {
+                let at = format!("alpha {alpha}, m {m}");
+                let mut added = random_syms(&mut gen, 1_200);
+                let mut removed = added[..250].to_vec();
+                removed.extend(random_syms(&mut gen, 7));
+                let mut cache = SketchCache::with_key_and_alpha(SipKey::default(), alpha);
+                added.iter().for_each(|&item| cache.add_symbol(item));
+                removed.iter().for_each(|&item| cache.remove_symbol(item));
+                assert_eq!(cache.window_entries(), (1_200, 257), "{at}");
+                assert!(cache.is_empty());
+
+                assert_eq!(cache.prefix(m), rebuild(m, alpha, &added, &removed), "{at}");
+                let more = random_syms(&mut gen, 150);
+                more.iter().for_each(|&item| cache.add_symbol(item));
+                added.extend(more);
+                let gone = [added[300], added[1_000], added[1_250]];
+                gone.iter().for_each(|&item| cache.remove_symbol(item));
+                removed.extend(gone);
+                cache.ensure_len(m + 500);
+                let cells = rebuild(m + 500, alpha, &added, &removed);
+                assert_eq!(cache.cells(), cells, "{at}, extended");
+            }
+        }
     }
 
     #[test]

@@ -483,46 +483,58 @@ impl ConnAccounting {
 }
 
 /// What a connection's [`cluster::Responder`] serves from: the node, under
-/// its lock ([`encode_shard_batch`]).
+/// its lock, taken once per range ([`serve_shard_tiles`]).
 impl<S: Symbol + Ord> Tiles for &SharedState<S> {
     fn with_count_sketch<R>(&self, read: impl FnOnce(&CountSketch) -> R) -> R {
         read(lock_unpoisoned(&self.node).count_sketch())
     }
 
-    fn tile(&mut self, shard: ShardId, offset: usize, count: usize) -> Arc<[u8]> {
-        encode_shard_batch(self, shard, offset, count)
+    fn tiles(
+        &mut self,
+        shard: ShardId,
+        offset: usize,
+        count: usize,
+        tile: usize,
+    ) -> Vec<Arc<[u8]>> {
+        serve_shard_tiles(self, shard, offset, count, tile)
     }
 }
 
-/// The wire-encoded batch `[next, next + count)` of a shard, taken from the
-/// node under its lock ([`cluster::Node::serve_tile`]: a repeat tile of an
-/// unchanged shard is shared, anything else is encoded once), counted as a
-/// wire-cache hit or miss and timed in `serve_batch_seconds` and the serve
-/// CPU counter. Shared by the TCP path (count = `batch_symbols`) and the
-/// UDP path (count = whatever fits the MTU budget).
-pub(crate) fn encode_shard_batch<S: Symbol + Ord>(
+/// The `count` wire-encoded batches of `tile` symbols that cover a shard's
+/// stream from `offset`, taken from the node in one hold of its lock
+/// ([`cluster::Node::serve_tiles`]: the range's cells built first, then a
+/// repeat tile of an unchanged shard shared, anything else encoded once),
+/// each counted as a wire-cache hit or miss, the hold timed in
+/// `serve_batch_seconds` and the serve CPU counter. Shared by the TCP path
+/// (a checked range of `batch_symbols` tiles) and the UDP path (one batch
+/// of whatever fits the MTU budget).
+pub(crate) fn serve_shard_tiles<S: Symbol + Ord>(
     shared: &SharedState<S>,
     shard: ShardId,
-    next: usize,
+    offset: usize,
     count: usize,
-) -> Arc<[u8]> {
-    let span = SpanTimer::start(&shared.metrics.serve_batch_seconds);
+    tile: usize,
+) -> Vec<Arc<[u8]>> {
+    let metrics = &shared.metrics;
+    let span = SpanTimer::start(&metrics.serve_batch_seconds);
     let t0 = Instant::now();
-    let (payload, cached) = lock_unpoisoned(&shared.node).serve_tile(shard, next, count);
+    let served = lock_unpoisoned(&shared.node).serve_tiles(shard, offset, count, tile);
     let serve_cpu = t0.elapsed();
     span.stop();
-    if cached {
-        shared.metrics.wire_cache_hits.inc();
-    } else {
-        shared.metrics.wire_cache_misses.inc();
-    }
-    shared
-        .metrics
+    metrics
         .serve_cpu_nanos
         .add(serve_cpu.as_nanos().min(u64::MAX as u128) as u64);
-    shared.metrics.payload_bytes.observe(payload.len() as u64);
-    shared.metrics.symbols_served.add(count as u64);
-    payload
+    metrics.symbols_served.add((count * tile) as u64);
+    let payloads = served.into_iter().map(|(payload, cached)| {
+        if cached {
+            metrics.wire_cache_hits.inc();
+        } else {
+            metrics.wire_cache_misses.inc();
+        }
+        metrics.payload_bytes.observe(payload.len() as u64);
+        payload
+    });
+    payloads.collect()
 }
 
 /// Dispatches one inbound UDP datagram and transmits any replies; the
@@ -555,7 +567,7 @@ pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
             Instant::now(),
             |shard, start, count| {
                 (shard < config.shards)
-                    .then(|| encode_shard_batch(shared, shard, start as usize, count).to_vec())
+                    .then(|| serve_shard_tiles(shared, shard, start as usize, 1, count)[0].to_vec())
             },
         )
     };

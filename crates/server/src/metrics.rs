@@ -79,8 +79,8 @@ pub struct DaemonMetrics {
     pub handshake_seconds: Arc<Histogram>,
     /// Data-connection lifetime (ns → seconds).
     pub connection_seconds: Arc<Histogram>,
-    /// Per-batch serve latency: cache lookup or encode, never the write
-    /// (ns → seconds).
+    /// Serve latency per hold of the node lock (a TCP range, a UDP batch):
+    /// cache lookup or encode, never the write (ns → seconds).
     pub serve_batch_seconds: Arc<Histogram>,
     /// Coded symbols streamed per completed `(session, shard)` stream.
     pub session_symbols: Arc<Histogram>,
@@ -208,8 +208,9 @@ impl DaemonMetrics {
         );
         let serve_batch_seconds = registry.histogram_seconds(
             "reconciled_serve_batch_seconds",
-            "Latency of producing one coded-symbol batch (cache lookup or encode; excludes \
-             staging the frame and the socket write, so a slow reader cannot inflate it).",
+            "Latency of producing what one hold of the node lock serves: a range's coded-symbol \
+             batches over TCP, one batch over UDP (cache lookup or encode; excludes staging the \
+             frames and the socket write, so a slow reader cannot inflate it).",
         );
         let session_symbols = registry.histogram(
             "reconciled_session_symbols",

@@ -34,6 +34,8 @@ const SHARDS: u16 = 8;
 const TILE: usize = 32;
 /// Symbols a stream may serve, the daemon's default budget.
 const UNIT_BUDGET: usize = 1 << 20;
+/// Inserts, and as many removes, in one burst of writes to a node.
+const WRITES: usize = 512;
 
 /// Inputs as plain bytes, generated once and wrapped into each side's types.
 pub struct Raw {
@@ -99,8 +101,8 @@ macro_rules! side {
             use $core::backends::RibltBackend;
             use $core::handshake::Hello;
             use $core::{
-                sync_sharded_tcp, CountSketch, FirstFlight, ReconcileBackend,
-                ShardPartitioner, TcpSyncConfig,
+                sync_sharded_tcp, CountSketch, FirstFlight, ReconcileBackend, ShardPartitioner,
+                TcpSyncConfig,
             };
             use $hash::SipKey;
             use $netsim::FlightLinkTo;
@@ -115,6 +117,8 @@ macro_rules! side {
             pub struct Inputs {
                 pub key: SipKey,
                 pub local: Vec<Item>,
+                /// Items the local set does not hold, for the node's writes.
+                writes: Vec<Item>,
                 /// Per shard, the first flight a `stale_tip` server sends.
                 near_flight: Vec<Vec<Vec<u8>>>,
                 /// One stream against `local` at d = 2 × 2,000.
@@ -156,9 +160,14 @@ macro_rules! side {
                     |set: &[Item]| CountSketch::from_hashes(&Item::hash_many_with(set, key));
                 let mut wire = Vec::new();
                 sketch(&local).encode(&mut wire);
-                let flight =
-                    FirstFlight::for_sketch(&wire, &sketch(&remote_near), SHARDS, TILE, UNIT_BUDGET)
-                        .unwrap();
+                let flight = FirstFlight::for_sketch(
+                    &wire,
+                    &sketch(&remote_near),
+                    SHARDS,
+                    TILE,
+                    UNIT_BUDGET,
+                )
+                .unwrap();
                 let near_flight = ShardPartitioner::new(key, SHARDS)
                     .partition(&remote_near)
                     .iter()
@@ -185,6 +194,7 @@ macro_rules! side {
                     peel_2k: stream(&fresh[..2_000], 4_004),
                     peel_10k: stream(&fresh, 20_004),
                     peel_10k_narrow: stream(&narrow, 20_004),
+                    writes: fresh[..super::WRITES].to_vec(),
                     local,
                 }
             }
@@ -320,8 +330,14 @@ macro_rules! side {
                     for (shard, cells) in (0..SHARDS).zip(cells.chunks_mut(m)) {
                         let members = grouping.members(shard);
                         let rule = Uniform(0.5);
-                        let parked =
-                            apply(cells, &inputs.local, &hashes, members, &rule, Direction::Add);
+                        let parked = apply(
+                            cells,
+                            &inputs.local,
+                            &hashes,
+                            members,
+                            &rule,
+                            Direction::Add,
+                        );
                         std::hint::black_box(parked);
                     }
                     cells
@@ -416,9 +432,36 @@ macro_rules! side {
                 cache_materialize_scalar(inputs, 384)
             }
 
-            /// An empty node for the per-side `node_build` kernels.
-            pub fn empty_node() -> Node<Item> {
+            fn empty_node() -> Node<Item> {
                 Node::new(0, NodeConfig::new(SHARDS, 32))
+            }
+
+            /// `node_load`: the local set into an empty node
+            /// (`Node::extend`), as a daemon loads its initial set.
+            fn node_load(inputs: &Inputs) -> Sample {
+                let (node, secs) = timed(|| {
+                    let mut node = empty_node();
+                    node.extend(inputs.local.iter().copied());
+                    node
+                });
+                (secs, node.digest())
+            }
+
+            /// `node_mutate`: a burst of 512 inserts and 512 removes on a
+            /// node loaded with the local set whose shards have served 384
+            /// cells each (both untimed), so every write patches cells.
+            fn node_mutate(inputs: &Inputs) -> Sample {
+                let mut node = empty_node();
+                node.extend(inputs.local.iter().copied());
+                for shard in 0..SHARDS {
+                    node.shard_cells(shard, 0, 384);
+                }
+                let ((), secs) = timed(|| {
+                    for (&fresh, gone) in inputs.writes.iter().zip(&inputs.local) {
+                        assert!(node.insert(fresh) && node.remove(gone));
+                    }
+                });
+                (secs, node.digest())
             }
 
             pub const KERNELS: &[(&str, fn(&Inputs) -> Sample)] = &[
@@ -478,6 +521,14 @@ macro_rules! side {
                     "cache_materialize, 20,000 × 32 B, 8 caches at α 0.3, m 384: `prefix`",
                     cache_materialize_scalar_384,
                 ),
+                (
+                    "node_load: 20,000 × 32 B into an empty node, 8 shards",
+                    node_load,
+                ),
+                (
+                    "node_mutate: 512 inserts + 512 removes, 20,000 × 32 B, 8 × 384 cells",
+                    node_mutate,
+                ),
             ];
         }
     };
@@ -493,11 +544,10 @@ side!(
     parent_netsim
 );
 
-// --- Kernels whose two sides differ (the eight-lane hash and the bulk node
-// load, `Node::extend`, are on both sides now; the change's first-flight
-// walk can leave its parked mappings in a park log, `apply_prefix_logged`,
-// which is what `build_client_keyed` runs, where the parent builds every
-// mapping). ---
+// --- Kernels whose two sides differ (the eight-lane hash is on both sides
+// now; the change's first-flight walk can leave its parked mappings in a
+// park log, `apply_prefix_logged`, which is what `build_client_keyed` runs,
+// where the parent builds every mapping). ---
 
 fn hash_set_parent(inputs: &parent::Inputs) -> Sample {
     use parent_riblt::Symbol;
@@ -509,26 +559,6 @@ fn hash_set_change(inputs: &change::Inputs) -> Sample {
     use riblt::Symbol;
     let (hashes, secs) = timed(|| change::Item::hash_many_with(&inputs.local, inputs.key));
     (secs, hashes.iter().fold(0, |acc, h| acc ^ h))
-}
-
-fn node_build_parent(inputs: &parent::Inputs) -> Sample {
-    let (node, secs) = timed(|| {
-        let mut node = parent::empty_node();
-        for item in &inputs.local {
-            node.insert(*item);
-        }
-        node
-    });
-    (secs, node.digest())
-}
-
-fn node_build_change(inputs: &change::Inputs) -> Sample {
-    let (node, secs) = timed(|| {
-        let mut node = change::empty_node();
-        node.extend(inputs.local.iter().copied());
-        node
-    });
-    (secs, node.digest())
 }
 
 /// One digest of every shard's cells, in shard order.
@@ -565,11 +595,6 @@ const DIFFERING: &[Pair] = &[
         "hash 20,000 × 32 B: `hash_many_with`, parent's / change's lanes",
         hash_set_parent,
         hash_set_change,
-    ),
-    (
-        "node build, 20,000 × 32 B: `insert` each / `extend`",
-        node_build_parent,
-        node_build_change,
     ),
     (
         "first-flight local cells, 20,000 × 32 B, 8 shards, m 32: `apply_prefix` / `apply_prefix_logged`",

@@ -1,6 +1,10 @@
 //! A cluster member: one item set, hash-partitioned into shards, each shard
 //! backed by a long-lived incrementally-maintained [`SketchCache`].
 //!
+//! The shard caches are the set: each item is held once, in its shard
+//! cache's window, whose index of positions answers membership. Nothing
+//! keeps the set in order; [`Node::items`] sorts when asked.
+//!
 //! The cache-per-shard layout is the paper's §2/§7.3 deployment story taken
 //! to a cluster: coded symbols are computed **once** when the set changes
 //! (each update patches O(log m) cells of one shard's cache) and the same
@@ -17,7 +21,7 @@
 //! exchange. A TCP range is read whole ([`Node::serve_tiles`]), so a shard
 //! whose cache is cold builds the range's cells in one item walk.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use reconcile_core::{CountSketch, ShardId, ShardPartitioner};
@@ -66,12 +70,14 @@ where
     S: Symbol + 'a,
     I: IntoIterator<Item = &'a S>,
 {
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
-    let mut len = 0u64;
-    for item in items {
-        acc ^= item.hash_with(key);
-        len += 1;
-    }
+    digest_of_hashes(items.into_iter().map(|item| item.hash_with(key)))
+}
+
+/// [`set_digest`] of the items whose keyed hashes are `hashes`.
+fn digest_of_hashes(hashes: impl Iterator<Item = u64>) -> u64 {
+    let (acc, len) = hashes.fold((0x9e37_79b9_7f4a_7c15u64, 0u64), |(acc, len), hash| {
+        (acc ^ hash, len + 1)
+    });
     acc ^ len
 }
 
@@ -80,8 +86,8 @@ where
 /// small without an eviction policy on the serve path.
 const MAX_TILES: usize = 4096;
 
-/// One shard of a [`Node`]: its cells (which count its items), its
-/// generation and the tiles encoded in that generation.
+/// One shard of a [`Node`]: its cache (which holds its items and their
+/// cells), its generation and the tiles encoded in that generation.
 #[derive(Debug, Clone)]
 struct Shard<S: Symbol> {
     cache: SketchCache<S>,
@@ -94,23 +100,26 @@ struct Shard<S: Symbol> {
 }
 
 impl<S: Symbol> Shard<S> {
-    /// The cache, for one change to the shard's items: a new generation, in
-    /// which no tile of the old one is valid.
-    fn change(&mut self) -> &mut SketchCache<S> {
-        self.generation += 1;
-        self.tiles.clear();
-        &mut self.cache
+    /// Applies `change` to the cache and returns whether it changed the
+    /// shard's items: if so, a new generation, in which no tile of the old
+    /// one is valid.
+    fn change(&mut self, change: impl FnOnce(&mut SketchCache<S>) -> bool) -> bool {
+        let changed = change(&mut self.cache);
+        if changed {
+            self.generation += 1;
+            self.tiles.clear();
+        }
+        changed
     }
 }
 
-/// One cluster node: an item set plus, per shard, a shared sketch cache and
-/// the tiles encoded from it.
+/// One cluster node: an item set held, per shard, in a shared sketch cache,
+/// and the tiles encoded from it.
 #[derive(Debug, Clone)]
 pub struct Node<S: Symbol + Ord> {
     id: usize,
     config: NodeConfig,
     partitioner: ShardPartitioner,
-    items: BTreeSet<S>,
     shards: Vec<Shard<S>>,
     counts: CountSketch,
 }
@@ -128,7 +137,6 @@ impl<S: Symbol + Ord> Node<S> {
         Node {
             id,
             partitioner: ShardPartitioner::new(config.key, config.shards),
-            items: BTreeSet::new(),
             shards,
             counts: CountSketch::new(),
             config,
@@ -152,12 +160,12 @@ impl<S: Symbol + Ord> Node<S> {
 
     /// Number of items currently in the set.
     pub fn len(&self) -> usize {
-        self.items.len()
+        (0..self.shards()).map(|shard| self.shard_len(shard)).sum()
     }
 
     /// True if the node holds no items.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
     }
 
     /// Number of items in `shard`.
@@ -177,14 +185,29 @@ impl<S: Symbol + Ord> Node<S> {
         self.partitioner.shard_of(item)
     }
 
-    /// True if the set contains `item`.
-    pub fn contains(&self, item: &S) -> bool {
-        self.items.contains(item)
+    /// `item`'s keyed hash, and the index of its shard: one hash serves as
+    /// shard selector, index key and checksum.
+    fn place(&self, item: &S) -> (u64, usize) {
+        let hash = item.hash_with(self.config.key);
+        (hash, usize::from(self.partitioner.shard_of_hash(hash)))
     }
 
-    /// Iterates over the items in order.
+    /// True if the set contains `item`.
+    pub fn contains(&self, item: &S) -> bool {
+        let (hash, shard) = self.place(item);
+        self.shards[shard].cache.contains_hashed(item, hash)
+    }
+
+    /// Iterates over the items in order: they are gathered from the shard
+    /// caches and sorted on every call.
     pub fn items(&self) -> impl Iterator<Item = &S> {
-        self.items.iter()
+        let mut items: Vec<&S> = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.cache.members().map(|(item, _)| item))
+            .collect();
+        items.sort_unstable();
+        items.into_iter()
     }
 
     /// Adds `item`; returns false (and does nothing) if already present.
@@ -193,57 +216,53 @@ impl<S: Symbol + Ord> Node<S> {
     /// cache — this is the incremental maintenance every peer's future
     /// sessions share.
     pub fn insert(&mut self, item: S) -> bool {
-        if !self.items.insert(item.clone()) {
+        let (hash, shard) = self.place(&item);
+        let hashed = HashedSymbol::with_hash(item, hash);
+        if !self.shards[shard].change(|cache| cache.insert_hashed(hashed)) {
             return false;
         }
-        // One keyed hash serves as shard selector and as checksum.
-        let hashed = HashedSymbol::new(item, self.config.key);
-        let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
-        self.counts.insert(hashed.hash);
-        self.shards[shard].change().add_hashed_symbol(hashed);
+        self.counts.insert(hash);
         true
     }
 
     /// Adds every item of `items` the set does not hold yet and returns how
     /// many that was: [`Self::insert`] for a whole load at once, leaving the
-    /// same set and the same cells. The load is sorted and built into the
-    /// ordered set in bulk instead of descending the tree once per item, and
-    /// hashed several items at a time ([`Symbol::hash_many_with`]); about
-    /// half the time of the inserts on a 20,000-item initial set.
+    /// same set and the same cells. The load is hashed several items at a
+    /// time ([`Symbol::hash_many_with`]), each shard's window grows once, to
+    /// its share, and each item is then looked up in its shard's index and
+    /// added unless held, repeats within the load included; nothing sorts.
     pub fn extend(&mut self, items: impl IntoIterator<Item = S>) -> usize {
-        let mut fresh: Vec<S> = items.into_iter().collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        fresh.retain(|item| !self.items.contains(item));
-        let hashes = S::hash_many_with(&fresh, self.config.key);
-        // Each shard's window grows once, to its exact share.
+        let load: Vec<S> = items.into_iter().collect();
+        let hashes = S::hash_many_with(&load, self.config.key);
+        let shard_of = |hash| usize::from(self.partitioner.shard_of_hash(hash));
         let mut loads = vec![0; self.shards.len()];
-        for &hash in &hashes {
-            loads[usize::from(self.partitioner.shard_of_hash(hash))] += 1;
+        for (item, &hash) in load.iter().zip(&hashes) {
+            let shard = shard_of(hash);
+            if !self.shards[shard].cache.contains_hashed(item, hash) {
+                loads[shard] += 1;
+            }
         }
         for (shard, load) in self.shards.iter_mut().zip(loads) {
             shard.cache.reserve(load);
         }
-        for (item, hash) in fresh.iter().zip(hashes) {
-            let shard = usize::from(self.partitioner.shard_of_hash(hash));
-            self.counts.insert(hash);
-            let hashed = HashedSymbol::with_hash(item.clone(), hash);
-            self.shards[shard].change().add_hashed_symbol(hashed);
+        let mut added = 0;
+        for (item, hash) in load.into_iter().zip(hashes) {
+            let hashed = HashedSymbol::with_hash(item, hash);
+            if self.shards[shard_of(hash)].change(|cache| cache.insert_hashed(hashed)) {
+                self.counts.insert(hash);
+                added += 1;
+            }
         }
-        let added = fresh.len();
-        self.items.append(&mut BTreeSet::from_iter(fresh));
         added
     }
 
     /// Removes `item`; returns false (and does nothing) if absent.
     pub fn remove(&mut self, item: &S) -> bool {
-        if !self.items.remove(item) {
+        let (hash, shard) = self.place(item);
+        if !self.shards[shard].change(|cache| cache.remove_hashed(item, hash)) {
             return false;
         }
-        let hashed = HashedSymbol::new(item.clone(), self.config.key);
-        let shard = usize::from(self.partitioner.shard_of_hash(hashed.hash));
-        self.counts.remove(hashed.hash);
-        self.shards[shard].change().remove_hashed_symbol(hashed);
+        self.counts.remove(hash);
         true
     }
 
@@ -324,9 +343,14 @@ impl<S: Symbol + Ord> Node<S> {
     }
 
     /// Order-independent digest of the item set (see [`set_digest`]), for
-    /// cheap convergence checks across a cluster.
+    /// cheap convergence checks across a cluster, taken from the keyed
+    /// hashes the shard caches hold: it hashes nothing.
     pub fn digest(&self) -> u64 {
-        set_digest(self.items.iter(), self.config.key)
+        digest_of_hashes(
+            self.shards
+                .iter()
+                .flat_map(|shard| shard.cache.members().map(|(_, hash)| hash)),
+        )
     }
 }
 
@@ -516,6 +540,27 @@ mod tests {
         let node = node_with(0, 0..1_000);
         let total: usize = (0..node.shards()).map(|s| node.shard_len(s)).sum();
         assert_eq!(total, node.len());
+    }
+
+    #[test]
+    fn the_digest_from_stored_hashes_is_the_digest_of_the_items() {
+        let digest_of_items = |node: &Node<Item>| set_digest(node.items(), node.config().key);
+        let mut node = Node::new(0, NodeConfig::new(8, 8));
+        node.extend((0..2_000).map(Item::from_u64));
+        assert_eq!(node.digest(), digest_of_items(&node));
+        node.shard_cells(2, 0, 64);
+        // Churn at constant size: each shard's windows compact many times.
+        for i in 0..1_500u64 {
+            assert!(node.insert(Item::from_u64(2_000 + i)));
+            assert!(node.remove(&Item::from_u64(i)));
+            if i % 500 == 0 {
+                assert_eq!(node.digest(), digest_of_items(&node));
+            }
+        }
+        let (additions, removals) = node.cache_window_entries();
+        assert!(additions < 3_500 && removals < 1_500, "no compaction");
+        assert_eq!(node.len(), 2_000);
+        assert_eq!(node.digest(), digest_of_items(&node));
     }
 
     #[test]

@@ -274,14 +274,14 @@ impl<S: Symbol> CodingWindow<S> {
         }
     }
 
-    /// Drops every symbol whose keyed hash `keep` turns down (asked in
-    /// position order) and re-parks the survivors, each with its mapping
-    /// where it stands, so the window contributes to every future index
-    /// exactly what the survivors alone would have.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+    /// Drops every symbol whose position `keep` turns down and re-parks the
+    /// survivors, in position order, each with its mapping where it stands,
+    /// so the window contributes to every future index exactly what the
+    /// survivors alone would have.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let mut kept = 0;
         for at in 0..self.items.len() {
-            if keep(self.hashes[at]) {
+            if keep(at) {
                 self.items.swap(kept, at);
                 self.hashes.swap(kept, at);
                 self.mappings.swap(kept, at);
@@ -297,6 +297,11 @@ impl<S: Symbol> CodingWindow<S> {
     /// The stored symbols' keyed hashes, in position order.
     pub(crate) fn hashes(&self) -> &[u64] {
         &self.hashes
+    }
+
+    /// The stored symbols, in position order.
+    pub(crate) fn items(&self) -> &[S] {
+        &self.items
     }
 
     /// The stored symbols, in position order (used to report recovered

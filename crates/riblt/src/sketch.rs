@@ -13,7 +13,8 @@
 //! the O(log m) coded symbols the item maps to — and extending the prefix on
 //! demand.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 use riblt_hash::SipKey;
 
@@ -40,6 +41,151 @@ fn apply_to_prefix<S: Symbol>(
         walk.advance();
     }
     walk.park()
+}
+
+/// Pushes `hashed` into `window`: a fresh mapping while there are no
+/// `cells` (nothing to walk), else the mapping [`apply_to_prefix`] parks past
+/// them after applying the item to every cell it reaches.
+fn push<S: Symbol>(
+    window: &mut CodingWindow<S>,
+    cells: &mut [CodedSymbol<S>],
+    hashed: HashedSymbol<S>,
+    alpha: f64,
+    direction: Direction,
+) {
+    if cells.is_empty() {
+        window.push_fresh(hashed, alpha);
+    } else {
+        let mapping = apply_to_prefix(cells, &hashed, alpha, direction);
+        window.push_with_mapping(hashed, mapping);
+    }
+}
+
+/// An empty slot of a [`PositionIndex`].
+const VACANT: u32 = u32::MAX;
+
+/// A keyed-hash index of positions into a window: an open-addressed table,
+/// probed linearly, of `u32` positions. It keeps no item and no hash of its
+/// own: a position's slot comes from the hash the window stores for it, and
+/// a lookup compares the window's hash and then its item, so a hit is exact
+/// however many hashes collide. Several positions may hold one item.
+#[derive(Debug, Clone)]
+struct PositionIndex {
+    /// Empty, or a power of two long and at most three quarters taken.
+    slots: Vec<u32>,
+    len: usize,
+    /// An odd multiplier drawn for this index: a position's first slot is
+    /// the top bits of its hash times this (multiply-shift hashing). Items
+    /// come from peers, and whoever knows the checksum key can choose items
+    /// whose hashes share their low or high bits; without the multiplier
+    /// they cannot aim them at one probe run.
+    scatter: u64,
+}
+
+impl PositionIndex {
+    fn new() -> Self {
+        PositionIndex {
+            slots: Vec::new(),
+            len: 0,
+            scatter: RandomState::new().build_hasher().finish() | 1,
+        }
+    }
+
+    /// Every position of a window whose hashes are `hashes`.
+    fn over(hashes: &[u64]) -> Self {
+        let mut index = PositionIndex::new();
+        index.reserve(hashes.len(), hashes);
+        for (pos, &hash) in hashes.iter().enumerate() {
+            index.insert(pos as u32, hash);
+        }
+        index
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The first slot a position of hash `hash` may take.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (hash.wrapping_mul(self.scatter) >> (u64::BITS - bits)) as usize
+    }
+
+    /// Makes room for `additional` more positions; `hashes` are the window's,
+    /// from which a grown table re-places the ones it holds.
+    fn reserve(&mut self, additional: usize, hashes: &[u64]) {
+        let needed = self.len + additional;
+        if needed * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let held = std::mem::replace(
+            &mut self.slots,
+            vec![VACANT; (needed * 4 / 3 + 1).next_power_of_two()],
+        );
+        self.len = 0;
+        for pos in held.into_iter().filter(|&pos| pos != VACANT) {
+            self.insert(pos, hashes[pos as usize]);
+        }
+    }
+
+    /// Places `pos`, whose hash is `hash`, in the first vacant slot of its
+    /// probe run. [`Self::reserve`] must have made room for it.
+    fn insert(&mut self, pos: u32, hash: u64) {
+        debug_assert!((self.len + 1) * 4 <= self.slots.len() * 3);
+        let mask = self.mask();
+        let mut slot = self.home(hash);
+        while self.slots[slot] != VACANT {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = pos;
+        self.len += 1;
+    }
+
+    /// The slot of a position of hash `hash` that `is` accepts, if any.
+    fn find(&self, hash: u64, mut is: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.mask();
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                VACANT => return None,
+                pos if is(pos as usize) => return Some(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties `slot` and returns the position it held, shifting back the
+    /// rest of its probe run so that no lookup stops short at the hole.
+    fn take(&mut self, slot: usize, hashes: &[u64]) -> usize {
+        let mask = self.mask();
+        let taken = self.slots[slot];
+        let mut hole = slot;
+        let mut next = (slot + 1) & mask;
+        while self.slots[next] != VACANT {
+            let pos = self.slots[next];
+            let home = self.home(hashes[pos as usize]);
+            // It may fill the hole if the hole lies on its way from home.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.slots[hole] = pos;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = VACANT;
+        self.len -= 1;
+        taken as usize
+    }
+
+    /// The positions held, in slot order.
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .filter(|&&pos| pos != VACANT)
+            .map(|&pos| pos as usize)
+    }
 }
 
 /// A materialized prefix of a set's coded-symbol sequence.
@@ -219,6 +365,13 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
 /// `prefix(..)` to any peer that asks — the same cached symbols serve every
 /// peer because the sequence is universal.
 ///
+/// The cache is also its set: each item it holds is stored once, in its
+/// additions window, and a keyed-hash index of positions into that window
+/// ([`Self::contains_hashed`], [`Self::members`]) answers membership. The
+/// set operations [`Self::insert_hashed`] and [`Self::remove_hashed`] keep
+/// it exact; the linear ones ([`Self::add_symbol`], [`Self::remove_symbol`])
+/// keep it exact as long as no item is removed that the set does not hold.
+///
 /// Extension is cold or warm. The first one (every call that materializes,
 /// [`Self::ensure_len`], [`Self::range`], [`Self::prefix`] and
 /// [`Self::to_sketch`], goes through [`Self::extend`]) finds no cells and
@@ -234,6 +387,8 @@ pub struct SketchCache<S: Symbol> {
     additions: CodingWindow<S>,
     /// Every symbol removed and not yet cancelled, likewise positioned.
     removals: CodingWindow<S>,
+    /// The positions in `additions` no removal has taken back: the set.
+    members: PositionIndex,
     /// Removals the last [`Self::cancel_pairs`] found no addition for;
     /// they are not counted towards the next one, so it stays amortised
     /// O(1) per mutation even when nothing cancels.
@@ -259,6 +414,7 @@ impl<S: Symbol> SketchCache<S> {
             cells: Vec::new(),
             additions: CodingWindow::new(key),
             removals: CodingWindow::new(key),
+            members: PositionIndex::new(),
             unmatched_removals: 0,
             key,
             alpha,
@@ -296,6 +452,7 @@ impl<S: Symbol> SketchCache<S> {
     /// holds no doubling slack afterwards.
     pub fn reserve(&mut self, additional: usize) {
         self.additions.reserve(additional);
+        self.members.reserve(additional, self.additions.hashes());
     }
 
     /// Adds an item to the cached set, patching the materialized prefix.
@@ -306,14 +463,22 @@ impl<S: Symbol> SketchCache<S> {
     /// [`Self::add_symbol`] for an item whose hash under [`Self::key`] the
     /// caller has already computed.
     pub fn add_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
-        let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Add);
-        self.additions.push_with_mapping(hashed, mapping);
+        let (pos, hash) = (self.additions.len() as u32, hashed.hash);
+        self.members.reserve(1, self.additions.hashes());
+        push(
+            &mut self.additions,
+            &mut self.cells,
+            hashed,
+            self.alpha,
+            Direction::Add,
+        );
+        self.members.insert(pos, hash);
     }
 
     /// Removes an item from the cached set, patching the materialized
     /// prefix. Removing an item that was never added corrupts the cache
-    /// (exactly as it would corrupt any linear sketch); the caller owns set
-    /// membership.
+    /// (exactly as it would corrupt any linear sketch); [`Self::remove_hashed`]
+    /// removes only what the set holds.
     pub fn remove_symbol(&mut self, symbol: S) {
         self.remove_hashed_symbol(HashedSymbol::new(symbol, self.key));
     }
@@ -321,38 +486,94 @@ impl<S: Symbol> SketchCache<S> {
     /// [`Self::remove_symbol`] for an item whose hash under [`Self::key`]
     /// the caller has already computed.
     pub fn remove_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
-        let mapping = apply_to_prefix(&mut self.cells, &hashed, self.alpha, Direction::Remove);
-        self.removals.push_with_mapping(hashed, mapping);
+        if let Some(slot) = self.find(&hashed.symbol, hashed.hash) {
+            self.members.take(slot, self.additions.hashes());
+        }
+        self.push_removal(hashed);
+    }
+
+    /// The slot of `members` that holds `item`, whose hash is `hash`.
+    fn find(&self, item: &S, hash: u64) -> Option<usize> {
+        let (items, hashes) = (self.additions.items(), self.additions.hashes());
+        self.members
+            .find(hash, |pos| hashes[pos] == hash && items[pos] == *item)
+    }
+
+    /// True if the set holds `item`, whose hash under [`Self::key`] is
+    /// `hash`: a lookup in the index, confirmed on the item itself.
+    pub fn contains_hashed(&self, item: &S, hash: u64) -> bool {
+        self.find(item, hash).is_some()
+    }
+
+    /// Adds `hashed` if the set does not hold it yet, and returns whether
+    /// it did.
+    pub fn insert_hashed(&mut self, hashed: HashedSymbol<S>) -> bool {
+        if self.contains_hashed(&hashed.symbol, hashed.hash) {
+            return false;
+        }
+        self.add_hashed_symbol(hashed);
+        true
+    }
+
+    /// Removes `item`, whose hash under [`Self::key`] is `hash`, if the set
+    /// holds it, and returns whether it did.
+    pub fn remove_hashed(&mut self, item: &S, hash: u64) -> bool {
+        let Some(slot) = self.find(item, hash) else {
+            return false;
+        };
+        self.members.take(slot, self.additions.hashes());
+        self.push_removal(HashedSymbol::with_hash(item.clone(), hash));
+        true
+    }
+
+    /// The items of the set and their keyed hashes, in no particular order.
+    pub fn members(&self) -> impl Iterator<Item = (&S, u64)> + '_ {
+        let (items, hashes) = (self.additions.items(), self.additions.hashes());
+        self.members
+            .positions()
+            .map(move |pos| (&items[pos], hashes[pos]))
+    }
+
+    fn push_removal(&mut self, hashed: HashedSymbol<S>) {
+        push(
+            &mut self.removals,
+            &mut self.cells,
+            hashed,
+            self.alpha,
+            Direction::Remove,
+        );
         let pending = self.removals.len() - self.unmatched_removals;
         if pending >= (self.additions.len() / 4).max(1) {
             self.cancel_pairs();
         }
     }
 
-    /// Drops every removal together with one addition of the same keyed
-    /// hash. Both mappings of a pair stand at the same index (the first one
-    /// the symbol maps to past the materialized prefix), so the pair
-    /// contributes nothing to any future cell, and the materialized cells
-    /// already hold both patches: no served byte changes. Without this a
-    /// set that churns at constant size grows by one window entry per
-    /// mutation for ever.
+    /// Drops every removal together with one addition of the same item.
+    /// Both mappings of a pair stand at the same index (the first one the
+    /// symbol maps to past the materialized prefix), so the pair contributes
+    /// nothing to any future cell, and the materialized cells already hold
+    /// both patches: no served byte changes. Without this a set that churns
+    /// at constant size grows by one window entry per mutation for ever.
+    /// The survivors are indexed anew.
     fn cancel_pairs(&mut self) {
-        let mut removed: HashMap<u64, usize> = HashMap::with_capacity(self.removals.len());
-        for &hash in self.removals.hashes() {
-            *removed.entry(hash).or_default() += 1;
-        }
-        // Takes one removal of `hash` off the tally, if any is left on it.
-        let mut take = |hash: u64| match removed.get_mut(&hash) {
-            Some(count) if *count > 0 => {
-                *count -= 1;
-                true
+        let (additions, removals) = (&self.additions, &self.removals);
+        let (removed, removed_hashes) = (removals.items(), removals.hashes());
+        // The removals no addition has cancelled yet.
+        let mut pending = PositionIndex::over(removed_hashes);
+        let mut cancelled = vec![false; additions.len()];
+        let mut taken = vec![false; removals.len()];
+        for (at, (item, &hash)) in additions.items().iter().zip(additions.hashes()).enumerate() {
+            let same = |pos: usize| removed_hashes[pos] == hash && removed[pos] == *item;
+            if let Some(slot) = pending.find(hash, same) {
+                taken[pending.take(slot, removed_hashes)] = true;
+                cancelled[at] = true;
             }
-            _ => false,
-        };
-        self.additions.retain(|hash| !take(hash));
-        // What the additions left on the tally found no addition: keep it.
-        self.removals.retain(take);
+        }
+        self.additions.retain(|at| !cancelled[at]);
+        // What found no addition stays, to cancel one added later.
+        self.removals.retain(|at| !taken[at]);
         self.unmatched_removals = self.removals.len();
+        self.members = PositionIndex::over(self.additions.hashes());
     }
 
     /// Window entries held for additions and for removals: what the cache

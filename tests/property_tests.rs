@@ -7,18 +7,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rateless_reconciliation::cluster::{set_digest, Node, NodeConfig};
 use rateless_reconciliation::merkle_trie::MerkleTrie;
 use rateless_reconciliation::pinsketch::PinSketch;
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
 use rateless_reconciliation::reconcile_core::{
-    Absorbed, ClientEngine, EngineMessage, Progress, ReconcileBackend, ServerEngine,
+    Absorbed, ClientEngine, CountSketch, EngineMessage, Progress, ReconcileBackend, ServerEngine,
     ShardPartitioner,
 };
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{
     apply_prefix, apply_prefix_logged, apply_prefix_scalar, decode_coded_symbols,
     encode_coded_symbols, prefix_uses_avx512, CodedSymbol, Decoder, Direction, Encoder, Error,
-    FixedBytes, IndexMapping, IrregularClasses, MappingRule, Sketch, SketchCache, Symbol, Uniform,
+    FixedBytes, HashedSymbol, IndexMapping, IrregularClasses, MappingRule, Sketch, SketchCache,
+    Symbol, Uniform, DEFAULT_ALPHA,
 };
 use rateless_reconciliation::riblt_hash::{SipKey, SplitMix64};
 use rateless_reconciliation::statesync::backends::IbltBackend;
@@ -531,6 +533,165 @@ fn sketch_cache_incremental_patching_matches_rebuild_after_churn() {
             "case {case}: wire bytes diverged"
         );
     }
+}
+
+/// Everything a [`Node`] reports about its set equals what a `BTreeSet`
+/// model of the same writes holds: membership over the whole universe of
+/// values drawn, size, sorted items, digest and count sketch, and every
+/// shard's materialized cells equal a sketch rebuilt from the model. The
+/// writes interleave bulk loads with repeats inside the load and items held
+/// already, inserts and removes (a removed item often re-inserted before
+/// its shard cache compacts its windows), removes of absent items, and
+/// reads of cells and of tiles at random lengths.
+#[test]
+fn a_node_holds_exactly_the_set_a_model_of_its_writes_holds() {
+    const UNIVERSE: u64 = 600;
+    for case in 0..12u64 {
+        let mut gen = SplitMix64::new(0x000d_e17a + case);
+        let config = NodeConfig::new(1 + (gen.next_u64() % 6) as u16, 8);
+        let mut node = Node::<Item>::new(0, config);
+        let mut model: BTreeSet<Item> = BTreeSet::new();
+        let mut last_removed = None;
+        let draw = |gen: &mut SplitMix64| Item::from_u64(gen.next_u64() % UNIVERSE);
+        for step in 0..160 {
+            let at = format!("case {case}, step {step}");
+            match gen.next_u64() % 10 {
+                0 => {
+                    let len = (gen.next_u64() % 80) as usize;
+                    let mut load: Vec<Item> = (0..len).map(|_| draw(&mut gen)).collect();
+                    load.extend(load.clone().iter().step_by(3));
+                    let fresh: BTreeSet<Item> = load
+                        .iter()
+                        .filter(|i| !model.contains(i))
+                        .copied()
+                        .collect();
+                    assert_eq!(node.extend(load), fresh.len(), "{at}");
+                    model.extend(fresh);
+                }
+                1..=3 => {
+                    let item = draw(&mut gen);
+                    assert_eq!(node.insert(item), model.insert(item), "{at}");
+                }
+                4..=6 => {
+                    // A held item when there is one, else whatever is drawn.
+                    let item = match model.len() {
+                        0 => draw(&mut gen),
+                        n => *model.iter().nth((gen.next_u64() as usize) % n).unwrap(),
+                    };
+                    assert_eq!(node.remove(&item), model.remove(&item), "{at}");
+                    last_removed = Some(item);
+                }
+                7 => {
+                    if let Some(item) = last_removed.take() {
+                        assert_eq!(node.insert(item), model.insert(item), "{at}");
+                    }
+                }
+                8 => {
+                    let absent = Item::from_u64(UNIVERSE + gen.next_u64() % 50);
+                    assert!(!node.remove(&absent), "{at}");
+                }
+                _ => {
+                    let shard = (gen.next_u64() % u64::from(node.shards())) as u16;
+                    let (offset, count, tile) = (
+                        (gen.next_u64() % 40) as usize,
+                        1 + (gen.next_u64() % 3) as usize,
+                        1 + (gen.next_u64() % 32) as usize,
+                    );
+                    if gen.next_u64().is_multiple_of(2) {
+                        node.shard_cells(shard, offset, count * tile);
+                    } else {
+                        let tiles = node.serve_tiles(shard, offset, count, tile);
+                        let cells = rebuilt_cells(&node, &model, shard, offset + count * tile);
+                        let set_size = node.shard_len(shard) as u64;
+                        let codec = SymbolCodec::with_alpha(8, set_size, DEFAULT_ALPHA);
+                        for (k, (bytes, _)) in tiles.iter().enumerate() {
+                            let start = offset + k * tile;
+                            let expected =
+                                codec.encode_batch(&cells[start..start + tile], start as u64);
+                            assert_eq!(**bytes, *expected, "{at}: tile {k}");
+                        }
+                    }
+                }
+            }
+            assert_node_is_the_model(&mut node, &model, UNIVERSE + 50, &at);
+        }
+    }
+}
+
+/// The first `m` cells of `shard` of a node that holds `model`, rebuilt.
+fn rebuilt_cells(
+    node: &Node<Item>,
+    model: &BTreeSet<Item>,
+    shard: u16,
+    m: usize,
+) -> Vec<CodedSymbol<Item>> {
+    let mut sketch = Sketch::with_key(m, node.config().key);
+    for item in model.iter().filter(|item| node.shard_of(item) == shard) {
+        sketch.add_symbol(item);
+    }
+    sketch.cells().to_vec()
+}
+
+fn assert_node_is_the_model(
+    node: &mut Node<Item>,
+    model: &BTreeSet<Item>,
+    universe: u64,
+    at: &str,
+) {
+    let key = node.config().key;
+    for v in 0..universe {
+        let item = Item::from_u64(v);
+        assert_eq!(node.contains(&item), model.contains(&item), "{at}: {v}");
+    }
+    assert_eq!(node.len(), model.len(), "{at}");
+    assert!(node.items().eq(model.iter()), "{at}");
+    assert_eq!(node.digest(), set_digest(model.iter(), key), "{at}");
+    let hashes: Vec<u64> = model.iter().map(|item| item.hash_with(key)).collect();
+    assert_eq!(
+        node.count_sketch(),
+        &CountSketch::from_hashes(&hashes),
+        "{at}"
+    );
+    for shard in 0..node.shards() {
+        let built = node.shard_cells_built(shard);
+        let cells = rebuilt_cells(node, model, shard, built);
+        assert_eq!(
+            node.shard_cells(shard, 0, built),
+            cells,
+            "{at}: shard {shard}"
+        );
+    }
+}
+
+/// Two distinct items under one keyed hash (a collision forged with
+/// `HashedSymbol::with_hash`): the cache's membership tells them apart
+/// through inserts, removes and the compaction a removal sets off, and the
+/// cells it extends afterwards are those of the item it still holds.
+#[test]
+fn sketch_cache_membership_is_exact_under_a_hash_collision() {
+    let hash = 0x0123_4567_89ab_cdef;
+    let [a, b, c] = [1u64, 2, 3].map(Item::from_u64);
+    let mut cache = SketchCache::<Item>::new();
+    cache.ensure_len(8);
+    assert!(cache.insert_hashed(HashedSymbol::with_hash(a, hash)));
+    assert!(cache.insert_hashed(HashedSymbol::with_hash(b, hash)));
+    assert!(!cache.insert_hashed(HashedSymbol::with_hash(a, hash)));
+    assert!(cache.contains_hashed(&a, hash) && cache.contains_hashed(&b, hash));
+    assert!(!cache.contains_hashed(&c, hash) && !cache.remove_hashed(&c, hash));
+    // One removal against two additions compacts at once: the addition it
+    // cancels must be `b`'s, though `a`'s comes first under the same hash.
+    assert!(cache.remove_hashed(&b, hash));
+    assert_eq!(cache.window_entries(), (1, 0));
+    assert!(cache.contains_hashed(&a, hash) && !cache.contains_hashed(&b, hash));
+    assert!(cache.members().eq([(&a, hash)]));
+    let mut only_a = SketchCache::<Item>::new();
+    only_a.add_hashed_symbol(HashedSymbol::with_hash(a, hash));
+    assert_eq!(cache.to_sketch(64), only_a.to_sketch(64));
+
+    assert!(cache.insert_hashed(HashedSymbol::with_hash(b, hash)));
+    assert!(cache.remove_hashed(&a, hash));
+    assert!(!cache.contains_hashed(&a, hash) && cache.contains_hashed(&b, hash));
+    assert!(cache.members().eq([(&b, hash)]));
 }
 
 /// Wire-format round trip is lossless for arbitrary coded-symbol prefixes.

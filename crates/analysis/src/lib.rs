@@ -9,6 +9,7 @@
 //! * [`stats`] — summary statistics and log-spaced sweeps.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod density_evolution;
 pub mod ei;

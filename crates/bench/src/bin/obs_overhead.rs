@@ -21,9 +21,8 @@
 //!
 //! `--check` exits nonzero when the overhead ratio of any bench exceeds
 //! the threshold; the CI `perf-smoke` job runs `--quick --check` on every
-//! push. The disabled-features side of the claim (`--no-default-features`
-//! handles compile to no-ops) is covered by the obs crate's own test
-//! suite, not here — this binary measures the *enabled* cost.
+//! push. `obs` has one build, so the instruments timed here are the ones
+//! the daemon runs.
 
 use riblt::{Decoder, Encoder};
 use riblt_bench::{items32, timed, Item32, RunScale};

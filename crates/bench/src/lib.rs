@@ -8,6 +8,8 @@
 //! quicker laptop-scale sweep), `--seed` to re-randomize trials, `--out` to
 //! write the CSV to a file.
 
+#![forbid(unsafe_code)]
+
 use riblt::FixedBytes;
 use riblt_hash::{splitmix64, SplitMix64};
 

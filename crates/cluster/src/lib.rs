@@ -32,6 +32,7 @@
 //! otherwise.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod client;
 mod node;

@@ -10,6 +10,7 @@
 //!   up-front cost is charged to the "Regular IBLT + Estimator" baseline.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cell;
 mod params;

@@ -13,6 +13,7 @@
 //! quantities.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod heal;
 mod nibbles;

@@ -7,6 +7,7 @@
 //! substitutes for the original optimization tables.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod block;
 mod table;

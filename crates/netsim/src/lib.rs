@@ -59,6 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod datagram;
 mod flight;

@@ -5,16 +5,11 @@
 //! there is no ordering requirement between metric updates and the data
 //! they describe, so `Relaxed` is sufficient everywhere.
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing counter (events, bytes, items served).
-///
-/// Disabled builds (`--no-default-features`) compile every method to a
-/// no-op and [`Counter::get`] to a constant 0.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     value: AtomicU64,
 }
 
@@ -33,29 +28,19 @@ impl Counter {
     /// Increments by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return self.value.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A value that can move both ways (live connections, set size).
-///
-/// Disabled builds compile every method to a no-op and [`Gauge::get`] to a
-/// constant 0.
 #[derive(Debug, Default)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     value: AtomicI64,
 }
 
@@ -68,40 +53,13 @@ impl Gauge {
     /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(feature = "enabled")]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-
-    /// Adds `n` (which may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        #[cfg(feature = "enabled")]
-        self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrements by one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {
-        #[cfg(feature = "enabled")]
-        return self.value.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -110,7 +68,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn counter_counts() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
@@ -120,21 +77,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn gauge_moves_both_ways() {
         let g = Gauge::new();
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
+        assert_eq!(g.get(), 0);
         g.set(-7);
         assert_eq!(g.get(), -7);
-        g.add(10);
+        g.set(3);
         assert_eq!(g.get(), 3);
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn counter_is_safe_under_concurrent_increments() {
         let c = std::sync::Arc::new(Counter::new());
         std::thread::scope(|scope| {
@@ -148,18 +100,5 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_instruments_are_inert() {
-        let c = Counter::new();
-        c.add(100);
-        assert_eq!(c.get(), 0);
-        let g = Gauge::new();
-        g.set(5);
-        assert_eq!(g.get(), 0);
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
     }
 }

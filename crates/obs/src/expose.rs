@@ -467,7 +467,6 @@ c{path=\"a\\\"b\\\\c\"} 1
         assert_eq!(sample_value(text, "c", &[("path", "a\"b\\c")]), Some(1.0));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn registry_rendering_passes_the_validator() {
         let reg = crate::Registry::new();

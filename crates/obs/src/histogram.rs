@@ -1,5 +1,5 @@
 //! Log-linear bucketed [`Histogram`] with lock-free recording and
-//! p50/p90/p99/max extraction.
+//! quantile/max extraction.
 //!
 //! Values are non-negative integers in whatever unit the caller picks
 //! (nanoseconds for latencies, counts for sizes). The bucket layout is
@@ -13,21 +13,19 @@
 //! taken with plain relaxed loads: they are not a consistent cut, but each
 //! series is monotone so the error is bounded by in-flight updates.
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Linear sub-buckets per power-of-two octave.
-pub const SUB: usize = 4;
+const SUB: usize = 4;
 const SUB_BITS: u32 = 2; // log2(SUB)
 
 /// Total bucket count: `SUB` unit buckets for values `< SUB`, then `SUB`
 /// sub-buckets for each of the 62 remaining octaves up to `u64::MAX`.
-pub const NUM_BUCKETS: usize = SUB + (63 - SUB_BITS as usize + 1) * SUB;
+const NUM_BUCKETS: usize = SUB + (63 - SUB_BITS as usize + 1) * SUB;
 
 /// Bucket index of a recorded value.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
         v as usize
     } else {
@@ -38,7 +36,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `idx` (the Prometheus `le` edge).
-pub fn bucket_upper_bound(idx: usize) -> u64 {
+fn bucket_upper_bound(idx: usize) -> u64 {
     debug_assert!(idx < NUM_BUCKETS);
     if idx < SUB {
         idx as u64
@@ -53,18 +51,11 @@ pub fn bucket_upper_bound(idx: usize) -> u64 {
 }
 
 /// A lock-free log-linear histogram.
-///
-/// Disabled builds (`--no-default-features`) are zero-sized: recording is a
-/// no-op and snapshots are all zeros.
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     buckets: [AtomicU64; NUM_BUCKETS],
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     sum: AtomicU64,
-    #[cfg(feature = "enabled")]
     max: AtomicU64,
 }
 
@@ -78,13 +69,9 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            #[cfg(feature = "enabled")]
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            #[cfg(feature = "enabled")]
             count: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             sum: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             max: AtomicU64::new(0),
         }
     }
@@ -92,55 +79,31 @@ impl Histogram {
     /// Records one value.
     #[inline]
     pub fn observe(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-
-    /// Records a duration in nanoseconds (pair with an exposition scale of
-    /// `1e-9` so rendered series come out in seconds).
-    #[inline]
-    pub fn observe_duration(&self, d: Duration) {
-        self.observe(d.as_nanos().min(u64::MAX as u128) as u64);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return self.count.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of recorded values (in the recorded unit).
     pub fn sum(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return self.sum.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return self.max.load(Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.max.load(Ordering::Relaxed)
     }
 
     /// Takes a point-in-time snapshot for quantile extraction / rendering.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            #[cfg(feature = "enabled")]
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            #[cfg(not(feature = "enabled"))]
-            buckets: [],
             count: self.count(),
             sum: self.sum(),
             max: self.max(),
@@ -151,10 +114,7 @@ impl Histogram {
 /// A consistent-enough copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
-    #[cfg(feature = "enabled")]
     buckets: [u64; NUM_BUCKETS],
-    #[cfg(not(feature = "enabled"))]
-    buckets: [u64; 0],
     /// Number of recorded values.
     pub count: u64,
     /// Sum of recorded values.
@@ -164,11 +124,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Per-bucket counts, indexed by bucket (see [`bucket_upper_bound`]).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) of the recorded distribution,
     /// linearly interpolated inside the containing bucket. Returns 0.0 for
     /// an empty histogram.
@@ -208,29 +163,15 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th percentile.
-    pub fn p90(&self) -> f64 {
-        self.quantile(0.90)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 
-    /// Mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Cumulative `(upper_bound, count ≤ bound)` pairs for every bucket
     /// with a nonzero delta — exactly the points a Prometheus `_bucket`
     /// series needs (the caller appends `+Inf`).
-    pub fn cumulative_nonzero(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_nonzero(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cumulative = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
@@ -271,7 +212,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn quantiles_of_a_uniform_distribution() {
         let h = Histogram::new();
         for v in 1..=10_000u64 {
@@ -291,7 +231,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn quantile_of_a_point_mass_is_exactish() {
         let h = Histogram::new();
         for _ in 0..1_000 {
@@ -310,12 +249,10 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile(0.5), 0.0);
-        assert_eq!(snap.mean(), 0.0);
         assert!(snap.cumulative_nonzero().is_empty());
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn cumulative_points_are_monotone_and_end_at_count() {
         let h = Histogram::new();
         for v in [1u64, 1, 5, 80, 80, 80, 1_000_000] {
@@ -335,7 +272,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn concurrent_observations_are_not_lost() {
         let h = std::sync::Arc::new(Histogram::new());
         std::thread::scope(|scope| {
@@ -349,15 +285,5 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 100_000);
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_histogram_is_inert_and_zero_sized() {
-        let h = Histogram::new();
-        h.observe(123);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().quantile(0.5), 0.0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
     }
 }

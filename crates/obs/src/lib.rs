@@ -11,15 +11,10 @@
 //! branches on configuration. The only mutexes in the crate guard the
 //! registry's series list (touched at registration and render time) and
 //! the event ring (touched per connection/session, never per symbol), and
-//! both recover from poisoning via [`lock_unpoisoned`].
-//!
-//! ## Disabling instrumentation
-//!
-//! Building with `--no-default-features` turns every instrument into a
-//! zero-sized type whose methods are empty `#[inline]` bodies, so the
-//! compiler erases instrumentation entirely; the overhead benchmark in
-//! `crates/bench` measures the default (enabled) configuration against the
-//! uninstrumented hot loops and holds the difference under 2%.
+//! both recover from poisoning via [`lock_unpoisoned`]. There is one build:
+//! every instrument is real, and the overhead benchmark in `crates/bench`
+//! (`obs_overhead --quick --check`) holds what the daemon's instruments add
+//! to its hot loops under 2%.
 //!
 //! ## Ownership model
 //!
@@ -41,8 +36,8 @@ mod span;
 
 pub use counter::{Counter, Gauge};
 pub use expose::{sample_value, validate_prometheus, ExpositionSummary};
-pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{Registry, NANOS_SCALE};
+pub use histogram::{Histogram, HistogramSnapshot};
+pub use registry::Registry;
 pub use ring::{Event, EventRing};
 pub use span::SpanTimer;
 

@@ -17,18 +17,15 @@
 //! seconds), and label keys for bounded dimensions only
 //! (`direction="in"`, `result="hit"` — never unbounded peers or items).
 
-use std::sync::Arc;
-#[cfg(feature = "enabled")]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::{Counter, Gauge, Histogram};
 
 /// Scale applied to histogram values recorded in nanoseconds so they render
 /// as seconds.
-pub const NANOS_SCALE: f64 = 1e-9;
+const NANOS_SCALE: f64 = 1e-9;
 
 /// One registered series.
-#[cfg(feature = "enabled")]
 struct Series {
     name: String,
     help: String,
@@ -36,14 +33,12 @@ struct Series {
     kind: SeriesKind,
 }
 
-#[cfg(feature = "enabled")]
 enum SeriesKind {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram { hist: Arc<Histogram>, scale: f64 },
 }
 
-#[cfg(feature = "enabled")]
 impl SeriesKind {
     fn type_name(&self) -> &'static str {
         match self {
@@ -55,12 +50,8 @@ impl SeriesKind {
 }
 
 /// A collection of named metric series.
-///
-/// Disabled builds (`--no-default-features`) hand out fresh inert
-/// instruments and render empty expositions.
 #[derive(Default)]
 pub struct Registry {
-    #[cfg(feature = "enabled")]
     inner: Mutex<Vec<Series>>,
 }
 
@@ -85,110 +76,79 @@ impl Registry {
 
     /// Registers (or finds) a labeled counter.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(name, help, labels, |kind| match kind {
+        self.register(
+            name,
+            help,
+            labels,
+            || SeriesKind::Counter(Arc::new(Counter::new())),
+            |kind| match kind {
                 SeriesKind::Counter(c) => Some(Arc::clone(c)),
                 _ => None,
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, help, labels);
-            Arc::new(Counter::new())
-        }
+            },
+        )
     }
 
     /// Registers (or finds) an unlabeled gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers (or finds) a labeled gauge.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(name, help, labels, |kind| match kind {
+        self.register(
+            name,
+            help,
+            &[],
+            || SeriesKind::Gauge(Arc::new(Gauge::new())),
+            |kind| match kind {
                 SeriesKind::Gauge(g) => Some(Arc::clone(g)),
                 _ => None,
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, help, labels);
-            Arc::new(Gauge::new())
-        }
+            },
+        )
     }
 
     /// Registers (or finds) an unlabeled histogram whose recorded values
     /// are already in their exposition unit (counts, bytes).
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[], 1.0)
+        self.register_histogram(name, help, 1.0)
     }
 
     /// Registers (or finds) an unlabeled histogram that records
     /// **nanoseconds** and renders as seconds (use with
-    /// [`crate::SpanTimer`] / [`Histogram::observe_duration`]).
+    /// [`crate::SpanTimer`]).
     pub fn histogram_seconds(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[], NANOS_SCALE)
-    }
-
-    /// Registers (or finds) a labeled histogram with an exposition scale
-    /// multiplying rendered bucket bounds, sums and quantiles.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        scale: f64,
-    ) -> Arc<Histogram> {
-        #[cfg(feature = "enabled")]
-        {
-            self.register_with_scale(name, help, labels, scale)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, help, labels, scale);
-            Arc::new(Histogram::new())
-        }
+        self.register_histogram(name, help, NANOS_SCALE)
     }
 
     /// Number of registered series.
     pub fn series_len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        return crate::lock_unpoisoned(&self.inner).len();
-        #[cfg(not(feature = "enabled"))]
-        0
+        crate::lock_unpoisoned(&self.inner).len()
     }
-}
 
-/// Instruments the registry knows how to create and expose.
-#[cfg(feature = "enabled")]
-trait Registrable: Sized {
-    fn create() -> SeriesKind;
-}
-
-#[cfg(feature = "enabled")]
-impl Registrable for Counter {
-    fn create() -> SeriesKind {
-        SeriesKind::Counter(Arc::new(Counter::new()))
+    /// A histogram series whose rendered bucket bounds and sum are its
+    /// recorded values times `scale`.
+    fn register_histogram(&self, name: &str, help: &str, scale: f64) -> Arc<Histogram> {
+        self.register(
+            name,
+            help,
+            &[],
+            || SeriesKind::Histogram {
+                hist: Arc::new(Histogram::new()),
+                scale,
+            },
+            |kind| match kind {
+                SeriesKind::Histogram { hist, .. } => Some(Arc::clone(hist)),
+                _ => None,
+            },
+        )
     }
-}
 
-#[cfg(feature = "enabled")]
-impl Registrable for Gauge {
-    fn create() -> SeriesKind {
-        SeriesKind::Gauge(Arc::new(Gauge::new()))
-    }
-}
-
-#[cfg(feature = "enabled")]
-impl Registry {
-    fn register<T: Registrable>(
+    /// The instrument of series `(name, labels)`: `extract`ed from the
+    /// registered series, or from a new one made by `create`.
+    ///
+    /// # Panics
+    /// If the series is registered as another kind of instrument.
+    fn register<T>(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
+        create: impl FnOnce() -> SeriesKind,
         extract: impl Fn(&SeriesKind) -> Option<Arc<T>>,
     ) -> Arc<T> {
         debug_assert!(valid_metric_name(name), "bad metric name {name:?}");
@@ -202,7 +162,7 @@ impl Registry {
                 )
             });
         }
-        let kind = T::create();
+        let kind = create();
         let handle = extract(&kind).expect("create() returns the requested kind");
         inner.push(Series {
             name: name.to_string(),
@@ -212,41 +172,8 @@ impl Registry {
         });
         handle
     }
-
-    fn register_with_scale(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        scale: f64,
-    ) -> Arc<Histogram> {
-        debug_assert!(valid_metric_name(name), "bad metric name {name:?}");
-        let labels = owned_labels(labels);
-        let mut inner = crate::lock_unpoisoned(&self.inner);
-        if let Some(series) = inner.iter().find(|s| s.name == name && s.labels == labels) {
-            return match &series.kind {
-                SeriesKind::Histogram { hist, .. } => Arc::clone(hist),
-                other => panic!(
-                    "series {name:?} already registered as {}",
-                    other.type_name()
-                ),
-            };
-        }
-        let hist = Arc::new(Histogram::new());
-        inner.push(Series {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            kind: SeriesKind::Histogram {
-                hist: Arc::clone(&hist),
-                scale,
-            },
-        });
-        hist
-    }
 }
 
-#[cfg(feature = "enabled")]
 fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
     labels
         .iter()
@@ -254,7 +181,6 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-#[cfg(feature = "enabled")]
 fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
@@ -276,35 +202,29 @@ impl Registry {
     /// Families are grouped by name in first-registration order; label
     /// variants of the same family share one HELP/TYPE header.
     pub fn render_prometheus(&self) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            let inner = crate::lock_unpoisoned(&self.inner);
-            let mut out = String::new();
-            let mut rendered: Vec<&str> = Vec::new();
-            for series in inner.iter() {
-                if rendered.contains(&series.name.as_str()) {
-                    continue;
-                }
-                rendered.push(series.name.as_str());
-                out.push_str(&format!(
-                    "# HELP {} {}\n# TYPE {} {}\n",
-                    series.name,
-                    series.help,
-                    series.name,
-                    series.kind.type_name()
-                ));
-                for variant in inner.iter().filter(|s| s.name == series.name) {
-                    render_series(&mut out, variant);
-                }
+        let inner = crate::lock_unpoisoned(&self.inner);
+        let mut out = String::new();
+        let mut rendered: Vec<&str> = Vec::new();
+        for series in inner.iter() {
+            if rendered.contains(&series.name.as_str()) {
+                continue;
             }
-            out
+            rendered.push(series.name.as_str());
+            out.push_str(&format!(
+                "# HELP {} {}\n# TYPE {} {}\n",
+                series.name,
+                series.help,
+                series.name,
+                series.kind.type_name()
+            ));
+            for variant in inner.iter().filter(|s| s.name == series.name) {
+                render_series(&mut out, variant);
+            }
         }
-        #[cfg(not(feature = "enabled"))]
-        String::new()
+        out
     }
 }
 
-#[cfg(feature = "enabled")]
 fn render_series(out: &mut String, series: &Series) {
     match &series.kind {
         SeriesKind::Counter(c) => {
@@ -357,7 +277,6 @@ fn render_series(out: &mut String, series: &Series) {
 }
 
 /// Renders `{k="v",le="…"}` (or nothing when there are no labels).
-#[cfg(feature = "enabled")]
 fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
@@ -372,7 +291,6 @@ fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-#[cfg(feature = "enabled")]
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -381,7 +299,6 @@ fn escape_label(v: &str) -> String {
 
 /// Formats a float the shortest way Rust knows that still round-trips;
 /// integers render without a fractional part (Prometheus accepts both).
-#[cfg(feature = "enabled")]
 fn fmt_float(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -395,7 +312,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn registration_is_idempotent_per_name_and_labels() {
         let reg = Registry::new();
         let a = reg.counter("test_total", "help");
@@ -407,7 +323,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
@@ -416,7 +331,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn prometheus_rendering_has_help_type_and_samples() {
         let reg = Registry::new();
         reg.counter("req_total", "Requests served.").add(7);
@@ -446,7 +360,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn seconds_histogram_scales_bounds_and_sum() {
         let reg = Registry::new();
         let hist = reg.histogram_seconds("op_seconds", "Op latency.");
@@ -456,15 +369,5 @@ mod tests {
         // Sum renders in seconds, not nanoseconds.
         assert!(text.contains("op_seconds_sum 1.5\n"), "{text}");
         assert!(!text.contains("1500000000"), "{text}");
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_registry_is_empty() {
-        let reg = Registry::new();
-        let c = reg.counter("x_total", "h");
-        c.add(9);
-        assert_eq!(reg.series_len(), 0);
-        assert_eq!(reg.render_prometheus(), "");
     }
 }

@@ -8,13 +8,10 @@
 //! connection / session / admin command, never per symbol) so the lock is
 //! not on any hot path.
 
-#[cfg(feature = "enabled")]
 use std::collections::VecDeque;
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 use std::time::Instant;
 
-#[cfg(feature = "enabled")]
 use crate::lock_unpoisoned;
 
 /// One recorded lifecycle event.
@@ -40,7 +37,6 @@ impl Event {
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct RingInner {
     next_seq: u64,
@@ -48,14 +44,9 @@ struct RingInner {
 }
 
 /// Fixed-capacity event ring: the newest `capacity` events win.
-///
-/// Disabled builds (`--no-default-features`) record nothing and report an
-/// empty ring.
 #[derive(Debug)]
 pub struct EventRing {
-    #[cfg(feature = "enabled")]
     inner: Mutex<RingInner>,
-    #[cfg(feature = "enabled")]
     capacity: usize,
     epoch: Instant,
 }
@@ -63,15 +54,11 @@ pub struct EventRing {
 impl EventRing {
     /// Creates a ring holding at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> EventRing {
-        #[cfg(not(feature = "enabled"))]
-        let _ = capacity;
         EventRing {
-            #[cfg(feature = "enabled")]
             inner: Mutex::new(RingInner {
                 next_seq: 1,
                 events: VecDeque::with_capacity(capacity.max(1)),
             }),
-            #[cfg(feature = "enabled")]
             capacity: capacity.max(1),
             epoch: Instant::now(),
         }
@@ -79,62 +66,26 @@ impl EventRing {
 
     /// Records an event, evicting the oldest once full.
     pub fn record(&self, kind: &'static str, detail: impl Into<String>) {
-        #[cfg(feature = "enabled")]
-        {
-            let micros = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let mut inner = lock_unpoisoned(&self.inner);
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            if inner.events.len() == self.capacity {
-                inner.events.pop_front();
-            }
-            inner.events.push_back(Event {
-                seq,
-                micros,
-                kind,
-                detail: detail.into(),
-            });
+        let micros = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let mut inner = lock_unpoisoned(&self.inner);
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        if inner.events.len() == self.capacity {
+            inner.events.pop_front();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (kind, detail.into(), &self.epoch);
-        }
+        inner.events.push_back(Event {
+            seq,
+            micros,
+            kind,
+            detail: detail.into(),
+        });
     }
 
     /// The newest `n` events, oldest first.
     pub fn last(&self, n: usize) -> Vec<Event> {
-        #[cfg(feature = "enabled")]
-        {
-            let inner = lock_unpoisoned(&self.inner);
-            let skip = inner.events.len().saturating_sub(n);
-            inner.events.iter().skip(skip).cloned().collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = n;
-            Vec::new()
-        }
-    }
-
-    /// Number of events currently held (bounded by the capacity).
-    pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        return lock_unpoisoned(&self.inner).events.len();
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-
-    /// True if nothing has been recorded (or the build is disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever recorded (survives eviction).
-    pub fn recorded(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        return lock_unpoisoned(&self.inner).next_seq - 1;
-        #[cfg(not(feature = "enabled"))]
-        0
+        let inner = lock_unpoisoned(&self.inner);
+        let skip = inner.events.len().saturating_sub(n);
+        inner.events.iter().skip(skip).cloned().collect()
     }
 }
 
@@ -143,14 +94,12 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn keeps_the_newest_events_in_order() {
         let ring = EventRing::new(3);
         for i in 0..5 {
             ring.record("tick", format!("i={i}"));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.recorded(), 5);
+        // Five recorded, the newest three held.
         let last = ring.last(10);
         let seqs: Vec<u64> = last.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5]);
@@ -161,7 +110,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn render_is_one_line() {
         let ring = EventRing::new(8);
         ring.record("conn_accept", "peer=127.0.0.1:9");
@@ -169,14 +117,5 @@ mod tests {
         assert!(line.starts_with("#1 +"), "{line}");
         assert!(line.contains("conn_accept peer=127.0.0.1:9"), "{line}");
         assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_ring_is_inert() {
-        let ring = EventRing::new(8);
-        ring.record("tick", "x");
-        assert!(ring.is_empty());
-        assert_eq!(ring.recorded(), 0);
     }
 }

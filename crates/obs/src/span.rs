@@ -11,7 +11,6 @@
 //! ```
 
 use std::sync::Arc;
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 use crate::Histogram;
@@ -19,13 +18,9 @@ use crate::Histogram;
 /// Times from construction to drop (or [`SpanTimer::stop`]) and records
 /// the elapsed **nanoseconds** into its histogram — pair the series with an
 /// exposition scale of `1e-9` so it renders in seconds.
-///
-/// Disabled builds neither read the clock nor record.
 #[derive(Debug)]
 pub struct SpanTimer {
-    #[cfg(feature = "enabled")]
     hist: Arc<Histogram>,
-    #[cfg(feature = "enabled")]
     start: Instant,
 }
 
@@ -33,12 +28,8 @@ impl SpanTimer {
     /// Starts timing into `hist`.
     #[inline]
     pub fn start(hist: &Arc<Histogram>) -> SpanTimer {
-        #[cfg(not(feature = "enabled"))]
-        let _ = hist;
         SpanTimer {
-            #[cfg(feature = "enabled")]
             hist: Arc::clone(hist),
-            #[cfg(feature = "enabled")]
             start: Instant::now(),
         }
     }
@@ -52,8 +43,8 @@ impl SpanTimer {
 impl Drop for SpanTimer {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        self.hist.observe_duration(self.start.elapsed());
+        let nanos = self.start.elapsed().as_nanos();
+        self.hist.observe(nanos.min(u64::MAX as u128) as u64);
     }
 }
 
@@ -62,7 +53,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn span_records_once_on_drop() {
         let hist = Arc::new(Histogram::new());
         {
@@ -77,13 +67,5 @@ mod tests {
         );
         SpanTimer::start(&hist).stop();
         assert_eq!(hist.count(), 2);
-    }
-
-    #[test]
-    #[cfg(not(feature = "enabled"))]
-    fn disabled_span_records_nothing() {
-        let hist = Arc::new(Histogram::new());
-        SpanTimer::start(&hist).stop();
-        assert_eq!(hist.count(), 0);
     }
 }

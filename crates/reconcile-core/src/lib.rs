@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod backend;
 pub mod backends;

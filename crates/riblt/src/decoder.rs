@@ -9,8 +9,12 @@
 //! coded symbols.
 //!
 //! Termination: coded symbol 0 has every difference symbol mapped to it
-//! (ρ(0) = 1), so it drains to the empty cell exactly when all difference
-//! symbols have been recovered — this is Bob's signal to stop Alice (§4.1).
+//! (ρ(0) = 1), so on an honest stream it drains to the empty cell exactly
+//! when all difference symbols have been recovered — this is Bob's signal to
+//! stop Alice (§4.1). Being the XOR of the whole difference, it can also be
+//! emptied by a difference crafted under a known key, so the decoder reports
+//! decoded only when every cell it holds reads empty after peeling, the rest
+//! of the batch it was reading included (see [`Decoder::add_coded_symbols`]).
 
 use riblt_hash::SipKey;
 
@@ -116,6 +120,10 @@ pub struct Decoder<S: Symbol, R: MappingRule = Uniform> {
     peeler: Peeler<S>,
     /// Cached termination flag; see [`Self::is_decoded`].
     decoded: bool,
+    /// Trailing cells of `coded` read only to confirm termination.
+    confirmed: usize,
+    /// Held cells at which the next scan for a non-empty cell may run.
+    next_scan: usize,
     /// Sticky: peeling recovered more symbols than cells were received; see
     /// [`Self::check_consistent`].
     inconsistent: bool,
@@ -177,6 +185,8 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
             coded: Vec::new(),
             peeler: Peeler::new(),
             decoded: false,
+            confirmed: 0,
+            next_scan: 0,
             inconsistent: false,
             signed_difference: 0,
             estimate: DifferenceEstimate::default(),
@@ -199,9 +209,10 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         self.peeler.reserve(more_cells, d);
     }
 
-    /// Number of coded symbols ingested so far.
+    /// Number of coded symbols ingested so far, less those
+    /// [`Self::add_coded_symbols`] read only to confirm termination.
     pub fn coded_symbols_received(&self) -> usize {
-        self.coded.len()
+        self.coded.len() - self.confirmed
     }
 
     /// Adds a symbol of the local set. Must be called before the first
@@ -250,12 +261,15 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
     }
 
     /// Ingests a batch of coded symbols, stopping as soon as decoding
-    /// completes. Returns the number of symbols actually consumed.
+    /// completes. Returns the number of symbols counted as received.
     ///
     /// This is the preferred entry point for session layers moving wire
     /// batches: it hoists the completion check out of the per-symbol hot
-    /// path and drops the remainder of a batch once the difference has been
-    /// recovered.
+    /// path. Once every held cell reads empty, the rest of the batch must
+    /// read empty too; those cells are not counted as received, so an honest
+    /// stream reports the units it needed. If one of them holds a symbol, it
+    /// and the cells before it are counted and decoding goes on. A batch
+    /// that arrives after decoding completed is dropped unread.
     pub fn add_coded_symbols<I>(&mut self, symbols: I) -> usize
     where
         I: IntoIterator<Item = CodedSymbol<S>>,
@@ -265,21 +279,49 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         if self.is_decoded() || self.inconsistent {
             return 0;
         }
-        let iter = symbols.into_iter();
+        let mut iter = symbols.into_iter();
         let (batch_hint, _) = iter.size_hint();
         self.coded.reserve(batch_hint);
         self.peeler.reserve(batch_hint, 0);
         let mut used = 0;
-        for cs in iter {
+        while let Some(cs) = iter.next() {
             self.add_coded_symbol(cs);
             used += 1;
             // Both are cached-state reads (no re-hash, no byte scan), so
-            // checking once per consumed symbol is free.
-            if self.is_decoded() || self.inconsistent {
+            // checking once per consumed symbol is free. Once every held
+            // cell drained, the rest of the batch decides.
+            while self.decoded {
+                match self.confirm(&mut iter) {
+                    0 => return used,
+                    counted => used += counted,
+                }
+            }
+            if self.inconsistent {
                 break;
             }
         }
         used
+    }
+
+    /// Reads the rest of a batch after every held cell drained, holding the
+    /// cells that read empty as confirmed. The first that does not is taken
+    /// in as usual. Returns the cells counted: 0 if the whole rest was empty,
+    /// which leaves the estimate as it was.
+    fn confirm(&mut self, rest: &mut impl Iterator<Item = CodedSymbol<S>>) -> usize {
+        let estimate = self.estimate;
+        for mut cs in rest {
+            self.difference_cell(&mut cs);
+            if !cs.is_empty_cell() {
+                let counted = self.confirmed + 1;
+                self.take_in(cs);
+                return counted;
+            }
+            self.peeler.push_cell(&cs);
+            self.coded.push(cs);
+            self.confirmed += 1;
+        }
+        self.estimate = estimate;
+        0
     }
 
     /// Ingests the next coded symbol from the remote encoder and peels as
@@ -289,9 +331,15 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         if self.inconsistent {
             return;
         }
-        // Lazily subtract the local set's contribution to this index, then
-        // adjust for everything already recovered.
-        self.local_set.apply_next(&mut cs, Direction::Remove);
+        self.difference_cell(&mut cs);
+        self.take_in(cs);
+    }
+
+    /// Turns the next received cell into a difference cell: lazily subtracts
+    /// the local set's contribution to its index, then adjusts for
+    /// everything already recovered.
+    fn difference_cell(&mut self, cs: &mut CodedSymbol<S>) {
+        self.local_set.apply_next(cs, Direction::Remove);
         let idx = self.coded.len();
         // `cs` is now the raw difference cell: observe its count before the
         // recovered symbols are taken out of it. Only under a single α do
@@ -305,9 +353,15 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
             self.estimate.cells += 1;
             self.estimate.sum += excess * excess / (p * (1.0 - p));
         }
-        self.remote_recovered.apply_next(&mut cs, Direction::Remove);
-        self.local_recovered.apply_next(&mut cs, Direction::Add);
+        self.remote_recovered.apply_next(cs, Direction::Remove);
+        self.local_recovered.apply_next(cs, Direction::Add);
+    }
 
+    /// Counts every held cell, appends the difference cell `cs` and peels.
+    fn take_in(&mut self, cs: CodedSymbol<S>) {
+        // An empty cell after completion leaves nothing to peel.
+        let stays_decoded = self.decoded && cs.is_empty_cell();
+        self.confirmed = 0;
         self.peeler.push_cell(&cs);
         self.coded.push(cs);
         // Recovered symbols go to the windows, their mappings already walked
@@ -325,17 +379,32 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
             },
         );
         self.inconsistent = !consistent;
-        // Termination indicator (§4.1): cell 0 drained to empty. Evaluated
-        // once per ingested symbol so `is_decoded` is a cached-flag read.
-        self.decoded = consistent && self.coded[0].is_empty_cell();
+        // Termination (§4.1): cell 0 drained to empty, and so did every other
+        // held cell. Evaluated once per ingested symbol so `is_decoded` is a
+        // cached-flag read; the scan runs only when cell 0 is empty.
+        self.decoded = stays_decoded
+            || (consistent && self.coded[0].is_empty_cell() && self.every_cell_empty());
+    }
+
+    /// Whether every held cell reads empty. A scan that finds one that does
+    /// not runs again only once the stream has doubled (answering `false`
+    /// until then), so a stream that keeps cell 0 empty costs O(1)
+    /// amortised per cell.
+    fn every_cell_empty(&mut self) -> bool {
+        if self.coded.len() < self.next_scan {
+            return false;
+        }
+        self.next_scan = 2 * self.coded.len();
+        self.coded.iter().all(CodedSymbol::is_empty_cell)
     }
 
     /// True once every difference symbol has been recovered.
     ///
-    /// Detection uses the paper's termination indicator: coded symbol 0
-    /// contains every unrecovered difference symbol, so reconciliation is
-    /// complete exactly when it has drained to the empty cell. The check
-    /// reads a flag refreshed once per ingested symbol — no bytes are
+    /// Detection starts from the paper's termination indicator, coded symbol
+    /// 0 drained to the empty cell, and requires every other held cell to
+    /// read empty too, since a crafted difference can cancel in cell 0
+    /// alone ([`Self::add_coded_symbols`] adds the rest of its batch). The
+    /// check reads a flag refreshed once per ingested symbol — no bytes are
     /// rescanned here.
     #[inline]
     pub fn is_decoded(&self) -> bool {
@@ -472,6 +541,37 @@ mod tests {
             dec.add_symbol(Sym::from_u64(2)),
             Err(Error::SymbolAddedAfterDecodingStarted)
         );
+    }
+
+    #[test]
+    fn every_held_cell_and_the_rest_of_the_batch_must_read_empty() {
+        let key = SipKey::default();
+        // Two symbols in one cell: count 2, never pure.
+        let mut held = CodedSymbol::new();
+        for x in [1u64, 2] {
+            held.apply(&HashedSymbol::new(Sym::from_u64(x), key), Direction::Add);
+        }
+        let empty = CodedSymbol::<Sym>::new;
+
+        // An empty batch tail is read but not counted.
+        let mut dec = Decoder::<Sym>::with_key(key);
+        assert_eq!(dec.add_coded_symbols(vec![empty(), empty(), empty()]), 1);
+        assert!(dec.is_decoded());
+        assert_eq!(dec.coded_symbols_received(), 1);
+
+        // A tail cell that holds symbols is counted, with the cells before it.
+        let mut dec = Decoder::<Sym>::with_key(key);
+        let batch = vec![empty(), empty(), held.clone(), empty()];
+        assert_eq!(dec.add_coded_symbols(batch), 4);
+        assert!(!dec.is_decoded());
+        assert_eq!(dec.coded_symbols_received(), 4);
+
+        // A drained cell 0 is not the end while another held cell is not.
+        let mut dec = Decoder::<Sym>::with_key(key);
+        dec.add_coded_symbol(empty());
+        dec.add_coded_symbol(held);
+        assert!(!dec.is_decoded());
+        assert_eq!(dec.try_into_difference(), Err(Error::DecodeIncomplete));
     }
 
     #[test]

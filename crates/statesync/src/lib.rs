@@ -26,6 +26,7 @@
 //! link, against the library's own server.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backends;
 pub mod chain;

@@ -5,6 +5,8 @@
 //! it simply re-exports the member crates. Depend on the individual crates
 //! (`riblt`, `iblt`, `pinsketch`, …) in real applications.
 
+#![forbid(unsafe_code)]
+
 pub use analysis;
 pub use cluster;
 pub use iblt;

@@ -3,7 +3,7 @@
 //!
 //! Rateless IBLT, Irregular Rateless IBLT, MET-IBLT and "regular IBLT +
 //! estimator" are all driven through the *same* `ReconcileBackend` session
-//! engine (`reconcile_core::run_in_memory`), so every scheme pays its real
+//! engine (`netsim::run_in_memory`), so every scheme pays its real
 //! protocol behaviour — retry rounds, estimator shipment, block escalation —
 //! under identical conditions; bytes are then charged with the paper's
 //! per-unit accounting (ℓ+9 per rateless coded symbol, ℓ+16 per IBLT cell,
@@ -16,8 +16,9 @@
 
 use iblt::{calibrate, Iblt, ESTIMATOR_WIRE_BYTES};
 use merkle_trie::heal_in_memory;
+use netsim::run_in_memory;
 use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
-use reconcile_core::{run_in_memory, ReconcileBackend};
+use reconcile_core::ReconcileBackend;
 use riblt_bench::{set_pair32, BenchCli, Item32};
 use statesync::backends::{IbltBackend, MetIbltBackend};
 

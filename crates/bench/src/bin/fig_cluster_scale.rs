@@ -20,9 +20,12 @@
 //! rounds, units, total_MB, mean_node_MB, wall_ms, speedup_vs_serial`.
 
 use cluster::{Node, NodeConfig};
-use netsim::{reconcile_pair, Cluster, ClusterConfig, LinkConfig, PairSyncConfig, Topology};
+use netsim::{
+    reconcile_pair, ClientEngine, Cluster, ClusterConfig, LinkConfig, PairSyncConfig, ServerEngine,
+    Topology,
+};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::{ClientEngine, EngineMessage, ServerEngine};
+use reconcile_core::EngineMessage;
 use riblt::FixedBytes;
 use riblt_bench::{set_pair32, timed, BenchCli, Item32};
 use riblt_hash::SplitMix64;

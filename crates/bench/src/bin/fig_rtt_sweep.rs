@@ -26,9 +26,9 @@
 //! where a constant second rung overshot (`table_window_policy` has the
 //! rule-by-rule comparison this figure checks on the real driver).
 
-use netsim::LinkConfig;
+use netsim::{run_in_memory, LinkConfig};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::{run_in_memory, ShardPartitioner};
+use reconcile_core::ShardPartitioner;
 use riblt_bench::{csv_emit, BenchCli};
 use statesync::{
     sync_sharded_riblt, synth_account, synth_address, Ledger, LedgerItem, ShardedRibltConfig,

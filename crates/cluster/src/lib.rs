@@ -49,12 +49,22 @@ pub use udp_sync::{
 // The unit tests drive the clients against `netsim`'s reference servers,
 // compiled from the same source files: `netsim` depends on this crate, so
 // as a dev-dependency it would link a second copy of it, whose types are
-// not these. Those files name this crate by its name.
+// not these. Those files name this crate by its name, and the stream
+// server names its engine and multiplexer as `crate::engine` and
+// `crate::mux`.
 #[cfg(test)]
 extern crate self as cluster;
 #[cfg(test)]
 #[path = "../../netsim/src/datagram.rs"]
 mod netsim_datagram;
+// Its run report's byte and round counts are read only in `netsim`.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../netsim/src/engine.rs"]
+mod engine;
+#[cfg(test)]
+#[path = "../../netsim/src/mux.rs"]
+mod mux;
 #[cfg(test)]
 #[path = "../../netsim/src/flight.rs"]
 mod netsim_flight;

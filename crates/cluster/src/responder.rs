@@ -173,7 +173,7 @@ impl Responder {
                 ))
             }
             EngineMessage::Request(range) => self.serve(key, range, tiles, out)?,
-            // Duplicate Dones are harmless, as they are to `ServerMux`.
+            // Duplicate Dones are harmless, as they are to `netsim::ServerMux`.
             EngineMessage::Done => {
                 served.completed = self.served.remove(&key).map(|n| (key.0, key.1, n));
             }

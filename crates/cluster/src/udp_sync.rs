@@ -372,7 +372,7 @@ where
             };
             drain_ready(conduit, cookie, shard, state, config, &mut stats, &build)?;
             if state.endpoint.units() > config.max_units_per_shard {
-                return Err(EngineError::DecodeIncomplete);
+                return Err(state.endpoint.give_up());
             }
             let pending = |s: &ShardState<B>| matches!(s.endpoint, ShardEndpoint::Pending);
             if placement.is_some() && !states.iter().any(pending) {
@@ -596,7 +596,7 @@ mod tests {
     use crate::netsim::{self, datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
     use reconcile_core::datagram::DatagramServiceConfig;
-    use reconcile_core::{ClientEngine, EngineMessage, Progress, Result};
+    use reconcile_core::{Progress, Result};
     use riblt::FixedBytes;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -854,14 +854,16 @@ mod tests {
         let server_parts = partitioner.partition(&server_items);
         let (mut units, mut eager) = (0, Vec::new());
         for (shard, part) in partitioner.partition(&local).iter().enumerate() {
-            let mut client = ClientEngine::new(backend(key), part);
-            let mut server = reconcile_core::ServerEngine::new(backend(key), &server_parts[shard]);
-            let mut payload = server.handle(&client.open()).unwrap().remove(0);
-            while client.absorb(&payload).unwrap() != Progress::Complete {
-                payload = server.next_payload().unwrap();
+            let b = backend(key);
+            let (mut client, mut server) =
+                (b.build_client(part), b.build_server(&server_parts[shard]));
+            let open = b.open_request(&mut client);
+            let mut payload = b.serve(&mut server, Some(&open)).unwrap();
+            while b.absorb(&mut client, &payload).unwrap() != Progress::Complete {
+                payload = b.serve(&mut server, None).unwrap();
             }
-            units += client.units();
-            eager.push(client.into_difference().unwrap());
+            units += b.units(&client);
+            eager.push(b.into_difference(client).unwrap());
         }
         assert_eq!(diffs.iter().map(SetDifference::len).sum::<usize>(), 2_000);
         assert_eq!((outcome.units, diffs), (units, eager));
@@ -932,9 +934,9 @@ mod tests {
             // The parent's end: the eager client absorbing it, unless the
             // envelope is refused first.
             let eager = peek_batch_extent(&payload).ok().map(|_| {
-                let mut client = ClientEngine::new(backend(key), &local);
-                let progress = client.absorb(&EngineMessage::Payload(payload.clone()));
-                progress.map(|_| client.units())
+                let b = backend(key);
+                let mut client = b.build_client(&local);
+                b.absorb(&mut client, &payload).map(|_| b.units(&client))
             });
             let mut state = ShardState {
                 endpoint: ShardEndpoint::Pending,

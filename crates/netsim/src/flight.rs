@@ -12,9 +12,10 @@
 //! nothing else (no `Node`, no sketch cache, no reactor), which is what
 //! makes a byte-for-byte comparison of the two worth running.
 //!
-//! `reconcile-core` compiles this file into its own unit tests as well (its
-//! handshake tests talk to this server), so it uses nothing of `netsim` and
-//! reaches the library through `reconcile_core::` paths only.
+//! `cluster` compiles this file into its own unit tests as well (its
+//! clients' tests talk to this server), with [`crate::engine`] and
+//! [`crate::mux`], so it uses nothing else of `netsim` and reaches the
+//! library through `reconcile_core::` paths only.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -22,10 +23,12 @@ use std::io::{self, Read, Write};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::handshake::{server_handshake, Hello};
 use reconcile_core::{
-    append_frame, CountSketch, EngineError, FrameBuffer, MuxFrame, ServerEngine, ServerMux,
-    ShardPartitioner,
+    append_frame, CountSketch, EngineError, FrameBuffer, MuxFrame, ShardPartitioner,
 };
 use riblt::Symbol;
+
+use crate::engine::ServerEngine;
+use crate::mux::ServerMux;
 
 /// A server on the far side of a link with no clock: the client's writes
 /// pile up until it blocks on a read with nothing left to read, and only

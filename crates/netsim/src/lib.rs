@@ -10,11 +10,24 @@
 //!   duplication, adjacent reordering) for exercising the UDP transport
 //!   without sockets, and [`library_datagram_server`], the library's
 //!   datagram server to put on its far end.
+//! * [`ServerEngine`] / [`ClientEngine`] / [`run_in_memory`] — the
+//!   point-to-point session engine over any `reconcile_core::ReconcileBackend`:
+//!   one endpoint each, exchanging opaque `EngineMessage`s, and a whole
+//!   conversation driven in memory with its bytes and rounds counted
+//!   ([`RunReport`]). The conformance suite, fig07 and the examples compare
+//!   every sketch family through it.
+//! * [`ServerMux`] — one [`ServerEngine`] per `(session, shard)` behind one
+//!   link, answering the wildcard open with the first flight.
 //! * [`FlightLink`] / [`library_server`] — an in-memory `Read + Write` link
 //!   that counts round trips and records what each side said, with the
 //!   library's own handshake-and-mux server behind it: the reference the
 //!   `reconciled` daemon's wire output is compared against. [`FlightLinkTo`]
 //!   is the same link to a server that borrows what it serves from.
+//!
+//!   None of these is product code: the daemon serves through
+//!   `cluster::Responder` and the shipped client is
+//!   `reconcile_core::sync_sharded_tcp`, which the `handshake` and
+//!   `tcp_sync` tests here hold to the reference server.
 //! * [`SimFlights`] — a flight link on the clock: every flight is charged
 //!   to a [`Topology`] pair, so the shipped client runs in virtual time.
 //! * [`TimeSeries`] — byte-delivery accounting for bandwidth traces
@@ -62,9 +75,11 @@
 #![forbid(unsafe_code)]
 
 mod datagram;
+mod engine;
 mod flight;
 mod gossip;
 mod link;
+mod mux;
 mod pairsync;
 mod sim_flights;
 mod timeseries;
@@ -73,11 +88,24 @@ mod topology;
 pub use datagram::{
     datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig, DatagramLinkStats,
 };
+pub use engine::{run_in_memory, ClientEngine, RunReport, ServerEngine};
 pub use flight::{library_server, FlightLink, FlightLinkTo};
 pub use gossip::{Cluster, ClusterConfig, ConvergenceReport, NodeStats, RoundReport};
 pub use link::{LinkConfig, LinkDirection, SimLink};
+pub use mux::ServerMux;
 pub use pairsync::{reconcile_pair, PairOutcome, PairSyncConfig};
 pub use reconcile_core::framing::{read_frame, write_frame, MAX_FRAME_BYTES};
 pub use sim_flights::SimFlights;
 pub use timeseries::TimeSeries;
 pub use topology::Topology;
+
+// The tests of `reconcile_core`'s handshake and stream client that talk to
+// the library's server, under the names of the modules they test.
+#[cfg(test)]
+mod handshake {
+    mod tests;
+}
+#[cfg(test)]
+mod tcp_sync {
+    mod tests;
+}

@@ -1,9 +1,9 @@
-//! Error type shared by the session engine and every backend adapter.
+//! Error type shared by the session layer and every backend adapter.
 
 use std::fmt;
 
 /// Errors surfaced by [`crate::ReconcileBackend`] implementations and the
-/// session engine driving them.
+/// drivers and transports around them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A peer sent malformed or truncated bytes.
@@ -15,6 +15,10 @@ pub enum EngineError {
     /// (message cap for rateless schemes, block/capacity ladder for
     /// fixed-size ones).
     DecodeIncomplete,
+    /// The reconciliation stopped on two distinct items that share one
+    /// keyed hash ([`riblt::Error::CollidingItems`]): no budget decodes
+    /// them, and a retry under the same key stalls the same way.
+    CollidingItems,
     /// A scheme-specific failure, carried as text.
     Backend(String),
     /// The connection handshake failed: the peers disagree on protocol
@@ -35,6 +39,10 @@ impl fmt::Display for EngineError {
             EngineError::DecodeIncomplete => {
                 write!(f, "reconciliation did not complete within the budget")
             }
+            EngineError::CollidingItems => write!(
+                f,
+                "two distinct items share one keyed hash: no budget separates them"
+            ),
             EngineError::Backend(msg) => write!(f, "backend failure: {msg}"),
             EngineError::Handshake(msg) => write!(f, "handshake failed: {msg}"),
             EngineError::Io(kind, msg) => write!(f, "transport I/O error ({kind:?}): {msg}"),
@@ -55,6 +63,7 @@ impl From<riblt::Error> for EngineError {
         match e {
             riblt::Error::WireFormat(msg) => EngineError::WireFormat(msg),
             riblt::Error::DecodeIncomplete => EngineError::DecodeIncomplete,
+            riblt::Error::CollidingItems => EngineError::CollidingItems,
             other => EngineError::Backend(other.to_string()),
         }
     }

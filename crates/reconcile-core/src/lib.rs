@@ -4,21 +4,21 @@
 //! IBLTs, MET-IBLT, PinSketch and Merkle-trie healing *under identical
 //! protocol conditions*. This crate is the architectural counterpart of
 //! that claim: a single [`ReconcileBackend`] trait capturing both the
-//! rateless streaming flow and the fixed-size request/response flow, plus a
-//! transport-agnostic session engine ([`ClientEngine`] / [`ServerEngine`] /
-//! [`run_in_memory`]) that drives any backend over opaque byte messages.
+//! rateless streaming flow and the fixed-size request/response flow, and
+//! the [`EngineMessage`]s its two endpoints exchange as opaque bytes.
 //!
-//! Higher layers — the `statesync` virtual-time driver, the experiment
-//! binaries, the examples — select schemes through this trait, so a driver
-//! is written once and works for every scheme; the sharded, multiplexed
-//! transport takes the streaming schemes, whose opens need no rate. The
-//! crate itself holds one scheme's adapter,
-//! the shipped one: Rateless IBLT ([`backends`]). The baselines' adapters
-//! (regular IBLT, MET-IBLT, PinSketch, Merkle-trie heal) live in
-//! `statesync::backends`, outside the product the daemon links.
+//! Higher layers select schemes through this trait, so a driver is written
+//! once and works for every scheme; the sharded, multiplexed transport takes
+//! the streaming schemes, whose opens need no rate. The crate itself holds
+//! one scheme's adapter, the shipped one: Rateless IBLT ([`backends`]). The
+//! baselines' adapters (regular IBLT, MET-IBLT, PinSketch, Merkle-trie heal)
+//! live in `statesync::backends`, and the point-to-point engines that drive
+//! any of them (`ServerEngine`, `ClientEngine`, `run_in_memory`) and the
+//! library's reference server (`ServerMux`, `library_server`) in `netsim`:
+//! all of it outside the product the daemon links.
 //!
-//! For real connections the crate also owns the byte-level transport
-//! plumbing: [`framing`] is the length-prefixed frame codec over any
+//! For real connections the crate owns the byte-level transport plumbing:
+//! [`framing`] is the length-prefixed frame codec over any
 //! [`std::io::Read`]` + `[`std::io::Write`] stream, and [`handshake`] is the
 //! versioned hello exchange (magic, protocol version, SipKey fingerprint,
 //! shard-count negotiation) the `reconciled` daemon speaks in front of the
@@ -27,16 +27,18 @@
 //! [`sync_sharded_tcp`] is that protocol's one client, over any
 //! `Read + Write` stream: it opens every shard with one wildcard `Open` and
 //! drives them through a [`ClientMux`] built from the server's grant. The
-//! stream client speaks only the rateless streaming flow; the interactive
-//! one is [`run_in_memory`]'s, for comparing schemes. The crate records no
-//! metrics: it does not depend on `obs`. See
-//! `ARCHITECTURE.md` at the repository root for the full wire-format
-//! reference.
+//! stream client speaks only the rateless streaming flow. [`datagram`] is
+//! the same protocol over UDP. The crate records no metrics: it does not
+//! depend on `obs`. See `ARCHITECTURE.md` at the repository root for the
+//! full wire-format reference.
 //!
 //! ## Quick start
 //!
+//! One shard's stream, served and absorbed through the trait until the
+//! client has decoded:
+//!
 //! ```
-//! use reconcile_core::{backends::RibltBackend, run_in_memory};
+//! use reconcile_core::{backends::RibltBackend, Progress, ReconcileBackend};
 //! use riblt::FixedBytes;
 //!
 //! type Item = FixedBytes<8>;
@@ -44,9 +46,16 @@
 //! let bob: Vec<Item> = (5..1_005u64).map(Item::from_u64).collect();
 //!
 //! let backend = RibltBackend::<Item>::new(8, 16);
-//! let report = run_in_memory(backend, &alice, &bob, 10_000).unwrap();
-//! assert_eq!(report.difference.remote_only.len(), 5);
-//! assert_eq!(report.difference.local_only.len(), 5);
+//! let mut server = backend.build_server(&alice);
+//! let mut client = backend.build_client(&bob);
+//! let open = backend.open_request(&mut client);
+//! let mut payload = backend.serve(&mut server, Some(&open)).unwrap();
+//! while backend.absorb(&mut client, &payload).unwrap() != Progress::Complete {
+//!     payload = backend.serve(&mut server, None).unwrap();
+//! }
+//! let difference = backend.into_difference(client).unwrap();
+//! assert_eq!(difference.remote_only.len(), 5);
+//! assert_eq!(difference.local_only.len(), 5);
 //! ```
 
 #![deny(missing_docs)]
@@ -66,25 +75,13 @@ pub mod tcp_sync;
 pub mod window;
 pub mod wirefmt;
 
-// The unit tests talk to `netsim`'s reference server, the same source file
-// (a dev-dependency on `netsim` would link a second copy of this crate,
-// whose types are not these). That file names this crate by its name.
-#[cfg(test)]
-extern crate self as reconcile_core;
-#[cfg(test)]
-#[path = "../../netsim/src/flight.rs"]
-mod flight;
-
 pub use backend::{Absorbed, Progress, ReconcileBackend, StreamProgress};
 pub use datagram::{
     handle_server_datagram, max_symbols_in_budget, session_cookie, BatchSequencer, DatagramEvent,
     DatagramHeader, DatagramKind, DatagramServiceConfig, UdpSessionTable, DATAGRAM_HEADER_BYTES,
     DEFAULT_MTU_BUDGET,
 };
-pub use engine::{
-    run_in_memory, ClientEngine, EngineMessage, RangeRequest, RunReport, ServerEngine,
-    ShardEndpoint,
-};
+pub use engine::{EngineMessage, RangeRequest, ShardEndpoint};
 pub use error::{EngineError, Result};
 pub use first_flight::{CountSketch, FirstFlight};
 pub use framing::{
@@ -95,7 +92,7 @@ pub use handshake::{
     client_handshake, client_handshake_pipelined, key_fingerprint, server_handshake, Hello,
     PROTOCOL_VERSION,
 };
-pub use mux::{ClientMux, MuxFrame, ServerMux, MUX_HEADER_BYTES};
+pub use mux::{ClientMux, MuxFrame, MUX_HEADER_BYTES};
 pub use shard::{Grouping, SessionId, ShardId, ShardPartitioner, SHARD_ALL};
 pub use tcp_sync::{sync_sharded_tcp, TcpSyncConfig, TcpSyncOutcome};
 

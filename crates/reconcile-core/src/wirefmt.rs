@@ -34,7 +34,7 @@ pub fn validate_stream_open(request: &[u8], magic: [u8; 4], symbol_len: usize) -
 
 /// A stream open's declared item length and the bytes after it; the magic
 /// is not checked.
-pub(crate) fn split_stream_open(request: &[u8]) -> Result<(u64, &[u8])> {
+pub fn split_stream_open(request: &[u8]) -> Result<(u64, &[u8])> {
     if request.len() < 5 {
         return Err(EngineError::WireFormat("bad stream open request"));
     }

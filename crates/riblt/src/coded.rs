@@ -115,6 +115,16 @@ impl<S: Symbol> CodedSymbol<S> {
         self.count += other.count;
     }
 
+    /// True if the cell reads as two distinct symbols that share one keyed
+    /// hash: their hashes cancel and their items do not, with one on each
+    /// side (count 0) or both on one (count ±2). Such a pair shares every
+    /// index, so no cell ever holds either alone and peeling never
+    /// separates them. Honest cells read so with probability 2⁻⁶⁴.
+    #[inline]
+    pub(crate) fn holds_colliding_pair(&self) -> bool {
+        self.checksum == 0 && matches!(self.count, -2 | 0 | 2) && !self.sum.is_zero()
+    }
+
     /// True if no symbols remain mixed in (all three fields neutral).
     #[inline]
     pub fn is_empty_cell(&self) -> bool {

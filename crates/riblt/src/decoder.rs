@@ -22,7 +22,7 @@ use crate::coded::{CodedSymbol, Direction};
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
 use crate::mapping::{mapped_probability, IndexMapping, MappingRule, Uniform};
-use crate::peel::Peeler;
+use crate::peel::{undecoded, Peeler};
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// The recovered symmetric difference.
@@ -445,11 +445,14 @@ impl<S: Symbol, R: MappingRule> Decoder<S, R> {
         }
     }
 
-    /// Returns the recovered difference, failing if decoding is incomplete.
+    /// Returns the recovered difference, failing if decoding is incomplete:
+    /// [`Error::CollidingItems`] if a held cell holds two items with one
+    /// keyed hash (more coded symbols cannot help), else
+    /// [`Error::DecodeIncomplete`].
     pub fn try_into_difference(self) -> Result<SetDifference<S>> {
         self.check_consistent()?;
         if !self.is_decoded() {
-            return Err(Error::DecodeIncomplete);
+            return Err(undecoded(&self.coded));
         }
         Ok(self.into_difference())
     }

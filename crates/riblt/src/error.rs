@@ -26,6 +26,14 @@ pub enum Error {
     /// The peeling decoder stopped before recovering every source symbol
     /// (more coded symbols are needed).
     DecodeIncomplete,
+    /// The peeling decoder stopped before recovering every source symbol
+    /// while holding a cell that reads as two distinct items with one keyed
+    /// hash: hash sum 0, a nonzero item sum, and count 0 (one item on each
+    /// side) or ±2 (both on one). Two such items share every index, so no
+    /// number of further coded symbols separates them and a retry under the
+    /// same key stalls the same way. Under a known key such a pair is a
+    /// birthday search of about 2³² keyed hashes.
+    CollidingItems,
     /// The cells being peeled are not a prefix of one set's coded-symbol
     /// sequence (a stream spliced from two versions of a set, say): peeling
     /// recovered more symbols than cells were received, which no consistent
@@ -54,6 +62,10 @@ impl fmt::Display for Error {
             Error::DecodeIncomplete => {
                 write!(f, "peeling stalled before recovering all source symbols")
             }
+            Error::CollidingItems => write!(
+                f,
+                "two distinct items share one keyed hash: peeling cannot separate them"
+            ),
             Error::InconsistentStream => write!(
                 f,
                 "coded symbols are inconsistent: more symbols recovered than cells received"
@@ -79,6 +91,7 @@ mod tests {
             Error::SymbolAddedAfterDecodingStarted.to_string(),
             Error::SketchShapeMismatch { left: 3, right: 5 }.to_string(),
             Error::DecodeIncomplete.to_string(),
+            Error::CollidingItems.to_string(),
             Error::InconsistentStream.to_string(),
             Error::WireFormat("truncated").to_string(),
         ];

@@ -15,6 +15,7 @@
 use riblt_hash::SipKey;
 
 use crate::coded::{prefetch, CodedSymbol, Direction};
+use crate::error::Error;
 use crate::mapping::{BlockWalk, IndexMapping, MappingRule};
 use crate::symbol::{HashedSymbol, Symbol};
 
@@ -33,6 +34,17 @@ const PEEL_LANES: usize = 4;
 /// L2 (it does for differences above a few thousand 32-byte symbols).
 const WAVE_STEPS: usize = 8;
 
+/// Why peeling `cells` stopped short of decoding:
+/// [`Error::CollidingItems`] if one of them holds two items with one keyed
+/// hash, which no further cell separates, else [`Error::DecodeIncomplete`].
+pub(crate) fn undecoded<S: Symbol>(cells: &[CodedSymbol<S>]) -> Error {
+    if cells.iter().any(CodedSymbol::holds_colliding_pair) {
+        Error::CollidingItems
+    } else {
+        Error::DecodeIncomplete
+    }
+}
+
 /// Candidate queue and scratch of the peeling loop, kept in lockstep with a
 /// cell array the caller owns: one [`Self::push_cell`] per cell, in order.
 #[derive(Debug, Clone)]
@@ -49,8 +61,12 @@ pub(crate) struct Peeler<S: Symbol> {
     queued: Vec<bool>,
     /// Indices of cells that may currently be pure.
     pure_queue: Vec<usize>,
-    /// Symbols recovered so far, for the consistency bound.
-    recovered: usize,
+    /// Keyed hashes of the symbols recovered so far: their number is the
+    /// consistency bound's, and cell 0's one candidate is checked against
+    /// them (see [`Self::peel`]).
+    recovered: Vec<u64>,
+    /// Whether cell 0 has been peeled, or refused, already.
+    cell_0_spent: bool,
     /// Scratch for [`Self::peel`]'s batched propagation: verified pure
     /// symbols (with side and source cell) and their mappings in walking
     /// form, the one place a symbol steps through many indices in a row.
@@ -67,7 +83,8 @@ impl<S: Symbol> Peeler<S> {
         Peeler {
             queued: Vec::new(),
             pure_queue: Vec::new(),
-            recovered: 0,
+            recovered: Vec::new(),
+            cell_0_spent: false,
             batch: Vec::new(),
             batch_walks: Vec::new(),
             pending: Vec::with_capacity(PEEL_LANES * WAVE_STEPS),
@@ -78,6 +95,7 @@ impl<S: Symbol> Peeler<S> {
     pub(crate) fn reserve(&mut self, cells: usize, difference: usize) {
         self.queued.reserve(cells);
         self.pure_queue.reserve(difference);
+        self.recovered.reserve(difference);
     }
 
     /// Registers the next cell of the caller's array, queueing it if its
@@ -117,6 +135,11 @@ impl<S: Symbol> Peeler<S> {
     /// has cells. A splice of two sequences can recover the same symbol from
     /// either side for ever; the loop stops, for good, when the count says
     /// so.
+    ///
+    /// Cell 0, which every symbol maps to, yields at most one candidate, and
+    /// none whose hash was recovered already: a symbol cannot be in the
+    /// difference twice, and a difference crafted to cancel in cell 0 would
+    /// otherwise make it hand back the first symbol recovered elsewhere.
     pub(crate) fn peel<R: MappingRule>(
         &mut self,
         cells: &mut [CodedSymbol<S>],
@@ -154,6 +177,20 @@ impl<S: Symbol> Peeler<S> {
                     // count == ±1 but several symbols are mixed in (§3).
                     continue;
                 }
+                if idx == 0 {
+                    // Every symbol maps to cell 0, so on an honest stream it
+                    // is pure only while it holds the last symbol left, once.
+                    // A difference that cancels there leaves it holding the
+                    // negation of the first symbol recovered elsewhere, which
+                    // would be traded back and forth until the bound below.
+                    // So cell 0 is peeled at most once, and only for a symbol
+                    // not recovered before: the scan runs once per peeler.
+                    if std::mem::replace(&mut self.cell_0_spent, true)
+                        || self.recovered.contains(&hash)
+                    {
+                        continue;
+                    }
+                }
                 // A pure cell holds exactly its one symbol: sum is the
                 // symbol, checksum is its hash. Peeling empties the cell,
                 // so settle it by moving the fields out; the propagation
@@ -169,8 +206,9 @@ impl<S: Symbol> Peeler<S> {
                 self.batch = batch;
                 return true;
             }
-            self.recovered += batch.len();
-            if self.recovered > cells.len() {
+            self.recovered
+                .extend(batch.iter().map(|(hashed, _, _)| hashed.hash));
+            if self.recovered.len() > cells.len() {
                 self.pure_queue.clear();
                 batch.clear();
                 self.batch = batch;

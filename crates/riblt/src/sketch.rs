@@ -23,7 +23,7 @@ use crate::decoder::SetDifference;
 use crate::encoder::CodingWindow;
 use crate::error::{Error, Result};
 use crate::mapping::{IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
-use crate::peel::Peeler;
+use crate::peel::{undecoded, Peeler};
 use crate::symbol::{HashedSymbol, Symbol};
 
 /// Applies `hashed` to every one of `cells` its `alpha` mapping reaches and
@@ -327,7 +327,9 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
     /// success recovers the whole set in `remote_only`.
     ///
     /// Returns [`Error::DecodeIncomplete`] if peeling stalls — the caller
-    /// should obtain a longer sketch (more coded symbols) and retry — and
+    /// should obtain a longer sketch (more coded symbols) and retry —,
+    /// [`Error::CollidingItems`] if it stalls on two items with one keyed
+    /// hash, which no longer sketch separates, and
     /// [`Error::InconsistentStream`] if the cells are not a sketch of one
     /// difference at all.
     pub fn decode(&self) -> Result<SetDifference<S>> {
@@ -351,7 +353,7 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
         if cells.iter().all(|c| c.is_empty_cell()) {
             Ok(diff)
         } else {
-            Err(Error::DecodeIncomplete)
+            Err(undecoded(&cells))
         }
     }
 }

@@ -1,14 +1,14 @@
 //! `reconcile-client` — one-shot peer of the `reconciled` daemon.
 //!
 //! ```text
-//! Usage: reconcile-client --connect ADDR --load FILE [options]
+//! Usage: reconcile-client --connect ADDR --load FILE --key K0HEX:K1HEX [options]
 //!   --connect ADDR        daemon data address (required)
 //!   --load FILE           local items, one hex item per line (required)
+//!   --key K0HEX:K1HEX     shared SipKey, the daemon's (required)
 //!   --admin ADDR          daemon admin address (for --push)
 //!   --push                push local-only items back through the admin
 //!                         socket, so both processes converge on the union
 //!   --symbol-len N        item length in bytes: 8, 16 or 32 (default 8)
-//!   --key K0HEX:K1HEX     shared SipKey (must match the daemon's)
 //!   --timeout-ms N        socket read/write timeout (default 10000)
 //! ```
 //!
@@ -31,11 +31,11 @@ use cluster::SyncClient;
 use reconcile_core::CountSketch;
 use riblt::{FixedBytes, Symbol};
 use riblt_hash::SipKey;
-use server::cli::{flag_value, load_items, parse_key};
+use server::cli::{flag_value, load_items, parse_key, require_key};
 use server::AdminClient;
 
-const USAGE: &str = "Usage: reconcile-client --connect ADDR --load FILE [--admin ADDR] [--push] \
-                     [--symbol-len 8|16|32] [--key K0HEX:K1HEX] [--timeout-ms N]";
+const USAGE: &str = "Usage: reconcile-client --connect ADDR --load FILE --key K0HEX:K1HEX \
+                     [--admin ADDR] [--push] [--symbol-len 8|16|32] [--timeout-ms N]";
 
 struct Options {
     connect: String,
@@ -53,7 +53,7 @@ fn parse_args() -> Result<Options, String> {
     let mut admin = None;
     let mut push = false;
     let mut symbol_len = 8usize;
-    let mut key = SipKey::default();
+    let mut key = None;
     let mut timeout = Duration::from_millis(10_000);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -67,7 +67,7 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("bad --symbol-len: {e}"))?;
             }
-            "--key" => key = parse_key(&flag_value(&mut args, "--key")?)?,
+            "--key" => key = Some(parse_key(&flag_value(&mut args, "--key")?)?),
             "--timeout-ms" => {
                 let ms: u64 = flag_value(&mut args, "--timeout-ms")?
                     .parse()
@@ -90,7 +90,7 @@ fn parse_args() -> Result<Options, String> {
         admin,
         push,
         symbol_len,
-        key,
+        key: require_key(key)?,
         timeout,
     })
 }

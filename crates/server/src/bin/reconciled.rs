@@ -1,14 +1,14 @@
 //! `reconciled` — the long-lived set-reconciliation daemon.
 //!
 //! ```text
-//! Usage: reconciled [options]
+//! Usage: reconciled --key K0HEX:K1HEX [options]
+//!   --key K0HEX:K1HEX     shared SipKey (required: the default key is public)
 //!   --listen ADDR         data listener (default 127.0.0.1:0 = free port)
 //!   --admin ADDR          admin/metrics listener (default 127.0.0.1:0)
 //!   --shards N            keyspace shards (default 8)
 //!   --symbol-len N        item length in bytes: 8, 16 or 32 (default 8)
 //!   --batch N             coded symbols per payload (default 32)
 //!   --load FILE           seed items, one hex item per line
-//!   --key K0HEX:K1HEX     shared SipKey (default: the well-known default key)
 //!   --read-timeout-ms N   per-connection read timeout (default 10000)
 //! ```
 //!
@@ -21,12 +21,12 @@ use std::time::Duration;
 
 use riblt::FixedBytes;
 use riblt::Symbol;
-use server::cli::{flag_value, load_items, parse_key};
+use server::cli::{flag_value, load_items, parse_key, require_key};
 use server::{Daemon, DaemonConfig};
 
-const USAGE: &str = "Usage: reconciled [--listen ADDR] [--admin ADDR] [--shards N] \
-                     [--symbol-len 8|16|32] [--batch N] [--load FILE] \
-                     [--key K0HEX:K1HEX] [--read-timeout-ms N]";
+const USAGE: &str = "Usage: reconciled --key K0HEX:K1HEX [--listen ADDR] [--admin ADDR] \
+                     [--shards N] [--symbol-len 8|16|32] [--batch N] [--load FILE] \
+                     [--read-timeout-ms N]";
 
 struct Options {
     config: DaemonConfig,
@@ -36,6 +36,7 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut config = DaemonConfig::default();
     let mut load = None;
+    let mut key = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -63,7 +64,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--load" => load = Some(PathBuf::from(flag_value(&mut args, "--load")?)),
-            "--key" => config.key = parse_key(&flag_value(&mut args, "--key")?)?,
+            "--key" => key = Some(parse_key(&flag_value(&mut args, "--key")?)?),
             "--read-timeout-ms" => {
                 let ms: u64 = flag_value(&mut args, "--read-timeout-ms")?
                     .parse()
@@ -78,6 +79,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    config.key = require_key(key)?;
     Ok(Options { config, load })
 }
 

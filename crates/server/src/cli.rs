@@ -26,6 +26,17 @@ pub fn parse_key(spec: &str) -> Result<SipKey, String> {
     Ok(SipKey::new(parse(k0)?, parse(k1)?))
 }
 
+/// The key `--key` gave, or the usage error that names the flag. The
+/// default key is public, and items crafted under a known key can stall a
+/// sync, so the binaries run on none but the one they are given.
+pub fn require_key(key: Option<SipKey>) -> Result<SipKey, String> {
+    key.ok_or_else(|| {
+        "--key K0HEX:K1HEX is required: the default key is public, and items \
+         crafted under a known key can stall a sync"
+            .into()
+    })
+}
+
 /// Loads an item file: one `2 × symbol_len`-hex-digit item per line, blank
 /// lines and `#` comments ignored.
 ///
@@ -79,5 +90,7 @@ mod tests {
         assert_eq!(key, SipKey::new(0xff, 0x10));
         assert!(parse_key("nope").is_err());
         assert!(parse_key("zz:10").is_err());
+        assert_eq!(require_key(Some(key)), Ok(key));
+        assert!(require_key(None).unwrap_err().starts_with("--key "));
     }
 }

@@ -41,7 +41,7 @@
 //! [`crate::event`]. There is no second serving path to keep in step; the
 //! daemon's wire output is held instead to a reference that shares none of
 //! this module's code (`tests/wire_equivalence.rs`: the library's
-//! `server_handshake` and `ServerMux` over plain streaming encoders).
+//! `server_handshake` and `netsim::ServerMux` over plain streaming encoders).
 //!
 //! ## Consistency under mutation
 //!

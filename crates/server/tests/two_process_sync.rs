@@ -6,6 +6,7 @@
 //! comparing the daemon's `STATS` digest with the client's printed digest.
 
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -15,6 +16,8 @@ use server::{admin_request, item_to_hex};
 type Item = FixedBytes<8>;
 
 const SHARDS: u16 = 8;
+/// The key both processes are given: neither starts without one.
+const KEY: &str = "0123456789abcdef:fedcba9876543210";
 
 /// Kills the daemon process on drop so a failing test never leaks it. A
 /// detached drainer thread owns the stdout pipe for the daemon's whole life
@@ -48,6 +51,8 @@ fn spawn_daemon(load: &std::path::Path) -> DaemonProcess {
             &SHARDS.to_string(),
             "--read-timeout-ms",
             "5000",
+            "--key",
+            KEY,
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -127,6 +132,8 @@ fn two_processes_converge_over_localhost() {
             "--admin",
             &daemon.admin_addr,
             "--push",
+            "--key",
+            KEY,
             "--timeout-ms",
             "10000",
         ])
@@ -248,5 +255,50 @@ fn client_reports_clean_error_against_a_mis_keyed_daemon() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("fingerprint"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The refusal of a binary run without `--key`: a usage error that names
+/// the flag, exit status 2, and nothing on stdout.
+fn refused_without_a_key(output: std::process::Output) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--key K0HEX:K1HEX is required"), "{stderr}");
+    assert!(output.stdout.is_empty(), "{output:?}");
+}
+
+#[test]
+fn reconciled_refuses_to_start_without_a_key() {
+    // It says so before it binds a port: it prints no address.
+    let output = Command::new(env!("CARGO_BIN_EXE_reconciled"))
+        .args(["--listen", "127.0.0.1:0", "--admin", "127.0.0.1:0"])
+        .output()
+        .expect("spawn reconciled");
+    refused_without_a_key(output);
+}
+
+#[test]
+fn reconcile_client_refuses_to_connect_without_a_key() {
+    let dir = std::env::temp_dir().join(format!("reconciled-nokey-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let items_file = dir.join("items.txt");
+    write_item_file(&items_file, 0..10);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_reconcile-client"))
+        .args([
+            "--connect",
+            &listener.local_addr().unwrap().to_string(),
+            "--load",
+            items_file.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn reconcile-client");
+    refused_without_a_key(output);
+    // It never connected.
+    listener.set_nonblocking(true).unwrap();
+    assert_eq!(
+        listener.accept().unwrap_err().kind(),
+        std::io::ErrorKind::WouldBlock
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

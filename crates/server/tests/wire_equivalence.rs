@@ -1,7 +1,7 @@
 //! The daemon against the library reference: under a pinned seed the
 //! `reconciled` daemon must put **the same bytes** on the wire as the
 //! library's own server does for the same conversation — `server_handshake`
-//! and a `ServerMux` of streaming `ServerEngine<RibltBackend>`s over
+//! and a `netsim::ServerMux` of streaming `ServerEngine<RibltBackend>`s over
 //! `ShardPartitioner::partition` (`netsim::library_server`). The two share
 //! the wire format and nothing else: the reference has no `Node`, no
 //! `SketchCache`, no wire-batch cache and no reactor, and re-encodes every

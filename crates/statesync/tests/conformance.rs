@@ -8,10 +8,11 @@
 
 use std::collections::BTreeSet;
 
+use netsim::{run_in_memory, RunReport, ServerEngine, ServerMux};
 use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
 use reconcile_core::{
-    run_in_memory, ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame, ReconcileBackend,
-    RunReport, ServerEngine, ServerMux, ShardId, ShardPartitioner, SHARD_ALL,
+    ClientMux, CountSketch, EngineError, EngineMessage, MuxFrame, ReconcileBackend, ShardId,
+    ShardPartitioner, SHARD_ALL,
 };
 use riblt::FixedBytes;
 use riblt_hash::{splitmix64, SipKey};

@@ -5,9 +5,9 @@
 //! would otherwise contend with the unit tests that fold measured CPU time
 //! into virtual clocks.)
 
-use netsim::LinkConfig;
+use netsim::{run_in_memory, LinkConfig};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::{run_in_memory, ShardPartitioner};
+use reconcile_core::ShardPartitioner;
 use statesync::{
     sync_sharded_riblt, synth_account, synth_address, Ledger, LedgerItem, ShardedRibltConfig,
     ShardedSyncConfig, SyncConfig, ITEM_LEN,

@@ -8,8 +8,9 @@
 //! comparison: identical protocol conditions, costs differing only by
 //! scheme.
 
+use netsim::{run_in_memory, RunReport};
 use reconcile_core::backends::{IrregularRibltBackend, RibltBackend};
-use reconcile_core::{run_in_memory, ReconcileBackend, RunReport};
+use reconcile_core::ReconcileBackend;
 use riblt::FixedBytes;
 use riblt_hash::splitmix64;
 use statesync::backends::{IbltBackend, MetIbltBackend, PinSketchBackend};

@@ -8,7 +8,7 @@
 //! connects, receives a stream of coded symbols, decodes the difference,
 //! applies it, and verifies that its Merkle root now matches Alice's.
 //!
-//! Both endpoints are the generic session engine from `reconcile-core` with
+//! Both endpoints are the generic session engine from `netsim` with
 //! the Rateless IBLT backend plugged in; TCP only moves its opaque frames.
 //! The serve loop below implements the *streaming* flow (push payloads,
 //! poll for a stop frame), so `RibltBackend` is swappable for any other
@@ -20,9 +20,10 @@
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
+use netsim::{ClientEngine, ServerEngine};
 use reconcile_core::backends::RibltBackend;
 use reconcile_core::framing::{read_frame, write_frame};
-use reconcile_core::{ClientEngine, EngineMessage, ServerEngine};
+use reconcile_core::EngineMessage;
 use statesync::{Chain, ChainConfig, Ledger, LedgerItem, ITEM_LEN};
 
 const BATCH_SYMBOLS: usize = 64;

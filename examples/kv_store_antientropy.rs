@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
+use netsim::run_in_memory;
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::run_in_memory;
 use riblt::FixedBytes;
 use riblt_hash::SplitMix64;
 

@@ -6,9 +6,9 @@ use std::collections::BTreeSet;
 
 use rateless_reconciliation::iblt::Iblt;
 use rateless_reconciliation::met_iblt::MetIblt;
+use rateless_reconciliation::netsim::run_in_memory;
 use rateless_reconciliation::pinsketch::PinSketch;
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
-use rateless_reconciliation::reconcile_core::run_in_memory;
 use rateless_reconciliation::riblt::{Decoder, Encoder, FixedBytes, SipKey, Sketch};
 use rateless_reconciliation::riblt_hash::splitmix64;
 

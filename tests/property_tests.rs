@@ -9,11 +9,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rateless_reconciliation::cluster::{set_digest, Node, NodeConfig};
 use rateless_reconciliation::merkle_trie::MerkleTrie;
+use rateless_reconciliation::netsim::{ClientEngine, ServerEngine};
 use rateless_reconciliation::pinsketch::PinSketch;
 use rateless_reconciliation::reconcile_core::backends::RibltBackend;
 use rateless_reconciliation::reconcile_core::{
-    Absorbed, ClientEngine, CountSketch, EngineMessage, Progress, ReconcileBackend, ServerEngine,
-    ShardPartitioner,
+    Absorbed, CountSketch, EngineMessage, Progress, ReconcileBackend, ShardPartitioner,
 };
 use rateless_reconciliation::riblt::wire::SymbolCodec;
 use rateless_reconciliation::riblt::{

@@ -1,16 +1,27 @@
-//! In-process kernel A/B harness.
+//! In-process kernel A/B harness, and the one definition of the kernels
+//! whose trajectory the `BENCH_<date>.json` files at the repo root record.
 //!
 //! Separate-process runs cannot resolve a few per cent on a shared host:
-//! `perf_snapshot` pairs of one build differ by 10–20 % between quartiles.
-//! This binary links two copies of the crates, this checkout's (`change`)
-//! and a parent commit's (`parent`, exported and renamed by `run.sh`), and
-//! times each kernel on both inside one pinned process, alternating the two
-//! sides repetition by repetition with fresh state per repetition, so both
-//! see the same minute of the same core. It prints one table row per kernel:
+//! pairs of one build differ by 10–20 % between quartiles. This binary
+//! links two copies of the crates, this checkout's (`change`) and a parent
+//! commit's (`parent`, exported and renamed by `run.sh`), and times each
+//! kernel on both inside one pinned process, alternating the two sides
+//! repetition by repetition with fresh state per repetition, so both see
+//! the same minute of the same core. It prints one table row per kernel:
 //! fastest and median of each side, the change at both, and repetitions won.
 //!
+//! Every run also writes the schema-v3 snapshot of `riblt_bench::snapshot`
+//! to `target/kernel_ab/snapshot.json`, the change side's fastest, quartiles
+//! and median of each row beside its median against the parent's, and reads
+//! it back through the validator. Quantiles interpolate linearly between
+//! order statistics (`riblt_bench::snapshot::quantile`), so the median of an
+//! even `--reps` is the mean of the middle two. A `run.sh HEAD` run is an
+//! A/A: each row's median delta is its own spread. A performance PR commits
+//! its change side's file as `BENCH_<date>.json`.
+//!
 //! The project rule for a kernel claim (ROADMAP): change faster than parent
-//! in ≥ 9 of every 10 repetitions. Run it through `run.sh`, never by hand:
+//! in ≥ 9 of every 10 repetitions. Run it through `run.sh`, never by hand
+//! (it records the two sides' commits for the snapshot):
 //!
 //! ```text
 //! crates/bench/kernel_ab/run.sh [PARENT_REV] [--reps N] [--only SUBSTRING] [--seed N]
@@ -22,8 +33,9 @@
 //! those are the rows a PR edits. Every kernel returns a digest of what it
 //! computed, and the two sides' digests must agree.
 
+use riblt_bench::snapshot::{today_utc, validate, Row, Snapshot, Spread};
+use riblt_bench::timed;
 use std::cell::RefCell;
-use std::time::Instant;
 
 /// 32-byte items, the benchmark's size; 8-byte ones for the narrow peel.
 const ITEM_LEN: usize = 32;
@@ -83,12 +95,6 @@ impl Raw {
     }
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
 /// What a kernel returns: seconds inside its timed region, and a digest of
 /// its result that must match the other side's.
 type Sample = (f64, u64);
@@ -107,7 +113,8 @@ macro_rules! side {
             use $hash::SipKey;
             use $netsim::FlightLinkTo;
             use $riblt::{
-                CodedSymbol, Decoder, Direction, Encoder, FixedBytes, SketchCache, Symbol, Uniform,
+                CodedSymbol, Decoder, Direction, Encoder, FixedBytes, Sketch, SketchCache, Symbol,
+                Uniform,
             };
 
             pub type Item = FixedBytes<32>;
@@ -129,6 +136,9 @@ macro_rules! side {
                 /// Warm servers of the remote sets at d = 100 and d = 2,000.
                 near_node: RefCell<Node<Item>>,
                 mid_node: RefCell<Node<Item>>,
+                /// 100,000-cell sketches of the local set and of the remote
+                /// set at d = 2,000.
+                sketches: (Sketch<Item>, Sketch<Item>),
             }
 
             fn backend(key: SipKey) -> RibltBackend<Item> {
@@ -195,6 +205,10 @@ macro_rules! side {
                     peel_10k: stream(&fresh, 20_004),
                     peel_10k_narrow: stream(&narrow, 20_004),
                     writes: fresh[..super::WRITES].to_vec(),
+                    sketches: (
+                        Sketch::from_set(100_000, &local),
+                        Sketch::from_set(100_000, &wrap(&raw.remote_mid)),
+                    ),
                     local,
                 }
             }
@@ -202,7 +216,8 @@ macro_rules! side {
             /// The one-shot client's set-up at `stale_tip` (d = 100): hash,
             /// group by shard, and build each shard's client over its first
             /// flight (`ReconcileBackend::build_client_keyed`), dropping each
-            /// as a sync does: `perf_snapshot`'s `client_setup/32B`.
+            /// as a sync does. Its stages are rows of their own: the hash
+            /// (`hash_many_with`) and the walk (the `first-flight` rows).
             fn client_setup(inputs: &Inputs) -> Sample {
                 let partitioner = ShardPartitioner::new(inputs.key, SHARDS);
                 let (units, secs) = timed(|| {
@@ -223,8 +238,8 @@ macro_rules! side {
                 (secs, units)
             }
 
-            /// `perf_snapshot`'s `decode_local_set/32B`: one decoder takes in
-            /// the local set, then one stream at d = 4,000.
+            /// The stale replica's decode: one decoder takes in the local
+            /// set, then one stream at d = 4,000.
             fn decode_local_set(inputs: &Inputs) -> Sample {
                 let (dec, secs) = timed(|| {
                     let mut dec = Decoder::<Item>::with_key(inputs.key);
@@ -310,6 +325,16 @@ macro_rules! side {
             /// [`one_shot_near`] at d = 2,000, where shards ask again.
             fn one_shot_mid(inputs: &Inputs) -> Sample {
                 one_shot(inputs.key, &inputs.local, &inputs.mid_node)
+            }
+
+            /// `sketch_subtract`: the remote set's sketch taken from the local
+            /// set's, cell by cell, in a copy made untimed.
+            fn sketch_subtract(inputs: &Inputs) -> Sample {
+                let (ours, theirs) = &inputs.sketches;
+                let mut work = ours.clone();
+                let ((), secs) = timed(|| work.subtract(theirs).unwrap());
+                let cells = work.cells().iter();
+                (secs, cells_digest(cells.map(|c| (c.checksum, c.count))))
             }
 
             /// `apply_prefix`'s signature under the regular rule, which its
@@ -478,6 +503,10 @@ macro_rules! side {
                 ("pure peel, d 10,000, 8 B", peel_10k_narrow),
                 ("encode 3,000 of 20,000, 32 B", encode_3k),
                 (
+                    "sketch_subtract/32B: 100,000 cells, 20,000 items a side, d 2,000",
+                    sketch_subtract,
+                ),
+                (
                     "one_shot sync, d 100: 20,000 × 32 B, 8 shards",
                     one_shot_near,
                 ),
@@ -637,22 +666,34 @@ impl Cli {
     }
 }
 
-/// Fastest and median of one side's repetitions, in ms.
-fn summary(mut secs: Vec<f64>) -> (f64, f64) {
-    secs.sort_by(f64::total_cmp);
-    (secs[0] * 1e3, secs[secs.len() / 2] * 1e3)
+/// Where `run.sh` leaves the two sides' commits and this binary its
+/// snapshot.
+const RUN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../../target/kernel_ab");
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: kernel_ab [--reps N] [--only SUBSTRING] [--seed N]");
+    std::process::exit(2);
 }
 
 fn main() {
-    let cli = match Cli::parse(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("usage: kernel_ab [--reps N] [--only SUBSTRING] [--seed N]");
-            std::process::exit(2);
-        }
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|msg| fail(&msg));
+    let shared = parent::KERNELS.iter().zip(change::KERNELS);
+    let shared = shared.map(|(&(name, parent), &(_, change))| (name, parent, change));
+    let kernels: Vec<Pair> = shared
+        .chain(DIFFERING.iter().copied())
+        .filter(|(name, ..)| cli.only.as_ref().is_none_or(|only| name.contains(only)))
+        .collect();
+    if kernels.is_empty() {
+        fail(&format!("--only {:?} matches no kernel", cli.only.unwrap()));
+    }
+    let commits = std::fs::read_to_string(format!("{RUN_DIR}/commits")).unwrap_or_default();
+    let mut commits = commits.lines().map(str::to_owned);
+    let (Some(parent_commit), Some(change_commit)) = (commits.next(), commits.next()) else {
+        fail("no commits in target/kernel_ab/commits: run it through run.sh")
     };
-    if riblt::prefix_uses_avx512(&riblt::Uniform(0.5)) {
+    let prefix_uses_avx512 = riblt::prefix_uses_avx512(&riblt::Uniform(0.5));
+    if prefix_uses_avx512 {
         eprintln!("# change: AVX-512 lanes (avx512f + avx512dq detected)");
     } else {
         eprintln!("# change: scalar lanes only (no avx512f + avx512dq)");
@@ -660,16 +701,10 @@ fn main() {
     let raw = Raw::generate(cli.seed);
     let (parent_inputs, change_inputs) = (parent::inputs(&raw), change::inputs(&raw));
 
-    let shared = parent::KERNELS.iter().zip(change::KERNELS);
-    let shared = shared.map(|(&(name, parent), &(_, change))| (name, parent, change));
-    let kernels: Vec<Pair> = shared.chain(DIFFERING.iter().copied()).collect();
-
     println!("| kernel | parent: fastest / median ms | change: fastest / median ms | change (fastest / median) | reps won |");
     println!("|---|---:|---:|---:|---:|");
+    let mut rows = Vec::with_capacity(kernels.len());
     for (name, parent, change) in kernels {
-        if cli.only.as_ref().is_some_and(|only| !name.contains(only)) {
-            continue;
-        }
         let (mut parent_s, mut change_s) = (Vec::new(), Vec::new());
         let mut won = 0;
         for rep in 0..cli.reps {
@@ -687,12 +722,39 @@ fn main() {
             parent_s.push(p);
             change_s.push(c);
         }
-        let ((p_best, p_median), (c_best, c_median)) = (summary(parent_s), summary(change_s));
+        let (p, c) = (Spread::of_secs(parent_s), Spread::of_secs(change_s));
+        let delta = |c: f64, p: f64| (c / p - 1.0) * 1e2;
         println!(
-            "| {name} | {p_best:.3} / {p_median:.3} | {c_best:.3} / {c_median:.3} | {:+.1} % / {:+.1} % | {won} / {} |",
-            (c_best / p_best - 1.0) * 1e2,
-            (c_median / p_median - 1.0) * 1e2,
+            "| {name} | {:.3} / {:.3} | {:.3} / {:.3} | {:+.1} % / {:+.1} % | {won} / {} |",
+            p.fastest_ms,
+            p.median_ms,
+            c.fastest_ms,
+            c.median_ms,
+            delta(c.fastest_ms, p.fastest_ms),
+            delta(c.median_ms, p.median_ms),
             cli.reps
         );
+        rows.push(Row {
+            kernel: name.into(),
+            change: c,
+            median_delta_pct: delta(c.median_ms, p.median_ms),
+        });
     }
+
+    let snapshot = Snapshot {
+        generated: today_utc(),
+        parent_commit,
+        change_commit,
+        seed: cli.seed,
+        reps: cli.reps,
+        prefix_uses_avx512,
+        rows,
+    };
+    let path = format!("{RUN_DIR}/snapshot.json");
+    std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let written = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    if let Err(reason) = validate(&written) {
+        panic!("{path}: schema violation: {reason}");
+    }
+    eprintln!("# wrote target/kernel_ab/snapshot.json");
 }

@@ -1,307 +1,227 @@
-//! Perf-snapshot schema: the stable shape of the `BENCH_<date>.json`
-//! files written by the `perf_snapshot` binary and checked in at the repo
-//! root as the kernel trajectory of the codebase.
-//!
-//! The schema is deliberately small and append-only:
+//! Kernel snapshot schema: the file `crates/bench/kernel_ab` writes on
+//! every run (`target/kernel_ab/snapshot.json`), which a performance PR
+//! commits at the repo root as `BENCH_<date>.json`, the kernel trajectory
+//! of the codebase.
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
-//!   "generated": "2026-10-15",
-//!   "mode": "quick",
-//!   "seed": 0,
-//!   "benches": [
-//!     {
-//!       "name": "decode_throughput/32B",
-//!       "params": { "symbol_bytes": 32, "difference": 10000, "trials": 3 },
-//!       "metrics": { "wall_s": 0.41, "diffs_per_s": 73170.7 }
-//!     }
+//!   "schema_version": 3,
+//!   "generated": "2026-10-19",
+//!   "parent_commit": "a29a8983c1ed47e1a6293d17a1257d23d33afaef",
+//!   "change_commit": "a29a8983c1ed47e1a6293d17a1257d23d33afaef",
+//!   "seed": 1,
+//!   "reps": 101,
+//!   "prefix_uses_avx512": true,
+//!   "rows": [
+//!     {"kernel": "pure peel, d 2,000, 32 B", "fastest_ms": 1.2360, "q1_ms": 1.2550, "median_ms": 1.2730, "q3_ms": 1.3010, "median_delta_pct": -0.10}
 //!   ]
 //! }
 //! ```
 //!
-//! Rules enforced by [`validate`] (and by the CI `perf-smoke` job):
-//! `schema_version` is 1 or [`SCHEMA_VERSION`]; `generated` is a
-//! `YYYY-MM-DD` date; `mode` is `"quick"` or `"full"`; every bench carries
-//! a non-empty `name`, numeric `params`, and numeric `metrics` including
-//! `wall_s`; and every required family of the file's version appears at
-//! least once. Adding new benches or metrics is allowed; renaming or
-//! dropping a required family is a schema regression.
+//! A row holds the change side's repetitions of one kernel: fastest, first
+//! quartile, median and third quartile, in ms; the change's median against
+//! the parent's, in per cent (`+` is slower). A `run.sh HEAD` run times
+//! one commit against itself, so there `median_delta_pct` is the row's A/A
+//! spread. `change_commit` ends in `-dirty` when the change side was a
+//! working tree that differed from its commit.
 //!
-//! Version 2 records kernels only: its required families are
-//! [`REQUIRED_BENCHES`], and it has no `daemon_metrics` block.
+//! Quantiles interpolate linearly between order statistics ([`quantile`]):
+//! of `n` sorted repetitions, quantile `p` sits at rank `(n − 1)·p`. An odd
+//! count's median is its middle repetition, an even count's the mean of its
+//! middle two.
 //!
-//! Version 1 files (the checked-in snapshots up to 2026-10-04) are read
-//! under exactly the rules they were written against: they must carry v1's
-//! required families, whose last two (`daemon_stream`, `udp_loss`) are
-//! daemon-level records, and may carry a `daemon_metrics` object — the
-//! live daemon's `obs` registry dump (`{"series": [...]}`). When present
-//! it must hold a non-empty `series` array whose entries each carry a
-//! string `name` and a `type` of `counter`, `gauge`, or `histogram`, with
-//! the matching numeric fields (`value` for counters/gauges; `count` and
-//! `sum` for histograms).
+//! [`validate`] holds a file to: `schema_version` 3; a `YYYY-MM-DD`
+//! `generated`; non-empty `parent_commit` and `change_commit`; a numeric
+//! `seed`; a positive `reps`; a boolean `prefix_uses_avx512`; and a
+//! non-empty `rows` array, each row with a non-empty `kernel` and every
+//! numeric field, and fastest ≤ Q1 ≤ median ≤ Q3. The schema-v1 files at
+//! the repo root (up to 2026-10-04, written by a separate-process harness
+//! since removed) are history and not validated.
 
 use crate::json::{self, JsonValue};
 use std::fmt::Write as _;
 
 /// Version stamp written into every snapshot file.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
-/// Bench families every current snapshot must contain (matched as a prefix
-/// of the bench `name`, so `decode_throughput/32B` satisfies
-/// `decode_throughput`).
-pub const REQUIRED_BENCHES: &[&str] = &[
-    "encode_throughput",
-    "decode_throughput",
-    "decode_local_set",
-    "client_setup",
-    "sketch_subtract",
-    "mux_sharded_decode",
+/// A row's numeric fields, in the order they are written.
+const ROW_FIELDS: [&str; 5] = [
+    "fastest_ms",
+    "q1_ms",
+    "median_ms",
+    "q3_ms",
+    "median_delta_pct",
 ];
 
-/// Bench families a `schema_version: 1` snapshot must contain.
-const V1_REQUIRED_BENCHES: &[&str] = &[
-    "encode_throughput",
-    "decode_throughput",
-    "sketch_subtract",
-    "mux_sharded_decode",
-    "daemon_stream",
-    "udp_loss",
-];
-
-/// One micro-bench result: a name plus ordered `params` and `metrics`
-/// key/value pairs (ordered so the emitted JSON is deterministic).
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Bench identifier, `family/variant` (e.g. `decode_throughput/32B`).
-    pub name: String,
-    /// Input sizes and knobs the numbers were measured at.
-    pub params: Vec<(String, f64)>,
-    /// Measured outputs; must include `wall_s`.
-    pub metrics: Vec<(String, f64)>,
+/// One side's repetitions of one kernel, in ms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The fastest repetition.
+    pub fastest_ms: f64,
+    /// First quartile.
+    pub q1_ms: f64,
+    /// Median.
+    pub median_ms: f64,
+    /// Third quartile.
+    pub q3_ms: f64,
 }
 
-impl BenchRecord {
-    /// Starts a record with no params or metrics.
-    pub fn new(name: impl Into<String>) -> Self {
-        BenchRecord {
-            name: name.into(),
-            params: Vec::new(),
-            metrics: Vec::new(),
+impl Spread {
+    /// The spread of `secs`, one entry per repetition (at least one).
+    pub fn of_secs(mut secs: Vec<f64>) -> Spread {
+        secs.sort_by(f64::total_cmp);
+        let ms = |p| quantile(&secs, p) * 1e3;
+        Spread {
+            fastest_ms: secs[0] * 1e3,
+            q1_ms: ms(0.25),
+            median_ms: ms(0.5),
+            q3_ms: ms(0.75),
         }
     }
-
-    /// Adds an input parameter.
-    pub fn param(mut self, key: &str, value: f64) -> Self {
-        self.params.push((key.to_string(), value));
-        self
-    }
-
-    /// Adds a measured metric.
-    pub fn metric(mut self, key: &str, value: f64) -> Self {
-        self.metrics.push((key.to_string(), value));
-        self
-    }
 }
 
-/// A full snapshot: header plus the bench records, rendered with
-/// [`Snapshot::to_json`].
+/// Quantile `p` of `sorted` (ascending, non-empty): linear between the two
+/// order statistics either side of rank `(len − 1)·p`.
+pub fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let rank = (sorted.len() - 1) as f64 * p;
+    let low = rank.floor() as usize;
+    let high = (low + 1).min(sorted.len() - 1);
+    sorted[low] + (rank - low as f64) * (sorted[high] - sorted[low])
+}
+
+/// One kernel's row.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// The kernel's name, as `kernel_ab`'s table prints it.
+    pub kernel: String,
+    /// The change side's repetitions.
+    pub change: Spread,
+    /// The change's median over the parent's, minus one, in per cent.
+    pub median_delta_pct: f64,
+}
+
+/// A whole snapshot file, rendered with [`Snapshot::to_json`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// `YYYY-MM-DD` date the snapshot was taken.
     pub generated: String,
-    /// `"quick"` or `"full"`.
-    pub mode: String,
-    /// User seed the pinned-seed benches were XORed with (0 = default).
+    /// The commit the parent side's crates were exported from.
+    pub parent_commit: String,
+    /// The commit of the change side's checkout.
+    pub change_commit: String,
+    /// Seed of the kernels' inputs.
     pub seed: u64,
-    /// The bench results.
-    pub benches: Vec<BenchRecord>,
+    /// Repetitions per kernel and side.
+    pub reps: usize,
+    /// Whether the change side's walks ran in AVX-512 lanes
+    /// (`riblt::prefix_uses_avx512`).
+    pub prefix_uses_avx512: bool,
+    /// One row per kernel, in the order they ran.
+    pub rows: Vec<Row>,
 }
 
 impl Snapshot {
-    /// Renders the snapshot as pretty-printed JSON in schema order.
+    /// Renders the snapshot as JSON in schema order, one row per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
+        let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"generated\": {},", json::quote(&self.generated));
-        let _ = writeln!(out, "  \"mode\": {},", json::quote(&self.mode));
+        for (key, value) in [
+            ("generated", &self.generated),
+            ("parent_commit", &self.parent_commit),
+            ("change_commit", &self.change_commit),
+        ] {
+            let _ = writeln!(out, "  \"{key}\": {},", json::quote(value));
+        }
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        out.push_str("  \"benches\": [\n");
-        for (i, bench) in self.benches.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": {},", json::quote(&bench.name));
-            write_pairs(&mut out, "params", &bench.params, true);
-            write_pairs(&mut out, "metrics", &bench.metrics, false);
-            out.push_str("    }");
-            out.push_str(if i + 1 < self.benches.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let _ = writeln!(out, "  \"reps\": {},", self.reps);
+        let _ = writeln!(
+            out,
+            "  \"prefix_uses_avx512\": {},",
+            self.prefix_uses_avx512
+        );
+        out.push_str("  \"rows\": [\n");
+        for (i, row) in self.rows.iter().enumerate() {
+            let s = row.change;
+            let _ = write!(
+                out,
+                "    {{\"kernel\": {}, \"fastest_ms\": {:.4}, \"q1_ms\": {:.4}, \"median_ms\": {:.4}, \"q3_ms\": {:.4}, \"median_delta_pct\": {:.2}}}",
+                json::quote(&row.kernel),
+                s.fastest_ms,
+                s.q1_ms,
+                s.median_ms,
+                s.q3_ms,
+                row.median_delta_pct
+            );
+            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-fn write_pairs(out: &mut String, label: &str, pairs: &[(String, f64)], trailing_comma: bool) {
-    let _ = write!(out, "      \"{label}\": {{");
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, " {}: {}", json::quote(key), json::number(*value));
-    }
-    out.push_str(if pairs.is_empty() { "}" } else { " }" });
-    out.push_str(if trailing_comma { ",\n" } else { "\n" });
-}
-
 /// Validates a snapshot document against the schema described in the module
 /// docs. Returns a human-readable reason on failure.
 pub fn validate(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let number = |key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_number)
+            .ok_or(format!("missing numeric `{key}`"))
+    };
+    let string = |key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_str)
+            .filter(|s| !s.is_empty())
+            .ok_or(format!("missing string `{key}`"))
+    };
 
-    let version = doc
-        .get("schema_version")
-        .and_then(JsonValue::as_number)
-        .ok_or("missing numeric `schema_version`")?;
-    let v1 = version == 1.0;
-    if !v1 && version != SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema_version {version} is neither 1 nor {SCHEMA_VERSION}"
-        ));
+    let version = number("schema_version")?;
+    if version != SCHEMA_VERSION as f64 {
+        return Err(format!("schema_version {version} is not {SCHEMA_VERSION}"));
     }
-
-    let generated = doc
-        .get("generated")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string `generated`")?;
+    let generated = string("generated")?;
     if !is_iso_date(generated) {
         return Err(format!(
             "`generated` is not a YYYY-MM-DD date: {generated:?}"
         ));
     }
-
-    let mode = doc
-        .get("mode")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string `mode`")?;
-    if mode != "quick" && mode != "full" {
-        return Err(format!(
-            "`mode` must be \"quick\" or \"full\", got {mode:?}"
-        ));
+    string("parent_commit")?;
+    string("change_commit")?;
+    number("seed")?;
+    let reps = number("reps")?;
+    if reps < 1.0 {
+        return Err(format!("`reps` must be positive, got {reps}"));
+    }
+    if !matches!(doc.get("prefix_uses_avx512"), Some(JsonValue::Bool(_))) {
+        return Err("missing boolean `prefix_uses_avx512`".into());
     }
 
-    doc.get("seed")
-        .and_then(JsonValue::as_number)
-        .ok_or("missing numeric `seed`")?;
-
-    if let Some(metrics) = doc.get("daemon_metrics") {
-        if !v1 {
-            return Err("`daemon_metrics` is a schema_version 1 block".into());
-        }
-        check_daemon_metrics(metrics)?;
-    }
-
-    let benches = doc
-        .get("benches")
+    let rows = doc
+        .get("rows")
         .and_then(JsonValue::as_array)
-        .ok_or("missing `benches` array")?;
-    if benches.is_empty() {
-        return Err("`benches` is empty".into());
-    }
-
-    let mut names = Vec::with_capacity(benches.len());
-    for (i, bench) in benches.iter().enumerate() {
-        let name = bench
-            .get("name")
+        .filter(|rows| !rows.is_empty())
+        .ok_or("missing or empty `rows` array")?;
+    for (i, row) in rows.iter().enumerate() {
+        let kernel = row
+            .get("kernel")
             .and_then(JsonValue::as_str)
-            .ok_or(format!("bench[{i}] missing string `name`"))?;
-        if name.is_empty() {
-            return Err(format!("bench[{i}] has an empty name"));
+            .filter(|k| !k.is_empty())
+            .ok_or(format!("rows[{i}] missing string `kernel`"))?;
+        let mut values = [0.0; ROW_FIELDS.len()];
+        for (value, field) in values.iter_mut().zip(ROW_FIELDS) {
+            *value = row
+                .get(field)
+                .and_then(JsonValue::as_number)
+                .ok_or(format!("row {kernel:?} missing numeric `{field}`"))?;
         }
-        check_numeric_object(bench, name, "params")?;
-        check_numeric_object(bench, name, "metrics")?;
-        let metrics = bench.get("metrics").expect("checked above");
-        if metrics
-            .get("wall_s")
-            .and_then(JsonValue::as_number)
-            .is_none()
-        {
-            return Err(format!("bench {name:?} is missing the `wall_s` metric"));
-        }
-        names.push(name);
-    }
-
-    let required = if v1 {
-        V1_REQUIRED_BENCHES
-    } else {
-        REQUIRED_BENCHES
-    };
-    for family in required {
-        if !names.iter().any(|n| {
-            n.strip_prefix(family)
-                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-        }) {
-            return Err(format!("required bench family {family:?} is missing"));
+        let [fastest, q1, median, q3, _] = values;
+        if !(fastest <= q1 && q1 <= median && median <= q3) {
+            return Err(format!(
+                "row {kernel:?}: quartiles out of order (fastest ≤ Q1 ≤ median ≤ Q3 must hold)"
+            ));
         }
     }
     Ok(())
-}
-
-/// Checks a v1 snapshot's optional `daemon_metrics` block: a non-empty
-/// `series` array of named counter/gauge/histogram entries with the numeric
-/// fields their type implies.
-fn check_daemon_metrics(metrics: &JsonValue) -> Result<(), String> {
-    let series = metrics
-        .get("series")
-        .and_then(JsonValue::as_array)
-        .ok_or("`daemon_metrics` is missing its `series` array")?;
-    if series.is_empty() {
-        return Err("`daemon_metrics.series` is empty".into());
-    }
-    for (i, entry) in series.iter().enumerate() {
-        let name = entry
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or(format!("daemon_metrics.series[{i}] missing string `name`"))?;
-        let kind = entry
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or(format!("daemon_metrics series {name:?} missing `type`"))?;
-        let required: &[&str] = match kind {
-            "counter" | "gauge" => &["value"],
-            "histogram" => &["count", "sum"],
-            other => {
-                return Err(format!(
-                    "daemon_metrics series {name:?} has unknown type {other:?}"
-                ))
-            }
-        };
-        for field in required {
-            if entry.get(field).and_then(JsonValue::as_number).is_none() {
-                return Err(format!(
-                    "daemon_metrics {kind} {name:?} is missing numeric `{field}`"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_numeric_object(bench: &JsonValue, name: &str, field: &str) -> Result<(), String> {
-    match bench.get(field) {
-        Some(JsonValue::Object(map)) => {
-            for (key, value) in map {
-                if value.as_number().is_none() {
-                    return Err(format!("bench {name:?} {field}.{key} is not a number"));
-                }
-            }
-            Ok(())
-        }
-        _ => Err(format!("bench {name:?} missing `{field}` object")),
-    }
 }
 
 fn is_iso_date(text: &str) -> bool {
@@ -344,200 +264,144 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 mod tests {
     use super::*;
 
-    fn sample_of(families: &[&str]) -> Snapshot {
-        let benches = families
-            .iter()
-            .map(|family| {
-                BenchRecord::new(format!("{family}/32B"))
-                    .param("symbol_bytes", 32.0)
-                    .metric("wall_s", 0.5)
-                    .metric("per_s", 1234.5)
-            })
-            .collect();
+    fn sample() -> Snapshot {
+        let row = |kernel: &str, secs: Vec<f64>| Row {
+            kernel: kernel.into(),
+            change: Spread::of_secs(secs),
+            median_delta_pct: -0.25,
+        };
         Snapshot {
-            generated: "2026-08-07".into(),
-            mode: "quick".into(),
-            seed: 0,
-            benches,
+            generated: "2026-10-19".into(),
+            parent_commit: "a29a898".into(),
+            change_commit: "a29a898-dirty".into(),
+            seed: 1,
+            reps: 5,
+            prefix_uses_avx512: true,
+            rows: vec![
+                row("pure peel", vec![0.0013, 0.0011, 0.0012, 0.0015, 0.0014]),
+                row("encode", vec![0.0052, 0.0050, 0.0051, 0.0054, 0.0053]),
+            ],
         }
     }
 
-    fn sample() -> Snapshot {
-        sample_of(REQUIRED_BENCHES)
+    /// `text` with its first `"key": value` member cut out (the sample's
+    /// values hold no `,` or `}`).
+    fn without(text: &str, key: &str) -> String {
+        let start = text.find(&format!("\"{key}\": ")).unwrap();
+        let len = text[start..].find([',', '}']).unwrap();
+        if text[start + len..].starts_with(',') {
+            format!("{}{}", &text[..start], &text[start + len + 1..])
+        } else {
+            // The row's last member: take the separator before it.
+            format!("{}{}", &text[..start - 2], &text[start + len..])
+        }
     }
 
-    /// `text` restamped as a `schema_version: 1` file.
-    fn as_v1(text: &str) -> String {
-        text.replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION},"),
-            "\"schema_version\": 1,",
-        )
+    #[test]
+    fn committed_v3_snapshots_validate() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = json::parse(&text).unwrap();
+            let version = doc.get("schema_version").and_then(JsonValue::as_number);
+            if version < Some(SCHEMA_VERSION as f64) {
+                continue;
+            }
+            validate(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            checked += 1;
+        }
+        assert!(checked > 0, "no schema-v3 BENCH_*.json at the repo root");
     }
-
-    /// `text` with a `daemon_metrics` block spliced in after the header, as
-    /// v1 files carried it.
-    fn with_daemon_metrics(text: &str, block: &str) -> String {
-        text.replacen(
-            "  \"benches\"",
-            &format!("  \"daemon_metrics\": {block},\n  \"benches\""),
-            1,
-        )
-    }
-
-    const WELL_FORMED_METRICS: &str = concat!(
-        "{\"series\":[",
-        "{\"name\":\"reconciled_sessions_opened_total\",\"type\":\"counter\",\"value\":8},",
-        "{\"name\":\"reconciled_items\",\"type\":\"gauge\",\"value\":20000},",
-        "{\"name\":\"reconciled_session_symbols\",\"type\":\"histogram\",",
-        "\"count\":8,\"sum\":4096,\"max\":700,\"mean\":512,\"p50\":500,\"p90\":650,\"p99\":690}",
-        "]}"
-    );
 
     #[test]
     fn emitted_snapshot_validates() {
-        let text = sample().to_json();
-        validate(&text).unwrap();
+        validate(&sample().to_json()).unwrap();
     }
 
     #[test]
     fn emitted_snapshot_is_parseable_in_order() {
+        let doc = json::parse(&sample().to_json()).unwrap();
+        assert_eq!(
+            doc.get("change_commit").unwrap().as_str(),
+            Some("a29a898-dirty")
+        );
+        assert_eq!(doc.get("prefix_uses_avx512"), Some(&JsonValue::Bool(true)));
+        let rows = doc.get("rows").unwrap().as_array().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].get("kernel").unwrap().as_str(), Some("encode"));
+        assert_eq!(rows[0].get("median_ms").unwrap().as_number(), Some(1.3));
+        assert_eq!(rows[0].get("q3_ms").unwrap().as_number(), Some(1.4));
+        assert_eq!(
+            rows[0].get("median_delta_pct").unwrap().as_number(),
+            Some(-0.25)
+        );
+    }
+
+    #[test]
+    fn a_row_that_lacks_a_field_is_rejected() {
         let text = sample().to_json();
-        let doc = json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("schema_version").unwrap().as_number(),
-            Some(SCHEMA_VERSION as f64)
-        );
-        let benches = doc.get("benches").unwrap().as_array().unwrap();
-        assert_eq!(benches.len(), REQUIRED_BENCHES.len());
-        assert_eq!(
-            benches[0].get("metrics").unwrap().get("per_s").unwrap(),
-            &JsonValue::Number(1234.5)
-        );
-    }
-
-    #[test]
-    fn missing_family_is_a_schema_regression() {
-        let mut snap = sample();
-        snap.benches.retain(|b| !b.name.starts_with("client_setup"));
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("client_setup"), "{err}");
-    }
-
-    #[test]
-    fn family_prefix_must_match_whole_segment() {
-        let mut snap = sample();
-        for bench in &mut snap.benches {
-            if bench.name.starts_with("client_setup") {
-                bench.name = "client_setuper/32B".into();
-            }
+        for field in ROW_FIELDS.into_iter().chain(["kernel"]) {
+            let err = validate(&without(&text, field)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
         }
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("client_setup"), "{err}");
     }
 
     #[test]
-    fn records_beyond_the_required_families_validate() {
-        let mut snap = sample();
-        snap.benches.push(
-            BenchRecord::new("decode_local_set/8B")
-                .param("local_set", 20_000.0)
-                .metric("wall_s", 0.05),
-        );
-        snap.benches.push(
-            BenchRecord::new("hash_many/32B")
-                .param("items", 20_000.0)
-                .metric("wall_s", 0.01)
-                .metric("hash_ms", 0.33),
-        );
-        validate(&snap.to_json()).unwrap();
-    }
-
-    #[test]
-    fn missing_wall_s_is_rejected() {
-        let mut snap = sample();
-        snap.benches[0].metrics.retain(|(k, _)| k != "wall_s");
-        let err = validate(&snap.to_json()).unwrap_err();
-        assert!(err.contains("wall_s"), "{err}");
+    fn quartiles_out_of_order_are_rejected() {
+        for (from, to) in [
+            ("\"fastest_ms\": 1.1000", "\"fastest_ms\": 1.2100"),
+            ("\"q1_ms\": 1.2000", "\"q1_ms\": 1.3500"),
+            ("\"q3_ms\": 1.4000", "\"q3_ms\": 1.2900"),
+        ] {
+            let text = sample().to_json();
+            assert!(text.contains(from), "{text}");
+            let err = validate(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains("out of order"), "{err}");
+        }
     }
 
     #[test]
     fn bad_header_fields_are_rejected() {
-        let mut snap = sample();
-        snap.mode = "medium".into();
-        assert!(validate(&snap.to_json()).unwrap_err().contains("mode"));
-
+        let text = sample().to_json();
+        for key in ["parent_commit", "change_commit", "prefix_uses_avx512"] {
+            let err = validate(&without(&text, key)).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        let text = text.replace("\"prefix_uses_avx512\": true", "\"prefix_uses_avx512\": 1");
+        assert!(validate(&text).unwrap_err().contains("prefix_uses_avx512"));
+        let text = sample()
+            .to_json()
+            .replace("\"schema_version\": 3", "\"schema_version\": 2");
+        assert!(validate(&text).unwrap_err().contains("schema_version"));
         let mut snap = sample();
         snap.generated = "yesterday".into();
         assert!(validate(&snap.to_json())
             .unwrap_err()
             .contains("YYYY-MM-DD"));
+    }
 
-        let text = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 99",
+    #[test]
+    fn quantiles_interpolate_between_order_statistics() {
+        let one = Spread::of_secs(vec![0.002]);
+        assert_eq!(
+            (one.fastest_ms, one.q1_ms, one.median_ms, one.q3_ms),
+            (2.0, 2.0, 2.0, 2.0)
         );
-        assert!(validate(&text).unwrap_err().contains("schema_version"));
-    }
-
-    #[test]
-    fn checked_in_v1_snapshots_validate() {
-        for text in [
-            include_str!("../../../BENCH_2026-08-07.json"),
-            include_str!("../../../BENCH_2026-10-03.json"),
-            include_str!("../../../BENCH_2026-10-04.json"),
-        ] {
-            assert!(text.contains("\"schema_version\": 1,"));
-            assert!(text.contains("\"daemon_metrics\""));
-            validate(text).unwrap();
-        }
-    }
-
-    #[test]
-    fn a_v1_snapshot_is_held_to_the_v1_families() {
-        let v1 = sample_of(V1_REQUIRED_BENCHES);
-        validate(&as_v1(&v1.to_json())).unwrap();
-        let mut snap = v1.clone();
-        snap.benches.retain(|b| !b.name.starts_with("udp_loss"));
-        let err = validate(&as_v1(&snap.to_json())).unwrap_err();
-        assert!(err.contains("udp_loss"), "{err}");
-        // The v2 families do not stand in for them, and v1's do not
-        // satisfy v2.
-        let err = validate(&as_v1(&sample().to_json())).unwrap_err();
-        assert!(err.contains("daemon_stream"), "{err}");
-        let err = validate(&v1.to_json()).unwrap_err();
-        assert!(err.contains("decode_local_set"), "{err}");
-    }
-
-    #[test]
-    fn daemon_metrics_is_a_v1_block() {
-        let v1 = as_v1(&sample_of(V1_REQUIRED_BENCHES).to_json());
-        validate(&with_daemon_metrics(&v1, WELL_FORMED_METRICS)).unwrap();
-        let v2 = with_daemon_metrics(&sample().to_json(), WELL_FORMED_METRICS);
-        let err = validate(&v2).unwrap_err();
-        assert!(err.contains("daemon_metrics"), "{err}");
-    }
-
-    #[test]
-    fn malformed_daemon_metrics_is_rejected() {
-        let v1 = as_v1(&sample_of(V1_REQUIRED_BENCHES).to_json());
-        for (block, reason) in [
-            ("{\"series\":[]}", "empty"),
-            (
-                "{\"series\":[{\"name\":\"x\",\"type\":\"counter\"}]}",
-                "value",
-            ),
-            (
-                "{\"series\":[{\"name\":\"x\",\"type\":\"summary\",\"value\":1}]}",
-                "unknown type",
-            ),
-            (
-                "{\"series\":[{\"name\":\"h\",\"type\":\"histogram\",\"count\":1}]}",
-                "sum",
-            ),
-        ] {
-            let err = validate(&with_daemon_metrics(&v1, block)).unwrap_err();
-            assert!(err.contains(reason), "{err}");
-        }
+        // An even count's median is the mean of its middle two.
+        assert_eq!(quantile(&[1.0, 2.0, 4.0, 8.0], 0.5), 3.0);
+        assert_eq!(quantile(&[1.0, 2.0, 4.0, 8.0], 0.25), 1.75);
+        // An odd count's quartiles fall on repetitions.
+        let odd: Vec<f64> = (0..101).map(f64::from).collect();
+        assert_eq!(
+            [0.25, 0.5, 0.75].map(|p| quantile(&odd, p)),
+            [25.0, 50.0, 75.0]
+        );
     }
 
     #[test]

@@ -473,13 +473,14 @@ macro_rules! side {
             }
 
             /// `node_mutate`: a burst of 512 inserts and 512 removes on a
-            /// node loaded with the local set whose shards have served 384
-            /// cells each (both untimed), so every write patches cells.
-            fn node_mutate(inputs: &Inputs) -> Sample {
+            /// node loaded with the local set whose shards have served
+            /// `cells` cells each (both untimed): with cells, every write
+            /// patches them; with none, every write is a cold cache's.
+            fn node_mutate(inputs: &Inputs, cells: usize) -> Sample {
                 let mut node = empty_node();
                 node.extend(inputs.local.iter().copied());
                 for shard in 0..SHARDS {
-                    node.shard_cells(shard, 0, 384);
+                    node.shard_cells(shard, 0, cells);
                 }
                 let ((), secs) = timed(|| {
                     for (&fresh, gone) in inputs.writes.iter().zip(&inputs.local) {
@@ -487,6 +488,14 @@ macro_rules! side {
                     }
                 });
                 (secs, node.digest())
+            }
+
+            fn node_mutate_384(inputs: &Inputs) -> Sample {
+                node_mutate(inputs, 384)
+            }
+
+            fn node_mutate_cold(inputs: &Inputs) -> Sample {
+                node_mutate(inputs, 0)
             }
 
             pub const KERNELS: &[(&str, fn(&Inputs) -> Sample)] = &[
@@ -556,7 +565,11 @@ macro_rules! side {
                 ),
                 (
                     "node_mutate: 512 inserts + 512 removes, 20,000 × 32 B, 8 × 384 cells",
-                    node_mutate,
+                    node_mutate_384,
+                ),
+                (
+                    "node_mutate cold: 512 inserts + 512 removes, 20,000 × 32 B, no cells",
+                    node_mutate_cold,
                 ),
             ];
         }

@@ -46,32 +46,19 @@ pub use udp_sync::{
     sync_sharded_udp, DatagramConduit, LossyConduit, UdpSyncConfig, UdpSyncOutcome,
 };
 
-// The unit tests drive the clients against `netsim`'s reference servers,
-// compiled from the same source files: `netsim` depends on this crate, so
-// as a dev-dependency it would link a second copy of it, whose types are
-// not these. Those files name this crate by its name, and the stream
-// server names its engine and multiplexer as `crate::engine` and
-// `crate::mux`.
+// The datagram client's unit tests drive it against `netsim`'s datagram
+// server, compiled from the same source file: `netsim` depends on this
+// crate, so as a dev-dependency it would link a second copy of it, whose
+// types are not these. That file names this crate by its name. The tests
+// that need `netsim`'s stream server or flight link live in `netsim`.
 #[cfg(test)]
 extern crate self as cluster;
 #[cfg(test)]
 #[path = "../../netsim/src/datagram.rs"]
 mod netsim_datagram;
-// Its run report's byte and round counts are read only in `netsim`.
-#[cfg(test)]
-#[allow(dead_code)]
-#[path = "../../netsim/src/engine.rs"]
-mod engine;
-#[cfg(test)]
-#[path = "../../netsim/src/mux.rs"]
-mod mux;
-#[cfg(test)]
-#[path = "../../netsim/src/flight.rs"]
-mod netsim_flight;
 #[cfg(test)]
 mod netsim {
     pub use crate::netsim_datagram::{
         datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig,
     };
-    pub use crate::netsim_flight::{library_server, FlightLink};
 }

@@ -12,10 +12,6 @@
 //! This is evaluation machinery: it compares every sketch family under one
 //! protocol. The daemon serves through `cluster::Responder` and the shipped
 //! client is `reconcile_core::sync_sharded_tcp`; neither runs this code.
-//!
-//! `cluster` compiles this file into its own unit tests as well (it serves
-//! their [`crate::library_server`]), so it uses nothing of `netsim` and
-//! reaches the library through `reconcile_core::` paths only.
 
 use reconcile_core::{EngineError, EngineMessage, Progress, ReconcileBackend, Result};
 use riblt::SetDifference;

@@ -11,11 +11,6 @@
 //! That server shares the wire format with the `reconciled` daemon and
 //! nothing else (no `Node`, no sketch cache, no reactor), which is what
 //! makes a byte-for-byte comparison of the two worth running.
-//!
-//! `cluster` compiles this file into its own unit tests as well (its
-//! clients' tests talk to this server), with [`crate::engine`] and
-//! [`crate::mux`], so it uses nothing else of `netsim` and reaches the
-//! library through `reconcile_core::` paths only.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

@@ -99,13 +99,22 @@ pub use sim_flights::SimFlights;
 pub use timeseries::TimeSeries;
 pub use topology::Topology;
 
-// The tests of `reconcile_core`'s handshake and stream client that talk to
-// the library's server, under the names of the modules they test.
+// The tests of `reconcile_core`'s handshake and stream client, and of
+// `cluster`'s clients, that need the library's stream server or its flight
+// link, under the names of the modules they test.
+#[cfg(test)]
+mod client {
+    mod tests;
+}
 #[cfg(test)]
 mod handshake {
     mod tests;
 }
 #[cfg(test)]
 mod tcp_sync {
+    mod tests;
+}
+#[cfg(test)]
+mod udp_sync {
     mod tests;
 }

@@ -12,10 +12,6 @@
 //! daemon's wire output is compared against, and it shares only the wire
 //! format with the daemon's `cluster::Responder`. The client half of the
 //! protocol, `reconcile_core::ClientMux`, is tested against it here.
-//!
-//! `cluster` compiles this file into its own unit tests as well, so it uses
-//! nothing of `netsim` but [`crate::engine`] and reaches the library through
-//! `reconcile_core::` paths only.
 
 use std::collections::HashMap;
 

@@ -1,8 +1,8 @@
 //! Flights on the clock: a [`FlightLinkTo`] whose every flight is charged
 //! to the link between two nodes of a [`Topology`].
 //!
-//! This lives apart from `flight.rs`, which `reconcile-core` compiles into
-//! its own unit tests and which therefore may use nothing of `netsim`.
+//! This lives apart from `flight.rs`, the link itself, which knows no
+//! topology.
 
 use std::io::{self, Read, Write};
 use std::time::Instant;

@@ -14,6 +14,9 @@
 //! functions are part of the system the paper describes, not incidental
 //! dependencies.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod composite256;
 mod siphash;
 mod splitmix;

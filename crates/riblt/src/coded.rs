@@ -17,6 +17,9 @@ use crate::symbol::{HashedSymbol, Symbol};
 /// unsafe part is the intrinsic call itself.
 #[inline(always)]
 pub(crate) fn prefetch<T>(cell: &T) {
+    // SAFETY: a prefetch reads no memory and cannot fault, whatever the
+    // address; this one is of a live reference besides, and SSE, which the
+    // intrinsic needs, is part of every x86_64 CPU.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(

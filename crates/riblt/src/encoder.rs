@@ -29,7 +29,8 @@ const NO_POS: u32 = u32::MAX;
 /// the decoder (which lazily generates its local set's contribution and
 /// subtracts it, and maintains windows of recovered symbols) and
 /// [`crate::SketchCache`] (whose first cells come from one item walk,
-/// [`Self::apply_prefix`], and later ones from this window).
+/// [`Self::apply_prefix`], and later ones from this window, and whose
+/// removals take their entry out, [`Self::take`]).
 ///
 /// Scheduling uses a calendar queue instead of a binary heap: coded-symbol
 /// indices are produced strictly in order 0, 1, 2, …, so each symbol is
@@ -134,8 +135,8 @@ impl<S: Symbol> CodingWindow<S> {
         }
     }
 
-    /// Registers a symbol/mapping pair and parks it at its current index.
-    fn push_entry(&mut self, symbol: HashedSymbol<S>, mapping: IndexMapping) {
+    /// Registers a symbol/mapping pair, parked at its current index if `park`.
+    fn push_entry(&mut self, symbol: HashedSymbol<S>, mapping: IndexMapping, park: bool) {
         let pos = self.items.len();
         assert!(pos < NO_POS as usize, "coding window position overflow");
         let index = mapping.current_index();
@@ -143,7 +144,9 @@ impl<S: Symbol> CodingWindow<S> {
         self.hashes.push(symbol.hash);
         self.mappings.push(mapping);
         self.bucket_next.push(NO_POS);
-        self.enqueue(pos as u32, index);
+        if park {
+            self.enqueue(pos as u32, index);
+        }
     }
 
     /// Adds a symbol whose mapping, of parameter `alpha` (the owner's
@@ -153,7 +156,17 @@ impl<S: Symbol> CodingWindow<S> {
     pub(crate) fn push_fresh(&mut self, symbol: HashedSymbol<S>, alpha: f64) {
         debug_assert_eq!(self.next_index, 0);
         let mapping = IndexMapping::with_alpha(symbol.hash, alpha);
-        self.push_entry(symbol, mapping);
+        self.push_entry(symbol, mapping, true);
+    }
+
+    /// [`Self::push_fresh`] for a window whose first cells
+    /// [`Self::apply_prefix`] builds, which parks every symbol itself: the
+    /// symbol is parked nowhere until then, so that [`Self::take`] walks no
+    /// chain of the index every fresh symbol shares.
+    pub(crate) fn push_unparked(&mut self, symbol: HashedSymbol<S>, alpha: f64) {
+        debug_assert_eq!(self.next_index, 0);
+        let mapping = IndexMapping::with_alpha(symbol.hash, alpha);
+        self.push_entry(symbol, mapping, false);
     }
 
     /// Adds a symbol together with a mapping that has already been advanced
@@ -161,7 +174,7 @@ impl<S: Symbol> CodingWindow<S> {
     /// symbol is recovered mid-stream).
     pub(crate) fn push_with_mapping(&mut self, symbol: HashedSymbol<S>, mapping: IndexMapping) {
         debug_assert!(mapping.current_index() >= self.next_index);
-        self.push_entry(symbol, mapping);
+        self.push_entry(symbol, mapping, true);
     }
 
     /// Takes over `items`, `hashes[i]` being the keyed hash of `items[i]`
@@ -274,24 +287,51 @@ impl<S: Symbol> CodingWindow<S> {
         }
     }
 
-    /// Drops every symbol whose position `keep` turns down and re-parks the
-    /// survivors, in position order, each with its mapping where it stands,
-    /// so the window contributes to every future index exactly what the
-    /// survivors alone would have.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let mut kept = 0;
-        for at in 0..self.items.len() {
-            if keep(at) {
-                self.items.swap(kept, at);
-                self.hashes.swap(kept, at);
-                self.mappings.swap(kept, at);
-                kept += 1;
-            }
+    /// Takes the symbol at position `pos` out of the window and moves the
+    /// last one into its place; returns the position that one moved from,
+    /// if it is another. The taken symbol leaves its chain or the overflow
+    /// heap, and the moved one's link or heap entry is pointed at its new
+    /// position, so the window contributes to every future index what it
+    /// would have without the taken symbol. Symbols parked nowhere
+    /// ([`Self::push_unparked`]) stay so.
+    pub(crate) fn take(&mut self, pos: usize) -> Option<usize> {
+        let last = self.items.len() - 1;
+        self.relink(pos as u32, None);
+        if pos != last {
+            self.relink(last as u32, Some(pos as u32));
         }
-        self.items.truncate(kept);
-        self.hashes.truncate(kept);
-        self.mappings.truncate(kept);
-        self.park_all();
+        self.items.swap_remove(pos);
+        self.hashes.swap_remove(pos);
+        self.mappings.swap_remove(pos);
+        self.bucket_next.swap_remove(pos);
+        (pos != last).then_some(last)
+    }
+
+    /// Points the chain link or the overflow entry that holds `from`, found
+    /// at its mapping's current index, at `to`, or unlinks it if `to` is
+    /// `None`. A position parked nowhere is left so.
+    fn relink(&mut self, from: u32, to: Option<u32>) {
+        let index = self.mappings[from as usize].current_index();
+        let link = to.unwrap_or(self.bucket_next[from as usize]);
+        let head = self.bucket_head.get(index as usize);
+        let mut at = head.copied().unwrap_or(NO_POS);
+        if at == from {
+            self.bucket_head[index as usize] = link;
+            return;
+        }
+        while at != NO_POS {
+            let next = self.bucket_next[at as usize];
+            if next == from {
+                self.bucket_next[at as usize] = link;
+                return;
+            }
+            at = next;
+        }
+        let parked = self.overflow.len();
+        self.overflow.retain(|&Reverse((_, at))| at != from);
+        if let (Some(to), true) = (to, self.overflow.len() < parked) {
+            self.overflow.push(Reverse((index, to)));
+        }
     }
 
     /// The stored symbols' keyed hashes, in position order.
@@ -443,6 +483,29 @@ impl<S: Symbol, R: MappingRule> Encoder<S, R> {
     /// e.g. to re-stream to a new peer from the beginning.
     pub fn restart(&mut self) {
         self.window.restart();
+    }
+}
+
+#[cfg(test)]
+impl<S: Symbol> CodingWindow<S> {
+    /// Every parked `(index, position)`, chains first, then the overflow
+    /// heap.
+    pub(crate) fn parked(&self) -> Vec<(u64, u32)> {
+        let mut parked = Vec::new();
+        for (index, &head) in self.bucket_head.iter().enumerate() {
+            let mut pos = head;
+            while pos != NO_POS {
+                parked.push((index as u64, pos));
+                pos = self.bucket_next[pos as usize];
+            }
+        }
+        parked.extend(self.overflow.iter().map(|&Reverse(entry)| entry));
+        parked
+    }
+
+    /// The stored symbols' parked mappings, in position order.
+    pub(crate) fn mappings(&self) -> &[IndexMapping] {
+        &self.mappings
     }
 }
 

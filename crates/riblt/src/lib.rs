@@ -69,6 +69,8 @@
 //! `ReconcileBackend` trait.
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod coded;
 pub mod decoder;

@@ -11,7 +11,9 @@
 //! sequence" deployment of §2 and §7.3): it supports adding/removing set
 //! items *after* the prefix has been materialized — each update touches only
 //! the O(log m) coded symbols the item maps to — and extending the prefix on
-//! demand.
+//! demand. It holds its set in one coding window, one entry per item: a
+//! removal walks its item out of the cells and then takes the item's entry
+//! out of the window, so only an item the set holds can be removed.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -26,39 +28,23 @@ use crate::mapping::{IndexMapping, MappingRule, Uniform, DEFAULT_ALPHA};
 use crate::peel::{undecoded, Peeler};
 use crate::symbol::{HashedSymbol, Symbol};
 
-/// Applies `hashed` to every one of `cells` its `alpha` mapping reaches and
-/// returns the mapping, parked at its first index past them.
+/// Applies `item`, whose keyed hash is `hash`, to every one of `cells` its
+/// `alpha` mapping reaches and returns the mapping, parked at its first
+/// index past them.
 fn apply_to_prefix<S: Symbol>(
     cells: &mut [CodedSymbol<S>],
-    hashed: &HashedSymbol<S>,
+    item: &S,
+    hash: u64,
     alpha: f64,
     direction: Direction,
 ) -> IndexMapping {
-    let mut walk = IndexMapping::with_alpha(hashed.hash, alpha).walk();
+    let mut walk = IndexMapping::with_alpha(hash, alpha).walk();
     let m = cells.len() as u64;
     while walk.current_index() < m {
-        cells[walk.current_index() as usize].apply(hashed, direction);
+        cells[walk.current_index() as usize].apply_parts(item, hash, direction);
         walk.advance();
     }
     walk.park()
-}
-
-/// Pushes `hashed` into `window`: a fresh mapping while there are no
-/// `cells` (nothing to walk), else the mapping [`apply_to_prefix`] parks past
-/// them after applying the item to every cell it reaches.
-fn push<S: Symbol>(
-    window: &mut CodingWindow<S>,
-    cells: &mut [CodedSymbol<S>],
-    hashed: HashedSymbol<S>,
-    alpha: f64,
-    direction: Direction,
-) {
-    if cells.is_empty() {
-        window.push_fresh(hashed, alpha);
-    } else {
-        let mapping = apply_to_prefix(cells, &hashed, alpha, direction);
-        window.push_with_mapping(hashed, mapping);
-    }
 }
 
 /// An empty slot of a [`PositionIndex`].
@@ -89,16 +75,6 @@ impl PositionIndex {
             len: 0,
             scatter: RandomState::new().build_hasher().finish() | 1,
         }
-    }
-
-    /// Every position of a window whose hashes are `hashes`.
-    fn over(hashes: &[u64]) -> Self {
-        let mut index = PositionIndex::new();
-        index.reserve(hashes.len(), hashes);
-        for (pos, &hash) in hashes.iter().enumerate() {
-            index.insert(pos as u32, hash);
-        }
-        index
     }
 
     fn mask(&self) -> usize {
@@ -177,6 +153,13 @@ impl PositionIndex {
         self.slots[hole] = VACANT;
         self.len -= 1;
         taken as usize
+    }
+
+    /// Rewrites the slot that holds position `from`, of hash `hash`, to hold
+    /// `to`: the window moved that position's entry there.
+    fn repoint(&mut self, hash: u64, from: usize, to: usize) {
+        let slot = self.find(hash, |pos| pos == from);
+        self.slots[slot.expect("the moved position is indexed")] = to as u32;
     }
 
     /// The positions held, in slot order.
@@ -279,9 +262,9 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
     }
 
     fn apply(&mut self, symbol: &S, direction: Direction) {
-        let hashed = HashedSymbol::new(symbol.clone(), self.key);
-        let alpha = self.rule.alpha_of(hashed.hash);
-        apply_to_prefix(&mut self.cells, &hashed, alpha, direction);
+        let hash = symbol.hash_with(self.key);
+        let alpha = self.rule.alpha_of(hash);
+        apply_to_prefix(&mut self.cells, symbol, hash, alpha, direction);
     }
 
     /// Mixes one set item into the sketch.
@@ -367,34 +350,33 @@ impl<S: Symbol, R: MappingRule> Sketch<S, R> {
 /// `prefix(..)` to any peer that asks — the same cached symbols serve every
 /// peer because the sequence is universal.
 ///
-/// The cache is also its set: each item it holds is stored once, in its
-/// additions window, and a keyed-hash index of positions into that window
-/// ([`Self::contains_hashed`], [`Self::members`]) answers membership. The
-/// set operations [`Self::insert_hashed`] and [`Self::remove_hashed`] keep
-/// it exact; the linear ones ([`Self::add_symbol`], [`Self::remove_symbol`])
-/// keep it exact as long as no item is removed that the set does not hold.
+/// The cache is also its set: it holds each item once, in its coding
+/// window, and a keyed-hash index of positions into that window
+/// ([`Self::contains_hashed`], [`Self::members`]) answers membership. An
+/// addition ([`Self::add_symbol`], or [`Self::insert_hashed`] unless the set
+/// holds the item) walks the item into the materialized cells and pushes its
+/// entry, parked past them. [`Self::remove_hashed`] finds the item through
+/// the index, walks it out of the cells and takes its entry out of the
+/// window, so the window holds one entry per item however long the set
+/// churns. An item the set does not hold cannot be removed.
 ///
 /// Extension is cold or warm. The first one (every call that materializes,
 /// [`Self::ensure_len`], [`Self::range`], [`Self::prefix`] and
 /// [`Self::to_sketch`], goes through [`Self::extend`]) finds no cells and
 /// builds the whole ask in one item walk, eight items in flight, AVX-512
 /// lanes where the CPU has them and α = 0.5; every later one steps the
-/// coding windows index by index. Both give the same cells, so a server
+/// coding window index by index. Both give the same cells, so a server
 /// that asks for its whole first flight at once pays one walk per shard.
+/// Until that first walk a cold cache parks no entry (the walk parks them
+/// all), so a removal from it walks no chain.
 #[derive(Debug, Clone)]
 pub struct SketchCache<S: Symbol> {
     cells: Vec<CodedSymbol<S>>,
-    /// Every symbol added and not yet cancelled against a removal,
-    /// positioned past the materialized prefix so the cache can extend.
-    additions: CodingWindow<S>,
-    /// Every symbol removed and not yet cancelled, likewise positioned.
-    removals: CodingWindow<S>,
-    /// The positions in `additions` no removal has taken back: the set.
+    /// Every item of the set, positioned past the materialized prefix so
+    /// the cache can extend.
+    window: CodingWindow<S>,
+    /// The positions of `window`, by keyed hash.
     members: PositionIndex,
-    /// Removals the last [`Self::cancel_pairs`] found no addition for;
-    /// they are not counted towards the next one, so it stays amortised
-    /// O(1) per mutation even when nothing cancels.
-    unmatched_removals: usize,
     key: SipKey,
     alpha: f64,
 }
@@ -414,10 +396,8 @@ impl<S: Symbol> SketchCache<S> {
     pub fn with_key_and_alpha(key: SipKey, alpha: f64) -> Self {
         SketchCache {
             cells: Vec::new(),
-            additions: CodingWindow::new(key),
-            removals: CodingWindow::new(key),
+            window: CodingWindow::new(key),
             members: PositionIndex::new(),
-            unmatched_removals: 0,
             key,
             alpha,
         }
@@ -433,10 +413,9 @@ impl<S: Symbol> SketchCache<S> {
         self.cells.is_empty()
     }
 
-    /// Net number of items currently in the cached set
-    /// (additions − removals).
-    pub fn set_size(&self) -> i64 {
-        self.additions.len() as i64 - self.removals.len() as i64
+    /// Number of items in the cached set: its window's entries.
+    pub fn set_size(&self) -> usize {
+        self.window.len()
     }
 
     /// The checksum key.
@@ -449,15 +428,16 @@ impl<S: Symbol> SketchCache<S> {
         self.alpha
     }
 
-    /// Makes room for `additional` more additions, exactly: a cache loaded
-    /// with a set of known size never copies its window while it fills and
-    /// holds no doubling slack afterwards.
+    /// Makes room for `additional` more items, exactly: a cache loaded with
+    /// a set of known size never copies its window while it fills and holds
+    /// no doubling slack afterwards.
     pub fn reserve(&mut self, additional: usize) {
-        self.additions.reserve(additional);
-        self.members.reserve(additional, self.additions.hashes());
+        self.window.reserve(additional);
+        self.members.reserve(additional, self.window.hashes());
     }
 
     /// Adds an item to the cached set, patching the materialized prefix.
+    /// An item added twice is held twice, and each removal takes one copy.
     pub fn add_symbol(&mut self, symbol: S) {
         self.add_hashed_symbol(HashedSymbol::new(symbol, self.key));
     }
@@ -465,38 +445,21 @@ impl<S: Symbol> SketchCache<S> {
     /// [`Self::add_symbol`] for an item whose hash under [`Self::key`] the
     /// caller has already computed.
     pub fn add_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
-        let (pos, hash) = (self.additions.len() as u32, hashed.hash);
-        self.members.reserve(1, self.additions.hashes());
-        push(
-            &mut self.additions,
-            &mut self.cells,
-            hashed,
-            self.alpha,
-            Direction::Add,
-        );
-        self.members.insert(pos, hash);
-    }
-
-    /// Removes an item from the cached set, patching the materialized
-    /// prefix. Removing an item that was never added corrupts the cache
-    /// (exactly as it would corrupt any linear sketch); [`Self::remove_hashed`]
-    /// removes only what the set holds.
-    pub fn remove_symbol(&mut self, symbol: S) {
-        self.remove_hashed_symbol(HashedSymbol::new(symbol, self.key));
-    }
-
-    /// [`Self::remove_symbol`] for an item whose hash under [`Self::key`]
-    /// the caller has already computed.
-    pub fn remove_hashed_symbol(&mut self, hashed: HashedSymbol<S>) {
-        if let Some(slot) = self.find(&hashed.symbol, hashed.hash) {
-            self.members.take(slot, self.additions.hashes());
+        let (pos, hash) = (self.window.len() as u32, hashed.hash);
+        self.members.reserve(1, self.window.hashes());
+        if self.cells.is_empty() {
+            self.window.push_unparked(hashed, self.alpha);
+        } else {
+            let (item, alpha) = (&hashed.symbol, self.alpha);
+            let mapping = apply_to_prefix(&mut self.cells, item, hash, alpha, Direction::Add);
+            self.window.push_with_mapping(hashed, mapping);
         }
-        self.push_removal(hashed);
+        self.members.insert(pos, hash);
     }
 
     /// The slot of `members` that holds `item`, whose hash is `hash`.
     fn find(&self, item: &S, hash: u64) -> Option<usize> {
-        let (items, hashes) = (self.additions.items(), self.additions.hashes());
+        let (items, hashes) = (self.window.items(), self.window.hashes());
         self.members
             .find(hash, |pos| hashes[pos] == hash && items[pos] == *item)
     }
@@ -518,97 +481,49 @@ impl<S: Symbol> SketchCache<S> {
     }
 
     /// Removes `item`, whose hash under [`Self::key`] is `hash`, if the set
-    /// holds it, and returns whether it did.
+    /// holds it, and returns whether it did: the item is walked out of the
+    /// materialized cells, its entry taken out of the window, and the entry
+    /// that fills its place re-indexed.
     pub fn remove_hashed(&mut self, item: &S, hash: u64) -> bool {
         let Some(slot) = self.find(item, hash) else {
             return false;
         };
-        self.members.take(slot, self.additions.hashes());
-        self.push_removal(HashedSymbol::with_hash(item.clone(), hash));
+        let pos = self.members.take(slot, self.window.hashes());
+        apply_to_prefix(&mut self.cells, item, hash, self.alpha, Direction::Remove);
+        if let Some(moved) = self.window.take(pos) {
+            self.members.repoint(self.window.hashes()[pos], moved, pos);
+        }
         true
     }
 
     /// The items of the set and their keyed hashes, in no particular order.
     pub fn members(&self) -> impl Iterator<Item = (&S, u64)> + '_ {
-        let (items, hashes) = (self.additions.items(), self.additions.hashes());
+        let (items, hashes) = (self.window.items(), self.window.hashes());
         self.members
             .positions()
             .map(move |pos| (&items[pos], hashes[pos]))
     }
 
-    fn push_removal(&mut self, hashed: HashedSymbol<S>) {
-        push(
-            &mut self.removals,
-            &mut self.cells,
-            hashed,
-            self.alpha,
-            Direction::Remove,
-        );
-        let pending = self.removals.len() - self.unmatched_removals;
-        if pending >= (self.additions.len() / 4).max(1) {
-            self.cancel_pairs();
-        }
-    }
-
-    /// Drops every removal together with one addition of the same item.
-    /// Both mappings of a pair stand at the same index (the first one the
-    /// symbol maps to past the materialized prefix), so the pair contributes
-    /// nothing to any future cell, and the materialized cells already hold
-    /// both patches: no served byte changes. Without this a set that churns
-    /// at constant size grows by one window entry per mutation for ever.
-    /// The survivors are indexed anew.
-    fn cancel_pairs(&mut self) {
-        let (additions, removals) = (&self.additions, &self.removals);
-        let (removed, removed_hashes) = (removals.items(), removals.hashes());
-        // The removals no addition has cancelled yet.
-        let mut pending = PositionIndex::over(removed_hashes);
-        let mut cancelled = vec![false; additions.len()];
-        let mut taken = vec![false; removals.len()];
-        for (at, (item, &hash)) in additions.items().iter().zip(additions.hashes()).enumerate() {
-            let same = |pos: usize| removed_hashes[pos] == hash && removed[pos] == *item;
-            if let Some(slot) = pending.find(hash, same) {
-                taken[pending.take(slot, removed_hashes)] = true;
-                cancelled[at] = true;
-            }
-        }
-        self.additions.retain(|at| !cancelled[at]);
-        // What found no addition stays, to cancel one added later.
-        self.removals.retain(|at| !taken[at]);
-        self.unmatched_removals = self.removals.len();
-        self.members = PositionIndex::over(self.additions.hashes());
-    }
-
-    /// Window entries held for additions and for removals: what the cache
-    /// keeps per mutation besides its cells. Bounded by a constant factor of
-    /// the live set however long the set churns.
-    pub fn window_entries(&self) -> (usize, usize) {
-        (self.additions.len(), self.removals.len())
-    }
-
     /// Extends the materialized prefix by `extra` coded symbols.
     ///
     /// A cold cache (no cells yet) builds them in one item walk
-    /// ([`crate::apply_prefix_logged`]): its additions applied, then the
-    /// removals no addition cancelled taken out, each item over every index
-    /// it maps to below the new length, eight in flight. The walk's park
-    /// log is written into the windows' own mappings, which are then parked
-    /// at the new length. A warm cache extends through its windows, index
-    /// by index: far from cell 0 an item rarely reaches a short extension,
-    /// and the calendar queue skips the rest.
+    /// ([`crate::apply_prefix_logged`]), each item over every index it maps
+    /// to below the new length, eight in flight. The walk's park log is
+    /// written into the window's own mappings, which are then parked at the
+    /// new length. A warm cache extends through its window, index by index:
+    /// far from cell 0 an item rarely reaches a short extension, and the
+    /// calendar queue skips the rest.
     pub fn extend(&mut self, extra: usize) {
         if self.cells.is_empty() && extra > 0 {
             self.cells = vec![CodedSymbol::default(); extra];
             let rule = Uniform(self.alpha);
-            self.additions
+            self.window
                 .apply_prefix(&mut self.cells, &rule, Direction::Add);
-            self.removals
-                .apply_prefix(&mut self.cells, &rule, Direction::Remove);
             return;
         }
         for _ in 0..extra {
             let mut cs = CodedSymbol::default();
-            self.additions.apply_next(&mut cs, Direction::Add);
-            self.removals.apply_next(&mut cs, Direction::Remove);
+            self.window.apply_next(&mut cs, Direction::Add);
             self.cells.push(cs);
         }
     }
@@ -671,6 +586,11 @@ mod tests {
 
     fn to_set(v: &[Sym]) -> BTreeSet<u64> {
         v.iter().map(|s| s.to_u64()).collect()
+    }
+
+    /// [`SketchCache::remove_hashed`] of `item`, hashed under the cache's key.
+    fn remove(cache: &mut SketchCache<Sym>, item: Sym) -> bool {
+        cache.remove_hashed(&item, item.hash_with(cache.key()))
     }
 
     #[test]
@@ -791,7 +711,7 @@ mod tests {
         }
         // Mutate: remove 100..150, add 1000..1060.
         for i in 100..150u64 {
-            cache.remove_symbol(Sym::from_u64(i));
+            assert!(remove(&mut cache, Sym::from_u64(i)));
         }
         for i in 1000..1060u64 {
             cache.add_symbol(Sym::from_u64(i));
@@ -820,45 +740,6 @@ mod tests {
         cache.ensure_len(128);
         let fresh = Sketch::from_set(128, syms(0..300).iter());
         assert_eq!(cache.to_sketch(128), fresh);
-    }
-
-    #[test]
-    fn cancelled_pairs_change_no_cell_and_unmatched_removals_survive() {
-        // Mirror every mutation into a plain sketch of the final length:
-        // whatever the cache cancelled along the way, the cells it
-        // materializes late must equal the ones patched from the start.
-        let m = 200;
-        let mut mirror = Sketch::<Sym>::new(m);
-        let mut cache = SketchCache::<Sym>::new();
-        cache.ensure_len(24);
-        let stray = Sym::from_u64(u64::MAX);
-        cache.remove_symbol(stray); // never added: nothing can cancel it
-        mirror.remove_symbol(&stray);
-        for round in 0..40u64 {
-            for i in 0..50 {
-                let item = Sym::from_u64(round * 50 + i);
-                cache.add_symbol(item);
-                mirror.add_symbol(&item);
-            }
-            // Remove most of the previous round, re-adding a few of them.
-            for i in 0..45 {
-                let item = Sym::from_u64(round.saturating_sub(1) * 50 + i);
-                if round > 0 {
-                    cache.remove_symbol(item);
-                    mirror.remove_symbol(&item);
-                }
-                if round > 0 && i % 9 == 0 {
-                    cache.add_symbol(item);
-                    mirror.add_symbol(&item);
-                }
-            }
-            cache.ensure_len(24 + 4 * round as usize);
-        }
-        let (additions, removals) = cache.window_entries();
-        assert_eq!(additions as i64 - removals as i64, cache.set_size());
-        assert!(removals >= 1, "the stray removal must not be dropped");
-        assert!(additions < 600, "{additions} of 2,195 additions kept");
-        assert_eq!(cache.to_sketch(m), mirror);
     }
 
     #[test]
@@ -937,31 +818,33 @@ mod tests {
 
     #[test]
     fn a_cold_build_equals_a_rebuild_and_parks_where_the_window_would() {
-        // Additions, and removals too few to cancel (under a quarter of the
-        // additions) plus ones of items never added, none materialized: the
-        // first extension walks items, over both lane forms (α = 0.5 takes
-        // the AVX-512 lanes where the CPU has them, α = 0.3 the scalar
-        // ones). Later mutations and a longer prefix go through the
-        // windows, so they read the mappings the walk parked.
+        // Additions and removals, none materialized: the first extension
+        // walks items, over both lane forms (α = 0.5 takes the AVX-512
+        // lanes where the CPU has them, α = 0.3 the scalar ones). Later
+        // mutations and a longer prefix go through the window, so they read
+        // the mappings the walk parked.
         let mut gen = riblt_hash::SplitMix64::new(0xc01d);
         for alpha in [DEFAULT_ALPHA, 0.3] {
             for m in [1usize, 2, 31, 32, 33, 384, 3_000] {
                 let at = format!("alpha {alpha}, m {m}");
                 let mut added = random_syms(&mut gen, 1_200);
                 let mut removed = added[..250].to_vec();
-                removed.extend(random_syms(&mut gen, 7));
                 let mut cache = SketchCache::with_key_and_alpha(SipKey::default(), alpha);
                 added.iter().for_each(|&item| cache.add_symbol(item));
-                removed.iter().for_each(|&item| cache.remove_symbol(item));
-                assert_eq!(cache.window_entries(), (1_200, 257), "{at}");
-                assert!(cache.is_empty());
+                for &item in &removed {
+                    assert!(remove(&mut cache, item), "{at}");
+                }
+                assert_eq!(cache.set_size(), 950, "{at}");
+                assert!(cache.is_empty() && cache.window.parked().is_empty());
 
                 assert_eq!(cache.prefix(m), rebuild(m, alpha, &added, &removed), "{at}");
                 let more = random_syms(&mut gen, 150);
                 more.iter().for_each(|&item| cache.add_symbol(item));
                 added.extend(more);
                 let gone = [added[300], added[1_000], added[1_250]];
-                gone.iter().for_each(|&item| cache.remove_symbol(item));
+                for item in gone {
+                    assert!(remove(&mut cache, item), "{at}");
+                }
                 removed.extend(gone);
                 cache.ensure_len(m + 500);
                 let cells = rebuild(m + 500, alpha, &added, &removed);
@@ -976,7 +859,105 @@ mod tests {
         assert_eq!(cache.set_size(), 0);
         cache.add_symbol(Sym::from_u64(1));
         cache.add_symbol(Sym::from_u64(2));
-        cache.remove_symbol(Sym::from_u64(1));
+        assert!(remove(&mut cache, Sym::from_u64(1)));
+        assert!(!remove(&mut cache, Sym::from_u64(1)));
         assert_eq!(cache.set_size(), 1);
+    }
+
+    /// The window holds exactly the live multiset, one entry each, and
+    /// parks each entry once, at its mapping's index (a cold cache parks
+    /// none); the index finds every held copy; and `prefix(m)` equals a
+    /// sketch rebuilt from the multiset.
+    fn assert_the_window_is_the_set(cache: &mut SketchCache<Sym>, live: &[Sym], m: usize) {
+        let window = &cache.window;
+        assert_eq!(window.len(), live.len());
+        assert_eq!(cache.set_size(), live.len());
+        let mut held = window.items().to_vec();
+        let mut expected = live.to_vec();
+        held.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(held, expected);
+        let mut parked = window.parked();
+        if cache.is_empty() {
+            assert!(parked.is_empty(), "a cold cache parks nothing");
+        } else {
+            parked.sort_unstable_by_key(|&(_, pos)| pos);
+            let positions: Vec<u32> = parked.iter().map(|&(_, pos)| pos).collect();
+            assert!(positions.iter().copied().eq(0..live.len() as u32));
+            for &(index, pos) in &parked {
+                assert_eq!(window.mappings()[pos as usize].current_index(), index);
+            }
+        }
+        let mut members: Vec<Sym> = cache.members().map(|(item, _)| *item).collect();
+        members.sort_unstable();
+        assert_eq!(members, expected);
+        let rebuilt = Sketch::from_set(m, live.iter());
+        assert_eq!(cache.prefix(m), rebuilt.cells());
+    }
+
+    #[test]
+    fn a_churned_cache_holds_one_entry_per_item_and_equals_a_rebuild() {
+        // Seeded interleavings of inserts, removals of held items, removals
+        // of items never added (refused), a twice-added item removed once,
+        // and extensions; on a cold cache, half its items removed before
+        // the first extension, and on a warm one.
+        for (case, cold) in [(0u64, true), (1, false), (2, true), (3, false)] {
+            let mut gen = riblt_hash::SplitMix64::new(0x5eed_c4a7 + case);
+            let mut cache = SketchCache::<Sym>::new();
+            let mut live = random_syms(&mut gen, 600);
+            live.iter().for_each(|&item| cache.add_symbol(item));
+            let mut m = 0;
+            if cold {
+                for _ in 0..300 {
+                    let at = (gen.next_u64() % live.len() as u64) as usize;
+                    assert!(remove(&mut cache, live.swap_remove(at)));
+                    assert_eq!(cache.window.len(), live.len());
+                }
+                assert_the_window_is_the_set(&mut cache, &live, m);
+            }
+            m = 24;
+            cache.ensure_len(m);
+            assert_the_window_is_the_set(&mut cache, &live, m);
+            for step in 0..400 {
+                match gen.next_u64() % 8 {
+                    0..=2 => {
+                        let item = random_syms(&mut gen, 1)[0];
+                        assert!(cache.insert_hashed(HashedSymbol::new(item, cache.key())));
+                        live.push(item);
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let at = (gen.next_u64() % live.len() as u64) as usize;
+                        assert!(remove(&mut cache, live.swap_remove(at)));
+                    }
+                    5 => {
+                        let absent = random_syms(&mut gen, 1)[0];
+                        assert!(!remove(&mut cache, absent));
+                    }
+                    6 if !live.is_empty() => {
+                        // A second copy, then one removal: one copy stays.
+                        let at = (gen.next_u64() % live.len() as u64) as usize;
+                        let twice = live[at];
+                        cache.add_symbol(twice);
+                        assert!(remove(&mut cache, twice));
+                        let hash = twice.hash_with(cache.key());
+                        assert!(cache.contains_hashed(&twice, hash));
+                    }
+                    _ => m += 1 + (gen.next_u64() % 40) as usize,
+                }
+                assert_eq!(cache.window.len(), live.len(), "case {case}, step {step}");
+                if step % 40 == 0 {
+                    assert_the_window_is_the_set(&mut cache, &live, m);
+                }
+            }
+            // Both copies of an item added twice are held until both go.
+            let twice = live[0];
+            cache.add_symbol(twice);
+            live.push(twice);
+            assert_the_window_is_the_set(&mut cache, &live, m);
+            assert!(remove(&mut cache, twice) && remove(&mut cache, twice));
+            assert!(!remove(&mut cache, twice));
+            live.retain(|&item| item != twice);
+            assert_the_window_is_the_set(&mut cache, &live, m + 50);
+        }
     }
 }

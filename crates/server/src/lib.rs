@@ -34,6 +34,8 @@
 //! runnable quickstart.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod admin;
 pub mod cli;

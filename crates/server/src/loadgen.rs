@@ -354,6 +354,9 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `getrlimit` writes one `struct rlimit`, which `RLimit` lays
+    // out (two `rlim_t`, 64-bit on every Unix this builds for), through a
+    // pointer to a live local.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) } != 0 {
         return 0;
     }
@@ -361,6 +364,8 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         return limit.rlim_cur;
     }
     limit.rlim_cur = want.min(limit.rlim_max);
+    // SAFETY: as above; `setrlimit` only reads the struct, and a soft
+    // limit at most the hard one is valid (a refusal is read back below).
     unsafe {
         setrlimit(RLIMIT_NOFILE, &limit);
         if getrlimit(RLIMIT_NOFILE, &mut limit) != 0 {

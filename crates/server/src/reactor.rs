@@ -120,8 +120,13 @@ mod sys {
         epfd: RawFd,
     }
 
-    // The epoll fd is only ever passed whole to thread-safe syscalls.
+    // SAFETY: a `Poller` is one epoll fd, an integer the kernel owns the
+    // state behind; it is only ever passed whole to `epoll_ctl`,
+    // `epoll_wait` and `close`, which are safe to call from any thread.
     unsafe impl Send for Poller {}
+    // SAFETY: as for `Send`: every method takes `&self` and makes one of
+    // those thread-safe syscalls, so sharing the fd between threads is
+    // sound.
     unsafe impl Sync for Poller {}
 
     fn interest_bits(interest: Interest) -> u32 {
@@ -138,6 +143,8 @@ mod sys {
     impl Poller {
         /// Creates an epoll instance (close-on-exec).
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: takes flags by value and returns an fd or -1; no
+            // memory is passed.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -150,6 +157,9 @@ mod sys {
             let ptr = event
                 .as_mut()
                 .map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
+            // SAFETY: `ptr` is null (for `EPOLL_CTL_DEL`, which reads no
+            // event) or points at the local `event`, a kernel-layout
+            // `EpollEvent` that outlives the call.
             if unsafe { epoll_ctl(self.epfd, op, fd, ptr) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -200,6 +210,9 @@ mod sys {
             };
             let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
             let n = loop {
+                // SAFETY: the kernel writes at most `raw.len()` events, the
+                // length passed, into `raw`, a live local array of
+                // kernel-layout `EpollEvent`s.
                 let n = unsafe {
                     epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as c_int, timeout_ms)
                 };
@@ -228,6 +241,8 @@ mod sys {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: the `Poller` owns `epfd` and this is its last use;
+            // `close` takes it by value.
             unsafe {
                 close(self.epfd);
             }
@@ -336,6 +351,8 @@ mod sys {
             };
             let mut raw: Vec<PollFd> = fds.iter().map(|(pfd, _)| *pfd).collect();
             let n = loop {
+                // SAFETY: `poll` reads and writes at most `raw.len()`
+                // `PollFd`s, the count passed, in the live vector `raw`.
                 let n = unsafe { poll(raw.as_mut_ptr(), raw.len() as Nfds, timeout_ms) };
                 if n >= 0 {
                     break n as usize;

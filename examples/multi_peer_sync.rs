@@ -8,7 +8,7 @@
 //! its set changes, and streams prefixes of it to whoever asks — no
 //! per-peer encoding work, no parameter negotiation.
 
-use riblt::{Decoder, FixedBytes, SketchCache};
+use riblt::{Decoder, FixedBytes, SketchCache, Symbol};
 
 type Item = FixedBytes<16>;
 
@@ -29,16 +29,19 @@ fn main() {
     cache.ensure_len(4_096);
 
     // The server's set changes: 100 items replaced. The cache is patched in
-    // place — each update touches only O(log m) coded symbols.
+    // place — each update touches only O(log m) coded symbols. A removal
+    // finds the item in the cache's own set (by its keyed hash), walks it
+    // out of those symbols and takes it out of the set.
     for i in 0..100u64 {
-        cache.remove_symbol(item(i));
+        let gone = item(i);
+        assert!(cache.remove_hashed(&gone, gone.hash_with(cache.key())));
         cache.add_symbol(item(1_000_000 + i));
     }
 
     // Three peers with very different staleness.
     let peers: Vec<(&str, Vec<Item>)> = vec![
         ("peer-fresh (3 missing items)", {
-            let mut set: Vec<Item> = (3..50_000).map(item).collect();
+            let mut set: Vec<Item> = (103..50_000).map(item).collect();
             set.extend((1_000_000..1_000_100).map(item));
             set
         }),

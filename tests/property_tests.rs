@@ -507,7 +507,8 @@ fn sketch_cache_incremental_patching_matches_rebuild_after_churn() {
                         .nth((gen.next_u64() as usize) % live.len().max(1))
                     {
                         live.remove(&v);
-                        cache.remove_symbol(Item::from_u64(v));
+                        let item = Item::from_u64(v);
+                        assert!(cache.remove_hashed(&item, item.hash_with(cache.key())));
                     }
                 }
                 // 10%: extend the materialized prefix mid-churn.
@@ -663,14 +664,22 @@ fn assert_node_is_the_model(
     }
 }
 
-/// Two distinct items under one keyed hash (a collision forged with
+/// Distinct items under one keyed hash (a collision forged with
 /// `HashedSymbol::with_hash`): the cache's membership tells them apart
-/// through inserts, removes and the compaction a removal sets off, and the
-/// cells it extends afterwards are those of the item it still holds.
+/// through inserts and removes, the one that moves the window's last entry
+/// into the removed entry's place included, and the cells it extends
+/// afterwards are those of the items it still holds.
 #[test]
 fn sketch_cache_membership_is_exact_under_a_hash_collision() {
     let hash = 0x0123_4567_89ab_cdef;
     let [a, b, c] = [1u64, 2, 3].map(Item::from_u64);
+    let rebuilt = |items: &[Item], m: usize| {
+        let mut only = SketchCache::<Item>::new();
+        for &item in items {
+            only.add_hashed_symbol(HashedSymbol::with_hash(item, hash));
+        }
+        only.to_sketch(m)
+    };
     let mut cache = SketchCache::<Item>::new();
     cache.ensure_len(8);
     assert!(cache.insert_hashed(HashedSymbol::with_hash(a, hash)));
@@ -678,20 +687,30 @@ fn sketch_cache_membership_is_exact_under_a_hash_collision() {
     assert!(!cache.insert_hashed(HashedSymbol::with_hash(a, hash)));
     assert!(cache.contains_hashed(&a, hash) && cache.contains_hashed(&b, hash));
     assert!(!cache.contains_hashed(&c, hash) && !cache.remove_hashed(&c, hash));
-    // One removal against two additions compacts at once: the addition it
-    // cancels must be `b`'s, though `a`'s comes first under the same hash.
+    // `b` is the window's last entry: its removal moves nothing, though
+    // `a` comes first under the same hash.
     assert!(cache.remove_hashed(&b, hash));
-    assert_eq!(cache.window_entries(), (1, 0));
+    assert_eq!(cache.set_size(), 1);
     assert!(cache.contains_hashed(&a, hash) && !cache.contains_hashed(&b, hash));
     assert!(cache.members().eq([(&a, hash)]));
-    let mut only_a = SketchCache::<Item>::new();
-    only_a.add_hashed_symbol(HashedSymbol::with_hash(a, hash));
-    assert_eq!(cache.to_sketch(64), only_a.to_sketch(64));
+    assert_eq!(cache.to_sketch(64), rebuilt(&[a], 64));
 
+    // `a`, `b`, `c` in window order: removing `b` moves `c`, the last
+    // entry, into `b`'s place, and the index follows it past `a`.
     assert!(cache.insert_hashed(HashedSymbol::with_hash(b, hash)));
+    assert!(cache.insert_hashed(HashedSymbol::with_hash(c, hash)));
+    assert!(cache.remove_hashed(&b, hash));
+    assert_eq!(cache.set_size(), 2);
+    assert!(cache.contains_hashed(&a, hash) && cache.contains_hashed(&c, hash));
+    assert!(!cache.contains_hashed(&b, hash) && !cache.remove_hashed(&b, hash));
+    let mut members: Vec<Item> = cache.members().map(|(item, _)| *item).collect();
+    members.sort_unstable();
+    assert_eq!(members, [a, c]);
+    assert_eq!(cache.to_sketch(96), rebuilt(&[a, c], 96));
     assert!(cache.remove_hashed(&a, hash));
-    assert!(!cache.contains_hashed(&a, hash) && cache.contains_hashed(&b, hash));
-    assert!(cache.members().eq([(&b, hash)]));
+    assert!(!cache.contains_hashed(&a, hash) && cache.contains_hashed(&c, hash));
+    assert!(cache.members().eq([(&c, hash)]));
+    assert_eq!(cache.to_sketch(128), rebuilt(&[c], 128));
 }
 
 /// Wire-format round trip is lossless for arbitrary coded-symbol prefixes.

@@ -22,11 +22,9 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use cluster::{sync_sharded_udp, LossyConduit, UdpSyncConfig, UdpSyncOutcome};
+use cluster::{sync_sharded_udp, LossyConduit, NodeConfig, UdpSyncConfig, UdpSyncOutcome};
 use netsim::{datagram_pair, library_datagram_server, DatagramEndpoint, DatagramLinkConfig};
 use reconcile_core::backends::RibltBackend;
-use reconcile_core::datagram::{DatagramServiceConfig, DEFAULT_MTU_BUDGET};
-use reconcile_core::handshake::Hello;
 use reconcile_core::{sync_sharded_tcp, TcpSyncConfig};
 use riblt::FixedBytes;
 use riblt_bench::BenchCli;
@@ -49,13 +47,12 @@ fn backend(key: SipKey) -> impl Fn(u16) -> RibltBackend<Item> {
 }
 
 fn serve_loop(endpoint: DatagramEndpoint, server_items: Vec<Item>, key: SipKey) {
-    let service = DatagramServiceConfig {
-        hello: Hello::new(key, SHARDS, SYMBOL_LEN),
+    let config = NodeConfig {
+        shards: SHARDS,
         key,
-        mtu_budget: DEFAULT_MTU_BUDGET,
-        max_units_per_session: 1 << 20,
+        symbol_len: SYMBOL_LEN,
     };
-    library_datagram_server(endpoint, &server_items, service);
+    library_datagram_server(endpoint, &server_items, config);
 }
 
 struct RunResult {
@@ -64,10 +61,9 @@ struct RunResult {
     wall_s: f64,
 }
 
-fn udp_config(key: SipKey, nonce: u64) -> UdpSyncConfig {
+fn udp_config(key: SipKey) -> UdpSyncConfig {
     UdpSyncConfig {
         key,
-        nonce,
         deadline: Duration::from_secs(60),
         ..Default::default()
     }
@@ -89,14 +85,12 @@ fn run_netsim(
     let server_set = server_items.to_vec();
     let server = std::thread::spawn(move || serve_loop(server_end, server_set, key));
     let started = Instant::now();
-    let (diffs, outcome) = sync_sharded_udp(
-        &mut client_end,
-        local,
-        backend(key),
-        &udp_config(key, seed + 1),
-    )
-    .expect("netsim sync failed");
+    let (diffs, outcome) = sync_sharded_udp(&mut client_end, local, backend(key), &udp_config(key))
+        .expect("netsim sync failed");
     let wall_s = started.elapsed().as_secs_f64();
+    // A server whose last Done was lost waits for a quiet link; a dropped
+    // endpoint is one at once.
+    drop(client_end);
     server.join().unwrap();
     RunResult {
         outcome,
@@ -119,20 +113,10 @@ fn run_loopback(
     let started = Instant::now();
     let (diffs, outcome) = if loss > 0.0 {
         let mut conduit = LossyConduit::new(socket, loss, seed);
-        sync_sharded_udp(
-            &mut conduit,
-            local,
-            backend(key),
-            &udp_config(key, seed + 1),
-        )
+        sync_sharded_udp(&mut conduit, local, backend(key), &udp_config(key))
     } else {
         let mut conduit = socket;
-        sync_sharded_udp(
-            &mut conduit,
-            local,
-            backend(key),
-            &udp_config(key, seed + 1),
-        )
+        sync_sharded_udp(&mut conduit, local, backend(key), &udp_config(key))
     }
     .expect("loopback sync failed");
     RunResult {

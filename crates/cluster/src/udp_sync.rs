@@ -8,10 +8,10 @@
 //! pair in a test or benchmark — through the [`DatagramConduit`] trait. The
 //! flow:
 //!
-//! 1. **Handshake over datagrams**: the 18-byte hello plus a client nonce
-//!    is retransmitted until the server's `HelloAck` arrives with the
-//!    session cookie ([`reconcile_core::session_cookie`]) that binds every
-//!    later datagram; a `Reject` datagram surfaces as
+//! 1. **Handshake over datagrams**: the 18-byte hello is retransmitted
+//!    until the server's `HelloAck` arrives with the cookie it computed
+//!    for this address ([`reconcile_core::session_cookie`]), which every
+//!    later datagram carries; a `Reject` datagram surfaces as
 //!    [`EngineError::Handshake`].
 //! 2. **Explicit-offset requests**: each request names a
 //!    `[start, start+count)` range of a shard's universal coded-symbol
@@ -48,9 +48,6 @@ use riblt::wire::peek_batch_extent;
 use riblt::Symbol;
 use riblt_hash::{splitmix64, SipKey, XorShift64Star};
 
-/// Largest datagram the conduit implementations will receive.
-const MAX_DATAGRAM_BYTES: usize = 65_536;
-
 /// Moves datagrams for [`sync_sharded_udp`]: a connected UDP socket, a
 /// `netsim::DatagramEndpoint`, or a [`LossyConduit`] wrapper injecting
 /// deterministic impairments over either.
@@ -69,19 +66,30 @@ impl DatagramConduit for UdpSocket {
     }
 
     fn recv(&mut self, timeout: Duration) -> io::Result<Option<Vec<u8>>> {
-        self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let mut buf = vec![0u8; MAX_DATAGRAM_BYTES];
-        match UdpSocket::recv(self, &mut buf) {
-            Ok(n) => {
-                buf.truncate(n);
-                Ok(Some(buf))
+        let deadline = Instant::now() + timeout;
+        // One byte past the largest datagram the protocol sends: one that
+        // fills the buffer is oversized, and dropped as the server drops
+        // oversized input.
+        let mut buf = vec![0u8; DEFAULT_MTU_BUDGET + 1];
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            self.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+            match UdpSocket::recv(self, &mut buf) {
+                Ok(n) if n <= DEFAULT_MTU_BUDGET => {
+                    buf.truncate(n);
+                    return Ok(Some(buf));
+                }
+                // Oversized: dropped, and the wait goes on.
+                Ok(_) if !remaining.is_zero() => {}
+                Ok(_) => return Ok(None),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e),
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
         }
     }
 }
@@ -163,8 +171,6 @@ pub struct UdpSyncConfig {
     pub deadline: Duration,
     /// Safety budget: abort after this many coded symbols per shard.
     pub max_units_per_shard: usize,
-    /// Session nonce (0 = derive one from the clock).
-    pub nonce: u64,
 }
 
 impl Default for UdpSyncConfig {
@@ -176,7 +182,6 @@ impl Default for UdpSyncConfig {
             hello_attempts: 10,
             deadline: Duration::from_secs(30),
             max_units_per_shard: 1 << 20,
-            nonce: 0,
         }
     }
 }
@@ -254,15 +259,6 @@ where
     let mut stats = Stats::default();
 
     // --- 1. Handshake: retransmitted hello until acked or rejected. ---
-    let nonce = if config.nonce != 0 {
-        config.nonce
-    } else {
-        let clock = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap_or_default()
-            .as_nanos() as u64;
-        splitmix64(clock ^ (&stats as *const Stats as u64)).max(1)
-    };
     let local_hello = Hello::new(config.key, SHARDS_ANY, config.symbol_len);
     let hello_datagram = DatagramHeader {
         kind: DatagramKind::Hello,
@@ -270,7 +266,7 @@ where
         shard: 0,
         seq: 0,
     }
-    .encode(&client_hello_payload(&local_hello, nonce));
+    .encode(&client_hello_payload(&local_hello));
 
     let (cookie, server_hello) = handshake(
         conduit,
@@ -530,8 +526,8 @@ fn send_request<C: DatagramConduit>(
 }
 
 /// Feeds every in-order buffered batch of a shard to its endpoint, the
-/// first one through `build`; on completion, fires `Done` twice (best
-/// effort — the session also expires server-side on idle).
+/// first one through `build`; on completion, sends `Done` once (best
+/// effort: the server keeps nothing that waits for it).
 fn drain_ready<C: DatagramConduit, B: ReconcileBackend>(
     conduit: &mut C,
     cookie: u64,
@@ -577,13 +573,9 @@ fn drain_ready<C: DatagramConduit, B: ReconcileBackend>(
                 seq: u32::try_from(state.endpoint.units()).unwrap_or(u32::MAX),
             }
             .encode(&[]);
-            // Twice: a lost Done only delays the server's idle sweep, but
-            // cheap redundancy usually retires the session promptly.
-            for _ in 0..2 {
-                stats.datagrams_sent += 1;
-                stats.bytes_sent += done.len();
-                conduit.send(&done)?;
-            }
+            stats.datagrams_sent += 1;
+            stats.bytes_sent += done.len();
+            conduit.send(&done)?;
             return Ok(());
         }
     }
@@ -595,7 +587,6 @@ mod tests {
     use super::*;
     use crate::netsim::{self, datagram_pair, DatagramLinkConfig};
     use reconcile_core::backends::RibltBackend;
-    use reconcile_core::datagram::DatagramServiceConfig;
     use reconcile_core::{Progress, Result};
     use riblt::FixedBytes;
     use std::cell::Cell;
@@ -615,13 +606,12 @@ mod tests {
         key: SipKey,
         shards: u16,
     ) {
-        let service = DatagramServiceConfig {
-            hello: Hello::new(key, shards, 8),
+        let config = crate::NodeConfig {
+            shards,
             key,
-            mtu_budget: DEFAULT_MTU_BUDGET,
-            max_units_per_session: 1 << 20,
+            symbol_len: 8,
         };
-        netsim::library_datagram_server(endpoint, &server_items, service);
+        netsim::library_datagram_server(endpoint, &server_items, config);
     }
 
     fn backend(key: SipKey) -> RibltBackend<Item> {
@@ -652,13 +642,31 @@ mod tests {
             key,
             rto: Duration::from_millis(40),
             deadline: Duration::from_secs(20),
-            nonce: 77,
             ..Default::default()
         };
         let result = sync_sharded_udp(&mut client_end, &local, factory, &config);
         drop(client_end);
         server.join().unwrap();
         result
+    }
+
+    #[test]
+    fn the_socket_conduit_drops_an_oversized_datagram() {
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.connect(server.local_addr().unwrap()).unwrap();
+        let to = client.local_addr().unwrap();
+        let timeout = Duration::from_secs(5);
+        for len in [DEFAULT_MTU_BUDGET + 1, 9_000, DEFAULT_MTU_BUDGET] {
+            server.send_to(&vec![len as u8; len], to).unwrap();
+        }
+        let got = DatagramConduit::recv(&mut client, timeout).unwrap();
+        assert_eq!(
+            got,
+            Some(vec![DEFAULT_MTU_BUDGET as u8; DEFAULT_MTU_BUDGET])
+        );
+        let quiet = DatagramConduit::recv(&mut client, Duration::from_millis(20)).unwrap();
+        assert_eq!(quiet, None);
     }
 
     #[test]
@@ -947,7 +955,6 @@ mod tests {
             rto: Duration::from_millis(20),
             hello_attempts: 3,
             deadline: Duration::from_secs(5),
-            nonce: 5,
             ..Default::default()
         };
         let err = sync_sharded_udp(
@@ -971,7 +978,6 @@ mod tests {
             rto: Duration::from_millis(10),
             hello_attempts: 3,
             deadline: Duration::from_secs(2),
-            nonce: 1,
             ..Default::default()
         };
         let err = sync_sharded_udp(

@@ -19,12 +19,11 @@
 
 use std::io;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cluster::{DatagramConduit, Node, NodeConfig};
-use reconcile_core::datagram::{
-    handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
-};
+use reconcile_core::datagram::{handle_server_datagram, DatagramEvent, DatagramService};
+use reconcile_core::handshake::Hello;
 use riblt::Symbol;
 use riblt_hash::XorShift64Star;
 
@@ -195,55 +194,42 @@ const QUIET_POLL: Duration = Duration::from_millis(100);
 const QUIET_POLLS: usize = 50;
 
 /// The library's datagram server, on the far end of `endpoint`:
-/// [`handle_server_datagram`] under `service`, serving the tiles of a
-/// [`Node`] over `items` in `service.hello.shards` shards under
-/// `service.key` ([`Node::serve_tile`]), as the daemon's UDP half does. It
-/// answers until a session completes or the link has been quiet for five
-/// seconds, so a caller runs it on a thread of its own and joins it once
-/// its client is done.
+/// [`handle_server_datagram`] under a [`DatagramService`] of the daemon's
+/// default unit budget, serving the tiles of a [`Node`] over `items` under
+/// `config` ([`Node::serve_tile`]), as the daemon's UDP half does. It
+/// answers until its client has sent `Done` for every shard or the link
+/// has been quiet for five seconds, so a caller runs it on a thread of its
+/// own, drops its client's endpoint and joins it.
 pub fn library_datagram_server<S: Symbol + Ord>(
     mut endpoint: DatagramEndpoint,
     items: &[S],
-    service: DatagramServiceConfig,
+    config: NodeConfig,
 ) {
-    let shards = service.hello.shards;
-    let mut node = Node::new(
-        0,
-        NodeConfig {
-            shards,
-            key: service.key,
-            symbol_len: usize::from(service.hello.symbol_len),
-        },
-    );
+    let shards = config.shards;
+    let service = DatagramService::new(Hello::new(config.key, shards, config.symbol_len), 1 << 20);
+    let mut node = Node::new(0, config);
     node.extend(items.iter().cloned());
-    let mut table = UdpSessionTable::new();
+    // The service keeps no session; the loop keeps the one it serves.
+    let mut done = vec![false; usize::from(shards)];
     let mut quiet = 0;
-    while quiet < QUIET_POLLS {
+    while quiet < QUIET_POLLS && done.contains(&false) {
         let Some(datagram) = endpoint.recv(QUIET_POLL) else {
             quiet += 1;
             continue;
         };
         quiet = 0;
         let (replies, event) = handle_server_datagram(
-            &mut table,
             &service,
             b"netsim-client",
             &datagram,
-            Instant::now(),
-            |shard, start, count| {
-                (shard < shards).then(|| node.serve_tile(shard, start as usize, count).0.to_vec())
-            },
+            |shard, start, count| Some(node.serve_tile(shard, start as usize, count).0.to_vec()),
         );
         for reply in replies {
             endpoint.send(&reply);
         }
         endpoint.flush();
-        if let DatagramEvent::Done {
-            session_complete: true,
-            ..
-        } = event
-        {
-            return;
+        if let DatagramEvent::Done { shard, .. } = event {
+            done[usize::from(shard)] = true;
         }
     }
 }

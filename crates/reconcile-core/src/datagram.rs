@@ -8,22 +8,25 @@
 //! things a connectionless transport is missing:
 //!
 //! 1. **Framing**: every datagram opens with a fixed 19-byte header naming
-//!    the payload kind, the session cookie, the shard, and a sequence
-//!    number (see [`DatagramHeader`]). Symbols are packed to fit a
-//!    configurable MTU budget ([`max_symbols_in_budget`]) so datagrams
-//!    stay under the path MTU instead of fragmenting.
-//! 2. **Session binding**: a retransmitted hello/ack exchange establishes
-//!    a 64-bit cookie ([`session_cookie`]) — a keyed hash of the peer
-//!    address and a client nonce — that every later datagram carries. The
-//!    derivation is deterministic, so a duplicated hello idempotently maps
-//!    to the *same* session, and a datagram whose cookie does not match
-//!    its source address is silently dropped.
+//!    the payload kind, the peer's cookie, the shard, and a sequence
+//!    number (see [`DatagramHeader`]). Symbols are packed to fit
+//!    [`DEFAULT_MTU_BUDGET`] ([`max_symbols_in_budget`]) so datagrams stay
+//!    under the path MTU instead of fragmenting.
+//! 2. **Address validation without state**: the server's `HelloAck` hands
+//!    the client a 64-bit cookie ([`session_cookie`]), a keyed hash of the
+//!    peer address under a secret the server drew at start and never
+//!    sends, and every later datagram carries it. The server recomputes
+//!    the cookie from each datagram's source address, so it remembers no
+//!    peer: a duplicated hello draws the same cookie, and a datagram whose
+//!    cookie does not match its source address is silently dropped. As in
+//!    DTLS's stateless cookie exchange (RFC 6347 §4.2.1), only a peer that
+//!    receives at its address can name a range to be sent there.
 //! 3. **Idempotent serving**: requests name explicit `[start, start+count)`
 //!    symbol ranges, so a duplicated or reordered request re-serves the
-//!    same universal prefix instead of corrupting shared state. The only
-//!    per-session server state is the peer the cookie is bound to, liveness
-//!    and the shards the client has completed ([`UdpSessionTable`]); the
-//!    unit budget is checked against each request's own range.
+//!    same universal prefix instead of corrupting shared state. The server
+//!    keeps nothing per peer or per stream ([`DatagramService`] is
+//!    immutable); the unit budget is checked against each request's own
+//!    range.
 //!
 //! A shard's client consumes coded symbols **positionally** (it is built
 //! over the cells of its first batch, its items walked over exactly those,
@@ -35,10 +38,10 @@
 //! Datagram header (19 bytes):
 //!   magic   : 4 bytes  "RCLU"
 //!   kind    : u8       1=Hello 2=HelloAck 3=Reject 4=Request 5=Symbols 6=Done
-//!   cookie  : u64 LE   session cookie (0 in Hello/Reject)
+//!   cookie  : u64 LE   the peer's cookie (0 in Hello/Reject)
 //!   shard   : u16 LE   shard the payload concerns (0 when n/a)
 //!   seq     : u32 LE   symbol offset (Request/Symbols), units (Done), else 0
-//! Hello payload    : 18-byte handshake Hello · nonce u64 LE
+//! Hello payload    : 18-byte handshake Hello · 8 bytes, sent 0, ignored
 //! HelloAck payload : server's 18-byte handshake Hello (cookie in header)
 //! Reject payload   : the TCP handshake's reject frame bytes
 //! Request payload  : count u16 LE (seq = first symbol wanted)
@@ -46,8 +49,9 @@
 //! Done payload     : empty (seq = coded symbols the client consumed)
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hasher};
 
 use riblt_hash::{siphash24, SipKey};
 
@@ -66,10 +70,6 @@ pub const DATAGRAM_HEADER_BYTES: usize = 19;
 /// datagrams survive typical paths without fragmentation.
 pub const DEFAULT_MTU_BUDGET: usize = 1200;
 
-/// Smallest accepted MTU budget: room for the header, the batch framing
-/// overhead, and at least one symbol of any supported length.
-pub const MIN_MTU_BUDGET: usize = 128;
-
 /// Worst-case bytes of batch framing around the packed symbols: the §6
 /// codec's magic/version plus VLQ-encoded symbol length, set size, start
 /// index, and batch length.
@@ -80,14 +80,11 @@ const BATCH_OVERHEAD_BYTES: usize = 31;
 /// far beyond any set this transport serves).
 const PER_SYMBOL_OVERHEAD_BYTES: usize = 13;
 
-/// Context string for the session-cookie derivation.
-const COOKIE_CONTEXT: &[u8] = b"reconciled/udp-session-cookie/v1";
-
 /// What a datagram carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum DatagramKind {
-    /// Client → server: handshake hello + nonce, retransmitted until acked.
+    /// Client → server: handshake hello, retransmitted until acked.
     Hello = 1,
     /// Server → client: handshake accepted; header carries the cookie.
     HelloAck = 2,
@@ -120,7 +117,7 @@ impl DatagramKind {
 pub struct DatagramHeader {
     /// Payload kind.
     pub kind: DatagramKind,
-    /// Session cookie (0 before the session exists).
+    /// The peer's cookie (0 before the server has handed it out).
     pub cookie: u64,
     /// Shard the payload concerns (0 when not applicable).
     pub shard: ShardId,
@@ -169,22 +166,21 @@ impl DatagramHeader {
 }
 
 /// Encodes a client hello payload: the 18-byte handshake [`Hello`]
-/// followed by the client's session nonce.
-pub fn client_hello_payload(hello: &Hello, nonce: u64) -> Vec<u8> {
+/// followed by 8 zero bytes, a nonce field servers ignore.
+pub fn client_hello_payload(hello: &Hello) -> Vec<u8> {
     let mut out = Vec::with_capacity(HELLO_BYTES + 8);
     out.extend_from_slice(&hello.to_bytes());
-    out.extend_from_slice(&nonce.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
     out
 }
 
-/// Inverse of [`client_hello_payload`].
-pub fn parse_client_hello_payload(payload: &[u8]) -> Result<(Hello, u64)> {
+/// Inverse of [`client_hello_payload`]: the hello, whatever the nonce
+/// field holds.
+pub fn parse_client_hello_payload(payload: &[u8]) -> Result<Hello> {
     if payload.len() != HELLO_BYTES + 8 {
         return Err(EngineError::WireFormat("bad hello payload length"));
     }
-    let hello = Hello::from_bytes(&payload[..HELLO_BYTES])?;
-    let nonce = u64::from_le_bytes(payload[HELLO_BYTES..].try_into().expect("length checked"));
-    Ok((hello, nonce))
+    Hello::from_bytes(&payload[..HELLO_BYTES])
 }
 
 /// Encodes a request payload (the count; the offset rides in the header).
@@ -192,20 +188,19 @@ pub fn request_payload(count: u16) -> [u8; 2] {
     count.to_le_bytes()
 }
 
-/// Derives the session cookie binding a peer address and client nonce
-/// under the shared key.
+/// The cookie a server holding `secret` hands the peer at `peer`: SipHash
+/// of the address under the secret.
 ///
-/// Deterministic by design: a *duplicated* hello derives the same cookie
-/// and lands on the same session, and a forged datagram must both guess
-/// the cookie and spoof the source address to be accepted. This is an
-/// anti-confusion measure in the spirit of QUIC's address validation, not
-/// cryptographic session security.
-pub fn session_cookie(key: SipKey, peer: &[u8], nonce: u64) -> u64 {
-    let mut material = Vec::with_capacity(COOKIE_CONTEXT.len() + peer.len() + 8);
-    material.extend_from_slice(COOKIE_CONTEXT);
-    material.extend_from_slice(peer);
-    material.extend_from_slice(&nonce.to_le_bytes());
-    siphash24(key, &material)
+/// Only as strong as the secret is private. Under a key every client holds
+/// (the shared [`SipKey`] an open deployment publishes), anyone could
+/// compute the cookie of any address, and a hello spoofed from a victim's
+/// address followed by one small `Request` would reflect a full batch onto
+/// the victim. [`DatagramService`] therefore draws its own secret and never
+/// sends it; then the cookie proves that its bearer received the `HelloAck`
+/// sent to that address. It is address validation in the spirit of DTLS's
+/// and QUIC's cookies, not session security: an on-path observer sees it.
+pub fn session_cookie(secret: SipKey, peer: &[u8]) -> u64 {
+    siphash24(secret, peer)
 }
 
 /// How many coded symbols fit in one `Symbols` datagram under `budget`
@@ -280,47 +275,47 @@ impl BatchSequencer {
     }
 }
 
-/// Server-side parameters of the datagram service.
+/// The server side of the datagram protocol: the server's hello, its
+/// per-stream unit budget and its cookie secret. Immutable, so every
+/// worker serves through one shared value, and it keeps nothing per peer.
 #[derive(Debug, Clone)]
-pub struct DatagramServiceConfig {
-    /// The server's handshake hello (authoritative shard count).
-    pub hello: Hello,
-    /// Shared key; drives the session-cookie derivation.
-    pub key: SipKey,
-    /// Per-datagram byte budget; inbound datagrams beyond it are dropped
-    /// and outbound symbol batches are packed to fit it.
-    pub mtu_budget: usize,
-    /// Per-`(session, shard)` symbol budget, mirroring the TCP daemon's
-    /// `max_units_per_session` bound: requests past it are ignored.
-    pub max_units_per_session: usize,
+pub struct DatagramService {
+    hello: Hello,
+    max_units_per_session: usize,
+    secret: SipKey,
 }
 
-/// One live datagram session.
-#[derive(Debug)]
-struct UdpSession {
-    /// Opaque peer address the cookie is bound to.
-    peer: Vec<u8>,
-    /// Last datagram observed, for idle expiry.
-    last_seen: Instant,
-    /// Shards the client completed with `Done`.
-    done: HashSet<ShardId>,
-}
+impl DatagramService {
+    /// A service answering hellos with `hello` (authoritative shard count)
+    /// and ignoring any request that reaches past `max_units_per_session`
+    /// symbols of its shard, as the TCP daemon's bound does. Draws the
+    /// cookie secret once, from [`RandomState`]'s per-process keys.
+    pub fn new(hello: Hello, max_units_per_session: usize) -> Self {
+        let keys = RandomState::new();
+        let draw = |word: u64| {
+            let mut hasher = keys.build_hasher();
+            hasher.write_u64(word);
+            hasher.finish()
+        };
+        DatagramService {
+            hello,
+            max_units_per_session,
+            secret: SipKey::new(draw(0), draw(1)),
+        }
+    }
 
-/// The server's table of live datagram sessions, keyed by cookie.
-#[derive(Debug, Default)]
-pub struct UdpSessionTable {
-    sessions: HashMap<u64, UdpSession>,
+    /// The cookie this service hands, and accepts only from, `peer`.
+    pub fn cookie(&self, peer: &[u8]) -> u64 {
+        session_cookie(self.secret, peer)
+    }
 }
 
 /// What [`handle_server_datagram`] observed, for metrics and logging.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatagramEvent {
-    /// A hello was accepted; `fresh` distinguishes a new session from a
-    /// retransmitted/duplicated hello landing on the existing one.
+    /// A hello was accepted and acknowledged with the peer's cookie.
     HelloAccepted {
-        /// True when the hello created the session (vs. a retransmit).
-        fresh: bool,
-        /// The session cookie (new or re-derived).
+        /// The cookie the acknowledgement carries.
         cookie: u64,
     },
     /// A hello was refused and a reject datagram queued.
@@ -334,98 +329,68 @@ pub enum DatagramEvent {
         /// Symbols in the reply batch (post-clamping).
         count: usize,
     },
-    /// The client completed a shard.
+    /// The client reported a shard complete.
     Done {
         /// Completed shard.
         shard: ShardId,
         /// Coded symbols the client reported consuming.
         units: u64,
-        /// True when every shard is now done and the session was retired.
-        session_complete: bool,
     },
     /// The datagram was ignored; the reason is a static description.
     Dropped(&'static str),
 }
 
-impl UdpSessionTable {
-    /// An empty table.
-    pub fn new() -> UdpSessionTable {
-        UdpSessionTable::default()
-    }
-
-    /// Live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// True when no session is live.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Expires sessions idle longer than `idle`, returning how many were
-    /// dropped — the datagram analogue of the TCP path's read timeout.
-    pub fn sweep(&mut self, now: Instant, idle: std::time::Duration) -> usize {
-        let before = self.sessions.len();
-        self.sessions
-            .retain(|_, s| now.duration_since(s.last_seen) <= idle);
-        before - self.sessions.len()
-    }
-}
-
-/// Dispatches one inbound datagram against the session table.
+/// Dispatches one inbound datagram under `service`.
 ///
 /// `peer` is the opaque source address (whatever bytes the transport uses
 /// to identify the sender — a `SocketAddr` rendering, a simulator endpoint
-/// id); it binds the cookie. `serve` produces one encoded wire batch of
-/// `count` symbols of `shard` starting at `start`, or `None` if the shard
-/// cannot be served (out of range).
+/// id); the cookie of every `Request` and `Done` must be the one
+/// [`DatagramService::cookie`] computes for it. `serve` produces one
+/// encoded wire batch of `count` symbols of `shard` starting at `start`,
+/// or `None` if it cannot; it is only asked for a shard the service's
+/// hello counts.
 ///
 /// Returns the reply datagrams to transmit (possibly none) and the event
-/// that occurred. The handler never panics and never wedges a session on
-/// malformed, duplicated, reordered, or truncated input — bad datagrams
-/// are dropped, and requests are idempotent because they name explicit
-/// offsets.
+/// that occurred. The handler never panics and keeps no state, so no
+/// malformed, duplicated, reordered, truncated or abandoned input can
+/// wedge it or grow it — bad datagrams are dropped, and requests are
+/// idempotent because they name explicit offsets.
 pub fn handle_server_datagram<F>(
-    table: &mut UdpSessionTable,
-    config: &DatagramServiceConfig,
+    service: &DatagramService,
     peer: &[u8],
     datagram: &[u8],
-    now: Instant,
     serve: F,
 ) -> (Vec<Vec<u8>>, DatagramEvent)
 where
     F: FnOnce(ShardId, u64, usize) -> Option<Vec<u8>>,
 {
-    if datagram.len() > config.mtu_budget.max(MIN_MTU_BUDGET) {
+    if datagram.len() > DEFAULT_MTU_BUDGET {
         return (Vec::new(), DatagramEvent::Dropped("oversized datagram"));
     }
     let (header, payload) = match DatagramHeader::decode(datagram) {
         Ok(split) => split,
         Err(_) => return (Vec::new(), DatagramEvent::Dropped("malformed header")),
     };
+    let shards = service.hello.shards;
     match header.kind {
-        DatagramKind::Hello => handle_hello(table, config, peer, payload, now),
+        DatagramKind::Hello => handle_hello(service, peer, payload),
+        DatagramKind::Request | DatagramKind::Done if header.cookie != service.cookie(peer) => {
+            (Vec::new(), DatagramEvent::Dropped("bad cookie"))
+        }
+        // A shard the service does not have is no stream to serve or end.
+        DatagramKind::Request | DatagramKind::Done if header.shard >= shards => {
+            (Vec::new(), DatagramEvent::Dropped("shard out of range"))
+        }
         DatagramKind::Request => {
-            let Some(session) = table.sessions.get_mut(&header.cookie) else {
-                return (Vec::new(), DatagramEvent::Dropped("unknown session"));
-            };
-            if session.peer != peer {
-                return (Vec::new(), DatagramEvent::Dropped("cookie/peer mismatch"));
-            }
-            session.last_seen = now;
             if payload.len() != 2 {
                 return (Vec::new(), DatagramEvent::Dropped("bad request payload"));
             }
-            if header.shard >= config.hello.shards {
-                return (Vec::new(), DatagramEvent::Dropped("shard out of range"));
-            }
             let requested = usize::from(u16::from_le_bytes([payload[0], payload[1]]));
             let budget_cap =
-                max_symbols_in_budget(config.mtu_budget, usize::from(config.hello.symbol_len));
+                max_symbols_in_budget(DEFAULT_MTU_BUDGET, usize::from(service.hello.symbol_len));
             let count = requested.min(budget_cap).max(1);
             let start = u64::from(header.seq);
-            if start as usize + count > config.max_units_per_session {
+            if start as usize + count > service.max_units_per_session {
                 return (Vec::new(), DatagramEvent::Dropped("unit budget exceeded"));
             }
             let Some(batch) = serve(header.shard, start, count) else {
@@ -433,9 +398,7 @@ where
             };
             let reply = DatagramHeader {
                 kind: DatagramKind::Symbols,
-                cookie: header.cookie,
-                shard: header.shard,
-                seq: header.seq,
+                ..header
             }
             .encode(&batch);
             (
@@ -447,34 +410,13 @@ where
                 },
             )
         }
-        DatagramKind::Done => {
-            let Some(session) = table.sessions.get_mut(&header.cookie) else {
-                return (Vec::new(), DatagramEvent::Dropped("unknown session"));
-            };
-            if session.peer != peer {
-                return (Vec::new(), DatagramEvent::Dropped("cookie/peer mismatch"));
-            }
-            session.last_seen = now;
-            // A shard the service does not have is no step towards the
-            // session's completion, as it is no stream to serve.
-            if header.shard >= config.hello.shards {
-                return (Vec::new(), DatagramEvent::Dropped("shard out of range"));
-            }
-            // Duplicate Dones are harmless, mirroring the TCP path.
-            session.done.insert(header.shard);
-            let complete = session.done.len() >= usize::from(config.hello.shards);
-            if complete {
-                table.sessions.remove(&header.cookie);
-            }
-            (
-                Vec::new(),
-                DatagramEvent::Done {
-                    shard: header.shard,
-                    units: u64::from(header.seq),
-                    session_complete: complete,
-                },
-            )
-        }
+        DatagramKind::Done => (
+            Vec::new(),
+            DatagramEvent::Done {
+                shard: header.shard,
+                units: u64::from(header.seq),
+            },
+        ),
         // Server-to-client kinds arriving at the server are peer confusion.
         DatagramKind::HelloAck | DatagramKind::Reject | DatagramKind::Symbols => {
             (Vec::new(), DatagramEvent::Dropped("unexpected kind"))
@@ -483,77 +425,47 @@ where
 }
 
 fn handle_hello(
-    table: &mut UdpSessionTable,
-    config: &DatagramServiceConfig,
+    service: &DatagramService,
     peer: &[u8],
     payload: &[u8],
-    now: Instant,
 ) -> (Vec<Vec<u8>>, DatagramEvent) {
-    let reject = |reason| {
-        let frame = reject_frame_bytes(reason);
+    let checked = parse_client_hello_payload(payload)
+        .map_err(|_| crate::handshake::RejectReason::Malformed)
+        .and_then(|client| validate_client_hello(&client, &service.hello));
+    if let Err(reason) = checked {
         let reply = DatagramHeader {
             kind: DatagramKind::Reject,
             cookie: 0,
             shard: 0,
             seq: 0,
         }
-        .encode(&frame);
-        (vec![reply], DatagramEvent::HelloRejected)
-    };
-    let Ok((client, nonce)) = parse_client_hello_payload(payload) else {
-        return reject(crate::handshake::RejectReason::Malformed);
-    };
-    if let Err(reason) = validate_client_hello(&client, &config.hello) {
-        return reject(reason);
+        .encode(&reject_frame_bytes(reason));
+        return (vec![reply], DatagramEvent::HelloRejected);
     }
-    let cookie = session_cookie(config.key, peer, nonce);
-    let fresh = match table.sessions.get_mut(&cookie) {
-        Some(session) => {
-            // Deterministic cookie: a duplicated hello re-lands here.
-            session.last_seen = now;
-            false
-        }
-        None => {
-            table.sessions.insert(
-                cookie,
-                UdpSession {
-                    peer: peer.to_vec(),
-                    last_seen: now,
-                    done: HashSet::new(),
-                },
-            );
-            true
-        }
-    };
+    let cookie = service.cookie(peer);
     let ack = DatagramHeader {
         kind: DatagramKind::HelloAck,
         cookie,
         shard: 0,
         seq: 0,
     }
-    .encode(&config.hello.to_bytes());
-    (vec![ack], DatagramEvent::HelloAccepted { fresh, cookie })
+    .encode(&service.hello.to_bytes());
+    (vec![ack], DatagramEvent::HelloAccepted { cookie })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn key() -> SipKey {
         SipKey::new(7, 9)
     }
 
-    fn service() -> DatagramServiceConfig {
-        DatagramServiceConfig {
-            hello: Hello::new(key(), 4, 8),
-            key: key(),
-            mtu_budget: DEFAULT_MTU_BUDGET,
-            max_units_per_session: 1 << 20,
-        }
+    fn service() -> DatagramService {
+        DatagramService::new(Hello::new(key(), 4, 8), 1 << 20)
     }
 
-    fn hello_datagram(nonce: u64) -> Vec<u8> {
+    fn hello_datagram() -> Vec<u8> {
         let client = Hello::new(key(), crate::handshake::SHARDS_ANY, 8);
         DatagramHeader {
             kind: DatagramKind::Hello,
@@ -561,24 +473,38 @@ mod tests {
             shard: 0,
             seq: 0,
         }
-        .encode(&client_hello_payload(&client, nonce))
+        .encode(&client_hello_payload(&client))
     }
 
-    fn open_session(table: &mut UdpSessionTable, config: &DatagramServiceConfig) -> u64 {
-        let (replies, event) = handle_server_datagram(
-            table,
-            config,
-            b"peer-a",
-            &hello_datagram(42),
-            Instant::now(),
-            |_, _, _| None,
-        );
+    fn datagram(kind: DatagramKind, cookie: u64, shard: ShardId, seq: u32) -> Vec<u8> {
+        let payload = match kind {
+            DatagramKind::Request => request_payload(16).to_vec(),
+            _ => Vec::new(),
+        };
+        DatagramHeader {
+            kind,
+            cookie,
+            shard,
+            seq,
+        }
+        .encode(&payload)
+    }
+
+    /// What `service` answers `peer`'s datagram with, serving every request
+    /// with a 40-byte batch.
+    fn handle(
+        service: &DatagramService,
+        peer: &[u8],
+        datagram: &[u8],
+    ) -> (Vec<Vec<u8>>, DatagramEvent) {
+        handle_server_datagram(service, peer, datagram, |_, _, _| Some(vec![0xAB; 40]))
+    }
+
+    fn open_session(service: &DatagramService, peer: &[u8]) -> u64 {
+        let (replies, event) = handle(service, peer, &hello_datagram());
         assert_eq!(replies.len(), 1);
         match event {
-            DatagramEvent::HelloAccepted {
-                fresh: true,
-                cookie,
-            } => cookie,
+            DatagramEvent::HelloAccepted { cookie } => cookie,
             other => panic!("unexpected event: {other:?}"),
         }
     }
@@ -620,34 +546,30 @@ mod tests {
 
     #[test]
     fn duplicated_hello_is_idempotent() {
-        let config = service();
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
-        assert_eq!(table.len(), 1);
-        // The duplicate re-acks the *same* cookie without a second session.
-        let (replies, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &hello_datagram(42),
-            Instant::now(),
-            |_, _, _| None,
-        );
-        assert_eq!(replies.len(), 1);
+        let service = service();
+        let (first, event) = handle(&service, b"peer-a", &hello_datagram());
+        let cookie = service.cookie(b"peer-a");
+        assert_eq!(event, DatagramEvent::HelloAccepted { cookie });
+        // A duplicate, and a hello whose nonce field is not 0, draw the
+        // same acknowledgement: the cookie is the address's, and nothing
+        // of the first hello was kept.
+        let (again, _) = handle(&service, b"peer-a", &hello_datagram());
+        let mut nonce = hello_datagram();
+        nonce[DATAGRAM_HEADER_BYTES + HELLO_BYTES] = 42;
+        let (with_nonce, _) = handle(&service, b"peer-a", &nonce);
+        assert_eq!(first, again);
+        assert_eq!(first, with_nonce);
+        let (header, payload) = DatagramHeader::decode(&first[0]).unwrap();
         assert_eq!(
-            event,
-            DatagramEvent::HelloAccepted {
-                fresh: false,
-                cookie
-            }
+            (header.kind, header.cookie),
+            (DatagramKind::HelloAck, cookie)
         );
-        assert_eq!(table.len(), 1);
+        assert_eq!(payload, service.hello.to_bytes());
     }
 
     #[test]
     fn mismatched_hello_is_rejected() {
-        let config = service();
-        let mut table = UdpSessionTable::new();
+        let service = service();
         let wrong_key = Hello::new(SipKey::new(1, 2), 0, 8);
         let datagram = DatagramHeader {
             kind: DatagramKind::Hello,
@@ -655,45 +577,24 @@ mod tests {
             shard: 0,
             seq: 0,
         }
-        .encode(&client_hello_payload(&wrong_key, 7));
-        let (replies, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &datagram,
-            Instant::now(),
-            |_, _, _| None,
-        );
+        .encode(&client_hello_payload(&wrong_key));
+        let (replies, event) = handle(&service, b"peer-a", &datagram);
         assert_eq!(event, DatagramEvent::HelloRejected);
         let (header, payload) = DatagramHeader::decode(&replies[0]).unwrap();
         assert_eq!(header.kind, DatagramKind::Reject);
         assert_eq!(&payload[..4], b"RNCK");
-        assert!(table.is_empty());
     }
 
     #[test]
     fn requests_are_served_and_bound_to_the_peer() {
-        let config = service();
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
-        let request = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 2,
-            seq: 64,
-        }
-        .encode(&request_payload(16));
-        let (replies, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &request,
-            Instant::now(),
-            |shard, start, count| {
+        let service = service();
+        let cookie = open_session(&service, b"peer-a");
+        let request = datagram(DatagramKind::Request, cookie, 2, 64);
+        let (replies, event) =
+            handle_server_datagram(&service, b"peer-a", &request, |shard, start, count| {
                 assert_eq!((shard, start, count), (2, 64, 16));
                 Some(vec![0xAB; 40])
-            },
-        );
+            });
         assert_eq!(
             event,
             DatagramEvent::Served {
@@ -708,204 +609,125 @@ mod tests {
         assert_eq!(payload, &[0xAB; 40][..]);
 
         // The same cookie from a different source address is ignored.
-        let (replies, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-b",
-            &request,
-            Instant::now(),
-            |_, _, _| Some(Vec::new()),
-        );
+        let (replies, event) = handle(&service, b"peer-b", &request);
         assert!(replies.is_empty());
-        assert_eq!(event, DatagramEvent::Dropped("cookie/peer mismatch"));
+        assert_eq!(event, DatagramEvent::Dropped("bad cookie"));
+    }
+
+    #[test]
+    fn a_cookie_forged_under_the_shared_key_draws_no_reply() {
+        // The shared key is every client's, so an attacker can compute a
+        // cookie under it for any address: a hello spoofed from the
+        // victim, then a request carrying that cookie, would reflect a
+        // batch onto the victim.
+        let service = service();
+        let (acks, _) = handle(&service, b"victim", &hello_datagram());
+        assert_eq!(acks.len(), 1, "the ack goes to the victim, unseen");
+        let nonce = 42u64;
+        let forged = [
+            // The derivation the shared key gave: context, address, nonce.
+            siphash24(
+                key(),
+                &[
+                    &b"reconciled/udp-session-cookie/v1"[..],
+                    b"victim",
+                    &nonce.to_le_bytes(),
+                ]
+                .concat(),
+            ),
+            session_cookie(key(), b"victim"),
+        ];
+        for cookie in forged {
+            let request = datagram(DatagramKind::Request, cookie, 0, 0);
+            let (replies, event) = handle(&service, b"victim", &request);
+            assert!(replies.is_empty(), "reflected {} bytes", replies[0].len());
+            assert_eq!(event, DatagramEvent::Dropped("bad cookie"));
+        }
+    }
+
+    #[test]
+    fn a_cookie_is_refused_from_another_peer_and_by_another_service() {
+        let (service, other) = (service(), service());
+        let cookie = open_session(&service, b"peer-a");
+        // Recomputed, not remembered: the same address, the same cookie.
+        assert_eq!(cookie, service.cookie(b"peer-a"));
+        assert_ne!(cookie, service.cookie(b"peer-b"));
+        assert_ne!(cookie, other.cookie(b"peer-a"), "secrets are drawn");
+        for kind in [DatagramKind::Request, DatagramKind::Done] {
+            let sent = datagram(kind, cookie, 1, 0);
+            assert!(matches!(
+                handle(&service, b"peer-a", &sent).1,
+                DatagramEvent::Served { .. } | DatagramEvent::Done { .. }
+            ));
+            for (server, peer) in [(&service, &b"peer-b"[..]), (&other, b"peer-a")] {
+                let (replies, event) = handle(server, peer, &sent);
+                assert!(replies.is_empty());
+                assert_eq!(event, DatagramEvent::Dropped("bad cookie"), "{kind:?}");
+            }
+        }
     }
 
     #[test]
     fn unit_budget_and_shard_range_are_enforced() {
-        let mut config = service();
-        config.max_units_per_session = 100;
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
-        let over_budget = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 0,
-            seq: 99,
-        }
-        .encode(&request_payload(16));
-        let (_, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &over_budget,
-            Instant::now(),
-            |_, _, _| Some(Vec::new()),
-        );
+        let service = DatagramService::new(Hello::new(key(), 4, 8), 100);
+        let cookie = open_session(&service, b"peer-a");
+        let over_budget = datagram(DatagramKind::Request, cookie, 0, 99);
+        let (_, event) = handle(&service, b"peer-a", &over_budget);
         assert_eq!(event, DatagramEvent::Dropped("unit budget exceeded"));
-        let bad_shard = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 9,
-            seq: 0,
-        }
-        .encode(&request_payload(1));
-        let (_, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &bad_shard,
-            Instant::now(),
-            |_, _, _| Some(Vec::new()),
-        );
+        let bad_shard = datagram(DatagramKind::Request, cookie, 9, 0);
+        let (_, event) = handle(&service, b"peer-a", &bad_shard);
         assert_eq!(event, DatagramEvent::Dropped("shard out of range"));
     }
 
     #[test]
-    fn done_on_every_shard_retires_the_session() {
-        let config = service();
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
-        for shard in 0..config.hello.shards {
-            let done = DatagramHeader {
-                kind: DatagramKind::Done,
-                cookie,
-                shard,
-                seq: 10 + u32::from(shard),
+    fn every_done_is_reported_with_its_shard_and_units() {
+        let service = service();
+        let cookie = open_session(&service, b"peer-a");
+        for shard in 0..service.hello.shards {
+            let done = datagram(DatagramKind::Done, cookie, shard, 10 + u32::from(shard));
+            // A duplicated Done is reported again, as the TCP path's is
+            // harmless: the server keeps no count of them.
+            for _ in 0..2 {
+                let (replies, event) = handle(&service, b"peer-a", &done);
+                assert!(replies.is_empty());
+                let units = u64::from(10 + u32::from(shard));
+                assert_eq!(event, DatagramEvent::Done { shard, units });
             }
-            .encode(&[]);
-            let (replies, event) = handle_server_datagram(
-                &mut table,
-                &config,
-                b"peer-a",
-                &done,
-                Instant::now(),
-                |_, _, _| None,
-            );
-            assert!(replies.is_empty());
-            let complete = shard + 1 == config.hello.shards;
-            assert_eq!(
-                event,
-                DatagramEvent::Done {
-                    shard,
-                    units: u64::from(10 + u32::from(shard)),
-                    session_complete: complete,
-                }
-            );
         }
-        assert!(table.is_empty());
+        // Nothing was retired: the cookie still serves.
+        let request = datagram(DatagramKind::Request, cookie, 0, 0);
+        assert_eq!(handle(&service, b"peer-a", &request).0.len(), 1);
     }
 
     #[test]
     fn a_done_for_a_shard_the_service_lacks_is_dropped() {
-        // As many Dones as the service has shards, none of them for one of
-        // its shards: the session is not complete, and still serves.
-        let config = service();
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
-        let shards = config.hello.shards;
-        for shard in 10..10 + shards {
-            let done = DatagramHeader {
-                kind: DatagramKind::Done,
-                cookie,
-                shard,
-                seq: 7,
-            }
-            .encode(&[]);
-            let (replies, event) = handle_server_datagram(
-                &mut table,
-                &config,
-                b"peer-a",
-                &done,
-                Instant::now(),
-                |_, _, _| None,
-            );
+        let service = service();
+        let cookie = open_session(&service, b"peer-a");
+        let shards = service.hello.shards;
+        for shard in shards..2 * shards {
+            let done = datagram(DatagramKind::Done, cookie, shard, 7);
+            let (replies, event) = handle(&service, b"peer-a", &done);
             assert!(replies.is_empty());
             assert_eq!(event, DatagramEvent::Dropped("shard out of range"));
         }
-        assert_eq!(table.len(), 1);
-        let request = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 0,
-            seq: 0,
-        }
-        .encode(&request_payload(1));
-        let (replies, _) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &request,
-            Instant::now(),
-            |_, _, _| Some(vec![1]),
-        );
-        assert_eq!(replies.len(), 1);
-    }
-
-    #[test]
-    fn idle_sessions_expire_on_sweep() {
-        let config = service();
-        let mut table = UdpSessionTable::new();
-        open_session(&mut table, &config);
-        let later = Instant::now() + Duration::from_secs(60);
-        assert_eq!(table.sweep(later, Duration::from_secs(10)), 1);
-        assert!(table.is_empty());
     }
 
     #[test]
     fn mtu_boundary_datagrams_at_and_over_the_budget() {
-        let mut config = service();
-        config.mtu_budget = 256;
-        let mut table = UdpSessionTable::new();
-        let cookie = open_session(&mut table, &config);
+        let service = service();
+        let cookie = open_session(&service, b"peer-a");
         // Exactly at the budget: handled.
-        let mut at_budget = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 0,
-            seq: 0,
-        }
-        .encode(&request_payload(4));
+        let mut at_budget = datagram(DatagramKind::Request, cookie, 0, 0);
         // Requests carry a 2-byte payload; padding makes it malformed but
         // the *size* check must pass first, exercising the boundary.
-        at_budget.resize(config.mtu_budget, 0);
-        let (_, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &at_budget,
-            Instant::now(),
-            |_, _, _| Some(Vec::new()),
-        );
+        at_budget.resize(DEFAULT_MTU_BUDGET, 0);
+        let (_, event) = handle(&service, b"peer-a", &at_budget);
         assert_eq!(event, DatagramEvent::Dropped("bad request payload"));
         // One byte over: dropped as oversized, before any parsing.
         let mut over = at_budget.clone();
         over.push(0);
-        let (_, event) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &over,
-            Instant::now(),
-            |_, _, _| Some(Vec::new()),
-        );
+        let (_, event) = handle(&service, b"peer-a", &over);
         assert_eq!(event, DatagramEvent::Dropped("oversized datagram"));
-        // Neither touched the session: it still serves.
-        let request = DatagramHeader {
-            kind: DatagramKind::Request,
-            cookie,
-            shard: 0,
-            seq: 0,
-        }
-        .encode(&request_payload(1));
-        let (replies, _) = handle_server_datagram(
-            &mut table,
-            &config,
-            b"peer-a",
-            &request,
-            Instant::now(),
-            |_, _, _| Some(vec![1, 2, 3]),
-        );
-        assert_eq!(replies.len(), 1);
     }
 
     #[test]
@@ -913,7 +735,7 @@ mod tests {
         use riblt::wire::SymbolCodec;
         use riblt::{CodedSymbol, FixedBytes};
 
-        for (budget, symbol_len) in [(MIN_MTU_BUDGET, 8), (512, 8), (DEFAULT_MTU_BUDGET, 8)] {
+        for (budget, symbol_len) in [(128, 8), (512, 8), (DEFAULT_MTU_BUDGET, 8)] {
             let count = max_symbols_in_budget(budget, symbol_len);
             assert!(count >= 1);
             // Encode a real worst-effort batch of `count` symbols and check
@@ -970,14 +792,5 @@ mod tests {
         assert_eq!(seq.pop_ready(), Some(vec![7]));
         seq.advance(10);
         assert_eq!(seq.pop_ready(), Some(vec![]));
-    }
-
-    #[test]
-    fn cookies_bind_peer_and_nonce() {
-        let c = session_cookie(key(), b"peer-a", 1);
-        assert_eq!(c, session_cookie(key(), b"peer-a", 1));
-        assert_ne!(c, session_cookie(key(), b"peer-b", 1));
-        assert_ne!(c, session_cookie(key(), b"peer-a", 2));
-        assert_ne!(c, session_cookie(SipKey::new(3, 4), b"peer-a", 1));
     }
 }

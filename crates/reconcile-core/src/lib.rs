@@ -78,8 +78,7 @@ pub mod wirefmt;
 pub use backend::{Absorbed, Progress, ReconcileBackend, StreamProgress};
 pub use datagram::{
     handle_server_datagram, max_symbols_in_budget, session_cookie, BatchSequencer, DatagramEvent,
-    DatagramHeader, DatagramKind, DatagramServiceConfig, UdpSessionTable, DATAGRAM_HEADER_BYTES,
-    DEFAULT_MTU_BUDGET,
+    DatagramHeader, DatagramKind, DatagramService, DATAGRAM_HEADER_BYTES, DEFAULT_MTU_BUDGET,
 };
 pub use engine::{EngineMessage, RangeRequest, ShardEndpoint};
 pub use error::{EngineError, Result};

@@ -20,6 +20,8 @@
 //! leave the connection open; the same read timeout as the data port
 //! applies, so an abandoned admin connection is dropped like a silent peer.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;

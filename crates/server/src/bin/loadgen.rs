@@ -11,6 +11,8 @@
 //! loadgen --connect 127.0.0.1:4000 --clients 64 --reconnect
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

@@ -23,6 +23,8 @@
 //! the recovered difference alone, bit for bit (as long as the daemon's set
 //! did not change during the sync).
 
+#![forbid(unsafe_code)]
+
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;

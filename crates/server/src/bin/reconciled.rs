@@ -16,6 +16,8 @@
 //! to stdout — with `:0` listeners that is how callers learn the ports —
 //! then serves until an admin connection issues `SHUTDOWN`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::Duration;
 

@@ -2,6 +2,8 @@
 //! and `reconcile-client` binaries (the workspace is std-only, so flags are
 //! parsed by hand).
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 
 use riblt::Symbol;

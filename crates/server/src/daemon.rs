@@ -55,6 +55,8 @@
 //! Sessions are short (seconds) relative to typical churn, the deployment
 //! the paper's incremental-cache story targets.
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -64,10 +66,7 @@ use std::time::{Duration, Instant};
 
 use cluster::{Node, NodeConfig, Served, Tiles};
 use obs::{lock_unpoisoned, SpanTimer};
-use reconcile_core::datagram::{
-    handle_server_datagram, DatagramEvent, DatagramServiceConfig, UdpSessionTable,
-    DEFAULT_MTU_BUDGET,
-};
+use reconcile_core::datagram::{handle_server_datagram, DatagramEvent, DatagramService};
 use reconcile_core::framing::LENGTH_PREFIX_BYTES;
 use reconcile_core::handshake::{Hello, HELLO_BYTES};
 use reconcile_core::{CountSketch, RangeRequest, ShardId};
@@ -114,7 +113,7 @@ pub struct DaemonConfig {
     pub max_write_buffer: usize,
     /// UDP data listener address (`None` disables the datagram transport).
     /// Serves the same coded-symbol streams as the TCP listener, over the
-    /// session-cookie datagram protocol (`reconcile_core::datagram`), in
+    /// stateless-cookie datagram protocol (`reconcile_core::datagram`), in
     /// datagrams of at most `DEFAULT_MTU_BUDGET` bytes.
     pub udp_listen: Option<String>,
 }
@@ -179,9 +178,9 @@ pub(crate) struct SharedState<S: Symbol + Ord> {
     pub(crate) stop: AtomicBool,
     pub(crate) active: AtomicUsize,
     pub(crate) started: Instant,
-    /// Live UDP sessions, keyed by cookie (empty when the datagram
-    /// transport is disabled).
-    pub(crate) udp_sessions: Mutex<UdpSessionTable>,
+    /// The UDP half's hello, unit budget and cookie secret: immutable, so a
+    /// datagram takes no lock but the node's.
+    pub(crate) udp: DatagramService,
 }
 
 /// A change to the served set, for [`SharedState::mutate`].
@@ -314,6 +313,10 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
         );
         node.extend(initial);
 
+        let udp = DatagramService::new(
+            Hello::new(config.key, config.shards, config.symbol_len),
+            config.max_units_per_session,
+        );
         let shared = Arc::new(SharedState {
             config,
             node: Mutex::new(node),
@@ -321,7 +324,7 @@ impl<S: Symbol + Ord + Send + 'static> Daemon<S> {
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),
-            udp_sessions: Mutex::new(UdpSessionTable::new()),
+            udp,
         });
 
         let threads = event::spawn_workers(data_listener, admin_listener, udp_socket, &shared)?;
@@ -541,80 +544,48 @@ pub(crate) fn serve_shard_tiles<S: Symbol + Ord>(
 /// reactor workers call it from their nonblocking receive pump. Reply sends
 /// are best-effort — a full socket buffer drops the reply exactly like the
 /// network would, and the client's retransmit timer heals it.
+///
+/// A shard's stream is booked as TCP books it: opened when the request for
+/// its offset 0 is served, completed (with its symbols) at its `Done`. A
+/// retransmitted first request or a lost `Done` miscounts it, so the counts
+/// are exact on a clean link only.
 pub(crate) fn handle_udp_datagram<S: Symbol + Ord>(
     socket: &UdpSocket,
     shared: &SharedState<S>,
     peer: SocketAddr,
     datagram: &[u8],
 ) {
-    let config = &shared.config;
-    shared.metrics.udp_datagrams_in.inc();
-    shared.metrics.bytes_in.add(datagram.len() as u64);
-    let service = DatagramServiceConfig {
-        hello: Hello::new(config.key, config.shards, config.symbol_len),
-        key: config.key,
-        mtu_budget: DEFAULT_MTU_BUDGET,
-        max_units_per_session: config.max_units_per_session,
-    };
+    let metrics = &shared.metrics;
+    metrics.udp_datagrams_in.inc();
+    metrics.bytes_in.add(datagram.len() as u64);
     let peer_bytes = peer.to_string().into_bytes();
-    let (replies, event) = {
-        let mut table = lock_unpoisoned(&shared.udp_sessions);
-        handle_server_datagram(
-            &mut table,
-            &service,
-            &peer_bytes,
-            datagram,
-            Instant::now(),
-            |shard, start, count| {
-                (shard < config.shards)
-                    .then(|| serve_shard_tiles(shared, shard, start as usize, 1, count)[0].to_vec())
-            },
-        )
-    };
+    let (replies, event) =
+        handle_server_datagram(&shared.udp, &peer_bytes, datagram, |shard, start, count| {
+            Some(serve_shard_tiles(shared, shard, start as usize, 1, count)[0].to_vec())
+        });
     match event {
-        DatagramEvent::HelloAccepted { fresh: true, .. } => {
-            shared.metrics.udp_sessions_opened.inc();
-            shared.metrics.sessions_opened.inc();
-        }
+        DatagramEvent::HelloAccepted { .. } => metrics.udp_sessions_opened.inc(),
         DatagramEvent::HelloRejected => {
-            shared.metrics.handshake_failures.inc();
-            shared
-                .metrics
+            metrics.handshake_failures.inc();
+            metrics
                 .events
                 .record("udp_handshake_fail", format!("peer={peer}"));
         }
-        DatagramEvent::Done {
-            units,
-            session_complete: true,
-            ..
-        } => {
-            shared.metrics.sessions_completed.inc();
-            shared.metrics.session_symbols.observe(units);
-            shared
-                .metrics
-                .events
-                .record("udp_session_done", format!("peer={peer} units={units}"));
+        DatagramEvent::Served { start: 0, .. } => metrics.sessions_opened.inc(),
+        DatagramEvent::Done { shard, units } => {
+            metrics.sessions_completed.inc();
+            metrics.session_symbols.observe(units);
+            metrics.events.record(
+                "udp_session_done",
+                format!("peer={peer} shard={shard} symbols={units}"),
+            );
         }
         _ => {}
     }
     for reply in replies {
-        shared.metrics.udp_datagrams_out.inc();
-        shared.metrics.bytes_out.add(reply.len() as u64);
+        metrics.udp_datagrams_out.inc();
+        metrics.bytes_out.add(reply.len() as u64);
         let _ = socket.send_to(&reply, peer);
-    }
-}
-
-/// Retires UDP sessions idle past the read timeout. Called from the reactor
-/// tick.
-pub(crate) fn sweep_udp_sessions<S: Symbol + Ord>(shared: &SharedState<S>) {
-    let expired =
-        lock_unpoisoned(&shared.udp_sessions).sweep(Instant::now(), shared.config.read_timeout);
-    if expired > 0 {
-        shared.metrics.udp_sessions_expired.add(expired as u64);
-        shared
-            .metrics
-            .events
-            .record("udp_session_expired", format!("count={expired}"));
     }
 }
 

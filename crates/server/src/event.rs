@@ -21,8 +21,8 @@
 //! connections it accepted. Connections never migrate between workers, so
 //! there is no cross-thread handoff, no wake pipe, and no locking around
 //! connection state; workers only share the daemon's `SharedState`
-//! (the node with its encoded tiles, the UDP sessions, metrics), which
-//! synchronizes itself.
+//! (the node with its encoded tiles behind its one lock, the immutable UDP
+//! service, metrics), which synchronizes itself.
 //!
 //! ## Backpressure
 //!
@@ -37,6 +37,8 @@
 //! buffer, not one thread. With no write progress for the write timeout,
 //! or no read for the read timeout while idle, the sweep between polls
 //! drops the connection: the two timeouts bound what any peer can hold.
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -53,9 +55,7 @@ use reconcile_core::handshake::{reject_frame_bytes, validate_client_hello, Hello
 use riblt::Symbol;
 
 use crate::admin;
-use crate::daemon::{
-    handle_udp_datagram, sweep_udp_sessions, ConnAccounting, DaemonConfig, SharedState,
-};
+use crate::daemon::{handle_udp_datagram, ConnAccounting, DaemonConfig, SharedState};
 use crate::reactor::{Interest, PollEvent, Poller};
 
 /// Poll token of the data listener in every worker.
@@ -88,9 +88,6 @@ const MAX_AUTO_WORKERS: usize = 4;
 /// Most datagrams one readiness event will pump before yielding back to the
 /// poll loop (level-triggered polling re-notifies leftovers).
 const UDP_DATAGRAM_BUDGET: usize = 256;
-
-/// How often each worker sweeps idle UDP sessions.
-const UDP_SWEEP_EVERY: Duration = Duration::from_millis(500);
 
 /// Cap on the per-connection drain grace after a shutdown is observed. The
 /// grace tracks the read timeout (a peer mid-request deserves its normal
@@ -335,7 +332,6 @@ fn worker_loop<S: Symbol + Ord>(
     let mut scratch = vec![0u8; 65_536];
     let mut draining = false;
     let mut drain_deadline = Instant::now();
-    let mut last_udp_sweep = Instant::now();
 
     loop {
         let now = Instant::now();
@@ -419,10 +415,6 @@ fn worker_loop<S: Symbol + Ord>(
         // writers against the write timeout — measured from the last byte
         // the peer *accepted*, so a slow-but-draining reader never trips.
         let now = Instant::now();
-        if udp_socket.is_some() && now.duration_since(last_udp_sweep) >= UDP_SWEEP_EVERY {
-            last_udp_sweep = now;
-            sweep_udp_sessions(&shared);
-        }
         let expired: Vec<(u64, bool)> = conns
             .iter()
             .filter_map(|(&token, conn)| {
@@ -504,8 +496,9 @@ fn accept_ready<S: Symbol + Ord>(
 }
 
 /// Pumps every pending datagram off a ready UDP socket, up to the per-event
-/// budget. Sessions are keyed by cookie in the daemon-wide table, so it
-/// does not matter which worker wins the race for any given datagram.
+/// budget. The server keeps no UDP session (a cookie is recomputed from
+/// the datagram's source address), so it does not matter which worker wins
+/// the race for any given datagram.
 fn udp_ready<S: Symbol + Ord>(socket: &UdpSocket, shared: &SharedState<S>, scratch: &mut [u8]) {
     for _ in 0..UDP_DATAGRAM_BUDGET {
         match socket.recv_from(scratch) {

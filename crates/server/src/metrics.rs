@@ -9,6 +9,8 @@
 //! Handles are plain `Arc`s into lock-free instruments — the serving path
 //! updates them with relaxed atomics and never touches the registry lock.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use obs::{Counter, EventRing, Gauge, Histogram, Registry};
@@ -59,10 +61,9 @@ pub struct DaemonMetrics {
     pub udp_datagrams_in: Arc<Counter>,
     /// Datagrams sent on the UDP transport (`direction="out"`).
     pub udp_datagrams_out: Arc<Counter>,
-    /// UDP sessions established by a datagram handshake.
+    /// Hellos the UDP transport answered with a cookie (retransmits
+    /// included: the server keeps no session to tell them apart).
     pub udp_sessions_opened: Arc<Counter>,
-    /// UDP sessions swept after going idle without a `Done`.
-    pub udp_sessions_expired: Arc<Counter>,
 
     /// Data + admin connections currently open.
     pub connections_active: Arc<Gauge>,
@@ -176,11 +177,7 @@ impl DaemonMetrics {
         );
         let udp_sessions_opened = registry.counter(
             "reconciled_udp_sessions_opened_total",
-            "UDP sessions established by a datagram handshake.",
-        );
-        let udp_sessions_expired = registry.counter(
-            "reconciled_udp_sessions_expired_total",
-            "UDP sessions swept after going idle without completing.",
+            "Hellos the UDP transport answered with a cookie, retransmitted hellos included.",
         );
 
         let connections_active = registry.gauge(
@@ -247,7 +244,6 @@ impl DaemonMetrics {
             udp_datagrams_in,
             udp_datagrams_out,
             udp_sessions_opened,
-            udp_sessions_expired,
             connections_active,
             reactor_workers,
             items,

@@ -15,6 +15,11 @@
 //! already links — no external crates, keeping the workspace's
 //! zero-dependency invariant.
 //!
+//! The one other libc call the daemon's tools make lives here too, so that
+//! this module holds all of the crate's `unsafe`: [`raise_nofile_limit`]
+//! (`getrlimit`/`setrlimit`), which `loadgen` runs before thousand-peer
+//! runs.
+//!
 //! The `Poller` is intentionally *not* a full mio: no wakers (the daemon
 //! uses a `UnixStream` self-pipe registered like any other fd), no
 //! edge-triggering, no timer wheel. Timeouts are handled by the caller
@@ -377,6 +382,58 @@ mod sys {
             Ok(n)
         }
     }
+}
+
+/// Raises the process's file-descriptor soft limit toward `want` (bounded
+/// by the hard limit) and returns the resulting soft limit. Needed before
+/// thousand-peer runs on hosts with the conservative 1024 default (GitHub
+/// CI runners); a no-op when the limit is already high enough.
+#[cfg(unix)]
+pub fn raise_nofile_limit(want: u64) -> u64 {
+    use std::os::raw::c_int;
+
+    const RLIMIT_NOFILE: c_int = 7;
+
+    #[repr(C)]
+    struct RLimit {
+        rlim_cur: u64,
+        rlim_max: u64,
+    }
+
+    extern "C" {
+        fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+        fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+    }
+
+    let mut limit = RLimit {
+        rlim_cur: 0,
+        rlim_max: 0,
+    };
+    // SAFETY: `getrlimit` writes one `struct rlimit`, which `RLimit` lays
+    // out (two `rlim_t`, 64-bit on every Unix this builds for), through a
+    // pointer to a live local.
+    if unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) } != 0 {
+        return 0;
+    }
+    if limit.rlim_cur >= want {
+        return limit.rlim_cur;
+    }
+    limit.rlim_cur = want.min(limit.rlim_max);
+    // SAFETY: as above; `setrlimit` only reads the struct, and a soft
+    // limit at most the hard one is valid (a refusal is read back below).
+    unsafe {
+        setrlimit(RLIMIT_NOFILE, &limit);
+        if getrlimit(RLIMIT_NOFILE, &mut limit) != 0 {
+            return 0;
+        }
+    }
+    limit.rlim_cur
+}
+
+/// Non-Unix fallback: reports the request as-is without changing anything.
+#[cfg(not(unix))]
+pub fn raise_nofile_limit(want: u64) -> u64 {
+    want
 }
 
 #[cfg(test)]
